@@ -8,16 +8,18 @@ unit-less physical quantity is a config error, not a guess. All values
 are converted to the package's canonical units (um, us, rad/us and
 products thereof) at load time.
 
-The numeric part may be a constant expression over digits, ``pi`` and
-arithmetic operators, so ``"pi/2 rad"`` and ``"1/21 1/us"`` read the way
-they are meant.
+The numeric part may be a constant expression over numbers, ``pi``,
+``+ - * /``, unary minus and parentheses, so ``"pi/2 rad"`` and
+``"1/21 1/us"`` read the way they are meant. A syntax-tree walker, not
+``eval``, computes it, so a config can neither run code nor ask for powers.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import math
-import re
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -75,21 +77,28 @@ _CANONICAL = {
     "angle": "rad",
 }
 
-# Constant expressions: digits, pi, e-notation, arithmetic, parentheses.
-_NUMBER_EXPR = re.compile(r"^[0-9pie+\-*/(). ]+$")
+_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.Div: operator.truediv}
+
+
+def _eval_node(node: ast.AST) -> float:
+    """Value of a constant-expression node; anything else raises ValueError."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_eval_node(node.operand)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        return _BINARY_OPS[type(node.op)](_eval_node(node.left), _eval_node(node.right))
+    raise ValueError(f"disallowed syntax {type(node).__name__}")
 
 
 def _eval_number(text: str, name: str) -> float:
-    text = text.strip()
-    if not text or not _NUMBER_EXPR.match(text):
-        raise ConfigError(f"{name}: cannot parse number {text!r}")
     try:
-        val = eval(text, {"__builtins__": {}}, {"pi": math.pi})
-    except Exception as exc:
+        return float(_eval_node(ast.parse(text.strip(), mode="eval").body))
+    except (SyntaxError, ValueError, ZeroDivisionError, RecursionError) as exc:
         raise ConfigError(f"{name}: cannot parse number {text!r}") from exc
-    if not isinstance(val, (int, float)):
-        raise ConfigError(f"{name}: {text!r} is not a number")
-    return float(val)
 
 
 def parse_quantity(value, kind: str, name: str = "quantity") -> float:

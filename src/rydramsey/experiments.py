@@ -35,7 +35,12 @@ from .gas_average import (
     monte_carlo_gas,
     tau_half,
 )
-from .ising_core import RamseyProtocol, coherence_decay, sigma_plus_couplings
+from .ising_core import (
+    AtomConfiguration,
+    RamseyProtocol,
+    _envelope,
+    sigma_plus_couplings,
+)
 from .lattice import LatticeSpec, correlation_map, d4_deviation, lattice_contrast
 from .potential import DressingParams, PotentialKind, derive_potential
 
@@ -85,8 +90,8 @@ class UltrafastSpec:
 def parse_grid(text: str) -> np.ndarray:
     """Parse "lin:a:b:n" / "log:a:b:n" into a strictly increasing array.
 
-    Bounds accept pi-expressions ("lin:0:4pi:81" works... almost: write
-    "4*pi"). n is the point count, >= 2.
+    Bounds accept constant expressions in pi, such as "lin:0:4*pi:81"
+    (see config's number syntax). n is the point count, >= 2.
     """
     parts = text.split(":")
     if len(parts) != 4:
@@ -151,7 +156,8 @@ def run_fig2(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     Writes one CSV per angle (pi/2 and pi/20) with columns
     t, V0t, C_echo, C_noecho, C_noninteracting: the magnitudes of the
     disorder-averaged coherence and of the bare single-atom envelope.
-    The grid is in V0 t units.
+    The grid is in |V0| t units, so either sign of the plateau gives
+    forward times.
     """
     pot, density = _require_gas_inputs(cfg)
     if pot.kind is not PotentialKind.SOFT_CORE or pot.v0 == 0.0:
@@ -162,31 +168,20 @@ def run_fig2(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     files = []
     angle_files = {}
     for tag, theta in (("pi2", math.pi / 2.0), ("pi20", math.pi / 20.0)):
+        echo, noecho = (
+            GasSpec(density, pot, RamseyProtocol(theta, e, base.gamma, base.gamma_d))
+            for e in (True, False)
+        )
         rows = []
         for T in v0t:
-            t = T / pot.v0
-            echo = GasSpec(
-                density,
-                pot,
-                RamseyProtocol(theta, True, base.gamma, base.gamma_d),
-            )
-            noecho = GasSpec(
-                density,
-                pot,
-                RamseyProtocol(theta, False, base.gamma, base.gamma_d),
-            )
-            free = (
-                math.sin(theta)
-                * coherence_decay(base.gamma, t)
-                * math.exp(-base.gamma_d * t)
-            )
+            t = T / abs(pot.v0)
             rows.append(
                 (
                     t,
                     T,
                     abs(contrast_gas(echo, t)),
                     abs(contrast_gas(noecho, t)),
-                    free,
+                    _envelope(echo.protocol, t),
                 )
             )
         name = f"fig2_theta_{tag}.csv"
@@ -272,7 +267,7 @@ def run_fig3(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         density = 3.0 * n_r / (4.0 * math.pi * r_c3)
         rows = []
         for T in v0t:
-            t = T / pot.v0
+            t = T / abs(pot.v0)
             vals = {}
             asym = {}
             for echo in (True, False):
@@ -342,7 +337,7 @@ def run_fig4(
     """Lattice contrast trace and connected-correlation snapshots.
 
     The trace uses the configured protocol (dissipation allowed); the
-    G maps are evaluated for the unitary protocol at V0 t in
+    G maps are evaluated for the unitary protocol at |V0| t in
     {pi/2, pi, 2 pi} around the central site, exported as site CSVs.
     """
     if cfg.potential is None:
@@ -359,7 +354,7 @@ def run_fig4(
 
     rows = []
     for T in v0t:
-        t = T / pot.v0
+        t = T / abs(pot.v0)
         sp = lattice_contrast(spec, t, normalization)
         rows.append((t, T, abs(sp), math.atan2(sp.imag, sp.real)))
     _write_csv(
@@ -378,7 +373,7 @@ def run_fig4(
     snapshots = {}
     map_meta = {}
     for tag, T in (("pi2", math.pi / 2.0), ("pi", math.pi), ("2pi", 2.0 * math.pi)):
-        cmap = correlation_map(unitary, T / pot.v0)
+        cmap = correlation_map(unitary, T / abs(pot.v0))
         name = f"fig4_map_v0t_{tag}.csv"
         with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(cmap.to_csv())
@@ -514,21 +509,11 @@ def _random_soft_core_instance(rng, n: int):
     spec, _ = point.to_physical()
     pot = spec.potential
     box = (n / spec.density) ** (1.0 / 3.0)
-    while True:
-        pos = rng.random((n, 3)) * box
-        if n == 1:
-            break
-        d = pos[:, None, :] - pos[None, :, :]
-        r = np.sqrt((d * d).sum(axis=2))
-        r[np.diag_indices(n)] = np.inf
-        if r.min() >= 0.2 * pot.r_c:
-            break
-    diff = pos[:, None, :] - pos[None, :, :]
-    r = np.sqrt((diff * diff).sum(axis=2))
-    v = np.zeros((n, n))
     off = ~np.eye(n, dtype=bool)
-    v[off] = pot.v0 / (1.0 + (r[off] / pot.r_c) ** 6)
-    return v, pot
+    while True:
+        cfg = AtomConfiguration(rng.random((n, 3)) * box)
+        if n == 1 or cfg.pair_distances()[off].min() >= 0.2 * pot.r_c:
+            return cfg.coupling_matrix(pot), pot
 
 
 def run_validate(cfg: RunConfig | None, out_dir: str, seed: int = 0) -> dict:

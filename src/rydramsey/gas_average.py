@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 from scipy.special import j0, j1
 
@@ -39,13 +39,20 @@ from .errors import (
     UnsupportedRegimeError,
     ValidityWarning,
 )
-from .ising_core import RamseyProtocol, coherence_decay, f_kernel
+from .ising_core import (
+    RamseyProtocol,
+    _envelope,
+    _row_products,
+    _split_coefficients,
+    f_kernel,
+)
 from .potential import (
     DressingParams,
     InteractionPotential,
     PotentialKind,
     blockade_number,
     derive_potential,
+    evaluate_V,
 )
 
 __all__ = [
@@ -55,7 +62,6 @@ __all__ = [
     "AsymptoticResult",
     "MCResult",
     "exponent_integral",
-    "exponent_integral_closed",
     "contrast_gas",
     "contrast_gas_finite_n",
     "monte_carlo_gas",
@@ -70,6 +76,9 @@ _ABS_TOL = 1e-12
 
 # X below which 1 - f is replaced by its quadratic Taylor tail.
 _X_SMALL = 1e-5
+
+# Rows of the Monte Carlo pair matrix evaluated at once (bounds memory).
+_MC_CHUNK = 256
 
 # 15-point Kronrod rule with embedded 7-point Gauss estimate. Gauss
 # weights are zero at the Kronrod-only nodes so both sums run over the
@@ -190,11 +199,23 @@ def _kernel_derivative_at_zero(g: float, theta: float, beta: int) -> complex:
     return 0.5j * ((1.0 - beta) + (2.0 * beta - 1.0 - np.cos(theta)) * q)
 
 
-def _kernel_second_derivative_at_zero(g: float, theta: float, beta: int) -> complex:
-    # Central difference; h^2 truncation error ~1e-6 is harmless because
-    # this coefficient only weights the O(X^2) tail correction.
-    h = 1e-3
-    return (f_kernel(h, g, theta, beta) - 2.0 + f_kernel(-h, g, theta, beta)) / h**2
+def _kernel_second_derivative_at_zero(g: float, theta: float, beta: int) -> float:
+    """d^2 f / d X^2 at X = 0 for the pair kernel; real, as f(-X) = conj f(X).
+
+    With s = 2 beta - 1, q as above and p = e^{-y} (y cosh y - sinh y) / y^2
+    at y = g/2: -(1 - beta)/4 - beta (s - cos theta) q/2 + (1 - s cos theta) p/2.
+    p is summed as its Taylor series below g = 0.2, where
+    p = (1 + e^{-g})/g - 2 q/g cancels.
+    """
+    s = 2.0 * beta - 1.0
+    c = math.cos(theta)
+    q = -math.expm1(-g) / g if g > 0 else 1.0
+    if g < 0.2:
+        y = 0.5 * g
+        p = math.exp(-y) * (y / 3.0 + y**3 / 30.0 + y**5 / 840.0 + y**7 / 45360.0)
+    else:
+        p = (1.0 + math.exp(-g)) / g - 2.0 * q / g
+    return -0.25 * (1.0 - beta) - 0.5 * beta * (s - c) * q + 0.5 * (1.0 - s * c) * p
 
 
 def _soft_core_panel_edges(t_abs: float, u_tail: float) -> np.ndarray:
@@ -275,26 +296,30 @@ def _soft_core_i_over_nr(T: float, g: float, theta: float, beta: int) -> complex
     return complex(total)
 
 
-def _split_coefficients(x, g: float, theta: float, beta: int):
-    """a_plus, a_minus of f = a_plus e^{(decaying)} + a_minus e^{(surviving)}.
-
-    Well conditioned whenever |x + i(2 beta - 1) g| is away from zero,
-    which holds on the bare-potential tail where |x| >= 2.
-    """
-    denom = x + 1j * (2 * beta - 1) * g
-    ratio = (g - 1j * x * np.cos(theta)) / (2j * denom)
-    return 0.5 + ratio, 0.5 - ratio
+def _quad(fun, a: float, b: float, **kwargs) -> float:
+    """quad at the bare route's tolerances; its IntegrationWarning (the only
+    sign of a non-converged integral) becomes a NumericalError."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IntegrationWarning)
+        value, err = quad(fun, a, b, limit=400, epsabs=_ABS_TOL, epsrel=1e-9, **kwargs)[:2]
+    for w in caught:
+        if issubclass(w.category, IntegrationWarning):
+            raise NumericalError(
+                "bare-potential exponent quadrature did not converge",
+                diagnostics={"error_estimate": err, "quad_message": str(w.message)},
+            )
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return value
 
 
 def _oscillatory_tail(cfun, omega_signed: float, a: float) -> complex:
     """integral_a^inf cfun(Y) e^{i omega Y} dY via Fourier-weighted quadrature."""
     w = abs(omega_signed)
     sg = 1.0 if omega_signed > 0 else -1.0
-    opts = dict(limit=400, epsabs=_ABS_TOL, epsrel=1e-9)
-    rc = quad(lambda y: cfun(y).real, a, np.inf, weight="cos", wvar=w, **opts)[0]
-    rs = quad(lambda y: cfun(y).real, a, np.inf, weight="sin", wvar=w, **opts)[0]
-    ic = quad(lambda y: cfun(y).imag, a, np.inf, weight="cos", wvar=w, **opts)[0]
-    is_ = quad(lambda y: cfun(y).imag, a, np.inf, weight="sin", wvar=w, **opts)[0]
+    rc = _quad(lambda y: cfun(y).real, a, np.inf, weight="cos", wvar=w)
+    rs = _quad(lambda y: cfun(y).real, a, np.inf, weight="sin", wvar=w)
+    ic = _quad(lambda y: cfun(y).imag, a, np.inf, weight="cos", wvar=w)
+    is_ = _quad(lambda y: cfun(y).imag, a, np.inf, weight="sin", wvar=w)
     return (rc - sg * is_) + 1j * (sg * rs + ic)
 
 
@@ -308,22 +333,21 @@ def _bare_i_tilde_quadrature(s: float, g: float, theta: float, beta: int) -> com
     """
     x0 = 2.0
     u0 = 1.0 / math.sqrt(x0)
-    opts = dict(limit=400, epsabs=_ABS_TOL, epsrel=1e-9)
 
     def head(u):
         return 1.0 - f_kernel(s / u**2, g, theta, beta)
 
     try:
         head_val = (
-            quad(lambda u: head(u).real, u0, np.inf, **opts)[0]
-            + 1j * quad(lambda u: head(u).imag, u0, np.inf, **opts)[0]
+            _quad(lambda u: head(u).real, u0, np.inf)
+            + 1j * _quad(lambda u: head(u).imag, u0, np.inf)
         )
 
         eg = math.exp(-g) if g < 700 else 0.0
         if beta == 1:
             smooth = (
-                quad(lambda y: (1.0 - _split_coefficients(s * y, g, theta, 1)[1]).real * y**-1.5, x0, np.inf, **opts)[0]
-                + 1j * quad(lambda y: (1.0 - _split_coefficients(s * y, g, theta, 1)[1]).imag * y**-1.5, x0, np.inf, **opts)[0]
+                _quad(lambda y: (1.0 - _split_coefficients(s * y, g, theta, 1)[1]).real * y**-1.5, x0, np.inf)
+                + 1j * _quad(lambda y: (1.0 - _split_coefficients(s * y, g, theta, 1)[1]).imag * y**-1.5, x0, np.inf)
             )
             osc = -eg * _oscillatory_tail(
                 lambda y: _split_coefficients(s * y, g, theta, 1)[0] * y**-1.5, s, x0
@@ -338,10 +362,10 @@ def _bare_i_tilde_quadrature(s: float, g: float, theta: float, beta: int) -> com
                 lambda y: _split_coefficients(s * y, g, theta, 0)[1] * y**-1.5, -0.5 * s, x0
             )
             tail_val = 0.5 * (exact + osc_p + osc_m)
-    except Exception as exc:  # quadpack failures surface as warnings-to-errors or IntegrationWarning noise
+    except NumericalError as exc:
         raise NumericalError(
-            "bare-potential exponent quadrature failed",
-            diagnostics={"s": s, "g": g, "theta": theta, "beta": beta},
+            str(exc),
+            diagnostics={**exc.diagnostics, "s": s, "g": g, "theta": theta, "beta": beta},
         ) from exc
     return head_val + tail_val
 
@@ -412,33 +436,21 @@ def exponent_integral(spec: GasSpec, t: float, method: str = "auto") -> complex:
         raise ParameterError(f"unknown method {method!r}")
     if t == 0:
         return 0.0 + 0.0j
-    proto = spec.protocol
-    g = proto.gamma * t
+    th, beta = spec.protocol.theta, spec.protocol.beta
+    g = spec.protocol.gamma * t
     pot = spec.potential
-    if method == "closed" or (method == "auto" and g == 0.0):
-        if g > 0.0:
-            raise UnsupportedRegimeError(
-                "closed-form exponent integrals exist only at gamma = 0"
-            )
-        if pot.kind is PotentialKind.SOFT_CORE:
-            return spec.n_r * _soft_core_i_over_nr_closed(
-                pot.v0 * t, proto.theta, proto.beta
-            )
-        pref = 4.0 * math.pi * spec.density * math.sqrt(abs(pot.c6) * t) / 3.0
-        return pref * _bare_i_tilde_closed(
-            math.copysign(1.0, pot.c6), proto.theta, proto.beta
-        )
+    closed = method == "closed" or (method == "auto" and g == 0.0)
+    if closed and g > 0.0:
+        raise UnsupportedRegimeError("closed-form exponent integrals exist only at gamma = 0")
     if pot.kind is PotentialKind.SOFT_CORE:
-        return spec.n_r * _soft_core_i_over_nr(pot.v0 * t, g, proto.theta, proto.beta)
+        if closed:
+            return spec.n_r * _soft_core_i_over_nr_closed(pot.v0 * t, th, beta)
+        return spec.n_r * _soft_core_i_over_nr(pot.v0 * t, g, th, beta)
     pref = 4.0 * math.pi * spec.density * math.sqrt(abs(pot.c6) * t) / 3.0
-    return pref * _bare_i_tilde_quadrature(
-        math.copysign(1.0, pot.c6), g, proto.theta, proto.beta
-    )
-
-
-def exponent_integral_closed(spec: GasSpec, t: float) -> complex:
-    """Closed-form I(t); unitary protocols only. See exponent_integral."""
-    return exponent_integral(spec, t, method="closed")
+    sign = math.copysign(1.0, pot.c6)
+    if closed:
+        return pref * _bare_i_tilde_closed(sign, th, beta)
+    return pref * _bare_i_tilde_quadrature(sign, g, th, beta)
 
 
 def contrast_gas(spec: GasSpec, t: float, method: str = "auto") -> complex:
@@ -447,17 +459,10 @@ def contrast_gas(spec: GasSpec, t: float, method: str = "auto") -> complex:
     sin(theta) D(gamma, t) e^{-gamma_d t} exp(-I(t)); rho -> 0 recovers
     the non-interacting signal, t = 0 gives sin(theta).
     """
-    proto = spec.protocol
-    ii = exponent_integral(spec, t, method=method)
-    return (
-        np.sin(proto.theta)
-        * coherence_decay(proto.gamma, t)
-        * math.exp(-proto.gamma_d * t)
-        * np.exp(-ii)
-    )
+    return _envelope(spec.protocol, t) * np.exp(-exponent_integral(spec, t, method=method))
 
 
-def contrast_gas_finite_n(spec: GasSpec, t: float, n: int, method: str = "auto") -> complex:
+def contrast_gas_finite_n(spec: GasSpec, t: float, n: int) -> complex:
     """Finite-atom-number coherence sin(theta) D e^{-gamma_d t} [1 - I/N]^{N-1}.
 
     Converges to :func:`contrast_gas` as N -> infinity (deviation ~ c/N).
@@ -467,8 +472,7 @@ def contrast_gas_finite_n(spec: GasSpec, t: float, n: int, method: str = "auto")
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ParameterError("finite-N contrast needs an integer N >= 2")
-    proto = spec.protocol
-    ii = exponent_integral(spec, t, method=method)
+    ii = exponent_integral(spec, t)
     if abs(ii / n) >= 1.0:
         warnings.warn(
             f"|I/N| = {abs(ii / n):.3g} >= 1: finite-N formula outside "
@@ -476,12 +480,7 @@ def contrast_gas_finite_n(spec: GasSpec, t: float, n: int, method: str = "auto")
             ValidityWarning,
             stacklevel=2,
         )
-    return (
-        np.sin(proto.theta)
-        * coherence_decay(proto.gamma, t)
-        * math.exp(-proto.gamma_d * t)
-        * (1.0 - ii / n) ** (n - 1)
-    )
+    return _envelope(spec.protocol, t) * (1.0 - ii / n) ** (n - 1)
 
 
 @dataclass(frozen=True)
@@ -508,16 +507,15 @@ def monte_carlo_gas(
     n_samples: int,
     n_atoms: int,
     seed: int,
-    chunk_size: int = 256,
 ) -> MCResult:
     """Average sigma_plus over explicit uniform configurations.
 
     Atoms are placed uniformly in a periodic cube of side (N/rho)^(1/3)
-    with minimum-image pair distances; each sample evaluates the exact
-    per-configuration coherence (log-accumulated row products, the same
-    formula as sigma_plus_couplings) at every requested time, reusing
-    one distance pass per sample. Sampling is deterministic under the
-    seed, with one independent substream per sample.
+    with minimum-image pair distances; each sample is the exact
+    per-configuration coherence at every requested time, computed by the
+    envelope, evaluate_V and row-product code of sigma_plus_couplings,
+    reusing one distance pass per block of rows. Sampling is deterministic
+    under the seed: sample s draws from SeedSequence(seed).spawn(n)[s].
 
     A BiasWarning is raised when the box side is below 20 interaction
     range scales (r_c for soft-core, (|C6| t_max)^(1/6) for bare), where
@@ -548,46 +546,26 @@ def monte_carlo_gas(
 
     streams = np.random.SeedSequence(seed).spawn(n_samples)
     samples = np.empty((n_samples, times.size), dtype=complex)
-    prefactor = np.array(
-        [
-            np.sin(proto.theta)
-            * coherence_decay(proto.gamma, t)
-            * math.exp(-proto.gamma_d * t)
-            for t in times
-        ]
-    )
+    envelope = _envelope(proto, times)
+    rowprod = np.empty((times.size, n_atoms), dtype=complex)
 
     for s_idx, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         pos = rng.random((n_atoms, 3)) * box
-        log_mag = np.zeros((times.size, n_atoms))
-        phase = np.zeros((times.size, n_atoms))
-        dead = np.zeros((times.size, n_atoms), dtype=bool)
-        for lo in range(0, n_atoms, chunk_size):
-            hi = min(lo + chunk_size, n_atoms)
+        for lo in range(0, n_atoms, _MC_CHUNK):
+            hi = min(lo + _MC_CHUNK, n_atoms)
             diff = pos[lo:hi, None, :] - pos[None, :, :]
             diff -= box * np.rint(diff / box)
             r2 = np.einsum("ijk,ijk->ij", diff, diff)
             rows = np.arange(lo, hi)
             r2[rows - lo, rows] = 1.0  # placeholder; self-pairs zeroed below
-            if pot.kind is PotentialKind.SOFT_CORE:
-                v = pot.v0 / (1.0 + (r2 / pot.r_c**2) ** 3)
-            else:
-                v = pot.c6 / r2**3
+            v = evaluate_V(pot, np.sqrt(r2))
             v[rows - lo, rows] = 0.0  # self-pairs do not contribute
             for it, t in enumerate(times):
                 fac = f_kernel(v * t, proto.gamma * t, proto.theta, proto.beta)
                 fac[rows - lo, rows] = 1.0
-                mag = np.abs(fac)
-                zero = mag == 0.0
-                with np.errstate(divide="ignore"):
-                    lm = np.log(np.where(zero, 1.0, mag))
-                log_mag[it, lo:hi] += lm.sum(axis=1)
-                phase[it, lo:hi] += np.angle(fac).sum(axis=1)
-                dead[it, lo:hi] |= zero.any(axis=1)
-        rowprod = np.exp(log_mag + 1j * phase)
-        rowprod[dead] = 0.0
-        samples[s_idx] = prefactor * rowprod.mean(axis=1)
+                rowprod[it, lo:hi] = _row_products(fac)
+        samples[s_idx] = envelope * rowprod.mean(axis=1)
 
     mean = samples.mean(axis=0)
     stderr = np.sqrt(
@@ -732,12 +710,13 @@ def _tau_scale_estimates(spec: GasSpec) -> list:
     return [e for e in est if e > 0 and np.isfinite(e)]
 
 
-def tau_half(spec: GasSpec, method: str = "auto") -> float:
+def tau_half(spec: GasSpec) -> float:
     """Smallest t with |contrast(t)| = |contrast(0)| / 2, us.
 
-    Scans upward on a logarithmic grid seeded by the asymptotic laws
-    until the half level is bracketed, then polishes the bracket by
-    bisection to relative accuracy well below 1e-6.
+    Probes contrast_gas's default route on a logarithmic grid (25 points
+    per decade) seeded by the asymptotic laws until the half level is
+    bracketed, then polishes the bracket with brentq to relative accuracy
+    well below 1e-6.
 
     Raises
     ------
@@ -751,7 +730,7 @@ def tau_half(spec: GasSpec, method: str = "auto") -> float:
         raise ParameterError("initial contrast vanishes; tau_half undefined")
 
     def ratio(t: float) -> float:
-        return abs(contrast_gas(spec, t, method=method)) / c0
+        return abs(contrast_gas(spec, t)) / c0
 
     estimates = _tau_scale_estimates(spec)
     if not estimates:

@@ -19,7 +19,8 @@ master-equation module exposes both this and the raw lab frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,6 +67,14 @@ def coherence_decay(gamma: float, t: float) -> float:
     return float(np.exp(-COHERENCE_DECAY_EXPONENT * gamma * t))
 
 
+def _envelope(proto: RamseyProtocol, t):
+    """Single-atom envelope sin(theta) D(gamma, t) e^{-gamma_d t} of every
+    coherence, at a float t (plain float math) or a 1-D array of times."""
+    if isinstance(t, np.ndarray) and t.ndim:
+        return np.array([_envelope(proto, float(ti)) for ti in t])
+    return math.sin(proto.theta) * coherence_decay(proto.gamma, t) * math.exp(-proto.gamma_d * t)
+
+
 def _csinc(z: np.ndarray) -> np.ndarray:
     """sin(z)/z for complex z, with sinc(0) = 1.
 
@@ -80,6 +89,15 @@ def _csinc(z: np.ndarray) -> np.ndarray:
     zb = z[~small]
     out[~small] = np.sin(zb) / zb
     return out
+
+
+def _split_coefficients(x, g: float, theta: float, beta: int):
+    """a_plus, a_minus of the kernel split f = a_plus e^{iX - g} + a_minus
+    (beta = 1) or a_plus e^{iX/2} + a_minus e^{-iX/2 - g} (beta = 0);
+    well conditioned while |X + i(2 beta - 1) g| stays away from zero."""
+    denom = x + 1j * (2 * beta - 1) * g
+    ratio = (g - 1j * x * np.cos(theta)) / (2j * denom)
+    return 0.5 + ratio, 0.5 - ratio
 
 
 def f_kernel(x, g: float, theta: float, beta: int):
@@ -138,13 +156,9 @@ def f_kernel(x, g: float, theta: float, beta: int):
             np.cos(z) + 0.5 * (g - 1j * x * np.cos(theta)) * _csinc(z)
         )
     else:
-        # Split f = a_plus * (decaying exponential) + a_minus * (surviving
-        # one); algebraically identical to the cos/sinc form but free of
-        # cosh-sized intermediates. denom stays >= g away from zero here.
-        denom = x + 1j * (2 * beta - 1) * g
-        ratio = (g - 1j * x * np.cos(theta)) / (2j * denom)
-        a_plus = 0.5 + ratio
-        a_minus = 0.5 - ratio
+        # Split into a decaying and a surviving exponential, free of
+        # cosh-sized intermediates; |X + i(2 beta - 1) g| >= g here.
+        a_plus, a_minus = _split_coefficients(x, g, theta, beta)
         if beta == 1:
             out = a_plus * np.exp(1j * x - g) + a_minus
         else:
@@ -190,49 +204,45 @@ class RamseyProtocol:
 class AtomConfiguration:
     """Explicit 3D positions of a frozen atomic sample, um.
 
-    Couplings are materialized on demand from an
+    The positions are stored as a read-only copy, and their pair
+    distances are computed once, at construction, where coincident atoms
+    are rejected. Couplings are materialized on demand from an
     :class:`~rydramsey.potential.InteractionPotential`; the matrix is
-    symmetric with zero diagonal. Coincident atoms are rejected at
-    construction.
+    symmetric with zero diagonal.
     """
 
     positions: np.ndarray
 
     def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
+        pos = np.atleast_2d(np.array(self.positions, dtype=float))
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ParameterError(f"positions must have shape (N, 3), got {pos.shape}")
         if pos.shape[0] == 0:
             raise ParameterError("configuration must contain at least one atom")
+        d = pos[:, None, :] - pos[None, :, :]
+        r = np.sqrt((d * d).sum(axis=2))
+        if np.count_nonzero(r == 0.0) > pos.shape[0]:  # beyond the diagonal
+            raise ParameterError("two atoms coincide")
+        pos.flags.writeable = False
+        r.flags.writeable = False
         object.__setattr__(self, "positions", pos)
-        if pos.shape[0] > 1:
-            d = pos[:, None, :] - pos[None, :, :]
-            r = np.sqrt((d * d).sum(axis=2))
-            r[np.diag_indices(pos.shape[0])] = np.inf
-            if np.min(r) <= 0.0:
-                raise ParameterError("two atoms coincide")
+        object.__setattr__(self, "_distances", r)
 
     @property
     def n(self) -> int:
         return self.positions.shape[0]
 
     def pair_distances(self) -> np.ndarray:
-        """(N, N) matrix of pair distances, zero diagonal."""
-        d = self.positions[:, None, :] - self.positions[None, :, :]
-        return np.sqrt((d * d).sum(axis=2))
+        """(N, N) read-only matrix of pair distances, zero diagonal."""
+        return self._distances
 
     def coupling_matrix(self, pot: InteractionPotential) -> np.ndarray:
         """(N, N) symmetric coupling matrix V_jk in rad/us, zero diagonal."""
-        r = self.pair_distances()
-        n = self.n
-        if n > 1:
-            off = ~np.eye(n, dtype=bool)
-            if np.min(r[off]) <= 0.0:
-                raise ParameterError("two atoms coincide; couplings undefined")
-            v = np.zeros_like(r)
-            v[off] = evaluate_V(pot, r[off])
-            return v
-        return np.zeros((1, 1))
+        r = self._distances
+        v = np.zeros_like(r)
+        off = ~np.eye(self.n, dtype=bool)
+        v[off] = evaluate_V(pot, r[off])
+        return v
 
 
 @dataclass(frozen=True)
@@ -290,12 +300,10 @@ def _row_products(factors: np.ndarray) -> np.ndarray:
     accumulation keeps products of ~1e4 factors from underflowing.
     """
     mag = np.abs(factors)
-    zero_row = (mag == 0.0).any(axis=1)
-    with np.errstate(divide="ignore"):
-        logmag = np.where(mag == 0.0, 0.0, np.log(np.where(mag == 0.0, 1.0, mag)))
-    phases = np.angle(factors)
-    out = np.exp(logmag.sum(axis=1)) * np.exp(1j * phases.sum(axis=1))
-    out[zero_row] = 0.0
+    zero = mag == 0.0
+    log_mag = np.log(np.where(zero, 1.0, mag)).sum(axis=1)
+    out = np.exp(log_mag + 1j * np.angle(factors).sum(axis=1))
+    out[zero.any(axis=1)] = 0.0
     return out
 
 
@@ -338,13 +346,7 @@ def sigma_plus_couplings(
     factors = f_kernel(v * t, proto.gamma * t, proto.theta, proto.beta)
     factors = np.atleast_2d(factors)
     np.fill_diagonal(factors, 1.0)  # j == k excluded from the product
-    total = _row_products(factors).sum()
-    out = (
-        np.sin(proto.theta)
-        * coherence_decay(proto.gamma, t)
-        * np.exp(-proto.gamma_d * t)
-        * total
-    )
+    out = _envelope(proto, t) * _row_products(factors).sum()
     return complex(out / n) if normalization == "per-spin" else complex(out)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rydramsey import cli
-from rydramsey.config import load_config
+from rydramsey.config import config_from_dict, load_config
 from rydramsey.errors import ConfigError
 from rydramsey.experiments import parse_grid, run_fig5, run_validate
 
@@ -163,6 +163,38 @@ def test_cli_rejects_bad_grid(tmp_path, capsys):
     )
     assert rc == 2
     assert capsys.readouterr().err
+
+
+def test_negative_plateau_runs_forward_in_time(tmp_path):
+    # detuning < 0 with c6 > 0 is a valid soft core with V0 < 0. Flipping
+    # the sign of every coupling conjugates each pair kernel, f(-X) =
+    # conj f(X), so every magnitude matches the positive-plateau run and
+    # only the fig4 phase changes sign.
+    with open(SR, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["lattice"]["size"] = 5  # keeps the fig4 maps cheap
+    flipped = json.loads(json.dumps(data))
+    flipped["potential"]["detuning"] = "-5000 rad/us"
+    flipped["potential"]["c6"] = "1.0e4 rad*um^6/us"
+    assert config_from_dict(flipped).potential.v0 < 0
+    outputs = {}
+    for tag, cfg_data in (("pos", data), ("neg", flipped)):
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps(cfg_data))
+        for cmd, grid in (("fig2", "lin:0:8:9"), ("fig3", "log:0.1:10:5"), ("fig4", "lin:0:4:9")):
+            out = tmp_path / tag / cmd
+            rc = cli.main([cmd, "--config", str(path), "--out", str(out), "--grid", grid])
+            assert rc == 0, (tag, cmd)
+            for name in sorted(os.listdir(out)):
+                if name.endswith(".csv"):
+                    outputs.setdefault(name, {})[tag] = read_csv(out / name)
+    assert len(outputs) == 10
+    for name, runs in outputs.items():
+        header, pos = runs["pos"]
+        _, neg = runs["neg"]
+        for k, col in enumerate(header):
+            want = -pos[:, k] if col == "phase_rad" else pos[:, k]
+            assert np.allclose(neg[:, k], want, rtol=1e-12, atol=0.0), (name, col)
 
 
 def test_cli_rerun_is_byte_identical(tmp_path):

@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
+from rydramsey import gas_average
 from rydramsey.errors import (
     BiasWarning,
     CrossingNotFoundError,
+    NumericalError,
     ParameterError,
     UnsupportedRegimeError,
     ValidityWarning,
@@ -14,18 +18,23 @@ from rydramsey.gas_average import (
     DimensionlessPoint,
     GasSpec,
     Regime,
+    _kernel_second_derivative_at_zero,
     asymptotic_contrast,
     contrast_gas,
     contrast_gas_finite_n,
     exponent_integral,
-    exponent_integral_closed,
     fit_hardcore_amplitude,
     low_density_amplitude,
     monte_carlo_gas,
     tau_half,
 )
-from rydramsey.ising_core import RamseyProtocol
-from rydramsey.potential import DressingParams, PotentialKind, derive_potential
+from rydramsey.ising_core import RamseyProtocol, f_kernel, sigma_plus_couplings
+from rydramsey.potential import (
+    DressingParams,
+    PotentialKind,
+    derive_potential,
+    evaluate_V,
+)
 
 # 40-digit reference values for the disorder-average exponent, frozen
 # from an independent extended-precision evaluation.
@@ -99,6 +108,23 @@ def test_bare_exponent_dissipative_frozen_reference():
         want = prefactor * BARE_REFERENCE_G02 * (1.0 - 1j * sign)
         got = exponent_integral(sp, t)
         assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_bare_quadrature_nonconvergence_raises(monkeypatch):
+    # quad flags a non-converged integral only by a warning; the bare
+    # route must turn it into an error that keeps quad's error estimate
+    def unconverged_quad(fun, a, b, **kwargs):
+        warnings.warn("The maximum number of subdivisions has been achieved.",
+                      IntegrationWarning)
+        return 0.25, 3.5e-2
+
+    monkeypatch.setattr(gas_average, "quad", unconverged_quad)
+    pot = derive_potential(DressingParams(0.0, 0.0, 8.0), PotentialKind.BARE_VDW)
+    sp = GasSpec(0.7, pot, RamseyProtocol(math.pi / 2, False, 8.0, 0.0))
+    with pytest.raises(NumericalError) as err:
+        exponent_integral(sp, 0.025)
+    assert err.value.diagnostics["error_estimate"] == 3.5e-2
+    assert err.value.diagnostics["g"] == pytest.approx(0.2)
 
 
 def test_bare_exponent_unitary_magnitude():
@@ -231,6 +257,28 @@ def test_monte_carlo_deterministic_per_seed():
     assert not np.array_equal(a.samples, c.samples)
 
 
+@pytest.mark.filterwarnings("ignore::rydramsey.errors.BiasWarning")
+def test_monte_carlo_samples_are_sigma_plus_couplings():
+    # each sample is the exact coherence of its own minimum-image
+    # configuration, rebuilt here from the per-sample seed substream
+    sp = spec_at(0.5, 1.1, False, gamma=0.2, gamma_d=0.05)
+    times = [0.7, 2.5]
+    n_atoms, seed = 64, 5
+    mc = monte_carlo_gas(sp, times, n_samples=3, n_atoms=n_atoms, seed=seed)
+    box = mc.box_length
+    streams = np.random.SeedSequence(seed).spawn(3)
+    off = ~np.eye(n_atoms, dtype=bool)
+    for s, stream in enumerate(streams):
+        pos = np.random.default_rng(stream).random((n_atoms, 3)) * box
+        d = pos[:, None, :] - pos[None, :, :]
+        d -= box * np.rint(d / box)
+        v = np.zeros((n_atoms, n_atoms))
+        v[off] = evaluate_V(sp.potential, np.sqrt((d * d).sum(axis=2))[off])
+        for k, t in enumerate(times):
+            want = sigma_plus_couplings(v, sp.protocol, t)
+            assert abs(mc.samples[s, k] - want) <= 1e-12 * abs(want)
+
+
 def test_monte_carlo_small_box_warns():
     sp = spec_at(1.0, math.pi / 2, False)
     with pytest.warns(BiasWarning):
@@ -354,11 +402,23 @@ def test_tau_half_unreachable_crossing_raises():
         tau_half(spec_at(1e-6, math.pi / 20, False))
 
 
-def test_exponent_integral_closed_alias():
-    sp = spec_at(1.0, math.pi / 2, True)
-    assert exponent_integral_closed(sp, 2.0) == exponent_integral(
-        sp, 2.0, method="closed"
-    )
+def test_kernel_second_derivative_closed_form():
+    # against a Richardson-extrapolated central difference of f_kernel
+    def second_difference(g, theta, beta, h):
+        f0 = f_kernel(0.0, g, theta, beta)
+        return (f_kernel(h, g, theta, beta) - 2.0 * f0 + f_kernel(-h, g, theta, beta)) / h**2
+
+    h = 1e-2
+    for g in (0.0, 0.1, 5.0, 40.0):
+        for theta in (0.3, math.pi / 2, 2.6):
+            for beta in (0, 1):
+                want = (4.0 * second_difference(g, theta, beta, h / 2)
+                        - second_difference(g, theta, beta, h)) / 3.0
+                got = _kernel_second_derivative_at_zero(g, theta, beta)
+                assert abs(got - want) <= 1e-7
+            # the small-g Taylor branch meets the closed form at its switch
+            below = _kernel_second_derivative_at_zero(0.2 * (1 - 1e-15), theta, beta)
+            assert abs(below - _kernel_second_derivative_at_zero(0.2, theta, beta)) <= 1e-13
 
 
 def test_gas_spec_validation():

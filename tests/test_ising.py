@@ -244,6 +244,17 @@ def test_atom_configuration_validation():
         AtomConfiguration(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
+def test_atom_configuration_positions_are_a_read_only_copy():
+    pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    cfg = AtomConfiguration(pos)
+    pos[1, 0] = 2.0  # the caller's array stays theirs
+    assert cfg.pair_distances()[0, 1] == 1.0
+    with pytest.raises(ValueError):
+        cfg.positions[1, 0] = 2.0
+    with pytest.raises(ValueError):
+        cfg.pair_distances()[0, 1] = 2.0
+
+
 def test_sigma_plus_config_matches_manual_couplings():
     pot = derive_potential(
         DressingParams(1000.0, 5000.0, -1e4), PotentialKind.SOFT_CORE
