@@ -49,7 +49,7 @@ couplings = np.array([[0.0, v], [v, 0.0]])
 times = np.linspace(0.0, 3.0, 7)
 for echo in (True, False):
     proto = RamseyProtocol(theta=theta, echo=echo, gamma=gamma, gamma_d=0.0)
-    closed = np.array([sigma_plus_couplings(couplings, proto, t) for t in times])
+    closed = sigma_plus_couplings(couplings, proto, times)
     oracle = ramsey_sigma_plus(couplings, proto, times)
     worst = np.max(np.abs(closed - oracle))
     tag = "echo   " if echo else "no echo"

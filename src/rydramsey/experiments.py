@@ -352,10 +352,9 @@ def run_fig4(
     os.makedirs(out_dir, exist_ok=True)
     files = []
 
+    times = v0t / abs(pot.v0)
     rows = []
-    for T in v0t:
-        t = T / abs(pot.v0)
-        sp = lattice_contrast(spec, t, normalization)
+    for t, T, sp in zip(times, v0t, lattice_contrast(spec, times, normalization).tolist()):
         rows.append((t, T, abs(sp), math.atan2(sp.imag, sp.real)))
     _write_csv(
         os.path.join(out_dir, "fig4_contrast.csv"),
@@ -545,9 +544,7 @@ def run_validate(cfg: RunConfig | None, out_dir: str, seed: int = 0) -> dict:
         for gamma in (0.0, 0.1):
             proto = RamseyProtocol(math.pi / 3.0, echo, gamma, 0.0)
             times = np.linspace(0.0, 5.0, 6)
-            got = np.array(
-                [sigma_plus_couplings(v, proto, t) for t in times]
-            )
+            got = sigma_plus_couplings(v, proto, times)
             ref = oracle.ramsey_sigma_plus(v, proto, times)
             worst = max(worst, float(np.max(np.abs(got - ref))))
     record("zero_coupling_exactness", worst, 1e-12)
@@ -558,7 +555,7 @@ def run_validate(cfg: RunConfig | None, out_dir: str, seed: int = 0) -> dict:
         v, pot = _random_soft_core_instance(rng, n)
         proto = RamseyProtocol(math.pi / 2.0, echo, 0.1 * pot.v0, 0.0)
         times = np.linspace(0.0, 4.0 * math.pi / pot.v0, 7)
-        got = np.array([sigma_plus_couplings(v, proto, t) for t in times])
+        got = sigma_plus_couplings(v, proto, times)
         ref = oracle.ramsey_sigma_plus(v, proto, times)
         worst = max(worst, float(np.max(np.abs(got - ref))))
     record("dissipative_oracle_agreement", worst, 1e-6)
@@ -577,7 +574,7 @@ def run_validate(cfg: RunConfig | None, out_dir: str, seed: int = 0) -> dict:
     for echo in (True, False):
         proto = RamseyProtocol(math.pi / 4.0, echo, 0.16, 0.0)
         times = np.linspace(0.0, 10.0, 9)
-        got = np.array([sigma_plus_couplings(v2, proto, t) for t in times])
+        got = sigma_plus_couplings(v2, proto, times)
         ref = oracle.ramsey_sigma_plus(v2, proto, times)
         worst = max(worst, float(np.max(np.abs(got - ref))))
     record("two_spin_kernel_identity", worst, 1e-6)

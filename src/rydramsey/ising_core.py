@@ -310,25 +310,34 @@ def _row_products(factors: np.ndarray) -> np.ndarray:
 def sigma_plus_couplings(
     couplings: np.ndarray,
     proto: RamseyProtocol,
-    t: float,
+    t,
     normalization: str = "per-spin",
-) -> complex:
-    """Exact coherence for a given coupling matrix.
+) -> complex | np.ndarray:
+    """Exact coherence for a given coupling matrix, at one time or many.
 
     sigma_plus = sin(theta) * D(gamma, t) * e^{-gamma_d t}
     * sum_k prod_{j != k} f_kernel(V_jk t, gamma t, theta, beta),
     divided by N for per-spin normalization. See
     :func:`f_kernel` and :func:`coherence_decay`.
 
+    The matrix is validated once per call, and at each time the kernel is
+    evaluated once per distinct coupling value (a lattice has a handful)
+    and gathered back to N x N; memory stays O(N^2) for any number of
+    times.
+
     Parameters
     ----------
     couplings : ndarray
         (N, N) symmetric, zero diagonal, rad/us.
     proto : RamseyProtocol
-    t : float
+    t : float or 1-D array
         us; t >= 0 (t < 0 allowed only when gamma = gamma_d = 0, where the
         evolution is unitary and time reversal is meaningful).
     normalization : {"per-spin", "total"}
+
+    Returns
+    -------
+    complex for a scalar t, else a complex array shaped like t.
     """
     v = np.asarray(couplings, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
@@ -338,29 +347,37 @@ def sigma_plus_couplings(
     scale = max(1.0, float(np.max(np.abs(v))))
     if not np.allclose(v, v.T, rtol=0.0, atol=1e-12 * scale):
         raise ParameterError("couplings must be symmetric")
-    if t < 0 and (proto.gamma > 0 or proto.gamma_d > 0):
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ParameterError("t must be a float or a 1-D array of times")
+    if np.any(times < 0) and (proto.gamma > 0 or proto.gamma_d > 0):
         raise ParameterError("negative time is only meaningful without dissipation")
     if normalization not in ("per-spin", "total"):
         raise ParameterError(f"unknown normalization {normalization!r}")
     n = v.shape[0]
-    factors = f_kernel(v * t, proto.gamma * t, proto.theta, proto.beta)
-    factors = np.atleast_2d(factors)
-    np.fill_diagonal(factors, 1.0)  # j == k excluded from the product
-    out = _envelope(proto, t) * _row_products(factors).sum()
-    return complex(out / n) if normalization == "per-spin" else complex(out)
+    values, inverse = np.unique(v, return_inverse=True)
+    inverse = inverse.reshape(v.shape)
+    out = np.empty(times.size, dtype=complex)
+    for k, tk in enumerate(times.reshape(-1).tolist()):
+        factors = f_kernel(values * tk, proto.gamma * tk, proto.theta, proto.beta)[inverse]
+        np.fill_diagonal(factors, 1.0)  # j == k excluded from the product
+        sp = _envelope(proto, tk) * _row_products(factors).sum()
+        out[k] = sp / n if normalization == "per-spin" else sp
+    return complex(out[0]) if times.ndim == 0 else out
 
 
 def sigma_plus_config(
     cfg: AtomConfiguration,
     pot: InteractionPotential,
     proto: RamseyProtocol,
-    t: float,
+    t,
     normalization: str = "per-spin",
-) -> complex:
-    """Exact coherence of an explicit configuration at time t.
+) -> complex | np.ndarray:
+    """Exact coherence of an explicit configuration at time(s) t.
 
     Convenience wrapper building the coupling matrix from positions; see
-    :func:`sigma_plus_couplings` for the formula and conventions.
+    :func:`sigma_plus_couplings` for the formula, conventions and the
+    float-or-array handling of t.
     """
     return sigma_plus_couplings(cfg.coupling_matrix(pot), proto, t, normalization)
 
@@ -372,38 +389,45 @@ def contrast_trace(
     times,
     normalization: str = "per-spin",
 ) -> ContrastTrace:
-    """Evaluate the coherence on a time grid, reusing the coupling matrix."""
+    """Evaluate the coherence on a 1-D time grid.
+
+    The coupling matrix is built once and the whole grid goes to
+    :func:`sigma_plus_couplings` in one call, which evaluates the kernel
+    once per distinct coupling value at each time.
+    """
     times = np.asarray(times, dtype=float)
-    v = cfg.coupling_matrix(pot)
-    sp = np.array(
-        [sigma_plus_couplings(v, proto, t, normalization) for t in times]
-    )
+    sp = sigma_plus_couplings(cfg.coupling_matrix(pot), proto, times, normalization)
     return ContrastTrace(times=times, sigma_plus=sp, normalization=normalization)
 
 
 def _connected_sxsx_couplings(
-    couplings: np.ndarray, proto: RamseyProtocol, i: int, j: int, t: float
-) -> float:
+    couplings: np.ndarray, proto: RamseyProtocol, i: int, js: np.ndarray, t: float
+) -> np.ndarray:
+    """G(i, j) for every j in js, in one pass over the coupling rows.
+
+    Three g = 0 kernel matrices: rows i and js for the <sigma^x_k>, and
+    the |js| x N matrices at (V_ik +- V_jk) t for the two-point
+    functions, with the excluded columns i and j set to 1.
+    """
     v = couplings
-    n = v.shape[0]
+    js = np.asarray(js, dtype=int)
     th, beta = proto.theta, proto.beta
-    mask = np.ones(n, dtype=bool)
-    mask[[i, j]] = False
 
-    def f0(x):
-        return f_kernel(x, 0.0, th, beta)
+    def prod_f0(x, excluded):
+        # prod over each row of f(x t, g = 0), skipping the excluded columns
+        f = f_kernel(x * t, 0.0, th, beta)
+        r = np.arange(f.shape[0])
+        for cols in excluded:
+            f[r, cols] = 1.0
+        return np.prod(f, axis=1)
 
+    rows = np.concatenate(([i], js))
+    sx = (np.sin(th) * prod_f0(v[rows], [rows])).real
     amp = 0.25 * np.sin(th) ** 2
-    spp = amp * np.exp(1j * beta * v[i, j] * t) * np.prod(f0((v[i, mask] + v[j, mask]) * t))
-    spm = amp * np.prod(f0((v[i, mask] - v[j, mask]) * t))
+    spp = amp * np.exp(1j * beta * v[i, js] * t) * prod_f0(v[i] + v[js], [i, js])
+    spm = amp * prod_f0(v[i] - v[js], [i, js])
     sxsx = 2.0 * (spp + spm).real
-
-    def sx(k):
-        m = np.ones(n, dtype=bool)
-        m[k] = False
-        return (np.sin(th) * np.prod(f0(v[k, m] * t))).real
-
-    return float((sxsx - sx(i) * sx(j)) / 4.0)
+    return (sxsx - sx[0] * sx[1:]) / 4.0
 
 
 def connected_sxsx(
@@ -446,4 +470,4 @@ def connected_sxsx(
         raise ParameterError(f"site indices out of range for N = {n}")
     if i == j:
         raise ParameterError("connected correlator needs two distinct sites")
-    return _connected_sxsx_couplings(cfg.coupling_matrix(pot), proto, i, j, t)
+    return float(_connected_sxsx_couplings(cfg.coupling_matrix(pot), proto, i, [j], t)[0])

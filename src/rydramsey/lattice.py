@@ -1,12 +1,14 @@
 """Contrast and connected-correlation maps on a unit-filled square lattice.
 
-A finite L x L array with open boundaries, one atom per site. Contrast
-reuses the exact configuration solver of :mod:`rydramsey.ising_core`
-unchanged (it is literally the same code path, a tested invariant);
-correlation maps evaluate the closed-form connected correlator against
-a chosen reference site and carry the lattice geometry along for
-export. Correlations follow the spin-1/2 normalization S = sigma/2, so
-|G| <= 1/4 always.
+A finite L x L array with open boundaries, one atom per site. Each
+call builds the coupling matrix once. Contrast reuses the exact
+configuration solver of :mod:`rydramsey.ising_core` unchanged (it is
+literally the same code path, a tested invariant) on a float time or a
+whole time grid, evaluating the kernel once per distinct coupling value
+at each time; correlation maps evaluate the closed-form connected
+correlator against a chosen reference site for every other site in one
+pass, and carry the lattice geometry along for export. Correlations
+follow the spin-1/2 normalization S = sigma/2, so |G| <= 1/4 always.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from .errors import ParameterError, UnsupportedRegimeError
 from .ising_core import (
     AtomConfiguration,
     RamseyProtocol,
-    connected_sxsx,
+    _connected_sxsx_couplings,
+    connected_sxsx,  # noqa: F401  (re-exported for callers of this module)
     sigma_plus_config,
 )
 from .potential import InteractionPotential
@@ -86,12 +89,17 @@ def lattice_positions(side: int, spacing: float) -> np.ndarray:
     return pos
 
 
-def lattice_contrast(spec: LatticeSpec, t: float, normalization: str = "per-spin") -> complex:
-    """Per-spin coherence of the lattice at time t.
+def lattice_contrast(
+    spec: LatticeSpec, t, normalization: str = "per-spin"
+) -> complex | np.ndarray:
+    """Per-spin coherence of the lattice at time t, a float or a 1-D array.
 
-    Delegates to sigma_plus_config on the L^2 configuration; the full
-    dissipative closed form is allowed here (unlike correlation maps).
-    L = 1 gives the bare single-atom signal sin(theta) D e^{-gamma_d t}.
+    Delegates to sigma_plus_config on the L^2 configuration, so the
+    couplings are built once per call and the kernel is evaluated once
+    per distinct coupling value at each time; returns a complex for a
+    float t and a complex array for an array. The full dissipative
+    closed form is allowed here (unlike correlation maps). L = 1 gives
+    the bare single-atom signal sin(theta) D e^{-gamma_d t}.
     """
     return sigma_plus_config(
         spec.configuration(), spec.potential, spec.protocol, t, normalization
@@ -147,9 +155,10 @@ class CorrelationMap:
 def correlation_map(spec: LatticeSpec, t: float, center: int | None = None) -> CorrelationMap:
     """Map of G(center, j) = <S^x S^x> - <S^x><S^x> over all sites j.
 
-    Closed-form evaluation, dissipation-free protocols only; for small
-    dissipative systems use the oracle module's dense evolution instead
-    (N <= 8). At t = 0 every entry vanishes.
+    Closed-form evaluation of every site in one pass over the coupling
+    matrix, dissipation-free protocols only; for small dissipative
+    systems use the oracle module's dense evolution instead (N <= 8).
+    At t = 0 every entry vanishes.
 
     Raises
     ------
@@ -170,13 +179,11 @@ def correlation_map(spec: LatticeSpec, t: float, center: int | None = None) -> C
         raise ParameterError(
             f"center site {center} outside a {spec.side}x{spec.side} lattice"
         )
-    cfg = spec.configuration()
-    values = np.full((spec.side, spec.side), np.nan)
-    for j in range(spec.n_sites):
-        if j == center:
-            continue
-        ix, iy = divmod(j, spec.side)
-        values[ix, iy] = connected_sxsx(cfg, spec.potential, proto, center, j, t)
+    v = spec.configuration().coupling_matrix(spec.potential)
+    js = np.delete(np.arange(spec.n_sites), center)
+    values = np.full(spec.n_sites, np.nan)  # flat index ix * L + iy
+    values[js] = _connected_sxsx_couplings(v, proto, center, js, t)
+    values = values.reshape(spec.side, spec.side)
     return CorrelationMap(
         side=spec.side, spacing=spec.spacing, center=center, time=t, values=values
     )

@@ -8,7 +8,8 @@ import pytest
 from rydramsey import cli
 from rydramsey.config import config_from_dict, load_config
 from rydramsey.errors import ConfigError
-from rydramsey.experiments import parse_grid, run_fig5, run_validate
+from rydramsey.experiments import parse_grid, run_fig4, run_fig5, run_validate
+from rydramsey.ising_core import AtomConfiguration
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SR = os.path.join(CONFIG_DIR, "sr_dressed.json")
@@ -195,6 +196,24 @@ def test_negative_plateau_runs_forward_in_time(tmp_path):
         for k, col in enumerate(header):
             want = -pos[:, k] if col == "phase_rad" else pos[:, k]
             assert np.allclose(neg[:, k], want, rtol=1e-12, atol=0.0), (name, col)
+
+
+def test_fig4_builds_each_coupling_matrix_once(tmp_path, monkeypatch):
+    # One build for the whole contrast trace and one per correlation map.
+    with open(SR, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["lattice"]["size"] = 5
+    cfg = config_from_dict(data)
+    builds = []
+    original = AtomConfiguration.coupling_matrix
+
+    def counting(self, pot):
+        builds.append(self.n)
+        return original(self, pot)
+
+    monkeypatch.setattr(AtomConfiguration, "coupling_matrix", counting)
+    run_fig4(cfg, str(tmp_path), grid=parse_grid("lin:0:4*pi:33"))
+    assert len(builds) <= 4, builds
 
 
 def test_cli_rerun_is_byte_identical(tmp_path):

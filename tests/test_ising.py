@@ -16,6 +16,7 @@ from rydramsey.ising_core import (
     sigma_plus_config,
     sigma_plus_couplings,
 )
+from rydramsey.lattice import lattice_positions
 from rydramsey.potential import DressingParams, PotentialKind, derive_potential
 
 # Extended-precision (40-digit) reference evaluations of the pair kernel,
@@ -201,6 +202,59 @@ def test_normalization_modes():
     assert tot == pytest.approx(5.0 * per, rel=1e-14)
     with pytest.raises(ParameterError):
         sigma_plus_couplings(v, proto, 1.3, normalization="mean")
+
+
+# t = 0, then the cos/sinc branch and (at gamma = 0.5) the g > 30 split
+# branch; the gamma = 0 protocols take the g = 0 branch at every time.
+ARRAY_TIMES = np.array([0.0, 0.7, 3.1, 75.0])
+ARRAY_PROTOCOLS = [
+    RamseyProtocol(math.pi / 2, True, 0.0, 0.0),
+    RamseyProtocol(0.7, False, 0.0, 0.0),
+    RamseyProtocol(math.pi / 2, True, 0.5, 0.02),
+    RamseyProtocol(1.1, False, 0.5, 0.0),
+]
+
+
+def lattice_couplings(side):
+    # Unit-filled side x side lattice at r_c / 2: only a few distinct values.
+    pot = derive_potential(
+        DressingParams(1000.0, 5000.0, -1e4), PotentialKind.SOFT_CORE
+    )
+    return AtomConfiguration(lattice_positions(side, pot.r_c / 2.0)).coupling_matrix(pot)
+
+
+@pytest.mark.parametrize("proto", ARRAY_PROTOCOLS)
+@pytest.mark.parametrize("normalization", ["per-spin", "total"])
+@pytest.mark.parametrize("geometry", ["random12", "lattice5"])
+def test_sigma_plus_time_array_equals_scalar_calls(proto, normalization, geometry):
+    if geometry == "random12":
+        v = rand_couplings(12, np.random.default_rng(21))
+        assert np.unique(v[np.triu_indices(12, 1)]).size == 66  # all distinct
+    else:
+        v = lattice_couplings(5)
+        assert np.unique(v).size < 20
+    got = sigma_plus_couplings(v, proto, ARRAY_TIMES, normalization)
+    assert got.shape == ARRAY_TIMES.shape and got.dtype == complex
+    for k, t in enumerate(ARRAY_TIMES):
+        want = sigma_plus_couplings(v, proto, float(t), normalization)
+        assert type(want) is complex
+        assert got[k] == want
+
+
+def test_sigma_plus_time_array_edge_cases():
+    v = rand_couplings(4, np.random.default_rng(3))
+    proto = RamseyProtocol(math.pi / 2, True, 0.1, 0.0)
+    with pytest.raises(ParameterError):
+        sigma_plus_couplings(v, proto, np.array([0.5, -1e-9, 2.0]))
+    with pytest.raises(ParameterError):
+        sigma_plus_couplings(v, proto, np.ones((2, 2)))
+    zero_d = sigma_plus_couplings(v, proto, np.array(1.3))
+    assert type(zero_d) is complex
+    assert zero_d == sigma_plus_couplings(v, proto, 1.3)
+    assert sigma_plus_couplings(v, proto, np.array([])).shape == (0,)
+    unitary = RamseyProtocol(0.8, False, 0.0, 0.0)
+    back = sigma_plus_couplings(v, unitary, np.array([-2.0, 2.0]))
+    assert back[0] == pytest.approx(np.conj(back[1]), abs=1e-13)
 
 
 def test_couplings_validation():

@@ -7,6 +7,7 @@ from rydramsey.errors import ParameterError, UnsupportedRegimeError
 from rydramsey.ising_core import (
     AtomConfiguration,
     RamseyProtocol,
+    f_kernel,
     sigma_plus_config,
 )
 from rydramsey.lattice import (
@@ -113,8 +114,8 @@ def test_half_time_matches_neighbor_count_prediction():
 
 
 def test_two_atom_correlator_matches_oracle():
-    # same analytic G(1,2) as a 2-site chain; the map code routes every
-    # pair through this function
+    # same analytic G(1,2) as a 2-site chain; the map and this function
+    # share one code path
     pot = soft_core_potential()
     positions = np.array([[0.0, 0.0, 0.0], [0.8 * pot.r_c, 0.0, 0.0]])
     cfg = AtomConfiguration(positions)
@@ -177,6 +178,62 @@ def test_map_d4_symmetry_at_center():
     t = math.pi / spec.potential.v0
     cmap = correlation_map(spec, t)
     assert d4_deviation(cmap) <= 1e-10
+
+
+def reference_sxsx(v, proto, i, j, t):
+    # Per-pair closed form of the connected_sxsx docstring, one pair at a time.
+    th, beta = proto.theta, proto.beta
+    n = v.shape[0]
+
+    def prod_f0(x):
+        return np.prod(f_kernel(x * t, 0.0, th, beta))
+
+    others = np.ones(n, dtype=bool)
+    others[[i, j]] = False
+    amp = (np.sin(th) / 2.0) ** 2
+    spp = amp * np.exp(1j * beta * v[i, j] * t) * prod_f0(v[i, others] + v[j, others])
+    spm = amp * prod_f0(v[i, others] - v[j, others])
+
+    def sx(k):
+        return (np.sin(th) * prod_f0(np.delete(v[k], k))).real
+
+    return (2.0 * (spp + spm).real - sx(i) * sx(j)) / 4.0
+
+
+@pytest.mark.parametrize("side", [5, 7])
+@pytest.mark.parametrize("theta", [math.pi / 2, 0.7])
+@pytest.mark.parametrize("echo", [True, False])
+def test_map_matches_per_pair_formula(side, theta, echo):
+    # The one-pass map trades at most 1e-12 relative against the
+    # per-pair formula (ulp-level, from vectorized complex products).
+    spec = fig_lattice(theta=theta, echo=echo, side=side)
+    cfg = spec.configuration()
+    v = cfg.coupling_matrix(spec.potential)
+    for v0t in (math.pi / 2, math.pi, 2 * math.pi):
+        t = v0t / spec.potential.v0
+        cmap = correlation_map(spec, t)
+        for j in range(spec.n_sites):
+            if j == cmap.center:
+                continue
+            got = cmap.values[divmod(j, side)]
+            want = reference_sxsx(v, spec.protocol, cmap.center, j, t)
+            assert abs(got - want) <= 1e-12 * abs(want) + 1e-30, (j, got, want)
+            pair = connected_sxsx(cfg, spec.potential, spec.protocol, cmap.center, j, t)
+            assert pair == got  # bit for bit: the map and the pair share one path
+
+
+def test_single_site_map_is_empty():
+    cmap = correlation_map(fig_lattice(side=1), 0.4)
+    assert cmap.values.shape == (1, 1) and np.isnan(cmap.values[0, 0])
+
+
+def test_lattice_contrast_accepts_time_array():
+    spec = fig_lattice(theta=1.1, echo=False, gamma=0.05, side=4)
+    times = np.linspace(0.0, 2.0, 5)
+    got = lattice_contrast(spec, times)
+    assert got.shape == times.shape
+    for k, t in enumerate(times):
+        assert got[k] == lattice_contrast(spec, float(t))
 
 
 def test_map_correlations_confined_to_plateau_radius():
