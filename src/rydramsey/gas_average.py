@@ -42,7 +42,7 @@ from .errors import (
 from .ising_core import (
     RamseyProtocol,
     _envelope,
-    _row_products,
+    _log_factors,
     _split_coefficients,
     f_kernel,
 )
@@ -512,10 +512,15 @@ def monte_carlo_gas(
 
     Atoms are placed uniformly in a periodic cube of side (N/rho)^(1/3)
     with minimum-image pair distances; each sample is the exact
-    per-configuration coherence at every requested time, computed by the
-    envelope, evaluate_V and row-product code of sigma_plus_couplings,
-    reusing one distance pass per block of rows. Sampling is deterministic
-    under the seed: sample s draws from SeedSequence(seed).spawn(n)[s].
+    per-configuration coherence at every requested time, computed with the
+    envelope, evaluate_V and kernel-log code of sigma_plus_couplings.
+    V_jk = V_kj, so each unordered pair is evaluated once: a block of
+    rows [lo, hi) meets only the columns [lo, N) (one distance pass per
+    block, reused at every time), and the log of each pair factor is
+    added to both atoms' sums. Exact zero factors are flagged the same
+    way, and exp is taken once per sample and time. Sampling is
+    deterministic under the seed: sample s draws from
+    SeedSequence(seed).spawn(n)[s].
 
     A BiasWarning is raised when the box side is below 20 interaction
     range scales (r_c for soft-core, (|C6| t_max)^(1/6) for bare), where
@@ -547,24 +552,41 @@ def monte_carlo_gas(
     streams = np.random.SeedSequence(seed).spawn(n_samples)
     samples = np.empty((n_samples, times.size), dtype=complex)
     envelope = _envelope(proto, times)
-    rowprod = np.empty((times.size, n_atoms), dtype=complex)
+    # (T, N) sums of the logs of each atom's factors, and exact zeros
+    log_rows = np.empty((times.size, n_atoms), dtype=complex)
+    dead = np.empty((times.size, n_atoms), dtype=bool)
+    # pairs of a diagonal block already counted, or self-pairs: col <= row
+    lower = np.tril(np.ones((_MC_CHUNK, _MC_CHUNK), dtype=bool))
 
     for s_idx, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         pos = rng.random((n_atoms, 3)) * box
+        log_rows[:] = 0.0
+        dead[:] = False
         for lo in range(0, n_atoms, _MC_CHUNK):
             hi = min(lo + _MC_CHUNK, n_atoms)
-            diff = pos[lo:hi, None, :] - pos[None, :, :]
-            diff -= box * np.rint(diff / box)
-            r2 = np.einsum("ijk,ijk->ij", diff, diff)
-            rows = np.arange(lo, hi)
-            r2[rows - lo, rows] = 1.0  # placeholder; self-pairs zeroed below
+            below = lower[: hi - lo, : hi - lo]
+            # rows lo:hi against columns lo:N; each unordered pair once
+            r2 = np.zeros((hi - lo, n_atoms - lo))
+            for x in pos.T:
+                d = x[lo:hi, None] - x[None, lo:]
+                d -= box * np.rint(d / box)
+                r2 += d * d
+            np.fill_diagonal(r2, 1.0)  # placeholder; self-pairs are masked
             v = evaluate_V(pot, np.sqrt(r2))
-            v[rows - lo, rows] = 0.0  # self-pairs do not contribute
             for it, t in enumerate(times):
-                fac = f_kernel(v * t, proto.gamma * t, proto.theta, proto.beta)
-                fac[rows - lo, rows] = 1.0
-                rowprod[it, lo:hi] = _row_products(fac)
+                logs, zero = _log_factors(
+                    f_kernel(v * t, proto.gamma * t, proto.theta, proto.beta)
+                )
+                logs[:, : hi - lo][below] = 0.0
+                log_rows[it, lo:hi] += logs.sum(axis=1)
+                log_rows[it, lo:] += logs.sum(axis=0)
+                if zero.any():
+                    zero[:, : hi - lo][below] = False
+                    dead[it, lo:hi] |= zero.any(axis=1)
+                    dead[it, lo:] |= zero.any(axis=0)
+        rowprod = np.exp(log_rows)
+        rowprod[dead] = 0.0
         samples[s_idx] = envelope * rowprod.mean(axis=1)
 
     mean = samples.mean(axis=0)

@@ -293,18 +293,21 @@ def contrast_phase(sigma_plus):
     return c, phi
 
 
-def _row_products(factors: np.ndarray) -> np.ndarray:
-    """Product over each row, accumulated as log-magnitude plus phase.
+def _log_factors(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex logs log|f| + i arg f of the factors, and their exact zeros.
 
-    Rows containing an exact zero short-circuit to 0. Log-space
-    accumulation keeps products of ~1e4 factors from underflowing.
+    A product of factors is exp of the sum of their logs, set to 0 when
+    any of them is flagged zero; the log of a zero factor is 0 here, so
+    the flag alone carries it. Log-space accumulation keeps products of
+    ~1e4 factors from underflowing.
     """
     mag = np.abs(factors)
     zero = mag == 0.0
-    log_mag = np.log(np.where(zero, 1.0, mag)).sum(axis=1)
-    out = np.exp(log_mag + 1j * np.angle(factors).sum(axis=1))
-    out[zero.any(axis=1)] = 0.0
-    return out
+    mag[zero] = 1.0
+    logs = np.empty(mag.shape, dtype=complex)
+    np.log(mag, out=logs.real)
+    np.arctan2(factors.imag, factors.real, out=logs.imag)
+    return logs, zero
 
 
 def sigma_plus_couplings(
@@ -320,10 +323,10 @@ def sigma_plus_couplings(
     divided by N for per-spin normalization. See
     :func:`f_kernel` and :func:`coherence_decay`.
 
-    The matrix is validated once per call, and at each time the kernel is
-    evaluated once per distinct coupling value (a lattice has a handful)
-    and gathered back to N x N; memory stays O(N^2) for any number of
-    times.
+    The matrix is validated once per call, and at each time the kernel and
+    its complex log are evaluated once per distinct coupling value (a
+    lattice has a handful) and the logs gathered back to N x N; memory
+    stays O(N^2) for any number of times.
 
     Parameters
     ----------
@@ -359,9 +362,17 @@ def sigma_plus_couplings(
     inverse = inverse.reshape(v.shape)
     out = np.empty(times.size, dtype=complex)
     for k, tk in enumerate(times.reshape(-1).tolist()):
-        factors = f_kernel(values * tk, proto.gamma * tk, proto.theta, proto.beta)[inverse]
-        np.fill_diagonal(factors, 1.0)  # j == k excluded from the product
-        sp = _envelope(proto, tk) * _row_products(factors).sum()
+        logs, zero = _log_factors(
+            f_kernel(values * tk, proto.gamma * tk, proto.theta, proto.beta)
+        )
+        pair_logs = logs[inverse]
+        np.fill_diagonal(pair_logs, 0.0)  # j == k excluded from the product
+        rows = np.exp(pair_logs.sum(axis=1))
+        if zero.any():
+            dead = zero[inverse]
+            np.fill_diagonal(dead, False)
+            rows[dead.any(axis=1)] = 0.0
+        sp = _envelope(proto, tk) * rows.sum()
         out[k] = sp / n if normalization == "per-spin" else sp
     return complex(out[0]) if times.ndim == 0 else out
 

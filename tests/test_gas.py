@@ -257,26 +257,81 @@ def test_monte_carlo_deterministic_per_seed():
     assert not np.array_equal(a.samples, c.samples)
 
 
-@pytest.mark.filterwarnings("ignore::rydramsey.errors.BiasWarning")
-def test_monte_carlo_samples_are_sigma_plus_couplings():
+def minimum_image_couplings(pot, box, n_atoms, stream):
+    """The couplings of one Monte Carlo sample, rebuilt from its substream."""
+    pos = np.random.default_rng(stream).random((n_atoms, 3)) * box
+    d = pos[:, None, :] - pos[None, :, :]
+    d -= box * np.rint(d / box)
+    off = ~np.eye(n_atoms, dtype=bool)
+    v = np.zeros((n_atoms, n_atoms))
+    v[off] = evaluate_V(pot, np.sqrt((d * d).sum(axis=2))[off])
+    return v
+
+
+def assert_samples_are_sigma_plus_couplings(sp, times, n_atoms, n_samples, seed):
     # each sample is the exact coherence of its own minimum-image
     # configuration, rebuilt here from the per-sample seed substream
-    sp = spec_at(0.5, 1.1, False, gamma=0.2, gamma_d=0.05)
-    times = [0.7, 2.5]
-    n_atoms, seed = 64, 5
-    mc = monte_carlo_gas(sp, times, n_samples=3, n_atoms=n_atoms, seed=seed)
-    box = mc.box_length
-    streams = np.random.SeedSequence(seed).spawn(3)
-    off = ~np.eye(n_atoms, dtype=bool)
+    mc = monte_carlo_gas(sp, times, n_samples=n_samples, n_atoms=n_atoms, seed=seed)
+    streams = np.random.SeedSequence(seed).spawn(n_samples)
     for s, stream in enumerate(streams):
-        pos = np.random.default_rng(stream).random((n_atoms, 3)) * box
-        d = pos[:, None, :] - pos[None, :, :]
-        d -= box * np.rint(d / box)
-        v = np.zeros((n_atoms, n_atoms))
-        v[off] = evaluate_V(sp.potential, np.sqrt((d * d).sum(axis=2))[off])
+        v = minimum_image_couplings(sp.potential, mc.box_length, n_atoms, stream)
         for k, t in enumerate(times):
             want = sigma_plus_couplings(v, sp.protocol, t)
             assert abs(mc.samples[s, k] - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.filterwarnings("ignore::rydramsey.errors.BiasWarning")
+def test_monte_carlo_samples_are_sigma_plus_couplings():
+    sp = spec_at(0.5, 1.1, False, gamma=0.2, gamma_d=0.05)
+    assert_samples_are_sigma_plus_couplings(sp, [0.7, 2.5], 64, 3, 5)
+
+
+@pytest.mark.filterwarnings("ignore::rydramsey.errors.BiasWarning")
+@pytest.mark.parametrize("kind", ["soft_core", "bare"])
+@pytest.mark.parametrize("echo", [True, False])
+@pytest.mark.parametrize("gamma", [0.0, 0.2])
+def test_monte_carlo_samples_are_sigma_plus_couplings_across_blocks(kind, echo, gamma):
+    # 300 atoms span two row blocks of 256, the second one ragged, so
+    # pairs inside a block, across blocks and in the ragged block all count
+    if kind == "soft_core":
+        pot = soft_core_potential()
+        density = 3.0 * 0.5 / (4.0 * math.pi * pot.r_c**3)
+    else:
+        pot = derive_potential(DressingParams(0.0, 0.0, 8.0), PotentialKind.BARE_VDW)
+        density = 0.04
+    sp = GasSpec(density, pot, RamseyProtocol(1.1, echo, gamma, 0.05))
+    assert gas_average._MC_CHUNK < 300 < 2 * gas_average._MC_CHUNK
+    assert_samples_are_sigma_plus_couplings(sp, [0.7, 2.5], 300, 2, 7)
+
+
+@pytest.mark.filterwarnings("ignore::rydramsey.errors.BiasWarning")
+def test_monte_carlo_exact_zero_factor_kills_both_atoms(monkeypatch):
+    # a pair is evaluated once, as (j, k) with j < k; forcing its factor to
+    # an exact zero must still remove both atoms j and k from the sample
+    sp = spec_at(0.5, 1.1, False, gamma=0.2)
+    n_atoms, seed, t = 300, 9, 1.5
+    box = (n_atoms / sp.density) ** (1.0 / 3.0)
+    stream = np.random.SeedSequence(seed).spawn(2)[0]
+    v = minimum_image_couplings(sp.potential, box, n_atoms, stream)
+    top = np.unique(np.abs(v))[-2:]
+    cut = 0.5 * (top[0] + top[1]) * t  # between the two strongest pairs
+    kernel = gas_average.f_kernel
+
+    def zeroing_kernel(x, g, theta, beta):
+        out = kernel(x, g, theta, beta)
+        out[np.abs(x) > cut] = 0.0
+        return out
+
+    monkeypatch.setattr(gas_average, "f_kernel", zeroing_kernel)
+    mc = monte_carlo_gas(sp, [t], n_samples=2, n_atoms=n_atoms, seed=seed)
+    proto = sp.protocol
+    factors = kernel(v * t, proto.gamma * t, proto.theta, proto.beta)
+    factors[np.abs(v * t) > cut] = 0.0
+    np.fill_diagonal(factors, 1.0)
+    rows = np.prod(factors, axis=1)
+    assert np.count_nonzero(rows == 0.0) == 2
+    want = gas_average._envelope(proto, t) * rows.mean()
+    assert abs(mc.samples[0, 0] - want) <= 1e-12 * abs(want)
 
 
 def test_monte_carlo_small_box_warns():

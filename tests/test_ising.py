@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from rydramsey import ising_core
 from rydramsey.errors import ParameterError, UnsupportedRegimeError
 from rydramsey.ising_core import (
     COHERENCE_DECAY_EXPONENT,
     AtomConfiguration,
     RamseyProtocol,
+    _log_factors,
     coherence_decay,
     connected_sxsx,
     contrast_phase,
@@ -255,6 +257,53 @@ def test_sigma_plus_time_array_edge_cases():
     unitary = RamseyProtocol(0.8, False, 0.0, 0.0)
     back = sigma_plus_couplings(v, unitary, np.array([-2.0, 2.0]))
     assert back[0] == pytest.approx(np.conj(back[1]), abs=1e-13)
+
+
+def test_log_factors_exact_zero_rule():
+    # a zero factor at (i, j) zeroes the products of rows i and j; every
+    # other row is the plain product of its factors
+    rng = np.random.default_rng(4)
+    n = 7
+    f = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    f = 0.5 * (f + f.T)
+    np.fill_diagonal(f, 1.0)
+    f[2, 5] = f[5, 2] = 0.0
+    logs, zero = _log_factors(f)
+    assert np.array_equal(zero, f == 0.0)
+    assert np.all(np.isfinite(logs)) and np.all(logs[zero] == 0.0)
+    assert np.allclose(np.exp(logs[~zero]), f[~zero], rtol=1e-14, atol=0.0)
+    rows = np.exp(logs.sum(axis=1))
+    rows[zero.any(axis=1)] = 0.0
+    live = [k for k in range(n) if k not in (2, 5)]
+    assert rows[2] == 0.0 and rows[5] == 0.0
+    assert np.allclose(rows[live], np.prod(f, axis=1)[live], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+def test_sigma_plus_exact_zero_factor_kills_both_rows(monkeypatch, gamma):
+    # the kernel is forced to an exact zero on the strongest pair; its two
+    # atoms drop out of the sum and the other rows keep their products
+    rng = np.random.default_rng(8)
+    n, t = 9, 1.3
+    v = rand_couplings(n, rng)
+    i, j = np.unravel_index(np.argmax(np.abs(v)), v.shape)
+    proto = RamseyProtocol(1.0, False, gamma, 0.0)
+    kernel = ising_core.f_kernel
+
+    def zeroing_kernel(x, g, theta, beta):
+        out = kernel(x, g, theta, beta)
+        out[np.abs(x) == abs(v[i, j]) * t] = 0.0
+        return out
+
+    monkeypatch.setattr(ising_core, "f_kernel", zeroing_kernel)
+    got = sigma_plus_couplings(v, proto, t, normalization="total")
+    factors = kernel(v * t, gamma * t, proto.theta, proto.beta)
+    factors[[i, j], [j, i]] = 0.0
+    np.fill_diagonal(factors, 1.0)
+    rows = np.prod(factors, axis=1)
+    assert rows[i] == 0.0 and rows[j] == 0.0
+    want = ising_core._envelope(proto, t) * rows.sum()
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_couplings_validation():
