@@ -37,14 +37,18 @@ from .experiments import (
 )
 from .ising_core import RamseyProtocol
 
+# The axis of each sweep command's --grid; validate has no grid.
 _GRID_AXIS = {
     "fig2": "V0*t",
     "fig3": "V0*t (curves)",
     "fig4": "V0*t (trace)",
     "fig5": "t in ps",
     "scan": "N_R",
-    "validate": "unused",
 }
+
+# Commands that run the configured protocol; the others fix their own
+# angles and echo, so --theta/--echo are registered only here.
+_PROTOCOL_COMMANDS = ("fig4", "scan")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Ramsey contrast of dressed Rydberg spin ensembles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("fig2", "fig3", "fig4", "fig5", "scan", "validate"):
+    for name in (*_GRID_AXIS, "validate"):
         sp = sub.add_parser(name, help=f"run the {name} pipeline")
         sp.add_argument(
             "--config",
@@ -61,33 +65,37 @@ def _build_parser() -> argparse.ArgumentParser:
             help="JSON parameter file (required for everything except validate)",
         )
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+        if name == "validate":
+            sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+            continue
         sp.add_argument(
             "--grid",
             default=None,
             help=(
                 "override the sweep grid, kind:start:stop:n with kind lin|log; "
-                f"axis for {name}: {_GRID_AXIS[name]}"
+                f"axis: {_GRID_AXIS[name]}"
             ),
         )
-        sp.add_argument(
-            "--echo",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="override the protocol's echo flag",
-        )
-        sp.add_argument(
-            "--theta",
-            type=float,
-            default=None,
-            help="override the tipping angle (radians)",
-        )
-        sp.add_argument(
-            "--normalization",
-            choices=("per-spin", "total"),
-            default="per-spin",
-            help="coherence normalization where a finite system is summed (fig4)",
-        )
+        if name in _PROTOCOL_COMMANDS:
+            sp.add_argument(
+                "--echo",
+                action=argparse.BooleanOptionalAction,
+                default=None,
+                help="override the protocol's echo flag",
+            )
+            sp.add_argument(
+                "--theta",
+                type=float,
+                default=None,
+                help="override the tipping angle (radians)",
+            )
+        if name == "fig4":
+            sp.add_argument(
+                "--normalization",
+                choices=("per-spin", "total"),
+                default="per-spin",
+                help="coherence normalization of the lattice trace",
+            )
     return parser
 
 
@@ -108,10 +116,12 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        grid = None if args.grid is None else parse_grid(args.grid)
+        grid = None if getattr(args, "grid", None) is None else parse_grid(args.grid)
         cfg = None
         if args.config is not None:
-            cfg = _apply_overrides(load_config(args.config), args)
+            cfg = load_config(args.config)
+            if args.command in _PROTOCOL_COMMANDS:
+                cfg = _apply_overrides(cfg, args)
         elif args.command != "validate":
             raise ConfigError(f"{args.command} requires --config")
         if args.command == "fig2":

@@ -138,12 +138,21 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _require_gas_inputs(cfg: RunConfig) -> tuple:
-    if cfg.potential is None:
-        raise ConfigError("this command needs a [potential] config section")
+def _soft_core_potential(cfg: RunConfig, what: str):
+    """The configured potential, which ``what`` needs soft-core with a plateau."""
+    pot = cfg.potential
+    if pot is None:
+        raise ConfigError(f"{what} needs a [potential] config section")
+    if pot.kind is not PotentialKind.SOFT_CORE or pot.v0 == 0.0:
+        raise ConfigError(f"{what} needs a soft-core potential")
+    return pot
+
+
+def _require_gas_inputs(cfg: RunConfig, what: str) -> tuple:
+    pot = _soft_core_potential(cfg, what)
     if cfg.density is None:
         raise ConfigError("this command needs sample.density in the config")
-    return cfg.potential, cfg.density
+    return pot, cfg.density
 
 
 def _manifest(out_dir: str, files: list, meta_name: str) -> dict:
@@ -159,10 +168,9 @@ def run_fig2(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     The grid is in |V0| t units, so either sign of the plateau gives
     forward times.
     """
-    pot, density = _require_gas_inputs(cfg)
-    if pot.kind is not PotentialKind.SOFT_CORE or pot.v0 == 0.0:
-        raise ConfigError("the contrast-decay sweep needs a soft-core potential")
+    pot, density = _require_gas_inputs(cfg, "the contrast-decay sweep")
     v0t = parse_grid("lin:0:8*pi:201") if grid is None else np.asarray(grid, float)
+    times = v0t / abs(pot.v0)
     base = cfg.protocol
     os.makedirs(out_dir, exist_ok=True)
     files = []
@@ -172,18 +180,13 @@ def run_fig2(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
             GasSpec(density, pot, RamseyProtocol(theta, e, base.gamma, base.gamma_d))
             for e in (True, False)
         )
-        rows = []
-        for T in v0t:
-            t = T / abs(pot.v0)
-            rows.append(
-                (
-                    t,
-                    T,
-                    abs(contrast_gas(echo, t)),
-                    abs(contrast_gas(noecho, t)),
-                    _envelope(echo.protocol, t),
-                )
-            )
+        rows = zip(
+            times,
+            v0t,
+            np.abs(contrast_gas(echo, times)),
+            np.abs(contrast_gas(noecho, times)),
+            _envelope(echo.protocol, times),
+        )
         name = f"fig2_theta_{tag}.csv"
         _write_csv(
             os.path.join(out_dir, name),
@@ -203,31 +206,15 @@ def run_fig2(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     return _manifest(out_dir, files, "fig2_meta.json")
 
 
-def _tau_table(pot, base_proto, nr_values, gamma: float, gamma_d: float):
-    """tau_1/2 columns (echo and non-echo) across blockade numbers.
+def _tau_columns(pot, proto: RamseyProtocol, nr_values) -> tuple:
+    """tau_1/2 across blockade numbers as (|V0| tau, tau in us) columns.
 
-    Density is swept at fixed potential to move N_R; theta comes from
-    the protocol. Returns rows (n_r, v0t_echo, v0t_noecho, t_echo_us,
-    t_noecho_us).
+    The density is swept at fixed potential and protocol to move N_R.
     """
-    r_c3 = pot.r_c**3
-    rows = []
-    for n_r in nr_values:
-        density = 3.0 * n_r / (4.0 * math.pi * r_c3)
-        taus = {}
-        for echo in (True, False):
-            proto = RamseyProtocol(base_proto.theta, echo, gamma, gamma_d)
-            taus[echo] = tau_half(GasSpec(density, pot, proto))
-        rows.append(
-            (
-                n_r,
-                abs(pot.v0) * taus[True],
-                abs(pot.v0) * taus[False],
-                taus[True],
-                taus[False],
-            )
-        )
-    return rows
+    tau = np.array(
+        [tau_half(GasSpec.from_blockade_number(n_r, pot, proto)) for n_r in nr_values]
+    )
+    return abs(pot.v0) * tau, tau
 
 
 def _loglog_slope(x, y) -> float:
@@ -244,41 +231,36 @@ def run_fig3(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     fitted log-log slopes, and the same table at the configured
     dissipation rates.
     """
-    pot, _ = _require_gas_inputs(cfg)
-    if pot.kind is not PotentialKind.SOFT_CORE or pot.v0 == 0.0:
-        raise ConfigError("the scaling sweep needs a soft-core potential")
+    pot, _ = _require_gas_inputs(cfg, "the scaling sweep")
     theta = math.pi / 2.0  # the asymptotic laws are quoted at pi/2
+    unitary = {
+        "echo": RamseyProtocol(theta, True, 0.0, 0.0),
+        "noecho": RamseyProtocol(theta, False, 0.0, 0.0),
+    }
     v0t = parse_grid("log:0.01:100:121") if grid is None else np.asarray(grid, float)
+    times = v0t / abs(pot.v0)
     os.makedirs(out_dir, exist_ok=True)
     files = []
-    r_c3 = pot.r_c**3
 
     # fitted B for the high-density overlay, from the exact exponent
-    fit_density = 3.0 * 100.0 / (4.0 * math.pi * r_c3)
-    b_fit = {}
-    for echo in (True, False):
-        spec_b = GasSpec(
-            fit_density, pot, RamseyProtocol(theta, echo, 0.0, 0.0)
+    fit_times = np.linspace(0.05, 2.0 * math.pi, 40) / abs(pot.v0)
+    b_fit = {
+        label: fit_hardcore_amplitude(
+            GasSpec.from_blockade_number(100.0, pot, proto), fit_times
         )
-        fit_times = np.linspace(0.05, 2.0 * math.pi, 40) / abs(pot.v0)
-        b_fit["echo" if echo else "noecho"] = fit_hardcore_amplitude(spec_b, fit_times)
+        for label, proto in unitary.items()
+    }
 
     for tag, n_r, regime in (("low", 0.01, Regime.LOW), ("high", 100.0, Regime.HIGH)):
-        density = 3.0 * n_r / (4.0 * math.pi * r_c3)
-        rows = []
-        for T in v0t:
-            t = T / abs(pot.v0)
-            vals = {}
-            asym = {}
-            for echo in (True, False):
-                proto = RamseyProtocol(theta, echo, 0.0, 0.0)
-                vals[echo] = abs(contrast_gas(GasSpec(density, pot, proto), t))
-                point = DimensionlessPoint(
-                    n_r=n_r, v0t=T, theta=theta, beta=0 if echo else 1
-                )
-                b = b_fit["echo" if echo else "noecho"] if regime is Regime.HIGH else 1.0
-                asym[echo] = asymptotic_contrast(point, regime, b=b).value
-            rows.append((T, vals[True], vals[False], asym[True], asym[False]))
+        cols = [
+            np.abs(contrast_gas(GasSpec.from_blockade_number(n_r, pot, proto), times))
+            for proto in unitary.values()
+        ]
+        for label, proto in unitary.items():
+            b = b_fit[label] if regime is Regime.HIGH else 1.0
+            points = (DimensionlessPoint(n_r, T, theta, proto.beta) for T in v0t)
+            cols.append([asymptotic_contrast(p, regime, b=b).value for p in points])
+        rows = zip(v0t, *cols)
         name = f"fig3_curve_{tag}.csv"
         _write_csv(
             os.path.join(out_dir, name),
@@ -290,26 +272,34 @@ def run_fig3(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     nr_values = np.geomspace(1e-3, 1e3, 31)
     base = cfg.protocol
     tau_cols = ["n_r", "v0t_half_echo", "v0t_half_noecho", "tau_echo_us", "tau_noecho_us"]
-    ideal_proto = RamseyProtocol(theta, True, 0.0, 0.0)
-    ideal_rows = _tau_table(pot, ideal_proto, nr_values, 0.0, 0.0)
-    _write_csv(os.path.join(out_dir, "fig3_tau_ideal.csv"), tau_cols, ideal_rows)
-    files.append("fig3_tau_ideal.csv")
-    dissipative_rows = _tau_table(pot, ideal_proto, nr_values, base.gamma, base.gamma_d)
-    _write_csv(
-        os.path.join(out_dir, "fig3_tau_dissipative.csv"), tau_cols, dissipative_rows
-    )
-    files.append("fig3_tau_dissipative.csv")
+    tables = {
+        label: [
+            _tau_columns(pot, RamseyProtocol(theta, echo, gamma, gamma_d), nr_values)
+            for echo in (True, False)
+        ]
+        for label, gamma, gamma_d in (
+            ("ideal", 0.0, 0.0),
+            ("dissipative", base.gamma, base.gamma_d),
+        )
+    }
+    for label, ((v0t_e, tau_e), (v0t_n, tau_n)) in tables.items():
+        name = f"fig3_tau_{label}.csv"
+        _write_csv(
+            os.path.join(out_dir, name),
+            tau_cols,
+            zip(nr_values, v0t_e, v0t_n, tau_e, tau_n),
+        )
+        files.append(name)
 
-    nr_arr = np.array([r[0] for r in ideal_rows])
-    slopes = {}
-    for label, col in (("echo", 1), ("noecho", 2)):
-        tau_arr = np.array([r[col] for r in ideal_rows])
-        lo = (nr_arr >= 1e-3) & (nr_arr <= 1e-2)
-        hi = (nr_arr >= 1e2) & (nr_arr <= 1e3)
-        slopes[label] = {
-            "low_density": _loglog_slope(nr_arr[lo], tau_arr[lo]),
-            "high_density": _loglog_slope(nr_arr[hi], tau_arr[hi]),
+    lo = (nr_values >= 1e-3) & (nr_values <= 1e-2)
+    hi = (nr_values >= 1e2) & (nr_values <= 1e3)
+    slopes = {
+        label: {
+            "low_density": _loglog_slope(nr_values[lo], v0t_half[lo]),
+            "high_density": _loglog_slope(nr_values[hi], v0t_half[hi]),
         }
+        for label, (v0t_half, _) in zip(("echo", "noecho"), tables["ideal"])
+    }
     meta = {
         "command": "fig3",
         "theta_rad": theta,
@@ -340,13 +330,9 @@ def run_fig4(
     G maps are evaluated for the unitary protocol at |V0| t in
     {pi/2, pi, 2 pi} around the central site, exported as site CSVs.
     """
-    if cfg.potential is None:
-        raise ConfigError("the lattice run needs a [potential] config section")
+    pot = _soft_core_potential(cfg, "the lattice run")
     if cfg.lattice_spacing is None or cfg.lattice_size is None:
         raise ConfigError("the lattice run needs a [lattice] config section")
-    pot = cfg.potential
-    if pot.kind is not PotentialKind.SOFT_CORE or pot.v0 == 0.0:
-        raise ConfigError("the lattice run needs a soft-core potential")
     spec = LatticeSpec(cfg.lattice_size, cfg.lattice_spacing, pot, cfg.protocol)
     v0t = parse_grid("lin:0:4*pi:129") if grid is None else np.asarray(grid, float)
     os.makedirs(out_dir, exist_ok=True)
@@ -469,19 +455,14 @@ def run_scan(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     The density is swept at fixed potential; the grid is in N_R. Columns
     are n_r, v0t_half, tau_us.
     """
-    pot, _ = _require_gas_inputs(cfg)
-    if pot.kind is not PotentialKind.SOFT_CORE or pot.v0 == 0.0:
-        raise ConfigError("the scan needs a soft-core potential")
+    pot, _ = _require_gas_inputs(cfg, "the scan")
     nr_values = parse_grid("log:1e-3:1e3:31") if grid is None else np.asarray(grid, float)
     proto = cfg.protocol
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    for n_r in nr_values:
-        density = 3.0 * n_r / (4.0 * math.pi * pot.r_c**3)
-        tau = tau_half(GasSpec(density, pot, proto))
-        rows.append((n_r, abs(pot.v0) * tau, tau))
     _write_csv(
-        os.path.join(out_dir, "scan_tau.csv"), ["n_r", "v0t_half", "tau_us"], rows
+        os.path.join(out_dir, "scan_tau.csv"),
+        ["n_r", "v0t_half", "tau_us"],
+        zip(nr_values, *_tau_columns(pot, proto, nr_values)),
     )
     meta = {
         "command": "scan",
@@ -595,8 +576,7 @@ def run_validate(cfg: RunConfig | None, out_dir: str, seed: int = 0) -> dict:
 
     # 6: quadrature vs Monte Carlo disorder average
     proto = RamseyProtocol(math.pi / 2.0, True, 0.0, 0.0)
-    density = 3.0 * 0.1 / (4.0 * math.pi * spec_template.potential.r_c**3)
-    spec = GasSpec(density, spec_template.potential, proto)
+    spec = GasSpec.from_blockade_number(0.1, spec_template.potential, proto)
     t = 4.0 / spec.potential.v0
     mc = monte_carlo_gas(spec, [t], n_samples=24, n_atoms=256, seed=seed)
     exact = contrast_gas(spec, t, method="quadrature")

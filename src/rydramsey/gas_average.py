@@ -117,6 +117,18 @@ class GasSpec:
         if not self.density > 0:
             raise ParameterError(f"density must be positive, got {self.density!r}")
 
+    @classmethod
+    def from_blockade_number(
+        cls, n_r: float, potential: InteractionPotential, protocol: RamseyProtocol
+    ) -> "GasSpec":
+        """The gas with blockade number n_r: the inverse of :attr:`n_r`,
+        so it needs a soft-core potential (a bare one has r_c = 0)."""
+        if potential.kind is not PotentialKind.SOFT_CORE:
+            raise UnsupportedRegimeError(
+                "a blockade number fixes the density only for a soft-core potential"
+            )
+        return cls(3.0 * n_r / (4.0 * math.pi * potential.r_c**3), potential, protocol)
+
     @property
     def n_r(self) -> float:
         """Blockade number 4 pi rho r_c^3 / 3 (zero for a bare potential)."""
@@ -182,8 +194,7 @@ class DimensionlessPoint:
             gamma=self.gamma_over_v0 * v0,
             gamma_d=self.gamma_d_over_v0 * v0,
         )
-        density = 3.0 * self.n_r / (4.0 * math.pi * r_c**3)
-        return GasSpec(density=density, potential=pot, protocol=proto), self.v0t / v0
+        return GasSpec.from_blockade_number(self.n_r, pot, proto), self.v0t / v0
 
 
 def _kernel_derivative_at_zero(g: float, theta: float, beta: int) -> complex:
@@ -453,13 +464,23 @@ def exponent_integral(spec: GasSpec, t: float, method: str = "auto") -> complex:
     return pref * _bare_i_tilde_quadrature(sign, g, th, beta)
 
 
-def contrast_gas(spec: GasSpec, t: float, method: str = "auto") -> complex:
-    """Thermodynamic-limit per-spin coherence of the gas at time t.
+def contrast_gas(spec: GasSpec, t, method: str = "auto") -> complex | np.ndarray:
+    """Thermodynamic-limit per-spin coherence of the gas at one time or many.
 
     sin(theta) D(gamma, t) e^{-gamma_d t} exp(-I(t)); rho -> 0 recovers
-    the non-interacting signal, t = 0 gives sin(theta).
+    the non-interacting signal, t = 0 gives sin(theta). ``t`` is a float
+    (us, returns a complex) or a 1-D array of times (returns a complex
+    array shaped like t); I(t) is evaluated at each time by
+    :func:`exponent_integral` with ``method``. Each time is a scalar step,
+    so tau_half's one-float probes pay no per-array overhead.
     """
-    return _envelope(spec.protocol, t) * np.exp(-exponent_integral(spec, t, method=method))
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ParameterError("t must be a float or a 1-D array of times")
+    out = np.empty(times.size, dtype=complex)
+    for k, tk in enumerate(times.reshape(-1).tolist()):
+        out[k] = _envelope(spec.protocol, tk) * np.exp(-exponent_integral(spec, tk, method=method))
+    return complex(out[0]) if times.ndim == 0 else out
 
 
 def contrast_gas_finite_n(spec: GasSpec, t: float, n: int) -> complex:

@@ -59,20 +59,19 @@ _SINC_SERIES_THRESHOLD = 1e-4
 _SPLIT_THRESHOLD = 30.0
 
 
-def coherence_decay(gamma: float, t: float) -> float:
-    """Global emission prefactor D(gamma, t) = exp(-gamma t / 2).
+def coherence_decay(gamma: float, t):
+    """Global emission prefactor D(gamma, t) = exp(-gamma t / 2), at a
+    float t (float out) or an array of times (array out).
 
     See :data:`COHERENCE_DECAY_EXPONENT` for how the exponent was pinned.
     """
-    return float(np.exp(-COHERENCE_DECAY_EXPONENT * gamma * t))
+    return np.exp(-COHERENCE_DECAY_EXPONENT * gamma * t)
 
 
 def _envelope(proto: RamseyProtocol, t):
     """Single-atom envelope sin(theta) D(gamma, t) e^{-gamma_d t} of every
-    coherence, at a float t (plain float math) or a 1-D array of times."""
-    if isinstance(t, np.ndarray) and t.ndim:
-        return np.array([_envelope(proto, float(ti)) for ti in t])
-    return math.sin(proto.theta) * coherence_decay(proto.gamma, t) * math.exp(-proto.gamma_d * t)
+    coherence, at a float t (float out) or a 1-D array of times (array out)."""
+    return math.sin(proto.theta) * coherence_decay(proto.gamma, t) * np.exp(-proto.gamma_d * t)
 
 
 def _csinc(z: np.ndarray) -> np.ndarray:

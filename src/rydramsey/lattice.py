@@ -24,7 +24,6 @@ from .ising_core import (
     AtomConfiguration,
     RamseyProtocol,
     _connected_sxsx_couplings,
-    connected_sxsx,  # noqa: F401  (re-exported for callers of this module)
     sigma_plus_config,
 )
 from .potential import InteractionPotential

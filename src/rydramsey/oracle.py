@@ -40,7 +40,6 @@ __all__ = [
     "pauli",
     "site_operator",
     "pair_operator",
-    "collective_coherence",
     "ramsey_sigma_plus",
     "echo_equivalence_check",
     "fidelity",
@@ -243,12 +242,6 @@ def pair_operator(name_i: str, i: int, name_j: str, j: int, n: int) -> np.ndarra
     return _kron_chain(factors)
 
 
-def collective_coherence(n: int, per_spin: bool = True) -> np.ndarray:
-    """Collective sigma^x + i sigma^y operator, optionally divided by n."""
-    op = sum(site_operator("plus", k, n) for k in range(n))
-    return op / n if per_spin else op
-
-
 def expectation(rho: np.ndarray, observable: np.ndarray) -> complex:
     """Tr(rho . O). Hermitian observables come back real to ~1e-10."""
     rho = np.asarray(rho)
@@ -305,13 +298,12 @@ class _SpaceTables:
         self.nup = np.bitwise_count(s).astype(float)
         self.hamming = np.bitwise_count(np.bitwise_xor.outer(s, s)).astype(float)
         self.recycle = []
-        for k in range(n):
-            r0 = s[((s >> k) & 1) == 0]
-            self.recycle.append((np.ix_(r0, r0), np.ix_(r0 + (1 << k), r0 + (1 << k))))
         self.coherence = []
         for k in range(n):
             r0 = s[((s >> k) & 1) == 0]
-            self.coherence.append((r0, r0 + (1 << k)))
+            r1 = r0 + (1 << k)
+            self.recycle.append((np.ix_(r0, r0), np.ix_(r1, r1)))
+            self.coherence.append((r0, r1))
 
 
 _TABLE_CACHE: dict = {}
@@ -392,15 +384,14 @@ def evolve_master(
     sequence: PulseSequence,
     gamma: float = 0.0,
     gamma_d: float = 0.0,
-    check: bool = True,
 ) -> np.ndarray:
     """Run a pulse sequence on an initial state; return the final state.
 
     Pulses are exact unitaries; dark times follow the Lindblad equation
     drho/dt = -i[H, rho] + gamma sum_k (s-_k rho s+_k - {s+_k s-_k, rho}/2)
     plus a sigma^z dephasing channel scaled so coherences decay at
-    gamma_d per differing spin. With ``check`` the final state is
-    validated against the density-matrix invariants.
+    gamma_d per differing spin. The final state is validated against the
+    density-matrix invariants.
     """
     v, n = _checked_couplings(couplings)
     if gamma < 0 or gamma_d < 0:
@@ -427,17 +418,16 @@ def evolve_master(
             rho = _evolve_dark_sampled(
                 rho, e, np.array([step.duration]), gamma, gamma_d, n
             )[0]
-    if check:
-        validate_density_matrix(rho)
+    validate_density_matrix(rho)
     return rho
 
 
-def _per_spin_coherence(rho: np.ndarray, n: int, per_spin: bool) -> complex:
+def _per_spin_coherence(rho: np.ndarray, n: int) -> complex:
     tab = _tables(n)
     total = 0.0 + 0.0j
     for rows, cols in tab.coherence:
         total += 2.0 * rho[rows, cols].sum()
-    return total / n if per_spin else total
+    return total / n
 
 
 def ramsey_sigma_plus(
@@ -446,9 +436,8 @@ def ramsey_sigma_plus(
     times,
     semantics: str = "model",
     frame: str = "reported",
-    per_spin: bool = True,
 ) -> np.ndarray:
-    """Brute-force <sigma^x> + i <sigma^y> over a time grid.
+    """Brute-force per-spin <sigma^x> + i <sigma^y> over a time grid.
 
     The counterpart of :func:`rydramsey.ising_core.sigma_plus_couplings`
     computed with no closed-form input whatsoever: exact pulses, exact
@@ -474,8 +463,6 @@ def ramsey_sigma_plus(
         sigma_plus -> -conj(sigma_plus), so echo traces start at
         sin(theta) like plain Ramsey ones; "lab" returns raw
         expectations. Ignored without echo.
-    per_spin : bool
-        Divide by N (default) or return the collective sum.
 
     Returns
     -------
@@ -514,7 +501,7 @@ def ramsey_sigma_plus(
         for s in states:
             validate_density_matrix(s)
 
-    out = np.array([_per_spin_coherence(s, n, per_spin) for s in states])
+    out = np.array([_per_spin_coherence(s, n) for s in states])
     if proto.echo and frame == "reported":
         out = -np.conj(out)
     return out

@@ -166,6 +166,24 @@ def test_cli_rejects_bad_grid(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig2", "--config", SR, "--seed", "1"],
+        ["validate", "--grid", "lin:0:1:3"],
+        ["fig3", "--config", SR, "--theta", "1.0"],
+        ["fig5", "--config", RB, "--no-echo"],
+        ["scan", "--config", SR, "--normalization", "total"],
+    ],
+)
+def test_cli_rejects_flags_the_command_does_not_read(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_plateau_runs_forward_in_time(tmp_path):
     # detuning < 0 with c6 > 0 is a valid soft core with V0 < 0. Flipping
     # the sign of every coupling conjugates each pair kernel, f(-X) =

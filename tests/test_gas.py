@@ -224,6 +224,54 @@ def test_contrast_is_envelope_times_exponent():
     assert contrast_gas(sp, 0.0) == pytest.approx(math.sin(1.2), rel=1e-14)
 
 
+def route_spec(route, echo):
+    if route == "bare_closed":
+        pot = derive_potential(DressingParams(0.0, 0.0, 5.0), PotentialKind.BARE_VDW)
+        return GasSpec(0.2, pot, RamseyProtocol(0.8, echo, 0.0, 0.1)), 0.01
+    gamma = 0.3 if route == "soft_core_quadrature" else 0.0
+    return spec_at(1.0, 0.8, echo, gamma=gamma, gamma_d=0.1), 25.0  # V0 = 1
+
+
+@pytest.mark.parametrize("echo", [True, False])
+@pytest.mark.parametrize("route", ["soft_core_closed", "soft_core_quadrature", "bare_closed"])
+def test_contrast_gas_time_array_equals_scalar_calls(route, echo):
+    sp, t_max = route_spec(route, echo)
+    times = t_max * np.array([0.0, 1e-7, 0.013, 0.2, 0.37, 1.0])
+    got = contrast_gas(sp, times)
+    assert got.shape == times.shape and got.dtype == complex
+    for k, t in enumerate(times):
+        want = contrast_gas(sp, float(t))
+        assert type(want) is complex
+        assert got[k] == want
+    assert got[0] == math.sin(0.8)
+    zero_d = contrast_gas(sp, np.array(times[3]))
+    assert type(zero_d) is complex and zero_d == got[3]
+    assert contrast_gas(sp, np.array([])).shape == (0,)
+
+
+def test_contrast_gas_time_array_edge_cases():
+    sp = spec_at(1.0, 0.8, False, gamma=0.3)
+    with pytest.raises(ParameterError):
+        contrast_gas(sp, np.ones((2, 2)))
+    with pytest.raises(ParameterError):
+        contrast_gas(sp, np.array([0.5, -1e-9]))
+    forced = contrast_gas(spec_at(1.0, 0.8, True), np.array([0.3, 3.0]), method="quadrature")
+    assert forced[1] == contrast_gas(spec_at(1.0, 0.8, True), 3.0, method="quadrature")
+
+
+def test_gas_spec_from_blockade_number():
+    proto = RamseyProtocol(math.pi / 2, True, 0.0, 0.0)
+    for c6 in (-1.0e4, -3.7e4):
+        pot = derive_potential(DressingParams(1000.0, 5000.0, c6), PotentialKind.SOFT_CORE)
+        for n_r in (1e-3, 0.37, 1.0, 100.0, 1e3):
+            sp = GasSpec.from_blockade_number(n_r, pot, proto)
+            assert abs(sp.n_r - n_r) <= 1e-14 * n_r
+            assert sp.potential is pot and sp.protocol is proto
+    bare = derive_potential(DressingParams(0.0, 0.0, 5.0), PotentialKind.BARE_VDW)
+    with pytest.raises(UnsupportedRegimeError):
+        GasSpec.from_blockade_number(1.0, bare, proto)
+
+
 def test_finite_n_converges_to_thermodynamic():
     sp = spec_at(0.5, math.pi / 2, True)
     t = 3.0

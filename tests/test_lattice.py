@@ -7,13 +7,13 @@ from rydramsey.errors import ParameterError, UnsupportedRegimeError
 from rydramsey.ising_core import (
     AtomConfiguration,
     RamseyProtocol,
+    connected_sxsx,
     f_kernel,
     sigma_plus_config,
 )
 from rydramsey.lattice import (
     CorrelationMap,
     LatticeSpec,
-    connected_sxsx,
     correlation_map,
     d4_deviation,
     lattice_contrast,

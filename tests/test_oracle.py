@@ -154,7 +154,7 @@ def test_permutation_covariance():
     vp = v[np.ix_(perm, perm)]
     proto = RamseyProtocol(math.pi / 2, False, 0.15, 0.0)
     t = np.array([1.3])
-    a = oracle.ramsey_sigma_plus(v, proto, t, per_spin=False)
+    a = oracle.ramsey_sigma_plus(v, proto, t)
 
     rho = oracle.initial_density_matrix(n)
     seq = oracle.ramsey_sequence(proto.theta, 1.3)
@@ -164,7 +164,7 @@ def test_permutation_covariance():
         oracle.expectation(rho_p, oracle.site_operator("plus", k, n))
         for k in range(n)
     ]
-    assert sum(per_site) == pytest.approx(complex(a[0]), abs=1e-10)
+    assert sum(per_site) == pytest.approx(n * complex(a[0]), abs=1e-10)
 
 
 def test_echo_equivalence_unitary_and_dissipative():
