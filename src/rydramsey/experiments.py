@@ -148,13 +148,6 @@ def _soft_core_potential(cfg: RunConfig, what: str):
     return pot
 
 
-def _require_gas_inputs(cfg: RunConfig, what: str) -> tuple:
-    pot = _soft_core_potential(cfg, what)
-    if cfg.density is None:
-        raise ConfigError("this command needs sample.density in the config")
-    return pot, cfg.density
-
-
 def _manifest(out_dir: str, files: list, meta_name: str) -> dict:
     return {"out_dir": out_dir, "files": sorted(files + [meta_name])}
 
@@ -168,7 +161,10 @@ def run_fig2(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     The grid is in |V0| t units, so either sign of the plateau gives
     forward times.
     """
-    pot, density = _require_gas_inputs(cfg, "the contrast-decay sweep")
+    pot = _soft_core_potential(cfg, "the contrast-decay sweep")
+    density = cfg.density
+    if density is None:
+        raise ConfigError("the contrast-decay sweep needs sample.density in the config")
     v0t = parse_grid("lin:0:8*pi:201") if grid is None else np.asarray(grid, float)
     times = v0t / abs(pot.v0)
     base = cfg.protocol
@@ -231,7 +227,7 @@ def run_fig3(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     fitted log-log slopes, and the same table at the configured
     dissipation rates.
     """
-    pot, _ = _require_gas_inputs(cfg, "the scaling sweep")
+    pot = _soft_core_potential(cfg, "the scaling sweep")
     theta = math.pi / 2.0  # the asymptotic laws are quoted at pi/2
     unitary = {
         "echo": RamseyProtocol(theta, True, 0.0, 0.0),
@@ -455,7 +451,7 @@ def run_scan(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     The density is swept at fixed potential; the grid is in N_R. Columns
     are n_r, v0t_half, tau_us.
     """
-    pot, _ = _require_gas_inputs(cfg, "the scan")
+    pot = _soft_core_potential(cfg, "the scan")
     nr_values = parse_grid("log:1e-3:1e3:31") if grid is None else np.asarray(grid, float)
     proto = cfg.protocol
     os.makedirs(out_dir, exist_ok=True)
@@ -560,7 +556,7 @@ def run_validate(cfg: RunConfig | None, out_dir: str, seed: int = 0) -> dict:
         worst = max(worst, float(np.max(np.abs(got - ref))))
     record("two_spin_kernel_identity", worst, 1e-6)
 
-    # 5: soft-core exponent, panel quadrature vs Bessel closed form
+    # 5: soft-core exponent, spectral midpoint rule vs Bessel closed form
     point = DimensionlessPoint(n_r=1.0, v0t=1.0, theta=math.pi / 2.0, beta=0)
     spec_template, _ = point.to_physical()
     worst = 0.0

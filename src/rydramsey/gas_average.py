@@ -7,9 +7,11 @@ per-spin coherence collapses to a single radial integral,
     I(t) = rho * integral 4 pi r^2 [1 - f(V(r) t, gamma t)] dr,
 
 with the pair kernel f of :mod:`rydramsey.ising_core`. This module
-evaluates I three independent ways (adaptive panel quadrature, closed
-forms where the unitary integrals reduce to Bessel/Fresnel quantities,
-and Monte Carlo sampling of explicit configurations), exposes the
+evaluates I three independent ways (numerical integration: a spectral
+midpoint rule with a small-T Taylor branch for the soft-core potential
+and Fourier-weighted quad for the bare one; closed forms where the
+unitary integrals reduce to Bessel/Fresnel quantities; and Monte Carlo
+sampling of explicit configurations), exposes the
 low/high-density asymptotics with their exact amplitudes, and locates
 the half-contrast time tau_1/2.
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
-from scipy.special import j0, j1
+from scipy.special import gamma, gammainc, j0, j1
 
 from .errors import (
     BiasWarning,
@@ -74,35 +76,12 @@ __all__ = [
 _REL_TOL = 1e-8
 _ABS_TOL = 1e-12
 
-# X below which 1 - f is replaced by its quadratic Taylor tail.
-_X_SMALL = 1e-5
-
 # Rows of the Monte Carlo pair matrix evaluated at once (bounds memory).
 _MC_CHUNK = 256
 
-# 15-point Kronrod rule with embedded 7-point Gauss estimate. Gauss
-# weights are zero at the Kronrod-only nodes so both sums run over the
-# same evaluations.
-_GK_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_GK_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_GAUSS_WEIGHTS = np.array([
-    0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
-    0.381830050505119, 0.0, 0.417959183673469, 0.0,
-    0.381830050505119, 0.0, 0.279705391489277, 0.0,
-    0.129484966168870, 0.0,
-])
+# |T| = |V0 t| up to which the soft-core exponent is summed as a Taylor
+# series in T, where 1 - f loses digits to cancellation.
+_T_TAYLOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -197,114 +176,115 @@ class DimensionlessPoint:
         return GasSpec.from_blockade_number(self.n_r, pot, proto), self.v0t / v0
 
 
-def _kernel_derivative_at_zero(g: float, theta: float, beta: int) -> complex:
-    """d f / d X at X = 0 for the pair kernel (purely imaginary).
+def _taylor_order(t_abs: float) -> int:
+    """Order N at which the soft-core Taylor series in T = V0 t is cut.
 
-    Differentiating f at X = 0 gives, with q = (1 - e^{-g}) / g,
-    i [(1 - beta) + (2 beta - 1 - cos theta) q] / 2; at g = 0 it reduces
-    to i (beta - cos theta) / 2. The beta = 1 branch must pick up the
-    sign-flipped internal argument of the kernel, so the two branches do
-    not share the beta = 0 coefficient pattern.
+    a_m <= 1/(m+1)! bounds |c_n| by 1.5^n / n! for both beta, and
+    J_n <= pi/2, so for x = 1.5 |T| <= 1 the terms past N sum to at most
+    pi x^(N+1) / (N+1)!. N is the smallest order, at least 2, that puts
+    this bound below 2^-53 T^2 / 8: rounding level against Re I, which is
+    of order T^2 / 8 even where the linear term vanishes.
     """
-    q = -np.expm1(-g) / g if g > 0 else 1.0
-    return 0.5j * ((1.0 - beta) + (2.0 * beta - 1.0 - np.cos(theta)) * q)
+    x = 1.5 * t_abs
+    tol = 2.0**-53 * t_abs * t_abs / 8.0
+    n, tail = 2, math.pi * x**3 / 6.0
+    while tail > tol:
+        n += 1
+        tail *= x / (n + 1)
+    return n
 
 
-def _kernel_second_derivative_at_zero(g: float, theta: float, beta: int) -> float:
-    """d^2 f / d X^2 at X = 0 for the pair kernel; real, as f(-X) = conj f(X).
+_TAYLOR_MAX = _taylor_order(_T_TAYLOR)
+_ORDERS = np.arange(1.0, _TAYLOR_MAX + 1.0)
+# J_n = integral_0^inf (1 + u^2)^-n du, n = 1.._TAYLOR_MAX
+_J_N = np.array([
+    math.pi / 2 * math.comb(2 * n - 2, n - 1) / 4 ** (n - 1) for n in range(1, _TAYLOR_MAX + 1)
+])
+_I_POW = np.array([1j**k for k in range(_TAYLOR_MAX + 1)])
+_HALF_I_EXP = np.array([0.5j**k / math.factorial(k) for k in range(_TAYLOR_MAX + 1)])
 
-    With s = 2 beta - 1, q as above and p = e^{-y} (y cosh y - sinh y) / y^2
-    at y = g/2: -(1 - beta)/4 - beta (s - cos theta) q/2 + (1 - s cos theta) p/2.
-    p is summed as its Taylor series below g = 0.2, where
-    p = (1 + e^{-g})/g - 2 q/g cancels.
+
+def _kernel_taylor(g: float, theta: float, beta: int, n_max: int) -> np.ndarray:
+    """Taylor coefficients c_n = f^(n)(0)/n!, n = 1..n_max >= 2, of the pair
+    kernel in X.
+
+    Expanding the identities of :func:`_soft_core_h` in the moments
+    a_m = (1/m!) integral_0^1 s^m e^{-g s} ds = P(m+1, g) / g^(m+1)
+    (P the regularized lower incomplete gamma function; below g = 1e-20,
+    where g^(m+1) underflows, a_m is within g of its g = 0 value 1/(m+1)!):
+    beta = 1: c_n = sin^2(theta/2) i^n a_{n-1};
+    beta = 0: c_n = (i/2)^n/n! - i cos^2(theta/2)
+              sum_{m<n} a_m (-i)^m (i/2)^(n-1-m) / (n-1-m)!.
+    At beta = 0, c_1 = (i/2)(2 cos^2(theta/2) b - cos theta) with
+    b = 1 - a_0 = -expm1(-g) - g a_1, accurate to its own size as g -> 0;
+    at theta = pi/2, c_1 is that small (~ i g / 4).
     """
-    s = 2.0 * beta - 1.0
-    c = math.cos(theta)
-    q = -math.expm1(-g) / g if g > 0 else 1.0
-    if g < 0.2:
-        y = 0.5 * g
-        p = math.exp(-y) * (y / 3.0 + y**3 / 30.0 + y**5 / 840.0 + y**7 / 45360.0)
-    else:
-        p = (1.0 + math.exp(-g)) / g - 2.0 * q / g
-    return -0.25 * (1.0 - beta) - 0.5 * beta * (s - c) * q + 0.5 * (1.0 - s * c) * p
+    m1 = _ORDERS[:n_max]
+    a = 1.0 / gamma(m1 + 1.0) if g < 1e-20 else gammainc(m1, g) * g**-m1
+    if beta == 1:
+        return math.sin(theta / 2.0) ** 2 * _I_POW[1 : n_max + 1] * a
+    q = math.cos(theta / 2.0) ** 2
+    conv = np.convolve(np.conj(_I_POW[:n_max]) * a, _HALF_I_EXP[:n_max])[:n_max]
+    c = _HALF_I_EXP[1 : n_max + 1] - 1j * q * conv
+    c[0] = 0.5j * (2.0 * q * (-math.expm1(-g) - g * a[1]) - math.cos(theta))
+    return c
 
 
-def _soft_core_panel_edges(t_abs: float, u_tail: float) -> np.ndarray:
-    """Panel boundaries in u for the soft-core integrand on [0, u_tail].
+def _soft_core_h(x, g: float, theta: float, beta: int):
+    """h(X) = (1 - f(X, g)) / X elementwise, from the exact identities
 
-    X(u) = T/(1+u^2) sweeps |X| from |T| to x_small, so the integrand
-    oscillates wherever |X| crosses a multiple of pi; each such crossing
-    becomes a panel edge, which bounds the phase change per panel by pi.
-    The smooth region past the last crossing is covered geometrically.
+    beta = 1: 1 - f = sin^2(theta/2) X (1 - e^{iw}) / w,  w = X + i g;
+    beta = 0: 1 - f = (1 - e^{iX/2}) + cos^2(theta/2) X e^{iX/2} (1 - e^{-iw}) / w,
+              w = X - i g.
+    h is entire in X; at g = 0 the formula needs X != 0.
     """
-    edges = [0.0, u_tail]
-    m_max = int(t_abs // math.pi)
-    if m_max >= 1:
-        m = np.arange(1, m_max + 1, dtype=float)
-        edges.extend(np.sqrt(t_abs / (math.pi * m) - 1.0).tolist())
-    start = max(math.sqrt(max(t_abs / math.pi - 1.0, 0.0)), 1.0)
-    p = start * 2.0
-    while p < u_tail:
-        edges.append(p)
-        p *= 2.0
-    edges = np.unique(np.asarray(edges))
-    return edges[(edges >= 0.0) & (edges <= u_tail)]
+    if beta == 1:
+        w = x + 1j * g
+        return -math.sin(theta / 2.0) ** 2 * np.expm1(1j * w) / w
+    w = x - 1j * g
+    half = np.expm1(0.5j * x)  # e^{iX/2} - 1
+    return -half / x - math.cos(theta / 2.0) ** 2 * (half + 1.0) * np.expm1(-1j * w) / w
 
 
 def _soft_core_i_over_nr(T: float, g: float, theta: float, beta: int) -> complex:
-    """I / N_R for the soft-core potential via vectorized panel quadrature.
+    """I / N_R for the soft-core potential at T = V0 t.
 
-    Substitution u = (r/r_c)^3 turns the radial integral into
-    integral_0^inf [1 - f(T/(1+u^2), g)] du with T = V0 t. The integrand
-    beyond X < x_small is replaced by its exact quadratic Taylor tail.
+    u = (r/r_c)^3 turns the radial integral into
+    integral_0^inf [1 - f(T/(1+u^2), g)] du, and u = tan(phi) into
+    integral_0^(pi/2) T h(T cos^2 phi) dphi. That integrand is entire,
+    pi-periodic and even, so the M-point midpoint rule converges
+    spectrally; M = |T|/2 + 3|T|^(1/3) + 24 covers the ~|T|/4 harmonics
+    of e^{i T cos^2 phi}. The 3M-point rule contains its nodes: its value
+    is returned, and the difference of the two is the error estimate.
+
+    At |T| <= _T_TAYLOR, where h loses digits to cancellation, the series
+    -sum_n c_n T^n J_n (J_n = integral_0^inf (1+u^2)^-n du) is summed
+    instead, to the order :func:`_taylor_order` picks. Negative T uses
+    f(-X) = conj f(X).
     """
     t_abs = abs(T)
-    fp0 = _kernel_derivative_at_zero(g, theta, beta)
-    fpp0 = _kernel_second_derivative_at_zero(g, theta, beta)
-
-    def tail(u_from: float) -> complex:
-        j1_int = 0.5 * (math.pi / 2.0 - math.atan(u_from) - u_from / (1.0 + u_from**2))
-        return -fp0 * T * (math.pi / 2.0 - math.atan(u_from)) - 0.5 * fpp0 * T**2 * j1_int
-
-    if t_abs <= _X_SMALL:
-        return tail(0.0)
-
-    u_tail = math.sqrt(t_abs / _X_SMALL - 1.0)
-    edges = _soft_core_panel_edges(t_abs, u_tail)
-
-    def evaluate(edges: np.ndarray):
-        centers = 0.5 * (edges[1:] + edges[:-1])
-        halfw = 0.5 * (edges[1:] - edges[:-1])
-        u = centers[:, None] + halfw[:, None] * _GK_NODES[None, :]
-        vals = 1.0 - f_kernel(T / (1.0 + u * u), g, theta, beta)
-        kron = (vals * _GK_WEIGHTS).sum(axis=1) * halfw
-        gauss = (vals * _GAUSS_WEIGHTS).sum(axis=1) * halfw
-        return kron, np.abs(kron - gauss)
-
-    kron, err = evaluate(edges)
-    total = kron.sum() + tail(u_tail)
-    for _ in range(3):
-        budget = max(_REL_TOL * abs(total), _ABS_TOL)
-        if err.sum() <= budget:
-            break
-        bad = err > budget / (2.0 * len(err))
-        mids = 0.5 * (edges[:-1][bad] + edges[1:][bad])
-        edges = np.unique(np.concatenate([edges, mids]))
-        kron, err = evaluate(edges)
-        total = kron.sum() + tail(u_tail)
+    if t_abs <= _T_TAYLOR:
+        n = _taylor_order(t_abs)
+        total = -np.dot(_kernel_taylor(g, theta, beta, n), t_abs ** _ORDERS[:n] * _J_N[:n])
     else:
-        if err.sum() > max(_REL_TOL * abs(total), _ABS_TOL):
+        m = int(t_abs / 2.0 + 3.0 * t_abs ** (1.0 / 3.0) + 24.0)
+        phi = (np.arange(3 * m) + 0.5) * (math.pi / (6 * m))
+        vals = _soft_core_h(t_abs * np.cos(phi) ** 2, g, theta, beta)
+        total = vals.sum() * (t_abs * math.pi / (6 * m))
+        err = abs(total - vals[1::3].sum() * (t_abs * math.pi / (2 * m)))
+        if err > max(_REL_TOL * abs(total), _ABS_TOL):
             raise NumericalError(
-                "soft-core exponent quadrature did not converge",
+                "soft-core exponent midpoint rule did not converge",
                 diagnostics={
-                    "error_estimate": float(err.sum()),
+                    "error_estimate": float(err),
                     "value": complex(total),
-                    "panels": int(len(err)),
+                    "nodes": 3 * m,
                     "T": T,
                     "g": g,
                 },
             )
-    return complex(total)
+    total = complex(total)
+    return total if T >= 0 else total.conjugate()
 
 
 def _quad(fun, a: float, b: float, **kwargs) -> float:
@@ -430,11 +410,15 @@ def exponent_integral(spec: GasSpec, t: float, method: str = "auto") -> complex:
     t : float
         us, >= 0.
     method : {"auto", "quadrature", "closed"}
-        "quadrature" forces the adaptive panel/Fourier route;
+        "quadrature" forces numerical integration: the spectral
+        midpoint rule in u = tan(phi), with a Taylor series in V0 t at
+        |V0 t| <= 0.1, for a soft-core potential, and Fourier-weighted
+        ``quad`` for a bare one;
         "closed" forces the unitary closed forms (gamma = 0 only);
         "auto" uses closed forms when available, quadrature otherwise.
-        The two routes agree to ~1e-8 relative and are compared in the
-        test suite rather than collapsed into one another.
+        The two routes are different formulas that agree to ~1e-9
+        relative; the test suite compares them rather than collapsing
+        one into the other.
 
     Returns
     -------

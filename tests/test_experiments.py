@@ -158,6 +158,23 @@ def test_cli_requires_config_for_figures(capsys):
     assert "config" in capsys.readouterr().err.lower()
 
 
+def test_density_free_config_runs_fig3_and_scan_not_fig2(tmp_path, capsys):
+    # fig3 and scan sweep the blockade number and never read the density
+    with open(SR, encoding="utf-8") as fh:
+        data = json.load(fh)
+    del data["sample"]
+    path = tmp_path / "no_density.json"
+    path.write_text(json.dumps(data))
+    for cmd in ("fig3", "scan"):
+        out = tmp_path / cmd
+        rc = cli.main([cmd, "--config", str(path), "--out", str(out), "--grid", "log:0.1:10:3"])
+        assert rc == 0, (cmd, capsys.readouterr().err)
+        assert os.listdir(out)
+    rc = cli.main(["fig2", "--config", str(path), "--out", str(tmp_path / "fig2")])
+    assert rc == 2
+    assert "sample.density" in capsys.readouterr().err
+
+
 def test_cli_rejects_bad_grid(tmp_path, capsys):
     rc = cli.main(
         ["fig2", "--config", SR, "--out", str(tmp_path), "--grid", "lin:5:1:9"]

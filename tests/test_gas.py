@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
+from scipy.special import beta as beta_function
 
 from rydramsey import gas_average
 from rydramsey.errors import (
@@ -18,7 +19,9 @@ from rydramsey.gas_average import (
     DimensionlessPoint,
     GasSpec,
     Regime,
-    _kernel_second_derivative_at_zero,
+    _kernel_taylor,
+    _soft_core_h,
+    _soft_core_i_over_nr,
     asymptotic_contrast,
     contrast_gas,
     contrast_gas_finite_n,
@@ -87,6 +90,108 @@ def test_soft_core_routes_agree_widely():
         a = exponent_integral(sp, T, method="quadrature")
         b = exponent_integral(sp, T, method="closed")
         assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
+
+
+def test_soft_core_h_identities_match_kernel():
+    # (1 - f_kernel)/X carries f_kernel's rounding divided by |X| (about
+    # 1e-14 at |X| = 1e-2, where 1 - f ~ X^2/8 at theta = pi/2, echo), so
+    # the bound is relative to max(|h|, 1), the size of the identities' terms
+    x = np.geomspace(1e-2, 300.0, 120)
+    x = np.concatenate([-x[::-1], x])
+    for g in (0.0, 1e-3, 0.5, 5.0, 40.0):
+        for theta in (0.3, math.pi / 2, 2.6):
+            for beta in (0, 1):
+                want = (1.0 - f_kernel(x, g, theta, beta)) / x
+                got = _soft_core_h(x, g, theta, beta)
+                assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
+
+
+@pytest.mark.parametrize("detuning", [5000.0, -5000.0])
+def test_soft_core_quadrature_matches_bessel_closed_form(detuning):
+    # a negative detuning with a positive c6 gives V0 = -1
+    pot = derive_potential(
+        DressingParams(1000.0, detuning, -2.0 * detuning), PotentialKind.SOFT_CORE
+    )
+    assert pot.v0 == pytest.approx(math.copysign(1.0, detuning))
+    for T in np.geomspace(1e-2, 300.0, 15):
+        for theta in (0.3, math.pi / 2, 2.6):
+            for echo in (True, False):
+                sp = GasSpec.from_blockade_number(1.0, pot, RamseyProtocol(theta, echo))
+                t = T / abs(pot.v0)
+                a = exponent_integral(sp, t, method="quadrature")
+                b = exponent_integral(sp, t, method="closed")
+                assert abs(a - b) <= 1e-9 * abs(b)
+
+
+def cauchy_taylor(fun, radius, n=32):
+    """Taylor coefficients 0..n-1 of the entire function fun from n samples
+    on the circle |X| = radius (the discrete Cauchy integral)."""
+    x = radius * np.exp(2j * np.pi * np.arange(n) / n)
+    return np.fft.fft(fun(x)) / n / radius ** np.arange(n)
+
+
+def one_minus_f_echo(x, g, theta):
+    """1 - f at beta = 0, rearranged from the identity
+    1 - f = (1 - e^{iX/2}) + cos^2(theta/2) X e^{iX/2} (1 - e^{-g-iX}) / (X - i g)
+    so that no O(X) terms cancel: the g = 0 part is
+    2 sin^2(X/4) + i cos(theta) sin(X/2)."""
+    q = math.cos(theta / 2) ** 2
+    return (
+        2.0 * np.sin(x / 4) ** 2
+        + 1j * math.cos(theta) * np.sin(x / 2)
+        + q * (-x * np.exp(-0.5j * x) * math.expm1(-g) - 2.0 * g * np.sin(x / 2)) / (x - 1j * g)
+    )
+
+
+def test_soft_core_small_t_branch_matches_cauchy_reference():
+    # Echo at theta = pi/2, where f'(0) ~ g and 1 - f cancels to O(X^2):
+    # the points at which the former panel route erred by up to 2.5e-7.
+    # Reference: I/N_R = sum_n d_n T^n J_n with d_n the Taylor coefficients
+    # of 1 - f from a Cauchy FFT, and J_n = B(1/2, n - 1/2) / 2. The circle
+    # stays ten radii clear of T (geometric convergence) and of the removable
+    # pole at X = i g; below a radius of ~1e-4 the O(X g) cancellation in
+    # the g-part's numerator would dominate.
+    x = np.linspace(0.1, 30.0, 60)  # where 1 - f_kernel is accurate
+    for g in (0.0, 1e-3, 0.5, 5.0):
+        for theta in (0.3, math.pi / 2):
+            want = 1.0 - f_kernel(x, g, theta, 0)
+            assert np.max(np.abs(one_minus_f_echo(x, g, theta) - want)) <= 1e-14
+    theta = math.pi / 2
+    n = np.arange(1, 16)
+    j_n = beta_function(0.5, n - 0.5) / 2.0
+    for T in (1e-8, 1e-6, 1e-4):
+        for g in (0.0, 1e-10, 5e-6, 1e-3):
+            d = cauchy_taylor(lambda x: one_minus_f_echo(x, g, theta), max(10 * T, 10 * g, 1e-4))
+            want = np.sum(d[1:16] * T**n * j_n)
+            got = _soft_core_i_over_nr(T, g, theta, 0)
+            assert abs(got - want) <= 1e-10 * abs(want), (T, g)
+            sp = spec_at(1.0, theta, echo=True, gamma=g / T)  # V0 = 1, so t = T
+            assert exponent_integral(sp, T, method="quadrature") == pytest.approx(want, rel=1e-10)
+
+
+def test_soft_core_taylor_and_spectral_branches_meet():
+    t_switch = gas_average._T_TAYLOR
+    above = float(np.nextafter(t_switch, 1.0))
+    for g in (0.0, 1e-10, 1e-3, 0.05, 5.0):
+        for theta in (0.3, math.pi / 2, 2.6):
+            for beta in (0, 1):
+                for sign in (1.0, -1.0):
+                    a = _soft_core_i_over_nr(sign * t_switch, g, theta, beta)
+                    b = _soft_core_i_over_nr(sign * above, g, theta, beta)
+                    assert abs(a - b) <= 1e-12 * abs(a)
+
+
+def test_soft_core_nonconvergence_raises(monkeypatch):
+    # sqrt(X) = sqrt(T) |cos(phi)| has a kink at phi = pi/2, so the midpoint
+    # rule converges only algebraically and the nested estimate flags it
+    monkeypatch.setattr(gas_average, "_soft_core_h", lambda x, *args: np.sqrt(x) + 0j)
+    sp = spec_at(1.0, math.pi / 2, True, gamma=0.1)
+    with pytest.raises(NumericalError) as err:
+        exponent_integral(sp, 3.0)
+    diag = err.value.diagnostics
+    assert diag["error_estimate"] > 1e-8 * abs(diag["value"])
+    assert diag["T"] == pytest.approx(3.0) and diag["g"] == pytest.approx(0.3)
+    assert diag["nodes"] % 3 == 0
 
 
 def test_closed_form_requires_unitary():
@@ -517,11 +622,13 @@ def test_kernel_second_derivative_closed_form():
             for beta in (0, 1):
                 want = (4.0 * second_difference(g, theta, beta, h / 2)
                         - second_difference(g, theta, beta, h)) / 3.0
-                got = _kernel_second_derivative_at_zero(g, theta, beta)
+                got = 2.0 * _kernel_taylor(g, theta, beta, 2)[1]
                 assert abs(got - want) <= 1e-7
-            # the small-g Taylor branch meets the closed form at its switch
-            below = _kernel_second_derivative_at_zero(0.2 * (1 - 1e-15), theta, beta)
-            assert abs(below - _kernel_second_derivative_at_zero(0.2, theta, beta)) <= 1e-13
+            # the g = 0 moments meet the incomplete-gamma form at its switch
+            for beta in (0, 1):
+                below = _kernel_taylor(float(np.nextafter(1e-20, 0.0)), theta, beta, 12)
+                above = _kernel_taylor(1e-20, theta, beta, 12)
+                assert np.max(np.abs(below - above)) <= 1e-13
 
 
 def test_gas_spec_validation():
