@@ -15,8 +15,6 @@ import numpy as np
 
 from rydramsey import (
     DimensionlessPoint,
-    GasSpec,
-    RamseyProtocol,
     Regime,
     asymptotic_contrast,
     contrast_gas,

@@ -215,8 +215,8 @@ def config_from_dict(data: dict) -> RunConfig:
                 "potential.detuning",
             )
         else:
-            rabi = parse_quantity(psec.get("rabi", 0.0), "frequency", "potential.rabi") if "rabi" in psec else 0.0
-            detuning = parse_quantity(psec.get("detuning", 0.0), "frequency", "potential.detuning") if "detuning" in psec else 0.0
+            rabi = parse_quantity(psec["rabi"], "frequency", "potential.rabi") if "rabi" in psec else 0.0
+            detuning = parse_quantity(psec["detuning"], "frequency", "potential.detuning") if "detuning" in psec else 0.0
         dress = DressingParams(rabi=rabi, detuning=detuning, c6=c6)
         pot = derive_potential(dress, kind)
         resolved["potential"] = {
@@ -247,8 +247,8 @@ def config_from_dict(data: dict) -> RunConfig:
     echo = prsec.get("echo", False)
     if not isinstance(echo, bool):
         raise ConfigError("protocol.echo must be true or false")
-    gamma = parse_quantity(prsec.get("gamma", 0.0), "frequency", "protocol.gamma") if "gamma" in prsec else 0.0
-    gamma_d = parse_quantity(prsec.get("gamma_d", 0.0), "frequency", "protocol.gamma_d") if "gamma_d" in prsec else 0.0
+    gamma = parse_quantity(prsec["gamma"], "frequency", "protocol.gamma") if "gamma" in prsec else 0.0
+    gamma_d = parse_quantity(prsec["gamma_d"], "frequency", "protocol.gamma_d") if "gamma_d" in prsec else 0.0
     try:
         protocol = RamseyProtocol(theta=theta, echo=echo, gamma=gamma, gamma_d=gamma_d)
     except ValueError as exc:

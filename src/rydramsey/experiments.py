@@ -514,16 +514,18 @@ def run_validate(cfg: RunConfig | None, out_dir: str, seed: int = 0) -> dict:
             entry["note"] = note
         checks.append(entry)
 
+    def oracle_gap(v, proto, times) -> float:
+        """max |closed form - Lindblad oracle| of sigma_plus over the times."""
+        got = sigma_plus_couplings(v, proto, times)
+        return float(np.max(np.abs(got - oracle.ramsey_sigma_plus(v, proto, times))))
+
     # 1: all couplings zero -> closed form and oracle agree exactly
     v = np.zeros((5, 5))
     worst = 0.0
     for echo in (True, False):
         for gamma in (0.0, 0.1):
             proto = RamseyProtocol(math.pi / 3.0, echo, gamma, 0.0)
-            times = np.linspace(0.0, 5.0, 6)
-            got = sigma_plus_couplings(v, proto, times)
-            ref = oracle.ramsey_sigma_plus(v, proto, times)
-            worst = max(worst, float(np.max(np.abs(got - ref))))
+            worst = max(worst, oracle_gap(v, proto, np.linspace(0.0, 5.0, 6)))
     record("zero_coupling_exactness", worst, 1e-12)
 
     # 2: dissipative oracle agreement on random geometries
@@ -531,10 +533,7 @@ def run_validate(cfg: RunConfig | None, out_dir: str, seed: int = 0) -> dict:
     for n, echo in ((3, False), (4, True), (6, False)):
         v, pot = _random_soft_core_instance(rng, n)
         proto = RamseyProtocol(math.pi / 2.0, echo, 0.1 * pot.v0, 0.0)
-        times = np.linspace(0.0, 4.0 * math.pi / pot.v0, 7)
-        got = sigma_plus_couplings(v, proto, times)
-        ref = oracle.ramsey_sigma_plus(v, proto, times)
-        worst = max(worst, float(np.max(np.abs(got - ref))))
+        worst = max(worst, oracle_gap(v, proto, np.linspace(0.0, 4.0 * math.pi / pot.v0, 7)))
     record("dissipative_oracle_agreement", worst, 1e-6)
 
     # 3: echo sequence reduction (unitary identity)
@@ -547,13 +546,11 @@ def run_validate(cfg: RunConfig | None, out_dir: str, seed: int = 0) -> dict:
 
     # 4: two-spin kernel identity against the oracle
     v2 = np.array([[0.0, 0.8], [0.8, 0.0]])
-    worst = 0.0
-    for echo in (True, False):
-        proto = RamseyProtocol(math.pi / 4.0, echo, 0.16, 0.0)
-        times = np.linspace(0.0, 10.0, 9)
-        got = sigma_plus_couplings(v2, proto, times)
-        ref = oracle.ramsey_sigma_plus(v2, proto, times)
-        worst = max(worst, float(np.max(np.abs(got - ref))))
+    times = np.linspace(0.0, 10.0, 9)
+    worst = max(
+        oracle_gap(v2, RamseyProtocol(math.pi / 4.0, echo, 0.16, 0.0), times)
+        for echo in (True, False)
+    )
     record("two_spin_kernel_identity", worst, 1e-6)
 
     # 5: soft-core exponent, spectral midpoint rule vs Bessel closed form

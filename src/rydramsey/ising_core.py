@@ -48,16 +48,6 @@ __all__ = [
 # as a named constant so the convention stays auditable.
 COHERENCE_DECAY_EXPONENT = 0.5
 
-# Below this |z| the complex sinc switches to its Taylor series.
-_SINC_SERIES_THRESHOLD = 1e-4
-
-# Above this g the kernel switches from the cos/sinc form to the split
-# into decaying and persistent exponentials. The direct form multiplies
-# exp(-g/2) by cosh(g/2)-sized terms and turns into 0*inf near g ~ 1450;
-# the split form has a removable singularity at X = -i(2 beta - 1) g that
-# only matters when g is small, so the two branches cover each other.
-_SPLIT_THRESHOLD = 30.0
-
 
 def coherence_decay(gamma: float, t):
     """Global emission prefactor D(gamma, t) = exp(-gamma t / 2), at a
@@ -74,29 +64,15 @@ def _envelope(proto: RamseyProtocol, t):
     return math.sin(proto.theta) * coherence_decay(proto.gamma, t) * np.exp(-proto.gamma_d * t)
 
 
-def _csinc(z: np.ndarray) -> np.ndarray:
-    """sin(z)/z for complex z, with sinc(0) = 1.
-
-    Uses the 3-term Taylor series 1 - z^2/6 + z^4/120 for |z| < 1e-4,
-    where the direct quotient loses relative accuracy.
-    """
-    z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
-    small = np.abs(z) < _SINC_SERIES_THRESHOLD
-    zs = z[small]
-    out[small] = 1.0 - zs * zs / 6.0 + zs**4 / 120.0
-    zb = z[~small]
-    out[~small] = np.sin(zb) / zb
-    return out
-
-
 def _split_coefficients(x, g: float, theta: float, beta: int):
     """a_plus, a_minus of the kernel split f = a_plus e^{iX - g} + a_minus
-    (beta = 1) or a_plus e^{iX/2} + a_minus e^{-iX/2 - g} (beta = 0);
-    well conditioned while |X + i(2 beta - 1) g| stays away from zero."""
-    denom = x + 1j * (2 * beta - 1) * g
-    ratio = (g - 1j * x * np.cos(theta)) / (2j * denom)
-    return 0.5 + ratio, 0.5 - ratio
+    (beta = 1) or a_plus e^{iX/2} + a_minus e^{-iX/2 - g} (beta = 0), in
+    the identity form of :func:`f_kernel`, bounded for real X and g > 0."""
+    if beta == 1:
+        q = math.sin(0.5 * theta) ** 2 * (x / (x + 1j * g))
+        return q, 1.0 - q
+    q = math.cos(0.5 * theta) ** 2 * (x / (x - 1j * g))
+    return 1.0 - q, q
 
 
 def f_kernel(x, g: float, theta: float, beta: int):
@@ -112,12 +88,21 @@ def f_kernel(x, g: float, theta: float, beta: int):
     for the kernel to solve the master equation (the variant with the
     unflipped argument fails against the brute-force solver at the 1e-1
     level and retains an unphysical persistent phase as g -> infinity).
-    Both branches are validated against the dense master-equation module.
+    Both echo settings are validated against the dense master-equation module.
 
-    At g = 0 this reduces to
-    cos(X/2) - i cos(theta) sin(X/2)  (echo, readout frame) and
-    cos^2(theta/2) + sin^2(theta/2) e^{iX}  (no echo);
-    for theta = pi/2, g = 0, echo it is cos(X/2).
+    Two branches evaluate it:
+
+    - g = 0: z is real and (X/2) sinc(X/2) = sin(X/2), so f reduces to
+      cos(X/2) - i cos(theta) sin(X/2)  (echo, readout frame) and
+      cos^2(theta/2) + sin^2(theta/2) e^{iX}  (no echo). One cosine and
+      one sine per pair keep this Monte Carlo hot path at about half the
+      cost of the split form.
+    - g > 0: the exact split into a decaying and a surviving exponential,
+      f = q e^{iX - g} + (1 - q) with q = sin^2(theta/2) X/(X + i g)
+      (no echo), f = (1 - q) e^{iX/2} + q e^{-iX/2 - g} with
+      q = cos^2(theta/2) X/(X - i g) (echo). |q| <= 1 for real X, so
+      no term grows like cosh(g/2) and no sinc quotient cancels at
+      small |z|: the form is accurate at every g > 0.
 
     Parameters
     ----------
@@ -141,22 +126,12 @@ def f_kernel(x, g: float, theta: float, beta: int):
         raise ParameterError("g = gamma*t must be non-negative")
     x = np.asarray(x, dtype=float)
     if g == 0.0:
-        # Unitary case: z is real and (X/2) sinc(X/2) = sin(X/2), so the
-        # kernel needs one cosine and one sine total. This path carries
-        # the Monte Carlo averages, where it is evaluated ~1e9 times.
         c = np.cos(0.5 * x)
         s = np.sin(0.5 * x)
         out = c - 1j * np.cos(theta) * s
         if beta == 1:
             out = (c + 1j * s) * out
-    elif g <= _SPLIT_THRESHOLD:
-        z = 0.5 * (x + 1j * (2 * beta - 1) * g)
-        out = np.exp(0.5 * (1j * beta * x - g)) * (
-            np.cos(z) + 0.5 * (g - 1j * x * np.cos(theta)) * _csinc(z)
-        )
     else:
-        # Split into a decaying and a surviving exponential, free of
-        # cosh-sized intermediates; |X + i(2 beta - 1) g| >= g here.
         a_plus, a_minus = _split_coefficients(x, g, theta, beta)
         if beta == 1:
             out = a_plus * np.exp(1j * x - g) + a_minus

@@ -14,7 +14,6 @@ follow the spin-1/2 normalization S = sigma/2, so |G| <= 1/4 always.
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np

@@ -6,7 +6,6 @@ checklist. Tolerances are part of the public contract and are asserted
 at face value, never loosened to absorb numerical noise.
 """
 
-import json
 import math
 import os
 
@@ -15,15 +14,11 @@ import pytest
 
 from rydramsey import cli
 from rydramsey.config import load_config
-from rydramsey.errors import BiasWarning
 from rydramsey.experiments import run_fig5
 from rydramsey.gas_average import (
     DimensionlessPoint,
     GasSpec,
-    Regime,
-    asymptotic_contrast,
     contrast_gas,
-    exponent_integral,
     low_density_amplitude,
     monte_carlo_gas,
     tau_half,

@@ -21,11 +21,29 @@ from rydramsey.ising_core import (
 from rydramsey.lattice import lattice_positions
 from rydramsey.potential import DressingParams, PotentialKind, derive_potential
 
-# Extended-precision (40-digit) reference evaluations of the pair kernel,
-# frozen as regression constants.
+# Extended-precision (40-digit) reference evaluations of the pair kernel's
+# cos/sinc definition, frozen as regression constants. Besides a generic
+# point they cover the regimes where that definition is hard to evaluate
+# in floating point: |z| < 1e-4 (the sinc quotient cancels), both sides of
+# g = 30, g = 2000 at X = 1450 (cosh-sized terms), a vanishing g = 1e-300
+# and negative X.
 F_REGRESSION = {
     (1.0, 0.3, math.pi / 4, 1): 0.9445489861343888372 + 0.1079267577158856362j,
     (1.0, 0.3, math.pi / 4, 0): 0.8955341240798265267 - 0.2275584327377628846j,
+    (1e-9, 1e-12, 0.3, 1): 1.0 + 2.233175543718582405e-11j,
+    (1e-9, 1e-12, 0.3, 0): 0.9999999999999999999 - 4.776682445623142071e-10j,
+    (-3e-5, 2e-5, 2.6, 1): 0.9999999995822056011 - 0.000027853052764900147j,
+    (-3e-5, 2e-5, 2.6, 0): 0.9999999998875001073 - 0.00001285335276659609292j,
+    (7.5, 29.0, math.pi / 3, 1): 0.984327110615786254 + 0.06060183895235280029j,
+    (7.5, 29.0, math.pi / 3, 0): -0.8858907501867210852 - 0.395505048694496944j,
+    (-7.5, 31.0, math.pi / 3, 1): 0.9861759646104714156 - 0.0571393462767262216j,
+    (-7.5, 31.0, math.pi / 3, 0): -0.8845049528843511913 + 0.4071987912707050952j,
+    (1450.0, 2000.0, math.pi / 2, 1): 0.8277345350266284415 + 0.2376075378943055979j,
+    (1450.0, 2000.0, math.pi / 2, 0): -0.4743499617425279645 + 0.7187446809088780258j,
+    (0.7, 1e-300, 0.3, 1): 0.9947485132372910239 + 0.01438651183970877544j,
+    (0.7, 1e-300, 0.3, 0): 0.9393727128473789276 - 0.3275827875033589258j,
+    (-12.0, 0.4, 2.6, 1): 0.5860608902047373629 + 0.3201408022292441538j,
+    (-12.0, 0.4, 2.6, 0): 0.9364326095694186419 + 0.2468107924512920725j,
 }
 
 
@@ -39,7 +57,7 @@ def rand_couplings(n, rng, scale=1.0):
 def test_kernel_frozen_regression_values():
     for (x, g, th, beta), want in F_REGRESSION.items():
         got = f_kernel(x, g, th, beta)
-        assert got == pytest.approx(want, abs=1e-14)
+        assert got == pytest.approx(want, abs=1e-15), (x, g, th, beta)
 
 
 def test_kernel_identity_at_zero():
@@ -87,9 +105,8 @@ def test_kernel_modulus_bounded():
 
 
 def test_kernel_branch_seam_continuity():
-    # the large-g evaluation path takes over above g = 30; straddle the
-    # seam by a step small enough that the genuine g-dependence (~1e-14)
-    # cannot mask a branch disagreement
+    # the kernel is continuous in g: a step of 2e-12 across g = 30 moves
+    # it by ~1e-14 only, so a jump in the evaluation formula would show
     x = np.linspace(-15.0, 15.0, 31)
     for beta in (0, 1):
         lo = f_kernel(x, 30.0 - 1e-12, math.pi / 3, beta)
@@ -206,7 +223,7 @@ def test_normalization_modes():
         sigma_plus_couplings(v, proto, 1.3, normalization="mean")
 
 
-# t = 0, then the cos/sinc branch and (at gamma = 0.5) the g > 30 split
+# t = 0, then small and (at gamma = 0.5, t = 75) large g on the split
 # branch; the gamma = 0 protocols take the g = 0 branch at every time.
 ARRAY_TIMES = np.array([0.0, 0.7, 3.1, 75.0])
 ARRAY_PROTOCOLS = [

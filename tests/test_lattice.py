@@ -12,7 +12,6 @@ from rydramsey.ising_core import (
     sigma_plus_config,
 )
 from rydramsey.lattice import (
-    CorrelationMap,
     LatticeSpec,
     correlation_map,
     d4_deviation,
