@@ -95,10 +95,15 @@ def _eval_node(node: ast.AST) -> float:
 
 
 def _eval_number(text: str, name: str) -> float:
+    """Value of the constant expression ``text``; ConfigError unless it
+    parses to a finite float."""
     try:
-        return float(_eval_node(ast.parse(text.strip(), mode="eval").body))
-    except (SyntaxError, ValueError, ZeroDivisionError, RecursionError) as exc:
+        value = float(_eval_node(ast.parse(text.strip(), mode="eval").body))
+    except (SyntaxError, ValueError, ZeroDivisionError, OverflowError, RecursionError) as exc:
         raise ConfigError(f"{name}: cannot parse number {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{name}: {text!r} is outside the finite float range")
+    return value
 
 
 def parse_quantity(value, kind: str, name: str = "quantity") -> float:
@@ -135,7 +140,10 @@ def parse_quantity(value, kind: str, name: str = "quantity") -> float:
     if isinstance(value, str):
         parts = value.rsplit(None, 1)
         if len(parts) == 2 and parts[1] in table:
-            return _eval_number(parts[0], name) * table[parts[1]]
+            scaled = _eval_number(parts[0], name) * table[parts[1]]
+            if not math.isfinite(scaled):
+                raise ConfigError(f"{name}: {value!r} overflows in {_CANONICAL[kind]}")
+            return scaled
         if kind in ("dimensionless", "angle"):
             return _eval_number(value, name)
         if len(parts) == 2:

@@ -7,13 +7,13 @@ per-spin coherence collapses to a single radial integral,
     I(t) = rho * integral 4 pi r^2 [1 - f(V(r) t, gamma t)] dr,
 
 with the pair kernel f of :mod:`rydramsey.ising_core`. This module
-evaluates I three independent ways (numerical integration: a spectral
-midpoint rule with a small-T Taylor branch for the soft-core potential
-and Fourier-weighted quad for the bare one; closed forms where the
-unitary integrals reduce to Bessel/Fresnel quantities; and Monte Carlo
-sampling of explicit configurations), exposes the
-low/high-density asymptotics with their exact amplitudes, and locates
-the half-contrast time tau_1/2.
+evaluates I three independent ways (numerical integration of the
+soft-core potential by a spectral midpoint rule with a small-T Taylor
+branch; closed forms, for the soft-core potential at gamma = 0 through
+Bessel functions and for the bare one at every gamma through erf and
+Dawson's function; and Monte Carlo sampling of explicit
+configurations), exposes the low/high-density asymptotics with their
+exact amplitudes, and locates the half-contrast time tau_1/2.
 
 The sin(theta) prefactor follows the same convention as the
 configuration-resolved functions, so the gas coherence at t = 0 is
@@ -29,9 +29,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
-from scipy.special import gamma, gammainc, j0, j1
+from scipy.special import dawsn, gamma, gammainc, j0, j1
 
 from .errors import (
     BiasWarning,
@@ -45,7 +44,6 @@ from .ising_core import (
     RamseyProtocol,
     _envelope,
     _log_factors,
-    _split_coefficients,
     f_kernel,
 )
 from .potential import (
@@ -287,80 +285,6 @@ def _soft_core_i_over_nr(T: float, g: float, theta: float, beta: int) -> complex
     return total if T >= 0 else total.conjugate()
 
 
-def _quad(fun, a: float, b: float, **kwargs) -> float:
-    """quad at the bare route's tolerances; its IntegrationWarning (the only
-    sign of a non-converged integral) becomes a NumericalError."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
-        value, err = quad(fun, a, b, limit=400, epsabs=_ABS_TOL, epsrel=1e-9, **kwargs)[:2]
-    for w in caught:
-        if issubclass(w.category, IntegrationWarning):
-            raise NumericalError(
-                "bare-potential exponent quadrature did not converge",
-                diagnostics={"error_estimate": err, "quad_message": str(w.message)},
-            )
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return value
-
-
-def _oscillatory_tail(cfun, omega_signed: float, a: float) -> complex:
-    """integral_a^inf cfun(Y) e^{i omega Y} dY via Fourier-weighted quadrature."""
-    w = abs(omega_signed)
-    sg = 1.0 if omega_signed > 0 else -1.0
-    rc = _quad(lambda y: cfun(y).real, a, np.inf, weight="cos", wvar=w)
-    rs = _quad(lambda y: cfun(y).real, a, np.inf, weight="sin", wvar=w)
-    ic = _quad(lambda y: cfun(y).imag, a, np.inf, weight="cos", wvar=w)
-    is_ = _quad(lambda y: cfun(y).imag, a, np.inf, weight="sin", wvar=w)
-    return (rc - sg * is_) + 1j * (sg * rs + ic)
-
-
-def _bare_i_tilde_quadrature(s: float, g: float, theta: float, beta: int) -> complex:
-    """integral_0^inf [1 - f(s/u^2, g)] du for the bare 1/r^6 potential.
-
-    The head u >= u0 (|X| <= 2) is smooth and integrated directly; the
-    rapidly oscillating u -> 0 region is transformed to Y = |X|, where
-    the kernel's exponential split isolates a smooth component and one
-    or two Fourier components integrated with cos/sin-weighted rules.
-    """
-    x0 = 2.0
-    u0 = 1.0 / math.sqrt(x0)
-
-    def head(u):
-        return 1.0 - f_kernel(s / u**2, g, theta, beta)
-
-    try:
-        head_val = (
-            _quad(lambda u: head(u).real, u0, np.inf)
-            + 1j * _quad(lambda u: head(u).imag, u0, np.inf)
-        )
-
-        eg = math.exp(-g) if g < 700 else 0.0
-        if beta == 1:
-            smooth = (
-                _quad(lambda y: (1.0 - _split_coefficients(s * y, g, theta, 1)[1]).real * y**-1.5, x0, np.inf)
-                + 1j * _quad(lambda y: (1.0 - _split_coefficients(s * y, g, theta, 1)[1]).imag * y**-1.5, x0, np.inf)
-            )
-            osc = -eg * _oscillatory_tail(
-                lambda y: _split_coefficients(s * y, g, theta, 1)[0] * y**-1.5, s, x0
-            )
-            tail_val = 0.5 * (smooth + osc)
-        else:
-            exact = 2.0 / math.sqrt(x0)
-            osc_p = -_oscillatory_tail(
-                lambda y: _split_coefficients(s * y, g, theta, 0)[0] * y**-1.5, 0.5 * s, x0
-            )
-            osc_m = -eg * _oscillatory_tail(
-                lambda y: _split_coefficients(s * y, g, theta, 0)[1] * y**-1.5, -0.5 * s, x0
-            )
-            tail_val = 0.5 * (exact + osc_p + osc_m)
-    except NumericalError as exc:
-        raise NumericalError(
-            str(exc),
-            diagnostics={**exc.diagnostics, "s": s, "g": g, "theta": theta, "beta": beta},
-        ) from exc
-    return head_val + tail_val
-
-
 def _k_bessel(y: float) -> complex:
     """K(y) = integral_0^inf [1 - e^{i y/(1+u^2)}] du in closed form.
 
@@ -388,17 +312,38 @@ def _soft_core_i_over_nr_closed(T: float, theta: float, beta: int) -> complex:
     return pu * _k_bessel(T / 2.0) + pd * _k_bessel(-T / 2.0)
 
 
-def _bare_i_tilde_closed(s: float, theta: float, beta: int) -> complex:
-    """Unitary bare-potential dimensionless integral in closed form.
+def _bare_i_tilde(s: float, g: float, theta: float, beta: int) -> complex:
+    """integral_0^inf [1 - f(s/u^2, g)] du for the bare 1/r^6 potential.
 
-    Uses integral_0^inf (1 - e^{i a/u^2}) du = sqrt(pi |a|/2) (1 - i sign a):
-    beta = 1 gives pu sqrt(pi/2) (1 - i s); beta = 0 gives
-    (sqrt(pi)/2)(1 + i s cos theta). Verified against direct quadrature.
+    Y = 1/u^2 and the kernel identities of :func:`_soft_core_h` reduce it
+    to error-function integrals. For s = +1, with D Dawson's function and
+    x = sqrt(g/2):
+    beta = 1: sin^2(theta/2) (pi/2) e^{-i pi/4} erf(sqrt g)/sqrt g;
+    beta = 0: (sqrt(pi)/2)(1 - i) + cos^2(theta/2) (pi/4)(1 + i)
+              [e^{-g/2} erf(x)/x + (2i/sqrt(pi)) D(x)/x].
+    s = -1 is the complex conjugate (f(-X) = conj f(X)). At g = 0,
+    where erf(x)/x -> 2/sqrt(pi) and D(x)/x -> 1, the Fresnel integral
+    integral_0^inf (1 - e^{i a/u^2}) du = sqrt(pi |a|/2) (1 - i sign a)
+    gives sin^2(theta/2) sqrt(pi/2) (1 - i s) (beta = 1) and
+    (sqrt(pi)/2)(1 + i s cos theta) (beta = 0) exactly. Every term is
+    bounded, so the form holds from subnormal g (x = sqrt(g) sqrt(1/2)
+    does not underflow) to g = 1e300.
     """
-    pu = np.sin(theta / 2.0) ** 2
+    if g == 0.0:
+        pu = np.sin(theta / 2.0) ** 2
+        if beta == 1:
+            return complex(pu * math.sqrt(math.pi / 2.0) * (1.0 - 1j * s))
+        return complex(0.5 * math.sqrt(math.pi) * (1.0 + 1j * s * np.cos(theta)))
     if beta == 1:
-        return complex(pu * math.sqrt(math.pi / 2.0) * (1.0 - 1j * s))
-    return complex(0.5 * math.sqrt(math.pi) * (1.0 + 1j * s * np.cos(theta)))
+        root = math.sqrt(g)
+        pu = math.sin(theta / 2.0) ** 2
+        val = pu * math.pi / math.sqrt(8.0) * (math.erf(root) / root) * (1.0 - 1j)
+    else:
+        x = math.sqrt(g) * math.sqrt(0.5)
+        ratio = complex(math.exp(-0.5 * g) * math.erf(x), 2.0 / math.sqrt(math.pi) * dawsn(x)) / x
+        pd = math.cos(theta / 2.0) ** 2
+        val = 0.5 * math.sqrt(math.pi) * (1.0 - 1j) + pd * 0.25 * math.pi * (1.0 + 1j) * ratio
+    return val if s > 0 else val.conjugate()
 
 
 def exponent_integral(spec: GasSpec, t: float, method: str = "auto") -> complex:
@@ -408,25 +353,26 @@ def exponent_integral(spec: GasSpec, t: float, method: str = "auto") -> complex:
     ----------
     spec : GasSpec
     t : float
-        us, >= 0.
+        us, finite and >= 0.
     method : {"auto", "quadrature", "closed"}
-        "quadrature" forces numerical integration: the spectral
+        For a soft-core potential, "quadrature" forces the spectral
         midpoint rule in u = tan(phi), with a Taylor series in V0 t at
-        |V0 t| <= 0.1, for a soft-core potential, and Fourier-weighted
-        ``quad`` for a bare one;
-        "closed" forces the unitary closed forms (gamma = 0 only);
-        "auto" uses closed forms when available, quadrature otherwise.
-        The two routes are different formulas that agree to ~1e-9
-        relative; the test suite compares them rather than collapsing
-        one into the other.
+        |V0 t| <= 0.1; "closed" forces the unitary Bessel closed form
+        (gamma = 0 only); "auto" takes the closed form at gamma = 0 and
+        the quadrature otherwise. The two routes are different formulas
+        that agree to ~1e-9 relative; the test suite compares them
+        rather than collapsing one into the other. A bare potential has
+        a closed form at every gamma (:func:`_bare_i_tilde`), which
+        "auto" and "closed" evaluate; "quadrature" applies only to
+        soft-core potentials and raises UnsupportedRegimeError here.
 
     Returns
     -------
     complex
         Re I >= 0 at gamma = 0; the contrast is sin(theta) D e^{-I}.
     """
-    if t < 0:
-        raise ParameterError("exponent integral is defined for t >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ParameterError(f"exponent integral is defined for finite t >= 0, got {t!r}")
     if method not in ("auto", "quadrature", "closed"):
         raise ParameterError(f"unknown method {method!r}")
     if t == 0:
@@ -434,18 +380,20 @@ def exponent_integral(spec: GasSpec, t: float, method: str = "auto") -> complex:
     th, beta = spec.protocol.theta, spec.protocol.beta
     g = spec.protocol.gamma * t
     pot = spec.potential
-    closed = method == "closed" or (method == "auto" and g == 0.0)
-    if closed and g > 0.0:
-        raise UnsupportedRegimeError("closed-form exponent integrals exist only at gamma = 0")
     if pot.kind is PotentialKind.SOFT_CORE:
-        if closed:
+        if method == "closed" or (method == "auto" and g == 0.0):
+            if g > 0.0:
+                raise UnsupportedRegimeError(
+                    "the soft-core closed form exists only at gamma = 0"
+                )
             return spec.n_r * _soft_core_i_over_nr_closed(pot.v0 * t, th, beta)
         return spec.n_r * _soft_core_i_over_nr(pot.v0 * t, g, th, beta)
+    if method == "quadrature":
+        raise UnsupportedRegimeError(
+            "the bare-potential exponent is evaluated in closed form only"
+        )
     pref = 4.0 * math.pi * spec.density * math.sqrt(abs(pot.c6) * t) / 3.0
-    sign = math.copysign(1.0, pot.c6)
-    if closed:
-        return pref * _bare_i_tilde_closed(sign, th, beta)
-    return pref * _bare_i_tilde_quadrature(sign, g, th, beta)
+    return pref * _bare_i_tilde(math.copysign(1.0, pot.c6), g, th, beta)
 
 
 def contrast_gas(spec: GasSpec, t, method: str = "auto") -> complex | np.ndarray:
@@ -724,9 +672,7 @@ def _tau_scale_estimates(spec: GasSpec) -> list:
         est.append((ln2 / (a * n_r)) ** 2 / v0)
         est.append((2.0 / v0) * math.sqrt(2.0 * ln2 / ((proto.beta + 1) * n_r)))
     elif pot.kind is PotentialKind.BARE_VDW:
-        i_unit = _bare_i_tilde_closed(
-            math.copysign(1.0, pot.c6), proto.theta, proto.beta
-        ).real
+        i_unit = _bare_i_tilde(math.copysign(1.0, pot.c6), 0.0, proto.theta, proto.beta).real
         coef = 4.0 * math.pi * spec.density * i_unit / 3.0
         if coef > 0:
             est.append((ln2 / coef) ** 2 / abs(pot.c6))

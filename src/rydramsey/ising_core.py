@@ -64,17 +64,6 @@ def _envelope(proto: RamseyProtocol, t):
     return math.sin(proto.theta) * coherence_decay(proto.gamma, t) * np.exp(-proto.gamma_d * t)
 
 
-def _split_coefficients(x, g: float, theta: float, beta: int):
-    """a_plus, a_minus of the kernel split f = a_plus e^{iX - g} + a_minus
-    (beta = 1) or a_plus e^{iX/2} + a_minus e^{-iX/2 - g} (beta = 0), in
-    the identity form of :func:`f_kernel`, bounded for real X and g > 0."""
-    if beta == 1:
-        q = math.sin(0.5 * theta) ** 2 * (x / (x + 1j * g))
-        return q, 1.0 - q
-    q = math.cos(0.5 * theta) ** 2 * (x / (x - 1j * g))
-    return 1.0 - q, q
-
-
 def f_kernel(x, g: float, theta: float, beta: int):
     """Per-pair coherence factor f(X) of the exact Ising-plus-emission solution.
 
@@ -132,11 +121,12 @@ def f_kernel(x, g: float, theta: float, beta: int):
         if beta == 1:
             out = (c + 1j * s) * out
     else:
-        a_plus, a_minus = _split_coefficients(x, g, theta, beta)
         if beta == 1:
-            out = a_plus * np.exp(1j * x - g) + a_minus
+            q = math.sin(0.5 * theta) ** 2 * (x / (x + 1j * g))
+            out = q * np.exp(1j * x - g) + (1.0 - q)
         else:
-            out = a_plus * np.exp(0.5j * x) + a_minus * np.exp(-0.5j * x - g)
+            q = math.cos(0.5 * theta) ** 2 * (x / (x - 1j * g))
+            out = (1.0 - q) * np.exp(0.5j * x) + q * np.exp(-0.5j * x - g)
     return out if out.ndim else complex(out)
 
 

@@ -51,9 +51,18 @@ def test_booleans_rejected():
 
 
 def test_expression_eval_is_restricted():
-    for bad in ("__import__('os')", "().__class__", "'a'*9", "2**10"):
+    non_finite = ("1e400", "-1e400", "1e308*10", "1e308*10-1e308*10", "1" + "0" * 400)
+    for bad in ("__import__('os')", "().__class__", "'a'*9", "2**10", *non_finite):
         with pytest.raises(ConfigError):
             parse_quantity(bad, "dimensionless")
+    # a finite number that overflows once converted to canonical units
+    for bad in ("1e400 1/us", "1e308 rad/ns"):
+        with pytest.raises(ConfigError):
+            parse_quantity(bad, "frequency")
+    d = minimal_dict()
+    d["protocol"]["gamma"] = "1e400 1/us"
+    with pytest.raises(ConfigError):
+        config_from_dict(d)
 
 
 def minimal_dict():

@@ -176,11 +176,12 @@ def test_density_free_config_runs_fig3_and_scan_not_fig2(tmp_path, capsys):
 
 
 def test_cli_rejects_bad_grid(tmp_path, capsys):
-    rc = cli.main(
-        ["fig2", "--config", SR, "--out", str(tmp_path), "--grid", "lin:5:1:9"]
-    )
-    assert rc == 2
-    assert capsys.readouterr().err
+    out = tmp_path / "out"
+    for grid in ("lin:5:1:9", "lin:0:1e400:3"):
+        rc = cli.main(["fig2", "--config", SR, "--out", str(out), "--grid", grid])
+        assert rc == 2
+        assert capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

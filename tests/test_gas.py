@@ -1,9 +1,9 @@
+import cmath
 import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
 from scipy.special import beta as beta_function
 
 from rydramsey import gas_average
@@ -19,6 +19,7 @@ from rydramsey.gas_average import (
     DimensionlessPoint,
     GasSpec,
     Regime,
+    _bare_i_tilde,
     _kernel_taylor,
     _soft_core_h,
     _soft_core_i_over_nr,
@@ -49,6 +50,23 @@ SOFT_CORE_REFERENCE = {
     (3.0, 0.0, math.pi / 2, 1): 1.1099529650140870503 - 1.3966204454677488971j,
 }
 BARE_REFERENCE_G02 = 0.5872716899390674354  # Itilde/(1-1j) at theta=pi/2, beta=1
+# integral_0^inf [1 - f(s/u^2, g)] du, frozen from an extended-precision
+# quadrature of the cos/sinc kernel (not from the erf/Dawson closed form)
+BARE_REFERENCE = {
+    # (s, g, theta, beta) -> Itilde
+    (+1.0, 1e-8, 0.6, 1): 0.1094546711947605306 - 0.1094546711947605306j,
+    (-1.0, 1e-3, 2.5, 1): 1.128323258067215648 + 1.128323258067215648j,
+    (+1.0, 0.37, 2.5, 1): 1.003676077736410111 - 1.003676077736410111j,
+    (-1.0, 2.9, 0.6, 1): 0.05604847361722753889 + 0.05604847361722753889j,
+    (+1.0, 11.0, 0.6, 1): 0.02924702633209093733 - 0.02924702633209093733j,
+    (-1.0, 40.0, 2.5, 1): 0.1581587525401756833 + 0.1581587525401756833j,
+    (-1.0, 1e-8, 2.5, 0): 0.8862269251590382115 + 0.7099950441334248597j,
+    (+1.0, 1e-3, 0.6, 0): 0.8859574499577276409 + 0.7306260562784284221j,
+    (-1.0, 0.37, 0.6, 0): 0.8031165553839572157 - 0.4628271963008659399j,
+    (+1.0, 2.9, 2.5, 0): 0.8630376180160203931 - 0.8353084277291653467j,
+    (-1.0, 11.0, 2.5, 0): 0.8772461853230351813 + 0.8769742707080788762j,
+    (+1.0, 40.0, 0.6, 0): 0.8654568877275242751 - 0.8654568870667882704j,
+}
 
 
 def soft_core_potential():
@@ -212,24 +230,7 @@ def test_bare_exponent_dissipative_frozen_reference():
         prefactor = 4.0 * math.pi * 0.7 * math.sqrt(8.0 * t) / 3.0
         want = prefactor * BARE_REFERENCE_G02 * (1.0 - 1j * sign)
         got = exponent_integral(sp, t)
-        assert got == pytest.approx(want, rel=1e-8)
-
-
-def test_bare_quadrature_nonconvergence_raises(monkeypatch):
-    # quad flags a non-converged integral only by a warning; the bare
-    # route must turn it into an error that keeps quad's error estimate
-    def unconverged_quad(fun, a, b, **kwargs):
-        warnings.warn("The maximum number of subdivisions has been achieved.",
-                      IntegrationWarning)
-        return 0.25, 3.5e-2
-
-    monkeypatch.setattr(gas_average, "quad", unconverged_quad)
-    pot = derive_potential(DressingParams(0.0, 0.0, 8.0), PotentialKind.BARE_VDW)
-    sp = GasSpec(0.7, pot, RamseyProtocol(math.pi / 2, False, 8.0, 0.0))
-    with pytest.raises(NumericalError) as err:
-        exponent_integral(sp, 0.025)
-    assert err.value.diagnostics["error_estimate"] == 3.5e-2
-    assert err.value.diagnostics["g"] == pytest.approx(0.2)
+        assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_bare_exponent_unitary_magnitude():
@@ -239,26 +240,61 @@ def test_bare_exponent_unitary_magnitude():
     t = 0.004
     sp = GasSpec(rho, pot, RamseyProtocol(math.pi / 2, False, 0.0, 0.0))
     want = (2.0 * math.pi**1.5 / 3.0) * rho * math.sqrt(9.0 * t)
-    for method in ("quadrature", "closed"):
+    for method in ("auto", "closed"):
         got = exponent_integral(sp, t, method=method)
         assert abs(got) == pytest.approx(want, rel=1e-8)
 
 
 def test_bare_routes_agree():
+    # the bare exponent has one closed form at every gamma: "closed" is
+    # "auto", and there is no bare quadrature to force
     pot = derive_potential(DressingParams(0.0, 0.0, 5.0), PotentialKind.BARE_VDW)
     for theta in (math.pi / 2, 0.6):
         for echo in (True, False):
-            sp = GasSpec(0.2, pot, RamseyProtocol(theta, echo, 0.0, 0.0))
-            a = exponent_integral(sp, 0.01, method="quadrature")
-            b = exponent_integral(sp, 0.01, method="closed")
-            assert a == pytest.approx(b, rel=1e-8)
+            for gamma in (0.0, 30.0):
+                sp = GasSpec(0.2, pot, RamseyProtocol(theta, echo, gamma, 0.0))
+                assert exponent_integral(sp, 0.01, method="closed") == exponent_integral(sp, 0.01)
+                with pytest.raises(UnsupportedRegimeError):
+                    exponent_integral(sp, 0.01, method="quadrature")
+
+
+def test_bare_i_tilde_frozen_references():
+    for (s, g, theta, beta), want in BARE_REFERENCE.items():
+        got = _bare_i_tilde(s, g, theta, beta)
+        assert abs(got - want) <= 1e-13 * abs(want), (s, g, theta, beta)
+
+
+def test_bare_i_tilde_small_g_meets_the_fresnel_values():
+    for s in (1.0, -1.0):
+        for beta in (0, 1):
+            for theta in (0.6, 2.5):
+                at_zero = _bare_i_tilde(s, 0.0, theta, beta)
+                assert abs(_bare_i_tilde(s, 1e-14, theta, beta) - at_zero) <= 1e-13 * abs(at_zero)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    tiny = _bare_i_tilde(s, 5e-324, theta, beta)
+                assert tiny == pytest.approx(at_zero, rel=1e-15)
+
+
+def test_bare_i_tilde_large_g_limits():
+    # g -> infinity: (sqrt(pi)/2)(1 - i s) with echo, where the deviation is
+    # ~ cos^2(theta/2) sqrt(pi/2) / g; 0 without, below (pi/2) / sqrt(g)
+    for s in (1.0, -1.0):
+        for theta in (0.6, 2.5):
+            for g in (1e3, 1e8, 1e300):
+                echo = _bare_i_tilde(s, g, theta, 0)
+                no_echo = _bare_i_tilde(s, g, theta, 1)
+                assert cmath.isfinite(echo) and cmath.isfinite(no_echo)
+                assert abs(echo - 0.5 * math.sqrt(math.pi) * (1.0 - 1j * s)) <= 2.0 / g
+                assert 0.0 < abs(no_echo) <= math.pi / (2.0 * math.sqrt(g))
 
 
 def test_exponent_basics():
     sp = spec_at(1.0, math.pi / 2, True)
     assert exponent_integral(sp, 0.0) == 0.0
-    with pytest.raises(ParameterError):
-        exponent_integral(sp, -1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            exponent_integral(sp, bad)
 
 
 def test_exponent_real_part_nonnegative():
