@@ -33,14 +33,10 @@ from .potential import (
 )
 from .ising_core import (
     AtomConfiguration,
-    ContrastTrace,
     RamseyProtocol,
     coherence_decay,
     connected_sxsx,
-    contrast_phase,
-    contrast_trace,
     f_kernel,
-    sigma_plus_config,
     sigma_plus_couplings,
 )
 from .gas_average import (
@@ -86,7 +82,6 @@ __all__ = [
     "BiasWarning",
     "CapacityError",
     "ConfigError",
-    "ContrastTrace",
     "CorrelationMap",
     "CrossingNotFoundError",
     "DRESSING_FRACTION_WARN",
@@ -114,8 +109,6 @@ __all__ = [
     "connected_sxsx",
     "contrast_gas",
     "contrast_gas_finite_n",
-    "contrast_phase",
-    "contrast_trace",
     "correlation_map",
     "d4_deviation",
     "derive_potential",
@@ -136,7 +129,6 @@ __all__ = [
     "run_fig5",
     "run_scan",
     "run_validate",
-    "sigma_plus_config",
     "sigma_plus_couplings",
     "tau_half",
 ]

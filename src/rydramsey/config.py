@@ -169,7 +169,6 @@ class RunConfig:
     """
 
     potential: Optional[InteractionPotential]
-    dressing: Optional[DressingParams]
     density: Optional[float]
     n_atoms: Optional[int]
     protocol: RamseyProtocol
@@ -201,7 +200,6 @@ def config_from_dict(data: dict) -> RunConfig:
     resolved: dict = {"_canonical_units": dict(_CANONICAL)}
 
     pot = None
-    dress = None
     psec = _section(data, "potential")
     if psec is not None:
         kind_name = _require(psec, "kind", "potential")
@@ -321,7 +319,6 @@ def config_from_dict(data: dict) -> RunConfig:
 
     return RunConfig(
         potential=pot,
-        dressing=dress,
         density=density,
         n_atoms=n_atoms,
         protocol=protocol,

@@ -346,25 +346,23 @@ def _bare_i_tilde(s: float, g: float, theta: float, beta: int) -> complex:
     return val if s > 0 else val.conjugate()
 
 
-def exponent_integral(spec: GasSpec, t: float, method: str = "auto") -> complex:
+def exponent_integral(spec: GasSpec, t: float) -> complex:
     """Disorder-average exponent I(t) = rho * int 4 pi r^2 [1 - f(V(r) t)] dr.
+
+    The formula follows from the inputs: for a soft-core potential, the
+    unitary Bessel closed form (:func:`_soft_core_i_over_nr_closed`) at
+    gamma t = 0 and the spectral midpoint rule in u = tan(phi), with a
+    Taylor series in V0 t at |V0 t| <= 0.1 (:func:`_soft_core_i_over_nr`),
+    at gamma t > 0; for a bare potential, the erf/Dawson closed form
+    (:func:`_bare_i_tilde`) at every gamma. At gamma = 0 the two
+    soft-core formulas agree to ~1e-12 relative; the test suite compares
+    them rather than collapsing one into the other.
 
     Parameters
     ----------
     spec : GasSpec
     t : float
         us, finite and >= 0.
-    method : {"auto", "quadrature", "closed"}
-        For a soft-core potential, "quadrature" forces the spectral
-        midpoint rule in u = tan(phi), with a Taylor series in V0 t at
-        |V0 t| <= 0.1; "closed" forces the unitary Bessel closed form
-        (gamma = 0 only); "auto" takes the closed form at gamma = 0 and
-        the quadrature otherwise. The two routes are different formulas
-        that agree to ~1e-9 relative; the test suite compares them
-        rather than collapsing one into the other. A bare potential has
-        a closed form at every gamma (:func:`_bare_i_tilde`), which
-        "auto" and "closed" evaluate; "quadrature" applies only to
-        soft-core potentials and raises UnsupportedRegimeError here.
 
     Returns
     -------
@@ -373,45 +371,35 @@ def exponent_integral(spec: GasSpec, t: float, method: str = "auto") -> complex:
     """
     if not 0.0 <= t < math.inf:
         raise ParameterError(f"exponent integral is defined for finite t >= 0, got {t!r}")
-    if method not in ("auto", "quadrature", "closed"):
-        raise ParameterError(f"unknown method {method!r}")
     if t == 0:
         return 0.0 + 0.0j
     th, beta = spec.protocol.theta, spec.protocol.beta
     g = spec.protocol.gamma * t
     pot = spec.potential
     if pot.kind is PotentialKind.SOFT_CORE:
-        if method == "closed" or (method == "auto" and g == 0.0):
-            if g > 0.0:
-                raise UnsupportedRegimeError(
-                    "the soft-core closed form exists only at gamma = 0"
-                )
+        if g == 0.0:
             return spec.n_r * _soft_core_i_over_nr_closed(pot.v0 * t, th, beta)
         return spec.n_r * _soft_core_i_over_nr(pot.v0 * t, g, th, beta)
-    if method == "quadrature":
-        raise UnsupportedRegimeError(
-            "the bare-potential exponent is evaluated in closed form only"
-        )
     pref = 4.0 * math.pi * spec.density * math.sqrt(abs(pot.c6) * t) / 3.0
     return pref * _bare_i_tilde(math.copysign(1.0, pot.c6), g, th, beta)
 
 
-def contrast_gas(spec: GasSpec, t, method: str = "auto") -> complex | np.ndarray:
+def contrast_gas(spec: GasSpec, t) -> complex | np.ndarray:
     """Thermodynamic-limit per-spin coherence of the gas at one time or many.
 
     sin(theta) D(gamma, t) e^{-gamma_d t} exp(-I(t)); rho -> 0 recovers
     the non-interacting signal, t = 0 gives sin(theta). ``t`` is a float
     (us, returns a complex) or a 1-D array of times (returns a complex
     array shaped like t); I(t) is evaluated at each time by
-    :func:`exponent_integral` with ``method``. Each time is a scalar step,
-    so tau_half's one-float probes pay no per-array overhead.
+    :func:`exponent_integral`. Each time is a scalar step, so tau_half's
+    one-float probes pay no per-array overhead.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ParameterError("t must be a float or a 1-D array of times")
     out = np.empty(times.size, dtype=complex)
     for k, tk in enumerate(times.reshape(-1).tolist()):
-        out[k] = _envelope(spec.protocol, tk) * np.exp(-exponent_integral(spec, tk, method=method))
+        out[k] = _envelope(spec.protocol, tk) * np.exp(-exponent_integral(spec, tk))
     return complex(out[0]) if times.ndim == 0 else out
 
 
@@ -484,8 +472,8 @@ def monte_carlo_gas(
     if n_atoms < 2:
         raise ParameterError("need at least 2 atoms")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < 0):
-        raise ParameterError("times must be non-negative")
+    if not np.all(np.isfinite(times)) or np.any(times < 0):
+        raise ParameterError("times must be finite and non-negative")
     proto = spec.protocol
     pot = spec.potential
     box = (n_atoms / spec.density) ** (1.0 / 3.0)
@@ -686,10 +674,9 @@ def _tau_scale_estimates(spec: GasSpec) -> list:
 def tau_half(spec: GasSpec) -> float:
     """Smallest t with |contrast(t)| = |contrast(0)| / 2, us.
 
-    Probes contrast_gas's default route on a logarithmic grid (25 points
-    per decade) seeded by the asymptotic laws until the half level is
-    bracketed, then polishes the bracket with brentq to relative accuracy
-    well below 1e-6.
+    Probes contrast_gas on a logarithmic grid (25 points per decade)
+    seeded by the asymptotic laws until the half level is bracketed, then
+    polishes the bracket with brentq to relative accuracy well below 1e-6.
 
     Raises
     ------

@@ -31,13 +31,9 @@ __all__ = [
     "COHERENCE_DECAY_EXPONENT",
     "RamseyProtocol",
     "AtomConfiguration",
-    "ContrastTrace",
     "f_kernel",
     "coherence_decay",
-    "sigma_plus_config",
     "sigma_plus_couplings",
-    "contrast_trace",
-    "contrast_phase",
     "connected_sxsx",
 ]
 
@@ -209,54 +205,6 @@ class AtomConfiguration:
         return v
 
 
-@dataclass(frozen=True)
-class ContrastTrace:
-    """Coherence versus time on a fixed grid.
-
-    contrast is |sigma_plus|; phase is atan2(Im, Re) and is NaN wherever
-    the contrast vanishes (the phase is undefined there, not zero).
-    """
-
-    times: np.ndarray
-    sigma_plus: np.ndarray
-    normalization: str = "per-spin"
-
-    @property
-    def contrast(self) -> np.ndarray:
-        return np.abs(self.sigma_plus)
-
-    @property
-    def phase(self) -> np.ndarray:
-        c, phi = contrast_phase(self.sigma_plus)
-        return phi
-
-    def phase_rereferenced(self) -> np.ndarray:
-        """Unwrapped phase minus its t = 0 value.
-
-        Continuity-preserving branch choice across the grid; requires a
-        nonvanishing contrast along the trace.
-        """
-        phi = self.phase
-        if np.any(np.isnan(phi)):
-            raise ParameterError("phase undefined at a zero of the contrast")
-        unwrapped = np.unwrap(phi)
-        return unwrapped - unwrapped[0]
-
-
-def contrast_phase(sigma_plus):
-    """Split complex coherence(s) into (contrast, phase).
-
-    contrast = |sigma_plus| >= 0; phase = atan2(Im, Re) in (-pi, pi],
-    NaN where the contrast is 0.
-    """
-    sp = np.asarray(sigma_plus, dtype=complex)
-    c = np.abs(sp)
-    phi = np.where(c == 0.0, np.nan, np.angle(sp))
-    if sp.ndim == 0:
-        return float(c), float(phi)
-    return c, phi
-
-
 def _log_factors(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex logs log|f| + i arg f of the factors, and their exact zeros.
 
@@ -298,8 +246,8 @@ def sigma_plus_couplings(
         (N, N) symmetric, zero diagonal, rad/us.
     proto : RamseyProtocol
     t : float or 1-D array
-        us; t >= 0 (t < 0 allowed only when gamma = gamma_d = 0, where the
-        evolution is unitary and time reversal is meaningful).
+        us, finite; t >= 0 (t < 0 allowed only when gamma = gamma_d = 0,
+        where the evolution is unitary and time reversal is meaningful).
     normalization : {"per-spin", "total"}
 
     Returns
@@ -317,6 +265,8 @@ def sigma_plus_couplings(
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ParameterError("t must be a float or a 1-D array of times")
+    if not np.all(np.isfinite(times)):
+        raise ParameterError("times must be finite")
     if np.any(times < 0) and (proto.gamma > 0 or proto.gamma_d > 0):
         raise ParameterError("negative time is only meaningful without dissipation")
     if normalization not in ("per-spin", "total"):
@@ -341,40 +291,6 @@ def sigma_plus_couplings(
     return complex(out[0]) if times.ndim == 0 else out
 
 
-def sigma_plus_config(
-    cfg: AtomConfiguration,
-    pot: InteractionPotential,
-    proto: RamseyProtocol,
-    t,
-    normalization: str = "per-spin",
-) -> complex | np.ndarray:
-    """Exact coherence of an explicit configuration at time(s) t.
-
-    Convenience wrapper building the coupling matrix from positions; see
-    :func:`sigma_plus_couplings` for the formula, conventions and the
-    float-or-array handling of t.
-    """
-    return sigma_plus_couplings(cfg.coupling_matrix(pot), proto, t, normalization)
-
-
-def contrast_trace(
-    cfg: AtomConfiguration,
-    pot: InteractionPotential,
-    proto: RamseyProtocol,
-    times,
-    normalization: str = "per-spin",
-) -> ContrastTrace:
-    """Evaluate the coherence on a 1-D time grid.
-
-    The coupling matrix is built once and the whole grid goes to
-    :func:`sigma_plus_couplings` in one call, which evaluates the kernel
-    once per distinct coupling value at each time.
-    """
-    times = np.asarray(times, dtype=float)
-    sp = sigma_plus_couplings(cfg.coupling_matrix(pot), proto, times, normalization)
-    return ContrastTrace(times=times, sigma_plus=sp, normalization=normalization)
-
-
 def _connected_sxsx_couplings(
     couplings: np.ndarray, proto: RamseyProtocol, i: int, js: np.ndarray, t: float
 ) -> np.ndarray:
@@ -384,6 +300,8 @@ def _connected_sxsx_couplings(
     the |js| x N matrices at (V_ik +- V_jk) t for the two-point
     functions, with the excluded columns i and j set to 1.
     """
+    if not math.isfinite(t):
+        raise ParameterError(f"correlators are defined for finite t, got {t!r}")
     v = couplings
     js = np.asarray(js, dtype=int)
     th, beta = proto.theta, proto.beta

@@ -1,14 +1,15 @@
 """Contrast and connected-correlation maps on a unit-filled square lattice.
 
 A finite L x L array with open boundaries, one atom per site. Each
-call builds the coupling matrix once. Contrast reuses the exact
-configuration solver of :mod:`rydramsey.ising_core` unchanged (it is
-literally the same code path, a tested invariant) on a float time or a
-whole time grid, evaluating the kernel once per distinct coupling value
-at each time; correlation maps evaluate the closed-form connected
-correlator against a chosen reference site for every other site in one
-pass, and carry the lattice geometry along for export. Correlations
-follow the spin-1/2 normalization S = sigma/2, so |G| <= 1/4 always.
+call builds the coupling matrix once. Contrast hands that matrix to
+:func:`rydramsey.ising_core.sigma_plus_couplings` unchanged (so it is
+bit-for-bit the configuration result, a tested invariant) on a float
+time or a whole time grid, evaluating the kernel once per distinct
+coupling value at each time; correlation maps evaluate the closed-form
+connected correlator against a chosen reference site for every other
+site in one pass, and carry the lattice geometry along for export.
+Correlations follow the spin-1/2 normalization S = sigma/2, so
+|G| <= 1/4 always.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .ising_core import (
     AtomConfiguration,
     RamseyProtocol,
     _connected_sxsx_couplings,
-    sigma_plus_config,
+    sigma_plus_couplings,
 )
 from .potential import InteractionPotential
 
@@ -92,16 +93,15 @@ def lattice_contrast(
 ) -> complex | np.ndarray:
     """Per-spin coherence of the lattice at time t, a float or a 1-D array.
 
-    Delegates to sigma_plus_config on the L^2 configuration, so the
-    couplings are built once per call and the kernel is evaluated once
-    per distinct coupling value at each time; returns a complex for a
-    float t and a complex array for an array. The full dissipative
-    closed form is allowed here (unlike correlation maps). L = 1 gives
-    the bare single-atom signal sin(theta) D e^{-gamma_d t}.
+    Builds the coupling matrix of the L^2 configuration once and hands
+    it to sigma_plus_couplings, which evaluates the kernel once per
+    distinct coupling value at each time; returns a complex for a float
+    t and a complex array for an array. The full dissipative closed form
+    is allowed here (unlike correlation maps). L = 1 gives the bare
+    single-atom signal sin(theta) D e^{-gamma_d t}.
     """
-    return sigma_plus_config(
-        spec.configuration(), spec.potential, spec.protocol, t, normalization
-    )
+    couplings = spec.configuration().coupling_matrix(spec.potential)
+    return sigma_plus_couplings(couplings, spec.protocol, t, normalization)
 
 
 @dataclass(frozen=True)

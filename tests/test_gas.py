@@ -23,6 +23,7 @@ from rydramsey.gas_average import (
     _kernel_taylor,
     _soft_core_h,
     _soft_core_i_over_nr,
+    _soft_core_i_over_nr_closed,
     asymptotic_contrast,
     contrast_gas,
     contrast_gas_finite_n,
@@ -83,18 +84,17 @@ def spec_at(n_r, theta, echo, gamma=0.0, gamma_d=0.0, pot=None):
 
 def test_soft_core_exponent_frozen_references():
     for (T, g, theta, beta), want in SOFT_CORE_REFERENCE.items():
-        n_r = 1.0
+        assert _soft_core_i_over_nr(T, g, theta, beta) == pytest.approx(want, abs=5e-9)
+        n_r = 0.7
         sp = spec_at(n_r, theta, echo=(beta == 0), gamma=g / T)  # t = T at V0 = 1
-        got = exponent_integral(sp, T, method="quadrature")
-        assert got == pytest.approx(n_r * want, abs=5e-9)
+        assert exponent_integral(sp, T) == pytest.approx(n_r * want, abs=5e-9)
 
 
 def test_soft_core_closed_form_matches_frozen_values():
     for (T, g, theta, beta), want in SOFT_CORE_REFERENCE.items():
         if g != 0.0:
             continue
-        sp = spec_at(1.0, theta, echo=(beta == 0))
-        got = exponent_integral(sp, T, method="closed")
+        got = _soft_core_i_over_nr_closed(T, theta, beta)
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -103,11 +103,10 @@ def test_soft_core_routes_agree_widely():
     for _ in range(12):
         T = float(np.exp(rng.uniform(np.log(0.05), np.log(400.0))))
         theta = rng.uniform(0.1, math.pi - 0.1)
-        echo = bool(rng.integers(0, 2))
-        sp = spec_at(0.7, theta, echo)
-        a = exponent_integral(sp, T, method="quadrature")
-        b = exponent_integral(sp, T, method="closed")
-        assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
+        beta = int(rng.integers(0, 2))
+        a = _soft_core_i_over_nr(T, 0.0, theta, beta)
+        b = _soft_core_i_over_nr_closed(T, theta, beta)
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
 def test_soft_core_h_identities_match_kernel():
@@ -131,14 +130,12 @@ def test_soft_core_quadrature_matches_bessel_closed_form(detuning):
         DressingParams(1000.0, detuning, -2.0 * detuning), PotentialKind.SOFT_CORE
     )
     assert pot.v0 == pytest.approx(math.copysign(1.0, detuning))
-    for T in np.geomspace(1e-2, 300.0, 15):
+    for T in pot.v0 * np.geomspace(1e-2, 300.0, 15):
         for theta in (0.3, math.pi / 2, 2.6):
-            for echo in (True, False):
-                sp = GasSpec.from_blockade_number(1.0, pot, RamseyProtocol(theta, echo))
-                t = T / abs(pot.v0)
-                a = exponent_integral(sp, t, method="quadrature")
-                b = exponent_integral(sp, t, method="closed")
-                assert abs(a - b) <= 1e-9 * abs(b)
+            for beta in (0, 1):
+                a = _soft_core_i_over_nr(T, 0.0, theta, beta)
+                b = _soft_core_i_over_nr_closed(T, theta, beta)
+                assert abs(a - b) <= 1e-12 * abs(b)
 
 
 def cauchy_taylor(fun, radius, n=32):
@@ -183,8 +180,9 @@ def test_soft_core_small_t_branch_matches_cauchy_reference():
             want = np.sum(d[1:16] * T**n * j_n)
             got = _soft_core_i_over_nr(T, g, theta, 0)
             assert abs(got - want) <= 1e-10 * abs(want), (T, g)
-            sp = spec_at(1.0, theta, echo=True, gamma=g / T)  # V0 = 1, so t = T
-            assert exponent_integral(sp, T, method="quadrature") == pytest.approx(want, rel=1e-10)
+            if g > 0.0:
+                sp = spec_at(1.0, theta, echo=True, gamma=g / T)  # V0 = 1, so t = T
+                assert exponent_integral(sp, T) == pytest.approx(want, rel=1e-10)
 
 
 def test_soft_core_taylor_and_spectral_branches_meet():
@@ -212,12 +210,6 @@ def test_soft_core_nonconvergence_raises(monkeypatch):
     assert diag["nodes"] % 3 == 0
 
 
-def test_closed_form_requires_unitary():
-    sp = spec_at(1.0, math.pi / 2, True, gamma=0.1)
-    with pytest.raises(UnsupportedRegimeError):
-        exponent_integral(sp, 1.0, method="closed")
-
-
 def test_bare_exponent_dissipative_frozen_reference():
     # attractive and repulsive tails are mutual conjugates
     for sign in (+1.0, -1.0):
@@ -240,22 +232,7 @@ def test_bare_exponent_unitary_magnitude():
     t = 0.004
     sp = GasSpec(rho, pot, RamseyProtocol(math.pi / 2, False, 0.0, 0.0))
     want = (2.0 * math.pi**1.5 / 3.0) * rho * math.sqrt(9.0 * t)
-    for method in ("auto", "closed"):
-        got = exponent_integral(sp, t, method=method)
-        assert abs(got) == pytest.approx(want, rel=1e-8)
-
-
-def test_bare_routes_agree():
-    # the bare exponent has one closed form at every gamma: "closed" is
-    # "auto", and there is no bare quadrature to force
-    pot = derive_potential(DressingParams(0.0, 0.0, 5.0), PotentialKind.BARE_VDW)
-    for theta in (math.pi / 2, 0.6):
-        for echo in (True, False):
-            for gamma in (0.0, 30.0):
-                sp = GasSpec(0.2, pot, RamseyProtocol(theta, echo, gamma, 0.0))
-                assert exponent_integral(sp, 0.01, method="closed") == exponent_integral(sp, 0.01)
-                with pytest.raises(UnsupportedRegimeError):
-                    exponent_integral(sp, 0.01, method="quadrature")
+    assert abs(exponent_integral(sp, t)) == pytest.approx(want, rel=1e-8)
 
 
 def test_bare_i_tilde_frozen_references():
@@ -396,8 +373,6 @@ def test_contrast_gas_time_array_edge_cases():
         contrast_gas(sp, np.ones((2, 2)))
     with pytest.raises(ParameterError):
         contrast_gas(sp, np.array([0.5, -1e-9]))
-    forced = contrast_gas(spec_at(1.0, 0.8, True), np.array([0.3, 3.0]), method="quadrature")
-    assert forced[1] == contrast_gas(spec_at(1.0, 0.8, True), 3.0, method="quadrature")
 
 
 def test_gas_spec_from_blockade_number():
@@ -432,7 +407,7 @@ def test_monte_carlo_agrees_with_quadrature():
     sp = spec_at(0.1, math.pi / 2, True)
     t = 4.0
     mc = monte_carlo_gas(sp, [t], n_samples=24, n_atoms=256, seed=3)
-    exact = contrast_gas(sp, t, method="quadrature")
+    exact = contrast_gas(sp, t)
     assert abs(mc.mean[0] - exact) <= 3.0 * mc.stderr[0]
 
 

@@ -12,13 +12,11 @@ from rydramsey.ising_core import (
     _log_factors,
     coherence_decay,
     connected_sxsx,
-    contrast_phase,
-    contrast_trace,
     f_kernel,
-    sigma_plus_config,
     sigma_plus_couplings,
 )
-from rydramsey.lattice import lattice_positions
+from rydramsey.gas_average import GasSpec, monte_carlo_gas
+from rydramsey.lattice import LatticeSpec, correlation_map, lattice_positions
 from rydramsey.potential import DressingParams, PotentialKind, derive_potential
 
 # Extended-precision (40-digit) reference evaluations of the pair kernel's
@@ -212,6 +210,27 @@ def test_negative_time_needs_unitary_protocol():
         sigma_plus_couplings(v, proto, -1.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "entry", ["sigma_plus_couplings", "monte_carlo_gas", "connected_sxsx", "correlation_map"]
+)
+def test_non_finite_time_rejected(entry, t):
+    # unitary protocol, so negative times are otherwise allowed
+    pot = derive_potential(DressingParams(1000.0, 5000.0, -1e4), PotentialKind.SOFT_CORE)
+    proto = RamseyProtocol(math.pi / 2, True, 0.0, 0.0)
+    cfg = AtomConfiguration(np.random.default_rng(2).random((4, 3)) * 2.0)
+    calls = {
+        "sigma_plus_couplings": lambda: sigma_plus_couplings(cfg.coupling_matrix(pot), proto, t),
+        "monte_carlo_gas": lambda: monte_carlo_gas(
+            GasSpec(0.05, pot, proto), [t], n_samples=2, n_atoms=8, seed=0
+        ),
+        "connected_sxsx": lambda: connected_sxsx(cfg, pot, proto, 0, 1, t),
+        "correlation_map": lambda: correlation_map(LatticeSpec(3, pot.r_c, pot, proto), t),
+    }
+    with pytest.raises(ParameterError):
+        calls[entry]()
+
+
 def test_normalization_modes():
     rng = np.random.default_rng(2)
     v = rand_couplings(5, rng)
@@ -373,46 +392,6 @@ def test_atom_configuration_positions_are_a_read_only_copy():
         cfg.positions[1, 0] = 2.0
     with pytest.raises(ValueError):
         cfg.pair_distances()[0, 1] = 2.0
-
-
-def test_sigma_plus_config_matches_manual_couplings():
-    pot = derive_potential(
-        DressingParams(1000.0, 5000.0, -1e4), PotentialKind.SOFT_CORE
-    )
-    rng = np.random.default_rng(21)
-    pos = rng.random((5, 3)) * 3.0
-    cfg = AtomConfiguration(pos)
-    v = cfg.coupling_matrix(pot)
-    proto = RamseyProtocol(math.pi / 2, False, 0.1, 0.0)
-    a = sigma_plus_config(cfg, pot, proto, 1.9)
-    b = sigma_plus_couplings(v, proto, 1.9)
-    assert a == b
-
-
-def test_contrast_trace_shapes_and_phase():
-    pot = derive_potential(
-        DressingParams(1000.0, 5000.0, -1e4), PotentialKind.SOFT_CORE
-    )
-    rng = np.random.default_rng(1)
-    cfg = AtomConfiguration(rng.random((4, 3)) * 2.5)
-    proto = RamseyProtocol(math.pi / 2, False, 0.0, 0.0)
-    times = np.linspace(0.0, 6.0, 31)
-    tr = contrast_trace(cfg, pot, proto, times)
-    assert tr.sigma_plus.shape == times.shape
-    assert np.all(tr.contrast >= 0.0)
-    assert tr.contrast[0] == pytest.approx(1.0, abs=1e-14)
-    ref = tr.phase_rereferenced()
-    assert ref[0] == 0.0
-    assert np.max(np.abs(np.diff(ref))) < math.pi  # unwrapped, no branch jumps
-
-
-def test_contrast_phase_edge_cases():
-    c, phi = contrast_phase(np.array([1.0 + 0.0j]))
-    assert c[0] == 1.0 and phi[0] == 0.0
-    c, phi = contrast_phase(np.array([0.5j]))
-    assert c[0] == 0.5 and phi[0] == pytest.approx(math.pi / 2)
-    c, phi = contrast_phase(np.array([0.0j]))
-    assert c[0] == 0.0 and np.isnan(phi[0])
 
 
 def test_echo_phase_real_at_pi_over_two():

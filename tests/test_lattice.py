@@ -9,7 +9,7 @@ from rydramsey.ising_core import (
     RamseyProtocol,
     connected_sxsx,
     f_kernel,
-    sigma_plus_config,
+    sigma_plus_couplings,
 )
 from rydramsey.lattice import (
     LatticeSpec,
@@ -72,7 +72,7 @@ def test_contrast_is_same_code_path_as_config_evaluation():
     cfg = AtomConfiguration(lattice_positions(7, spec.spacing))
     t = 0.9
     a = lattice_contrast(spec, t)
-    b = sigma_plus_config(cfg, spec.potential, spec.protocol, t)
+    b = sigma_plus_couplings(cfg.coupling_matrix(spec.potential), spec.protocol, t)
     assert a == b  # bit-for-bit
 
 
