@@ -89,13 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="override the tipping angle (radians)",
             )
-        if name == "fig4":
-            sp.add_argument(
-                "--normalization",
-                choices=("per-spin", "total"),
-                default="per-spin",
-                help="coherence normalization of the lattice trace",
-            )
     return parser
 
 
@@ -129,7 +122,7 @@ def main(argv=None) -> int:
         elif args.command == "fig3":
             manifest = run_fig3(cfg, args.out, grid)
         elif args.command == "fig4":
-            manifest = run_fig4(cfg, args.out, grid, args.normalization)
+            manifest = run_fig4(cfg, args.out, grid)
         elif args.command == "fig5":
             manifest = run_fig5(cfg, args.out, grid)
         elif args.command == "scan":

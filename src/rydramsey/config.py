@@ -170,7 +170,6 @@ class RunConfig:
 
     potential: Optional[InteractionPotential]
     density: Optional[float]
-    n_atoms: Optional[int]
     protocol: RamseyProtocol
     lattice_spacing: Optional[float]
     lattice_size: Optional[int]
@@ -182,6 +181,13 @@ def _require(section: dict, key: str, path: str):
     if key not in section:
         raise ConfigError(f"missing required config key {path}.{key}")
     return section[key]
+
+
+def _integer(value, path: str, minimum: int) -> int:
+    """`value` if it is an integer >= minimum; JSON true/false are not."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{path} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def _section(data: dict, key: str) -> Optional[dict]:
@@ -237,15 +243,11 @@ def config_from_dict(data: dict) -> RunConfig:
         }
 
     density = None
-    n_atoms = None
     ssec = _section(data, "sample")
     if ssec is not None:
         if "density" in ssec:
             density = parse_quantity(ssec["density"], "density", "sample.density")
-        if "n_atoms" in ssec:
-            n_atoms = ssec["n_atoms"]
-            if not isinstance(n_atoms, int) or n_atoms < 1:
-                raise ConfigError("sample.n_atoms must be a positive integer")
+        n_atoms = _integer(ssec["n_atoms"], "sample.n_atoms", 1) if "n_atoms" in ssec else None
         resolved["sample"] = {"density": density, "n_atoms": n_atoms}
 
     prsec = _section(data, "protocol") or {}
@@ -273,9 +275,7 @@ def config_from_dict(data: dict) -> RunConfig:
         lattice_spacing = parse_quantity(
             _require(lsec, "spacing", "lattice"), "length", "lattice.spacing"
         )
-        lattice_size = _require(lsec, "size", "lattice")
-        if not isinstance(lattice_size, int) or lattice_size < 1:
-            raise ConfigError("lattice.size must be a positive integer")
+        lattice_size = _integer(_require(lsec, "size", "lattice"), "lattice.size", 1)
         resolved["lattice"] = {"spacing": lattice_spacing, "size": lattice_size}
 
     ultrafast = None
@@ -311,16 +311,13 @@ def config_from_dict(data: dict) -> RunConfig:
             "t_max": parse_quantity(
                 _require(usec, "t_max", "ultrafast"), "time", "ultrafast.t_max"
             ),
-            "n_points": usec.get("n_points", 121),
+            "n_points": _integer(usec.get("n_points", 121), "ultrafast.n_points", 2),
         }
-        if not isinstance(ultrafast["n_points"], int) or ultrafast["n_points"] < 2:
-            raise ConfigError("ultrafast.n_points must be an integer >= 2")
         resolved["ultrafast"] = dict(ultrafast)
 
     return RunConfig(
         potential=pot,
         density=density,
-        n_atoms=n_atoms,
         protocol=protocol,
         lattice_spacing=lattice_spacing,
         lattice_size=lattice_size,

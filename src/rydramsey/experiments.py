@@ -316,17 +316,13 @@ def run_fig3(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     return _manifest(out_dir, files, "fig3_meta.json")
 
 
-def run_fig4(
-    cfg: RunConfig,
-    out_dir: str,
-    grid: np.ndarray | None = None,
-    normalization: str = "per-spin",
-) -> dict:
+def run_fig4(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> dict:
     """Lattice contrast trace and connected-correlation snapshots.
 
-    The trace uses the configured protocol (dissipation allowed); the
-    G maps are evaluated for the unitary protocol at |V0| t in
-    {pi/2, pi, 2 pi} around the central site, exported as site CSVs.
+    The trace is the per-spin coherence under the configured protocol
+    (dissipation allowed); the G maps are evaluated for the unitary
+    protocol at |V0| t in {pi/2, pi, 2 pi} around the central site,
+    exported as site CSVs.
     """
     pot = _soft_core_potential(cfg, "the lattice run")
     if cfg.lattice_spacing is None or cfg.lattice_size is None:
@@ -338,7 +334,7 @@ def run_fig4(
 
     times = v0t / abs(pot.v0)
     rows = []
-    for t, T, sp in zip(times, v0t, lattice_contrast(spec, times, normalization).tolist()):
+    for t, T, sp in zip(times, v0t, lattice_contrast(spec, times).tolist()):
         rows.append((t, T, abs(sp), math.atan2(sp.imag, sp.real)))
     _write_csv(
         os.path.join(out_dir, "fig4_contrast.csv"),
@@ -370,7 +366,7 @@ def run_fig4(
         "command": "fig4",
         "lattice": {"side": cfg.lattice_size, "spacing_um": cfg.lattice_spacing},
         "r_c_over_spacing": ratio,
-        "normalization": normalization,
+        "normalization": "per-spin",
         "map_protocol": "unitary (gamma = gamma_d = 0); trace uses configured rates",
         "map_symmetry": map_meta,
         "map_snapshots": snapshots,

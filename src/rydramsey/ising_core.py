@@ -226,14 +226,12 @@ def sigma_plus_couplings(
     couplings: np.ndarray,
     proto: RamseyProtocol,
     t,
-    normalization: str = "per-spin",
 ) -> complex | np.ndarray:
-    """Exact coherence for a given coupling matrix, at one time or many.
+    """Exact per-spin coherence for a given coupling matrix, at one time or many.
 
     sigma_plus = sin(theta) * D(gamma, t) * e^{-gamma_d t}
-    * sum_k prod_{j != k} f_kernel(V_jk t, gamma t, theta, beta),
-    divided by N for per-spin normalization. See
-    :func:`f_kernel` and :func:`coherence_decay`.
+    * (1/N) sum_k prod_{j != k} f_kernel(V_jk t, gamma t, theta, beta).
+    See :func:`f_kernel` and :func:`coherence_decay`.
 
     The matrix is validated once per call, and at each time the kernel and
     its complex log are evaluated once per distinct coupling value (a
@@ -248,7 +246,6 @@ def sigma_plus_couplings(
     t : float or 1-D array
         us, finite; t >= 0 (t < 0 allowed only when gamma = gamma_d = 0,
         where the evolution is unitary and time reversal is meaningful).
-    normalization : {"per-spin", "total"}
 
     Returns
     -------
@@ -269,8 +266,6 @@ def sigma_plus_couplings(
         raise ParameterError("times must be finite")
     if np.any(times < 0) and (proto.gamma > 0 or proto.gamma_d > 0):
         raise ParameterError("negative time is only meaningful without dissipation")
-    if normalization not in ("per-spin", "total"):
-        raise ParameterError(f"unknown normalization {normalization!r}")
     n = v.shape[0]
     values, inverse = np.unique(v, return_inverse=True)
     inverse = inverse.reshape(v.shape)
@@ -286,8 +281,7 @@ def sigma_plus_couplings(
             dead = zero[inverse]
             np.fill_diagonal(dead, False)
             rows[dead.any(axis=1)] = 0.0
-        sp = _envelope(proto, tk) * rows.sum()
-        out[k] = sp / n if normalization == "per-spin" else sp
+        out[k] = _envelope(proto, tk) * rows.sum() / n
     return complex(out[0]) if times.ndim == 0 else out
 
 
@@ -302,6 +296,11 @@ def _connected_sxsx_couplings(
     """
     if not math.isfinite(t):
         raise ParameterError(f"correlators are defined for finite t, got {t!r}")
+    if proto.gamma > 0 or proto.gamma_d > 0:
+        raise UnsupportedRegimeError(
+            "closed-form correlators require gamma = gamma_d = 0; "
+            "use the oracle module (N <= 8) for dissipative correlators"
+        )
     v = couplings
     js = np.asarray(js, dtype=int)
     th, beta = proto.theta, proto.beta
@@ -353,11 +352,6 @@ def connected_sxsx(
         gamma > 0 or gamma_d > 0; dissipative correlators have no product
         closed form here. Use the oracle module for small systems instead.
     """
-    if proto.gamma > 0 or proto.gamma_d > 0:
-        raise UnsupportedRegimeError(
-            "closed-form correlators require gamma = gamma_d = 0; "
-            "use the oracle module (N <= 8) for dissipative correlators"
-        )
     n = cfg.n
     if not (0 <= i < n and 0 <= j < n):
         raise ParameterError(f"site indices out of range for N = {n}")

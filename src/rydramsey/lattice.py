@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedRegimeError
+from .errors import ParameterError
 from .ising_core import (
     AtomConfiguration,
     RamseyProtocol,
@@ -49,7 +49,11 @@ class LatticeSpec:
     protocol: RamseyProtocol
 
     def __post_init__(self):
-        if not isinstance(self.side, (int, np.integer)) or self.side < 1:
+        if (
+            not isinstance(self.side, (int, np.integer))
+            or isinstance(self.side, bool)
+            or self.side < 1
+        ):
             raise ParameterError(f"side must be an integer >= 1, got {self.side!r}")
         if not self.spacing > 0:
             raise ParameterError(f"spacing must be positive, got {self.spacing!r}")
@@ -88,10 +92,9 @@ def lattice_positions(side: int, spacing: float) -> np.ndarray:
     return pos
 
 
-def lattice_contrast(
-    spec: LatticeSpec, t, normalization: str = "per-spin"
-) -> complex | np.ndarray:
-    """Per-spin coherence of the lattice at time t, a float or a 1-D array.
+def lattice_contrast(spec: LatticeSpec, t) -> complex | np.ndarray:
+    """Per-spin coherence of the lattice at time t, a float or a 1-D array;
+    the total coherence is L^2 times it.
 
     Builds the coupling matrix of the L^2 configuration once and hands
     it to sigma_plus_couplings, which evaluates the kernel once per
@@ -101,7 +104,7 @@ def lattice_contrast(
     single-atom signal sin(theta) D e^{-gamma_d t}.
     """
     couplings = spec.configuration().coupling_matrix(spec.potential)
-    return sigma_plus_couplings(couplings, spec.protocol, t, normalization)
+    return sigma_plus_couplings(couplings, spec.protocol, t)
 
 
 @dataclass(frozen=True)
@@ -165,12 +168,6 @@ def correlation_map(spec: LatticeSpec, t: float, center: int | None = None) -> C
     ParameterError
         Invalid center site.
     """
-    proto = spec.protocol
-    if proto.gamma > 0 or proto.gamma_d > 0:
-        raise UnsupportedRegimeError(
-            "correlation maps are closed-form only at gamma = gamma_d = 0; "
-            "the oracle module covers dissipative correlators up to N = 8"
-        )
     if center is None:
         center = spec.center_site
     if not 0 <= center < spec.n_sites:
@@ -180,7 +177,7 @@ def correlation_map(spec: LatticeSpec, t: float, center: int | None = None) -> C
     v = spec.configuration().coupling_matrix(spec.potential)
     js = np.delete(np.arange(spec.n_sites), center)
     values = np.full(spec.n_sites, np.nan)  # flat index ix * L + iy
-    values[js] = _connected_sxsx_couplings(v, proto, center, js, t)
+    values[js] = _connected_sxsx_couplings(v, spec.protocol, center, js, t)
     values = values.reshape(spec.side, spec.side)
     return CorrelationMap(
         side=spec.side, spacing=spec.spacing, center=center, time=t, values=values

@@ -109,14 +109,9 @@ def build_hamiltonian(couplings, include_fields: bool = True) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pulse:
-    """Instantaneous global rotation by `angle` about `axis` ('y' or 'x')."""
+    """Instantaneous global rotation by `angle` about the y axis."""
 
     angle: float
-    axis: str = "y"
-
-    def __post_init__(self):
-        if self.axis not in ("x", "y"):
-            raise ParameterError(f"unsupported pulse axis {self.axis!r}")
 
 
 @dataclass(frozen=True)
@@ -275,13 +270,10 @@ def validate_density_matrix(rho: np.ndarray) -> dict:
     return diag
 
 
-def _pulse_matrix(angle: float, axis: str) -> np.ndarray:
+def _pulse_matrix(angle: float) -> np.ndarray:
+    """Single-spin rotation by `angle` about y."""
     c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    if axis == "y":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if axis == "x":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    raise ParameterError(f"unsupported pulse axis {axis!r}")
+    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def _apply_pulse(rho: np.ndarray, u2: np.ndarray, n: int) -> np.ndarray:
@@ -405,7 +397,7 @@ def evolve_master(
     e_echo = None
     for step in sequence.steps:
         if isinstance(step, Pulse):
-            rho = _apply_pulse(rho, _pulse_matrix(step.angle, step.axis), n)
+            rho = _apply_pulse(rho, _pulse_matrix(step.angle), n)
         else:
             if step.include_fields:
                 if e_full is None:
@@ -430,19 +422,22 @@ def _per_spin_coherence(rho: np.ndarray, n: int) -> complex:
     return total / n
 
 
-def ramsey_sigma_plus(
-    couplings,
-    proto,
-    times,
-    semantics: str = "model",
-    frame: str = "reported",
-) -> np.ndarray:
+def ramsey_sigma_plus(couplings, proto, times) -> np.ndarray:
     """Brute-force per-spin <sigma^x> + i <sigma^y> over a time grid.
 
     The counterpart of :func:`rydramsey.ising_core.sigma_plus_couplings`
     computed with no closed-form input whatsoever: exact pulses, exact
     (or tightly integrated) dark-time evolution, expectation values read
     off the density matrix.
+
+    An echo runs the commuted sequence of :func:`echo_model_sequence`
+    (the form the closed-form coherence computes) and is reported in
+    the readout frame, sigma_plus -> -conj(sigma_plus), which undoes
+    the pi pulse's transverse flip so echo traces start at sin(theta)
+    like plain Ramsey ones. The laboratory echo sequence and raw
+    lab-frame expectations are reached through :func:`evolve_master`
+    with :func:`echo_physical_sequence`, and
+    :func:`echo_equivalence_check` compares the two sequences.
 
     Parameters
     ----------
@@ -452,17 +447,6 @@ def ramsey_sigma_plus(
         Tipping angle, echo flag, and decay rates.
     times : array_like
         Dark times, us, each >= 0.
-    semantics : {"model", "physical"}
-        Echo realization: "model" commutes the pi pulse to the front and
-        evolves under the interaction-only Hamiltonian (the form the
-        closed-form coherence computes); "physical" runs the laboratory
-        [theta, t/2, pi, t/2] sequence. Identical at gamma = 0; they
-        split at finite gamma*t. Ignored without echo.
-    frame : {"reported", "lab"}
-        "reported" undoes the transverse flip of the pi pulse,
-        sigma_plus -> -conj(sigma_plus), so echo traces start at
-        sin(theta) like plain Ramsey ones; "lab" returns raw
-        expectations. Ignored without echo.
 
     Returns
     -------
@@ -470,39 +454,21 @@ def ramsey_sigma_plus(
         Complex coherence, one entry per requested time.
     """
     v, n = _checked_couplings(couplings)
-    if semantics not in ("model", "physical"):
-        raise ParameterError(f"unknown semantics {semantics!r}")
-    if frame not in ("reported", "lab"):
-        raise ParameterError(f"unknown frame {frame!r}")
     times = np.asarray(times, dtype=float)
 
-    if proto.echo and semantics == "physical":
-        states = []
-        for t in times:
-            seq = echo_physical_sequence(proto.theta, float(t))
-            states.append(
-                evolve_master(
-                    initial_density_matrix(n), v, seq, proto.gamma, proto.gamma_d
-                )
-            )
-    else:
-        # Pulses all sit at the front here, so the whole grid is one
-        # trajectory sampled at several times.
-        rho = initial_density_matrix(n)
-        rho = _apply_pulse(rho, _pulse_matrix(proto.theta, "y"), n)
-        include_fields = True
-        if proto.echo:
-            rho = _apply_pulse(rho, _pulse_matrix(np.pi, "y"), n)
-            include_fields = False
-        e = build_hamiltonian(v, include_fields=include_fields)
-        states = _evolve_dark_sampled(
-            rho, e, times, proto.gamma, proto.gamma_d, n
-        )
-        for s in states:
-            validate_density_matrix(s)
+    # Pulses all sit at the front here, so the whole grid is one
+    # trajectory sampled at several times.
+    rho = initial_density_matrix(n)
+    rho = _apply_pulse(rho, _pulse_matrix(proto.theta), n)
+    if proto.echo:
+        rho = _apply_pulse(rho, _pulse_matrix(np.pi), n)
+    e = build_hamiltonian(v, include_fields=not proto.echo)
+    states = _evolve_dark_sampled(rho, e, times, proto.gamma, proto.gamma_d, n)
+    for s in states:
+        validate_density_matrix(s)
 
     out = np.array([_per_spin_coherence(s, n) for s in states])
-    if proto.echo and frame == "reported":
+    if proto.echo:
         out = -np.conj(out)
     return out
 

@@ -124,6 +124,35 @@ def test_ultrafast_fraction_range():
         config_from_dict(d)
 
 
+ULTRAFAST_SECTION = {
+    "fractions": [0.5],
+    "density_high": "1 um^-3",
+    "density_low": "0.1 um^-3",
+    "c6": "-1e4 rad*um^6/us",
+    "t_max": "700 ps",
+}
+
+
+@pytest.mark.parametrize("value", [True, False, 0, 1.0])
+@pytest.mark.parametrize(
+    "section, key, base",
+    [
+        ("lattice", "size", {"spacing": "0.5 um"}),
+        ("sample", "n_atoms", {"density": "1.0 um^-3"}),
+        ("ultrafast", "n_points", ULTRAFAST_SECTION),
+    ],
+)
+def test_integer_fields_reject_booleans_and_non_integers(section, key, base, value):
+    # JSON true/false decode to Python bools, which isinstance(_, int) accepts
+    d = minimal_dict()
+    d[section] = {**base, key: value}
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    assert f"{section}.{key}" in str(err.value)
+    d[section][key] = 5
+    assert config_from_dict(d).resolved[section][key] == 5
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "nope.json"))

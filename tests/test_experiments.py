@@ -184,6 +184,21 @@ def test_cli_rejects_bad_grid(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_cli_rejects_boolean_lattice_size(tmp_path, capsys):
+    # JSON true is a Python bool, an int subclass; it must not load as
+    # a one-site lattice
+    with open(SR, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["lattice"]["size"] = True
+    path = tmp_path / "bool_size.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    rc = cli.main(["fig4", "--config", str(path), "--out", str(out), "--grid", "lin:0:1:3"])
+    assert rc == 2
+    assert "lattice.size" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -192,6 +207,7 @@ def test_cli_rejects_bad_grid(tmp_path, capsys):
         ["fig3", "--config", SR, "--theta", "1.0"],
         ["fig5", "--config", RB, "--no-echo"],
         ["scan", "--config", SR, "--normalization", "total"],
+        ["fig4", "--config", SR, "--normalization", "total"],
     ],
 )
 def test_cli_rejects_flags_the_command_does_not_read(argv, tmp_path, capsys):

@@ -231,17 +231,6 @@ def test_non_finite_time_rejected(entry, t):
         calls[entry]()
 
 
-def test_normalization_modes():
-    rng = np.random.default_rng(2)
-    v = rand_couplings(5, rng)
-    proto = RamseyProtocol(math.pi / 2, False, 0.0, 0.0)
-    per = sigma_plus_couplings(v, proto, 1.3, normalization="per-spin")
-    tot = sigma_plus_couplings(v, proto, 1.3, normalization="total")
-    assert tot == pytest.approx(5.0 * per, rel=1e-14)
-    with pytest.raises(ParameterError):
-        sigma_plus_couplings(v, proto, 1.3, normalization="mean")
-
-
 # t = 0, then small and (at gamma = 0.5, t = 75) large g on the split
 # branch; the gamma = 0 protocols take the g = 0 branch at every time.
 ARRAY_TIMES = np.array([0.0, 0.7, 3.1, 75.0])
@@ -262,19 +251,18 @@ def lattice_couplings(side):
 
 
 @pytest.mark.parametrize("proto", ARRAY_PROTOCOLS)
-@pytest.mark.parametrize("normalization", ["per-spin", "total"])
 @pytest.mark.parametrize("geometry", ["random12", "lattice5"])
-def test_sigma_plus_time_array_equals_scalar_calls(proto, normalization, geometry):
+def test_sigma_plus_time_array_equals_scalar_calls(proto, geometry):
     if geometry == "random12":
         v = rand_couplings(12, np.random.default_rng(21))
         assert np.unique(v[np.triu_indices(12, 1)]).size == 66  # all distinct
     else:
         v = lattice_couplings(5)
         assert np.unique(v).size < 20
-    got = sigma_plus_couplings(v, proto, ARRAY_TIMES, normalization)
+    got = sigma_plus_couplings(v, proto, ARRAY_TIMES)
     assert got.shape == ARRAY_TIMES.shape and got.dtype == complex
     for k, t in enumerate(ARRAY_TIMES):
-        want = sigma_plus_couplings(v, proto, float(t), normalization)
+        want = sigma_plus_couplings(v, proto, float(t))
         assert type(want) is complex
         assert got[k] == want
 
@@ -332,13 +320,13 @@ def test_sigma_plus_exact_zero_factor_kills_both_rows(monkeypatch, gamma):
         return out
 
     monkeypatch.setattr(ising_core, "f_kernel", zeroing_kernel)
-    got = sigma_plus_couplings(v, proto, t, normalization="total")
+    got = sigma_plus_couplings(v, proto, t)
     factors = kernel(v * t, gamma * t, proto.theta, proto.beta)
     factors[[i, j], [j, i]] = 0.0
     np.fill_diagonal(factors, 1.0)
     rows = np.prod(factors, axis=1)
     assert rows[i] == 0.0 and rows[j] == 0.0
-    want = ising_core._envelope(proto, t) * rows.sum()
+    want = ising_core._envelope(proto, t) * rows.sum() / n
     assert abs(got - want) <= 1e-12 * abs(want)
 
 

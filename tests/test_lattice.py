@@ -76,14 +76,6 @@ def test_contrast_is_same_code_path_as_config_evaluation():
     assert a == b  # bit-for-bit
 
 
-def test_total_normalization_scales_with_site_count():
-    spec = fig_lattice(side=5)
-    t = 0.4
-    per = lattice_contrast(spec, t)
-    tot = lattice_contrast(spec, t, normalization="total")
-    assert tot == pytest.approx(25.0 * per, rel=1e-14)
-
-
 def test_half_time_matches_neighbor_count_prediction():
     """Dense-lattice decay tracks the hard-core law with N_R -> N_eff.
 
@@ -286,6 +278,8 @@ def test_lattice_spec_validation():
     proto = RamseyProtocol(math.pi / 2, True, 0.0, 0.0)
     with pytest.raises(ParameterError):
         LatticeSpec(0, 0.5, pot, proto)
+    with pytest.raises(ParameterError):
+        LatticeSpec(True, 0.5, pot, proto)
     with pytest.raises(ParameterError):
         LatticeSpec(3, -0.5, pot, proto)
     with pytest.raises(ParameterError):
