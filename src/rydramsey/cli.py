@@ -17,7 +17,7 @@ import argparse
 import dataclasses
 import sys
 
-from .config import RunConfig, load_config
+from .config import RunConfig, _eval_number, load_config
 from .errors import (
     CapacityError,
     ConfigError,
@@ -85,16 +85,15 @@ def _build_parser() -> argparse.ArgumentParser:
             )
             sp.add_argument(
                 "--theta",
-                type=float,
                 default=None,
-                help="override the tipping angle (radians)",
+                help="override the tipping angle (radians, pi expressions allowed)",
             )
     return parser
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     proto = cfg.protocol
-    theta = proto.theta if args.theta is None else args.theta
+    theta = proto.theta if args.theta is None else _eval_number(args.theta, "--theta")
     echo = proto.echo if args.echo is None else args.echo
     if theta == proto.theta and echo == proto.echo:
         return cfg

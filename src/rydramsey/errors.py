@@ -12,9 +12,8 @@ class ParameterError(RydramseyError, ValueError):
 class UnsupportedRegimeError(RydramseyError):
     """The request is well-formed but outside the supported physics.
 
-    Raised, for example, for a repulsive-tail detuning in soft-core mode or
-    for dissipative closed-form correlators; the message points at the
-    supported alternative where one exists.
+    Raised, for example, for a repulsive-tail detuning in soft-core mode;
+    the message points at the supported alternative where one exists.
     """
 
 

@@ -13,8 +13,8 @@ Everything here is a pure function of immutable inputs. Reported
 coherences use the convention sigma_plus = <sigma^x> + i <sigma^y> per
 spin (twice the sigma^+ operator expectation), so the per-spin contrast
 starts at sin(theta). For echo protocols the readout frame is rotated to
-undo the pi pulse's transverse flip, which keeps C(0) = sin(theta); the
-master-equation module exposes both this and the raw lab frame.
+undo the pi pulse's transverse flip, which keeps C(0) = sin(theta), as
+the oracle reports too; its ``evolve_master`` reaches the raw lab frame.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedRegimeError
+from .errors import ParameterError
 from .potential import InteractionPotential, evaluate_V
 
 __all__ = [
@@ -179,6 +179,8 @@ class AtomConfiguration:
             raise ParameterError(f"positions must have shape (N, 3), got {pos.shape}")
         if pos.shape[0] == 0:
             raise ParameterError("configuration must contain at least one atom")
+        if not np.all(np.isfinite(pos)):
+            raise ParameterError("positions must be finite")
         d = pos[:, None, :] - pos[None, :, :]
         r = np.sqrt((d * d).sum(axis=2))
         if np.count_nonzero(r == 0.0) > pos.shape[0]:  # beyond the diagonal
@@ -222,6 +224,19 @@ def _log_factors(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return logs, zero
 
 
+def _checked_times(proto: RamseyProtocol, t) -> np.ndarray:
+    """t as a float array, checked: a float or a 1-D array, finite, and
+    negative only at gamma = gamma_d = 0 (under dissipation E would grow)."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ParameterError("t must be a float or a 1-D array of times")
+    if not np.all(np.isfinite(times)):
+        raise ParameterError("times must be finite")
+    if np.any(times < 0) and (proto.gamma > 0 or proto.gamma_d > 0):
+        raise ParameterError("negative time is only meaningful without dissipation")
+    return times
+
+
 def sigma_plus_couplings(
     couplings: np.ndarray,
     proto: RamseyProtocol,
@@ -259,13 +274,7 @@ def sigma_plus_couplings(
     scale = max(1.0, float(np.max(np.abs(v))))
     if not np.allclose(v, v.T, rtol=0.0, atol=1e-12 * scale):
         raise ParameterError("couplings must be symmetric")
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise ParameterError("t must be a float or a 1-D array of times")
-    if not np.all(np.isfinite(times)):
-        raise ParameterError("times must be finite")
-    if np.any(times < 0) and (proto.gamma > 0 or proto.gamma_d > 0):
-        raise ParameterError("negative time is only meaningful without dissipation")
+    times = _checked_times(proto, t)
     n = v.shape[0]
     values, inverse = np.unique(v, return_inverse=True)
     inverse = inverse.reshape(v.shape)
@@ -290,34 +299,29 @@ def _connected_sxsx_couplings(
 ) -> np.ndarray:
     """G(i, j) for every j in js, in one pass over the coupling rows.
 
-    Three g = 0 kernel matrices: rows i and js for the <sigma^x_k>, and
-    the |js| x N matrices at (V_ik +- V_jk) t for the two-point
-    functions, with the excluded columns i and j set to 1.
+    Three kernel matrices at g = gamma t: rows i and js for the
+    <sigma^x_k>, and the |js| x N matrices at (V_ik +- V_jk) t for the
+    two-point functions, with the excluded columns i and j set to 1.
     """
-    if not math.isfinite(t):
-        raise ParameterError(f"correlators are defined for finite t, got {t!r}")
-    if proto.gamma > 0 or proto.gamma_d > 0:
-        raise UnsupportedRegimeError(
-            "closed-form correlators require gamma = gamma_d = 0; "
-            "use the oracle module (N <= 8) for dissipative correlators"
-        )
+    _checked_times(proto, t)
     v = couplings
     js = np.asarray(js, dtype=int)
     th, beta = proto.theta, proto.beta
 
-    def prod_f0(x, excluded):
-        # prod over each row of f(x t, g = 0), skipping the excluded columns
-        f = f_kernel(x * t, 0.0, th, beta)
+    def prod_f(x, excluded):
+        # prod over each row of f(x t, gamma t), skipping the excluded columns
+        f = f_kernel(x * t, proto.gamma * t, th, beta)
         r = np.arange(f.shape[0])
         for cols in excluded:
             f[r, cols] = 1.0
         return np.prod(f, axis=1)
 
+    e = _envelope(proto, t)
     rows = np.concatenate(([i], js))
-    sx = (np.sin(th) * prod_f0(v[rows], [rows])).real
-    amp = 0.25 * np.sin(th) ** 2
-    spp = amp * np.exp(1j * beta * v[i, js] * t) * prod_f0(v[i] + v[js], [i, js])
-    spm = amp * prod_f0(v[i] - v[js], [i, js])
+    sx = (e * prod_f(v[rows], [rows])).real
+    amp = 0.25 * e * e
+    spp = amp * np.exp(1j * beta * v[i, js] * t) * prod_f(v[i] + v[js], [i, js])
+    spm = amp * prod_f(v[i] - v[js], [i, js])
     sxsx = 2.0 * (spp + spm).real
     return (sxsx - sx[0] * sx[1:]) / 4.0
 
@@ -332,25 +336,25 @@ def connected_sxsx(
 ) -> float:
     """Connected correlator G(i,j) = <S^x_i S^x_j> - <S^x_i><S^x_j>, S = sigma/2.
 
-    Closed form for the dissipation-free Ising quench. The two-point
-    function splits into products over the other atoms:
+    Closed form at every gamma and gamma_d. With the envelope E of
+    :func:`sigma_plus_couplings` and f = f_kernel(., gamma t, theta, beta):
 
-    <sigma^+_i sigma^+_j> = (sin(theta)/2)^2 e^{i beta V_ij t}
-        prod_{k != i,j} f((V_ik + V_jk) t)
-    <sigma^+_i sigma^-_j> = (sin(theta)/2)^2
-        prod_{k != i,j} f((V_ik - V_jk) t)
+    <sigma^x_i> = Re[E prod_{k != i} f(V_ik t)]
+    <sigma^+_i sigma^+_j> = (E/2)^2 e^{i beta V_ij t} prod_{k != i,j} f((V_ik + V_jk) t)
+    <sigma^+_i sigma^-_j> = (E/2)^2 prod_{k != i,j} f((V_ik - V_jk) t)
 
-    with the g = 0 kernel, and <sigma^x sigma^x> = 2 Re of their sum. The
-    result is independent of the echo readout frame (sign flips cancel
-    pairwise) and is validated against the master-equation module.
+    and <sigma^x sigma^x> = 2 Re of their sum: H is diagonal and the jumps
+    and pulses map populations to populations, so each other atom follows
+    a classical Markov path. An echo follows the commuted model sequence,
+    as in :func:`sigma_plus_couplings`; the result is independent of the
+    echo readout frame (sign flips cancel pairwise) and is validated
+    against the master-equation module.
 
     Raises
     ------
     ParameterError
-        i == j, or an index out of range.
-    UnsupportedRegimeError
-        gamma > 0 or gamma_d > 0; dissipative correlators have no product
-        closed form here. Use the oracle module for small systems instead.
+        i == j, an index out of range, or t outside the time rule of
+        :func:`sigma_plus_couplings`.
     """
     n = cfg.n
     if not (0 <= i < n and 0 <= j < n):

@@ -99,9 +99,8 @@ def lattice_contrast(spec: LatticeSpec, t) -> complex | np.ndarray:
     Builds the coupling matrix of the L^2 configuration once and hands
     it to sigma_plus_couplings, which evaluates the kernel once per
     distinct coupling value at each time; returns a complex for a float
-    t and a complex array for an array. The full dissipative closed form
-    is allowed here (unlike correlation maps). L = 1 gives the bare
-    single-atom signal sin(theta) D e^{-gamma_d t}.
+    t and a complex array for an array. L = 1 gives the bare single-atom
+    signal sin(theta) D e^{-gamma_d t}.
     """
     couplings = spec.configuration().coupling_matrix(spec.potential)
     return sigma_plus_couplings(couplings, spec.protocol, t)
@@ -157,16 +156,14 @@ def correlation_map(spec: LatticeSpec, t: float, center: int | None = None) -> C
     """Map of G(center, j) = <S^x S^x> - <S^x><S^x> over all sites j.
 
     Closed-form evaluation of every site in one pass over the coupling
-    matrix, dissipation-free protocols only; for small dissipative
-    systems use the oracle module's dense evolution instead (N <= 8).
-    At t = 0 every entry vanishes.
+    matrix, at every gamma and gamma_d (an echo follows the commuted
+    model sequence). At t = 0 every entry vanishes.
 
     Raises
     ------
-    UnsupportedRegimeError
-        Protocol has gamma > 0 or gamma_d > 0.
     ParameterError
-        Invalid center site.
+        Invalid center site, or t outside the time rule of
+        :func:`~rydramsey.ising_core.sigma_plus_couplings`.
     """
     if center is None:
         center = spec.center_site

@@ -99,27 +99,29 @@ def test_fig5_outputs(tmp_path):
     assert data[1, 1] < 1.0
 
 
-def test_scan_theta_override(tmp_path):
-    rc = cli.main(
-        [
-            "scan",
-            "--config",
-            SR,
-            "--out",
-            str(tmp_path),
-            "--grid",
-            "log:0.01:100:5",
-            "--theta",
-            "1.0471975511965976",
-        ]
-    )
-    assert rc == 0
-    meta = json.loads((tmp_path / "scan_meta.json").read_text())
-    assert meta["protocol"]["theta"] == pytest.approx(math.pi / 3.0)
-    header, data = read_csv(tmp_path / "scan_tau.csv")
-    assert header == ["n_r", "v0t_half", "tau_us"]
-    assert data.shape == (5, 3)
-    assert np.all(np.diff(data[:, 2]) < 0)  # denser decays faster
+def test_scan_theta_override(tmp_path, capsys):
+    # a plain float and a pi expression give the same angle
+    for k, theta in enumerate(("1.0471975511965976", "pi/3")):
+        out = tmp_path / str(k)
+        rc = cli.main(
+            ["scan", "--config", SR, "--out", str(out), "--grid", "log:0.01:100:5",
+             "--theta", theta]
+        )
+        assert rc == 0
+        meta = json.loads((out / "scan_meta.json").read_text())
+        assert meta["protocol"]["theta"] == pytest.approx(math.pi / 3.0)
+        header, data = read_csv(out / "scan_tau.csv")
+        assert header == ["n_r", "v0t_half", "tau_us"]
+        assert data.shape == (5, 3)
+        assert np.all(np.diff(data[:, 2]) < 0)  # denser decays faster
+    assert (tmp_path / "0" / "scan_tau.csv").read_bytes() == (
+        tmp_path / "1" / "scan_tau.csv"
+    ).read_bytes()
+    # the expression evaluator allows + - * / and pi only
+    rc = cli.main(["scan", "--config", SR, "--out", str(tmp_path / "bad"), "--theta", "2**3"])
+    assert rc == 2
+    assert "--theta" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_echo_flag_override(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rydramsey import ising_core
-from rydramsey.errors import ParameterError, UnsupportedRegimeError
+from rydramsey.errors import ParameterError
 from rydramsey.ising_core import (
     COHERENCE_DECAY_EXPONENT,
     AtomConfiguration,
@@ -204,10 +204,17 @@ def test_echo_time_reversal_conjugates():
 
 
 def test_negative_time_needs_unitary_protocol():
-    v = np.zeros((2, 2))
-    proto = RamseyProtocol(math.pi / 2, True, 0.1, 0.0)
-    with pytest.raises(ParameterError):
-        sigma_plus_couplings(v, proto, -1.0)
+    # under dissipation the envelope would grow backwards in time
+    pot = derive_potential(DressingParams(1000.0, 5000.0, -1e4), PotentialKind.SOFT_CORE)
+    cfg = AtomConfiguration(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    for gamma, gamma_d in ((0.1, 0.0), (0.0, 0.1)):
+        proto = RamseyProtocol(math.pi / 2, True, gamma, gamma_d)
+        with pytest.raises(ParameterError):
+            sigma_plus_couplings(np.zeros((2, 2)), proto, -1.0)
+        with pytest.raises(ParameterError):
+            connected_sxsx(cfg, pot, proto, 0, 1, -1.0)
+        with pytest.raises(ParameterError):
+            correlation_map(LatticeSpec(3, pot.r_c, pot, proto), -1.0)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -369,6 +376,11 @@ def test_atom_configuration_validation():
         AtomConfiguration(np.zeros((3, 2)))
     with pytest.raises(ParameterError):
         AtomConfiguration(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    # a NaN would poison every coupling of its atom and an infinite
+    # coordinate would silently decouple it
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            AtomConfiguration(np.array([[0.0, 0.0, 0.0], [1.0, bad, 0.0]]))
 
 
 def test_atom_configuration_positions_are_a_read_only_copy():
@@ -411,11 +423,10 @@ def test_connected_correlator_bound_and_errors():
     rng = np.random.default_rng(14)
     cfg = AtomConfiguration(rng.random((5, 3)) * 1.5)
     proto = RamseyProtocol(math.pi / 2, True, 0.0, 0.0)
-    for t in (0.4, 1.8):
-        g = connected_sxsx(cfg, pot, proto, 0, 3, t)
-        assert abs(g) <= 0.25 + 1e-12
+    dissipative = RamseyProtocol(math.pi / 2, True, 0.1, 0.0)
+    for p in (proto, dissipative):
+        for t in (0.4, 1.8):
+            g = connected_sxsx(cfg, pot, p, 0, 3, t)
+            assert abs(g) <= 0.25 + 1e-12
     with pytest.raises(ParameterError):
         connected_sxsx(cfg, pot, proto, 2, 2, 1.0)
-    dissipative = RamseyProtocol(math.pi / 2, True, 0.1, 0.0)
-    with pytest.raises(UnsupportedRegimeError):
-        connected_sxsx(cfg, pot, dissipative, 0, 1, 1.0)

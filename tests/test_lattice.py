@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rydramsey.errors import ParameterError, UnsupportedRegimeError
+from rydramsey.errors import ParameterError
 from rydramsey.ising_core import (
     AtomConfiguration,
     RamseyProtocol,
@@ -104,26 +104,32 @@ def test_half_time_matches_neighbor_count_prediction():
     assert t_pred == pytest.approx(spec.potential.v0 * tau, rel=0.25)
 
 
-def test_two_atom_correlator_matches_oracle():
-    # same analytic G(1,2) as a 2-site chain; the map and this function
-    # share one code path
+@pytest.mark.parametrize(
+    "gamma, gamma_d",
+    [(0.0, 0.0), (0.3, 0.0), (0.3, 0.11), (0.0, 0.11), (1.7, 0.0)],
+    ids=["unitary", "emission", "both", "dephasing", "strong-emission"],
+)
+@pytest.mark.parametrize("echo", [True, False], ids=["echo", "ramsey"])
+@pytest.mark.parametrize("theta", [math.pi / 2, 0.7], ids=["pi2", "0.7"])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_two_atom_correlator_matches_oracle(n, theta, echo, gamma, gamma_d):
+    # G(i, j) of every pair of an n-atom configuration against the dense
+    # master equation; an echo runs the commuted model sequence, which
+    # the closed form follows
     pot = soft_core_potential()
-    positions = np.array([[0.0, 0.0, 0.0], [0.8 * pot.r_c, 0.0, 0.0]])
+    positions = np.random.default_rng(n).random((n, 3)) * pot.r_c
     cfg = AtomConfiguration(positions)
+    proto = RamseyProtocol(theta, echo, gamma, gamma_d)
     t = 1.3
-    for theta, echo in ((math.pi / 2, True), (0.7, False)):
-        proto = RamseyProtocol(theta, echo, 0.0, 0.0)
-        got = connected_sxsx(cfg, pot, proto, 0, 1, t)
-
-        v = cfg.coupling_matrix(pot)
-        seq = (
-            echo_model_sequence(theta, t) if echo else ramsey_sequence(theta, t)
-        )
-        rho = evolve_master(initial_density_matrix(2), v, seq)
-        xx = expectation(rho, pair_operator("x", 0, "x", 1, 2)).real / 4.0
-        x0 = expectation(rho, site_operator("x", 0, 2)).real / 2.0
-        x1 = expectation(rho, site_operator("x", 1, 2)).real / 2.0
-        assert got == pytest.approx(xx - x0 * x1, abs=1e-8)
+    v = cfg.coupling_matrix(pot)
+    seq = echo_model_sequence(theta, t) if echo else ramsey_sequence(theta, t)
+    rho = evolve_master(initial_density_matrix(n), v, seq, gamma=gamma, gamma_d=gamma_d)
+    sx = [expectation(rho, site_operator("x", k, n)).real / 2.0 for k in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            xx = expectation(rho, pair_operator("x", i, "x", j, n)).real / 4.0
+            got = connected_sxsx(cfg, pot, proto, i, j, t)
+            assert got == pytest.approx(xx - sx[i] * sx[j], abs=1e-10), (i, j)
 
 
 def test_correlator_argument_validation():
@@ -132,10 +138,8 @@ def test_correlator_argument_validation():
     proto = RamseyProtocol(math.pi / 2, True, 0.0, 0.0)
     with pytest.raises(ParameterError):
         connected_sxsx(cfg, pot, proto, 1, 1, 0.5)
-    with pytest.raises(UnsupportedRegimeError):
-        connected_sxsx(
-            cfg, pot, RamseyProtocol(math.pi / 2, True, 0.1, 0.0), 0, 1, 0.5
-        )
+    with pytest.raises(ParameterError):
+        connected_sxsx(cfg, pot, proto, 0, 2, 0.5)
 
 
 def test_map_is_zero_at_t_zero():
@@ -240,10 +244,15 @@ def test_map_correlations_confined_to_plateau_radius():
     assert near > 10.0 * far
 
 
-def test_map_dissipative_request_rejected():
-    spec = fig_lattice(gamma=0.1, side=3)
-    with pytest.raises(UnsupportedRegimeError):
-        correlation_map(spec, 0.5)
+def test_dissipative_map_matches_pair_correlator():
+    spec = fig_lattice(theta=0.7, echo=False, gamma=0.3, gamma_d=0.11, side=3)
+    cfg = spec.configuration()
+    t = 0.5 * math.pi / spec.potential.v0
+    cmap = correlation_map(spec, t)
+    for j in range(spec.n_sites):
+        if j != cmap.center:
+            pair = connected_sxsx(cfg, spec.potential, spec.protocol, cmap.center, j, t)
+            assert cmap.values[divmod(j, 3)] == pair  # bit for bit
 
 
 def test_d4_deviation_needs_odd_side():
