@@ -64,7 +64,6 @@ from .lattice import (
 )
 from .config import RunConfig, config_from_dict, load_config, parse_quantity
 from .experiments import (
-    UltrafastSpec,
     parse_grid,
     run_fig2,
     run_fig3,
@@ -99,7 +98,6 @@ __all__ = [
     "RunConfig",
     "RydramseyError",
     "SingularityError",
-    "UltrafastSpec",
     "UnsupportedRegimeError",
     "ValidityWarning",
     "asymptotic_contrast",

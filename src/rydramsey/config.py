@@ -313,6 +313,9 @@ def config_from_dict(data: dict) -> RunConfig:
             ),
             "n_points": _integer(usec.get("n_points", 121), "ultrafast.n_points", 2),
         }
+        for key in ("density_high", "density_low", "t_max"):
+            if not ultrafast[key] > 0:
+                raise ConfigError(f"ultrafast.{key} must be positive, got {ultrafast[key]}")
         resolved["ultrafast"] = dict(ultrafast)
 
     return RunConfig(

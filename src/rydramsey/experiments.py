@@ -15,13 +15,12 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle
 from .config import RunConfig, _eval_number
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 from .gas_average import (
     DimensionlessPoint,
     GasSpec,
@@ -47,7 +46,6 @@ from .lattice import LatticeSpec, correlation_map, d4_deviation, lattice_contras
 from .potential import DressingParams, PotentialKind, derive_potential
 
 __all__ = [
-    "UltrafastSpec",
     "parse_grid",
     "run_fig2",
     "run_fig3",
@@ -56,37 +54,6 @@ __all__ = [
     "run_scan",
     "run_validate",
 ]
-
-
-@dataclass(frozen=True)
-class UltrafastSpec:
-    """Bare-Rydberg pulsed-excitation parameters.
-
-    A Rydberg fraction p fixes the tipping angle through
-    sin^2(theta/2) = p; the contrast ratio compares two densities under
-    the same pulse.
-    """
-
-    fractions: tuple
-    density_high: float
-    density_low: float
-    c6: float
-    t_max: float
-    n_points: int
-
-    def __post_init__(self):
-        for p in self.fractions:
-            if not 0.0 < p < 1.0:
-                raise ParameterError(f"fraction must lie in (0, 1), got {p!r}")
-        if self.density_high <= 0 or self.density_low <= 0:
-            raise ParameterError("densities must be positive")
-        if self.t_max <= 0 or self.n_points < 2:
-            raise ParameterError("need t_max > 0 and at least 2 points")
-
-    @staticmethod
-    def theta_of_fraction(p: float) -> float:
-        """Tipping angle with upper-state population p: 2 arcsin(sqrt(p))."""
-        return 2.0 * math.asin(math.sqrt(p))
 
 
 def parse_grid(text: str) -> np.ndarray:
@@ -387,28 +354,21 @@ def run_fig5(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     """
     if cfg.ultrafast is None:
         raise ConfigError("this command needs an [ultrafast] config section")
-    uf = UltrafastSpec(
-        fractions=tuple(cfg.ultrafast["fractions"]),
-        density_high=cfg.ultrafast["density_high"],
-        density_low=cfg.ultrafast["density_low"],
-        c6=cfg.ultrafast["c6"],
-        t_max=cfg.ultrafast["t_max"],
-        n_points=cfg.ultrafast["n_points"],
-    )
-    pot = derive_potential(DressingParams(0.0, 0.0, uf.c6), PotentialKind.BARE_VDW)
+    uf = cfg.ultrafast
+    pot = derive_potential(DressingParams(0.0, 0.0, uf["c6"]), PotentialKind.BARE_VDW)
     if grid is None:
-        times = np.linspace(0.0, uf.t_max, uf.n_points)
+        times = np.linspace(0.0, uf["t_max"], uf["n_points"])
     else:
         times = np.asarray(grid, float) * 1e-6  # CLI grid arrives in ps
     os.makedirs(out_dir, exist_ok=True)
     files = []
     thetas = {}
-    for p in uf.fractions:
-        theta = UltrafastSpec.theta_of_fraction(p)
+    for p in uf["fractions"]:
+        theta = 2.0 * math.asin(math.sqrt(p))  # upper-state population p
         thetas[f"{p:g}"] = theta
         proto = RamseyProtocol(theta, False, 0.0, 0.0)
-        spec_h = GasSpec(uf.density_high, pot, proto)
-        spec_l = GasSpec(uf.density_low, pot, proto)
+        spec_h = GasSpec(uf["density_high"], pot, proto)
+        spec_l = GasSpec(uf["density_low"], pot, proto)
         rows = []
         for t in times:
             i_h = exponent_integral(spec_h, t)
@@ -430,10 +390,10 @@ def run_fig5(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         files.append(name)
     meta = {
         "command": "fig5",
-        "fractions": list(uf.fractions),
+        "fractions": list(uf["fractions"]),
         "tipping_angles_rad": thetas,
-        "densities_um3": {"high": uf.density_high, "low": uf.density_low},
-        "c6_rad_um6_per_us": uf.c6,
+        "densities_um3": {"high": uf["density_high"], "low": uf["density_low"]},
+        "c6_rad_um6_per_us": uf["c6"],
         "protocol": "non-echo, gamma = 0",
         "ratio_definition": "C(rho_high)/C(rho_low) = exp(-(rho_h - rho_l) Re I / rho)",
         "phase_definition": "-Im I(t), referenced to 0 at t = 0",

@@ -120,8 +120,8 @@ class DimensionlessPoint:
     function of (N_R, V0 t, theta, beta, gamma/V0, gamma_d/V0) only; two
     physical parameter sets mapping to the same point give the same
     contrast. ``to_physical`` realizes a point in a canonical gauge
-    (r_c = 1 um, V0 = 1 rad/us, epsilon = 0.1) so the round trip
-    point -> physical -> point is exact to ~1e-12.
+    (r_c = 1 um, V0 = 1 rad/us, epsilon = 0.1); the gas it returns has
+    this point's N_R and V0 t to ~1e-12.
     """
 
     n_r: float
@@ -136,24 +136,6 @@ class DimensionlessPoint:
             raise ParameterError(f"beta must be 0 or 1, got {self.beta!r}")
         if self.n_r <= 0:
             raise ParameterError("n_r must be positive")
-
-    @classmethod
-    def from_physical(cls, spec: GasSpec, t: float) -> "DimensionlessPoint":
-        pot = spec.potential
-        if pot.kind is not PotentialKind.SOFT_CORE or pot.v0 == 0.0:
-            raise UnsupportedRegimeError(
-                "dimensionless reduction needs a soft-core potential with "
-                "a finite plateau; bare potentials have no V0 scale"
-            )
-        v0 = pot.v0
-        return cls(
-            n_r=spec.n_r,
-            v0t=v0 * t,
-            theta=spec.protocol.theta,
-            beta=spec.protocol.beta,
-            gamma_over_v0=spec.protocol.gamma / v0,
-            gamma_d_over_v0=spec.protocol.gamma_d / v0,
-        )
 
     def to_physical(self) -> tuple:
         """Realize this point as (GasSpec, t) in the canonical gauge."""
@@ -648,18 +630,45 @@ def fit_hardcore_amplitude(spec: GasSpec, times) -> float:
     return float(np.dot(x, y) / denom)
 
 
-def _tau_scale_estimates(spec: GasSpec) -> list:
+def _tau_window(spec: GasSpec) -> tuple:
+    """Scan window (lo, hi) of :func:`tau_half`, us.
+
+    lo is a proven floor. Each pair factor is an average of e^{i phi}
+    over the spectator's emission histories with |phi| <= kappa |X|
+    (kappa = 1 without echo, 1/2 with), so |1 - f| <= min(2, kappa |X|)
+    at every gamma >= 0. Integrated over the gas, with a = kappa |V0| t:
+    soft core: Re I <= N_R min(pi a / 2, 2 sqrt(2 a)), that is
+    Re I <= b t and Re I <= c sqrt(t) with b = (pi/2) N_R kappa |V0| and
+    c = 2 N_R sqrt(2 kappa |V0|); bare: Re I <= c sqrt(t) with
+    c = (8 pi / 3) rho sqrt(2 kappa |C6|). The envelope decays at
+    rate = gamma/2 + gamma_d, so |contrast| / sin(theta) >=
+    exp(-rate t - Re I) >= 1/2 while rate t + c sqrt(t) <= ln 2, that is
+    for t <= s^2 with s = 2 ln 2 / (c + sqrt(c^2 + 4 rate ln 2)), and
+    (soft core) while t <= ln 2 / (rate + b). t_lb is the larger of the
+    two, so no crossing lies below it; both bounds grow strictly with t,
+    so lo = 0.99 t_lb keeps the first probe strictly above 1/2.
+
+    hi = 100 times the slowest asymptotic scale (the soft-core low- and
+    high-density laws or the bare square-root law, emission, dephasing):
+    a crossing beyond it is reported as not found.
+    """
     proto = spec.protocol
     pot = spec.potential
     est = []
     ln2 = math.log(2.0)
-    if pot.kind is PotentialKind.SOFT_CORE and pot.v0 != 0.0:
+    kappa = 1.0 if proto.beta == 1 else 0.5
+    if pot.kind is PotentialKind.SOFT_CORE:
         v0 = abs(pot.v0)
         n_r = spec.n_r
-        a = low_density_amplitude(proto.beta)
-        est.append((ln2 / (a * n_r)) ** 2 / v0)
-        est.append((2.0 / v0) * math.sqrt(2.0 * ln2 / ((proto.beta + 1) * n_r)))
-    elif pot.kind is PotentialKind.BARE_VDW:
+        b = 0.5 * math.pi * n_r * kappa * v0
+        c = 2.0 * n_r * math.sqrt(2.0 * kappa * v0)
+        if v0 != 0.0:
+            a = low_density_amplitude(proto.beta)
+            est.append((ln2 / (a * n_r)) ** 2 / v0)
+            est.append((2.0 / v0) * math.sqrt(2.0 * ln2 / ((proto.beta + 1) * n_r)))
+    else:
+        b = 0.0
+        c = 8.0 * math.pi / 3.0 * spec.density * math.sqrt(2.0 * kappa * abs(pot.c6))
         i_unit = _bare_i_tilde(math.copysign(1.0, pot.c6), 0.0, proto.theta, proto.beta).real
         coef = 4.0 * math.pi * spec.density * i_unit / 3.0
         if coef > 0:
@@ -668,15 +677,25 @@ def _tau_scale_estimates(spec: GasSpec) -> list:
         est.append(2.0 * ln2 / proto.gamma)
     if proto.gamma_d > 0:
         est.append(ln2 / proto.gamma_d)
-    return [e for e in est if e > 0 and np.isfinite(e)]
+    est = [e for e in est if e > 0 and np.isfinite(e)]
+    if not est:
+        raise ParameterError(
+            "no decay channel at all (no interactions, no dissipation); "
+            "the contrast never reaches half"
+        )
+    rate = proto.gamma / 2.0 + proto.gamma_d
+    s = 2.0 * ln2 / (c + math.sqrt(c * c + 4.0 * rate * ln2))
+    t_lb = max(s * s, ln2 / (rate + b)) if b > 0 else s * s
+    return 0.99 * t_lb, 1e2 * max(est)
 
 
 def tau_half(spec: GasSpec) -> float:
     """Smallest t with |contrast(t)| = |contrast(0)| / 2, us.
 
-    Probes contrast_gas on a logarithmic grid (25 points per decade)
-    seeded by the asymptotic laws until the half level is bracketed, then
-    polishes the bracket with brentq to relative accuracy well below 1e-6.
+    Probes contrast_gas on a logarithmic grid (25 points per decade) from
+    the proven floor of :func:`_tau_window`, below which no crossing
+    exists, until the half level is bracketed, then polishes the bracket
+    with brentq to relative accuracy well below 1e-6.
 
     Raises
     ------
@@ -692,25 +711,7 @@ def tau_half(spec: GasSpec) -> float:
     def ratio(t: float) -> float:
         return abs(contrast_gas(spec, t)) / c0
 
-    estimates = _tau_scale_estimates(spec)
-    if not estimates:
-        raise ParameterError(
-            "no decay channel at all (no interactions, no dissipation); "
-            "the contrast never reaches half"
-        )
-    lo = min(estimates) * 1e-3
-    # estimates are seeds, not bounds, and the true crossing can sit near
-    # the largest of them (e.g. dilute gases decay on the slow scale)
-    hi = max(estimates) * 1e2
-    for _ in range(4):
-        if ratio(lo) > 0.5:
-            break
-        lo *= 1e-2
-    else:
-        raise CrossingNotFoundError(
-            "contrast already below half at the smallest probed time",
-            diagnostics={"t_min": lo, "ratio": ratio(lo)},
-        )
+    lo, hi = _tau_window(spec)
     grid = np.geomspace(lo, hi, int(25 * math.log10(hi / lo)) + 2)
     t_prev, r_prev = grid[0], ratio(grid[0])
     for t in grid[1:]:

@@ -303,7 +303,8 @@ def _connected_sxsx_couplings(
     <sigma^x_k>, and the |js| x N matrices at (V_ik +- V_jk) t for the
     two-point functions, with the excluded columns i and j set to 1.
     """
-    _checked_times(proto, t)
+    if _checked_times(proto, t).ndim != 0:
+        raise ParameterError("the correlators take one time t, not an array")
     v = couplings
     js = np.asarray(js, dtype=int)
     th, beta = proto.theta, proto.beta
@@ -353,8 +354,8 @@ def connected_sxsx(
     Raises
     ------
     ParameterError
-        i == j, an index out of range, or t outside the time rule of
-        :func:`sigma_plus_couplings`.
+        i == j, an index out of range, t not a single time, or t outside
+        the time rule of :func:`sigma_plus_couplings`.
     """
     n = cfg.n
     if not (0 <= i < n and 0 <= j < n):

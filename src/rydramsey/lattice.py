@@ -162,8 +162,8 @@ def correlation_map(spec: LatticeSpec, t: float, center: int | None = None) -> C
     Raises
     ------
     ParameterError
-        Invalid center site, or t outside the time rule of
-        :func:`~rydramsey.ising_core.sigma_plus_couplings`.
+        Invalid center site, t not a single time, or t outside the time
+        rule of :func:`~rydramsey.ising_core.sigma_plus_couplings`.
     """
     if center is None:
         center = spec.center_site

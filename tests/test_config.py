@@ -133,6 +133,17 @@ ULTRAFAST_SECTION = {
 }
 
 
+@pytest.mark.parametrize("number", ["0", "-2"])
+@pytest.mark.parametrize(
+    "key, unit", [("density_high", "um^-3"), ("density_low", "um^-3"), ("t_max", "ps")]
+)
+def test_ultrafast_scales_must_be_positive(key, unit, number):
+    d = {"ultrafast": {**ULTRAFAST_SECTION, key: f"{number} {unit}"}}
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    assert f"ultrafast.{key}" in str(err.value)
+
+
 @pytest.mark.parametrize("value", [True, False, 0, 1.0])
 @pytest.mark.parametrize(
     "section, key, base",

@@ -321,11 +321,10 @@ def test_dimensionless_collapse():
 def test_dimensionless_round_trip():
     point = DimensionlessPoint(n_r=2.0, v0t=1.3, theta=0.9, beta=0)
     sp, t = point.to_physical()
-    back = DimensionlessPoint.from_physical(sp, t)
-    assert back.n_r == pytest.approx(point.n_r, rel=1e-12)
-    assert back.v0t == pytest.approx(point.v0t, rel=1e-12)
-    assert back.theta == point.theta
-    assert back.beta == point.beta
+    assert sp.n_r == pytest.approx(point.n_r, rel=1e-12)
+    assert sp.potential.v0 * t == pytest.approx(point.v0t, rel=1e-12)
+    assert sp.protocol.theta == point.theta
+    assert sp.protocol.beta == point.beta
 
 
 def test_contrast_is_envelope_times_exponent():
@@ -619,6 +618,89 @@ def test_tau_half_unreachable_crossing_raises():
     # the bracketing window; the solver must report that, not extrapolate
     with pytest.raises(CrossingNotFoundError):
         tau_half(spec_at(1e-6, math.pi / 20, False))
+
+
+@pytest.mark.parametrize("beta", [0, 1])
+def test_kernel_phase_bound(beta):
+    # |1 - f| <= min(2, kappa |X|), kappa = 1 (no echo) or 1/2 (echo), at
+    # every g >= 0: the bound behind tau_half's scan floor. f is O(1), so
+    # its rounding enters as 1e-16 absolute on top of 1e-9 relative.
+    kappa = 1.0 if beta == 1 else 0.5
+    mag = np.logspace(-8, 4, 241)
+    x = np.concatenate((-mag[::-1], mag))
+    bound = np.minimum(2.0, kappa * np.abs(x))
+    for g in np.concatenate(([0.0], np.logspace(-12, 3, 31))):
+        for theta in np.linspace(0.0, math.pi, 13):
+            gap = np.abs(1.0 - f_kernel(x, g, theta, beta)) - bound
+            assert np.all(gap <= 1e-9 * bound + 1e-16), (g, theta)
+
+
+def window_gases():
+    soft = soft_core_potential()
+    bare = [derive_potential(DressingParams(0.0, 0.0, c6), PotentialKind.BARE_VDW)
+            for c6 in (-1e4, 2.5e3)]
+    for theta in (0.157, 1.0, math.pi / 2, 2.5):
+        for echo in (True, False):
+            for gamma in (0.0, 1.0 / 21.0, 3.0):
+                for gamma_d in (0.0, 0.1):
+                    proto = RamseyProtocol(theta, echo, gamma, gamma_d)
+                    for n_r in (1e-6, 1e-3, 1.0, 1e3):
+                        yield GasSpec.from_blockade_number(n_r, soft, proto)
+                    for pot in bare:
+                        for density in (1e-3, 0.05, 10.0):
+                            yield GasSpec(density, pot, proto)
+
+
+def test_tau_window_floor_is_above_half():
+    # the proven floor: the contrast ratio is above 1/2 at the first probe
+    # and at t_lb itself, and the window is not empty
+    for sp in window_gases():
+        lo, hi = gas_average._tau_window(sp)
+        c0 = abs(math.sin(sp.protocol.theta))
+        assert abs(contrast_gas(sp, lo)) / c0 > 0.5
+        assert abs(contrast_gas(sp, lo / 0.99)) / c0 >= 0.5
+        assert hi / lo > 1.0
+
+
+# tau_1/2 frozen from a scan seeded by the asymptotic laws rather than the
+# proven floor; the two agree to brentq's tolerance
+SOFT_CORE_TAU = {
+    # (N_R, echo, gamma) -> tau_1/2 at theta = pi/2, V0 = 1 rad/us
+    (1e-3, True, 0.0): 611734.4060772341,
+    (1e-3, True, 1 / 21): 28.943674136377673,
+    (1e-3, False, 0.0): 1223464.1387955418,
+    (1e-3, False, 1 / 21): 29.017432583477408,
+    (1.0, True, 0.0): 2.795748176942694,
+    (1.0, True, 1 / 21): 2.708280009901423,
+    (1.0, False, 0.0): 2.109065582019064,
+    (1.0, False, 1 / 21): 2.093157491544171,
+    (1e3, True, 0.0): 0.08402968738325493,
+    (1e3, True, 1 / 21): 0.08396427443185064,
+    (1e3, False, 0.0): 0.0594206937737615,
+    (1e3, False, 1 / 21): 0.05941602596669919,
+}
+BARE_TAU = {
+    # (C6, echo, theta, gamma, gamma_d) -> tau_1/2 at density 0.05 um^-3
+    (-1e4, True, 1.0, 0.0, 0.0): 0.001394581222972562,
+    (-1e4, False, 2.0, 0.3, 0.05): 0.0013900471168156918,
+    (2.5e3, True, 1.0, 0.0, 0.0): 0.005578324891890244,
+    (2.5e3, False, 2.0, 0.3, 0.05): 0.0055514557478094214,
+}
+
+
+@pytest.mark.parametrize("key", list(SOFT_CORE_TAU))
+def test_tau_half_frozen_soft_core(key):
+    n_r, echo, gamma = key
+    sp = spec_at(n_r, math.pi / 2, echo, gamma=gamma)
+    assert tau_half(sp) == pytest.approx(SOFT_CORE_TAU[key], rel=1e-9)
+
+
+@pytest.mark.parametrize("key", list(BARE_TAU))
+def test_tau_half_frozen_bare(key):
+    c6, echo, theta, gamma, gamma_d = key
+    pot = derive_potential(DressingParams(0.0, 0.0, c6), PotentialKind.BARE_VDW)
+    sp = GasSpec(0.05, pot, RamseyProtocol(theta, echo, gamma, gamma_d))
+    assert tau_half(sp) == pytest.approx(BARE_TAU[key], rel=1e-9)
 
 
 def test_kernel_second_derivative_closed_form():

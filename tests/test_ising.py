@@ -238,6 +238,21 @@ def test_non_finite_time_rejected(entry, t):
         calls[entry]()
 
 
+@pytest.mark.parametrize("shape", [(2,), (1,)])
+@pytest.mark.parametrize("gamma", [0.0, 0.2])
+def test_correlators_reject_array_time(gamma, shape):
+    # the row products take one time; a (1,) array would otherwise be
+    # accepted and stored as CorrelationMap.time
+    pot = derive_potential(DressingParams(1000.0, 5000.0, -1e4), PotentialKind.SOFT_CORE)
+    proto = RamseyProtocol(math.pi / 2, True, gamma, 0.0)
+    cfg = AtomConfiguration(np.random.default_rng(2).random((3, 3)) * 2.0)
+    t = np.full(shape, 0.1)
+    with pytest.raises(ParameterError):
+        connected_sxsx(cfg, pot, proto, 0, 1, t)
+    with pytest.raises(ParameterError):
+        correlation_map(LatticeSpec(3, pot.r_c, pot, proto), t)
+
+
 # t = 0, then small and (at gamma = 0.5, t = 75) large g on the split
 # branch; the gamma = 0 protocols take the g = 0 branch at every time.
 ARRAY_TIMES = np.array([0.0, 0.7, 3.1, 75.0])
