@@ -43,7 +43,6 @@ from .errors import (
 from .ising_core import (
     RamseyProtocol,
     _envelope,
-    _log_factors,
     f_kernel,
 )
 from .potential import (
@@ -436,12 +435,11 @@ def monte_carlo_gas(
     Atoms are placed uniformly in a periodic cube of side (N/rho)^(1/3)
     with minimum-image pair distances; each sample is the exact
     per-configuration coherence at every requested time, computed with the
-    envelope, evaluate_V and kernel-log code of sigma_plus_couplings.
-    V_jk = V_kj, so each unordered pair is evaluated once: a block of
-    rows [lo, hi) meets only the columns [lo, N) (one distance pass per
-    block, reused at every time), and the log of each pair factor is
-    added to both atoms' sums. Exact zero factors are flagged the same
-    way, and exp is taken once per sample and time. Sampling is
+    envelope, evaluate_V and f_kernel of sigma_plus_couplings. V_jk = V_kj,
+    so each unordered pair is evaluated once: a block of rows [lo, hi)
+    meets only the columns [lo, N) (one distance pass per block, reused
+    at every time), and each pair factor multiplies both atoms' row
+    products, so an exact zero factor removes both atoms. Sampling is
     deterministic under the seed: sample s draws from
     SeedSequence(seed).spawn(n)[s].
 
@@ -453,7 +451,10 @@ def monte_carlo_gas(
         raise ParameterError("need at least 2 samples for a standard error")
     if n_atoms < 2:
         raise ParameterError("need at least 2 atoms")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = np.asarray(times, dtype=float)
+    if times.ndim > 1:
+        raise ParameterError("times must be a float or a 1-D array of times")
+    times = np.atleast_1d(times)
     if not np.all(np.isfinite(times)) or np.any(times < 0):
         raise ParameterError("times must be finite and non-negative")
     proto = spec.protocol
@@ -475,17 +476,15 @@ def monte_carlo_gas(
     streams = np.random.SeedSequence(seed).spawn(n_samples)
     samples = np.empty((n_samples, times.size), dtype=complex)
     envelope = _envelope(proto, times)
-    # (T, N) sums of the logs of each atom's factors, and exact zeros
-    log_rows = np.empty((times.size, n_atoms), dtype=complex)
-    dead = np.empty((times.size, n_atoms), dtype=bool)
+    # (T, N) products of each atom's factors
+    rows = np.empty((times.size, n_atoms), dtype=complex)
     # pairs of a diagonal block already counted, or self-pairs: col <= row
     lower = np.tril(np.ones((_MC_CHUNK, _MC_CHUNK), dtype=bool))
 
     for s_idx, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         pos = rng.random((n_atoms, 3)) * box
-        log_rows[:] = 0.0
-        dead[:] = False
+        rows[:] = 1.0
         for lo in range(0, n_atoms, _MC_CHUNK):
             hi = min(lo + _MC_CHUNK, n_atoms)
             below = lower[: hi - lo, : hi - lo]
@@ -498,19 +497,11 @@ def monte_carlo_gas(
             np.fill_diagonal(r2, 1.0)  # placeholder; self-pairs are masked
             v = evaluate_V(pot, np.sqrt(r2))
             for it, t in enumerate(times):
-                logs, zero = _log_factors(
-                    f_kernel(v * t, proto.gamma * t, proto.theta, proto.beta)
-                )
-                logs[:, : hi - lo][below] = 0.0
-                log_rows[it, lo:hi] += logs.sum(axis=1)
-                log_rows[it, lo:] += logs.sum(axis=0)
-                if zero.any():
-                    zero[:, : hi - lo][below] = False
-                    dead[it, lo:hi] |= zero.any(axis=1)
-                    dead[it, lo:] |= zero.any(axis=0)
-        rowprod = np.exp(log_rows)
-        rowprod[dead] = 0.0
-        samples[s_idx] = envelope * rowprod.mean(axis=1)
+                f = f_kernel(v * t, proto.gamma * t, proto.theta, proto.beta)
+                f[:, : hi - lo][below] = 1.0
+                rows[it, lo:hi] *= f.prod(axis=1)
+                rows[it, lo:] *= f.prod(axis=0)
+        samples[s_idx] = envelope * rows.mean(axis=1)
 
     mean = samples.mean(axis=0)
     stderr = np.sqrt(
@@ -651,6 +642,10 @@ def _tau_window(spec: GasSpec) -> tuple:
     hi = 100 times the slowest asymptotic scale (the soft-core low- and
     high-density laws or the bare square-root law, emission, dephasing):
     a crossing beyond it is reported as not found.
+
+    Raises ParameterError when the gas has no decay channel, and when it
+    has one but t_lb or every asymptotic scale is 0 or inf in float64
+    (a gas so dense that tau_half lies below the smallest float).
     """
     proto = spec.protocol
     pot = spec.potential
@@ -677,7 +672,6 @@ def _tau_window(spec: GasSpec) -> tuple:
         est.append(2.0 * ln2 / proto.gamma)
     if proto.gamma_d > 0:
         est.append(ln2 / proto.gamma_d)
-    est = [e for e in est if e > 0 and np.isfinite(e)]
     if not est:
         raise ParameterError(
             "no decay channel at all (no interactions, no dissipation); "
@@ -686,6 +680,12 @@ def _tau_window(spec: GasSpec) -> tuple:
     rate = proto.gamma / 2.0 + proto.gamma_d
     s = 2.0 * ln2 / (c + math.sqrt(c * c + 4.0 * rate * ln2))
     t_lb = max(s * s, ln2 / (rate + b)) if b > 0 else s * s
+    est = [e for e in est if 0.0 < e < math.inf]
+    if not est or t_lb == 0.0:
+        raise ParameterError(
+            "the time scales of this gas underflow (or overflow) float64, "
+            "so tau_half is not representable"
+        )
     return 0.99 * t_lb, 1e2 * max(est)
 
 

@@ -6,7 +6,7 @@ call builds the coupling matrix once. Contrast hands that matrix to
 bit-for-bit the configuration result, a tested invariant) on a float
 time or a whole time grid, evaluating the kernel once per distinct
 coupling value at each time; correlation maps evaluate the closed-form
-connected correlator against a chosen reference site for every other
+connected correlator against the central site for every other
 site in one pass, and carry the lattice geometry along for export.
 Correlations follow the spin-1/2 normalization S = sigma/2, so
 |G| <= 1/4 always.
@@ -152,8 +152,9 @@ class CorrelationMap:
         }
 
 
-def correlation_map(spec: LatticeSpec, t: float, center: int | None = None) -> CorrelationMap:
-    """Map of G(center, j) = <S^x S^x> - <S^x><S^x> over all sites j.
+def correlation_map(spec: LatticeSpec, t: float) -> CorrelationMap:
+    """Map of G(center, j) = <S^x S^x> - <S^x><S^x> over all sites j, with
+    the reference site at :attr:`LatticeSpec.center_site`.
 
     Closed-form evaluation of every site in one pass over the coupling
     matrix, at every gamma and gamma_d (an echo follows the commuted
@@ -162,15 +163,10 @@ def correlation_map(spec: LatticeSpec, t: float, center: int | None = None) -> C
     Raises
     ------
     ParameterError
-        Invalid center site, t not a single time, or t outside the time
-        rule of :func:`~rydramsey.ising_core.sigma_plus_couplings`.
+        t not a single time, or t outside the time rule of
+        :func:`~rydramsey.ising_core.sigma_plus_couplings`.
     """
-    if center is None:
-        center = spec.center_site
-    if not 0 <= center < spec.n_sites:
-        raise ParameterError(
-            f"center site {center} outside a {spec.side}x{spec.side} lattice"
-        )
+    center = spec.center_site
     v = spec.configuration().coupling_matrix(spec.potential)
     js = np.delete(np.arange(spec.n_sites), center)
     values = np.full(spec.n_sites, np.nan)  # flat index ix * L + iy

@@ -372,6 +372,8 @@ def test_contrast_gas_time_array_edge_cases():
         contrast_gas(sp, np.ones((2, 2)))
     with pytest.raises(ParameterError):
         contrast_gas(sp, np.array([0.5, -1e-9]))
+    with pytest.raises(ParameterError):
+        monte_carlo_gas(sp, [[1.0, 2.0]], n_samples=2, n_atoms=8, seed=0)
 
 
 def test_gas_spec_from_blockade_number():
@@ -610,6 +612,25 @@ def test_tau_half_is_smallest_crossing():
     c0 = math.sin(math.pi / 2)
     for t in probe:
         assert abs(contrast_gas(sp, t)) > 0.5 * c0
+
+
+def test_tau_half_dense_bare_gas_underflow():
+    # at density 1e100 tau_1/2 ~ 7e-206 us is still a float; at 1e160 it
+    # is ~1e-326 us, below the smallest one, which is not "no decay"
+    pot = derive_potential(DressingParams(0.0, 0.0, -1e4), PotentialKind.BARE_VDW)
+    proto = RamseyProtocol(math.pi / 2, False, 0.0, 0.0)
+    tau = tau_half(GasSpec(1e100, pot, proto))
+    assert tau == pytest.approx(6.97e-206, rel=1e-3)
+    # with emission the slowest scale is finite, but the floor is still 0
+    for gamma in (0.0, 0.1):
+        sp = GasSpec(1e160, pot, RamseyProtocol(math.pi / 2, False, gamma, 0.0))
+        with pytest.raises(ParameterError, match="underflow"):
+            tau_half(sp)
+    # an undriven soft core (V0 = 0) without dissipation has no channel
+    silent = derive_potential(DressingParams(0.0, 5000.0, -1e4), PotentialKind.SOFT_CORE)
+    assert silent.v0 == 0.0
+    with pytest.raises(ParameterError, match="no decay channel"):
+        tau_half(GasSpec(1e160, silent, proto))
 
 
 def test_tau_half_unreachable_crossing_raises():

@@ -9,7 +9,6 @@ from rydramsey.ising_core import (
     COHERENCE_DECAY_EXPONENT,
     AtomConfiguration,
     RamseyProtocol,
-    _log_factors,
     coherence_decay,
     connected_sxsx,
     f_kernel,
@@ -305,24 +304,23 @@ def test_sigma_plus_time_array_edge_cases():
     assert back[0] == pytest.approx(np.conj(back[1]), abs=1e-13)
 
 
-def test_log_factors_exact_zero_rule():
-    # a zero factor at (i, j) zeroes the products of rows i and j; every
-    # other row is the plain product of its factors
-    rng = np.random.default_rng(4)
-    n = 7
-    f = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    f = 0.5 * (f + f.T)
-    np.fill_diagonal(f, 1.0)
-    f[2, 5] = f[5, 2] = 0.0
-    logs, zero = _log_factors(f)
-    assert np.array_equal(zero, f == 0.0)
-    assert np.all(np.isfinite(logs)) and np.all(logs[zero] == 0.0)
-    assert np.allclose(np.exp(logs[~zero]), f[~zero], rtol=1e-14, atol=0.0)
-    rows = np.exp(logs.sum(axis=1))
-    rows[zero.any(axis=1)] = 0.0
-    live = [k for k in range(n) if k not in (2, 5)]
-    assert rows[2] == 0.0 and rows[5] == 0.0
-    assert np.allclose(rows[live], np.prod(f, axis=1)[live], rtol=1e-13, atol=0.0)
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+def test_sigma_plus_multiplies_along_rows(gamma):
+    # couplings that pass the symmetry check but differ from their
+    # transpose by ~5e-13: the coherence must be the mean of the row
+    # products, not of the column products (off by over 1e-13)
+    rng = np.random.default_rng(14)
+    n, t = 40, 3.7
+    v = rand_couplings(n, rng, scale=4.0)
+    upper = np.triu_indices(n, 1)
+    v[upper] += 5e-13 * rng.choice([-1.0, 1.0], size=upper[0].size)
+    assert not np.array_equal(v, v.T)
+    proto = RamseyProtocol(1.0, False, gamma, 0.0)
+    factors = f_kernel(v * t, gamma * t, proto.theta, proto.beta)
+    np.fill_diagonal(factors, 1.0)
+    want = ising_core._envelope(proto, t) * np.prod(factors, axis=1).mean()
+    got = sigma_plus_couplings(v, proto, t)
+    assert abs(got - want) <= 1e-14 * abs(want)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.3])

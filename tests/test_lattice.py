@@ -161,11 +161,10 @@ def test_map_symmetry_and_bound():
     cmap = correlation_map(spec, t)
     assert np.nanmax(np.abs(cmap.values)) <= 0.25 + 1e-12
     # G(i, j) = G(j, i): the value at site j of the center-i map equals
-    # the value at site i of the center-j map
-    other = correlation_map(spec, t, center=6)
-    i_xy = divmod(cmap.center, 5)
-    j_xy = divmod(6, 5)
-    assert cmap.values[j_xy] == pytest.approx(other.values[i_xy], abs=1e-13)
+    # the correlator with the two sites swapped
+    cfg, pot, proto = spec.configuration(), spec.potential, spec.protocol
+    swapped = connected_sxsx(cfg, pot, proto, 6, cmap.center, t)
+    assert cmap.values[divmod(6, 5)] == pytest.approx(swapped, abs=1e-13)
 
 
 def test_map_d4_symmetry_at_center():
@@ -291,5 +290,3 @@ def test_lattice_spec_validation():
         LatticeSpec(True, 0.5, pot, proto)
     with pytest.raises(ParameterError):
         LatticeSpec(3, -0.5, pot, proto)
-    with pytest.raises(ParameterError):
-        correlation_map(fig_lattice(side=3), 0.5, center=9)
