@@ -43,6 +43,7 @@ from .errors import (
 from .ising_core import (
     RamseyProtocol,
     _envelope,
+    _row_products,
     f_kernel,
 )
 from .potential import (
@@ -439,7 +440,9 @@ def monte_carlo_gas(
     so each unordered pair is evaluated once: a block of rows [lo, hi)
     meets only the columns [lo, N) (one distance pass per block, reused
     at every time), and each pair factor multiplies both atoms' row
-    products, so an exact zero factor removes both atoms. Sampling is
+    products (a product down the columns for the atoms [lo, N), then
+    :func:`~rydramsey.ising_core._row_products` along the rows for the
+    atoms [lo, hi)), so an exact zero factor removes both atoms. Sampling is
     deterministic under the seed: sample s draws from
     SeedSequence(seed).spawn(n)[s].
 
@@ -499,8 +502,8 @@ def monte_carlo_gas(
             for it, t in enumerate(times):
                 f = f_kernel(v * t, proto.gamma * t, proto.theta, proto.beta)
                 f[:, : hi - lo][below] = 1.0
-                rows[it, lo:hi] *= f.prod(axis=1)
                 rows[it, lo:] *= f.prod(axis=0)
+                rows[it, lo:hi] *= _row_products(f)  # overwrites f, so it goes last
         samples[s_idx] = envelope * rows.mean(axis=1)
 
     mean = samples.mean(axis=0)
@@ -644,8 +647,9 @@ def _tau_window(spec: GasSpec) -> tuple:
     a crossing beyond it is reported as not found.
 
     Raises ParameterError when the gas has no decay channel, and when it
-    has one but t_lb or every asymptotic scale is 0 or inf in float64
-    (a gas so dense that tau_half lies below the smallest float).
+    has one but t_lb or hi is 0 or inf in float64 (a gas so dense that
+    tau_half lies below the smallest float, or so dilute that the slowest
+    scale lies beyond the largest one).
     """
     proto = spec.protocol
     pot = spec.potential
@@ -659,7 +663,8 @@ def _tau_window(spec: GasSpec) -> tuple:
         c = 2.0 * n_r * math.sqrt(2.0 * kappa * v0)
         if v0 != 0.0:
             a = low_density_amplitude(proto.beta)
-            est.append((ln2 / (a * n_r)) ** 2 / v0)
+            x = ln2 / (a * n_r)
+            est.append(x * x / v0)
             est.append((2.0 / v0) * math.sqrt(2.0 * ln2 / ((proto.beta + 1) * n_r)))
     else:
         b = 0.0
@@ -667,7 +672,8 @@ def _tau_window(spec: GasSpec) -> tuple:
         i_unit = _bare_i_tilde(math.copysign(1.0, pot.c6), 0.0, proto.theta, proto.beta).real
         coef = 4.0 * math.pi * spec.density * i_unit / 3.0
         if coef > 0:
-            est.append((ln2 / coef) ** 2 / abs(pot.c6))
+            x = ln2 / coef
+            est.append(x * x / abs(pot.c6))
     if proto.gamma > 0:
         est.append(2.0 * ln2 / proto.gamma)
     if proto.gamma_d > 0:
@@ -680,13 +686,13 @@ def _tau_window(spec: GasSpec) -> tuple:
     rate = proto.gamma / 2.0 + proto.gamma_d
     s = 2.0 * ln2 / (c + math.sqrt(c * c + 4.0 * rate * ln2))
     t_lb = max(s * s, ln2 / (rate + b)) if b > 0 else s * s
-    est = [e for e in est if 0.0 < e < math.inf]
-    if not est or t_lb == 0.0:
+    hi = 1e2 * max(est)
+    if not (0.0 < t_lb < math.inf and 0.0 < hi < math.inf):
         raise ParameterError(
             "the time scales of this gas underflow (or overflow) float64, "
             "so tau_half is not representable"
         )
-    return 0.99 * t_lb, 1e2 * max(est)
+    return 0.99 * t_lb, hi
 
 
 def tau_half(spec: GasSpec) -> float:

@@ -412,6 +412,25 @@ def test_monte_carlo_agrees_with_quadrature():
     assert abs(mc.mean[0] - exact) <= 3.0 * mc.stderr[0]
 
 
+@pytest.mark.parametrize("echo", [True, False])
+@pytest.mark.parametrize("route", ["spectral", "bare"])
+def test_monte_carlo_agrees_with_dissipative_and_bare_forms(route, echo):
+    # the exponent routes that criterion 03 (soft core, gamma = 0) does not
+    # reach: the soft-core spectral rule at gamma > 0 and the bare
+    # erf/Dawson form; one fixed seed, boxes above 20 interaction ranges
+    if route == "spectral":
+        sp = spec_at(0.3, 0.6, echo, gamma=0.3)  # V0 = 1: V0 t = 2, gamma/V0 = 0.3
+        n_atoms = 600
+    else:
+        bare = derive_potential(DressingParams(0.0, 0.0, -1.0), PotentialKind.BARE_VDW)
+        sp = GasSpec(0.05, bare, RamseyProtocol(0.9, echo, 0.5, 0.0))
+        n_atoms = 800
+    t = 2.0
+    mc = monte_carlo_gas(sp, [t], n_samples=24, n_atoms=n_atoms, seed=0)
+    exact = contrast_gas(sp, t)
+    assert abs(mc.mean[0] - exact) <= 3.0 * mc.stderr[0]
+
+
 @pytest.mark.filterwarnings("ignore::rydramsey.errors.BiasWarning")
 def test_monte_carlo_deterministic_per_seed():
     sp = spec_at(0.1, math.pi / 2, False)
@@ -456,8 +475,9 @@ def test_monte_carlo_samples_are_sigma_plus_couplings():
 @pytest.mark.parametrize("echo", [True, False])
 @pytest.mark.parametrize("gamma", [0.0, 0.2])
 def test_monte_carlo_samples_are_sigma_plus_couplings_across_blocks(kind, echo, gamma):
-    # 300 atoms span two row blocks of 256, the second one ragged, so
-    # pairs inside a block, across blocks and in the ragged block all count
+    # 300 and 301 atoms span two row blocks of 256, the second one ragged,
+    # so pairs inside a block, across blocks and in the ragged block all
+    # count; 301 gives odd row widths (301 and 45) to the row products
     if kind == "soft_core":
         pot = soft_core_potential()
         density = 3.0 * 0.5 / (4.0 * math.pi * pot.r_c**3)
@@ -465,8 +485,9 @@ def test_monte_carlo_samples_are_sigma_plus_couplings_across_blocks(kind, echo, 
         pot = derive_potential(DressingParams(0.0, 0.0, 8.0), PotentialKind.BARE_VDW)
         density = 0.04
     sp = GasSpec(density, pot, RamseyProtocol(1.1, echo, gamma, 0.05))
-    assert gas_average._MC_CHUNK < 300 < 2 * gas_average._MC_CHUNK
-    assert_samples_are_sigma_plus_couplings(sp, [0.7, 2.5], 300, 2, 7)
+    for n_atoms in (300, 301):
+        assert gas_average._MC_CHUNK < n_atoms < 2 * gas_average._MC_CHUNK
+        assert_samples_are_sigma_plus_couplings(sp, [0.7, 2.5], n_atoms, 2, 7)
 
 
 @pytest.mark.filterwarnings("ignore::rydramsey.errors.BiasWarning")
@@ -631,6 +652,20 @@ def test_tau_half_dense_bare_gas_underflow():
     assert silent.v0 == 0.0
     with pytest.raises(ParameterError, match="no decay channel"):
         tau_half(GasSpec(1e160, silent, proto))
+
+
+def test_tau_half_dilute_gas_overflow():
+    # at N_R = 1e-150 tau_1/2 ~ 4.9e301 us is still a float; at N_R = 1e-300,
+    # and for a bare gas at density 1e-300, the slowest scale overflows,
+    # which is reported rather than dropped from the window
+    proto = RamseyProtocol(math.pi / 2, False, 0.0, 0.0)
+    soft = soft_core_potential()
+    tau = tau_half(GasSpec.from_blockade_number(1e-150, soft, proto))
+    assert tau == pytest.approx(4.88e301, rel=1e-3)
+    bare = derive_potential(DressingParams(0.0, 0.0, -1e4), PotentialKind.BARE_VDW)
+    for sp in (GasSpec.from_blockade_number(1e-300, soft, proto), GasSpec(1e-300, bare, proto)):
+        with pytest.raises(ParameterError, match="overflow"):
+            tau_half(sp)
 
 
 def test_tau_half_unreachable_crossing_raises():

@@ -118,6 +118,63 @@ def test_kernel_extreme_decay_no_overflow():
         assert np.all(np.abs(val) <= 1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("beta", [0, 1])
+def test_kernel_g0_matches_complex_product_form(beta):
+    # the g = 0 branch writes real and imaginary parts in place; it must
+    # agree with the complex expressions c - i cos(theta) s (echo) and
+    # (c + i s)(c - i cos(theta) s) (no echo), c, s = cos, sin of X/2,
+    # to 4 ulp of 1 (|f| <= 1)
+    mag = np.array([0.0, 1e-9, 1e-3, 0.5, 3.0, 50.0, 1e4])
+    x = np.concatenate([-mag, mag])
+    c, s = np.cos(0.5 * x), np.sin(0.5 * x)
+    tol = 4.0 * np.spacing(1.0)
+    for theta in (0.0, 0.3, math.pi / 2, 2.6, math.pi):
+        want = c - 1j * np.cos(theta) * s
+        if beta == 1:
+            want = (c + 1j * s) * want
+        got = f_kernel(x, 0.0, theta, beta)
+        assert np.max(np.abs(got.real - want.real)) <= tol, theta
+        assert np.max(np.abs(got.imag - want.imag)) <= tol, theta
+
+
+@pytest.mark.parametrize("g", [0.0, 0.4])
+@pytest.mark.parametrize("beta", [0, 1])
+def test_kernel_return_types(g, beta):
+    for x in (0.7, np.float64(0.7), np.array(0.7)):
+        got = f_kernel(x, g, 1.1, beta)
+        assert type(got) is complex
+        assert got == pytest.approx(f_kernel(np.array([0.7]), g, 1.1, beta)[0], abs=1e-15)
+    for shape in ((0,), (3,), (2, 5)):
+        got = f_kernel(np.full(shape, 0.7), g, 1.1, beta)
+        assert got.shape == shape and got.dtype == complex
+
+
+@pytest.mark.parametrize("width", [*range(1, 18), 255, 256, 257, 4125])
+def test_row_products_match_prod(width):
+    # the float64 np.prod walks one rounding error per factor (up to about
+    # 1e-14 relative at width 4125), so the reference is the same product
+    # in extended precision
+    rng = np.random.default_rng(width)
+    shape = (3, width)
+    f = np.exp(rng.uniform(-0.05, 0.0, shape) + 1j * rng.uniform(-math.pi, math.pi, shape))
+    want = np.prod(f.astype(np.clongdouble), axis=1).astype(complex)
+    got = ising_core._row_products(f)
+    assert got.shape == (3,)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 16, 17, 45, 257])
+def test_row_products_exact_zero(width):
+    # row k has its zero in column k; the last row has none
+    rng = np.random.default_rng(width)
+    shape = (width + 1, width)
+    f = rng.uniform(0.5, 1.0, shape) * np.exp(1j * rng.uniform(-3.0, 3.0, shape))
+    f[np.arange(width), np.arange(width)] = 0.0
+    got = ising_core._row_products(f)
+    assert np.all(got[:width] == 0.0)
+    assert got[width] != 0.0
+
+
 def test_coherence_decay_exponent_constant():
     # calibrated against the master-equation module: e^{-gamma t / 2}
     assert COHERENCE_DECAY_EXPONENT == 0.5
