@@ -15,9 +15,8 @@ import numpy as np
 
 from rydramsey import (
     DimensionlessPoint,
-    Regime,
-    asymptotic_contrast,
     contrast_gas,
+    low_density_contrast,
     monte_carlo_gas,
     tau_half,
 )
@@ -40,7 +39,7 @@ pt = DimensionlessPoint(n_r=1e-2, v0t=9.0, theta=theta, beta=0)
 spec, t = pt.to_physical()
 print(f"N_R = 0.01, V0 t = 9: exact contrast "
       f"{abs(contrast_gas(spec, t)):.6f}, sqrt-law "
-      f"{asymptotic_contrast(pt, Regime.LOW).value:.6f}")
+      f"{low_density_contrast(pt.n_r, pt.v0t, pt.beta):.6f}")
 # dense side: invert the naive hard-core law (B = 1) for its half-time
 t_hard = 2.0 * math.acos(1.0 - math.log(2.0) / 100.0)
 print(f"N_R = 100: exact V0*tau = 0.26584, naive hard core gives "

@@ -40,17 +40,16 @@ from .ising_core import (
     sigma_plus_couplings,
 )
 from .gas_average import (
-    AsymptoticResult,
     DimensionlessPoint,
     GasSpec,
     MCResult,
-    Regime,
-    asymptotic_contrast,
     contrast_gas,
     contrast_gas_finite_n,
     exponent_integral,
     fit_hardcore_amplitude,
+    high_density_contrast,
     low_density_amplitude,
+    low_density_contrast,
     monte_carlo_gas,
     tau_half,
 )
@@ -76,7 +75,6 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticResult",
     "AtomConfiguration",
     "BiasWarning",
     "CapacityError",
@@ -94,13 +92,11 @@ __all__ = [
     "ParameterError",
     "PotentialKind",
     "RamseyProtocol",
-    "Regime",
     "RunConfig",
     "RydramseyError",
     "SingularityError",
     "UnsupportedRegimeError",
     "ValidityWarning",
-    "asymptotic_contrast",
     "blockade_number",
     "coherence_decay",
     "config_from_dict",
@@ -114,10 +110,12 @@ __all__ = [
     "exponent_integral",
     "f_kernel",
     "fit_hardcore_amplitude",
+    "high_density_contrast",
     "lattice_contrast",
     "lattice_positions",
     "load_config",
     "low_density_amplitude",
+    "low_density_contrast",
     "monte_carlo_gas",
     "parse_grid",
     "parse_quantity",

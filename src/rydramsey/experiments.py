@@ -24,15 +24,15 @@ from .errors import ConfigError
 from .gas_average import (
     DimensionlessPoint,
     GasSpec,
-    Regime,
     _soft_core_i_over_nr,
     _soft_core_i_over_nr_closed,
-    asymptotic_contrast,
     contrast_gas,
     contrast_gas_finite_n,
     exponent_integral,
     fit_hardcore_amplitude,
+    high_density_contrast,
     low_density_amplitude,
+    low_density_contrast,
     monte_carlo_gas,
     tau_half,
 )
@@ -216,15 +216,16 @@ def run_fig3(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         for label, proto in unitary.items()
     }
 
-    for tag, n_r, regime in (("low", 0.01, Regime.LOW), ("high", 100.0, Regime.HIGH)):
+    for tag, n_r in (("low", 0.01), ("high", 100.0)):
         cols = [
             np.abs(contrast_gas(GasSpec.from_blockade_number(n_r, pot, proto), times))
             for proto in unitary.values()
         ]
         for label, proto in unitary.items():
-            b = b_fit[label] if regime is Regime.HIGH else 1.0
-            points = (DimensionlessPoint(n_r, T, theta, proto.beta) for T in v0t)
-            cols.append([asymptotic_contrast(p, regime, b=b).value for p in points])
+            if tag == "low":
+                cols.append(low_density_contrast(n_r, v0t, proto.beta))
+            else:
+                cols.append(high_density_contrast(n_r, v0t, proto.beta, b_fit[label]))
         rows = zip(v0t, *cols)
         name = f"fig3_curve_{tag}.csv"
         _write_csv(
@@ -550,7 +551,7 @@ def run_validate(cfg: RunConfig | None, out_dir: str, seed: int = 0) -> dict:
         pt = DimensionlessPoint(n_r=0.01, v0t=10.0, theta=math.pi / 2.0, beta=beta)
         sp, tt = pt.to_physical()
         exact = abs(contrast_gas(sp, tt))
-        asym = asymptotic_contrast(pt, Regime.LOW).value
+        asym = low_density_contrast(pt.n_r, pt.v0t, beta)
         worst = max(worst, abs(exact - asym) / asym)
     record("low_density_sqrt_law", worst, 0.01)
 

@@ -23,7 +23,7 @@ pure-dephasing rate gamma_d never enters I; it is a global envelope.
 
 from __future__ import annotations
 
-import enum
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,15 +58,14 @@ from .potential import (
 __all__ = [
     "GasSpec",
     "DimensionlessPoint",
-    "Regime",
-    "AsymptoticResult",
     "MCResult",
     "exponent_integral",
     "contrast_gas",
     "contrast_gas_finite_n",
     "monte_carlo_gas",
     "low_density_amplitude",
-    "asymptotic_contrast",
+    "low_density_contrast",
+    "high_density_contrast",
     "fit_hardcore_amplitude",
     "tau_half",
 ]
@@ -80,6 +79,12 @@ _MC_CHUNK = 256
 # |T| = |V0 t| up to which the soft-core exponent is summed as a Taylor
 # series in T, where 1 - f loses digits to cancellation.
 _T_TAYLOR = 0.1
+
+# h = |y|/2 from which K(y) takes its Bessel functions from Hankel's
+# asymptotic series, summed to _HANKEL_TERMS terms, instead of scipy's
+# j0/j1.
+_H_HANKEL = 100.0
+_HANKEL_TERMS = 12
 
 
 @dataclass(frozen=True)
@@ -267,17 +272,52 @@ def _soft_core_i_over_nr(T: float, g: float, theta: float, beta: int) -> complex
     return total if T >= 0 else total.conjugate()
 
 
+def _hankel_coefficients(nu: int) -> list:
+    """c_k, k < _HANKEL_TERMS, of Hankel's expansion
+    H^(1)_nu(h) e^{-ih} ~ h^(-1/2) sum_k c_k h^-k, that is
+    c_k = sqrt(2/pi) e^{-i(nu pi/2 + pi/4)} i^k prod_{j<=k} (4 nu^2 - (2j-1)^2) / (8j).
+    """
+    c = [math.sqrt(2.0 / math.pi) * cmath.exp(-0.25j * math.pi * (2 * nu + 1))]
+    for k in range(1, _HANKEL_TERMS):
+        c.append(c[-1] * 1j * (4 * nu * nu - (2 * k - 1) ** 2) / (8 * k))
+    return c
+
+
+# highest order first, for Horner's rule in _hankel_series
+_HANKEL_C0 = _hankel_coefficients(0)[::-1]
+_HANKEL_C1 = _hankel_coefficients(1)[::-1]
+
+
+def _hankel_series(coefficients: list, h: float) -> complex:
+    """a_nu = H^(1)_nu(h) e^{-ih} = h^(-1/2) sum_k c_k h^-k."""
+    s = 0j
+    for c in coefficients:
+        s = s / h + c
+    return s / math.sqrt(h)
+
+
 def _k_bessel(y: float) -> complex:
     """K(y) = integral_0^inf [1 - e^{i y/(1+u^2)}] du in closed form.
 
-    K(y) = -pi (y/2) e^{i y/2} [J_1(y/2) + i J_0(y/2)] for y >= 0 and
-    K(-y) = conj(K(y)). Verified against direct quadrature to machine
-    precision; reproduces K(y) ~ sqrt(pi y / 2) (1 - i) for large y,
-    which is where the low-density amplitudes come from.
+    K(y) = -pi h [e^{ih} J_1(h) + i e^{ih} J_0(h)], h = |y|/2, for y >= 0
+    and K(-y) = conj(K(y)); K(y) ~ sqrt(pi y / 2) (1 - i) for large y,
+    which is where the low-density amplitudes come from. Below
+    h = _H_HANKEL the Bessel functions come from scipy. Above it, where
+    scipy's j0/j1 round their phase h - pi/4 before reducing it (a 1e-9
+    error at y = 1e8, O(1) beyond 1e16), e^{ih} J_nu(h) =
+    [a_nu e^{2ih} + conj(a_nu)] / 2 with a_nu = H^(1)_nu(h) e^{-ih} from
+    :func:`_hankel_series`: exp reduces the exact argument 2h, and
+    12 terms of the series are at rounding level for h >= 100.
     """
     h = abs(y) / 2.0
-    val = -math.pi * h * np.exp(1j * h) * (j1(h) + 1j * j0(h))
-    return complex(val) if y >= 0 else complex(np.conj(val))
+    if h < _H_HANKEL:
+        val = -math.pi * h * np.exp(1j * h) * (j1(h) + 1j * j0(h))
+        return complex(val) if y >= 0 else complex(np.conj(val))
+    a0 = _hankel_series(_HANKEL_C0, h)
+    a1 = _hankel_series(_HANKEL_C1, h)
+    e2 = cmath.exp(2j * h)
+    val = -0.5 * math.pi * h * (a1 * e2 + a1.conjugate() + 1j * (a0 * e2 + a0.conjugate()))
+    return val if y >= 0 else val.conjugate()
 
 
 def _soft_core_i_over_nr_closed(T: float, theta: float, beta: int) -> complex:
@@ -522,13 +562,6 @@ def monte_carlo_gas(
     )
 
 
-class Regime(enum.Enum):
-    """Density regime of the asymptotic contrast law."""
-
-    LOW = "low"
-    HIGH = "high"
-
-
 def low_density_amplitude(beta: int) -> float:
     """A in C = exp(-A N_R sqrt(V0 t)): sqrt(pi)/2^(1 + beta/2).
 
@@ -539,71 +572,53 @@ def low_density_amplitude(beta: int) -> float:
     return math.sqrt(math.pi) / 2 ** (1 + beta / 2)
 
 
-@dataclass(frozen=True)
-class AsymptoticResult:
-    """Asymptotic contrast value with its validity annotation.
-
-    in_validity_domain records whether N_R sits on the side of 1 the
-    formula was derived for; using a regime outside its domain is
-    allowed (for plotting overlays) but flagged.
-    """
-
-    value: float
-    regime: Regime
-    n_r: float
-    v0t: float
-    amplitude: float
-    in_validity_domain: bool
-
-
-def asymptotic_contrast(
-    point: DimensionlessPoint, regime: Regime, b: float = 1.0
-) -> AsymptoticResult:
-    """Low/high-density closed-form contrast at theta = pi/2, gamma = 0.
-
-    LOW: exp(-A N_R sqrt(V0 t)) with the exact amplitude
-    A = sqrt(pi)/2^(1 + beta/2). HIGH: exp(-B N_R (1 - cos^(beta+1)(V0 t / 2))),
-    the hard-core-plateau result; B = 1 is the bare hard-core value and
-    callers may pass a fitted B (see fit_hardcore_amplitude).
-    """
-    if abs(point.theta - math.pi / 2.0) > 1e-12 or point.gamma_over_v0 != 0.0:
-        raise UnsupportedRegimeError(
-            "asymptotic laws are quoted for theta = pi/2 and gamma = 0"
-        )
-    if point.v0t < 0:
+def _law_v0t(n_r: float, v0t, beta: int) -> np.ndarray:
+    """``v0t`` as an array, after the input checks the two laws share."""
+    if beta not in (0, 1):
+        raise ParameterError(f"beta must be 0 or 1, got {beta!r}")
+    if not n_r > 0:
+        raise ParameterError("n_r must be positive")
+    v0t = np.asarray(v0t, dtype=float)
+    if not np.all(v0t >= 0):
         raise ParameterError("asymptotic laws need V0 t >= 0")
-    if regime is Regime.LOW:
-        a = low_density_amplitude(point.beta)
-        value = math.exp(-a * point.n_r * math.sqrt(point.v0t))
-        return AsymptoticResult(
-            value=value,
-            regime=regime,
-            n_r=point.n_r,
-            v0t=point.v0t,
-            amplitude=a,
-            in_validity_domain=point.n_r <= 1.0,
-        )
-    if regime is Regime.HIGH:
-        value = math.exp(
-            -b * point.n_r * (1.0 - math.cos(point.v0t / 2.0) ** (point.beta + 1))
-        )
-        return AsymptoticResult(
-            value=value,
-            regime=regime,
-            n_r=point.n_r,
-            v0t=point.v0t,
-            amplitude=b,
-            in_validity_domain=point.n_r >= 1.0,
-        )
-    raise ParameterError(f"unknown regime {regime!r}")
+    return v0t
+
+
+def _hardcore_profile(v0t, beta: int):
+    """1 - cos^(beta+1)(V0 t / 2): the plateau law's exponent per unit b N_R."""
+    return 1.0 - np.cos(v0t / 2.0) ** (beta + 1)
+
+
+def low_density_contrast(n_r: float, v0t, beta: int):
+    """Dilute-gas square-root law exp(-A N_R sqrt(V0 t)), A = low_density_amplitude(beta).
+
+    The law holds at theta = pi/2 and gamma = 0, for N_R << 1. ``v0t`` is
+    a float (returns a float) or an array (returns an array of its shape).
+    """
+    v0t = _law_v0t(n_r, v0t, beta)
+    out = np.exp(-low_density_amplitude(beta) * n_r * np.sqrt(v0t))
+    return float(out) if out.ndim == 0 else out
+
+
+def high_density_contrast(n_r: float, v0t, beta: int, b: float = 1.0):
+    """Blockaded-gas plateau law exp(-b N_R (1 - cos^(beta+1)(V0 t / 2))).
+
+    The law holds at theta = pi/2 and gamma = 0, for N_R >> 1. b = 1 is
+    the bare hard-core value; :func:`fit_hardcore_amplitude` gives a
+    fitted one. ``v0t`` is a float (returns a float) or an array (returns
+    an array of its shape).
+    """
+    v0t = _law_v0t(n_r, v0t, beta)
+    out = np.exp(-b * n_r * _hardcore_profile(v0t, beta))
+    return float(out) if out.ndim == 0 else out
 
 
 def fit_hardcore_amplitude(spec: GasSpec, times) -> float:
-    """Least-squares B for the high-density law against the exact exponent.
+    """Least-squares b of :func:`high_density_contrast` against the exact exponent.
 
-    Fits Re I(t) = B * N_R (1 - cos^(beta+1)(V0 t / 2)) through the
-    origin over the provided times. theta = pi/2, gamma = 0 only, same
-    as the law itself.
+    Fits Re I(t) = b * N_R (1 - cos^(beta+1)(V0 t / 2)) through the
+    origin over the provided times, with the predictor the plateau law
+    itself uses. theta = pi/2, gamma = 0 only, same as the law.
     """
     proto = spec.protocol
     if abs(proto.theta - math.pi / 2.0) > 1e-12 or proto.gamma != 0.0:
@@ -616,7 +631,7 @@ def fit_hardcore_amplitude(spec: GasSpec, times) -> float:
     if times.size < 2 or np.any(times <= 0):
         raise ParameterError("need at least two positive times to fit B")
     v0 = spec.potential.v0
-    x = spec.n_r * (1.0 - np.cos(v0 * times / 2.0) ** (proto.beta + 1))
+    x = spec.n_r * _hardcore_profile(v0 * times, proto.beta)
     y = np.array([exponent_integral(spec, t).real for t in times])
     denom = float(np.dot(x, x))
     if denom == 0.0:
@@ -642,9 +657,15 @@ def _tau_window(spec: GasSpec) -> tuple:
     two, so no crossing lies below it; both bounds grow strictly with t,
     so lo = 0.99 t_lb keeps the first probe strictly above 1/2.
 
-    hi = 100 times the slowest asymptotic scale (the soft-core low- and
-    high-density laws or the bare square-root law, emission, dephasing):
-    a crossing beyond it is reported as not found.
+    hi is a ceiling beyond which a crossing is reported as not found. With
+    dissipation (rate > 0) it is proven: Re I >= 0, so |contrast| /
+    sin(theta) <= e^{-rate t} and the crossing lies at or below
+    ln 2 / rate; hi = 100 ln 2 / rate. Without, hi = 100 times the slowest
+    interaction scale: the soft-core low- and high-density laws, or the
+    bare square-root law. The soft-core laws are quoted at theta = pi/2;
+    without echo Re I = sin^2(theta/2) N_R Re K(V0 t) (see
+    :func:`_soft_core_i_over_nr_closed`), so there N_R enters both scales
+    weighted by 2 sin^2(theta/2) = 1 - cos(theta), which is 1 at pi/2.
 
     Raises ParameterError when the gas has no decay channel, and when it
     has one but t_lb or hi is 0 or inf in float64 (a gas so dense that
@@ -661,7 +682,9 @@ def _tau_window(spec: GasSpec) -> tuple:
         n_r = spec.n_r
         b = 0.5 * math.pi * n_r * kappa * v0
         c = 2.0 * n_r * math.sqrt(2.0 * kappa * v0)
-        if v0 != 0.0:
+        if proto.beta == 1:  # the laws' N_R, weighted for theta != pi/2
+            n_r *= 2.0 * math.sin(proto.theta / 2.0) ** 2
+        if v0 != 0.0 and n_r > 0.0:
             a = low_density_amplitude(proto.beta)
             x = ln2 / (a * n_r)
             est.append(x * x / v0)
@@ -674,19 +697,18 @@ def _tau_window(spec: GasSpec) -> tuple:
         if coef > 0:
             x = ln2 / coef
             est.append(x * x / abs(pot.c6))
-    if proto.gamma > 0:
-        est.append(2.0 * ln2 / proto.gamma)
-    if proto.gamma_d > 0:
-        est.append(ln2 / proto.gamma_d)
-    if not est:
+    rate = proto.gamma / 2.0 + proto.gamma_d
+    if rate > 0:
+        hi = 1e2 * (ln2 / rate)
+    elif est:
+        hi = 1e2 * max(est)
+    else:
         raise ParameterError(
             "no decay channel at all (no interactions, no dissipation); "
             "the contrast never reaches half"
         )
-    rate = proto.gamma / 2.0 + proto.gamma_d
     s = 2.0 * ln2 / (c + math.sqrt(c * c + 4.0 * rate * ln2))
     t_lb = max(s * s, ln2 / (rate + b)) if b > 0 else s * s
-    hi = 1e2 * max(est)
     if not (0.0 < t_lb < math.inf and 0.0 < hi < math.inf):
         raise ParameterError(
             "the time scales of this gas underflow (or overflow) float64, "
@@ -703,11 +725,22 @@ def tau_half(spec: GasSpec) -> float:
     exists, until the half level is bracketed, then polishes the bracket
     with brentq to relative accuracy well below 1e-6.
 
+    It returns a crossing inside the first grid step that brackets 1/2,
+    which is not always the smallest one: |contrast| need not fall
+    monotonically, and a dilute unitary echo gas crosses 1/2 three times
+    within about 0.2 % (at N_R = 10^-1.8 ~ 0.0158, at V0 t = 2433.58,
+    2436.21 and 2439.14). One grid step spans that cluster, and which
+    crossing brentq polishes depends on where the grid points fall: some
+    other window ceilings pick 2439.14 there. The grid's end points
+    come from :func:`_tau_window`, so its results stay put only as long
+    as the window does.
+
     Raises
     ------
     CrossingNotFoundError
-        No crossing within the search window; diagnostics carry the
-        largest time probed and the contrast ratio there.
+        No crossing within the search window, which happens only without
+        emission and dephasing; diagnostics carry the largest time probed
+        and the contrast ratio there.
     """
     proto = spec.protocol
     c0 = abs(np.sin(proto.theta))

@@ -9,7 +9,6 @@ from scipy.special import beta as beta_function
 from rydramsey import gas_average
 from rydramsey.errors import (
     BiasWarning,
-    CrossingNotFoundError,
     NumericalError,
     ParameterError,
     UnsupportedRegimeError,
@@ -18,18 +17,18 @@ from rydramsey.errors import (
 from rydramsey.gas_average import (
     DimensionlessPoint,
     GasSpec,
-    Regime,
     _bare_i_tilde,
     _kernel_taylor,
     _soft_core_h,
     _soft_core_i_over_nr,
     _soft_core_i_over_nr_closed,
-    asymptotic_contrast,
     contrast_gas,
     contrast_gas_finite_n,
     exponent_integral,
     fit_hardcore_amplitude,
+    high_density_contrast,
     low_density_amplitude,
+    low_density_contrast,
     monte_carlo_gas,
     tau_half,
 )
@@ -539,22 +538,34 @@ def test_low_density_asymptote_accuracy():
             )
             sp, t = point.to_physical()
             exact = abs(contrast_gas(sp, t))
-            res = asymptotic_contrast(point, Regime.LOW)
-            assert res.value == pytest.approx(exact, rel=0.01)
-            assert res.in_validity_domain
+            assert low_density_contrast(0.01, v0t, beta) == pytest.approx(exact, rel=0.01)
 
 
 def test_high_density_asymptote_form():
     # the returned value is exactly the hard-core exponential; no hidden
     # corrections sneak in
     for beta, v0t in ((0, 1.0), (1, 0.7)):
-        pt = DimensionlessPoint(n_r=100.0, v0t=v0t, theta=math.pi / 2, beta=beta)
-        res = asymptotic_contrast(pt, Regime.HIGH, b=1.3)
+        value = high_density_contrast(100.0, v0t, beta, b=1.3)
         want = math.exp(
             -1.3 * 100.0 * (1.0 - math.cos(0.5 * v0t) ** (beta + 1))
         )
-        assert res.value == pytest.approx(want, rel=1e-12)
-        assert res.in_validity_domain
+        assert value == pytest.approx(want, rel=1e-12)
+    # a float gives a float, an array its own shape, elementwise the float
+    # values; both laws equal 1 at V0 t = 0
+    v0t = np.array([0.0, 0.01, 1.0, 20.0])
+    for law in (low_density_contrast, high_density_contrast):
+        for beta in (0, 1):
+            assert type(law(0.5, 1.0, beta)) is float
+            values = law(0.5, v0t, beta)
+            assert values.shape == v0t.shape
+            assert values[0] == 1.0
+            for got, x in zip(values, v0t):
+                assert got == pytest.approx(law(0.5, float(x), beta), rel=4e-16)
+        for n_r, x, beta in ((0.5, 1.0, 2), (0.0, 1.0, 0), (-1.0, 1.0, 1),
+                             (0.5, -1e-3, 0), (0.5, np.array([1.0, -2.0]), 1),
+                             (0.5, math.nan, 0)):
+            with pytest.raises(ParameterError):
+                law(n_r, x, beta)
 
 
 def test_high_density_fitted_b_and_half_time():
@@ -577,27 +588,6 @@ def test_high_density_fitted_b_and_half_time():
         t_pred = 2.0 * math.acos((1.0 - target) ** (1.0 / (beta + 1)))
         assert t_pred == pytest.approx(
             sp.potential.v0 * tau_half(sp), rel=tau_rel
-        )
-
-
-def test_asymptote_domain_flags():
-    low_out = asymptotic_contrast(
-        DimensionlessPoint(n_r=50.0, v0t=1.0, theta=math.pi / 2, beta=0), Regime.LOW
-    )
-    assert not low_out.in_validity_domain
-
-
-def test_asymptote_regime_restrictions():
-    with pytest.raises(UnsupportedRegimeError):
-        asymptotic_contrast(
-            DimensionlessPoint(n_r=0.01, v0t=1.0, theta=0.3, beta=0), Regime.LOW
-        )
-    with pytest.raises(UnsupportedRegimeError):
-        asymptotic_contrast(
-            DimensionlessPoint(
-                n_r=0.01, v0t=1.0, theta=math.pi / 2, beta=0, gamma_over_v0=0.1
-            ),
-            Regime.LOW,
         )
 
 
@@ -655,25 +645,52 @@ def test_tau_half_dense_bare_gas_underflow():
 
 
 def test_tau_half_dilute_gas_overflow():
-    # at N_R = 1e-150 tau_1/2 ~ 4.9e301 us is still a float; at N_R = 1e-300,
-    # and for a bare gas at density 1e-300, the slowest scale overflows,
-    # which is reported rather than dropped from the window
+    # at N_R = 1e-150 tau_1/2 ~ 1.2e300 us is still a float and follows the
+    # square-root law; at N_R = 1e-300, and for a bare gas at density
+    # 1e-300, the slowest scale overflows, which is reported rather than
+    # dropped from the window
     proto = RamseyProtocol(math.pi / 2, False, 0.0, 0.0)
     soft = soft_core_potential()
     tau = tau_half(GasSpec.from_blockade_number(1e-150, soft, proto))
-    assert tau == pytest.approx(4.88e301, rel=1e-3)
+    law = (math.log(2.0) / (low_density_amplitude(1) * 1e-150)) ** 2 / soft.v0
+    assert tau == pytest.approx(law, rel=1e-9)
     bare = derive_potential(DressingParams(0.0, 0.0, -1e4), PotentialKind.BARE_VDW)
     for sp in (GasSpec.from_blockade_number(1e-300, soft, proto), GasSpec(1e-300, bare, proto)):
         with pytest.raises(ParameterError, match="overflow"):
             tau_half(sp)
+    # with emission the envelope bounds the crossing, whatever the density
+    gamma = 0.1
+    sp = GasSpec.from_blockade_number(1e-300, soft, RamseyProtocol(math.pi / 2, False, gamma, 0.0))
+    assert tau_half(sp) == pytest.approx(2.0 * math.log(2.0) / gamma, rel=1e-6)
 
 
-def test_tau_half_unreachable_crossing_raises():
-    # theta = pi/20 non-echo dilute: the decay amplitude is suppressed by
-    # sin^2(theta/2) ~ 6e-3, pushing the crossing orders of magnitude past
-    # the bracketing window; the solver must report that, not extrapolate
-    with pytest.raises(CrossingNotFoundError):
-        tau_half(spec_at(1e-6, math.pi / 20, False))
+def test_tau_half_small_theta_follows_sqrt_law():
+    # without echo the decay amplitude is weighted by 2 sin^2(theta/2) =
+    # 1 - cos(theta): at theta = pi/20 that puts the crossing at V0 t ~ 8e15,
+    # at theta = 0.3 about 501 times later than at pi/2
+    a = low_density_amplitude(1)
+    for theta, n_r, want in ((math.pi / 20, 1e-6, 8.07e15), (0.3, 1e-3, 6.133e8)):
+        sp = spec_at(n_r, theta, False)
+        law = (math.log(2.0) / (a * n_r * (1.0 - math.cos(theta)))) ** 2 / sp.potential.v0
+        assert law == pytest.approx(want, rel=1e-3)
+        assert tau_half(sp) == pytest.approx(law, rel=1e-6)
+    for n_r in (1e-2, 1.0):
+        sp = spec_at(n_r, 0.3, False)
+        assert abs(contrast_gas(sp, tau_half(sp))) == pytest.approx(0.5 * math.sin(0.3), rel=1e-8)
+
+
+def test_k_bessel_large_argument():
+    # K(y) -> sqrt(pi y / 2) (1 - i), with corrections below 1/y, far past
+    # where scipy's j0/j1 lose their phase; the Bessel and Hankel-series
+    # forms meet at the switch
+    for y in np.geomspace(1e3, 1e300, 75):
+        want = math.sqrt(math.pi * y / 2.0) * (1.0 - 1j)
+        assert abs(gas_average._k_bessel(y) / want - 1.0) <= 1.0 / y + 1e-15
+        assert abs(gas_average._k_bessel(-y) / want.conjugate() - 1.0) <= 1.0 / y + 1e-15
+    switch = 2.0 * gas_average._H_HANKEL
+    below = gas_average._k_bessel(float(np.nextafter(switch, 0.0)))
+    above = gas_average._k_bessel(switch)
+    assert abs(below - above) <= 1e-14 * abs(above)
 
 
 @pytest.mark.parametrize("beta", [0, 1])
