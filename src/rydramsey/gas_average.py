@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -657,59 +658,43 @@ def _tau_window(spec: GasSpec) -> tuple:
     two, so no crossing lies below it; both bounds grow strictly with t,
     so lo = 0.99 t_lb keeps the first probe strictly above 1/2.
 
-    hi is a ceiling beyond which a crossing is reported as not found. With
-    dissipation (rate > 0) it is proven: Re I >= 0, so |contrast| /
-    sin(theta) <= e^{-rate t} and the crossing lies at or below
-    ln 2 / rate; hi = 100 ln 2 / rate. Without, hi = 100 times the slowest
-    interaction scale: the soft-core low- and high-density laws, or the
-    bare square-root law. The soft-core laws are quoted at theta = pi/2;
-    without echo Re I = sin^2(theta/2) N_R Re K(V0 t) (see
-    :func:`_soft_core_i_over_nr_closed`), so there N_R enters both scales
-    weighted by 2 sin^2(theta/2) = 1 - cos(theta), which is 1 at pi/2.
+    hi is the ceiling where the scan gives up. With dissipation
+    (rate > 0) it is proven: Re I >= 0, so |contrast| / sin(theta) <=
+    e^{-rate t} and the crossing lies at or below ln 2 / rate;
+    hi = 100 ln 2 / rate, capped at the largest float64. Without, hi is
+    the largest float64.
 
-    Raises ParameterError when the gas has no decay channel, and when it
-    has one but t_lb or hi is 0 or inf in float64 (a gas so dense that
-    tau_half lies below the smallest float, or so dilute that the slowest
-    scale lies beyond the largest one).
+    The arithmetic runs in Python floats, which overflow to inf silently
+    where numpy scalars (a CLI grid's N_R) would warn.
+
+    Raises ParameterError when the gas has no decay channel (rate = 0 and
+    c = 0), and when t_lb is 0 or inf in float64 (a gas so dense that
+    tau_half lies below the smallest float, or so dilute that the floor
+    lies beyond the largest one).
     """
     proto = spec.protocol
     pot = spec.potential
-    est = []
     ln2 = math.log(2.0)
     kappa = 1.0 if proto.beta == 1 else 0.5
     if pot.kind is PotentialKind.SOFT_CORE:
         v0 = abs(pot.v0)
-        n_r = spec.n_r
+        n_r = float(spec.n_r)
         b = 0.5 * math.pi * n_r * kappa * v0
         c = 2.0 * n_r * math.sqrt(2.0 * kappa * v0)
-        if proto.beta == 1:  # the laws' N_R, weighted for theta != pi/2
-            n_r *= 2.0 * math.sin(proto.theta / 2.0) ** 2
-        if v0 != 0.0 and n_r > 0.0:
-            a = low_density_amplitude(proto.beta)
-            x = ln2 / (a * n_r)
-            est.append(x * x / v0)
-            est.append((2.0 / v0) * math.sqrt(2.0 * ln2 / ((proto.beta + 1) * n_r)))
     else:
         b = 0.0
-        c = 8.0 * math.pi / 3.0 * spec.density * math.sqrt(2.0 * kappa * abs(pot.c6))
-        i_unit = _bare_i_tilde(math.copysign(1.0, pot.c6), 0.0, proto.theta, proto.beta).real
-        coef = 4.0 * math.pi * spec.density * i_unit / 3.0
-        if coef > 0:
-            x = ln2 / coef
-            est.append(x * x / abs(pot.c6))
+        c = 8.0 * math.pi / 3.0 * float(spec.density) * math.sqrt(2.0 * kappa * abs(pot.c6))
     rate = proto.gamma / 2.0 + proto.gamma_d
-    if rate > 0:
-        hi = 1e2 * (ln2 / rate)
-    elif est:
-        hi = 1e2 * max(est)
-    else:
+    if rate == 0.0 and c == 0.0:
         raise ParameterError(
             "no decay channel at all (no interactions, no dissipation); "
             "the contrast never reaches half"
         )
+    big = sys.float_info.max
+    hi = 1e2 * ln2 / rate if rate > 1e2 * ln2 / big else big
     s = 2.0 * ln2 / (c + math.sqrt(c * c + 4.0 * rate * ln2))
     t_lb = max(s * s, ln2 / (rate + b)) if b > 0 else s * s
-    if not (0.0 < t_lb < math.inf and 0.0 < hi < math.inf):
+    if not 0.0 < t_lb < math.inf:
         raise ParameterError(
             "the time scales of this gas underflow (or overflow) float64, "
             "so tau_half is not representable"
@@ -720,27 +705,28 @@ def _tau_window(spec: GasSpec) -> tuple:
 def tau_half(spec: GasSpec) -> float:
     """Smallest t with |contrast(t)| = |contrast(0)| / 2, us.
 
-    Probes contrast_gas on a logarithmic grid (25 points per decade) from
-    the proven floor of :func:`_tau_window`, below which no crossing
-    exists, until the half level is bracketed, then polishes the bracket
-    with brentq to relative accuracy well below 1e-6.
+    Probes contrast_gas at lo 10^(k/25), k = 0, 1, 2, ..., from the proven
+    floor lo of :func:`_tau_window`, below which no crossing exists, until
+    the half level is bracketed, then polishes the bracket with brentq to
+    relative accuracy well below 1e-6. The probe points come from the
+    floor alone; the window's ceiling only decides where the scan gives
+    up.
 
     It returns a crossing inside the first grid step that brackets 1/2,
     which is not always the smallest one: |contrast| need not fall
-    monotonically, and a dilute unitary echo gas crosses 1/2 three times
-    within about 0.2 % (at N_R = 10^-1.8 ~ 0.0158, at V0 t = 2433.58,
-    2436.21 and 2439.14). One grid step spans that cluster, and which
-    crossing brentq polishes depends on where the grid points fall: some
-    other window ceilings pick 2439.14 there. The grid's end points
-    come from :func:`_tau_window`, so its results stay put only as long
-    as the window does.
+    monotonically, and one grid step can span a cluster of crossings. A
+    dilute unitary echo gas crosses 1/2 three times within about 0.2 %
+    (at N_R = 10^-1.8 ~ 0.0158, at V0 t = 2433.58, 2436.21 and 2439.14;
+    this grid returns the first), and at N_R = 0.01 the scan returns
+    V0 t = 6121.119 where the first crossing is 6115.56.
 
     Raises
     ------
     CrossingNotFoundError
-        No crossing within the search window, which happens only without
-        emission and dephasing; diagnostics carry the largest time probed
-        and the contrast ratio there.
+        No crossing below the ceiling: with emission or dephasing this
+        cannot happen, and without them it means no crossing below the
+        largest float64 time. Diagnostics carry the ceiling and the
+        contrast ratio at the last probe.
     """
     proto = spec.protocol
     c0 = abs(np.sin(proto.theta))
@@ -751,7 +737,11 @@ def tau_half(spec: GasSpec) -> float:
         return abs(contrast_gas(spec, t)) / c0
 
     lo, hi = _tau_window(spec)
-    grid = np.geomspace(lo, hi, int(25 * math.log10(hi / lo)) + 2)
+    # in log space: hi / lo and lo * 10^(k/25) can overflow, and the
+    # strict bound keeps 10^exponent finite when hi is the largest float
+    log_lo, log_hi = math.log10(lo), math.log10(hi)
+    exponents = log_lo + np.arange(int(25 * (log_hi - log_lo)) + 1) / 25
+    grid = 10.0 ** exponents[exponents < log_hi]
     t_prev, r_prev = grid[0], ratio(grid[0])
     for t in grid[1:]:
         r = ratio(t)
@@ -767,6 +757,6 @@ def tau_half(spec: GasSpec) -> float:
             )
         t_prev, r_prev = t, r
     raise CrossingNotFoundError(
-        "contrast did not reach half within the search window",
+        "contrast did not reach half below the search ceiling",
         diagnostics={"max_time": float(hi), "ratio_at_max": float(r_prev)},
     )

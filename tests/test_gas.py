@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.special import beta as beta_function
 from rydramsey import gas_average
 from rydramsey.errors import (
     BiasWarning,
+    CrossingNotFoundError,
     NumericalError,
     ParameterError,
     UnsupportedRegimeError,
@@ -645,15 +647,20 @@ def test_tau_half_dense_bare_gas_underflow():
 
 
 def test_tau_half_dilute_gas_overflow():
-    # at N_R = 1e-150 tau_1/2 ~ 1.2e300 us is still a float and follows the
-    # square-root law; at N_R = 1e-300, and for a bare gas at density
-    # 1e-300, the slowest scale overflows, which is reported rather than
-    # dropped from the window
+    # without dissipation the scan runs up to the largest float: at
+    # N_R = 1e-150 and 1e-154 tau_1/2 ~ 1.2e300 and 1.2e308 us follows the
+    # square-root law, at 2e-155 it lies beyond the largest float; at
+    # N_R = 1e-300, and for a bare gas at density 1e-300, the proven floor
+    # itself overflows, which is reported rather than scanned from
     proto = RamseyProtocol(math.pi / 2, False, 0.0, 0.0)
     soft = soft_core_potential()
-    tau = tau_half(GasSpec.from_blockade_number(1e-150, soft, proto))
-    law = (math.log(2.0) / (low_density_amplitude(1) * 1e-150)) ** 2 / soft.v0
-    assert tau == pytest.approx(law, rel=1e-9)
+    for n_r in (1e-150, 1e-154):
+        tau = tau_half(GasSpec.from_blockade_number(n_r, soft, proto))
+        law = (math.log(2.0) / (low_density_amplitude(1) * n_r)) ** 2 / soft.v0
+        assert tau == pytest.approx(law, rel=1e-9)
+    with pytest.raises(CrossingNotFoundError) as err:
+        tau_half(GasSpec.from_blockade_number(2e-155, soft, proto))
+    assert err.value.diagnostics["max_time"] == sys.float_info.max
     bare = derive_potential(DressingParams(0.0, 0.0, -1e4), PotentialKind.BARE_VDW)
     for sp in (GasSpec.from_blockade_number(1e-300, soft, proto), GasSpec(1e-300, bare, proto)):
         with pytest.raises(ParameterError, match="overflow"):
@@ -662,6 +669,37 @@ def test_tau_half_dilute_gas_overflow():
     gamma = 0.1
     sp = GasSpec.from_blockade_number(1e-300, soft, RamseyProtocol(math.pi / 2, False, gamma, 0.0))
     assert tau_half(sp) == pytest.approx(2.0 * math.log(2.0) / gamma, rel=1e-6)
+
+
+def test_tau_window_takes_numpy_scalars_without_warnings():
+    # CLI grids pass N_R as a numpy scalar; the window's squares must not
+    # overflow as np.float64 at either end of the float range
+    proto = RamseyProtocol(math.pi / 2, False, 0.0, 0.0)
+    soft = soft_core_potential()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        dense = GasSpec.from_blockade_number(np.float64(1e306), soft, proto)
+        assert 0.0 < tau_half(dense) < math.inf
+        dilute = GasSpec.from_blockade_number(np.float64(1e-155), soft, proto)
+        with pytest.raises(ParameterError, match="overflow"):
+            tau_half(dilute)
+
+
+def test_tau_half_does_not_depend_on_the_ceiling(monkeypatch):
+    # the probes sit at lo 10^(k/25) whatever the ceiling, so a cluster of
+    # crossings (unitary echo gas at N_R = 10^-1.8: V0 t = 2433.58, 2436.21,
+    # 2439.14) resolves to the same crossing for every ceiling above it;
+    # on a grid spanning lo to hi, the ceilings 1.7e5, 3.7e5 and 2.4e6
+    # returned 2439.14
+    sp = spec_at(10**-1.8, math.pi / 2, True)
+    tau = tau_half(sp)
+    assert sp.potential.v0 * tau == pytest.approx(2433.5797, abs=1e-4)
+    window = gas_average._tau_window
+    for ceiling in (3e3, 1.7e5, 3.7e5, 2.4e6, 1e100):
+        monkeypatch.setattr(
+            gas_average, "_tau_window", lambda spec, h=ceiling: (window(spec)[0], h)
+        )
+        assert tau_half(sp) == tau, ceiling
 
 
 def test_tau_half_small_theta_follows_sqrt_law():
