@@ -74,8 +74,9 @@ __all__ = [
 _REL_TOL = 1e-8
 _ABS_TOL = 1e-12
 
-# Rows of the Monte Carlo pair matrix evaluated at once (bounds memory).
-_MC_CHUNK = 256
+# Pairs of the Monte Carlo pair matrix evaluated at once: a block of
+# _MC_PAIRS // N rows keeps each of its arrays at 1-2 MB, inside the cache.
+_MC_PAIRS = 2**17
 
 # |T| = |V0 t| up to which the soft-core exponent is summed as a Taylor
 # series in T, where 1 - f loses digits to cancellation.
@@ -97,8 +98,8 @@ class GasSpec:
     protocol: RamseyProtocol
 
     def __post_init__(self):
-        if not self.density > 0:
-            raise ParameterError(f"density must be positive, got {self.density!r}")
+        if not 0 < self.density < math.inf:
+            raise ParameterError(f"density must be positive and finite, got {self.density!r}")
 
     @classmethod
     def from_blockade_number(
@@ -110,6 +111,7 @@ class GasSpec:
             raise UnsupportedRegimeError(
                 "a blockade number fixes the density only for a soft-core potential"
             )
+        n_r = float(n_r)  # 3 n_r then overflows to inf without a numpy warning
         return cls(3.0 * n_r / (4.0 * math.pi * potential.r_c**3), potential, protocol)
 
     @property
@@ -483,9 +485,16 @@ def monte_carlo_gas(
     at every time), and each pair factor multiplies both atoms' row
     products (a product down the columns for the atoms [lo, N), then
     :func:`~rydramsey.ising_core._row_products` along the rows for the
-    atoms [lo, hi)), so an exact zero factor removes both atoms. Sampling is
-    deterministic under the seed: sample s draws from
-    SeedSequence(seed).spawn(n)[s].
+    atoms [lo, hi)), so an exact zero factor removes both atoms.
+
+    A block is min(N, max(1, 2^17 // N)) rows high, so its distance, coupling and
+    kernel arrays stay in cache instead of streaming from memory. The
+    positions are drawn in box units, u in [0, 1)^3, so the minimum image
+    of a difference d is d - rint(d), written into buffers allocated once
+    per call, and the squared distance is scaled by box^2 once per block.
+    Sampling is deterministic under the seed: sample s draws from
+    SeedSequence(seed).spawn(n)[s], and its positions are that stream's
+    first random((N, 3)) times the box side.
 
     A BiasWarning is raised when the box side is below 20 interaction
     range scales (r_c for soft-core, (|C6| t_max)^(1/6) for bare), where
@@ -522,26 +531,33 @@ def monte_carlo_gas(
     envelope = _envelope(proto, times)
     # (T, N) products of each atom's factors
     rows = np.empty((times.size, n_atoms), dtype=complex)
+    # a small gas is one block; the cap keeps the mask and buffers <= N^2
+    height = min(n_atoms, max(1, _MC_PAIRS // n_atoms))
     # pairs of a diagonal block already counted, or self-pairs: col <= row
-    lower = np.tril(np.ones((_MC_CHUNK, _MC_CHUNK), dtype=bool))
+    lower = np.tril(np.ones((height, height), dtype=bool))
+    # flat buffers for one block: an axis difference, its rounding, r^2
+    buffers = np.empty((3, height * n_atoms))
 
     for s_idx, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
-        pos = rng.random((n_atoms, 3)) * box
+        unit = np.ascontiguousarray(rng.random((n_atoms, 3)).T)  # box units
         rows[:] = 1.0
-        for lo in range(0, n_atoms, _MC_CHUNK):
-            hi = min(lo + _MC_CHUNK, n_atoms)
-            below = lower[: hi - lo, : hi - lo]
+        for lo in range(0, n_atoms, height):
+            hi = min(lo + height, n_atoms)
+            shape = (hi - lo, n_atoms - lo)
+            d, rd, r2 = (b[: shape[0] * shape[1]].reshape(shape) for b in buffers)
             # rows lo:hi against columns lo:N; each unordered pair once
-            r2 = np.zeros((hi - lo, n_atoms - lo))
-            for x in pos.T:
-                d = x[lo:hi, None] - x[None, lo:]
-                d -= box * np.rint(d / box)
-                r2 += d * d
+            r2[:] = 0.0
+            for x in unit:
+                np.subtract(x[lo:hi, None], x[None, lo:], out=d)
+                d -= np.rint(d, out=rd)
+                r2 += np.square(d, out=d)
+            r2 *= box * box
             np.fill_diagonal(r2, 1.0)  # placeholder; self-pairs are masked
-            v = evaluate_V(pot, np.sqrt(r2))
+            v = evaluate_V(pot, np.sqrt(r2, out=r2))
+            below = lower[: hi - lo, : hi - lo]
             for it, t in enumerate(times):
-                f = f_kernel(v * t, proto.gamma * t, proto.theta, proto.beta)
+                f = f_kernel(np.multiply(v, t, out=d), proto.gamma * t, proto.theta, proto.beta)
                 f[:, : hi - lo][below] = 1.0
                 rows[it, lo:] *= f.prod(axis=0)
                 rows[it, lo:hi] *= _row_products(f)  # overwrites f, so it goes last

@@ -80,9 +80,19 @@ def f_kernel(x, g: float, theta: float, beta: int):
     - g = 0: z is real and (X/2) sinc(X/2) = sin(X/2), so f reduces to
       cos(X/2) - i cos(theta) sin(X/2)  (echo, readout frame) and
       cos^2(theta/2) + sin^2(theta/2) e^{iX}  (no echo). This is the
-      Monte Carlo hot path: one cosine and one sine per pair are written
-      straight into the real and imaginary parts of one complex output,
-      and then scaled in place, with no complex temporaries.
+      Monte Carlo hot path, evaluated by the half-angle identities from
+      one tangent per pair:
+      f = [(1 - u^2) - 2i cos(theta) u] / (1 + u^2), u = tan(X/4) (echo),
+      f = [(1 + cos(theta) u^2) + 2i sin^2(theta/2) u] / (1 + u^2),
+      u = tan(X/2) (no echo). A tangent costs one libm call where a
+      cosine and a sine cost two, and numpy's float64 tan is vectorized
+      on CPUs where its float64 sin and cos are scalar loops. The result
+      differs from the cosine/sine form by at most about 2 ulp, X = 0
+      gives f = 1 exactly, and |u| stays far below the overflow of u^2
+      for every finite X. The tangent is taken on one contiguous float
+      temporary, which then holds 1 + u^2; the numerators and quotients
+      are written straight into the real and imaginary parts of one
+      complex output.
     - g > 0: the exact split into a decaying and a surviving exponential,
       f = q e^{iX - g} + (1 - q) with q = sin^2(theta/2) X/(X + i g)
       (no echo), f = (1 - q) e^{iX/2} + q e^{-iX/2 - g} with
@@ -116,18 +126,20 @@ def f_kernel(x, g: float, theta: float, beta: int):
     if g == 0.0:
         out = np.empty(x.shape, dtype=complex)
         re, im = out.real, out.imag
+        u = np.multiply(x, 0.25 if beta == 0 else 0.5, out=np.empty(x.shape))
+        np.tan(u, out=u)  # on a contiguous array: the strided re/im are slower
+        np.multiply(u, u, out=re)
         if beta == 0:
-            np.multiply(x, 0.5, out=re)
-            np.sin(re, out=im)
-            np.cos(re, out=re)
-            im *= -math.cos(theta)
+            np.multiply(u, -2.0 * math.cos(theta), out=im)
+            np.add(re, 1.0, out=u)
+            np.subtract(1.0, re, out=re)
         else:
-            s2 = math.sin(0.5 * theta) ** 2
-            np.sin(x, out=im)
-            np.cos(x, out=re)
-            re *= s2
-            re += math.cos(0.5 * theta) ** 2
-            im *= s2
+            np.multiply(u, 2.0 * math.sin(0.5 * theta) ** 2, out=im)
+            np.add(re, 1.0, out=u)
+            re *= math.cos(theta)
+            re += 1.0
+        re /= u  # u now holds 1 + u^2
+        im /= u
     else:
         if beta == 1:
             q = math.sin(0.5 * theta) ** 2 * (x / (x + 1j * g))

@@ -156,7 +156,10 @@ def evaluate_V(pot: InteractionPotential, r):
 
     Soft-core: V = v0 / (1 + (r/r_c)^6), which is algebraically
     epsilon^4 * c6 / (r_c^6 + r^6) and satisfies V(0) = v0 and
-    V(r_c) = v0/2 exactly. Bare: V = c6 / r^6.
+    V(r_c) = v0/2 exactly. Bare: V = c6 / r^6. The sixth power is
+    q * q * q from q = (r/r_c)^2 (soft core) or q = r^2 (bare), built in
+    place, which is cheaper than a float power and agrees with it to
+    about 1e-15 relative.
 
     Parameters
     ----------
@@ -174,17 +177,25 @@ def evaluate_V(pot: InteractionPotential, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ParameterError("distances must be non-negative")
+    scalar = r.ndim == 0
+    r = np.atleast_1d(r)
     if pot.kind is PotentialKind.BARE_VDW:
         if np.any(r == 0):
             raise SingularityError("bare 1/r^6 potential diverges at r = 0")
-        out = pot.c6 / r**6
+        q, scale = r * r, pot.c6
     else:
         if pot.r_c == 0.0:
             # epsilon = 0 with c6_tail = 0 would hit 0/0; only reachable by
             # hand-built instances, not via derive_potential.
             raise ParameterError("soft-core potential needs r_c > 0")
-        out = pot.v0 / (1.0 + (r / pot.r_c) ** 6)
-    return out if out.ndim else float(out)
+        q, scale = r / pot.r_c, pot.v0
+        q *= q
+    out = q * q
+    out *= q
+    if pot.kind is PotentialKind.SOFT_CORE:
+        out += 1.0
+    np.divide(scale, out, out=out)
+    return float(out[0]) if scalar else out
 
 
 def blockade_number(density: float, pot: InteractionPotential) -> float:

@@ -443,13 +443,18 @@ def test_monte_carlo_deterministic_per_seed():
 
 
 def minimum_image_couplings(pot, box, n_atoms, stream):
-    """The couplings of one Monte Carlo sample, rebuilt from its substream."""
-    pos = np.random.default_rng(stream).random((n_atoms, 3)) * box
-    d = pos[:, None, :] - pos[None, :, :]
-    d -= box * np.rint(d / box)
+    """The couplings of one Monte Carlo sample, rebuilt from its substream.
+
+    Distances are taken in box units and scaled by box^2, as the sampler
+    takes them: a bare gas reaches pair phases V t ~ 1e5, which turn a
+    1-ulp change of a distance into ~1e-11 of the coherence.
+    """
+    u = np.random.default_rng(stream).random((n_atoms, 3))
+    d = u[:, None, :] - u[None, :, :]
+    d -= np.rint(d)
     off = ~np.eye(n_atoms, dtype=bool)
     v = np.zeros((n_atoms, n_atoms))
-    v[off] = evaluate_V(pot, np.sqrt((d * d).sum(axis=2))[off])
+    v[off] = evaluate_V(pot, np.sqrt((d * d).sum(axis=2) * (box * box))[off])
     return v
 
 
@@ -476,9 +481,15 @@ def test_monte_carlo_samples_are_sigma_plus_couplings():
 @pytest.mark.parametrize("echo", [True, False])
 @pytest.mark.parametrize("gamma", [0.0, 0.2])
 def test_monte_carlo_samples_are_sigma_plus_couplings_across_blocks(kind, echo, gamma):
-    # 300 and 301 atoms span two row blocks of 256, the second one ragged,
-    # so pairs inside a block, across blocks and in the ragged block all
-    # count; 301 gives odd row widths (301 and 45) to the row products
+    # the smallest even atom count whose row blocks (_MC_PAIRS // N rows
+    # each, at most N) number at least three with a ragged last one, and the odd count
+    # after it: pairs inside a block, across blocks and in the ragged block
+    # all count, and the odd count gives odd row widths to the row products
+    def layout(n):
+        height = min(n, max(1, gas_average._MC_PAIRS // n))
+        return -(-n // height), n % height
+
+    n_atoms = next(n for n in range(2, 10**6, 2) if layout(n)[0] >= 3 and layout(n)[1])
     if kind == "soft_core":
         pot = soft_core_potential()
         density = 3.0 * 0.5 / (4.0 * math.pi * pot.r_c**3)
@@ -486,9 +497,20 @@ def test_monte_carlo_samples_are_sigma_plus_couplings_across_blocks(kind, echo, 
         pot = derive_potential(DressingParams(0.0, 0.0, 8.0), PotentialKind.BARE_VDW)
         density = 0.04
     sp = GasSpec(density, pot, RamseyProtocol(1.1, echo, gamma, 0.05))
-    for n_atoms in (300, 301):
-        assert gas_average._MC_CHUNK < n_atoms < 2 * gas_average._MC_CHUNK
-        assert_samples_are_sigma_plus_couplings(sp, [0.7, 2.5], n_atoms, 2, 7)
+    for n in (n_atoms, n_atoms + 1):
+        n_blocks, ragged = layout(n)
+        assert n_blocks >= 3 and ragged
+        assert_samples_are_sigma_plus_couplings(sp, [0.7, 2.5], n, 2, 7)
+
+
+@pytest.mark.filterwarnings("ignore::rydramsey.errors.BiasWarning")
+@pytest.mark.parametrize("gamma", [0.0, 0.2])
+@pytest.mark.parametrize("n_atoms", [2, 3, 8])
+def test_monte_carlo_small_gas_is_one_block(n_atoms, gamma):
+    # a gas far below the pair budget is one block of N rows, not
+    # _MC_PAIRS // N rows: the block mask and buffers stay at N^2
+    sp = spec_at(0.5, 1.1, False, gamma=gamma, gamma_d=0.05)
+    assert_samples_are_sigma_plus_couplings(sp, [0.7, 2.5], n_atoms, 3, 5)
 
 
 @pytest.mark.filterwarnings("ignore::rydramsey.errors.BiasWarning")
@@ -842,3 +864,16 @@ def test_gas_spec_validation():
         GasSpec(-1.0, pot, proto)
     with pytest.raises(ParameterError):
         GasSpec(0.0, pot, proto)
+
+
+def test_gas_spec_rejects_an_overflowing_density_without_warnings():
+    # 3 N_R overflows at N_R = 1e308; a numpy scalar must not warn on the way
+    pot = soft_core_potential()
+    proto = RamseyProtocol(math.pi / 2, True, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ParameterError):
+            GasSpec.from_blockade_number(np.float64(1e308), pot, proto)
+        for density in (math.inf, math.nan):
+            with pytest.raises(ParameterError):
+                GasSpec(density, pot, proto)

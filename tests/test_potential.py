@@ -59,6 +59,24 @@ def test_vectorized_evaluation():
     assert np.all(np.diff(v) < 0)  # monotone decreasing
 
 
+@pytest.mark.parametrize("kind", ["soft_core", "bare"])
+def test_sixth_power_matches_the_float_power_form(kind):
+    # evaluate_V builds r^6 as q q q from q = (r/r_c)^2 or q = r^2; that
+    # agrees with v0 / (1 + (r/r_c)**6) and c6 / r**6 to 1e-15 relative
+    soft = derive_potential(sr_params(), PotentialKind.SOFT_CORE)
+    r = soft.r_c * np.logspace(-3.0, 3.0, 20001)
+    if kind == "soft_core":
+        pot = soft
+        want = pot.v0 / (1.0 + (r / pot.r_c) ** 6)
+    else:
+        pot = derive_potential(DressingParams(0.0, 0.0, -1.32e4), PotentialKind.BARE_VDW)
+        want = pot.c6 / r**6
+    got = evaluate_V(pot, r)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+    assert evaluate_V(soft, 0.0) == soft.v0
+    assert evaluate_V(soft, np.zeros(3)).tolist() == [soft.v0] * 3
+
+
 def test_detuning_sign_must_oppose_c6():
     with pytest.raises(UnsupportedRegimeError):
         derive_potential(DressingParams(1000.0, -5000.0, -1e4), PotentialKind.SOFT_CORE)
