@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import dawsn, gamma, gammainc, j0, j1
 
 from .errors import (
@@ -87,6 +86,13 @@ _T_TAYLOR = 0.1
 # j0/j1.
 _H_HANKEL = 100.0
 _HANKEL_TERMS = 12
+
+# tau_half's probe grid is built this many points at a time: the scan
+# stops a few dozen points past its floor, long before the ceiling.
+_GRID_BLOCK = 64
+
+# Iteration cap of tau_half's Brent polish, scipy's brentq default.
+_BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -718,15 +724,114 @@ def _tau_window(spec: GasSpec) -> tuple:
     return 0.99 * t_lb, hi
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of f in [a, b] by Brent's method, with scipy brentq's iterates.
+
+    A line-by-line port of scipy's C routine (``Zeros/brentq.c``) with
+    maxiter 100, so every iterate, and so the root, is bit-identical to
+    ``scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)``. The
+    arithmetic runs on Python floats, which, like C doubles, overflow to
+    inf silently where numpy scalars would warn. Where C divides by zero
+    its step is inf or nan, which fails the short-step test, so a zero
+    denominator here takes the bisection step.
+
+    Raises ValueError when f is nan at a probe (as scipy's wrapper does)
+    or f(a) and f(b) have the same sign, and RuntimeError when 100
+    iterations do not converge.
+    """
+
+    def fx(x: float) -> float:
+        y = float(f(x))
+        if math.isnan(y):
+            raise ValueError(
+                f"The function value at x={x:.6g} is NaN; solver cannot converge."
+            )
+        return y
+
+    xpre, xcur = float(a), float(b)
+    xtol, rtol = float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        # C's x / 0 is inf or nan, which fails the short-step test; a zero
+        # denominator leaves stry = nan, so the step bisects here too. Only
+        # the last one can vanish: |fcur| < |fpre| gives fcur != fpre and
+        # xcur != xpre, and |sbis| >= delta > 0 gives xblk != xcur.
+        stry = math.nan
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0.0:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        # min(b, a) is C's MIN(a, b) = a < b ? a : b, ties and nan included
+        if 2 * abs(stry) < min(3 * abs(sbis) - delta, abs(spre)):
+            # good short step
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise RuntimeError(
+        f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur:f}"
+    )
+
+
+def _tau_grid(lo: float, hi: float):
+    """tau_half's probe times lo 10^(k/25), k = 0, 1, 2, ..., below hi.
+
+    Yields the points in blocks of _GRID_BLOCK indices, each bit-identical
+    to the same point of the whole grid. Built in log space: hi / lo and
+    lo * 10^(k/25) can overflow, and the strict bound keeps 10^exponent
+    finite when hi is the largest float.
+    """
+    log_lo, log_hi = math.log10(lo), math.log10(hi)
+    n = int(25 * (log_hi - log_lo)) + 1
+    for k in range(0, n, _GRID_BLOCK):
+        exponents = log_lo + np.arange(k, min(k + _GRID_BLOCK, n)) / 25
+        yield from 10.0 ** exponents[exponents < log_hi]
+
+
 def tau_half(spec: GasSpec) -> float:
     """Smallest t with |contrast(t)| = |contrast(0)| / 2, us.
 
     Probes contrast_gas at lo 10^(k/25), k = 0, 1, 2, ..., from the proven
     floor lo of :func:`_tau_window`, below which no crossing exists, until
-    the half level is bracketed, then polishes the bracket with brentq to
-    relative accuracy well below 1e-6. The probe points come from the
-    floor alone; the window's ceiling only decides where the scan gives
-    up.
+    the half level is bracketed, then polishes the bracket to relative
+    accuracy well below 1e-6 with :func:`_brentq`, an in-house port of
+    scipy's Brent iteration with the same iterates. The probe points come
+    from the floor alone, built a block at a time; the window's ceiling
+    only decides where the scan gives up.
 
     It returns a crossing inside the first grid step that brackets 1/2,
     which is not always the smallest one: |contrast| need not fall
@@ -753,23 +858,14 @@ def tau_half(spec: GasSpec) -> float:
         return abs(contrast_gas(spec, t)) / c0
 
     lo, hi = _tau_window(spec)
-    # in log space: hi / lo and lo * 10^(k/25) can overflow, and the
-    # strict bound keeps 10^exponent finite when hi is the largest float
-    log_lo, log_hi = math.log10(lo), math.log10(hi)
-    exponents = log_lo + np.arange(int(25 * (log_hi - log_lo)) + 1) / 25
-    grid = 10.0 ** exponents[exponents < log_hi]
-    t_prev, r_prev = grid[0], ratio(grid[0])
-    for t in grid[1:]:
+    grid = _tau_grid(lo, hi)
+    t_prev = next(grid)
+    r_prev = ratio(t_prev)
+    for t in grid:
         r = ratio(t)
         if r_prev > 0.5 >= r:
-            return float(
-                brentq(
-                    lambda tt: ratio(tt) - 0.5,
-                    t_prev,
-                    t,
-                    xtol=1e-12 * t,
-                    rtol=1e-10,
-                )
+            return _brentq(
+                lambda tt: ratio(tt) - 0.5, t_prev, t, xtol=1e-12 * t, rtol=1e-10
             )
         t_prev, r_prev = t, r
     raise CrossingNotFoundError(

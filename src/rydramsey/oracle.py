@@ -11,7 +11,9 @@ Basis convention: bit k of the computational index is the state of spin
 k, with bit 1 = up and sigma^z = diag(-1, +1) in the (down, up) ordering
 of each factor. Dark-time evolution at gamma = 0 uses exact elementwise
 phases of the diagonal Hamiltonian; gamma > 0 falls back to a dense ODE
-integration at tight tolerance.
+integration at tight tolerance. The ODE solver (``scipy.integrate``) is
+imported on the first dissipative evolution, so importing the package
+does not load it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import CapacityError, NumericalError, ParameterError
 
@@ -349,6 +350,8 @@ def _evolve_dark_sampled(rho, e_diag, times, gamma, gamma_d, n):
     if t_max == 0.0:
         return [rho.copy() for _ in times]
     t_eval = uniq[uniq > 0]
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(
         rhs,
         (0.0, t_max),

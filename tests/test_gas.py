@@ -836,6 +836,132 @@ def test_tau_half_frozen_bare(key):
     assert tau_half(sp) == pytest.approx(BARE_TAU[key], rel=1e-9)
 
 
+def brent_cases(rng, count):
+    # (f, a, b) with one sign change in [a, b]: linear, root-power,
+    # tanh-plus-cubic and exponential, ends in either order
+    for i in range(count):
+        c = rng.uniform(-2.0, 2.0)
+        a = c - rng.uniform(1e-3, 3.0)
+        b = c + rng.uniform(1e-3, 3.0)
+        if rng.random() < 0.5:
+            a, b = b, a
+        k = 10.0 ** rng.uniform(-2.0, 2.0)
+        p = rng.uniform(0.2, 3.0)
+        m = rng.uniform(0.0, 2.0)
+        f = (
+            lambda x, c=c, k=k: k * (x - c),
+            lambda x, c=c, p=p: math.copysign(abs(x - c) ** p, x - c),
+            lambda x, c=c, k=k, m=m: math.tanh(k * (x - c)) + m * (x - c) ** 3,
+            lambda x, c=c, k=k: math.exp(k * x) - math.exp(k * c),
+        )[i % 4]
+        yield f, np.float64(a), np.float64(b)
+
+
+def brent_run(solver, f, a, b, xtol, rtol):
+    """(root, probes) of one solve; root is None when it does not converge."""
+    probes = []
+
+    def logged(x):
+        probes.append(x)
+        return f(x)
+
+    try:
+        return solver(logged, a, b, xtol, rtol), probes
+    except RuntimeError:
+        return None, probes
+
+
+def scipy_brentq(f, a, b, xtol, rtol):
+    from scipy.optimize import brentq
+
+    return brentq(f, a, b, xtol=xtol, rtol=rtol)
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-6, 1e-15])
+def test_brentq_port_matches_scipy_bit_for_bit(rtol):
+    # 4 000 brackets per rtol, each compared probe by probe; bracket ends
+    # are numpy scalars, as tau_half passes them. Root powers near 0.2
+    # need more than 100 iterations; both solvers then fail alike.
+    rng = np.random.default_rng(int(-math.log10(rtol)))
+    converged = 0
+    for f, a, b in brent_cases(rng, 4000):
+        xtol = 10.0 ** rng.uniform(-14.0, -2.0)
+        root, probes = brent_run(gas_average._brentq, f, a, b, xtol, rtol)
+        assert (root, probes) == brent_run(scipy_brentq, f, a, b, xtol, rtol), (a, b, xtol)
+        if root is not None:
+            assert type(root) is float
+            converged += 1
+    assert converged >= 3900
+
+
+def test_brentq_port_at_the_float_extremes():
+    # tau_half brackets near 7e-206 us (dense bare gas) and 1.2e308 us
+    # (dilute soft core): slopes near 1e206 overflow dblk * dpre, which
+    # must not warn, and the probes still match scipy's
+    for scale, lo, hi in ((1e-206, 0.5, 1.5), (1e308, 0.2, 1.7)):
+        for f in (
+            lambda x: math.exp(-x / scale) - 0.5,
+            lambda x: 1.0 - math.sqrt(x / scale),
+            lambda x: math.tanh(3.0 * (0.9 - x / scale)),
+        ):
+            a, b = np.float64(lo * scale), np.float64(hi * scale)
+            for xtol, rtol in ((1e-12 * b, 1e-10), (1e-300, 1e-15)):
+                root, probes = brent_run(gas_average._brentq, f, a, b, xtol, rtol)
+                assert (root, probes) == brent_run(scipy_brentq, f, a, b, xtol, rtol)
+                assert lo * scale <= root <= hi * scale
+
+
+def test_brentq_port_errors_match_scipy():
+    def nan_inside(x):
+        return math.nan if 0.2 < x < 0.8 else x - 0.5
+
+    def step(x):
+        # no slope to interpolate: bisection from 1e300 wide to 1e-300
+        return -1.0 if x < 1e-200 else 1.0
+
+    cases = (
+        (ValueError, "NaN", lambda x: math.nan, 0.0, 1.0),
+        (ValueError, "NaN", nan_inside, 0.0, 1.0),
+        (ValueError, "different signs", lambda x: x * x + 1.0, -1.0, 1.0),
+        (RuntimeError, "converge", step, -1e300, 1e300),
+    )
+    for exc, match, f, a, b in cases:
+        for solver in (gas_average._brentq, scipy_brentq):
+            with pytest.raises(exc, match=match):
+                solver(f, a, b, 1e-300, 1e-15)
+
+
+def test_tau_half_polish_is_scipy_brentq(monkeypatch):
+    # tau_half with its Brent polish swapped for scipy's returns the same
+    # float, so every tau_1/2 is byte-identical to a scipy-polished one
+    bare = derive_potential(DressingParams(0.0, 0.0, -1e4), PotentialKind.BARE_VDW)
+    specs = [spec_at(n_r, math.pi / 2, echo, gamma=gamma) for n_r, echo, gamma in SOFT_CORE_TAU]
+    specs += [
+        spec_at(10**-1.8, math.pi / 2, True),
+        spec_at(1e-3, 0.3, False),
+        GasSpec(1e100, bare, RamseyProtocol(math.pi / 2, False, 0.0, 0.0)),
+        GasSpec.from_blockade_number(1e-154, soft_core_potential(), RamseyProtocol(math.pi / 2, False, 0.0, 0.0)),
+    ]
+    ours = [tau_half(sp) for sp in specs]
+    monkeypatch.setattr(gas_average, "_brentq", scipy_brentq)
+    assert [tau_half(sp) for sp in specs] == ours
+
+
+def test_tau_grid_blocks_match_the_whole_grid():
+    # the probe grid, built _GRID_BLOCK points at a time, is bit-identical
+    # to lo 10^(k/25) built over the whole window at once
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        lo = 10.0 ** rng.uniform(-300.0, 300.0)
+        span = rng.uniform(0.01, 20.0) if rng.random() < 0.5 else math.inf
+        hi = min(lo * 10.0**span, sys.float_info.max)
+        log_lo, log_hi = math.log10(lo), math.log10(hi)
+        exponents = log_lo + np.arange(int(25 * (log_hi - log_lo)) + 1) / 25
+        whole = 10.0 ** exponents[exponents < log_hi]
+        blocks = np.array(list(gas_average._tau_grid(lo, hi)))
+        assert blocks.tobytes() == whole.tobytes()
+
+
 def test_kernel_second_derivative_closed_form():
     # against a Richardson-extrapolated central difference of f_kernel
     def second_difference(g, theta, beta, h):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -235,3 +238,37 @@ def test_pulse_sequence_dark_time():
     assert seq.dark_time == pytest.approx(4.0)
     model = oracle.echo_model_sequence(math.pi / 2, 4.0)
     assert model.dark_time == pytest.approx(4.0)
+
+
+_IMPORT_GUARD = """
+import sys
+import numpy as np
+import rydramsey
+from rydramsey import oracle
+from rydramsey.ising_core import RamseyProtocol
+
+heavy = ("scipy.optimize", "scipy.integrate", "scipy.linalg")
+print([m for m in heavy if m in sys.modules])
+v = np.array([[0.0, 1.3, 0.4], [1.3, 0.0, -0.7], [0.4, -0.7, 0.0]])
+out = oracle.ramsey_sigma_plus(v, RamseyProtocol(1.1, True, 0.2, 0.05), [0.0, 0.5, 2.0])
+print("scipy.integrate" in sys.modules)
+print(out.tobytes().hex())
+"""
+
+
+def test_import_loads_no_ode_solver_or_root_finder():
+    # a fresh interpreter: importing the package leaves scipy's optimize,
+    # integrate and linalg unloaded; the first gamma > 0 oracle evolution
+    # loads the ODE solver and gives the in-process value, bit for bit
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oracle.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD], env=env, capture_output=True, text=True, check=True
+    )
+    loaded, integrate_after, values = run.stdout.split("\n")[:3]
+    assert loaded == "[]"
+    assert integrate_after == "True"
+    v = np.array([[0.0, 1.3, 0.4], [1.3, 0.0, -0.7], [0.4, -0.7, 0.0]])
+    out = oracle.ramsey_sigma_plus(v, RamseyProtocol(1.1, True, 0.2, 0.05), [0.0, 0.5, 2.0])
+    assert bytes.fromhex(values) == out.tobytes()
