@@ -30,14 +30,14 @@ spec = LatticeSpec(side=15, spacing=pot.r_c / 2.0, potential=pot,
                                            gamma=0.0, gamma_d=0.0))
 
 t = math.pi / pot.v0
-cmap = correlation_map(spec, t)
+values = correlation_map(spec, t)  # (15, 15), NaN at the center
 print("15 x 15 lattice, spacing r_c/2, V0 t = pi")
 print(f"contrast has collapsed to {abs(lattice_contrast(spec, t)):.1e} "
-      f"while G peaks; four-fold symmetry residual {d4_deviation(cmap):.1e}\n")
+      f"while G peaks; four-fold symmetry residual {d4_deviation(values):.1e}\n")
 
 # character-art |G|: one glyph per site, log-binned
 glyphs = " .:-=+*#@"
-g = np.abs(cmap.values)
+g = np.abs(values)
 scale = np.nanmax(g)
 for ix in range(15):
     row = []

@@ -54,7 +54,6 @@ from .gas_average import (
     tau_half,
 )
 from .lattice import (
-    CorrelationMap,
     LatticeSpec,
     correlation_map,
     d4_deviation,
@@ -79,7 +78,6 @@ __all__ = [
     "BiasWarning",
     "CapacityError",
     "ConfigError",
-    "CorrelationMap",
     "CrossingNotFoundError",
     "DRESSING_FRACTION_WARN",
     "DimensionlessPoint",

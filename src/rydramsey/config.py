@@ -84,7 +84,7 @@ _BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
 def _eval_node(node: ast.AST) -> float:
     """Value of a constant-expression node; anything else raises ValueError."""
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        return node.value
+        return float(node.value)  # float arithmetic: an exact int product can stall
     if isinstance(node, ast.Name) and node.id == "pi":
         return math.pi
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):

@@ -290,7 +290,8 @@ def run_fig4(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     The trace is the per-spin coherence under the configured protocol
     (dissipation allowed); the G maps are evaluated for the unitary
     protocol at |V0| t in {pi/2, pi, 2 pi} around the central site,
-    exported as site CSVs.
+    exported as site CSVs (columns site_x, site_y, G; the reference site
+    is skipped) and as dense grids in the metadata.
     """
     pot = _soft_core_potential(cfg, "the lattice run")
     if cfg.lattice_spacing is None or cfg.lattice_size is None:
@@ -317,17 +318,30 @@ def run_fig4(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         pot,
         RamseyProtocol(cfg.protocol.theta, cfg.protocol.echo, 0.0, 0.0),
     )
+    side, center = unitary.side, unitary.center_site
     snapshots = {}
     map_meta = {}
     for tag, T in (("pi2", math.pi / 2.0), ("pi", math.pi), ("2pi", 2.0 * math.pi)):
-        cmap = correlation_map(unitary, T / abs(pot.v0))
+        t = T / abs(pot.v0)
+        values = correlation_map(unitary, t)
+        flat = values.ravel().tolist()  # flat index ix * L + iy
         name = f"fig4_map_v0t_{tag}.csv"
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(cmap.to_csv())
+        _write_csv(
+            os.path.join(out_dir, name),
+            ["site_x", "site_y", "G"],
+            ((*divmod(j, side), g) for j, g in enumerate(flat) if j != center),
+        )
         files.append(name)
-        snapshots[tag] = cmap.to_json_block()
-        if unitary.side % 2 == 1:
-            map_meta[tag] = {"d4_deviation": d4_deviation(cmap)}
+        snapshots[tag] = {
+            "side": side,
+            "spacing_um": unitary.spacing,
+            "center_site": center,
+            "time_us": t,
+            # JSON has no NaN: the reference site's entry encodes as null
+            "grid": [[None if math.isnan(g) else g for g in row] for row in values.tolist()],
+        }
+        if side % 2 == 1:
+            map_meta[tag] = {"d4_deviation": d4_deviation(values)}
 
     ratio = pot.r_c / cfg.lattice_spacing
     meta = {

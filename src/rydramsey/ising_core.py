@@ -161,10 +161,11 @@ class RamseyProtocol:
     echo : bool
         Whether a mid-sequence pi pulse is applied.
     gamma : float
-        Spontaneous-emission rate from the upper (dressed) level, rad/us.
+        Spontaneous-emission rate from the upper (dressed) level, rad/us,
+        finite and >= 0.
     gamma_d : float
-        Pure dephasing rate, rad/us; enters only as a global factor
-        exp(-gamma_d * t) on coherences.
+        Pure dephasing rate, rad/us, finite and >= 0; enters only as a
+        global factor exp(-gamma_d * t) on coherences.
     """
 
     theta: float
@@ -175,8 +176,8 @@ class RamseyProtocol:
     def __post_init__(self):
         if not 0.0 <= self.theta <= np.pi:
             raise ParameterError(f"theta must lie in [0, pi], got {self.theta!r}")
-        if self.gamma < 0 or self.gamma_d < 0:
-            raise ParameterError("decay rates must be non-negative")
+        if not (0.0 <= self.gamma < np.inf and 0.0 <= self.gamma_d < np.inf):
+            raise ParameterError("decay rates must be finite and non-negative")
 
     @property
     def beta(self) -> int:

@@ -202,15 +202,15 @@ def test_criterion_08_lattice_correlation_map():
     spec = LatticeSpec(15, pot.r_c / 2.0, pot, RamseyProtocol(math.pi / 2.0, True, 0.0, 0.0))
     t_pi = math.pi / pot.v0
 
-    cmap = correlation_map(spec, t_pi)
-    d4 = d4_deviation(cmap)
+    values = correlation_map(spec, t_pi)
+    d4 = d4_deviation(values)
 
     pos = lattice_positions(15, spec.spacing)
-    dist = np.linalg.norm(pos - pos[cmap.center], axis=1).reshape(15, 15)
-    g = np.abs(cmap.values)
+    dist = np.linalg.norm(pos - pos[spec.center_site], axis=1).reshape(15, 15)
+    g = np.abs(values)
     near = g[(dist > 0) & (dist <= pot.r_c)].sum()
     far = g[dist > 2.5 * pot.r_c].sum()
-    zero = float(np.nanmax(np.abs(correlation_map(spec, 0.0).values)))
+    zero = float(np.nanmax(np.abs(correlation_map(spec, 0.0))))
 
     ok = d4 <= 1e-10 and near > 10.0 * far and zero <= 1e-12
     report(

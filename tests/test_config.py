@@ -51,7 +51,10 @@ def test_booleans_rejected():
 
 
 def test_expression_eval_is_restricted():
-    non_finite = ("1e400", "-1e400", "1e308*10", "1e308*10-1e308*10", "1" + "0" * 400)
+    # an integer literal past the float range is rejected even where the
+    # exact integer product would be finite
+    huge = "1" + "0" * 400
+    non_finite = ("1e400", "-1e400", "1e308*10", "1e308*10-1e308*10", huge, huge + "*0")
     for bad in ("__import__('os')", "().__class__", "'a'*9", "2**10", *non_finite):
         with pytest.raises(ConfigError):
             parse_quantity(bad, "dimensionless")

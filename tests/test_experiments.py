@@ -9,7 +9,8 @@ from rydramsey import cli
 from rydramsey.config import config_from_dict, load_config
 from rydramsey.errors import ConfigError
 from rydramsey.experiments import parse_grid, run_fig4, run_fig5, run_validate
-from rydramsey.ising_core import AtomConfiguration
+from rydramsey.ising_core import AtomConfiguration, RamseyProtocol
+from rydramsey.lattice import LatticeSpec, correlation_map
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SR = os.path.join(CONFIG_DIR, "sr_dressed.json")
@@ -279,3 +280,40 @@ def test_cli_rerun_is_byte_identical(tmp_path):
     for name in sorted(os.listdir(a)):
         with open(a / name, "rb") as fa, open(b / name, "rb") as fb:
             assert fa.read() == fb.read(), name
+
+
+def test_fig4_map_csv_and_json_round_trip(tmp_path):
+    # Each map CSV parses back bit for bit into the correlation_map array
+    # (%.17g round-trips a float64); the reference site has no CSV row
+    # and is null in the metadata grid.
+    with open(SR, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["lattice"]["size"] = 5
+    cfg = config_from_dict(data)
+    run_fig4(cfg, str(tmp_path), grid=parse_grid("lin:0:4:5"))
+    proto = RamseyProtocol(cfg.protocol.theta, cfg.protocol.echo, 0.0, 0.0)
+    spec = LatticeSpec(5, cfg.lattice_spacing, cfg.potential, proto)
+    cx, cy = divmod(spec.center_site, 5)
+    with open(tmp_path / "fig4_meta.json", encoding="utf-8") as fh:
+        snapshots = json.load(fh)["map_snapshots"]
+    v0 = abs(cfg.potential.v0)
+    for tag, v0t in (("pi2", math.pi / 2.0), ("pi", math.pi), ("2pi", 2.0 * math.pi)):
+        want = correlation_map(spec, v0t / v0)
+        with open(tmp_path / f"fig4_map_v0t_{tag}.csv", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "site_x,site_y,G"
+        assert len(lines) == 1 + 24
+        rebuilt = np.full((5, 5), np.nan)
+        for row in lines[1:]:
+            x, y, g = row.split(",")
+            assert (int(x), int(y)) != (cx, cy)
+            rebuilt[int(x), int(y)] = float(g)
+        assert rebuilt.tobytes() == want.tobytes(), tag
+
+        block = snapshots[tag]
+        assert block["side"] == 5 and block["center_site"] == spec.center_site
+        assert block["spacing_um"] == cfg.lattice_spacing
+        assert block["time_us"] == v0t / v0
+        grid = np.array(block["grid"], dtype=float)  # null -> nan
+        assert block["grid"][cx][cy] is None
+        assert grid.tobytes() == want.tobytes(), tag

@@ -325,7 +325,7 @@ def test_non_finite_time_rejected(entry, t):
 @pytest.mark.parametrize("gamma", [0.0, 0.2])
 def test_correlators_reject_array_time(gamma, shape):
     # the row products take one time; a (1,) array would otherwise be
-    # accepted and stored as CorrelationMap.time
+    # accepted as if it were a single time
     pot = derive_potential(DressingParams(1000.0, 5000.0, -1e4), PotentialKind.SOFT_CORE)
     proto = RamseyProtocol(math.pi / 2, True, gamma, 0.0)
     cfg = AtomConfiguration(np.random.default_rng(2).random((3, 3)) * 2.0)
@@ -462,6 +462,12 @@ def test_protocol_validation():
         RamseyProtocol(math.pi + 0.1, False, 0.0, 0.0)
     with pytest.raises(ParameterError):
         RamseyProtocol(1.0, False, -0.2, 0.0)
+    # a NaN or infinite rate would turn every coherence into nan
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            RamseyProtocol(1.0, False, bad, 0.0)
+        with pytest.raises(ParameterError):
+            RamseyProtocol(1.0, False, 0.0, bad)
     assert RamseyProtocol(1.0, True, 0.0, 0.0).beta == 0
     assert RamseyProtocol(1.0, False, 0.0, 0.0).beta == 1
 

@@ -143,35 +143,36 @@ def test_correlator_argument_validation():
 
 
 def test_map_is_zero_at_t_zero():
-    cmap = correlation_map(fig_lattice(side=5), 0.0)
-    assert np.nanmax(np.abs(cmap.values)) <= 1e-15
+    values = correlation_map(fig_lattice(side=5), 0.0)
+    assert np.nanmax(np.abs(values)) <= 1e-15
 
 
 def test_map_center_defaults_to_middle_site():
-    cmap = correlation_map(fig_lattice(side=5), 0.3)
-    assert cmap.center == 12
-    assert cmap.center_xy == (2, 2)
-    assert cmap.values.shape == (5, 5)
-    assert np.isnan(cmap.values[2, 2])  # reference site carries no G
+    spec = fig_lattice(side=5)
+    values = correlation_map(spec, 0.3)
+    assert spec.center_site == 12
+    assert values.shape == (5, 5)
+    assert np.isnan(values[2, 2])  # reference site carries no G
+    assert np.isnan(values).sum() == 1
+    assert fig_lattice(side=4).center_site == 5  # (1, 1): no exact center
 
 
 def test_map_symmetry_and_bound():
     spec = fig_lattice(side=5)
     t = 0.5 * math.pi / spec.potential.v0
-    cmap = correlation_map(spec, t)
-    assert np.nanmax(np.abs(cmap.values)) <= 0.25 + 1e-12
+    values = correlation_map(spec, t)
+    assert np.nanmax(np.abs(values)) <= 0.25 + 1e-12
     # G(i, j) = G(j, i): the value at site j of the center-i map equals
     # the correlator with the two sites swapped
     cfg, pot, proto = spec.configuration(), spec.potential, spec.protocol
-    swapped = connected_sxsx(cfg, pot, proto, 6, cmap.center, t)
-    assert cmap.values[divmod(6, 5)] == pytest.approx(swapped, abs=1e-13)
+    swapped = connected_sxsx(cfg, pot, proto, 6, spec.center_site, t)
+    assert values[divmod(6, 5)] == pytest.approx(swapped, abs=1e-13)
 
 
 def test_map_d4_symmetry_at_center():
     spec = fig_lattice()
     t = math.pi / spec.potential.v0
-    cmap = correlation_map(spec, t)
-    assert d4_deviation(cmap) <= 1e-10
+    assert d4_deviation(correlation_map(spec, t)) <= 1e-10
 
 
 def reference_sxsx(v, proto, i, j, t):
@@ -205,20 +206,22 @@ def test_map_matches_per_pair_formula(side, theta, echo):
     v = cfg.coupling_matrix(spec.potential)
     for v0t in (math.pi / 2, math.pi, 2 * math.pi):
         t = v0t / spec.potential.v0
-        cmap = correlation_map(spec, t)
+        values = correlation_map(spec, t)
+        center = spec.center_site
         for j in range(spec.n_sites):
-            if j == cmap.center:
+            if j == center:
                 continue
-            got = cmap.values[divmod(j, side)]
-            want = reference_sxsx(v, spec.protocol, cmap.center, j, t)
+            got = values[divmod(j, side)]
+            want = reference_sxsx(v, spec.protocol, center, j, t)
             assert abs(got - want) <= 1e-12 * abs(want) + 1e-30, (j, got, want)
-            pair = connected_sxsx(cfg, spec.potential, spec.protocol, cmap.center, j, t)
+            pair = connected_sxsx(cfg, spec.potential, spec.protocol, center, j, t)
             assert pair == got  # bit for bit: the map and the pair share one path
 
 
 def test_single_site_map_is_empty():
-    cmap = correlation_map(fig_lattice(side=1), 0.4)
-    assert cmap.values.shape == (1, 1) and np.isnan(cmap.values[0, 0])
+    values = correlation_map(fig_lattice(side=1), 0.4)
+    assert values.shape == (1, 1) and np.isnan(values[0, 0])
+    assert d4_deviation(values) == 0.0
 
 
 def test_lattice_contrast_accepts_time_array():
@@ -233,10 +236,9 @@ def test_lattice_contrast_accepts_time_array():
 def test_map_correlations_confined_to_plateau_radius():
     spec = fig_lattice()
     t = math.pi / spec.potential.v0
-    cmap = correlation_map(spec, t)
     pos = lattice_positions(15, spec.spacing)
-    d = np.linalg.norm(pos - pos[cmap.center], axis=1).reshape(15, 15)
-    g = np.abs(cmap.values)
+    d = np.linalg.norm(pos - pos[spec.center_site], axis=1).reshape(15, 15)
+    g = np.abs(correlation_map(spec, t))
     r_c = spec.potential.r_c
     near = g[(d > 0) & (d <= r_c)].mean()
     far = g[d > 2.5 * r_c].mean()
@@ -247,38 +249,20 @@ def test_dissipative_map_matches_pair_correlator():
     spec = fig_lattice(theta=0.7, echo=False, gamma=0.3, gamma_d=0.11, side=3)
     cfg = spec.configuration()
     t = 0.5 * math.pi / spec.potential.v0
-    cmap = correlation_map(spec, t)
+    values = correlation_map(spec, t)
     for j in range(spec.n_sites):
-        if j != cmap.center:
-            pair = connected_sxsx(cfg, spec.potential, spec.protocol, cmap.center, j, t)
-            assert cmap.values[divmod(j, 3)] == pair  # bit for bit
+        if j != spec.center_site:
+            pair = connected_sxsx(cfg, spec.potential, spec.protocol, spec.center_site, j, t)
+            assert values[divmod(j, 3)] == pair  # bit for bit
 
 
 def test_d4_deviation_needs_odd_side():
-    spec = fig_lattice(side=4)
-    cmap = correlation_map(spec, 0.2)
     with pytest.raises(ParameterError):
-        d4_deviation(cmap)
-
-
-def test_map_csv_and_json_round_trip():
-    cmap = correlation_map(fig_lattice(side=3), 0.4)
-    csv = cmap.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "site_x,site_y,G"
-    assert len(lines) == 1 + 8  # reference site is skipped
-    rebuilt = np.full((3, 3), np.nan)
-    for row in lines[1:]:
-        x, y, gval = row.split(",")
-        rebuilt[int(x), int(y)] = float(gval)
-    assert np.allclose(rebuilt, cmap.values, rtol=0, atol=1e-16, equal_nan=True)
-
-    block = cmap.to_json_block()
-    assert block["side"] == 3
-    assert block["center_site"] == 4
-    grid = block["grid"]
-    assert len(grid) == 3 and all(len(r) == 3 for r in grid)
-    assert grid[1][1] is None  # NaN at the reference site encodes as null
+        d4_deviation(correlation_map(fig_lattice(side=4), 0.2))
+    odd = correlation_map(fig_lattice(side=3), 0.2)
+    for bad in (odd[:, :2], odd[:2], odd.ravel(), odd[None]):
+        with pytest.raises(ParameterError):
+            d4_deviation(bad)
 
 
 def test_lattice_spec_validation():
