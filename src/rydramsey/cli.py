@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import sys
 
+from . import experiments
 from .config import RunConfig, _eval_number, load_config
 from .errors import (
     CapacityError,
@@ -26,15 +27,7 @@ from .errors import (
     ParameterError,
     UnsupportedRegimeError,
 )
-from .experiments import (
-    parse_grid,
-    run_fig2,
-    run_fig3,
-    run_fig4,
-    run_fig5,
-    run_scan,
-    run_validate,
-)
+from .experiments import parse_grid
 from .ising_core import RamseyProtocol
 
 # The axis of each sweep command's --grid; validate has no grid.
@@ -116,20 +109,14 @@ def main(argv=None) -> int:
                 cfg = _apply_overrides(cfg, args)
         elif args.command != "validate":
             raise ConfigError(f"{args.command} requires --config")
-        if args.command == "fig2":
-            manifest = run_fig2(cfg, args.out, grid)
-        elif args.command == "fig3":
-            manifest = run_fig3(cfg, args.out, grid)
-        elif args.command == "fig4":
-            manifest = run_fig4(cfg, args.out, grid)
-        elif args.command == "fig5":
-            manifest = run_fig5(cfg, args.out, grid)
-        elif args.command == "scan":
-            manifest = run_scan(cfg, args.out, grid)
-        else:
-            manifest = run_validate(cfg, args.out, seed=args.seed)
+        options = {"seed": args.seed} if args.command == "validate" else {"grid": grid}
+        # looked up at call time, so a wrapper set on the module is honoured
+        manifest = getattr(experiments, f"run_{args.command}")(cfg, args.out, **options)
     except (ConfigError, ParameterError, UnsupportedRegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
         return 2
     except (CrossingNotFoundError, CapacityError, NumericalError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

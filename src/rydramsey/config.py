@@ -12,6 +12,9 @@ The numeric part may be a constant expression over numbers, ``pi``,
 ``+ - * /``, unary minus and parentheses, so ``"pi/2 rad"`` and
 ``"1/21 1/us"`` read the way they are meant. A syntax-tree walker, not
 ``eval``, computes it, so a config can neither run code nor ask for powers.
+
+``_SCHEMA`` lists every key of every section; any other key or section
+is a config error that names it.
 """
 
 from __future__ import annotations
@@ -94,15 +97,22 @@ def _eval_node(node: ast.AST) -> float:
     raise ValueError(f"disallowed syntax {type(node).__name__}")
 
 
+def _excerpt(value, limit: int = 60) -> str:
+    """repr(value), cut to its first ``limit`` characters plus an ellipsis,
+    so that an error message stays one short line."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def _eval_number(text: str, name: str) -> float:
     """Value of the constant expression ``text``; ConfigError unless it
     parses to a finite float."""
     try:
         value = float(_eval_node(ast.parse(text.strip(), mode="eval").body))
     except (SyntaxError, ValueError, ZeroDivisionError, OverflowError, RecursionError) as exc:
-        raise ConfigError(f"{name}: cannot parse number {text!r}") from exc
+        raise ConfigError(f"{name}: cannot parse number {_excerpt(text)}") from exc
     if not math.isfinite(value):
-        raise ConfigError(f"{name}: {text!r} is outside the finite float range")
+        raise ConfigError(f"{name}: {_excerpt(text)} is outside the finite float range")
     return value
 
 
@@ -142,16 +152,16 @@ def parse_quantity(value, kind: str, name: str = "quantity") -> float:
         if len(parts) == 2 and parts[1] in table:
             scaled = _eval_number(parts[0], name) * table[parts[1]]
             if not math.isfinite(scaled):
-                raise ConfigError(f"{name}: {value!r} overflows in {_CANONICAL[kind]}")
+                raise ConfigError(f"{name}: {_excerpt(value)} overflows in {_CANONICAL[kind]}")
             return scaled
         if kind in ("dimensionless", "angle"):
             return _eval_number(value, name)
         if len(parts) == 2:
             raise ConfigError(
-                f"{name}: unknown unit {parts[1]!r} for {kind}; "
+                f"{name}: unknown unit {_excerpt(parts[1])} for {kind}; "
                 f"accepted: {sorted(table)}"
             )
-        raise ConfigError(f"{name}: missing unit in {value!r}")
+        raise ConfigError(f"{name}: missing unit in {_excerpt(value)}")
     raise ConfigError(
         f"{name}: expected a number or 'value unit' string, "
         f"got {type(value).__name__}"
@@ -177,154 +187,134 @@ class RunConfig:
     resolved: dict
 
 
-def _require(section: dict, key: str, path: str):
-    if key not in section:
-        raise ConfigError(f"missing required config key {path}.{key}")
-    return section[key]
+_REQUIRED = object()
+
+# Every key of every section: its parse_quantity kind, its integer
+# minimum, or None for a value that config_from_dict checks itself; then
+# its default, _REQUIRED if the key must be present.
+_SCHEMA = {
+    "potential": {
+        "kind": (None, _REQUIRED),
+        "c6": ("c6", _REQUIRED),
+        "rabi": ("frequency", None),  # required for a soft core, else 0
+        "detuning": ("frequency", None),
+    },
+    "sample": {"density": ("density", None), "n_atoms": (1, None)},
+    "protocol": {
+        "theta": ("angle", math.pi / 2.0),
+        "echo": (None, False),
+        "gamma": ("frequency", 0.0),
+        "gamma_d": ("frequency", 0.0),
+    },
+    "lattice": {"spacing": ("length", _REQUIRED), "size": (1, _REQUIRED)},
+    "ultrafast": {
+        "fractions": (None, _REQUIRED),
+        "density_high": ("density", _REQUIRED),
+        "density_low": ("density", _REQUIRED),
+        "c6": ("c6", _REQUIRED),
+        "t_max": ("time", _REQUIRED),
+        "n_points": (2, 121),
+    },
+}
 
 
-def _integer(value, path: str, minimum: int) -> int:
-    """`value` if it is an integer >= minimum; JSON true/false are not."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{path} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _section(data: dict, key: str) -> Optional[dict]:
-    sec = data.get(key)
-    if sec is None:
+def _read(name: str, section) -> Optional[dict]:
+    """Section ``name`` parsed key by key from _SCHEMA; None if absent."""
+    if section is None:
         return None
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section {key!r} must be an object")
-    return sec
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be an object")
+    schema = _SCHEMA[name]
+    for key in section:
+        if key not in schema:
+            raise ConfigError(
+                f"unknown config key {_excerpt(f'{name}.{key}')}; accepted: {list(schema)}"
+            )
+    out = {}
+    for key, (kind, default) in schema.items():
+        path = f"{name}.{key}"
+        if key not in section:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required config key {path}")
+            out[key] = default
+            continue
+        value = section[key]
+        if isinstance(kind, str):
+            value = parse_quantity(value, kind, path)
+        elif kind is not None and (
+            isinstance(value, bool) or not isinstance(value, int) or value < kind
+        ):  # JSON true/false decode to bools, which are ints
+            raise ConfigError(f"{path} must be an integer >= {kind}, got {_excerpt(value)}")
+        out[key] = value
+    return out
 
 
 def config_from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from an already-decoded JSON object."""
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be a JSON object")
-    resolved: dict = {"_canonical_units": dict(_CANONICAL)}
+    for name in data:
+        if name not in _SCHEMA:
+            raise ConfigError(
+                f"unknown config section {_excerpt(name)}; accepted: {list(_SCHEMA)}"
+            )
+    sections = {name: _read(name, data.get(name)) for name in _SCHEMA}
 
     pot = None
-    psec = _section(data, "potential")
+    psec = sections["potential"]
     if psec is not None:
-        kind_name = _require(psec, "kind", "potential")
         try:
-            kind = PotentialKind(kind_name)
+            kind = PotentialKind(psec["kind"])
         except ValueError:
             raise ConfigError(
                 f"potential.kind must be one of "
-                f"{[k.value for k in PotentialKind]}, got {kind_name!r}"
+                f"{[k.value for k in PotentialKind]}, got {_excerpt(psec['kind'])}"
             ) from None
-        c6 = parse_quantity(_require(psec, "c6", "potential"), "c6", "potential.c6")
-        if kind is PotentialKind.SOFT_CORE:
-            rabi = parse_quantity(
-                _require(psec, "rabi", "potential"), "frequency", "potential.rabi"
-            )
-            detuning = parse_quantity(
-                _require(psec, "detuning", "potential"),
-                "frequency",
-                "potential.detuning",
-            )
-        else:
-            rabi = parse_quantity(psec["rabi"], "frequency", "potential.rabi") if "rabi" in psec else 0.0
-            detuning = parse_quantity(psec["detuning"], "frequency", "potential.detuning") if "detuning" in psec else 0.0
-        dress = DressingParams(rabi=rabi, detuning=detuning, c6=c6)
-        pot = derive_potential(dress, kind)
-        resolved["potential"] = {
-            "kind": kind.value,
-            "c6": c6,
-            "rabi": rabi,
-            "detuning": detuning,
-            "epsilon": pot.epsilon,
-            "r_c": pot.r_c,
-            "v0": pot.v0,
-            "c6_tail": pot.c6,
-        }
+        for key in ("rabi", "detuning"):
+            if psec[key] is None:
+                if kind is PotentialKind.SOFT_CORE:
+                    raise ConfigError(f"missing required config key potential.{key}")
+                psec[key] = 0.0
+        pot = derive_potential(
+            DressingParams(rabi=psec["rabi"], detuning=psec["detuning"], c6=psec["c6"]), kind
+        )
 
-    density = None
-    ssec = _section(data, "sample")
-    if ssec is not None:
-        if "density" in ssec:
-            density = parse_quantity(ssec["density"], "density", "sample.density")
-        n_atoms = _integer(ssec["n_atoms"], "sample.n_atoms", 1) if "n_atoms" in ssec else None
-        resolved["sample"] = {"density": density, "n_atoms": n_atoms}
-
-    prsec = _section(data, "protocol") or {}
-    theta = parse_quantity(prsec.get("theta", math.pi / 2), "angle", "protocol.theta")
-    echo = prsec.get("echo", False)
-    if not isinstance(echo, bool):
+    prsec = sections["protocol"] = sections["protocol"] or _read("protocol", {})
+    if not isinstance(prsec["echo"], bool):
         raise ConfigError("protocol.echo must be true or false")
-    gamma = parse_quantity(prsec["gamma"], "frequency", "protocol.gamma") if "gamma" in prsec else 0.0
-    gamma_d = parse_quantity(prsec["gamma_d"], "frequency", "protocol.gamma_d") if "gamma_d" in prsec else 0.0
     try:
-        protocol = RamseyProtocol(theta=theta, echo=echo, gamma=gamma, gamma_d=gamma_d)
+        protocol = RamseyProtocol(**prsec)
     except ValueError as exc:
         raise ConfigError(f"protocol: {exc}") from exc
-    resolved["protocol"] = {
-        "theta": theta,
-        "echo": echo,
-        "gamma": gamma,
-        "gamma_d": gamma_d,
-    }
 
-    lattice_spacing = None
-    lattice_size = None
-    lsec = _section(data, "lattice")
-    if lsec is not None:
-        lattice_spacing = parse_quantity(
-            _require(lsec, "spacing", "lattice"), "length", "lattice.spacing"
-        )
-        lattice_size = _integer(_require(lsec, "size", "lattice"), "lattice.size", 1)
-        resolved["lattice"] = {"spacing": lattice_spacing, "size": lattice_size}
-
-    ultrafast = None
-    usec = _section(data, "ultrafast")
+    usec = sections["ultrafast"]
     if usec is not None:
-        fractions = _require(usec, "fractions", "ultrafast")
+        fractions = usec["fractions"]
         if not isinstance(fractions, list) or not fractions:
             raise ConfigError("ultrafast.fractions must be a nonempty list")
-        fr = [
+        usec["fractions"] = [
             parse_quantity(f, "dimensionless", f"ultrafast.fractions[{i}]")
             for i, f in enumerate(fractions)
         ]
-        for i, f in enumerate(fr):
+        for i, f in enumerate(usec["fractions"]):
             if not 0.0 < f < 1.0:
-                raise ConfigError(
-                    f"ultrafast.fractions[{i}] must lie in (0, 1), got {f}"
-                )
-        ultrafast = {
-            "fractions": fr,
-            "density_high": parse_quantity(
-                _require(usec, "density_high", "ultrafast"),
-                "density",
-                "ultrafast.density_high",
-            ),
-            "density_low": parse_quantity(
-                _require(usec, "density_low", "ultrafast"),
-                "density",
-                "ultrafast.density_low",
-            ),
-            "c6": parse_quantity(
-                _require(usec, "c6", "ultrafast"), "c6", "ultrafast.c6"
-            ),
-            "t_max": parse_quantity(
-                _require(usec, "t_max", "ultrafast"), "time", "ultrafast.t_max"
-            ),
-            "n_points": _integer(usec.get("n_points", 121), "ultrafast.n_points", 2),
-        }
+                raise ConfigError(f"ultrafast.fractions[{i}] must lie in (0, 1), got {f}")
         for key in ("density_high", "density_low", "t_max"):
-            if not ultrafast[key] > 0:
-                raise ConfigError(f"ultrafast.{key} must be positive, got {ultrafast[key]}")
-        resolved["ultrafast"] = dict(ultrafast)
+            if not usec[key] > 0:
+                raise ConfigError(f"ultrafast.{key} must be positive, got {usec[key]}")
 
+    resolved = {"_canonical_units": dict(_CANONICAL)}
+    resolved.update((name, dict(sec)) for name, sec in sections.items() if sec is not None)
+    if pot is not None:
+        resolved["potential"].update(epsilon=pot.epsilon, r_c=pot.r_c, v0=pot.v0, c6_tail=pot.c6)
+    ssec, lsec = sections["sample"] or {}, sections["lattice"] or {}
     return RunConfig(
         potential=pot,
-        density=density,
+        density=ssec.get("density"),
         protocol=protocol,
-        lattice_spacing=lattice_spacing,
-        lattice_size=lattice_size,
-        ultrafast=ultrafast,
+        lattice_spacing=lsec.get("spacing"),
+        lattice_size=lsec.get("size"),
+        ultrafast=usec,
         resolved=resolved,
     )
 

@@ -1,8 +1,10 @@
 """Reproduction recipes: figure-style sweeps, scans, and validation runs.
 
-Each ``run_*`` function takes a parsed RunConfig, writes CSV curves plus
-a JSON metadata file into an output directory, and returns a manifest
-of what it wrote. Outputs are bit-deterministic for a given config and
+Each ``run_*`` function takes a parsed RunConfig, computes every table,
+then writes CSV curves plus a JSON metadata file into an output
+directory (creating it) and returns a manifest of what it wrote. Nothing
+is written before the computation completes, so a run that fails leaves
+no partial output. Outputs are bit-deterministic for a given config and
 seed: floats are printed with %.17g, JSON keys are sorted, and nothing
 records wall-clock time. Dimensionful columns are always accompanied by
 their dimensionless counterparts (V0 t for the dressed figures) so that
@@ -117,8 +119,14 @@ def _soft_core_potential(cfg: RunConfig, what: str):
     return pot
 
 
-def _manifest(out_dir: str, files: list, meta_name: str) -> dict:
-    return {"out_dir": out_dir, "files": sorted(files + [meta_name])}
+def _emit(out_dir: str, tables: dict, meta_name: str, meta: dict) -> dict:
+    """Write each ``{name: (columns, rows)}`` CSV and the meta JSON into
+    ``out_dir``, creating it; return the manifest of the files written."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, (columns, rows) in tables.items():
+        _write_csv(os.path.join(out_dir, name), columns, rows)
+    _write_json(os.path.join(out_dir, meta_name), meta)
+    return {"out_dir": out_dir, "files": sorted([*tables, meta_name])}
 
 
 def run_fig2(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> dict:
@@ -137,28 +145,23 @@ def run_fig2(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     v0t = parse_grid("lin:0:8*pi:201") if grid is None else np.asarray(grid, float)
     times = v0t / abs(pot.v0)
     base = cfg.protocol
-    os.makedirs(out_dir, exist_ok=True)
-    files = []
+    tables = {}
     angle_files = {}
     for tag, theta in (("pi2", math.pi / 2.0), ("pi20", math.pi / 20.0)):
         echo, noecho = (
             GasSpec(density, pot, RamseyProtocol(theta, e, base.gamma, base.gamma_d))
             for e in (True, False)
         )
-        rows = zip(
-            times,
-            v0t,
-            np.abs(contrast_gas(echo, times)),
-            np.abs(contrast_gas(noecho, times)),
-            _envelope(echo.protocol, times),
-        )
-        name = f"fig2_theta_{tag}.csv"
-        _write_csv(
-            os.path.join(out_dir, name),
+        tables[f"fig2_theta_{tag}.csv"] = (
             ["t", "V0t", "C_echo", "C_noecho", "C_noninteracting"],
-            rows,
+            zip(
+                times,
+                v0t,
+                np.abs(contrast_gas(echo, times)),
+                np.abs(contrast_gas(noecho, times)),
+                _envelope(echo.protocol, times),
+            ),
         )
-        files.append(name)
         angle_files[tag] = theta
     meta = {
         "command": "fig2",
@@ -167,8 +170,7 @@ def run_fig2(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         "blockade_number": GasSpec(density, pot, base).n_r,
         "resolved_config": cfg.resolved,
     }
-    _write_json(os.path.join(out_dir, "fig2_meta.json"), meta)
-    return _manifest(out_dir, files, "fig2_meta.json")
+    return _emit(out_dir, tables, "fig2_meta.json", meta)
 
 
 def _tau_columns(pot, proto: RamseyProtocol, nr_values) -> tuple:
@@ -204,8 +206,6 @@ def run_fig3(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     }
     v0t = parse_grid("log:0.01:100:121") if grid is None else np.asarray(grid, float)
     times = v0t / abs(pot.v0)
-    os.makedirs(out_dir, exist_ok=True)
-    files = []
 
     # fitted B for the high-density overlay, from the exact exponent
     fit_times = np.linspace(0.05, 2.0 * math.pi, 40) / abs(pot.v0)
@@ -216,6 +216,7 @@ def run_fig3(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         for label, proto in unitary.items()
     }
 
+    tables = {}
     for tag, n_r in (("low", 0.01), ("high", 100.0)):
         cols = [
             np.abs(contrast_gas(GasSpec.from_blockade_number(n_r, pot, proto), times))
@@ -226,19 +227,15 @@ def run_fig3(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
                 cols.append(low_density_contrast(n_r, v0t, proto.beta))
             else:
                 cols.append(high_density_contrast(n_r, v0t, proto.beta, b_fit[label]))
-        rows = zip(v0t, *cols)
-        name = f"fig3_curve_{tag}.csv"
-        _write_csv(
-            os.path.join(out_dir, name),
+        tables[f"fig3_curve_{tag}.csv"] = (
             ["V0t", "C_echo", "C_noecho", "asym_echo", "asym_noecho"],
-            rows,
+            zip(v0t, *cols),
         )
-        files.append(name)
 
     nr_values = np.geomspace(1e-3, 1e3, 31)
     base = cfg.protocol
     tau_cols = ["n_r", "v0t_half_echo", "v0t_half_noecho", "tau_echo_us", "tau_noecho_us"]
-    tables = {
+    tau = {
         label: [
             _tau_columns(pot, RamseyProtocol(theta, echo, gamma, gamma_d), nr_values)
             for echo in (True, False)
@@ -248,14 +245,8 @@ def run_fig3(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
             ("dissipative", base.gamma, base.gamma_d),
         )
     }
-    for label, ((v0t_e, tau_e), (v0t_n, tau_n)) in tables.items():
-        name = f"fig3_tau_{label}.csv"
-        _write_csv(
-            os.path.join(out_dir, name),
-            tau_cols,
-            zip(nr_values, v0t_e, v0t_n, tau_e, tau_n),
-        )
-        files.append(name)
+    for label, ((v0t_e, tau_e), (v0t_n, tau_n)) in tau.items():
+        tables[f"fig3_tau_{label}.csv"] = (tau_cols, zip(nr_values, v0t_e, v0t_n, tau_e, tau_n))
 
     lo = (nr_values >= 1e-3) & (nr_values <= 1e-2)
     hi = (nr_values >= 1e2) & (nr_values <= 1e3)
@@ -264,7 +255,7 @@ def run_fig3(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
             "low_density": _loglog_slope(nr_values[lo], v0t_half[lo]),
             "high_density": _loglog_slope(nr_values[hi], v0t_half[hi]),
         }
-        for label, (v0t_half, _) in zip(("echo", "noecho"), tables["ideal"])
+        for label, (v0t_half, _) in zip(("echo", "noecho"), tau["ideal"])
     }
     meta = {
         "command": "fig3",
@@ -280,8 +271,7 @@ def run_fig3(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         "dissipation": {"gamma": base.gamma, "gamma_d": base.gamma_d},
         "resolved_config": cfg.resolved,
     }
-    _write_json(os.path.join(out_dir, "fig3_meta.json"), meta)
-    return _manifest(out_dir, files, "fig3_meta.json")
+    return _emit(out_dir, tables, "fig3_meta.json", meta)
 
 
 def run_fig4(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> dict:
@@ -298,19 +288,12 @@ def run_fig4(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         raise ConfigError("the lattice run needs a [lattice] config section")
     spec = LatticeSpec(cfg.lattice_size, cfg.lattice_spacing, pot, cfg.protocol)
     v0t = parse_grid("lin:0:4*pi:129") if grid is None else np.asarray(grid, float)
-    os.makedirs(out_dir, exist_ok=True)
-    files = []
-
     times = v0t / abs(pot.v0)
-    rows = []
-    for t, T, sp in zip(times, v0t, lattice_contrast(spec, times).tolist()):
-        rows.append((t, T, abs(sp), math.atan2(sp.imag, sp.real)))
-    _write_csv(
-        os.path.join(out_dir, "fig4_contrast.csv"),
-        ["t", "V0t", "contrast", "phase_rad"],
-        rows,
-    )
-    files.append("fig4_contrast.csv")
+    rows = [
+        (t, T, abs(sp), math.atan2(sp.imag, sp.real))
+        for t, T, sp in zip(times, v0t, lattice_contrast(spec, times).tolist())
+    ]
+    tables = {"fig4_contrast.csv": (["t", "V0t", "contrast", "phase_rad"], rows)}
 
     unitary = LatticeSpec(
         cfg.lattice_size,
@@ -325,13 +308,10 @@ def run_fig4(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         t = T / abs(pot.v0)
         values = correlation_map(unitary, t)
         flat = values.ravel().tolist()  # flat index ix * L + iy
-        name = f"fig4_map_v0t_{tag}.csv"
-        _write_csv(
-            os.path.join(out_dir, name),
+        tables[f"fig4_map_v0t_{tag}.csv"] = (
             ["site_x", "site_y", "G"],
-            ((*divmod(j, side), g) for j, g in enumerate(flat) if j != center),
+            [(*divmod(j, side), g) for j, g in enumerate(flat) if j != center],
         )
-        files.append(name)
         snapshots[tag] = {
             "side": side,
             "spacing_um": unitary.spacing,
@@ -354,8 +334,7 @@ def run_fig4(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         "map_snapshots": snapshots,
         "resolved_config": cfg.resolved,
     }
-    _write_json(os.path.join(out_dir, "fig4_meta.json"), meta)
-    return _manifest(out_dir, files, "fig4_meta.json")
+    return _emit(out_dir, tables, "fig4_meta.json", meta)
 
 
 def run_fig5(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> dict:
@@ -375,8 +354,7 @@ def run_fig5(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         times = np.linspace(0.0, uf["t_max"], uf["n_points"])
     else:
         times = np.asarray(grid, float) * 1e-6  # CLI grid arrives in ps
-    os.makedirs(out_dir, exist_ok=True)
-    files = []
+    tables = {}
     thetas = {}
     for p in uf["fractions"]:
         theta = 2.0 * math.asin(math.sqrt(p))  # upper-state population p
@@ -396,13 +374,10 @@ def run_fig5(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
                     -i_l.imag + 0.0,
                 )
             )
-        name = f"fig5_fraction_{p:g}.csv"
-        _write_csv(
-            os.path.join(out_dir, name),
+        tables[f"fig5_fraction_{p:g}.csv"] = (
             ["t_ps", "ratio", "phase_high_rad", "phase_low_rad"],
             rows,
         )
-        files.append(name)
     meta = {
         "command": "fig5",
         "fractions": list(uf["fractions"]),
@@ -414,8 +389,7 @@ def run_fig5(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         "phase_definition": "-Im I(t), referenced to 0 at t = 0",
         "resolved_config": cfg.resolved,
     }
-    _write_json(os.path.join(out_dir, "fig5_meta.json"), meta)
-    return _manifest(out_dir, files, "fig5_meta.json")
+    return _emit(out_dir, tables, "fig5_meta.json", meta)
 
 
 def run_scan(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> dict:
@@ -427,12 +401,7 @@ def run_scan(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     pot = _soft_core_potential(cfg, "the scan")
     nr_values = parse_grid("log:1e-3:1e3:31") if grid is None else np.asarray(grid, float)
     proto = cfg.protocol
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(out_dir, "scan_tau.csv"),
-        ["n_r", "v0t_half", "tau_us"],
-        zip(nr_values, *_tau_columns(pot, proto, nr_values)),
-    )
+    table = (["n_r", "v0t_half", "tau_us"], zip(nr_values, *_tau_columns(pot, proto, nr_values)))
     meta = {
         "command": "scan",
         "protocol": {
@@ -443,8 +412,7 @@ def run_scan(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         },
         "resolved_config": cfg.resolved,
     }
-    _write_json(os.path.join(out_dir, "scan_meta.json"), meta)
-    return _manifest(out_dir, ["scan_tau.csv"], "scan_meta.json")
+    return _emit(out_dir, {"scan_tau.csv": table}, "scan_meta.json", meta)
 
 
 def _random_soft_core_instance(rng, n: int):
@@ -589,8 +557,4 @@ def run_validate(cfg: RunConfig | None, out_dir: str, seed: int = 0) -> dict:
     }
     if cfg is not None:
         report["resolved_config"] = cfg.resolved
-    os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "validation_report.json"), report)
-    out = _manifest(out_dir, [], "validation_report.json")
-    out["all_passed"] = all_passed
-    return out
+    return {**_emit(out_dir, {}, "validation_report.json", report), "all_passed": all_passed}

@@ -340,7 +340,8 @@ def _soft_core_i_over_nr_closed(T: float, theta: float, beta: int) -> complex:
     pd = np.cos(theta / 2.0) ** 2
     if beta == 1:
         return pu * _k_bessel(T)
-    return pu * _k_bessel(T / 2.0) + pd * _k_bessel(-T / 2.0)
+    k = _k_bessel(T / 2.0)  # K(-y) = conj(K(y))
+    return pu * k + pd * k.conjugate()
 
 
 def _bare_i_tilde(s: float, g: float, theta: float, beta: int) -> complex:

@@ -167,6 +167,39 @@ def test_integer_fields_reject_booleans_and_non_integers(section, key, base, val
     assert config_from_dict(d).resolved[section][key] == 5
 
 
+@pytest.mark.parametrize(
+    "section", ["potential", "sample", "protocol", "lattice", "ultrafast", None]
+)
+def test_unknown_key_is_an_error_that_names_it(section):
+    # a misspelled key must not load as a run that silently ignores it
+    d = {
+        **minimal_dict(),
+        "lattice": {"spacing": "0.5 um", "size": 3},
+        "ultrafast": dict(ULTRAFAST_SECTION),
+    }
+    config_from_dict(d)
+    if section is None:
+        d["protcol"] = {"gamma": "1/21 1/us"}
+        name = "protcol"
+    else:
+        d[section]["gama"] = "1/21 1/us"
+        name = f"{section}.gama"
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    assert name in str(err.value)
+
+
+def test_parse_error_quotes_a_short_prefix_of_long_text():
+    d = minimal_dict()
+    d["protocol"]["theta"] = "1+" * 50_000 + "x"
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    message = str(err.value)
+    assert message.startswith("protocol.theta: cannot parse number '1+1+")
+    assert message.endswith("...")
+    assert len(message) < 200
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "nope.json"))

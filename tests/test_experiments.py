@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from rydramsey import cli
+from rydramsey import cli, experiments
 from rydramsey.config import config_from_dict, load_config
 from rydramsey.errors import ConfigError
 from rydramsey.experiments import parse_grid, run_fig4, run_fig5, run_validate
@@ -251,6 +251,51 @@ def test_negative_plateau_runs_forward_in_time(tmp_path):
         for k, col in enumerate(header):
             want = -pos[:, k] if col == "phase_rad" else pos[:, k]
             assert np.allclose(neg[:, k], want, rtol=1e-12, atol=0.0), (name, col)
+
+
+@pytest.mark.parametrize(
+    "command, config, grid",
+    [
+        ("fig2", SR, "lin:0:8:5"),
+        ("fig3", SR, "log:0.1:10:3"),
+        ("fig4", os.path.join(CONFIG_DIR, "..", "perfbench", "smoke_lattice.json"), "lin:0:4:3"),
+        ("fig5", RB, "lin:0:700:3"),
+        ("scan", SR, "log:0.1:10:3"),
+        ("validate", None, None),
+    ],
+)
+def test_manifest_lists_exactly_the_files_written(command, config, grid, tmp_path):
+    out = str(tmp_path / "out")
+    run = getattr(experiments, f"run_{command}")
+    if command == "validate":
+        manifest = run(None, out, seed=0)
+    else:
+        manifest = run(load_config(config), out, parse_grid(grid))
+    assert manifest["out_dir"] == out
+    assert manifest["files"] == sorted(os.listdir(out))
+
+
+def test_unwritable_out_is_a_one_line_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = cli.main(["fig5", "--config", RB, "--grid", "lin:0:700:3", "--out", str(blocker)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(blocker) in err
+
+
+def test_unknown_config_key_exits_2_before_writing(tmp_path, capsys):
+    with open(SR, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["protocol"]["gama"] = data["protocol"].pop("gamma")
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    rc = cli.main(["scan", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    assert "protocol.gama" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fig4_builds_each_coupling_matrix_once(tmp_path, monkeypatch):
