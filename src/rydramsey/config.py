@@ -218,10 +218,10 @@ _SCHEMA = {
 }
 
 
-def _read(name: str, section) -> Optional[dict]:
-    """Section ``name`` parsed key by key from _SCHEMA; None if absent."""
+def _read(name: str, section) -> dict:
+    """Section ``name`` parsed key by key from _SCHEMA."""
     if section is None:
-        return None
+        raise ConfigError(f"config section {name!r} is null; give an object or leave it out")
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be an object")
     schema = _SCHEMA[name]
@@ -258,7 +258,7 @@ def config_from_dict(data: dict) -> RunConfig:
             raise ConfigError(
                 f"unknown config section {_excerpt(name)}; accepted: {list(_SCHEMA)}"
             )
-    sections = {name: _read(name, data.get(name)) for name in _SCHEMA}
+    sections = {name: _read(name, data[name]) if name in data else None for name in _SCHEMA}
 
     pot = None
     psec = sections["potential"]
@@ -334,4 +334,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit, or bad UTF-8
+        raise ConfigError(f"cannot decode config {path}: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"cannot decode config {path}: nested too deeply") from None
     return config_from_dict(data)

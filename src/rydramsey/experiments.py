@@ -114,8 +114,13 @@ def _soft_core_potential(cfg: RunConfig, what: str):
     pot = cfg.potential
     if pot is None:
         raise ConfigError(f"{what} needs a [potential] config section")
-    if pot.kind is not PotentialKind.SOFT_CORE or pot.v0 == 0.0:
+    if pot.kind is not PotentialKind.SOFT_CORE:
         raise ConfigError(f"{what} needs a soft-core potential")
+    if pot.v0 == 0.0:
+        raise ConfigError(
+            f"{what} needs a nonzero plateau, but V0 = epsilon^4 (2 detuning) "
+            f"underflows to 0 for this config (epsilon = {pot.epsilon:.3g})"
+        )
     return pot
 
 

@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import dawsn, gamma, gammainc, j0, j1
 
 from .errors import (
     BiasWarning,
@@ -82,10 +81,17 @@ _MC_PAIRS = 2**17
 _T_TAYLOR = 0.1
 
 # h = |y|/2 from which K(y) takes its Bessel functions from Hankel's
-# asymptotic series, summed to _HANKEL_TERMS terms, instead of scipy's
-# j0/j1.
+# asymptotic series, summed to _HANKEL_TERMS terms, instead of :func:`_j01`.
 _H_HANKEL = 100.0
 _HANKEL_TERMS = 12
+
+# h below which :func:`_j01` sums the power series of J0 and J1 instead of
+# running Miller's backward recurrence.
+_H_SERIES = 4.0
+
+# x from which :func:`_dawson` sums the asymptotic series instead of the
+# power series.
+_X_DAWSON = 8.0
 
 # tau_half's probe grid is built this many points at a time: the scan
 # stops a few dozen points past its floor, long before the ceiling.
@@ -196,6 +202,40 @@ _J_N = np.array([
 ])
 _I_POW = np.array([1j**k for k in range(_TAYLOR_MAX + 1)])
 _HALF_I_EXP = np.array([0.5j**k / math.factorial(k) for k in range(_TAYLOR_MAX + 1)])
+_INV_FACT = [1.0 / math.factorial(k) for k in range(_TAYLOR_MAX + 1)]
+
+
+def _taylor_moments(g: float, n: int) -> list:
+    """a_m = (1/m!) integral_0^1 s^m e^{-g s} ds, m = 0..n-1, for g >= 0
+    and 2 <= n <= _TAYLOR_MAX.
+
+    Every a_m is positive, with a_m = e^{-g}/(m+1)! + g a_{m+1}: a sum of
+    positive terms, so the downward recurrence keeps the relative error of
+    its start. For g <= n it starts from the series
+    a_{n-1} = e^{-g} sum_k g^k/(n+k)!, whose term ratio g/(n+k+1) is
+    below 1, and it is exact at g = 0 (a_m = 1/(m+1)!) and at subnormal g.
+    For g > n, a_0 = -expm1(-g)/g and the upward recurrence
+    a_m = (a_{m-1} - e^{-g}/m!)/g, which cancels little: e^{-g}/m! is the
+    first term of a_{m-1} = e^{-g} sum_k g^k/(m+k)!, and for g > m the
+    terms after it add more than it.
+    """
+    e = math.exp(-g)
+    a = [0.0] * n
+    if g <= n:
+        term = total = _INV_FACT[n]
+        k = n
+        while term > 2**-54 * total:
+            k += 1
+            term *= g / k
+            total += term
+        a[n - 1] = e * total
+        for m in range(n - 2, -1, -1):
+            a[m] = e * _INV_FACT[m + 1] + g * a[m + 1]
+    else:
+        a[0] = -math.expm1(-g) / g
+        for m in range(1, n):
+            a[m] = (a[m - 1] - e * _INV_FACT[m]) / g
+    return a
 
 
 def _kernel_taylor(g: float, theta: float, beta: int, n_max: int) -> np.ndarray:
@@ -203,9 +243,7 @@ def _kernel_taylor(g: float, theta: float, beta: int, n_max: int) -> np.ndarray:
     kernel in X.
 
     Expanding the identities of :func:`_soft_core_h` in the moments
-    a_m = (1/m!) integral_0^1 s^m e^{-g s} ds = P(m+1, g) / g^(m+1)
-    (P the regularized lower incomplete gamma function; below g = 1e-20,
-    where g^(m+1) underflows, a_m is within g of its g = 0 value 1/(m+1)!):
+    a_m = (1/m!) integral_0^1 s^m e^{-g s} ds of :func:`_taylor_moments`:
     beta = 1: c_n = sin^2(theta/2) i^n a_{n-1};
     beta = 0: c_n = (i/2)^n/n! - i cos^2(theta/2)
               sum_{m<n} a_m (-i)^m (i/2)^(n-1-m) / (n-1-m)!.
@@ -213,8 +251,7 @@ def _kernel_taylor(g: float, theta: float, beta: int, n_max: int) -> np.ndarray:
     b = 1 - a_0 = -expm1(-g) - g a_1, accurate to its own size as g -> 0;
     at theta = pi/2, c_1 is that small (~ i g / 4).
     """
-    m1 = _ORDERS[:n_max]
-    a = 1.0 / gamma(m1 + 1.0) if g < 1e-20 else gammainc(m1, g) * g**-m1
+    a = np.array(_taylor_moments(g, n_max))
     if beta == 1:
         return math.sin(theta / 2.0) ** 2 * _I_POW[1 : n_max + 1] * a
     q = math.cos(theta / 2.0) ** 2
@@ -305,23 +342,56 @@ def _hankel_series(coefficients: list, h: float) -> complex:
     return s / math.sqrt(h)
 
 
+def _j01(h: float) -> tuple:
+    """(J_0(h), J_1(h)) for 0 <= h < _H_HANKEL.
+
+    Below _H_SERIES, the power series J_0 = sum_k (-h^2/4)^k / k!^2 and
+    J_1 = (h/2) sum_k (-h^2/4)^k / (k! (k+1)!), summed together; their
+    largest term is below 5, so cancellation costs under a digit.
+    Above, Miller's backward recurrence J_{k-1} = (2k/h) J_k - J_{k+1},
+    two orders per step, from J_{n+1} = 0, J_n = 1 at an even
+    n ~ h + sqrt(40 (h + 10)), where J_n(h) is negligible, normalized by
+    J_0 + 2 sum_k J_2k = 1 (Numerical Recipes, Bessel functions of
+    integer order). Both agree with the true values to ~1e-14 relative to
+    |J_1 + i J_0|, the modulus :func:`_k_bessel` needs.
+    """
+    if h < _H_SERIES:
+        q = -0.25 * h * h
+        term = j0 = j1 = 1.0
+        k = 0
+        while abs(term) > 1e-17:
+            k += 1
+            term *= q / (k * k)
+            j0 += term
+            j1 += term / (k + 1)
+        return j0, 0.5 * h * j1
+    r = 2.0 / h
+    even, odd, total = 1.0, 0.0, 0.0  # J_k, J_{k+1}, sum_{j>=1} J_{k+2j}, unnormalized
+    for k in range(2 * int(0.5 * (h + math.sqrt(40.0 * (h + 10.0)))), 0, -2):
+        total += even
+        odd = k * r * even - odd
+        even = (k - 1) * r * odd - even
+    norm = 2.0 * total + even
+    return even / norm, odd / norm
+
+
 def _k_bessel(y: float) -> complex:
     """K(y) = integral_0^inf [1 - e^{i y/(1+u^2)}] du in closed form.
 
     K(y) = -pi h [e^{ih} J_1(h) + i e^{ih} J_0(h)], h = |y|/2, for y >= 0
     and K(-y) = conj(K(y)); K(y) ~ sqrt(pi y / 2) (1 - i) for large y,
     which is where the low-density amplitudes come from. Below
-    h = _H_HANKEL the Bessel functions come from scipy. Above it, where
-    scipy's j0/j1 round their phase h - pi/4 before reducing it (a 1e-9
-    error at y = 1e8, O(1) beyond 1e16), e^{ih} J_nu(h) =
-    [a_nu e^{2ih} + conj(a_nu)] / 2 with a_nu = H^(1)_nu(h) e^{-ih} from
-    :func:`_hankel_series`: exp reduces the exact argument 2h, and
+    h = _H_HANKEL the Bessel functions come from :func:`_j01`. Above it,
+    e^{ih} J_nu(h) = [a_nu e^{2ih} + conj(a_nu)] / 2 with
+    a_nu = H^(1)_nu(h) e^{-ih} from :func:`_hankel_series`: exp reduces
+    the exact argument 2h, which keeps the phase accurate to y = 1e300, and
     12 terms of the series are at rounding level for h >= 100.
     """
     h = abs(y) / 2.0
     if h < _H_HANKEL:
-        val = -math.pi * h * np.exp(1j * h) * (j1(h) + 1j * j0(h))
-        return complex(val) if y >= 0 else complex(np.conj(val))
+        j0, j1 = _j01(h)
+        val = -math.pi * h * cmath.exp(1j * h) * complex(j1, j0)
+        return val if y >= 0 else val.conjugate()
     a0 = _hankel_series(_HANKEL_C0, h)
     a1 = _hankel_series(_HANKEL_C1, h)
     e2 = cmath.exp(2j * h)
@@ -342,6 +412,33 @@ def _soft_core_i_over_nr_closed(T: float, theta: float, beta: int) -> complex:
         return pu * _k_bessel(T)
     k = _k_bessel(T / 2.0)  # K(-y) = conj(K(y))
     return pu * k + pd * k.conjugate()
+
+
+def _dawson(x: float) -> float:
+    """Dawson's function D(x) = e^{-x^2} integral_0^x e^{t^2} dt, x >= 0.
+
+    Below _X_DAWSON, the series e^{-x^2} sum_n x^{2n+1} / (n! (2n+1)), whose
+    terms are all positive; above, the asymptotic series
+    (1/2x) sum_n (2n-1)!! / (2x^2)^n, whose terms fall below rounding
+    level long before they start to grow (n ~ x^2).
+    """
+    x2 = x * x
+    if x < _X_DAWSON:
+        power = total = x  # x^{2n+1} / n!
+        n = 0
+        while power > 2**-54 * total * (2 * n + 1):
+            n += 1
+            power *= x2 / n
+            total += power / (2 * n + 1)
+        return math.exp(-x2) * total
+    r = 0.5 / x2
+    term = total = 1.0
+    n = 0
+    while term > 2**-54 * total:
+        n += 1
+        term *= (2 * n - 1) * r
+        total += term
+    return 0.5 * total / x
 
 
 def _bare_i_tilde(s: float, g: float, theta: float, beta: int) -> complex:
@@ -372,7 +469,7 @@ def _bare_i_tilde(s: float, g: float, theta: float, beta: int) -> complex:
         val = pu * math.pi / math.sqrt(8.0) * (math.erf(root) / root) * (1.0 - 1j)
     else:
         x = math.sqrt(g) * math.sqrt(0.5)
-        ratio = complex(math.exp(-0.5 * g) * math.erf(x), 2.0 / math.sqrt(math.pi) * dawsn(x)) / x
+        ratio = complex(math.exp(-0.5 * g) * math.erf(x), 2.0 / math.sqrt(math.pi) * _dawson(x)) / x
         pd = math.cos(theta / 2.0) ** 2
         val = 0.5 * math.sqrt(math.pi) * (1.0 - 1j) + pd * 0.25 * math.pi * (1.0 + 1j) * ratio
     return val if s > 0 else val.conjugate()

@@ -212,6 +212,45 @@ def test_load_config_bad_json(tmp_path):
         load_config(str(p))
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        # past Python's 4300-digit integer conversion limit: a ValueError
+        # that is not a JSONDecodeError
+        (b'{"protocol": {"theta": ' + b"9" * 5000 + b"}}", "digits"),
+        # json.load recurses once per level and raises RecursionError
+        (b'{"protocol": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "nested too deeply"),
+        (b"\xff{}", "utf-8"),
+    ],
+    ids=["long_integer", "deep_nesting", "bad_utf8"],
+)
+def test_undecodable_config_is_a_short_config_error(tmp_path, content, message):
+    p = tmp_path / "config.json"
+    p.write_bytes(content)
+    with pytest.raises(ConfigError) as err:
+        load_config(str(p))
+    assert message in str(err.value) and len(str(err.value)) < 300
+
+
+@pytest.mark.parametrize(
+    "section", ["potential", "sample", "protocol", "lattice", "ultrafast"]
+)
+def test_null_section_is_an_error_that_names_it(section):
+    # "protocol": null must not run with the default protocol; an absent
+    # section keeps its meaning
+    d = {
+        **minimal_dict(),
+        "lattice": {"spacing": "0.5 um", "size": 3},
+        "ultrafast": dict(ULTRAFAST_SECTION),
+    }
+    del d[section]
+    config_from_dict(d)
+    d[section] = None
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    assert repr(section) in str(err.value) and "null" in str(err.value)
+
+
 def test_shipped_configs_parse():
     import pathlib
 

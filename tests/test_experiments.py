@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -296,6 +298,45 @@ def test_unknown_config_key_exits_2_before_writing(tmp_path, capsys):
     assert rc == 2
     assert "protocol.gama" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_underflowing_plateau_is_named(tmp_path, capsys):
+    # a rabi frequency so small that V0 = epsilon^4 (2 detuning) underflows
+    with open(SR, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["potential"]["rabi"] = "1e-200 rad/us"
+    path = tmp_path / "tiny_rabi.json"
+    path.write_text(json.dumps(data))
+    rc = cli.main(["scan", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "V0" in err and "underflows to 0" in err and "soft-core potential" not in err
+
+
+_NO_SCIPY = """
+import sys
+from rydramsey import cli
+sr, rb, out = sys.argv[1:]
+for command in ("fig2", "fig3", "fig4", "scan"):
+    assert cli.main([command, "--config", sr, "--out", f"{out}/{command}"]) == 0
+assert cli.main(["fig5", "--config", rb, "--out", f"{out}/fig5"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_figure_pipelines_load_no_scipy(tmp_path):
+    # a fresh interpreter runs every pipeline but validate on its default
+    # grid; only validate's oracle loads scipy, for its ODE solver
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, SR, RB, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_fig4_builds_each_coupling_matrix_once(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.special import beta as beta_function
+from scipy.special import dawsn, gammainc, j0, j1
 
 from rydramsey import gas_average
 from rydramsey.errors import (
@@ -753,6 +754,62 @@ def test_k_bessel_large_argument():
     assert abs(below - above) <= 1e-14 * abs(above)
 
 
+# Agreement of the in-house special functions with scipy's. J0 and J1 are
+# measured against |J1 + i J0|, the modulus K(y) needs, which never
+# vanishes; the moments against the exact small-g limit where scipy's own
+# rounding (up to ~1e-13 below g = 1e-4) dominates.
+J01_TOL = 3e-14
+MOMENT_TOL = 1e-13
+MOMENT_LIMIT_TOL = 1e-15
+DAWSON_TOL = 3e-14
+
+
+def test_j01_matches_scipy():
+    switch = gas_average._H_SERIES
+    hs = np.concatenate([
+        [0.0],
+        np.geomspace(1e-8, gas_average._H_HANKEL, 4200, endpoint=False),
+        np.linspace(0.9 * switch, 1.1 * switch, 401),
+        [np.nextafter(switch, 0.0), np.nextafter(gas_average._H_HANKEL, 0.0)],
+    ])
+    for h in hs.tolist():
+        got0, got1 = gas_average._j01(h)
+        want = complex(j1(h), j0(h))
+        assert abs(complex(got1, got0) - want) <= J01_TOL * abs(want), h
+
+
+def test_taylor_moments_match_scipy_and_the_small_g_limit():
+    # a_m = P(m+1, g) / g^(m+1) = 1/(m+1)! - g/(m! (m+2)) + O(g^2)
+    n_max = gas_average._TAYLOR_MAX
+    switches = [float(x) for n in range(2, n_max + 1) for x in (n, np.nextafter(n, np.inf))]
+    gs = [0.0, 5e-324, 1e-310, *np.geomspace(1e-300, 1e4, 1301).tolist(), *switches]
+    for n in range(2, n_max + 1):
+        for g in gs:
+            got = gas_average._taylor_moments(g, n)
+            assert len(got) == n
+            for m in range(n):
+                if g < 1e-10:
+                    want = (1.0 / (m + 1) - g / (m + 2)) / math.factorial(m)
+                    tol = MOMENT_LIMIT_TOL
+                else:
+                    want = gammainc(m + 1, g) * g ** -(m + 1.0)
+                    tol = MOMENT_TOL
+                assert abs(got[m] - want) <= tol * want, (n, g, m)
+
+
+def test_dawson_matches_scipy():
+    switch = gas_average._X_DAWSON
+    assert gas_average._dawson(0.0) == 0.0
+    xs = np.concatenate([
+        np.geomspace(1e-8, 1e8, 4000),
+        np.linspace(0.9 * switch, 1.1 * switch, 401),
+        [np.nextafter(switch, 0.0)],
+    ])
+    for x in xs.tolist():
+        want = dawsn(x)
+        assert abs(gas_average._dawson(x) - want) <= DAWSON_TOL * want, x
+
+
 @pytest.mark.parametrize("beta", [0, 1])
 def test_kernel_phase_bound(beta):
     # |1 - f| <= min(2, kappa |X|), kappa = 1 (no echo) or 1/2 (echo), at
@@ -976,7 +1033,7 @@ def test_kernel_second_derivative_closed_form():
                         - second_difference(g, theta, beta, h)) / 3.0
                 got = 2.0 * _kernel_taylor(g, theta, beta, 2)[1]
                 assert abs(got - want) <= 1e-7
-            # the g = 0 moments meet the incomplete-gamma form at its switch
+            # the moments are continuous across g = 1e-20
             for beta in (0, 1):
                 below = _kernel_taylor(float(np.nextafter(1e-20, 0.0)), theta, beta, 12)
                 above = _kernel_taylor(1e-20, theta, beta, 12)

@@ -247,7 +247,7 @@ import rydramsey
 from rydramsey import oracle
 from rydramsey.ising_core import RamseyProtocol
 
-heavy = ("scipy.optimize", "scipy.integrate", "scipy.linalg")
+heavy = ("scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.special")
 print([m for m in heavy if m in sys.modules])
 v = np.array([[0.0, 1.3, 0.4], [1.3, 0.0, -0.7], [0.4, -0.7, 0.0]])
 out = oracle.ramsey_sigma_plus(v, RamseyProtocol(1.1, True, 0.2, 0.05), [0.0, 0.5, 2.0])
@@ -258,8 +258,9 @@ print(out.tobytes().hex())
 
 def test_import_loads_no_ode_solver_or_root_finder():
     # a fresh interpreter: importing the package leaves scipy's optimize,
-    # integrate and linalg unloaded; the first gamma > 0 oracle evolution
-    # loads the ODE solver and gives the in-process value, bit for bit
+    # integrate, linalg and special unloaded; the first gamma > 0 oracle
+    # evolution loads the ODE solver and gives the in-process value, bit
+    # for bit
     src = os.path.dirname(os.path.dirname(os.path.abspath(oracle.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
