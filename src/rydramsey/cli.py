@@ -7,7 +7,8 @@ Subcommands map one-to-one onto the runners in ``experiments``:
 
 Exit codes: 0 success, 2 configuration or parameter problems,
 3 numerical failures (non-converged quadrature, missing crossing,
-oversized oracle request), 4 a validation run that completed but found
+oversized oracle request, a lattice past the dense-array cap of
+``lattice.MAX_SIDE``), 4 a validation run that completed but found
 disagreement.
 """
 

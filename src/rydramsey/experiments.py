@@ -124,6 +124,20 @@ def _soft_core_potential(cfg: RunConfig, what: str):
     return pot
 
 
+def _times_us(pot, v0t) -> np.ndarray:
+    """Dark times t = V0t / |V0| in us; ConfigError naming V0 when any
+    of them overflows float64 (a subnormal V0, or a huge V0t grid)."""
+    v0t = np.asarray(v0t, dtype=float)
+    with np.errstate(over="ignore"):
+        times = v0t / abs(pot.v0)
+    if not np.all(np.isfinite(times)):
+        raise ConfigError(
+            f"dark times V0t / |V0| overflow float64 for |V0| = {abs(pot.v0):.3g} rad/us "
+            f"and V0t up to {np.max(v0t):.3g}"
+        )
+    return times
+
+
 def _emit(out_dir: str, tables: dict, meta_name: str, meta: dict) -> dict:
     """Write each ``{name: (columns, rows)}`` CSV and the meta JSON into
     ``out_dir``, creating it; return the manifest of the files written."""
@@ -148,7 +162,7 @@ def run_fig2(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     if density is None:
         raise ConfigError("the contrast-decay sweep needs sample.density in the config")
     v0t = parse_grid("lin:0:8*pi:201") if grid is None else np.asarray(grid, float)
-    times = v0t / abs(pot.v0)
+    times = _times_us(pot, v0t)
     base = cfg.protocol
     tables = {}
     angle_files = {}
@@ -210,10 +224,10 @@ def run_fig3(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         "noecho": RamseyProtocol(theta, False, 0.0, 0.0),
     }
     v0t = parse_grid("log:0.01:100:121") if grid is None else np.asarray(grid, float)
-    times = v0t / abs(pot.v0)
+    times = _times_us(pot, v0t)
 
     # fitted B for the high-density overlay, from the exact exponent
-    fit_times = np.linspace(0.05, 2.0 * math.pi, 40) / abs(pot.v0)
+    fit_times = _times_us(pot, np.linspace(0.05, 2.0 * math.pi, 40))
     b_fit = {
         label: fit_hardcore_amplitude(
             GasSpec.from_blockade_number(100.0, pot, proto), fit_times
@@ -293,7 +307,7 @@ def run_fig4(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         raise ConfigError("the lattice run needs a [lattice] config section")
     spec = LatticeSpec(cfg.lattice_size, cfg.lattice_spacing, pot, cfg.protocol)
     v0t = parse_grid("lin:0:4*pi:129") if grid is None else np.asarray(grid, float)
-    times = v0t / abs(pot.v0)
+    times = _times_us(pot, v0t)
     rows = [
         (t, T, abs(sp), math.atan2(sp.imag, sp.real))
         for t, T, sp in zip(times, v0t, lattice_contrast(spec, times).tolist())
@@ -310,7 +324,7 @@ def run_fig4(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     snapshots = {}
     map_meta = {}
     for tag, T in (("pi2", math.pi / 2.0), ("pi", math.pi), ("2pi", 2.0 * math.pi)):
-        t = T / abs(pot.v0)
+        t = float(_times_us(pot, T))
         values = correlation_map(unitary, t)
         flat = values.ravel().tolist()  # flat index ix * L + iy
         tables[f"fig4_map_v0t_{tag}.csv"] = (
@@ -425,7 +439,7 @@ def _random_soft_core_instance(rng, n: int):
 
     Positions fill a box at blockade number ~1 with a minimum separation
     of 0.2 r_c (resampled as needed), which keeps every coupling within
-    [~0, V0] and the oracle's ODE well conditioned.
+    [~0, V0] and the oracle's Taylor steps few.
     """
     point = DimensionlessPoint(n_r=1.0, v0t=1.0, theta=math.pi / 2.0, beta=0)
     spec, _ = point.to_physical()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 from .ising_core import (
     AtomConfiguration,
     RamseyProtocol,
@@ -28,12 +28,17 @@ from .ising_core import (
 from .potential import InteractionPotential
 
 __all__ = [
+    "MAX_SIDE",
     "LatticeSpec",
     "lattice_positions",
     "lattice_contrast",
     "correlation_map",
     "d4_deviation",
 ]
+
+# Coupling and kernel arrays are dense (L^2, L^2), so memory grows as L^4:
+# at L = 50 each float64 one is 50 MB, and fig4 peaks near 0.4 GB.
+MAX_SIDE = 50
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,11 @@ class LatticeSpec:
             or self.side < 1
         ):
             raise ParameterError(f"side must be an integer >= 1, got {self.side!r}")
+        if self.side > MAX_SIDE:
+            raise CapacityError(
+                f"dense (L^2, L^2) lattice arrays are capped at L = {MAX_SIDE}, "
+                f"got L = {self.side if self.side < 10**9 else '>= 1e9'}"
+            )
         if not self.spacing > 0:
             raise ParameterError(f"spacing must be positive, got {self.spacing!r}")
 

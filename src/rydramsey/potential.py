@@ -119,7 +119,9 @@ def derive_potential(p: DressingParams, kind: PotentialKind) -> InteractionPoten
     Raises
     ------
     ParameterError
-        Zero detuning in soft-core mode, or zero c6 in bare mode.
+        Zero detuning in soft-core mode, or zero c6 in bare mode; in
+        soft-core mode also an epsilon, r_c, v0 or tail c6 that overflows
+        float64 (the message names which).
     UnsupportedRegimeError
         detuning/c6 >= 0 in soft-core mode (a repulsive-tail sign
         combination produces no soft core).
@@ -136,7 +138,23 @@ def derive_potential(p: DressingParams, kind: PotentialKind) -> InteractionPoten
             "soft-core mode requires detuning/c6 < 0; got detuning="
             f"{p.detuning!r} rad/us, c6={p.c6!r} rad um^6/us"
         )
-    eps = p.epsilon
+    def finite(name, compute):
+        try:
+            value = compute()
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ParameterError(
+                f"soft-core {name} is not finite for rabi={p.rabi!r} rad/us, "
+                f"detuning={p.detuning!r} rad/us, c6={p.c6!r} rad um^6/us"
+            )
+        return value
+
+    eps = finite("epsilon", lambda: p.epsilon)
+    r_c = finite("r_c", lambda: abs(p.c6 / (2.0 * p.detuning)) ** (1.0 / 6.0))
+    v0 = finite("V0", lambda: eps**4 * (2.0 * p.detuning))
+    # Tail coefficient chosen so V(0) = v0 holds exactly; see class docstring.
+    c6_tail = finite("tail c6", lambda: 2.0 * p.detuning * r_c**6)
     if abs(eps) > DRESSING_FRACTION_WARN:
         warnings.warn(
             f"dressing fraction |epsilon| = {abs(eps):.3g} is not small; "
@@ -144,10 +162,6 @@ def derive_potential(p: DressingParams, kind: PotentialKind) -> InteractionPoten
             ValidityWarning,
             stacklevel=2,
         )
-    r_c = abs(p.c6 / (2.0 * p.detuning)) ** (1.0 / 6.0)
-    v0 = eps**4 * (2.0 * p.detuning)
-    # Tail coefficient chosen so V(0) = v0 holds exactly; see class docstring.
-    c6_tail = 2.0 * p.detuning * r_c**6
     return InteractionPotential(kind=kind, epsilon=eps, r_c=r_c, v0=v0, c6=c6_tail)
 
 

@@ -313,6 +313,50 @@ def test_underflowing_plateau_is_named(tmp_path, capsys):
     assert "V0" in err and "underflows to 0" in err and "soft-core potential" not in err
 
 
+def write_sr_variant(tmp_path, section, key, value):
+    with open(SR, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data[section][key] = value
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("detuning, quantity", [("1e-150", "V0"), ("1e-320", "epsilon")])
+def test_overflowing_soft_core_is_a_parameter_error(tmp_path, capsys, detuning, quantity):
+    # epsilon^4 overflowed with a traceback (exit 1), or epsilon = V0 = inf
+    # gave fig2 a column of zero times (exit 0)
+    path = write_sr_variant(tmp_path, "potential", "detuning", f"{detuning} rad/us")
+    for command in ("fig2", "fig3", "fig4", "scan"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        assert f"soft-core {quantity} is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_subnormal_plateau_names_v0(tmp_path, capsys):
+    # V0 = 1e-312 rad/us: V0t / |V0| overflows, with no numpy warning
+    # (RuntimeWarnings are errors in this suite); scan's tau_1/2 needs no
+    # V0t grid and runs
+    path = write_sr_variant(tmp_path, "potential", "rabi", "1e-75 rad/us")
+    for command in ("fig2", "fig3", "fig4"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "overflow float64 for |V0| = 1e-312 rad/us" in err
+        assert not out.exists()
+    assert cli.main(["scan", "--config", path, "--out", str(tmp_path / "scan")]) == 0
+
+
+def test_huge_lattice_is_a_capacity_error(tmp_path, capsys):
+    # a 10^6 x 10^6 lattice asked numpy for a 7.28 TiB array (exit 1)
+    path = write_sr_variant(tmp_path, "lattice", "size", 1_000_000)
+    out = tmp_path / "fig4"
+    assert cli.main(["fig4", "--config", path, "--out", str(out)]) == 3
+    assert "capped at L = 50" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _NO_SCIPY = """
 import sys
 from rydramsey import cli
@@ -320,13 +364,14 @@ sr, rb, out = sys.argv[1:]
 for command in ("fig2", "fig3", "fig4", "scan"):
     assert cli.main([command, "--config", sr, "--out", f"{out}/{command}"]) == 0
 assert cli.main(["fig5", "--config", rb, "--out", f"{out}/fig5"]) == 0
+assert cli.main(["validate", "--out", f"{out}/validate"]) == 0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
 def test_figure_pipelines_load_no_scipy(tmp_path):
-    # a fresh interpreter runs every pipeline but validate on its default
-    # grid; only validate's oracle loads scipy, for its ODE solver
+    # a fresh interpreter runs every pipeline on its default grid, and
+    # validate with its dissipative oracle runs, without loading scipy
     src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     run = subprocess.run(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rydramsey.errors import ParameterError
+from rydramsey.errors import CapacityError, ParameterError
 from rydramsey.ising_core import (
     AtomConfiguration,
     RamseyProtocol,
@@ -12,6 +12,7 @@ from rydramsey.ising_core import (
     sigma_plus_couplings,
 )
 from rydramsey.lattice import (
+    MAX_SIDE,
     LatticeSpec,
     correlation_map,
     d4_deviation,
@@ -274,3 +275,13 @@ def test_lattice_spec_validation():
         LatticeSpec(True, 0.5, pot, proto)
     with pytest.raises(ParameterError):
         LatticeSpec(3, -0.5, pot, proto)
+
+
+def test_lattice_spec_caps_the_dense_arrays():
+    # checked before any (L^2, L^2) array exists, so a huge side fails fast
+    pot = soft_core_potential()
+    proto = RamseyProtocol(math.pi / 2, True, 0.0, 0.0)
+    assert LatticeSpec(MAX_SIDE, 0.5, pot, proto).n_sites == MAX_SIDE**2
+    for side in (MAX_SIDE + 1, 1_000_000, 10**4000):
+        with pytest.raises(CapacityError, match=f"capped at L = {MAX_SIDE}"):
+            LatticeSpec(side, 0.5, pot, proto)

@@ -122,3 +122,14 @@ def test_negative_distance_rejected():
     pot = derive_potential(sr_params(), PotentialKind.SOFT_CORE)
     with pytest.raises(ParameterError):
         evaluate_V(pot, -0.5)
+
+
+@pytest.mark.parametrize(
+    "detuning, quantity",
+    [(1e-150, "V0"), (1e-320, "epsilon")],
+)
+def test_soft_core_values_that_overflow_are_named(detuning, quantity):
+    # epsilon^4 overflows (a Python OverflowError), or epsilon itself is inf
+    p = DressingParams(rabi=1000.0, detuning=detuning, c6=-1.0e4)
+    with pytest.raises(ParameterError, match=f"soft-core {quantity} is not finite"):
+        derive_potential(p, PotentialKind.SOFT_CORE)
