@@ -25,14 +25,13 @@ from rydramsey import (
 
 pot = derive_potential(DressingParams(rabi=1000.0, detuning=5000.0, c6=-1.0e4),
                        PotentialKind.SOFT_CORE)
-spec = LatticeSpec(side=15, spacing=pot.r_c / 2.0, potential=pot,
-                   protocol=RamseyProtocol(math.pi / 2, echo=True,
-                                           gamma=0.0, gamma_d=0.0))
+spec = LatticeSpec(side=15, spacing=pot.r_c / 2.0, potential=pot)
+proto = RamseyProtocol(math.pi / 2, echo=True, gamma=0.0, gamma_d=0.0)
 
 t = math.pi / pot.v0
-values = correlation_map(spec, t)  # (15, 15), NaN at the center
+values = correlation_map(spec, proto, t)  # (15, 15), NaN at the center
 print("15 x 15 lattice, spacing r_c/2, V0 t = pi")
-print(f"contrast has collapsed to {abs(lattice_contrast(spec, t)):.1e} "
+print(f"contrast has collapsed to {abs(lattice_contrast(spec, proto, t)):.1e} "
       f"while G peaks; four-fold symmetry residual {d4_deviation(values):.1e}\n")
 
 # character-art |G|: one glyph per site, log-binned

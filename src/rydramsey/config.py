@@ -23,6 +23,7 @@ import ast
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -142,6 +143,8 @@ def parse_quantity(value, kind: str, name: str = "quantity") -> float:
         raise ConfigError(f"{name}: expected a quantity, got a boolean")
     if isinstance(value, (int, float)):
         if kind in ("dimensionless", "angle"):
+            if isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise ConfigError(f"{name}: integer is outside the finite float range")
             return float(value)
         raise ConfigError(
             f"{name}: physical quantities need a unit suffix, "

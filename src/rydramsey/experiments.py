@@ -124,9 +124,13 @@ def _soft_core_potential(cfg: RunConfig, what: str):
     return pot
 
 
-def _times_us(pot, v0t) -> np.ndarray:
-    """Dark times t = V0t / |V0| in us; ConfigError naming V0 when any
-    of them overflows float64 (a subnormal V0, or a huge V0t grid)."""
+def _times_us(pot, v0t, proto: RamseyProtocol) -> np.ndarray:
+    """Dark times t = V0t / |V0| in us of a grid run under ``proto``.
+
+    ConfigError, with no numpy warning, naming V0 when any time
+    overflows float64 (a subnormal V0, or a huge V0t grid), or naming
+    the rate when gamma t or gamma_d t does.
+    """
     v0t = np.asarray(v0t, dtype=float)
     with np.errstate(over="ignore"):
         times = v0t / abs(pot.v0)
@@ -135,6 +139,14 @@ def _times_us(pot, v0t) -> np.ndarray:
             f"dark times V0t / |V0| overflow float64 for |V0| = {abs(pot.v0):.3g} rad/us "
             f"and V0t up to {np.max(v0t):.3g}"
         )
+    t_max = float(np.max(np.abs(times)))
+    for name in ("gamma", "gamma_d"):
+        rate = getattr(proto, name)
+        if not math.isfinite(rate * t_max):
+            raise ConfigError(
+                f"protocol.{name} * t overflows float64 for {name} = {rate:.3g} rad/us "
+                f"and t up to {t_max:.3g} us"
+            )
     return times
 
 
@@ -162,8 +174,8 @@ def run_fig2(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     if density is None:
         raise ConfigError("the contrast-decay sweep needs sample.density in the config")
     v0t = parse_grid("lin:0:8*pi:201") if grid is None else np.asarray(grid, float)
-    times = _times_us(pot, v0t)
     base = cfg.protocol
+    times = _times_us(pot, v0t, base)
     tables = {}
     angle_files = {}
     for tag, theta in (("pi2", math.pi / 2.0), ("pi20", math.pi / 20.0)):
@@ -224,10 +236,10 @@ def run_fig3(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         "noecho": RamseyProtocol(theta, False, 0.0, 0.0),
     }
     v0t = parse_grid("log:0.01:100:121") if grid is None else np.asarray(grid, float)
-    times = _times_us(pot, v0t)
+    times = _times_us(pot, v0t, unitary["echo"])
 
     # fitted B for the high-density overlay, from the exact exponent
-    fit_times = _times_us(pot, np.linspace(0.05, 2.0 * math.pi, 40))
+    fit_times = _times_us(pot, np.linspace(0.05, 2.0 * math.pi, 40), unitary["echo"])
     b_fit = {
         label: fit_hardcore_amplitude(
             GasSpec.from_blockade_number(100.0, pot, proto), fit_times
@@ -305,27 +317,22 @@ def run_fig4(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     pot = _soft_core_potential(cfg, "the lattice run")
     if cfg.lattice_spacing is None or cfg.lattice_size is None:
         raise ConfigError("the lattice run needs a [lattice] config section")
-    spec = LatticeSpec(cfg.lattice_size, cfg.lattice_spacing, pot, cfg.protocol)
+    spec = LatticeSpec(cfg.lattice_size, cfg.lattice_spacing, pot)
     v0t = parse_grid("lin:0:4*pi:129") if grid is None else np.asarray(grid, float)
-    times = _times_us(pot, v0t)
+    times = _times_us(pot, v0t, cfg.protocol)
     rows = [
         (t, T, abs(sp), math.atan2(sp.imag, sp.real))
-        for t, T, sp in zip(times, v0t, lattice_contrast(spec, times).tolist())
+        for t, T, sp in zip(times, v0t, lattice_contrast(spec, cfg.protocol, times).tolist())
     ]
     tables = {"fig4_contrast.csv": (["t", "V0t", "contrast", "phase_rad"], rows)}
 
-    unitary = LatticeSpec(
-        cfg.lattice_size,
-        cfg.lattice_spacing,
-        pot,
-        RamseyProtocol(cfg.protocol.theta, cfg.protocol.echo, 0.0, 0.0),
-    )
-    side, center = unitary.side, unitary.center_site
+    unitary = RamseyProtocol(cfg.protocol.theta, cfg.protocol.echo, 0.0, 0.0)
+    side, center = spec.side, spec.center_site
     snapshots = {}
     map_meta = {}
     for tag, T in (("pi2", math.pi / 2.0), ("pi", math.pi), ("2pi", 2.0 * math.pi)):
-        t = float(_times_us(pot, T))
-        values = correlation_map(unitary, t)
+        t = float(_times_us(pot, T, unitary))
+        values = correlation_map(spec, unitary, t)
         flat = values.ravel().tolist()  # flat index ix * L + iy
         tables[f"fig4_map_v0t_{tag}.csv"] = (
             ["site_x", "site_y", "G"],
@@ -333,7 +340,7 @@ def run_fig4(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         )
         snapshots[tag] = {
             "side": side,
-            "spacing_um": unitary.spacing,
+            "spacing_um": spec.spacing,
             "center_site": center,
             "time_us": t,
             # JSON has no NaN: the reference site's entry encodes as null

@@ -503,7 +503,10 @@ def exponent_integral(spec: GasSpec, t: float) -> complex:
     if t == 0:
         return 0.0 + 0.0j
     th, beta = spec.protocol.theta, spec.protocol.beta
-    g = spec.protocol.gamma * t
+    gamma = spec.protocol.gamma
+    g = gamma * t
+    if g == math.inf:
+        raise ParameterError(f"g = gamma*t overflows float64 at gamma = {gamma!r}, t = {t!r}")
     pot = spec.potential
     if pot.kind is PotentialKind.SOFT_CORE:
         if g == 0.0:

@@ -20,6 +20,7 @@ the oracle reports too; its ``evolve_master`` reaches the raw lab frame.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,8 @@ def f_kernel(x, g: float, theta: float, beta: int):
     x : float or ndarray
         Dimensionless pair phase(s) X = V*t, any sign.
     g : float
-        Dimensionless emission g = gamma*t >= 0.
+        Dimensionless emission g = gamma*t, finite and >= 0; f(0, g) = 1
+        exactly at every such g, subnormal ones included.
     theta : float
         Tipping angle, rad.
     beta : int
@@ -120,8 +122,8 @@ def f_kernel(x, g: float, theta: float, beta: int):
     """
     if beta not in (0, 1):
         raise ParameterError(f"beta must be 0 or 1, got {beta!r}")
-    if g < 0:
-        raise ParameterError("g = gamma*t must be non-negative")
+    if not 0.0 <= g < math.inf:
+        raise ParameterError(f"g = gamma*t must be finite and non-negative, got {g!r}")
     x = np.asarray(x, dtype=float)
     if g == 0.0:
         out = np.empty(x.shape, dtype=complex)
@@ -142,12 +144,28 @@ def f_kernel(x, g: float, theta: float, beta: int):
         im /= u
     else:
         if beta == 1:
-            q = math.sin(0.5 * theta) ** 2 * (x / (x + 1j * g))
+            q = math.sin(0.5 * theta) ** 2 * _x_over_x_plus_ig(x, g)
             out = q * np.exp(1j * x - g) + (1.0 - q)
         else:
-            q = math.cos(0.5 * theta) ** 2 * (x / (x - 1j * g))
+            q = math.cos(0.5 * theta) ** 2 * _x_over_x_plus_ig(x, -g)
             out = (1.0 - q) * np.exp(0.5j * x) + q * np.exp(-0.5j * x - g)
     return out if out.ndim else complex(out)
+
+
+def _x_over_x_plus_ig(x: np.ndarray, g: float) -> np.ndarray:
+    """X / (X + i g) for a nonzero float g: 0 at X = 0, with no warning.
+
+    numpy's complex division scales by 1 / max(|X|, |g|), which overflows
+    for a subnormal g at small |X|; there 1 / (1 + i g/X) is used, whose
+    g/X = +-inf at X = 0 gives exactly 0. At normal g the quotient is
+    numpy's, bit for bit.
+    """
+    if abs(g) >= sys.float_info.min:
+        return x / (x + 1j * g)
+    d = np.ones(x.shape, dtype=complex)
+    with np.errstate(divide="ignore"):
+        np.divide(g, x, out=d.imag)
+    return 1.0 / d
 
 
 @dataclass(frozen=True)
@@ -191,7 +209,8 @@ class AtomConfiguration:
 
     The positions are stored as a read-only copy, and their pair
     distances are computed once, at construction, where coincident atoms
-    are rejected. Couplings are materialized on demand from an
+    and distances whose squares overflow float64 are rejected. Couplings
+    are materialized on demand from an
     :class:`~rydramsey.potential.InteractionPotential`; the matrix is
     symmetric with zero diagonal.
     """
@@ -206,8 +225,11 @@ class AtomConfiguration:
             raise ParameterError("configuration must contain at least one atom")
         if not np.all(np.isfinite(pos)):
             raise ParameterError("positions must be finite")
-        d = pos[:, None, :] - pos[None, :, :]
-        r = np.sqrt((d * d).sum(axis=2))
+        with np.errstate(over="ignore"):
+            d = pos[:, None, :] - pos[None, :, :]
+            r = np.sqrt((d * d).sum(axis=2))
+        if not np.all(np.isfinite(r)):
+            raise ParameterError("pair distances overflow float64 (a span past ~1e154 um)")
         if np.count_nonzero(r == 0.0) > pos.shape[0]:  # beyond the diagonal
             raise ParameterError("two atoms coincide")
         pos.flags.writeable = False

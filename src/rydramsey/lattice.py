@@ -1,7 +1,7 @@
 """Contrast and connected-correlation maps on a unit-filled square lattice.
 
-A finite L x L array with open boundaries, one atom per site. Each
-call builds the coupling matrix once. Contrast hands that matrix to
+A finite L x L array with open boundaries, one atom per site. A spec
+builds its coupling matrix once, on first use. Contrast hands it to
 :func:`rydramsey.ising_core.sigma_plus_couplings` unchanged (so it is
 bit-for-bit the configuration result, a tested invariant) on a float
 time or a whole time grid, evaluating the kernel once per distinct
@@ -15,6 +15,7 @@ Correlations follow the spin-1/2 normalization S = sigma/2, so
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,12 +45,11 @@ MAX_SIDE = 50
 @dataclass(frozen=True)
 class LatticeSpec:
     """Unit-filled square lattice: L x L sites at spacing a (um), open
-    boundaries, plus the potential and pulse protocol acting on it."""
+    boundaries, plus the potential acting on it."""
 
     side: int
     spacing: float
     potential: InteractionPotential
-    protocol: RamseyProtocol
 
     def __post_init__(self):
         if (
@@ -79,36 +79,45 @@ class LatticeSpec:
     def configuration(self) -> AtomConfiguration:
         return AtomConfiguration(positions=lattice_positions(self.side, self.spacing))
 
+    @cached_property
+    def couplings(self) -> np.ndarray:
+        """(L^2, L^2) read-only coupling matrix in rad/us, built on first use."""
+        v = self.configuration().coupling_matrix(self.potential)
+        v.flags.writeable = False
+        return v
+
 
 def lattice_positions(side: int, spacing: float) -> np.ndarray:
     """(L^2, 3) positions of a unit-filled L x L lattice in the z = 0 plane.
 
-    Site (ix, iy) sits at flat index ix * L + iy.
+    Site (ix, iy) sits at flat index ix * L + iy. ParameterError if the
+    farthest coordinate overflows float64.
     """
     ix, iy = np.divmod(np.arange(side * side), side)
     pos = np.zeros((side * side, 3))
-    pos[:, 0] = ix * spacing
-    pos[:, 1] = iy * spacing
+    with np.errstate(over="ignore"):
+        pos[:, 0] = ix * spacing
+        pos[:, 1] = iy * spacing
+    if not np.isfinite(pos[-1, 0]):
+        raise ParameterError(f"lattice positions overflow float64 at spacing {spacing:.3g} um")
     return pos
 
 
-def lattice_contrast(spec: LatticeSpec, t) -> complex | np.ndarray:
-    """Per-spin coherence of the lattice at time t, a float or a 1-D array;
-    the total coherence is L^2 times it.
+def lattice_contrast(spec: LatticeSpec, proto: RamseyProtocol, t) -> complex | np.ndarray:
+    """Per-spin coherence of the lattice under ``proto`` at time t, a
+    float or a 1-D array; the total coherence is L^2 times it.
 
-    Builds the coupling matrix of the L^2 configuration once and hands
-    it to sigma_plus_couplings, which evaluates the kernel once per
-    distinct coupling value at each time; returns a complex for a float
-    t and a complex array for an array. L = 1 gives the bare single-atom
-    signal sin(theta) D e^{-gamma_d t}.
+    Hands :attr:`LatticeSpec.couplings` to sigma_plus_couplings, which
+    evaluates the kernel once per distinct coupling value at each time;
+    returns a complex for a float t and a complex array for an array.
+    L = 1 gives the bare single-atom signal sin(theta) D e^{-gamma_d t}.
     """
-    couplings = spec.configuration().coupling_matrix(spec.potential)
-    return sigma_plus_couplings(couplings, spec.protocol, t)
+    return sigma_plus_couplings(spec.couplings, proto, t)
 
 
-def correlation_map(spec: LatticeSpec, t: float) -> np.ndarray:
-    """Map of G(center, j) = <S^x S^x> - <S^x><S^x> over all sites j, with
-    the reference site at :attr:`LatticeSpec.center_site`.
+def correlation_map(spec: LatticeSpec, proto: RamseyProtocol, t: float) -> np.ndarray:
+    """Map of G(center, j) = <S^x S^x> - <S^x><S^x> under ``proto`` over
+    all sites j, with the reference site at :attr:`LatticeSpec.center_site`.
 
     Returns an (L, L) float array indexed [ix, iy]; the reference site
     holds NaN (G(i, i) is not defined by the map). G is symmetric in its
@@ -124,10 +133,9 @@ def correlation_map(spec: LatticeSpec, t: float) -> np.ndarray:
         :func:`~rydramsey.ising_core.sigma_plus_couplings`.
     """
     center = spec.center_site
-    v = spec.configuration().coupling_matrix(spec.potential)
     js = np.delete(np.arange(spec.n_sites), center)
     values = np.full(spec.n_sites, np.nan)  # flat index ix * L + iy
-    values[js] = _connected_sxsx_couplings(v, spec.protocol, center, js, t)
+    values[js] = _connected_sxsx_couplings(spec.couplings, proto, center, js, t)
     return values.reshape(spec.side, spec.side)
 
 

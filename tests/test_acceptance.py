@@ -199,10 +199,11 @@ def test_criterion_07_echo_orderings():
 def test_criterion_08_lattice_correlation_map():
     """15x15 map: D4-symmetric, short-ranged, empty at t = 0."""
     pot = derive_potential(DressingParams(1000.0, 5000.0, -1.0e4), PotentialKind.SOFT_CORE)
-    spec = LatticeSpec(15, pot.r_c / 2.0, pot, RamseyProtocol(math.pi / 2.0, True, 0.0, 0.0))
+    spec = LatticeSpec(15, pot.r_c / 2.0, pot)
+    proto = RamseyProtocol(math.pi / 2.0, True, 0.0, 0.0)
     t_pi = math.pi / pot.v0
 
-    values = correlation_map(spec, t_pi)
+    values = correlation_map(spec, proto, t_pi)
     d4 = d4_deviation(values)
 
     pos = lattice_positions(15, spec.spacing)
@@ -210,7 +211,7 @@ def test_criterion_08_lattice_correlation_map():
     g = np.abs(values)
     near = g[(dist > 0) & (dist <= pot.r_c)].sum()
     far = g[dist > 2.5 * pot.r_c].sum()
-    zero = float(np.nanmax(np.abs(correlation_map(spec, 0.0))))
+    zero = float(np.nanmax(np.abs(correlation_map(spec, proto, 0.0))))
 
     ok = d4 <= 1e-10 and near > 10.0 * far and zero <= 1e-12
     report(

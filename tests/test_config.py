@@ -45,6 +45,15 @@ def test_unknown_unit_lists_choices():
     assert "rad/us" in str(err.value)
 
 
+def test_bare_integer_past_the_float_range_is_a_config_error():
+    # a 401-digit JSON integer raised OverflowError (exit 1)
+    assert parse_quantity(2**1023, "angle") == 2.0**1023
+    for kind in ("angle", "dimensionless"):
+        for huge in (10**400, -(10**400), 10**5000):
+            with pytest.raises(ConfigError, match="outside the finite float range"):
+                parse_quantity(huge, kind, "protocol.theta")
+
+
 def test_booleans_rejected():
     with pytest.raises(ConfigError):
         parse_quantity(True, "dimensionless")

@@ -348,6 +348,20 @@ def test_subnormal_plateau_names_v0(tmp_path, capsys):
     assert cli.main(["scan", "--config", path, "--out", str(tmp_path / "scan")]) == 0
 
 
+@pytest.mark.parametrize("rate", ["gamma", "gamma_d"])
+def test_overflowing_rate_times_time_is_named(tmp_path, capsys, rate):
+    # gamma t = inf wrote nan contrast rows (exit 0) or warned; fig3's
+    # curves and scan run unitary or on tau_1/2 alone, and still run
+    path = write_sr_variant(tmp_path, "protocol", rate, "1e308 rad/us")
+    for command in ("fig2", "fig4"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        assert f"protocol.{rate} * t overflows float64" in capsys.readouterr().err
+        assert not out.exists()
+    for command in ("fig3", "scan"):
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
+
+
 def test_huge_lattice_is_a_capacity_error(tmp_path, capsys):
     # a 10^6 x 10^6 lattice asked numpy for a 7.28 TiB array (exit 1)
     path = write_sr_variant(tmp_path, "lattice", "size", 1_000_000)
@@ -385,7 +399,8 @@ def test_figure_pipelines_load_no_scipy(tmp_path):
 
 
 def test_fig4_builds_each_coupling_matrix_once(tmp_path, monkeypatch):
-    # One build for the whole contrast trace and one per correlation map.
+    # The contrast trace and all three correlation maps read one matrix,
+    # built once.
     with open(SR, encoding="utf-8") as fh:
         data = json.load(fh)
     data["lattice"]["size"] = 5
@@ -399,7 +414,7 @@ def test_fig4_builds_each_coupling_matrix_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(AtomConfiguration, "coupling_matrix", counting)
     run_fig4(cfg, str(tmp_path), grid=parse_grid("lin:0:4*pi:33"))
-    assert len(builds) <= 4, builds
+    assert builds == [25]
 
 
 def test_cli_rerun_is_byte_identical(tmp_path):
@@ -423,13 +438,13 @@ def test_fig4_map_csv_and_json_round_trip(tmp_path):
     cfg = config_from_dict(data)
     run_fig4(cfg, str(tmp_path), grid=parse_grid("lin:0:4:5"))
     proto = RamseyProtocol(cfg.protocol.theta, cfg.protocol.echo, 0.0, 0.0)
-    spec = LatticeSpec(5, cfg.lattice_spacing, cfg.potential, proto)
+    spec = LatticeSpec(5, cfg.lattice_spacing, cfg.potential)
     cx, cy = divmod(spec.center_site, 5)
     with open(tmp_path / "fig4_meta.json", encoding="utf-8") as fh:
         snapshots = json.load(fh)["map_snapshots"]
     v0 = abs(cfg.potential.v0)
     for tag, v0t in (("pi2", math.pi / 2.0), ("pi", math.pi), ("2pi", 2.0 * math.pi)):
-        want = correlation_map(spec, v0t / v0)
+        want = correlation_map(spec, proto, v0t / v0)
         with open(tmp_path / f"fig4_map_v0t_{tag}.csv", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         assert lines[0] == "site_x,site_y,G"

@@ -199,6 +199,16 @@ def test_soft_core_taylor_and_spectral_branches_meet():
                     assert abs(a - b) <= 1e-12 * abs(a)
 
 
+def test_exponent_rejects_overflowing_emission():
+    # gamma t = inf gave nan from the quadrature; both potentials refuse it
+    bare = derive_potential(DressingParams(0.0, 0.0, -1e4), PotentialKind.BARE_VDW)
+    for pot in (soft_core_potential(), bare):
+        sp = GasSpec(0.1, pot, RamseyProtocol(math.pi / 2, True, 1e308))
+        with pytest.raises(ParameterError, match="overflows float64"):
+            exponent_integral(sp, 10.0)
+        assert np.isfinite(exponent_integral(sp, 1.0))  # gamma t = 1e308
+
+
 def test_soft_core_nonconvergence_raises(monkeypatch):
     # sqrt(X) = sqrt(T) |cos(phi)| has a kink at phi = pi/2, so the midpoint
     # rule converges only algebraically and the nested estimate flags it

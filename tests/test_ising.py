@@ -119,6 +119,29 @@ def test_kernel_extreme_decay_no_overflow():
 
 
 @pytest.mark.parametrize("beta", [0, 1])
+def test_kernel_is_one_at_zero_phase_for_every_g(beta):
+    # numpy's complex division X / (X + i g) forms 1/g, which overflowed to
+    # nan at X = 0 for a subnormal g; f(0, g) = 1 exactly at every finite
+    # g >= 0, with no warning, and a subnormal g leaves f at its g = 0
+    # value up to the two branches' rounding
+    x = np.array([0.0, -0.0, 1e-321, -3e-310, 0.5, -7.0, 1e300])
+    for g in (0.0, 5e-324, 1e-320, 2.2e-308, 1e-300, 0.3, 1e300):
+        for theta in (0.0, 0.3, math.pi / 2, math.pi):
+            got = f_kernel(x, g, theta, beta)
+            assert got[0] == 1.0 and got[1] == 1.0, (g, theta)
+            assert f_kernel(0.0, g, theta, beta) == 1.0
+            if g < 1e-300:
+                assert np.max(np.abs(got - f_kernel(x, 0.0, theta, beta))) <= 1e-15
+
+
+@pytest.mark.parametrize("g", [math.nan, math.inf, -1e-300])
+def test_kernel_rejects_non_finite_or_negative_g(g):
+    for beta in (0, 1):
+        with pytest.raises(ParameterError, match="finite and non-negative"):
+            f_kernel(np.array([0.0, 1.0]), g, math.pi / 2, beta)
+
+
+@pytest.mark.parametrize("beta", [0, 1])
 def test_kernel_g0_matches_complex_product_form(beta):
     # the g = 0 branch writes real and imaginary parts in place; it must
     # agree with the complex expressions c - i cos(theta) s (echo) and
@@ -297,7 +320,7 @@ def test_negative_time_needs_unitary_protocol():
         with pytest.raises(ParameterError):
             connected_sxsx(cfg, pot, proto, 0, 1, -1.0)
         with pytest.raises(ParameterError):
-            correlation_map(LatticeSpec(3, pot.r_c, pot, proto), -1.0)
+            correlation_map(LatticeSpec(3, pot.r_c, pot), proto, -1.0)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -315,7 +338,7 @@ def test_non_finite_time_rejected(entry, t):
             GasSpec(0.05, pot, proto), [t], n_samples=2, n_atoms=8, seed=0
         ),
         "connected_sxsx": lambda: connected_sxsx(cfg, pot, proto, 0, 1, t),
-        "correlation_map": lambda: correlation_map(LatticeSpec(3, pot.r_c, pot, proto), t),
+        "correlation_map": lambda: correlation_map(LatticeSpec(3, pot.r_c, pot), proto, t),
     }
     with pytest.raises(ParameterError):
         calls[entry]()
@@ -333,7 +356,7 @@ def test_correlators_reject_array_time(gamma, shape):
     with pytest.raises(ParameterError):
         connected_sxsx(cfg, pot, proto, 0, 1, t)
     with pytest.raises(ParameterError):
-        correlation_map(LatticeSpec(3, pot.r_c, pot, proto), t)
+        correlation_map(LatticeSpec(3, pot.r_c, pot), proto, t)
 
 
 # t = 0, then small and (at gamma = 0.5, t = 75) large g on the split

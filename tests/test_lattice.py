@@ -39,9 +39,7 @@ def soft_core_potential():
 
 def fig_lattice(theta=math.pi / 2, echo=True, gamma=0.0, gamma_d=0.0, side=15):
     pot = soft_core_potential()
-    return LatticeSpec(
-        side, pot.r_c / 2.0, pot, RamseyProtocol(theta, echo, gamma, gamma_d)
-    )
+    return LatticeSpec(side, pot.r_c / 2.0, pot), RamseyProtocol(theta, echo, gamma, gamma_d)
 
 
 def test_positions_unit_filling():
@@ -53,27 +51,25 @@ def test_positions_unit_filling():
 
 
 def test_single_site_has_no_interactions():
-    spec = fig_lattice(theta=1.1, echo=False, gamma=0.3, gamma_d=0.05, side=1)
+    spec, proto = fig_lattice(theta=1.1, echo=False, gamma=0.3, gamma_d=0.05, side=1)
     t = 1.7
     want = math.sin(1.1) * math.exp(-0.3 * t / 2.0) * math.exp(-0.05 * t)
-    assert lattice_contrast(spec, t) == pytest.approx(want, rel=1e-12)
+    assert lattice_contrast(spec, proto, t) == pytest.approx(want, rel=1e-12)
 
 
 def test_far_spaced_lattice_is_noninteracting():
     pot = soft_core_potential()
-    spec = LatticeSpec(
-        3, 100.0 * pot.r_c, pot, RamseyProtocol(math.pi / 2, False, 0.0, 0.0)
-    )
+    spec = LatticeSpec(3, 100.0 * pot.r_c, pot)
     t = 2.0
-    assert abs(lattice_contrast(spec, t) - 1.0) < 1e-6
+    assert abs(lattice_contrast(spec, RamseyProtocol(math.pi / 2, False), t) - 1.0) < 1e-6
 
 
 def test_contrast_is_same_code_path_as_config_evaluation():
-    spec = fig_lattice(side=7, gamma=0.1)
+    spec, proto = fig_lattice(side=7, gamma=0.1)
     cfg = AtomConfiguration(lattice_positions(7, spec.spacing))
     t = 0.9
-    a = lattice_contrast(spec, t)
-    b = sigma_plus_couplings(cfg.coupling_matrix(spec.potential), spec.protocol, t)
+    a = lattice_contrast(spec, proto, t)
+    b = sigma_plus_couplings(cfg.coupling_matrix(spec.potential), proto, t)
     assert a == b  # bit-for-bit
 
 
@@ -91,7 +87,7 @@ def test_half_time_matches_neighbor_count_prediction():
     )
     from scipy.optimize import brentq
 
-    spec = fig_lattice()
+    spec, proto = fig_lattice()
     pt = DimensionlessPoint(n_r=100.0, v0t=1.0, theta=math.pi / 2, beta=0)
     gas_spec, _ = pt.to_physical()
     v0 = gas_spec.potential.v0
@@ -101,7 +97,7 @@ def test_half_time_matches_neighbor_count_prediction():
 
     n_eff = 12  # offsets with dx^2 + dy^2 <= (r_c / a)^2 = 4
     t_pred = 2.0 * math.acos(1.0 - math.log(2.0) / (b * n_eff))
-    tau = brentq(lambda t: abs(lattice_contrast(spec, t)) - 0.5, 1e-3, 3.0)
+    tau = brentq(lambda t: abs(lattice_contrast(spec, proto, t)) - 0.5, 1e-3, 3.0)
     assert t_pred == pytest.approx(spec.potential.v0 * tau, rel=0.25)
 
 
@@ -144,36 +140,36 @@ def test_correlator_argument_validation():
 
 
 def test_map_is_zero_at_t_zero():
-    values = correlation_map(fig_lattice(side=5), 0.0)
+    values = correlation_map(*fig_lattice(side=5), 0.0)
     assert np.nanmax(np.abs(values)) <= 1e-15
 
 
 def test_map_center_defaults_to_middle_site():
-    spec = fig_lattice(side=5)
-    values = correlation_map(spec, 0.3)
+    spec, proto = fig_lattice(side=5)
+    values = correlation_map(spec, proto, 0.3)
     assert spec.center_site == 12
     assert values.shape == (5, 5)
     assert np.isnan(values[2, 2])  # reference site carries no G
     assert np.isnan(values).sum() == 1
-    assert fig_lattice(side=4).center_site == 5  # (1, 1): no exact center
+    assert fig_lattice(side=4)[0].center_site == 5  # (1, 1): no exact center
 
 
 def test_map_symmetry_and_bound():
-    spec = fig_lattice(side=5)
+    spec, proto = fig_lattice(side=5)
     t = 0.5 * math.pi / spec.potential.v0
-    values = correlation_map(spec, t)
+    values = correlation_map(spec, proto, t)
     assert np.nanmax(np.abs(values)) <= 0.25 + 1e-12
     # G(i, j) = G(j, i): the value at site j of the center-i map equals
     # the correlator with the two sites swapped
-    cfg, pot, proto = spec.configuration(), spec.potential, spec.protocol
+    cfg, pot = spec.configuration(), spec.potential
     swapped = connected_sxsx(cfg, pot, proto, 6, spec.center_site, t)
     assert values[divmod(6, 5)] == pytest.approx(swapped, abs=1e-13)
 
 
 def test_map_d4_symmetry_at_center():
-    spec = fig_lattice()
+    spec, proto = fig_lattice()
     t = math.pi / spec.potential.v0
-    assert d4_deviation(correlation_map(spec, t)) <= 1e-10
+    assert d4_deviation(correlation_map(spec, proto, t)) <= 1e-10
 
 
 def reference_sxsx(v, proto, i, j, t):
@@ -202,44 +198,44 @@ def reference_sxsx(v, proto, i, j, t):
 def test_map_matches_per_pair_formula(side, theta, echo):
     # The one-pass map trades at most 1e-12 relative against the
     # per-pair formula (ulp-level, from vectorized complex products).
-    spec = fig_lattice(theta=theta, echo=echo, side=side)
+    spec, proto = fig_lattice(theta=theta, echo=echo, side=side)
     cfg = spec.configuration()
     v = cfg.coupling_matrix(spec.potential)
     for v0t in (math.pi / 2, math.pi, 2 * math.pi):
         t = v0t / spec.potential.v0
-        values = correlation_map(spec, t)
+        values = correlation_map(spec, proto, t)
         center = spec.center_site
         for j in range(spec.n_sites):
             if j == center:
                 continue
             got = values[divmod(j, side)]
-            want = reference_sxsx(v, spec.protocol, center, j, t)
+            want = reference_sxsx(v, proto, center, j, t)
             assert abs(got - want) <= 1e-12 * abs(want) + 1e-30, (j, got, want)
-            pair = connected_sxsx(cfg, spec.potential, spec.protocol, center, j, t)
+            pair = connected_sxsx(cfg, spec.potential, proto, center, j, t)
             assert pair == got  # bit for bit: the map and the pair share one path
 
 
 def test_single_site_map_is_empty():
-    values = correlation_map(fig_lattice(side=1), 0.4)
+    values = correlation_map(*fig_lattice(side=1), 0.4)
     assert values.shape == (1, 1) and np.isnan(values[0, 0])
     assert d4_deviation(values) == 0.0
 
 
 def test_lattice_contrast_accepts_time_array():
-    spec = fig_lattice(theta=1.1, echo=False, gamma=0.05, side=4)
+    spec, proto = fig_lattice(theta=1.1, echo=False, gamma=0.05, side=4)
     times = np.linspace(0.0, 2.0, 5)
-    got = lattice_contrast(spec, times)
+    got = lattice_contrast(spec, proto, times)
     assert got.shape == times.shape
     for k, t in enumerate(times):
-        assert got[k] == lattice_contrast(spec, float(t))
+        assert got[k] == lattice_contrast(spec, proto, float(t))
 
 
 def test_map_correlations_confined_to_plateau_radius():
-    spec = fig_lattice()
+    spec, proto = fig_lattice()
     t = math.pi / spec.potential.v0
     pos = lattice_positions(15, spec.spacing)
     d = np.linalg.norm(pos - pos[spec.center_site], axis=1).reshape(15, 15)
-    g = np.abs(correlation_map(spec, t))
+    g = np.abs(correlation_map(spec, proto, t))
     r_c = spec.potential.r_c
     near = g[(d > 0) & (d <= r_c)].mean()
     far = g[d > 2.5 * r_c].mean()
@@ -247,41 +243,82 @@ def test_map_correlations_confined_to_plateau_radius():
 
 
 def test_dissipative_map_matches_pair_correlator():
-    spec = fig_lattice(theta=0.7, echo=False, gamma=0.3, gamma_d=0.11, side=3)
+    spec, proto = fig_lattice(theta=0.7, echo=False, gamma=0.3, gamma_d=0.11, side=3)
     cfg = spec.configuration()
     t = 0.5 * math.pi / spec.potential.v0
-    values = correlation_map(spec, t)
+    values = correlation_map(spec, proto, t)
     for j in range(spec.n_sites):
         if j != spec.center_site:
-            pair = connected_sxsx(cfg, spec.potential, spec.protocol, spec.center_site, j, t)
+            pair = connected_sxsx(cfg, spec.potential, proto, spec.center_site, j, t)
             assert values[divmod(j, 3)] == pair  # bit for bit
 
 
 def test_d4_deviation_needs_odd_side():
     with pytest.raises(ParameterError):
-        d4_deviation(correlation_map(fig_lattice(side=4), 0.2))
-    odd = correlation_map(fig_lattice(side=3), 0.2)
+        d4_deviation(correlation_map(*fig_lattice(side=4), 0.2))
+    odd = correlation_map(*fig_lattice(side=3), 0.2)
     for bad in (odd[:, :2], odd[:2], odd.ravel(), odd[None]):
         with pytest.raises(ParameterError):
             d4_deviation(bad)
 
 
+def test_couplings_are_built_once_on_first_use(monkeypatch):
+    # a spec made only for validation builds nothing; every protocol and
+    # time then reads the one read-only matrix
+    builds = []
+    original = AtomConfiguration.coupling_matrix
+
+    def counting(self, pot):
+        builds.append(self.n)
+        return original(self, pot)
+
+    monkeypatch.setattr(AtomConfiguration, "coupling_matrix", counting)
+    spec, proto = fig_lattice(side=5)
+    assert builds == []
+    v = spec.couplings
+    lattice_contrast(spec, proto, np.linspace(0.0, 1.0, 3))
+    correlation_map(spec, RamseyProtocol(0.7, False, 0.2), 0.4)
+    assert builds == [25] and spec.couplings is v
+    assert not v.flags.writeable
+    want = original(spec.configuration(), spec.potential)
+    assert v.tobytes() == want.tobytes()
+
+
+def test_subnormal_emission_map_has_no_nan():
+    # gamma = 1e-320 made 12 of the 24 sites nan, where V_ic - V_jc = 0
+    spec, _ = fig_lattice(side=5)
+    t = math.pi / spec.potential.v0
+    for echo in (True, False):
+        got = correlation_map(spec, RamseyProtocol(math.pi / 2, echo, 1e-320), t)
+        want = correlation_map(spec, RamseyProtocol(math.pi / 2, echo), t)
+        assert np.isnan(got).sum() == 1
+        assert np.nanmax(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "spacing, message", [(1e300, "pair distances overflow"), (1e308, "positions overflow")]
+)
+def test_overflowing_spacing_is_a_parameter_error(spacing, message):
+    # the squared distances or the positions overflowed with a numpy warning
+    spec = LatticeSpec(15, spacing, soft_core_potential())
+    with pytest.raises(ParameterError, match=message):
+        spec.couplings
+
+
 def test_lattice_spec_validation():
     pot = soft_core_potential()
-    proto = RamseyProtocol(math.pi / 2, True, 0.0, 0.0)
     with pytest.raises(ParameterError):
-        LatticeSpec(0, 0.5, pot, proto)
+        LatticeSpec(0, 0.5, pot)
     with pytest.raises(ParameterError):
-        LatticeSpec(True, 0.5, pot, proto)
+        LatticeSpec(True, 0.5, pot)
     with pytest.raises(ParameterError):
-        LatticeSpec(3, -0.5, pot, proto)
+        LatticeSpec(3, -0.5, pot)
 
 
 def test_lattice_spec_caps_the_dense_arrays():
     # checked before any (L^2, L^2) array exists, so a huge side fails fast
     pot = soft_core_potential()
-    proto = RamseyProtocol(math.pi / 2, True, 0.0, 0.0)
-    assert LatticeSpec(MAX_SIDE, 0.5, pot, proto).n_sites == MAX_SIDE**2
+    assert LatticeSpec(MAX_SIDE, 0.5, pot).n_sites == MAX_SIDE**2
     for side in (MAX_SIDE + 1, 1_000_000, 10**4000):
         with pytest.raises(CapacityError, match=f"capped at L = {MAX_SIDE}"):
-            LatticeSpec(side, 0.5, pot, proto)
+            LatticeSpec(side, 0.5, pot)
