@@ -545,6 +545,8 @@ def contrast_gas_finite_n(spec: GasSpec, t: float, n: int) -> complex:
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ParameterError("finite-N contrast needs an integer N >= 2")
+    if np.ndim(t) != 0:
+        raise ParameterError("finite-N contrast takes one time t, not an array")
     ii = exponent_integral(spec, t)
     if abs(ii / n) >= 1.0:
         warnings.warn(
@@ -574,6 +576,13 @@ class MCResult:
     seed: int
 
 
+def _checked_seed(seed) -> int:
+    """seed, checked: a non-negative integer, as numpy's SeedSequence takes it."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError("seed must be a non-negative integer")
+    return seed
+
+
 def monte_carlo_gas(
     spec: GasSpec,
     times,
@@ -599,7 +608,8 @@ def monte_carlo_gas(
     positions are drawn in box units, u in [0, 1)^3, so the minimum image
     of a difference d is d - rint(d), written into buffers allocated once
     per call, and the squared distance is scaled by box^2 once per block.
-    Sampling is deterministic under the seed: sample s draws from
+    Sampling is deterministic under the seed, a non-negative integer
+    (else ParameterError): sample s draws from
     SeedSequence(seed).spawn(n)[s], and its positions are that stream's
     first random((N, 3)) times the box side.
 
@@ -611,6 +621,7 @@ def monte_carlo_gas(
         raise ParameterError("need at least 2 samples for a standard error")
     if n_atoms < 2:
         raise ParameterError("need at least 2 atoms")
+    _checked_seed(seed)
     times = np.asarray(times, dtype=float)
     if times.ndim > 1:
         raise ParameterError("times must be a float or a 1-D array of times")

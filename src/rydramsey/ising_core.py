@@ -267,6 +267,20 @@ def _checked_times(proto: RamseyProtocol, t) -> np.ndarray:
     return times
 
 
+def _checked_couplings(couplings) -> np.ndarray:
+    """couplings as a float array, checked: a nonempty square matrix,
+    finite, and symmetric to 1e-12 of its largest |entry| (or of 1)."""
+    v = np.asarray(couplings, dtype=float)
+    if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
+        raise ParameterError("couplings must be a nonempty square matrix")
+    if not np.all(np.isfinite(v)):
+        raise ParameterError("couplings must be finite")
+    scale = max(1.0, float(np.max(np.abs(v))))
+    if float(np.max(np.abs(v - v.T))) > 1e-12 * scale:  # v is finite here
+        raise ParameterError("couplings must be symmetric")
+    return v
+
+
 def sigma_plus_couplings(
     couplings: np.ndarray,
     proto: RamseyProtocol,
@@ -298,14 +312,7 @@ def sigma_plus_couplings(
     -------
     complex for a scalar t, else a complex array shaped like t.
     """
-    v = np.asarray(couplings, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
-        raise ParameterError("couplings must be a nonempty square matrix")
-    if not np.all(np.isfinite(v)):
-        raise ParameterError("couplings must be finite")
-    scale = max(1.0, float(np.max(np.abs(v))))
-    if not np.allclose(v, v.T, rtol=0.0, atol=1e-12 * scale):
-        raise ParameterError("couplings must be symmetric")
+    v = _checked_couplings(couplings)
     times = _checked_times(proto, t)
     n = v.shape[0]
     values, inverse = np.unique(v, return_inverse=True)
@@ -340,49 +347,15 @@ def _row_products(f: np.ndarray) -> np.ndarray:
     return f[:, 0]
 
 
-def _connected_sxsx_couplings(
-    couplings: np.ndarray, proto: RamseyProtocol, i: int, js: np.ndarray, t: float
-) -> np.ndarray:
-    """G(i, j) for every j in js, in one pass over the coupling rows.
-
-    Three kernel matrices at g = gamma t: rows i and js for the
-    <sigma^x_k>, and the |js| x N matrices at (V_ik +- V_jk) t for the
-    two-point functions, with the excluded columns i and j set to 1.
-    Each row is multiplied out by :func:`_row_products`.
-    """
-    if _checked_times(proto, t).ndim != 0:
-        raise ParameterError("the correlators take one time t, not an array")
-    v = couplings
-    js = np.asarray(js, dtype=int)
-    th, beta = proto.theta, proto.beta
-
-    def prod_f(x, excluded):
-        # prod over each row of f(x t, gamma t), skipping the excluded columns
-        f = f_kernel(x * t, proto.gamma * t, th, beta)
-        r = np.arange(f.shape[0])
-        for cols in excluded:
-            f[r, cols] = 1.0
-        return _row_products(f)
-
-    e = _envelope(proto, t)
-    rows = np.concatenate(([i], js))
-    sx = (e * prod_f(v[rows], [rows])).real
-    amp = 0.25 * e * e
-    spp = amp * np.exp(1j * beta * v[i, js] * t) * prod_f(v[i] + v[js], [i, js])
-    spm = amp * prod_f(v[i] - v[js], [i, js])
-    sxsx = 2.0 * (spp + spm).real
-    return (sxsx - sx[0] * sx[1:]) / 4.0
-
-
 def connected_sxsx(
-    cfg: AtomConfiguration,
-    pot: InteractionPotential,
+    couplings: np.ndarray,
     proto: RamseyProtocol,
     i: int,
-    j: int,
+    j,
     t: float,
-) -> float:
-    """Connected correlator G(i,j) = <S^x_i S^x_j> - <S^x_i><S^x_j>, S = sigma/2.
+) -> float | np.ndarray:
+    """Connected correlator G(i,j) = <S^x_i S^x_j> - <S^x_i><S^x_j>, S = sigma/2,
+    for a given coupling matrix (as :func:`sigma_plus_couplings`) at one time t.
 
     Closed form at every gamma and gamma_d. With the envelope E of
     :func:`sigma_plus_couplings` and f = f_kernel(., gamma t, theta, beta):
@@ -398,15 +371,46 @@ def connected_sxsx(
     echo readout frame (sign flips cancel pairwise) and is validated
     against the master-equation module.
 
+    ``j`` is one site (returns a float) or a 1-D integer array of sites
+    (returns an array shaped like it), all in one pass: three kernel
+    matrices, rows i and j for the <sigma^x_k> and the |j| x N matrices at
+    (V_ik +- V_jk) t, with the excluded columns i and j set to 1, each row
+    multiplied out by :func:`_row_products`.
+
     Raises
     ------
     ParameterError
-        i == j, an index out of range, t not a single time, or t outside
-        the time rule of :func:`sigma_plus_couplings`.
+        Couplings or a time that :func:`sigma_plus_couplings` rejects, t
+        not a single time, i among j, or an index out of range.
     """
-    n = cfg.n
-    if not (0 <= i < n and 0 <= j < n):
+    v = _checked_couplings(couplings)
+    n = v.shape[0]
+    js = np.asarray(j)
+    if js.ndim > 1 or (js.size and js.dtype.kind not in "iu"):
+        raise ParameterError("j must be a site index or a 1-D array of site indices")
+    if not (0 <= i < n and np.all((0 <= js) & (js < n))):
         raise ParameterError(f"site indices out of range for N = {n}")
-    if i == j:
+    if np.any(js == i):
         raise ParameterError("connected correlator needs two distinct sites")
-    return float(_connected_sxsx_couplings(cfg.coupling_matrix(pot), proto, i, [j], t)[0])
+    if _checked_times(proto, t).ndim != 0:
+        raise ParameterError("the correlators take one time t, not an array")
+    th, beta = proto.theta, proto.beta
+    sites = js.reshape(-1).astype(int)
+
+    def prod_f(x, excluded):
+        # prod over each row of f(x t, gamma t), skipping the excluded columns
+        f = f_kernel(x * t, proto.gamma * t, th, beta)
+        r = np.arange(f.shape[0])
+        for cols in excluded:
+            f[r, cols] = 1.0
+        return _row_products(f)
+
+    e = _envelope(proto, t)
+    rows = np.concatenate(([i], sites))
+    sx = (e * prod_f(v[rows], [rows])).real
+    amp = 0.25 * e * e
+    spp = amp * np.exp(1j * beta * v[i, sites] * t) * prod_f(v[i] + v[sites], [i, sites])
+    spm = amp * prod_f(v[i] - v[sites], [i, sites])
+    sxsx = 2.0 * (spp + spm).real
+    out = (sxsx - sx[0] * sx[1:]) / 4.0
+    return float(out[0]) if js.ndim == 0 else out

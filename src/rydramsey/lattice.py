@@ -1,13 +1,12 @@
 """Contrast and connected-correlation maps on a unit-filled square lattice.
 
 A finite L x L array with open boundaries, one atom per site. A spec
-builds its coupling matrix once, on first use. Contrast hands it to
-:func:`rydramsey.ising_core.sigma_plus_couplings` unchanged (so it is
-bit-for-bit the configuration result, a tested invariant) on a float
-time or a whole time grid, evaluating the kernel once per distinct
-coupling value at each time; correlation maps evaluate the closed-form
-connected correlator against the central site for every other
-site in one pass.
+builds its coupling matrix once, on first use, and both observables take
+it unchanged, so each is bit-for-bit the configuration result (a tested
+invariant): contrast through :func:`rydramsey.ising_core.sigma_plus_couplings`
+at a float time or a whole time grid, one kernel evaluation per distinct
+coupling value at each time, and a correlation map through one
+:func:`rydramsey.ising_core.connected_sxsx` call against the central site.
 Correlations follow the spin-1/2 normalization S = sigma/2, so
 |G| <= 1/4 always.
 """
@@ -20,12 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .ising_core import (
-    AtomConfiguration,
-    RamseyProtocol,
-    _connected_sxsx_couplings,
-    sigma_plus_couplings,
-)
+from .ising_core import AtomConfiguration, RamseyProtocol, connected_sxsx, sigma_plus_couplings
 from .potential import InteractionPotential
 
 __all__ = [
@@ -122,9 +116,10 @@ def correlation_map(spec: LatticeSpec, proto: RamseyProtocol, t: float) -> np.nd
     Returns an (L, L) float array indexed [ix, iy]; the reference site
     holds NaN (G(i, i) is not defined by the map). G is symmetric in its
     two sites and bounded by 1/4 in the S = sigma/2 convention.
-    Closed-form evaluation of every site in one pass over the coupling
-    matrix, at every gamma and gamma_d (an echo follows the commuted
-    model sequence). At t = 0 every entry vanishes.
+    One :func:`~rydramsey.ising_core.connected_sxsx` call on
+    :attr:`LatticeSpec.couplings` evaluates every site, at every gamma
+    and gamma_d (an echo follows the commuted model sequence). At t = 0
+    every entry vanishes.
 
     Raises
     ------
@@ -135,7 +130,7 @@ def correlation_map(spec: LatticeSpec, proto: RamseyProtocol, t: float) -> np.nd
     center = spec.center_site
     js = np.delete(np.arange(spec.n_sites), center)
     values = np.full(spec.n_sites, np.nan)  # flat index ix * L + iy
-    values[js] = _connected_sxsx_couplings(spec.couplings, proto, center, js, t)
+    values[js] = connected_sxsx(spec.couplings, proto, center, js, t)
     return values.reshape(spec.side, spec.side)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from rydramsey import cli, experiments
 from rydramsey.config import config_from_dict, load_config
-from rydramsey.errors import ConfigError
+from rydramsey.errors import ConfigError, ParameterError
 from rydramsey.experiments import parse_grid, run_fig4, run_fig5, run_validate
 from rydramsey.ising_core import AtomConfiguration, RamseyProtocol
 from rydramsey.lattice import LatticeSpec, correlation_map
@@ -369,6 +369,38 @@ def test_huge_lattice_is_a_capacity_error(tmp_path, capsys):
     assert cli.main(["fig4", "--config", path, "--out", str(out)]) == 3
     assert "capped at L = 50" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_huge_fig5_grid_is_a_capacity_error(tmp_path, capsys):
+    # n_points = 10**400 made np.linspace raise ValueError (exit 1); the
+    # cap is checked before the default grid is allocated
+    for n_points in (10**400, experiments.MAX_FIG5_POINTS + 1):
+        with open(RB, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["ultrafast"]["n_points"] = n_points
+        path = tmp_path / "huge_fig5.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "fig5"
+        assert cli.main(["fig5", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"capped at ultrafast.n_points = {experiments.MAX_FIG5_POINTS}" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+    # a --grid replaces the default grid, so the cap does not apply
+    rc = cli.main(["fig5", "--config", str(path), "--grid", "lin:0:700:3", "--out", str(out)])
+    assert rc == 0
+
+
+def test_negative_seed_is_a_parameter_error(tmp_path, capsys):
+    # numpy's SeedSequence raised ValueError on a negative seed (exit 1)
+    out = tmp_path / "validate"
+    assert cli.main(["validate", "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "seed" in err
+    assert not out.exists()
+    for seed in (-1, 1.5, True, None):
+        with pytest.raises(ParameterError, match="seed"):
+            run_validate(None, str(out), seed=seed)
 
 
 _NO_SCIPY = """

@@ -388,6 +388,23 @@ def test_contrast_gas_time_array_edge_cases():
         monte_carlo_gas(sp, [[1.0, 2.0]], n_samples=2, n_atoms=8, seed=0)
 
 
+def test_finite_n_contrast_takes_one_time():
+    # an array t raised numpy's ambiguous-truth-value ValueError
+    sp = spec_at(1.0, 0.8, False, gamma=0.3)
+    for t in (np.array([1.0, 2.0]), np.array([1.0]), [1.0]):
+        with pytest.raises(ParameterError, match="one time"):
+            contrast_gas_finite_n(sp, t, 10)
+    assert contrast_gas_finite_n(sp, np.array(1.0), 10) == contrast_gas_finite_n(sp, 1.0, 10)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None, "0"])
+def test_monte_carlo_seed_must_be_a_non_negative_integer(seed):
+    # numpy's SeedSequence raised ValueError on a negative seed
+    sp = spec_at(1.0, 0.8, False)
+    with pytest.raises(ParameterError, match="seed"):
+        monte_carlo_gas(sp, [1.0], n_samples=2, n_atoms=8, seed=seed)
+
+
 def test_gas_spec_from_blockade_number():
     proto = RamseyProtocol(math.pi / 2, True, 0.0, 0.0)
     for c6 in (-1.0e4, -3.7e4):

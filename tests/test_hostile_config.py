@@ -1,7 +1,8 @@
 """Every key of the config schema against hostile values.
 
 Each value goes through ``config_from_dict``; a value that loads then runs
-the command that reads its section on a 3-point grid. Every outcome must
+the command that reads its section on a 3-point grid, or on its default
+grid for a key that only sizes that grid. Every outcome must
 be a clean exit: 0, 2 or 3, at most one stderr line, no numpy
 RuntimeWarning and no ``nan`` in any CSV written.
 """
@@ -30,6 +31,8 @@ RUNS = {
     "lattice": (SR, [FIG4]),
     "ultrafast": (RB, [("fig5", "lin:0:700:3")]),
 }
+# keys read only on a command's default grid: their values run it without --grid
+DEFAULT_GRID_RUNS = {("ultrafast", "n_points"): [("fig5", None)]}
 
 
 def hostile_values(kind):
@@ -42,14 +45,18 @@ def hostile_values(kind):
 
 
 def outcome(command, path, grid, out):
-    """(exit code, stderr) of an in-process CLI run; exit 1 for an
-    uncaught exception, RuntimeWarnings included."""
+    """(exit code, stderr) of an in-process CLI run, on the default grid
+    for a grid of None; exit 1 for an uncaught exception, RuntimeWarnings
+    included."""
     err = io.StringIO()
+    argv = [command, "--config", path, "--out", out]
+    if grid is not None:
+        argv += ["--grid", grid]
     with warnings.catch_warnings(), contextlib.redirect_stderr(err):
         warnings.simplefilter("error", RuntimeWarning)
         with contextlib.redirect_stdout(io.StringIO()):
             try:
-                rc = cli.main([command, "--config", path, "--grid", grid, "--out", out])
+                rc = cli.main(argv)
             except Exception as exc:  # noqa: BLE001 - a traceback is what is tested
                 return 1, f"{type(exc).__name__}: {exc}"
     return rc, err.getvalue()
@@ -59,10 +66,11 @@ def test_every_schema_key_survives_hostile_values(tmp_path):
     failures = []
     runs = 0
     for section, keys in _SCHEMA.items():
-        base_path, commands = RUNS[section]
+        base_path, section_commands = RUNS[section]
         with open(base_path, encoding="utf-8") as fh:
             base = fh.read()
         for key, (kind, _) in keys.items():
+            commands = DEFAULT_GRID_RUNS.get((section, key), section_commands)
             for k, value in enumerate(hostile_values(kind)):
                 data = json.loads(base)
                 data.setdefault(section, {})[key] = value

@@ -312,13 +312,13 @@ def test_echo_time_reversal_conjugates():
 def test_negative_time_needs_unitary_protocol():
     # under dissipation the envelope would grow backwards in time
     pot = derive_potential(DressingParams(1000.0, 5000.0, -1e4), PotentialKind.SOFT_CORE)
-    cfg = AtomConfiguration(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    v = AtomConfiguration(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])).coupling_matrix(pot)
     for gamma, gamma_d in ((0.1, 0.0), (0.0, 0.1)):
         proto = RamseyProtocol(math.pi / 2, True, gamma, gamma_d)
         with pytest.raises(ParameterError):
             sigma_plus_couplings(np.zeros((2, 2)), proto, -1.0)
         with pytest.raises(ParameterError):
-            connected_sxsx(cfg, pot, proto, 0, 1, -1.0)
+            connected_sxsx(v, proto, 0, 1, -1.0)
         with pytest.raises(ParameterError):
             correlation_map(LatticeSpec(3, pot.r_c, pot), proto, -1.0)
 
@@ -331,13 +331,13 @@ def test_non_finite_time_rejected(entry, t):
     # unitary protocol, so negative times are otherwise allowed
     pot = derive_potential(DressingParams(1000.0, 5000.0, -1e4), PotentialKind.SOFT_CORE)
     proto = RamseyProtocol(math.pi / 2, True, 0.0, 0.0)
-    cfg = AtomConfiguration(np.random.default_rng(2).random((4, 3)) * 2.0)
+    v = AtomConfiguration(np.random.default_rng(2).random((4, 3)) * 2.0).coupling_matrix(pot)
     calls = {
-        "sigma_plus_couplings": lambda: sigma_plus_couplings(cfg.coupling_matrix(pot), proto, t),
+        "sigma_plus_couplings": lambda: sigma_plus_couplings(v, proto, t),
         "monte_carlo_gas": lambda: monte_carlo_gas(
             GasSpec(0.05, pot, proto), [t], n_samples=2, n_atoms=8, seed=0
         ),
-        "connected_sxsx": lambda: connected_sxsx(cfg, pot, proto, 0, 1, t),
+        "connected_sxsx": lambda: connected_sxsx(v, proto, 0, 1, t),
         "correlation_map": lambda: correlation_map(LatticeSpec(3, pot.r_c, pot), proto, t),
     }
     with pytest.raises(ParameterError):
@@ -351,10 +351,10 @@ def test_correlators_reject_array_time(gamma, shape):
     # accepted as if it were a single time
     pot = derive_potential(DressingParams(1000.0, 5000.0, -1e4), PotentialKind.SOFT_CORE)
     proto = RamseyProtocol(math.pi / 2, True, gamma, 0.0)
-    cfg = AtomConfiguration(np.random.default_rng(2).random((3, 3)) * 2.0)
+    v = AtomConfiguration(np.random.default_rng(2).random((3, 3)) * 2.0).coupling_matrix(pot)
     t = np.full(shape, 0.1)
     with pytest.raises(ParameterError):
-        connected_sxsx(cfg, pot, proto, 0, 1, t)
+        connected_sxsx(v, proto, 0, 1, t)
     with pytest.raises(ParameterError):
         correlation_map(LatticeSpec(3, pot.r_c, pot), proto, t)
 
@@ -457,16 +457,28 @@ def test_sigma_plus_exact_zero_factor_kills_both_rows(monkeypatch, gamma):
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_couplings_validation():
+BAD_COUPLINGS = {
+    "non-square": (np.zeros((2, 3)), "square"),
+    "empty": (np.zeros((0, 0)), "square"),
+    "vector": (np.zeros(2), "square"),
+    "nan": (np.array([[0.0, np.nan], [np.nan, 0.0]]), "finite"),
+    "inf": (np.array([[0.0, np.inf], [np.inf, 0.0]]), "finite"),
+    "asymmetric": (np.array([[0.0, 1.0], [2.0, 0.0]]), "symmetric"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_COUPLINGS))
+@pytest.mark.parametrize("entry", ["sigma_plus_couplings", "connected_sxsx"])
+def test_couplings_validation(entry, case):
+    # both per-configuration evaluators share one couplings check
+    v, message = BAD_COUPLINGS[case]
     proto = RamseyProtocol(math.pi / 2, False, 0.0, 0.0)
-    with pytest.raises(ParameterError):
-        sigma_plus_couplings(np.zeros((2, 3)), proto, 1.0)
-    bad = np.array([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(ParameterError):
-        sigma_plus_couplings(bad, proto, 1.0)
-    nan = np.array([[0.0, np.nan], [np.nan, 0.0]])
-    with pytest.raises(ParameterError):
-        sigma_plus_couplings(nan, proto, 1.0)
+    calls = {
+        "sigma_plus_couplings": lambda: sigma_plus_couplings(v, proto, 1.0),
+        "connected_sxsx": lambda: connected_sxsx(v, proto, 0, 1, 1.0),
+    }
+    with pytest.raises(ParameterError, match=f"couplings must be .*{message}"):
+        calls[entry]()
 
 
 def test_dephasing_is_multiplicative():
@@ -534,12 +546,14 @@ def test_connected_correlator_zero_cases():
         DressingParams(1000.0, 5000.0, -1e4), PotentialKind.SOFT_CORE
     )
     rng = np.random.default_rng(6)
-    cfg = AtomConfiguration(rng.random((4, 3)) * 2.0)
+    v = AtomConfiguration(rng.random((4, 3)) * 2.0).coupling_matrix(pot)
     proto = RamseyProtocol(math.pi / 2, True, 0.0, 0.0)
-    assert connected_sxsx(cfg, pot, proto, 0, 1, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert connected_sxsx(v, proto, 0, 1, 0.0) == pytest.approx(0.0, abs=1e-15)
     # no interactions -> product state forever
     far = AtomConfiguration(np.array([[0.0, 0.0, 0.0], [500.0, 0.0, 0.0]]))
-    assert connected_sxsx(far, pot, proto, 0, 1, 2.0) == pytest.approx(0.0, abs=1e-12)
+    assert connected_sxsx(far.coupling_matrix(pot), proto, 0, 1, 2.0) == pytest.approx(
+        0.0, abs=1e-12
+    )
 
 
 def test_connected_correlator_bound_and_errors():
@@ -547,12 +561,12 @@ def test_connected_correlator_bound_and_errors():
         DressingParams(1000.0, 5000.0, -1e4), PotentialKind.SOFT_CORE
     )
     rng = np.random.default_rng(14)
-    cfg = AtomConfiguration(rng.random((5, 3)) * 1.5)
+    v = AtomConfiguration(rng.random((5, 3)) * 1.5).coupling_matrix(pot)
     proto = RamseyProtocol(math.pi / 2, True, 0.0, 0.0)
     dissipative = RamseyProtocol(math.pi / 2, True, 0.1, 0.0)
     for p in (proto, dissipative):
         for t in (0.4, 1.8):
-            g = connected_sxsx(cfg, pot, p, 0, 3, t)
+            g = connected_sxsx(v, p, 0, 3, t)
             assert abs(g) <= 0.25 + 1e-12
     with pytest.raises(ParameterError):
-        connected_sxsx(cfg, pot, proto, 2, 2, 1.0)
+        connected_sxsx(v, proto, 2, 2, 1.0)

@@ -125,18 +125,48 @@ def test_two_atom_correlator_matches_oracle(n, theta, echo, gamma, gamma_d):
     for i in range(n):
         for j in range(i + 1, n):
             xx = expectation(rho, pair_operator("x", i, "x", j, n)).real / 4.0
-            got = connected_sxsx(cfg, pot, proto, i, j, t)
+            got = connected_sxsx(v, proto, i, j, t)
             assert got == pytest.approx(xx - sx[i] * sx[j], abs=1e-10), (i, j)
 
 
 def test_correlator_argument_validation():
     pot = soft_core_potential()
-    cfg = AtomConfiguration(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    v = AtomConfiguration(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])).coupling_matrix(pot)
     proto = RamseyProtocol(math.pi / 2, True, 0.0, 0.0)
     with pytest.raises(ParameterError):
-        connected_sxsx(cfg, pot, proto, 1, 1, 0.5)
+        connected_sxsx(v, proto, 1, 1, 0.5)
     with pytest.raises(ParameterError):
-        connected_sxsx(cfg, pot, proto, 0, 2, 0.5)
+        connected_sxsx(v, proto, 0, 2, 0.5)
+
+
+def test_correlator_index_array_validation():
+    v = fig_lattice(side=3)[0].couplings
+    proto = RamseyProtocol(math.pi / 2, True, 0.0, 0.0)
+    with pytest.raises(ParameterError, match="distinct sites"):
+        connected_sxsx(v, proto, 4, np.array([0, 4, 8]), 0.5)
+    for i, js in ((4, np.array([0, 9])), (4, np.array([-1, 2])), (9, np.array([0, 1])), (-1, 3)):
+        with pytest.raises(ParameterError, match="out of range"):
+            connected_sxsx(v, proto, i, js, 0.5)
+    for js in (np.array([[0, 1]]), np.array([0.0, 1.0]), 1.0):
+        with pytest.raises(ParameterError, match="site index"):
+            connected_sxsx(v, proto, 4, js, 0.5)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+def test_correlator_index_array_matches_single_calls(gamma):
+    # one call over an index array equals the calls with one index each,
+    # bit for bit, in any order and with repeats
+    spec, proto = fig_lattice(theta=0.7, echo=False, gamma=gamma, side=5)
+    v = spec.couplings
+    t = 0.5 * math.pi / spec.potential.v0
+    js = np.array([24, 0, 13, 7, 13, 1])
+    got = connected_sxsx(v, proto, 6, js, t)
+    assert got.shape == js.shape
+    for k, j in enumerate(js):
+        single = connected_sxsx(v, proto, 6, int(j), t)
+        assert isinstance(single, float)
+        assert got[k] == single
+    assert connected_sxsx(v, proto, 6, np.array([], dtype=int), t).shape == (0,)
 
 
 def test_map_is_zero_at_t_zero():
@@ -161,8 +191,8 @@ def test_map_symmetry_and_bound():
     assert np.nanmax(np.abs(values)) <= 0.25 + 1e-12
     # G(i, j) = G(j, i): the value at site j of the center-i map equals
     # the correlator with the two sites swapped
-    cfg, pot = spec.configuration(), spec.potential
-    swapped = connected_sxsx(cfg, pot, proto, 6, spec.center_site, t)
+    v = spec.configuration().coupling_matrix(spec.potential)
+    swapped = connected_sxsx(v, proto, 6, spec.center_site, t)
     assert values[divmod(6, 5)] == pytest.approx(swapped, abs=1e-13)
 
 
@@ -199,8 +229,7 @@ def test_map_matches_per_pair_formula(side, theta, echo):
     # The one-pass map trades at most 1e-12 relative against the
     # per-pair formula (ulp-level, from vectorized complex products).
     spec, proto = fig_lattice(theta=theta, echo=echo, side=side)
-    cfg = spec.configuration()
-    v = cfg.coupling_matrix(spec.potential)
+    v = spec.configuration().coupling_matrix(spec.potential)
     for v0t in (math.pi / 2, math.pi, 2 * math.pi):
         t = v0t / spec.potential.v0
         values = correlation_map(spec, proto, t)
@@ -211,7 +240,7 @@ def test_map_matches_per_pair_formula(side, theta, echo):
             got = values[divmod(j, side)]
             want = reference_sxsx(v, proto, center, j, t)
             assert abs(got - want) <= 1e-12 * abs(want) + 1e-30, (j, got, want)
-            pair = connected_sxsx(cfg, spec.potential, proto, center, j, t)
+            pair = connected_sxsx(v, proto, center, j, t)
             assert pair == got  # bit for bit: the map and the pair share one path
 
 
@@ -244,12 +273,12 @@ def test_map_correlations_confined_to_plateau_radius():
 
 def test_dissipative_map_matches_pair_correlator():
     spec, proto = fig_lattice(theta=0.7, echo=False, gamma=0.3, gamma_d=0.11, side=3)
-    cfg = spec.configuration()
+    v = spec.configuration().coupling_matrix(spec.potential)
     t = 0.5 * math.pi / spec.potential.v0
     values = correlation_map(spec, proto, t)
     for j in range(spec.n_sites):
         if j != spec.center_site:
-            pair = connected_sxsx(cfg, spec.potential, proto, spec.center_site, j, t)
+            pair = connected_sxsx(v, proto, spec.center_site, j, t)
             assert values[divmod(j, 3)] == pair  # bit for bit
 
 
