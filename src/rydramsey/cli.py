@@ -8,7 +8,7 @@ Subcommands map one-to-one onto the runners in ``experiments``:
 Exit codes: 0 success, 2 configuration or parameter problems,
 3 numerical failures (non-converged quadrature, missing crossing,
 oversized oracle request, a lattice past the dense-array cap of
-``lattice.MAX_SIDE``, a fig5 default grid past
+``lattice.MAX_SIDE``, a fig5 default grid or any ``--grid`` past
 ``experiments.MAX_FIG5_POINTS`` points), 4 a validation run that
 completed but found disagreement.
 """

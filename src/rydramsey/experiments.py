@@ -27,11 +27,11 @@ from .gas_average import (
     DimensionlessPoint,
     GasSpec,
     _checked_seed,
+    _exponent_integral_many,
     _soft_core_i_over_nr,
     _soft_core_i_over_nr_closed,
     contrast_gas,
     contrast_gas_finite_n,
-    exponent_integral,
     fit_hardcore_amplitude,
     high_density_contrast,
     low_density_amplitude,
@@ -60,9 +60,10 @@ __all__ = [
 ]
 
 
-# fig5's default grid evaluates four exponent integrals per point and holds
-# every row in memory until it writes: 10^5 points took about 3.5 s, a peak
-# RSS of 110 MB and 16 MB of CSV on a shared 2-vCPU host.
+# The point cap of every grid: fig5's default grid (ultrafast.n_points) and
+# every --grid. A pipeline holds every row in memory until it writes: 10^5
+# fig5 points took about 3.5 s, a peak RSS of 110 MB and 16 MB of CSV on a
+# shared 2-vCPU host.
 MAX_FIG5_POINTS = 100_000
 
 
@@ -70,7 +71,8 @@ def parse_grid(text: str) -> np.ndarray:
     """Parse "lin:a:b:n" / "log:a:b:n" into a strictly increasing array.
 
     Bounds accept constant expressions in pi, such as "lin:0:4*pi:81"
-    (see config's number syntax). n is the point count, >= 2.
+    (see config's number syntax). n is the point count, >= 2; above
+    MAX_FIG5_POINTS it is a CapacityError, raised before any allocation.
     """
     parts = text.split(":")
     if len(parts) != 4:
@@ -84,6 +86,11 @@ def parse_grid(text: str) -> np.ndarray:
         raise ConfigError(f"grid point count must be an integer, got {n_s!r}") from None
     if n < 2:
         raise ConfigError("grid needs at least 2 points")
+    if n > MAX_FIG5_POINTS:
+        raise CapacityError(
+            f"a grid is capped at {MAX_FIG5_POINTS} points, "
+            f"got {n if n < 10**9 else '>= 1e9'}"
+        )
     if not b > a:
         raise ConfigError("grid must be strictly increasing (stop > start)")
     if kind == "lin":
@@ -400,20 +407,21 @@ def run_fig5(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         theta = 2.0 * math.asin(math.sqrt(p))  # upper-state population p
         thetas[f"{p:g}"] = theta
         proto = RamseyProtocol(theta, False, 0.0, 0.0)
-        spec_h = GasSpec(uf["density_high"], pot, proto)
-        spec_l = GasSpec(uf["density_low"], pot, proto)
-        rows = []
-        for t in times:
-            i_h = exponent_integral(spec_h, t)
-            i_l = exponent_integral(spec_l, t)
-            rows.append(
-                (
-                    t * 1e6,
-                    math.exp(-(i_h.real - i_l.real)),
-                    -i_h.imag + 0.0,  # +0.0 avoids printing "-0"
-                    -i_l.imag + 0.0,
-                )
+        # one array evaluation per density; I is proportional to the
+        # density, but a scaled I overflows where either density is extreme
+        i_h, i_l = (
+            _exponent_integral_many(GasSpec(uf[key], pot, proto), times).tolist()
+            for key in ("density_high", "density_low")
+        )
+        rows = [
+            (
+                t * 1e6,
+                math.exp(-(h.real - l.real)),
+                -h.imag + 0.0,  # +0.0 avoids printing "-0"
+                -l.imag + 0.0,
             )
+            for t, h, l in zip(times, i_h, i_l)
+        ]
         tables[f"fig5_fraction_{p:g}.csv"] = (
             ["t_ps", "ratio", "phase_high_rad", "phase_low_rad"],
             rows,

@@ -13,7 +13,8 @@ branch; closed forms, for the soft-core potential at gamma = 0 through
 Bessel functions and for the bare one at every gamma through erf and
 Dawson's function; and Monte Carlo sampling of explicit
 configurations), exposes the low/high-density asymptotics with their
-exact amplitudes, and locates the half-contrast time tau_1/2.
+exact amplitudes, and locates the half-contrast time tau_1/2. The array
+form of the exponent, at many times at once, is :mod:`rydramsey.gas_arrays`.
 
 The sin(theta) prefactor follows the same convention as the
 configuration-resolved functions, so the gas coherence at t = 0 is
@@ -24,6 +25,8 @@ pure-dephasing rate gamma_d never enters I; it is a global envelope.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 import sys
 import warnings
@@ -93,9 +96,28 @@ _H_SERIES = 4.0
 # power series.
 _X_DAWSON = 8.0
 
-# tau_half's probe grid is built this many points at a time: the scan
-# stops a few dozen points past its floor, long before the ceiling.
+# _tau_grid builds the probe grid this many points at a time, and a probe
+# block of tau_half holds at most this many: the scan stops a few dozen
+# points past its floor (median 23, at most 55 on the default sweeps),
+# long before the ceiling.
 _GRID_BLOCK = 64
+
+# tau_half probes a block of fewer points than this with float calls: an
+# array call's set-up costs about as much as several float probes, and a
+# midpoint-rule probe costs about as much either way.
+_MIN_ARRAY_BLOCK = 8
+
+# Nodes of the soft-core midpoint rule that _exponent_integral_many evaluates
+# at once, a multiple of 3: each array of a chunk stays in cache (48 kB or
+# less), and a longer rule (|V0 t| above about 2e3) is summed in pieces of
+# this size. The cos^2 of rules up to this length is cached.
+_NODE_CHUNK = 3 * 2**10
+
+# Midpoint nodes of one tau_half probe block at most: a node costs 0.1-0.2
+# us either way, so past |V0 t| ~ 1 a block of midpoint rules shrinks below
+# _MIN_ARRAY_BLOCK and is probed by float calls, which waste no node past
+# the bracket.
+_BLOCK_NODES = 2**9
 
 # Iteration cap of tau_half's Brent polish, scipy's brentq default.
 _BRENT_MAXITER = 100
@@ -277,6 +299,27 @@ def _soft_core_h(x, g: float, theta: float, beta: int):
     return -half / x - math.cos(theta / 2.0) ** 2 * (half + 1.0) * np.expm1(-1j * w) / w
 
 
+@functools.lru_cache(maxsize=64)
+def _cached_cos2(m: int) -> np.ndarray:
+    phi = (np.arange(3 * m) + 0.5) * (math.pi / (6 * m))
+    cos2 = np.cos(phi) ** 2
+    cos2.flags.writeable = False
+    return cos2
+
+
+def _midpoint_cos2(m: int) -> np.ndarray:
+    """cos^2 phi at the 3M nodes phi_k = (k + 1/2) pi / (6M) of the midpoint
+    rule of :func:`_soft_core_i_over_nr`. They depend on M alone, and the
+    probes of tau_half and the times of a curve share a few dozen M, so a
+    rule of at most _NODE_CHUNK nodes is kept in a small cache (read-only)."""
+    return _cached_cos2(m) if 3 * m <= _NODE_CHUNK else _cached_cos2.__wrapped__(m)
+
+
+def _midpoint_order(t_abs: float) -> int:
+    """M of the midpoint rule of :func:`_soft_core_i_over_nr` at |T| = t_abs."""
+    return int(t_abs / 2.0 + 3.0 * t_abs ** (1.0 / 3.0) + 24.0)
+
+
 def _soft_core_i_over_nr(T: float, g: float, theta: float, beta: int) -> complex:
     """I / N_R for the soft-core potential at T = V0 t.
 
@@ -298,9 +341,8 @@ def _soft_core_i_over_nr(T: float, g: float, theta: float, beta: int) -> complex
         n = _taylor_order(t_abs)
         total = -np.dot(_kernel_taylor(g, theta, beta, n), t_abs ** _ORDERS[:n] * _J_N[:n])
     else:
-        m = int(t_abs / 2.0 + 3.0 * t_abs ** (1.0 / 3.0) + 24.0)
-        phi = (np.arange(3 * m) + 0.5) * (math.pi / (6 * m))
-        vals = _soft_core_h(t_abs * np.cos(phi) ** 2, g, theta, beta)
+        m = _midpoint_order(t_abs)
+        vals = _soft_core_h(t_abs * _midpoint_cos2(m), g, theta, beta)
         total = vals.sum() * (t_abs * math.pi / (6 * m))
         err = abs(total - vals[1::3].sum() * (t_abs * math.pi / (2 * m)))
         if err > max(_REL_TOL * abs(total), _ABS_TOL):
@@ -487,6 +529,13 @@ def exponent_integral(spec: GasSpec, t: float) -> complex:
     soft-core formulas agree to ~1e-12 relative; the test suite compares
     them rather than collapsing one into the other.
 
+    ``t`` is one float: an array of times goes to
+    :func:`_exponent_integral_many`, the array form of every route. The
+    scalar form stays the one tau_half's Brent polish calls, a probe at a
+    time, where an array call would cost about ten times more, and the
+    benchmark's tracer, which rebinds this name, tags each call by its
+    scalar t.
+
     Parameters
     ----------
     spec : GasSpec
@@ -516,23 +565,36 @@ def exponent_integral(spec: GasSpec, t: float) -> complex:
     return pref * _bare_i_tilde(math.copysign(1.0, pot.c6), g, th, beta)
 
 
+def _exponent_integral_many(spec: GasSpec, times: np.ndarray) -> np.ndarray:
+    """:func:`exponent_integral` at each time of a 1-D float array, by
+    :func:`rydramsey.gas_arrays._exponent_integral_many`. That module is
+    imported on first use, so a process that evaluates the gas at float
+    times only (validate, the lattice runs) never compiles it."""
+    from . import gas_arrays
+
+    return gas_arrays._exponent_integral_many(spec, times)
+
+
 def contrast_gas(spec: GasSpec, t) -> complex | np.ndarray:
     """Thermodynamic-limit per-spin coherence of the gas at one time or many.
 
     sin(theta) D(gamma, t) e^{-gamma_d t} exp(-I(t)); rho -> 0 recovers
     the non-interacting signal, t = 0 gives sin(theta). ``t`` is a float
     (us, returns a complex) or a 1-D array of times (returns a complex
-    array shaped like t); I(t) is evaluated at each time by
-    :func:`exponent_integral`. Each time is a scalar step, so tau_half's
-    one-float probes pay no per-array overhead.
+    array shaped like t). A float takes one scalar :func:`exponent_integral`
+    call and no array set-up, as tau_half's Brent polish needs; an array
+    evaluates I at all its times at once, equal to the scalar calls (see
+    :func:`_exponent_integral_many` for the two routes where it may differ
+    by a few ulps).
     """
+    if np.ndim(t) == 0:
+        t = float(t)
+        return complex(_envelope(spec.protocol, t) * np.exp(-exponent_integral(spec, t)))
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ParameterError("t must be a float or a 1-D array of times")
-    out = np.empty(times.size, dtype=complex)
-    for k, tk in enumerate(times.reshape(-1).tolist()):
-        out[k] = _envelope(spec.protocol, tk) * np.exp(-exponent_integral(spec, tk))
-    return complex(out[0]) if times.ndim == 0 else out
+    i = _exponent_integral_many(spec, times)
+    return _envelope(spec.protocol, times) * np.exp(-i)
 
 
 def contrast_gas_finite_n(spec: GasSpec, t: float, n: int) -> complex:
@@ -767,7 +829,7 @@ def fit_hardcore_amplitude(spec: GasSpec, times) -> float:
         raise ParameterError("need at least two positive times to fit B")
     v0 = spec.potential.v0
     x = spec.n_r * _hardcore_profile(v0 * times, proto.beta)
-    y = np.array([exponent_integral(spec, t).real for t in times])
+    y = _exponent_integral_many(spec, times).real
     denom = float(np.dot(x, x))
     if denom == 0.0:
         raise ParameterError("fit times give identically zero predictor")
@@ -934,6 +996,41 @@ def _tau_grid(lo: float, hi: float):
         yield from 10.0 ** exponents[exponents < log_hi]
 
 
+def _block_size(t: float, r: float, t_before: float, r_before: float, rate: float, v0: float) -> int:
+    """Grid points of tau_half's next probe block, after a probe with
+    contrast ratio r at t that followed one with r_before at t_before.
+
+    -ln(ratio) grows about as t^p (p = 1/2 for a dilute unitary gas, 1
+    where dissipation dominates, 2 on the blockaded plateau). p from the
+    two probes, clamped to [1/2, 2] (1 where they give none), predicts
+    where -ln(ratio) reaches ln 2; the block ends two grid points past it,
+    and holds at most _GRID_BLOCK points. It also ends near ln 2 / rate,
+    past which no crossing lies, and where each time takes a midpoint
+    rule of about 1.5 v0 t + 72 nodes (v0 = |V0| at gamma > 0, else 0) it
+    holds at most _BLOCK_NODES nodes. A block size decides only how many
+    points one call evaluates, never which bracket is found. The
+    arithmetic runs in Python floats, which overflow to inf silently.
+    """
+    block = _GRID_BLOCK
+    x = -math.log(r) if 0.0 < r < 1.0 else 0.0
+    if x > 0.0:
+        p = 1.0
+        x_before = -math.log(r_before) if 0.0 < r_before < 1.0 else 0.0
+        if 0.0 < x_before < x and t > t_before:
+            p = min(2.0, max(0.5, math.log(x / x_before) / math.log(t / t_before)))
+        points = 25.0 * math.log10(math.log(2.0) / x) / p
+        block = int(min(block, max(1.0, math.ceil(points) + 2.0)))
+    span = math.log(2.0) / rate / t if rate > 0.0 else math.inf
+    if span < 10.0 ** (block / 25):
+        block = max(1, math.ceil(25.0 * math.log10(span)) + 1)
+    while block > 1:
+        t_abs = v0 * t * 10.0 ** (block / 25)
+        if t_abs <= _T_TAYLOR or block * (1.5 * t_abs + 72.0) <= _BLOCK_NODES:
+            break
+        block //= 2
+    return block
+
+
 def tau_half(spec: GasSpec) -> float:
     """Smallest t with |contrast(t)| = |contrast(0)| / 2, us.
 
@@ -942,8 +1039,19 @@ def tau_half(spec: GasSpec) -> float:
     the half level is bracketed, then polishes the bracket to relative
     accuracy well below 1e-6 with :func:`_brentq`, an in-house port of
     scipy's Brent iteration with the same iterates. The probe points come
-    from the floor alone, built a block at a time; the window's ceiling
-    only decides where the scan gives up.
+    from the floor alone; the window's ceiling only decides where the scan
+    gives up.
+
+    The floor is probed with one float call; the next points are probed a
+    block at a time, each block one array call of contrast_gas, sized by
+    :func:`_block_size` to end just past where the crossing is predicted.
+    A block also ends near ln 2 / rate, past which no crossing lies, and
+    holds at most _BLOCK_NODES midpoint nodes; one of fewer than
+    _MIN_ARRAY_BLOCK points is probed with float calls. The bracket is the
+    same as a point-by-point scan's: the first grid step from a ratio above
+    1/2 to one at or below it. Brent's polish calls contrast_gas with one
+    float at a time, so the root is bit-identical to one found by scalar
+    probes.
 
     It returns a crossing inside the first grid step that brackets 1/2,
     which is not always the smallest one: |contrast| need not fall
@@ -971,15 +1079,25 @@ def tau_half(spec: GasSpec) -> float:
 
     lo, hi = _tau_window(spec)
     grid = _tau_grid(lo, hi)
+    rate = proto.gamma / 2.0 + proto.gamma_d
+    v0 = abs(spec.potential.v0) if proto.gamma > 0.0 else 0.0
     t_prev = next(grid)
-    r_prev = ratio(t_prev)
-    for t in grid:
-        r = ratio(t)
-        if r_prev > 0.5 >= r:
-            return _brentq(
-                lambda tt: ratio(tt) - 0.5, t_prev, t, xtol=1e-12 * t, rtol=1e-10
-            )
-        t_prev, r_prev = t, r
+    r_prev = ratio(float(t_prev))
+    t_before = r_before = math.nan
+    while True:
+        block = _block_size(float(t_prev), r_prev, float(t_before), r_before, rate, v0)
+        times = np.fromiter(itertools.islice(grid, block), float)
+        if not times.size:
+            break
+        if times.size < _MIN_ARRAY_BLOCK:
+            rs = [ratio(t) for t in times.tolist()]
+        else:
+            rs = (np.abs(contrast_gas(spec, times)) / c0).tolist()
+        for t, r in zip(times, rs):
+            if r_prev > 0.5 >= r:
+                return _brentq(lambda tt: ratio(tt) - 0.5, t_prev, t, xtol=1e-12 * t, rtol=1e-10)
+            t_before, r_before = t_prev, r_prev
+            t_prev, r_prev = t, r
     raise CrossingNotFoundError(
         "contrast did not reach half below the search ceiling",
         diagnostics={"max_time": float(hi), "ratio_at_max": float(r_prev)},
