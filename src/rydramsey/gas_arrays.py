@@ -35,7 +35,6 @@ from .gas_average import (
     GasSpec,
     _bare_i_tilde,
     _j01,
-    _midpoint_cos2,
     _midpoint_order,
     _soft_core_h,
 )
@@ -46,9 +45,16 @@ from .potential import PotentialKind
 # within them.
 _SERIES_TERMS = 18
 
-# Powers of g in the moment series that _soft_core_taylor_many sums: at
-# g <= _TAYLOR_MAX, g^64 / 65! is below 2^-54 of a_0 ~ (e^g - 1) / g.
-_MOMENT_TERMS = 64
+# Terms of the series for a_{n-1} that _taylor_moments_many evaluates at
+# once: at g <= n <= _TAYLOR_MAX the loop of _taylor_moments adds at most 40
+# terms after its first (at g = n = _TAYLOR_MAX; fewer at smaller g or n).
+_MOMENT_TERMS = 41
+
+# Times that _exponent_integral_many evaluates at once: the Taylor branch
+# holds about 200 floats of temporaries per time (its moment series, orders
+# and coefficients), so a grid of MAX_FIG5_POINTS = 1e5 Taylor times would
+# take about 170 MB at once, and peaks near 8 MB in chunks of this size.
+_TIME_CHUNK = 2**12
 
 # An array step of Miller's recurrence costs about as much as this many
 # scalar element-steps: _j01_many runs the array steps only where the
@@ -56,11 +62,6 @@ _MOMENT_TERMS = 64
 _MILLER_BATCH = 16
 
 _INV_FACT_ARRAY = np.array(_INV_FACT)
-# S[j, m] = 1 / (m + j + 2)!: g^(j+1) times S, summed over j, is the moment
-# series of _taylor_moments without its first term, for _soft_core_taylor_many
-_MOMENT_SERIES = np.array([1.0 / math.factorial(k) for k in range(2, _MOMENT_TERMS + _TAYLOR_MAX + 1)])[
-    np.add.outer(np.arange(_MOMENT_TERMS), np.arange(_TAYLOR_MAX))
-]
 # T[m, k] = (i/2)^(k-m) / (k-m)! for k >= m: a row times T is the convolution
 # of _kernel_taylor, for _soft_core_taylor_many
 _HALF_I_TOEPLITZ = np.triu(_HALF_I_EXP[np.abs(np.subtract.outer(np.arange(_TAYLOR_MAX), np.arange(_TAYLOR_MAX)))])
@@ -79,8 +80,13 @@ def _exponent_integral_many(spec: GasSpec, times: np.ndarray) -> np.ndarray:
     ulps of |I|, and a midpoint rule longer than _NODE_CHUNK nodes (|V0 t|
     above about 2e3), summed chunk by chunk, which moves it by a few ulps.
     The bare potential at gamma > 0 goes element by element, since
-    math.erf has no numpy form.
+    math.erf has no numpy form. Times are evaluated _TIME_CHUNK at a time;
+    every route treats each time on its own, so this changes no bit.
     """
+    if times.size > _TIME_CHUNK:
+        return np.concatenate([
+            _exponent_integral_many(spec, times[k : k + _TIME_CHUNK]) for k in range(0, times.size, _TIME_CHUNK)
+        ])
     out = np.zeros(times.size, dtype=complex)  # t = 0 gives 0 exactly
     if not times.size:
         return out
@@ -117,13 +123,13 @@ def _soft_core_taylor_many(t_abs: np.ndarray, g: np.ndarray, theta: float, beta:
     """The Taylor branch of :func:`_soft_core_i_over_nr` at each (|T|, g),
     |T| <= _T_TAYLOR, before the conjugation that negative T takes.
 
-    Each element keeps its own order (:func:`_taylor_order`) and moments
-    (:func:`_taylor_moments`), from the scalar forms' operations: their
-    loops become cumulative products and sums over columns, and the
-    exponentials come from math, element by element. The moment series is
-    summed for every order at once, and where the scalar form calls numpy's
-    convolve and dot, which run through BLAS in an order an array form
-    cannot reproduce, the sums go through einsum: the value agrees with the
+    Each element keeps its own order (:func:`_taylor_order`, its loop as a
+    cumulative product) and moments (:func:`_taylor_moments_many`), both
+    bit-identical to the scalar ones. Where the scalar form then calls
+    numpy's convolve and dot, which run through BLAS in an order an array
+    form cannot reproduce, the convolution is summed a row at a time and
+    the series in T as a reduction over its axis (not einsum, whose first
+    call adds about 2 MB of resident memory): the value agrees with the
     scalar one to a few ulps of |I|, not bit for bit.
     """
     size = t_abs.size
@@ -135,35 +141,64 @@ def _soft_core_taylor_many(t_abs: np.ndarray, g: np.ndarray, theta: float, beta:
     above = np.cumprod(tails, axis=1) > (2.0**-53 * t_abs * t_abs / 8.0)[:, None]
     n = 2 + np.logical_and.accumulate(above, axis=1).sum(axis=1)
 
-    # moments a_m = e^{-g} sum_j g^j / (m+j+1)!: where g <= n, this series
-    # of positive terms for every m at once, one matrix product; where
-    # g > n, the upward recurrence of _taylor_moments from a_0
-    e = np.array([math.exp(-v) for v in g.tolist()])
-    one_minus_e = np.array([-math.expm1(-v) for v in g.tolist()])
-    a = np.empty((size, _TAYLOR_MAX))
-    low = g <= n
-    if low.any():
-        powers = np.cumprod(np.repeat(g[low, None], _MOMENT_TERMS, axis=1), axis=1)
-        # einsum: numpy's own loops, not a BLAS product and its work buffers
-        a[low] = e[low, None] * (_INV_FACT_ARRAY[1:] + np.einsum("ij,jk->ik", powers, _MOMENT_SERIES))
-    if not low.all():
-        high = ~low
-        gh, eh = g[high], e[high]
-        ah = np.empty((_TAYLOR_MAX, gh.size))
-        ah[0] = one_minus_e[high] / gh
-        for m in range(1, _TAYLOR_MAX):
-            ah[m] = (ah[m - 1] - eh * _INV_FACT[m]) / gh
-        a[high] = ah.T
+    a = _taylor_moments_many(g, n)
 
     if beta == 1:
         c = math.sin(theta / 2.0) ** 2 * _I_POW[1:] * a
     else:
         q = math.cos(theta / 2.0) ** 2
-        # the convolution of (-i)^m a_m with (i/2)^k / k!, as one matrix product
-        c = _HALF_I_EXP[1:] - 1j * q * np.einsum("ij,jk->ik", np.conj(_I_POW[:-1]) * a, _HALF_I_TOEPLITZ)
+        # the convolution of (-i)^m a_m with (i/2)^k / k!, summed over m
+        # a Toeplitz row at a time (no (size, N, N) temporary)
+        x = np.conj(_I_POW[:-1]) * a
+        conv = np.zeros_like(x)
+        for m in range(_TAYLOR_MAX):
+            conv += x[:, m : m + 1] * _HALF_I_TOEPLITZ[m]
+        c = _HALF_I_EXP[1:] - 1j * q * conv
+        one_minus_e = np.array([-math.expm1(-v) for v in g.tolist()])
         c[:, 0] = 0.5j * (2.0 * q * (one_minus_e - g * a[:, 1]) - math.cos(theta))
     c[np.arange(_TAYLOR_MAX) >= n[:, None]] = 0.0
     return -(c * (t_abs[:, None] ** _ORDERS * _J_N)).sum(axis=1)
+
+
+def _taylor_moments_many(g: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """:func:`_taylor_moments` at each (g, n) of two arrays, as the rows of
+    a (size, _TAYLOR_MAX) array; a row's columns from n on are finite and
+    unused.
+
+    The scalar form's operations, so bit-identical, with the exponentials
+    from math, element by element. Where g <= n, the series for a_{n-1}
+    as a cumulative product and sum over _MOMENT_TERMS columns, cut at the
+    term where the scalar loop stops, then the downward recurrence as
+    masked steps; where g > n, the upward recurrence from a_0.
+    """
+    e = np.array([math.exp(-v) for v in g.tolist()])
+    a = np.zeros((g.size, _TAYLOR_MAX))
+    low = g <= n
+    if low.any():
+        gl, nl, el = g[low], n[low], e[low]
+        rows = np.arange(gl.size)
+        # the series' terms 1/n!, then times g/(n+1), g/(n+2), ..., and
+        # its partial sums, accumulated in the loop's order
+        steps = np.empty((gl.size, _MOMENT_TERMS))
+        steps[:, 0] = _INV_FACT_ARRAY[nl]
+        steps[:, 1:] = gl[:, None] / (nl[:, None] + np.arange(1, _MOMENT_TERMS))
+        terms = np.cumprod(steps, axis=1)
+        totals = np.cumsum(terms, axis=1)
+        last = np.argmax(terms <= 2**-54 * totals, axis=1)  # the loop's last term
+        al = np.zeros((gl.size, _TAYLOR_MAX))
+        al[rows, nl - 1] = el * totals[rows, last]
+        for m in range(_TAYLOR_MAX - 2, -1, -1):
+            al[:, m] = np.where(m <= nl - 2, el * _INV_FACT[m + 1] + gl * al[:, m + 1], al[:, m])
+        a[low] = al
+    if not low.all():
+        high = ~low
+        gh, eh = g[high], e[high]
+        ah = np.empty((_TAYLOR_MAX, gh.size))
+        ah[0] = np.array([-math.expm1(-v) for v in gh.tolist()]) / gh
+        for m in range(1, _TAYLOR_MAX):
+            ah[m] = (ah[m - 1] - eh * _INV_FACT[m]) / gh
+        a[high] = ah.T
+    return a
 
 
 def _midpoint_sums(pieces: list, t_abs, g, m, theta: float, beta: int, fine, coarse) -> None:
@@ -180,12 +215,9 @@ def _midpoint_sums(pieces: list, t_abs, g, m, theta: float, beta: int, fine, coa
     """
     rows, first, count = (np.array(col) for col in zip(*pieces))
     starts = np.cumsum(count) - count
-    cos2 = np.concatenate([
-        _midpoint_cos2(mr)[f : f + c] if 3 * mr <= _NODE_CHUNK
-        else np.cos((np.arange(f, f + c) + 0.5) * (math.pi / (6 * mr))) ** 2
-        for mr, f, c in zip(m[rows].tolist(), first.tolist(), count.tolist())
-    ])
-    vals = _soft_core_h(np.repeat(t_abs[rows], count) * cos2, np.repeat(g[rows], count), theta, beta)
+    node = np.arange(count.sum()) - np.repeat(starts - first, count)  # k of each phi_k
+    phi = (node + 0.5) * np.repeat(math.pi / (6 * m[rows]), count)
+    vals = _soft_core_h(np.repeat(t_abs[rows], count) * np.cos(phi) ** 2, np.repeat(g[rows], count), theta, beta)
     run = 0  # first piece of the current run
     for j in range(1, rows.size + 1):
         if j < rows.size and count[j] == count[run]:

@@ -96,28 +96,19 @@ _H_SERIES = 4.0
 # power series.
 _X_DAWSON = 8.0
 
-# _tau_grid builds the probe grid this many points at a time, and a probe
-# block of tau_half holds at most this many: the scan stops a few dozen
-# points past its floor (median 23, at most 55 on the default sweeps),
-# long before the ceiling.
-_GRID_BLOCK = 64
-
-# tau_half probes a block of fewer points than this with float calls: an
-# array call's set-up costs about as much as several float probes, and a
-# midpoint-rule probe costs about as much either way.
-_MIN_ARRAY_BLOCK = 8
+# _tau_grid builds the probe grid this many points at a time, and tau_half
+# probes it in blocks of this many after its floor. The scan stops a few
+# dozen points past the floor (median 23, at most 55 on the default sweeps),
+# so most scans take one block. On the benchmark's gas_sweeps, blocks of 32
+# ran faster than blocks of 16 or 64, than blocks doubling from 8, and than
+# blocks sized by a fit of the contrast's decay.
+_GRID_BLOCK = 32
 
 # Nodes of the soft-core midpoint rule that _exponent_integral_many evaluates
 # at once, a multiple of 3: each array of a chunk stays in cache (48 kB or
 # less), and a longer rule (|V0 t| above about 2e3) is summed in pieces of
-# this size. The cos^2 of rules up to this length is cached.
+# this size.
 _NODE_CHUNK = 3 * 2**10
-
-# Midpoint nodes of one tau_half probe block at most: a node costs 0.1-0.2
-# us either way, so past |V0 t| ~ 1 a block of midpoint rules shrinks below
-# _MIN_ARRAY_BLOCK and is probed by float calls, which waste no node past
-# the bracket.
-_BLOCK_NODES = 2**9
 
 # Iteration cap of tau_half's Brent polish, scipy's brentq default.
 _BRENT_MAXITER = 100
@@ -299,20 +290,20 @@ def _soft_core_h(x, g: float, theta: float, beta: int):
     return -half / x - math.cos(theta / 2.0) ** 2 * (half + 1.0) * np.expm1(-1j * w) / w
 
 
-@functools.lru_cache(maxsize=64)
-def _cached_cos2(m: int) -> np.ndarray:
+def _midpoint_cos2(m: int) -> np.ndarray:
+    """cos^2 phi_k at the 3M nodes phi_k = (k + 1/2) pi / (6M) of the
+    midpoint rule of :func:`_soft_core_i_over_nr`, read-only."""
     phi = (np.arange(3 * m) + 0.5) * (math.pi / (6 * m))
     cos2 = np.cos(phi) ** 2
     cos2.flags.writeable = False
     return cos2
 
 
-def _midpoint_cos2(m: int) -> np.ndarray:
-    """cos^2 phi at the 3M nodes phi_k = (k + 1/2) pi / (6M) of the midpoint
-    rule of :func:`_soft_core_i_over_nr`. They depend on M alone, and the
-    probes of tau_half and the times of a curve share a few dozen M, so a
-    rule of at most _NODE_CHUNK nodes is kept in a small cache (read-only)."""
-    return _cached_cos2(m) if 3 * m <= _NODE_CHUNK else _cached_cos2.__wrapped__(m)
+# The nodes of float calls' rules of at most _NODE_CHUNK nodes (at most 24 kB
+# each, 1.5 MB in all). They depend on M alone, and the default sweeps'
+# float probes share few M: one gas_sweeps pass of the benchmark makes
+# 1 562 float midpoint rules with 24 distinct M.
+_cached_midpoint_cos2 = functools.lru_cache(maxsize=64)(_midpoint_cos2)
 
 
 def _midpoint_order(t_abs: float) -> int:
@@ -342,7 +333,8 @@ def _soft_core_i_over_nr(T: float, g: float, theta: float, beta: int) -> complex
         total = -np.dot(_kernel_taylor(g, theta, beta, n), t_abs ** _ORDERS[:n] * _J_N[:n])
     else:
         m = _midpoint_order(t_abs)
-        vals = _soft_core_h(t_abs * _midpoint_cos2(m), g, theta, beta)
+        cos2 = (_cached_midpoint_cos2 if 3 * m <= _NODE_CHUNK else _midpoint_cos2)(m)
+        vals = _soft_core_h(t_abs * cos2, g, theta, beta)
         total = vals.sum() * (t_abs * math.pi / (6 * m))
         err = abs(total - vals[1::3].sum() * (t_abs * math.pi / (2 * m)))
         if err > max(_REL_TOL * abs(total), _ABS_TOL):
@@ -996,41 +988,6 @@ def _tau_grid(lo: float, hi: float):
         yield from 10.0 ** exponents[exponents < log_hi]
 
 
-def _block_size(t: float, r: float, t_before: float, r_before: float, rate: float, v0: float) -> int:
-    """Grid points of tau_half's next probe block, after a probe with
-    contrast ratio r at t that followed one with r_before at t_before.
-
-    -ln(ratio) grows about as t^p (p = 1/2 for a dilute unitary gas, 1
-    where dissipation dominates, 2 on the blockaded plateau). p from the
-    two probes, clamped to [1/2, 2] (1 where they give none), predicts
-    where -ln(ratio) reaches ln 2; the block ends two grid points past it,
-    and holds at most _GRID_BLOCK points. It also ends near ln 2 / rate,
-    past which no crossing lies, and where each time takes a midpoint
-    rule of about 1.5 v0 t + 72 nodes (v0 = |V0| at gamma > 0, else 0) it
-    holds at most _BLOCK_NODES nodes. A block size decides only how many
-    points one call evaluates, never which bracket is found. The
-    arithmetic runs in Python floats, which overflow to inf silently.
-    """
-    block = _GRID_BLOCK
-    x = -math.log(r) if 0.0 < r < 1.0 else 0.0
-    if x > 0.0:
-        p = 1.0
-        x_before = -math.log(r_before) if 0.0 < r_before < 1.0 else 0.0
-        if 0.0 < x_before < x and t > t_before:
-            p = min(2.0, max(0.5, math.log(x / x_before) / math.log(t / t_before)))
-        points = 25.0 * math.log10(math.log(2.0) / x) / p
-        block = int(min(block, max(1.0, math.ceil(points) + 2.0)))
-    span = math.log(2.0) / rate / t if rate > 0.0 else math.inf
-    if span < 10.0 ** (block / 25):
-        block = max(1, math.ceil(25.0 * math.log10(span)) + 1)
-    while block > 1:
-        t_abs = v0 * t * 10.0 ** (block / 25)
-        if t_abs <= _T_TAYLOR or block * (1.5 * t_abs + 72.0) <= _BLOCK_NODES:
-            break
-        block //= 2
-    return block
-
-
 def tau_half(spec: GasSpec) -> float:
     """Smallest t with |contrast(t)| = |contrast(0)| / 2, us.
 
@@ -1042,16 +999,16 @@ def tau_half(spec: GasSpec) -> float:
     from the floor alone; the window's ceiling only decides where the scan
     gives up.
 
-    The floor is probed with one float call; the next points are probed a
-    block at a time, each block one array call of contrast_gas, sized by
-    :func:`_block_size` to end just past where the crossing is predicted.
-    A block also ends near ln 2 / rate, past which no crossing lies, and
-    holds at most _BLOCK_NODES midpoint nodes; one of fewer than
-    _MIN_ARRAY_BLOCK points is probed with float calls. The bracket is the
-    same as a point-by-point scan's: the first grid step from a ratio above
-    1/2 to one at or below it. Brent's polish calls contrast_gas with one
-    float at a time, so the root is bit-identical to one found by scalar
-    probes.
+    The floor is probed with one float call, the next points in blocks of
+    _GRID_BLOCK. A block is one array call of contrast_gas, unless it
+    reaches a time where the exponent takes the midpoint rule or erf
+    (gamma > 0 past |V0 t| = _T_TAYLOR, or a bare potential), which cost
+    about as much per time either way: that block is probed a float call
+    at a time, and no probe past the bracket is made. The bracket is the
+    same as a point-by-point scan's: the first grid step from a ratio
+    above 1/2 to one at or below it. Brent's polish calls contrast_gas
+    with one float at a time, so the root is bit-identical to one found
+    by scalar probes.
 
     It returns a crossing inside the first grid step that brackets 1/2,
     which is not always the smallest one: |contrast| need not fall
@@ -1077,26 +1034,23 @@ def tau_half(spec: GasSpec) -> float:
     def ratio(t: float) -> float:
         return abs(contrast_gas(spec, t)) / c0
 
+    # at gamma > 0 a time past |V0 t| = _T_TAYLOR (of a bare gas, any time)
+    # takes the midpoint rule or erf, at about a float call's cost per time
+    pot = spec.potential
+    v0 = abs(pot.v0) if pot.kind is PotentialKind.SOFT_CORE else math.inf
+
     lo, hi = _tau_window(spec)
     grid = _tau_grid(lo, hi)
-    rate = proto.gamma / 2.0 + proto.gamma_d
-    v0 = abs(spec.potential.v0) if proto.gamma > 0.0 else 0.0
-    t_prev = next(grid)
-    r_prev = ratio(float(t_prev))
-    t_before = r_before = math.nan
-    while True:
-        block = _block_size(float(t_prev), r_prev, float(t_before), r_before, rate, v0)
-        times = np.fromiter(itertools.islice(grid, block), float)
-        if not times.size:
-            break
-        if times.size < _MIN_ARRAY_BLOCK:
-            rs = [ratio(t) for t in times.tolist()]
+    t_prev = float(next(grid))
+    r_prev = ratio(t_prev)
+    while times := [float(t) for t in itertools.islice(grid, _GRID_BLOCK)]:
+        if proto.gamma > 0.0 and v0 * times[-1] > _T_TAYLOR:
+            rs = map(ratio, times)  # lazily: no probe past the bracket
         else:
-            rs = (np.abs(contrast_gas(spec, times)) / c0).tolist()
+            rs = (np.abs(contrast_gas(spec, np.array(times))) / c0).tolist()
         for t, r in zip(times, rs):
             if r_prev > 0.5 >= r:
                 return _brentq(lambda tt: ratio(tt) - 0.5, t_prev, t, xtol=1e-12 * t, rtol=1e-10)
-            t_before, r_before = t_prev, r_prev
             t_prev, r_prev = t, r
     raise CrossingNotFoundError(
         "contrast did not reach half below the search ceiling",

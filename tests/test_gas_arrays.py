@@ -29,11 +29,12 @@ from rydramsey.potential import DressingParams, PotentialKind, derive_potential
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-# The soft-core Taylor branch sums its coefficient convolution and its
-# series in T in a fixed order where the scalar form calls numpy's convolve
-# and dot (BLAS). At g ~ 2 the scalar form is itself up to 23 ulps of |I|
-# off a 40-digit reference, so the two agree to this many ulps of |I|.
-TAYLOR_ULPS = 32
+# The soft-core Taylor branch has the scalar form's orders and moments, bit
+# for bit, but sums its coefficient convolution and its series in T in a
+# fixed order where the scalar form calls numpy's convolve and dot (BLAS).
+# Over 24 000 random (T, g, theta, beta) the two differed by at most 1.5
+# ulps of |I|.
+TAYLOR_ULPS = 4
 # A midpoint rule longer than _NODE_CHUNK nodes is summed chunk by chunk;
 # at |V0 t| up to 1e6 that moved I by at most 2 ulps of |I|.
 CHUNKED_ULPS = 8
@@ -112,6 +113,38 @@ def test_subnormal_gamma_array_per_route():
         assert_array_form(sp, times, taylor_max=gas_average._T_TAYLOR)
 
 
+def test_taylor_moments_array_is_bit_identical():
+    # every order n, g across the series/upward switch at g = n (with its
+    # neighbouring floats), the longest series (g = n = _TAYLOR_MAX) and
+    # subnormal g
+    g_max = gas_average._TAYLOR_MAX
+    gs, ns = [], []
+    for n in range(2, g_max + 1):
+        for g in [5e-324, 1e-300, 1e-9, 0.3, 1.7, float(n), 2.5 * g_max, 1e6]:
+            for v in (float(np.nextafter(g, 0.0)), g, float(np.nextafter(g, math.inf))):
+                gs.append(v)
+                ns.append(n)
+    a = gas_arrays._taylor_moments_many(np.array(gs), np.array(ns))
+    for g, n, row in zip(gs, ns, a):
+        assert row[:n].tolist() == gas_average._taylor_moments(g, n)
+        assert np.all(np.isfinite(row))
+
+
+def test_float_midpoint_rules_cache_short_rules_only():
+    # float calls take a short rule's nodes from the cache, bit-identical
+    # to the uncached ones; a rule longer than _NODE_CHUNK is not kept
+    sp = GasSpec.from_blockade_number(0.5, soft_core(), RamseyProtocol(1.1, True, 0.3, 0.0))
+    gas_average._cached_midpoint_cos2.cache_clear()
+    for t in (3.0, 3.0, 5e3):
+        exponent_integral(sp, t)
+    info = gas_average._cached_midpoint_cos2.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    m = gas_average._midpoint_order(3.0)
+    cached = gas_average._cached_midpoint_cos2(m)
+    assert not cached.flags.writeable
+    assert np.array_equal(cached, gas_average._midpoint_cos2(m))
+
+
 @pytest.mark.parametrize("c6", [5.0, -1.3e4])
 @pytest.mark.parametrize("echo", [True, False])
 @pytest.mark.parametrize("gamma", [0.0, 0.2])
@@ -159,6 +192,24 @@ def test_array_exponent_memory_is_bounded():
     want = scalar_exponents(sp, times)
     assert np.all(ulps(got, want) <= CHUNKED_ULPS)
     assert np.array_equal(got[3], want[3])  # a rule within one chunk
+
+
+def test_array_exponent_memory_is_bounded_on_a_capped_grid():
+    # a grid of MAX_FIG5_POINTS Taylor-branch times (about 200 floats of
+    # temporaries each) is evaluated in chunks of times
+    sp = GasSpec.from_blockade_number(0.5, soft_core(), RamseyProtocol(1.1, True, 0.3, 0.0))
+    times = np.linspace(0.0, gas_average._T_TAYLOR, experiments.MAX_FIG5_POINTS)
+    tracemalloc.start()
+    try:
+        got = _exponent_integral_many(sp, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    picks = np.arange(0, times.size, 997)
+    want = scalar_exponents(sp, times[picks])
+    assert np.array_equal(got[picks] == 0, want == 0)
+    assert np.all(ulps(got[picks][1:], want[1:]) <= TAYLOR_ULPS)
 
 
 def scalar_probe_tau_half(spec):
