@@ -45,6 +45,7 @@ from .errors import (
 from .ising_core import (
     RamseyProtocol,
     _envelope,
+    _half_angle_kernel,
     _row_products,
     f_kernel,
 )
@@ -76,8 +77,9 @@ _REL_TOL = 1e-8
 _ABS_TOL = 1e-12
 
 # Pairs of the Monte Carlo pair matrix evaluated at once: a block of
-# _MC_PAIRS // N rows keeps each of its arrays at 1-2 MB, inside the cache.
-_MC_PAIRS = 2**17
+# _MC_PAIRS // N rows keeps each float buffer at 512 kB and the complex
+# kernel buffer at 1 MB, inside the cache.
+_MC_PAIRS = 2**16
 
 # |T| = |V0 t| up to which the soft-core exponent is summed as a Taylor
 # series in T, where 1 - f loses digits to cancellation.
@@ -657,11 +659,16 @@ def monte_carlo_gas(
     :func:`~rydramsey.ising_core._row_products` along the rows for the
     atoms [lo, hi)), so an exact zero factor removes both atoms.
 
-    A block is min(N, max(1, 2^17 // N)) rows high, so its distance, coupling and
+    A block is min(N, max(1, 2^16 // N)) rows high, so its distance, coupling and
     kernel arrays stay in cache instead of streaming from memory. The
     positions are drawn in box units, u in [0, 1)^3, so the minimum image
-    of a difference d is d - rint(d), written into buffers allocated once
-    per call, and the squared distance is scaled by box^2 once per block.
+    of a difference d is d - rint(d), and the squared distance is scaled
+    by box^2 once per block. Three float buffers and one complex buffer
+    of a block's size are allocated once per call: the float ones hold d,
+    its rounding and r^2 while the couplings are built, then the scratch
+    of the g = 0 kernel (:func:`~rydramsey.ising_core._half_angle_kernel`),
+    which writes the pair factors into the complex one, so no block-sized
+    array is allocated per time at gamma = 0.
     Sampling is deterministic under the seed, a non-negative integer
     (else ParameterError): sample s draws from
     SeedSequence(seed).spawn(n)[s], and its positions are that stream's
@@ -707,8 +714,10 @@ def monte_carlo_gas(
     height = min(n_atoms, max(1, _MC_PAIRS // n_atoms))
     # pairs of a diagonal block already counted, or self-pairs: col <= row
     lower = np.tril(np.ones((height, height), dtype=bool))
-    # flat buffers for one block: an axis difference, its rounding, r^2
+    # flat buffers for one block: an axis difference, its rounding, r^2,
+    # then the g = 0 kernel's scratch; and its pair factors
     buffers = np.empty((3, height * n_atoms))
+    factors = np.empty(height * n_atoms, dtype=complex)
 
     for s_idx, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
@@ -717,7 +726,9 @@ def monte_carlo_gas(
         for lo in range(0, n_atoms, height):
             hi = min(lo + height, n_atoms)
             shape = (hi - lo, n_atoms - lo)
-            d, rd, r2 = (b[: shape[0] * shape[1]].reshape(shape) for b in buffers)
+            size = shape[0] * shape[1]
+            d, rd, r2 = (b[:size].reshape(shape) for b in buffers)
+            block = factors[:size].reshape(shape)
             # rows lo:hi against columns lo:N; each unordered pair once
             r2[:] = 0.0
             for x in unit:
@@ -729,7 +740,12 @@ def monte_carlo_gas(
             v = evaluate_V(pot, np.sqrt(r2, out=r2))
             below = lower[: hi - lo, : hi - lo]
             for it, t in enumerate(times):
-                f = f_kernel(np.multiply(v, t, out=d), proto.gamma * t, proto.theta, proto.beta)
+                g = proto.gamma * t
+                if g == 0.0:
+                    f = block
+                    _half_angle_kernel(v, t, proto.theta, proto.beta, f, d, rd, r2)
+                else:
+                    f = f_kernel(np.multiply(v, t, out=d), g, proto.theta, proto.beta)
                 f[:, : hi - lo][below] = 1.0
                 rows[it, lo:] *= f.prod(axis=0)
                 rows[it, lo:hi] *= _row_products(f)  # overwrites f, so it goes last

@@ -90,10 +90,11 @@ def f_kernel(x, g: float, theta: float, beta: int):
       on CPUs where its float64 sin and cos are scalar loops. The result
       differs from the cosine/sine form by at most about 2 ulp, X = 0
       gives f = 1 exactly, and |u| stays far below the overflow of u^2
-      for every finite X. The tangent is taken on one contiguous float
-      temporary, which then holds 1 + u^2; the numerators and quotients
-      are written straight into the real and imaginary parts of one
-      complex output.
+      for every finite X. :func:`_half_angle_kernel` evaluates it on
+      contiguous float buffers and writes each part of the complex
+      output once, by the final quotient; here x passes through it in
+      chunks of :data:`_KERNEL_CHUNK` elements, with one small float
+      workspace as scratch.
     - g > 0: the exact split into a decaying and a surviving exponential,
       f = q e^{iX - g} + (1 - q) with q = sin^2(theta/2) X/(X + i g)
       (no echo), f = (1 - q) e^{iX/2} + q e^{-iX/2 - g} with
@@ -127,21 +128,12 @@ def f_kernel(x, g: float, theta: float, beta: int):
     x = np.asarray(x, dtype=float)
     if g == 0.0:
         out = np.empty(x.shape, dtype=complex)
-        re, im = out.real, out.imag
-        u = np.multiply(x, 0.25 if beta == 0 else 0.5, out=np.empty(x.shape))
-        np.tan(u, out=u)  # on a contiguous array: the strided re/im are slower
-        np.multiply(u, u, out=re)
-        if beta == 0:
-            np.multiply(u, -2.0 * math.cos(theta), out=im)
-            np.add(re, 1.0, out=u)
-            np.subtract(1.0, re, out=re)
-        else:
-            np.multiply(u, 2.0 * math.sin(0.5 * theta) ** 2, out=im)
-            np.add(re, 1.0, out=u)
-            re *= math.cos(theta)
-            re += 1.0
-        re /= u  # u now holds 1 + u^2
-        im /= u
+        flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+        work = np.empty((3, min(flat_x.size, _KERNEL_CHUNK)))
+        for lo in range(0, flat_x.size, _KERNEL_CHUNK):
+            hi = min(lo + _KERNEL_CHUNK, flat_x.size)
+            u, s, w = work[:, : hi - lo]
+            _half_angle_kernel(flat_x[lo:hi], 1.0, theta, beta, flat_out[lo:hi], u, s, w)
     else:
         if beta == 1:
             q = math.sin(0.5 * theta) ** 2 * _x_over_x_plus_ig(x, g)
@@ -150,6 +142,41 @@ def f_kernel(x, g: float, theta: float, beta: int):
             q = math.cos(0.5 * theta) ** 2 * _x_over_x_plus_ig(x, -g)
             out = (1.0 - q) * np.exp(0.5j * x) + q * np.exp(-0.5j * x - g)
     return out if out.ndim else complex(out)
+
+
+# Elements of x per pass of f_kernel's g = 0 branch: one (3, chunk) float
+# workspace of 192 kB serves every chunk of a call.
+_KERNEL_CHUNK = 8192
+
+
+def _half_angle_kernel(v, t: float, theta: float, beta: int, out, u, s, w) -> None:
+    """f(X, 0) at X = v t by the half-angle identities of :func:`f_kernel`,
+    written into buffers the caller owns.
+
+    v (float) is only read. u, s and w are float scratch of v's shape,
+    left holding the imaginary numerator, the real numerator and
+    1 + u^2; out is a complex array of v's shape, whose real and
+    imaginary parts are each written once, by the final quotients. The
+    tangent's argument is v (t/4) (echo) or v (t/2): for t = 1 that is
+    X/4 or X/2 itself, and otherwise it equals (v t)/4 or (v t)/2 bit
+    for bit away from underflow and overflow, since scaling by a power
+    of two is exact there. u, s and w should
+    be contiguous: numpy's tan and its arithmetic run faster there than
+    on the strided parts of out.
+    """
+    np.multiply(v, t * (0.25 if beta == 0 else 0.5), out=u)
+    np.tan(u, out=u)
+    np.multiply(u, u, out=s)
+    np.add(s, 1.0, out=w)
+    if beta == 0:
+        np.subtract(1.0, s, out=s)
+        u *= -2.0 * math.cos(theta)
+    else:
+        s *= math.cos(theta)
+        s += 1.0
+        u *= 2.0 * math.sin(0.5 * theta) ** 2
+    np.divide(s, w, out=out.real)
+    np.divide(u, w, out=out.imag)
 
 
 def _x_over_x_plus_ig(x: np.ndarray, g: float) -> np.ndarray:

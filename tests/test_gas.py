@@ -542,6 +542,24 @@ def test_monte_carlo_small_gas_is_one_block(n_atoms, gamma):
 
 
 @pytest.mark.filterwarnings("ignore::rydramsey.errors.BiasWarning")
+@pytest.mark.parametrize("echo", [True, False])
+@pytest.mark.parametrize("gamma", [0.0, 0.2])
+def test_monte_carlo_block_split_changes_only_rounding(monkeypatch, echo, gamma):
+    # the pair budget only regroups the column products: 300 atoms are two
+    # blocks at the default budget and 100 blocks of 3 rows at 2^10 pairs,
+    # through the g = 0 kernel's buffers (gamma = 0) or the split branch
+    sp = spec_at(0.5, 1.1, echo, gamma=gamma, gamma_d=0.05)
+
+    def samples():
+        return monte_carlo_gas(sp, [0.7, 2.5], n_samples=2, n_atoms=300, seed=3).samples
+
+    want = samples()
+    monkeypatch.setattr(gas_average, "_MC_PAIRS", 2**10)
+    got = samples()
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.filterwarnings("ignore::rydramsey.errors.BiasWarning")
 def test_monte_carlo_exact_zero_factor_kills_both_atoms(monkeypatch):
     # a pair is evaluated once, as (j, k) with j < k; forcing its factor to
     # an exact zero must still remove both atoms j and k from the sample

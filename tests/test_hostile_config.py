@@ -14,9 +14,11 @@ import math
 import os
 import warnings
 
-from rydramsey import cli
+import pytest
+
+from rydramsey import cli, experiments
 from rydramsey.config import _CANONICAL, _SCHEMA, config_from_dict
-from rydramsey.errors import ConfigError, ParameterError, UnsupportedRegimeError
+from rydramsey.errors import CapacityError, ConfigError, ParameterError, UnsupportedRegimeError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SR = os.path.join(CONFIG_DIR, "sr_dressed.json")
@@ -96,3 +98,25 @@ def test_every_schema_key_survives_hostile_values(tmp_path):
                             failures.append(f"{label}: {command} wrote nan into {name}")
     assert runs > 0
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize(
+    "section, key, command, error, code",
+    [
+        ("lattice", "size", "fig4", CapacityError, 3),
+        ("protocol", "theta", "fig2", ConfigError, 2),
+    ],
+)
+def test_integer_past_the_digit_limit_in_a_dict(
+    monkeypatch, tmp_path, section, key, command, error, code
+):
+    # json refuses integers of more than 4300 digits, so only a dict built
+    # in Python carries one this long; it must still end in a clean error
+    with open(SR, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data[section][key] = 10**5000
+    with pytest.raises(error):
+        getattr(experiments, f"run_{command}")(config_from_dict(data), str(tmp_path / "api"))
+    monkeypatch.setattr(cli, "load_config", lambda path: config_from_dict(data))
+    rc, err = outcome(command, "dict", None, str(tmp_path / "cli"))
+    assert rc == code and len(err.splitlines()) == 1, err

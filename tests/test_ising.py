@@ -187,6 +187,49 @@ def test_kernel_g0_tangent_form_accuracy(beta):
         assert f_kernel(0.0, 0.0, theta, beta) == 1.0
 
 
+def half_angle_reference(x, theta, beta):
+    # the g = 0 branch's half-angle formulas, one numpy operation each, in
+    # the order f_kernel applies them
+    u = np.tan(np.asarray(x, dtype=float) * (0.25 if beta == 0 else 0.5))
+    u2 = u * u
+    w = u2 + 1.0
+    if beta == 0:
+        re, im = 1.0 - u2, u * (-2.0 * math.cos(theta))
+    else:
+        re, im = u2 * math.cos(theta) + 1.0, u * (2.0 * math.sin(0.5 * theta) ** 2)
+    out = np.empty(u.shape, dtype=complex)
+    out.real = re / w
+    out.imag = im / w
+    return out
+
+
+@pytest.mark.parametrize("beta", [0, 1])
+def test_kernel_g0_bits_match_half_angle_formulas(beta):
+    # f_kernel runs x through caller-owned buffers in chunks; every element
+    # must still take exactly the reference's float operations, whatever
+    # the layout of x and wherever the chunk seams fall
+    rng = np.random.default_rng(29)
+    chunk = ising_core._KERNEL_CHUNK
+    grid = rng.uniform(-60.0, 60.0, (40, 70))
+    xs = [
+        grid,
+        grid.T,
+        rng.uniform(-60.0, 60.0, 3 * 700)[::3],
+        np.array(0.7),
+        np.array(-1e300),
+        np.empty(0),
+        np.empty((0, 4)),
+        np.concatenate([[0.0, -0.0, 1e-300], rng.normal(0.0, 20.0, 3 * chunk + 2)]),
+    ]
+    for theta in (0.0, 0.3, math.pi / 2, math.pi):
+        for x in xs:
+            got = f_kernel(x, 0.0, theta, beta)
+            want = half_angle_reference(x, theta, beta)
+            assert np.shape(got) == x.shape
+            assert np.array_equal(got, want), (theta, x.shape)
+        assert f_kernel(-2.5, 0.0, theta, beta) == complex(half_angle_reference(-2.5, theta, beta))
+
+
 @pytest.mark.parametrize("g", [0.0, 0.4])
 @pytest.mark.parametrize("beta", [0, 1])
 def test_kernel_return_types(g, beta):
