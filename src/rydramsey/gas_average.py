@@ -39,6 +39,7 @@ from .errors import (
     CrossingNotFoundError,
     NumericalError,
     ParameterError,
+    SingularityError,
     UnsupportedRegimeError,
     ValidityWarning,
 )
@@ -53,9 +54,9 @@ from .potential import (
     DressingParams,
     InteractionPotential,
     PotentialKind,
+    _v_of_q,
     blockade_number,
     derive_potential,
-    evaluate_V,
 )
 
 __all__ = [
@@ -651,24 +652,29 @@ def monte_carlo_gas(
     Atoms are placed uniformly in a periodic cube of side (N/rho)^(1/3)
     with minimum-image pair distances; each sample is the exact
     per-configuration coherence at every requested time, computed with the
-    envelope, evaluate_V and f_kernel of sigma_plus_couplings. V_jk = V_kj,
-    so each unordered pair is evaluated once: a block of rows [lo, hi)
-    meets only the columns [lo, N) (one distance pass per block, reused
-    at every time), and each pair factor multiplies both atoms' row
-    products (a product down the columns for the atoms [lo, N), then
-    :func:`~rydramsey.ising_core._row_products` along the rows for the
-    atoms [lo, hi)), so an exact zero factor removes both atoms.
+    envelope, the V(r) of evaluate_V and the f_kernel of
+    sigma_plus_couplings. V_jk = V_kj, so each unordered pair is evaluated
+    once: a block of rows [lo, hi) meets only the columns [lo, N) (one
+    coupling pass per block, reused at every time), and each pair factor
+    multiplies both atoms' row products (a product down the columns for
+    the atoms [lo, N), then :func:`~rydramsey.ising_core._row_products`
+    along the rows for the atoms [lo, hi)), so an exact zero factor
+    removes both atoms. The block's pairs with col <= row, counted in the
+    rows above or self-pairs, get V = 0, whose factor f(0, g) is exactly 1.
 
-    A block is min(N, max(1, 2^16 // N)) rows high, so its distance, coupling and
+    A block is min(N, max(1, 2^16 // N)) rows high, so its coupling and
     kernel arrays stay in cache instead of streaming from memory. The
     positions are drawn in box units, u in [0, 1)^3, so the minimum image
-    of a difference d is d - rint(d), and the squared distance is scaled
-    by box^2 once per block. Three float buffers and one complex buffer
-    of a block's size are allocated once per call: the float ones hold d,
-    its rounding and r^2 while the couplings are built, then the scratch
-    of the g = 0 kernel (:func:`~rydramsey.ising_core._half_angle_kernel`),
-    which writes the pair factors into the complex one, so no block-sized
-    array is allocated per time at gamma = 0.
+    of a difference d is d - rint(d). The squared distance is scaled once
+    per block, to q = (r/r_c)^2 (soft core) or r^2 (bare), from which
+    V = v0 / (1 + q^3) or c6 / q^3, with no square root. Four float
+    buffers and one complex buffer of a block's size are allocated once
+    per call: the float ones hold d, its rounding and q while the
+    couplings are built, then V and the scratch of the g = 0 kernel
+    (:func:`~rydramsey.ising_core._half_angle_kernel`), which writes the
+    pair factors into the complex one, so no block-sized array is
+    allocated per time at gamma = 0. Two coincident atoms of a bare gas
+    raise SingularityError.
     Sampling is deterministic under the seed, a non-negative integer
     (else ParameterError): sample s draws from
     SeedSequence(seed).spawn(n)[s], and its positions are that stream's
@@ -693,6 +699,8 @@ def monte_carlo_gas(
     pot = spec.potential
     box = (n_atoms / spec.density) ** (1.0 / 3.0)
     if pot.kind is PotentialKind.SOFT_CORE:
+        if pot.r_c == 0.0:  # as evaluate_V: only a hand-built instance has it
+            raise ParameterError("soft-core potential needs r_c > 0")
         range_scale = pot.r_c
     else:
         range_scale = (abs(pot.c6) * times.max()) ** (1.0 / 6.0) if times.max() > 0 else 0.0
@@ -714,9 +722,11 @@ def monte_carlo_gas(
     height = min(n_atoms, max(1, _MC_PAIRS // n_atoms))
     # pairs of a diagonal block already counted, or self-pairs: col <= row
     lower = np.tril(np.ones((height, height), dtype=bool))
-    # flat buffers for one block: an axis difference, its rounding, r^2,
-    # then the g = 0 kernel's scratch; and its pair factors
-    buffers = np.empty((3, height * n_atoms))
+    # q = (r/r_c)^2 (soft core) or r^2 (bare) from r^2 in box units
+    q_scale = (box / pot.r_c) ** 2 if pot.kind is PotentialKind.SOFT_CORE else box * box
+    # flat buffers for one block: an axis difference, its rounding and q,
+    # then the g = 0 kernel's scratch; V; and the pair factors
+    buffers = np.empty((4, height * n_atoms))
     factors = np.empty(height * n_atoms, dtype=complex)
 
     for s_idx, stream in enumerate(streams):
@@ -727,28 +737,32 @@ def monte_carlo_gas(
             hi = min(lo + height, n_atoms)
             shape = (hi - lo, n_atoms - lo)
             size = shape[0] * shape[1]
-            d, rd, r2 = (b[:size].reshape(shape) for b in buffers)
+            d, rd, q, v = (b[:size].reshape(shape) for b in buffers)
             block = factors[:size].reshape(shape)
             # rows lo:hi against columns lo:N; each unordered pair once
-            r2[:] = 0.0
-            for x in unit:
+            for axis, x in enumerate(unit):
                 np.subtract(x[lo:hi, None], x[None, lo:], out=d)
                 d -= np.rint(d, out=rd)
-                r2 += np.square(d, out=d)
-            r2 *= box * box
-            np.fill_diagonal(r2, 1.0)  # placeholder; self-pairs are masked
-            v = evaluate_V(pot, np.sqrt(r2, out=r2))
-            below = lower[: hi - lo, : hi - lo]
+                if axis == 0:
+                    np.square(d, out=q)
+                else:
+                    q += np.square(d, out=d)
+            q *= q_scale
+            np.fill_diagonal(q, 1.0)  # placeholder; self-pairs are masked
+            if pot.kind is PotentialKind.BARE_VDW and not q.all():
+                raise SingularityError("bare 1/r^6 potential diverges at r = 0")
+            _v_of_q(pot, q, out=v)
+            # f(0, g) = 1 exactly, so V = 0 drops the counted pairs at every time
+            np.copyto(v[:, : hi - lo], 0.0, where=lower[: hi - lo, : hi - lo])
             for it, t in enumerate(times):
                 g = proto.gamma * t
                 if g == 0.0:
                     f = block
-                    _half_angle_kernel(v, t, proto.theta, proto.beta, f, d, rd, r2)
+                    _half_angle_kernel(v, t, proto.theta, proto.beta, f, d, rd, q)
                 else:
                     f = f_kernel(np.multiply(v, t, out=d), g, proto.theta, proto.beta)
-                f[:, : hi - lo][below] = 1.0
                 rows[it, lo:] *= f.prod(axis=0)
-                rows[it, lo:hi] *= _row_products(f)  # overwrites f, so it goes last
+                rows[it, lo:hi] *= _row_products(f)
         samples[s_idx] = envelope * rows.mean(axis=1)
 
     mean = samples.mean(axis=0)

@@ -252,9 +252,14 @@ class AtomConfiguration:
             raise ParameterError("configuration must contain at least one atom")
         if not np.all(np.isfinite(pos)):
             raise ParameterError("positions must be finite")
+        # one axis at a time, in the order (d * d).sum(axis=2) adds: the
+        # (N, N, 3) differences would hold three times the memory of r
+        r = np.zeros((pos.shape[0], pos.shape[0]))
         with np.errstate(over="ignore"):
-            d = pos[:, None, :] - pos[None, :, :]
-            r = np.sqrt((d * d).sum(axis=2))
+            for x in pos.T:
+                d = x[:, None] - x[None, :]
+                r += np.square(d, out=d)
+            np.sqrt(r, out=r)
         if not np.all(np.isfinite(r)):
             raise ParameterError("pair distances overflow float64 (a span past ~1e154 um)")
         if np.count_nonzero(r == 0.0) > pos.shape[0]:  # beyond the diagonal
@@ -274,10 +279,10 @@ class AtomConfiguration:
 
     def coupling_matrix(self, pot: InteractionPotential) -> np.ndarray:
         """(N, N) symmetric coupling matrix V_jk in rad/us, zero diagonal."""
-        r = self._distances
-        v = np.zeros_like(r)
-        off = ~np.eye(self.n, dtype=bool)
-        v[off] = evaluate_V(pot, r[off])
+        r = self._distances.copy()
+        np.fill_diagonal(r, 1.0)  # placeholder: the bare V diverges at r = 0
+        v = evaluate_V(pot, r)
+        np.fill_diagonal(v, 0.0)
         return v
 
 
@@ -308,6 +313,12 @@ def _checked_couplings(couplings) -> np.ndarray:
     return v
 
 
+# Kernel entries per block of rows in sigma_plus_couplings and
+# connected_sxsx, the pair budget of monte_carlo_gas's blocks: a block's
+# arrays stay in cache, and memory stays O(N) beyond the coupling matrix.
+_BLOCK_ENTRIES = 2**16
+
+
 def sigma_plus_couplings(
     couplings: np.ndarray,
     proto: RamseyProtocol,
@@ -319,12 +330,14 @@ def sigma_plus_couplings(
     * (1/N) sum_k prod_{j != k} f_kernel(V_jk t, gamma t, theta, beta).
     See :func:`f_kernel` and :func:`coherence_decay`.
 
-    The matrix is validated once per call, and at each time the kernel is
-    evaluated once per distinct coupling value (a lattice has a handful)
-    and gathered back to N x N, where each row's factors are multiplied
-    directly: every |f| <= 1, so no partial product underflows before the
-    full one does, and an exact zero factor zeroes its two rows. Memory
-    stays O(N^2) for any number of times.
+    The matrix is validated once per call and taken in blocks of about
+    :data:`_BLOCK_ENTRIES` // N rows. At each time the kernel is evaluated
+    once per distinct coupling value of a block (a lattice has a handful)
+    and gathered back to the block's shape, where each row's factors are
+    multiplied directly: every |f| <= 1, so no partial product underflows
+    before the full one does, and an exact zero factor zeroes its two
+    rows. Beyond the matrix and the gather's indices, which take as much
+    memory as the matrix, a call holds O(N) and one block's factors.
 
     Parameters
     ----------
@@ -342,36 +355,46 @@ def sigma_plus_couplings(
     v = _checked_couplings(couplings)
     times = _checked_times(proto, t)
     n = v.shape[0]
-    values, inverse = np.unique(v, return_inverse=True)
-    # column k of the gather holds row k's factors: a product along axis 0
-    # of a C-contiguous complex array is vectorized, along axis 1 it is not
-    cols = np.ascontiguousarray(inverse.reshape(v.shape).T)
+    height = max(1, _BLOCK_ENTRIES // n)
+    blocks = []
+    for lo in range(0, n, height):
+        values, inverse = np.unique(v[lo : lo + height], return_inverse=True)
+        # column k of the gather holds row lo + k's factors: a product along
+        # axis 0 of a C-contiguous complex array is vectorized, along axis 1
+        # it is not
+        blocks.append((lo, values, np.ascontiguousarray(inverse.reshape(-1, n).T)))
+    rows = np.empty(n, dtype=complex)  # each row's product
     out = np.empty(times.size, dtype=complex)
     for k, tk in enumerate(times.reshape(-1).tolist()):
-        f = f_kernel(values * tk, proto.gamma * tk, proto.theta, proto.beta)[cols]
-        np.fill_diagonal(f, 1.0)  # j == k excluded from the product
-        out[k] = _envelope(proto, tk) * f.prod(axis=0).sum() / n
+        for lo, values, cols in blocks:
+            hi = lo + cols.shape[1]
+            f = f_kernel(values * tk, proto.gamma * tk, proto.theta, proto.beta)[cols]
+            np.fill_diagonal(f[lo:hi], 1.0)  # j == k excluded from the product
+            rows[lo:hi] = f.prod(axis=0)
+        out[k] = _envelope(proto, tk) * rows.sum() / n
     return complex(out[0]) if times.ndim == 0 else out
 
 
-def _row_products(f: np.ndarray) -> np.ndarray:
-    """Product of each row of a 2-D array with at least one column,
-    computed in place: f is overwritten, and the result is a view of its
-    first column.
+# Lanes of _row_products' chunked reduction. 64 ran fastest on the Monte
+# Carlo blocks; at 128, rows 225 wide (the default fig4 lattice) got slower.
+_ROW_CHUNK = 64
 
-    The columns are multiplied by halving, f[:, :h] *= f[:, h:2h], with an
-    odd last column folded into the first, until one column is left. Each
-    step is one vectorized multiply along the contiguous axis, where
-    np.prod(axis=1) on a C-contiguous complex array is a scalar loop.
+
+def _row_products(f: np.ndarray) -> np.ndarray:
+    """Product of each row of a C-contiguous 2-D complex array with at
+    least one column, as a new array; f is only read.
+
+    With C = :data:`_ROW_CHUNK` lanes and m = width // C, the first m C
+    columns are viewed as (rows, m, C) and multiplied out over m, one
+    vectorized multiply of contiguous C-wide rows per step, where
+    np.prod(axis=1) on the full width is a scalar loop. The rows of that
+    (rows, C) result and of the fewer than C leftover columns are then
+    multiplied out. An exact zero factor gives an exact zero product.
     """
-    w = f.shape[1]
-    while w > 1:
-        h = w // 2
-        if w % 2:
-            f[:, 0] *= f[:, w - 1]
-        f[:, :h] *= f[:, h : 2 * h]
-        w = h
-    return f[:, 0]
+    h, w = f.shape
+    m = w // _ROW_CHUNK
+    lanes = f[:, : m * _ROW_CHUNK].reshape(h, m, _ROW_CHUNK).prod(axis=1)
+    return lanes.prod(axis=1) * f[:, m * _ROW_CHUNK :].prod(axis=1)
 
 
 def connected_sxsx(
@@ -399,10 +422,12 @@ def connected_sxsx(
     against the master-equation module.
 
     ``j`` is one site (returns a float) or a 1-D integer array of sites
-    (returns an array shaped like it), all in one pass: three kernel
-    matrices, rows i and j for the <sigma^x_k> and the |j| x N matrices at
-    (V_ik +- V_jk) t, with the excluded columns i and j set to 1, each row
-    multiplied out by :func:`_row_products`.
+    (returns an array shaped like it). The sites are taken in blocks of
+    about :data:`_BLOCK_ENTRIES` // N: per block three kernel matrices, the
+    rows of j for the <sigma^x_k> and the matrices at (V_ik +- V_jk) t,
+    with the excluded columns i and j set to 1, each row multiplied out by
+    :func:`_row_products`. Each row's product is independent of the
+    others, so the result does not depend on the blocking.
 
     Raises
     ------
@@ -433,11 +458,15 @@ def connected_sxsx(
         return _row_products(f)
 
     e = _envelope(proto, t)
-    rows = np.concatenate(([i], sites))
-    sx = (e * prod_f(v[rows], [rows])).real
     amp = 0.25 * e * e
-    spp = amp * np.exp(1j * beta * v[i, sites] * t) * prod_f(v[i] + v[sites], [i, sites])
-    spm = amp * prod_f(v[i] - v[sites], [i, sites])
-    sxsx = 2.0 * (spp + spm).real
-    out = (sxsx - sx[0] * sx[1:]) / 4.0
+    sx_i = (e * prod_f(v[[i]], [i])).real[0]
+    out = np.empty(sites.size)
+    height = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, sites.size, height):
+        block = sites[lo : lo + height]
+        sx = (e * prod_f(v[block], [block])).real
+        spp = amp * np.exp(1j * beta * v[i, block] * t) * prod_f(v[i] + v[block], [i, block])
+        spm = amp * prod_f(v[i] - v[block], [i, block])
+        sxsx = 2.0 * (spp + spm).real
+        out[lo : lo + height] = (sxsx - sx_i * sx) / 4.0
     return float(out[0]) if js.ndim == 0 else out

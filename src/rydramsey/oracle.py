@@ -250,7 +250,7 @@ def expectation(rho: np.ndarray, observable: np.ndarray) -> complex:
         raise ParameterError(
             f"dimension mismatch: state {rho.shape}, observable {observable.shape}"
         )
-    return complex(np.einsum("rc,cr->", rho, observable))
+    return complex((rho * observable.T).sum())
 
 
 def validate_density_matrix(rho: np.ndarray) -> dict:

@@ -196,20 +196,32 @@ def evaluate_V(pot: InteractionPotential, r):
     if pot.kind is PotentialKind.BARE_VDW:
         if np.any(r == 0):
             raise SingularityError("bare 1/r^6 potential diverges at r = 0")
-        q, scale = r * r, pot.c6
+        q = r * r
     else:
         if pot.r_c == 0.0:
             # epsilon = 0 with c6_tail = 0 would hit 0/0; only reachable by
             # hand-built instances, not via derive_potential.
             raise ParameterError("soft-core potential needs r_c > 0")
-        q, scale = r / pot.r_c, pot.v0
+        q = r / pot.r_c
         q *= q
-    out = q * q
+    out = _v_of_q(pot, q)
+    return float(out[0]) if scalar else out
+
+
+def _v_of_q(pot: InteractionPotential, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """V from q = (r/r_c)^2 (soft core) or q = r^2 (bare), unchecked:
+    v0 / (1 + q^3) or c6 / q^3, with q^3 built as q * q * q.
+
+    Written into out (a float array of q's shape, not q itself) when given,
+    else into a new array. :func:`evaluate_V` and the Monte Carlo sampler,
+    which builds q from squared distances, both take V from here.
+    """
+    out = np.multiply(q, q, out=out)
     out *= q
     if pot.kind is PotentialKind.SOFT_CORE:
         out += 1.0
-    np.divide(scale, out, out=out)
-    return float(out[0]) if scalar else out
+        return np.divide(pot.v0, out, out=out)
+    return np.divide(pot.c6, out, out=out)
 
 
 def blockade_number(density: float, pot: InteractionPotential) -> float:

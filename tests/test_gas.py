@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from rydramsey.errors import (
     CrossingNotFoundError,
     NumericalError,
     ParameterError,
+    SingularityError,
     UnsupportedRegimeError,
     ValidityWarning,
 )
@@ -38,9 +40,10 @@ from rydramsey.gas_average import (
 from rydramsey.ising_core import RamseyProtocol, f_kernel, sigma_plus_couplings
 from rydramsey.potential import (
     DressingParams,
+    InteractionPotential,
     PotentialKind,
+    _v_of_q,
     derive_potential,
-    evaluate_V,
 )
 
 # 40-digit reference values for the disorder-average exponent, frozen
@@ -473,16 +476,18 @@ def test_monte_carlo_deterministic_per_seed():
 def minimum_image_couplings(pot, box, n_atoms, stream):
     """The couplings of one Monte Carlo sample, rebuilt from its substream.
 
-    Distances are taken in box units and scaled by box^2, as the sampler
-    takes them: a bare gas reaches pair phases V t ~ 1e5, which turn a
-    1-ulp change of a distance into ~1e-11 of the coherence.
+    Squared distances are taken in box units and scaled to q = (r/r_c)^2
+    (soft core) or r^2 (bare) by one factor, as the sampler takes them: a
+    bare gas reaches pair phases V t ~ 1e5, which turn a 1-ulp change of
+    a distance into ~1e-11 of the coherence.
     """
     u = np.random.default_rng(stream).random((n_atoms, 3))
     d = u[:, None, :] - u[None, :, :]
     d -= np.rint(d)
+    scale = (box / pot.r_c) ** 2 if pot.kind is PotentialKind.SOFT_CORE else box * box
     off = ~np.eye(n_atoms, dtype=bool)
     v = np.zeros((n_atoms, n_atoms))
-    v[off] = evaluate_V(pot, np.sqrt((d * d).sum(axis=2) * (box * box))[off])
+    v[off] = _v_of_q(pot, ((d * d).sum(axis=2) * scale)[off])
     return v
 
 
@@ -587,6 +592,62 @@ def test_monte_carlo_exact_zero_factor_kills_both_atoms(monkeypatch):
     assert np.count_nonzero(rows == 0.0) == 2
     want = gas_average._envelope(proto, t) * rows.mean()
     assert abs(mc.samples[0, 0] - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.filterwarnings("ignore::rydramsey.errors.BiasWarning")
+def test_monte_carlo_time_loop_allocates_no_block_array():
+    # at gamma = 0 a call holds four float buffers and one complex buffer
+    # of a block's size, 48 bytes per pair; the rest of what it allocates
+    # is O(N) or a block's height times the row products' lanes, below
+    # one more float buffer
+    sp = spec_at(0.5, 1.1, True)
+    n_atoms = 1000
+    pairs = min(n_atoms, gas_average._MC_PAIRS // n_atoms) * n_atoms
+
+    def run():
+        return monte_carlo_gas(sp, [0.7, 2.5], n_samples=2, n_atoms=n_atoms, seed=3)
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * pairs + 8 * pairs
+
+
+@pytest.mark.filterwarnings("ignore::rydramsey.errors.BiasWarning")
+@pytest.mark.parametrize("n_atoms", [5, 300])
+def test_monte_carlo_bare_coincident_atoms_are_singular(monkeypatch, n_atoms):
+    # the self-pairs on a block's diagonal take a placeholder distance, but
+    # two atoms of a sample that coincide make the bare 1/r^6 diverge, in
+    # one block (5 atoms) or across blocks (300 atoms: 218 rows, then 82)
+    bare = derive_potential(DressingParams(0.0, 0.0, 8.0), PotentialKind.BARE_VDW)
+    default_rng = np.random.default_rng
+
+    class FirstAtomTwice:
+        def __init__(self, stream):
+            self.rng = default_rng(stream)
+
+        def random(self, shape):
+            u = self.rng.random(shape)
+            u[-1] = u[0]
+            return u
+
+    monkeypatch.setattr(np.random, "default_rng", FirstAtomTwice)
+    sp = GasSpec(0.04, bare, RamseyProtocol(1.1, False, 0.0, 0.0))
+    with pytest.raises(SingularityError):
+        monte_carlo_gas(sp, [0.7], n_samples=2, n_atoms=n_atoms, seed=3)
+    soft = spec_at(0.5, 1.1, False)  # V(0) = V0 is finite
+    assert np.all(np.isfinite(monte_carlo_gas(soft, [0.7], 2, n_atoms, 3).samples))
+
+
+def test_monte_carlo_soft_core_needs_r_c():
+    # only a hand-built soft core has r_c = 0, which q = (r/r_c)^2 divides by
+    pot = InteractionPotential(PotentialKind.SOFT_CORE, 0.1, 0.0, -1.0, 0.0)
+    with pytest.raises(ParameterError, match="r_c > 0"):
+        monte_carlo_gas(GasSpec(1.0, pot, RamseyProtocol(1.0, False)), [1.0], 2, 5, 0)
 
 
 def test_monte_carlo_small_box_warns():

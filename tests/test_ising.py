@@ -16,7 +16,7 @@ from rydramsey.ising_core import (
 )
 from rydramsey.gas_average import GasSpec, monte_carlo_gas
 from rydramsey.lattice import LatticeSpec, correlation_map, lattice_positions
-from rydramsey.potential import DressingParams, PotentialKind, derive_potential
+from rydramsey.potential import DressingParams, PotentialKind, derive_potential, evaluate_V
 
 # Extended-precision (40-digit) reference evaluations of the pair kernel's
 # cos/sinc definition, frozen as regression constants. Besides a generic
@@ -130,6 +130,13 @@ def test_kernel_is_one_at_zero_phase_for_every_g(beta):
             got = f_kernel(x, g, theta, beta)
             assert got[0] == 1.0 and got[1] == 1.0, (g, theta)
             assert f_kernel(0.0, g, theta, beta) == 1.0
+    # monte_carlo_gas drops counted pairs by V = 0 at every time t: the
+    # g = 0 kernel must give 1 exactly there too
+    out, scratch = np.empty(2, dtype=complex), np.empty((3, 2))
+    for t in (0.0, 0.7, 3.0, 1e300):
+        for theta in (0.0, 0.3, math.pi / 2, math.pi):
+            ising_core._half_angle_kernel(np.zeros(2), t, theta, beta, out, *scratch)
+            assert np.all(out == 1.0), (t, theta)
             if g < 1e-300:
                 assert np.max(np.abs(got - f_kernel(x, 0.0, theta, beta))) <= 1e-15
 
@@ -242,7 +249,11 @@ def test_kernel_return_types(g, beta):
         assert got.shape == shape and got.dtype == complex
 
 
-@pytest.mark.parametrize("width", [*range(1, 18), 255, 256, 257, 4125])
+# widths at the edges of _row_products' lanes: C - 1, C, C + 1 and 2 C + 1
+CHUNK_EDGES = [k * ising_core._ROW_CHUNK + e for k, e in ((1, -1), (1, 0), (1, 1), (2, 1))]
+
+
+@pytest.mark.parametrize("width", [*range(1, 18), *CHUNK_EDGES, 255, 256, 257, 4125])
 def test_row_products_match_prod(width):
     # the float64 np.prod walks one rounding error per factor (up to about
     # 1e-14 relative at width 4125), so the reference is the same product
@@ -256,9 +267,10 @@ def test_row_products_match_prod(width):
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 16, 17, 45, 257])
+@pytest.mark.parametrize("width", [1, 2, 3, 16, 17, 45, *CHUNK_EDGES, 257])
 def test_row_products_exact_zero(width):
-    # row k has its zero in column k; the last row has none
+    # row k has its zero in column k, so the rows past the last full lane
+    # chunk have theirs in the leftover columns; the last row has none
     rng = np.random.default_rng(width)
     shape = (width + 1, width)
     f = rng.uniform(0.5, 1.0, shape) * np.exp(1j * rng.uniform(-3.0, 3.0, shape))
@@ -573,6 +585,42 @@ def test_atom_configuration_positions_are_a_read_only_copy():
         cfg.positions[1, 0] = 2.0
     with pytest.raises(ValueError):
         cfg.pair_distances()[0, 1] = 2.0
+
+
+@pytest.mark.parametrize("kind", [PotentialKind.SOFT_CORE, PotentialKind.BARE_VDW])
+def test_distances_and_couplings_keep_the_whole_array_bits(kind):
+    # distances are summed one axis at a time and the couplings built on a
+    # copy of r with a placeholder diagonal; both keep the bits of the
+    # (N, N, 3) form and of evaluate_V on the off-diagonal pairs
+    pos = np.random.default_rng(41).normal(size=(60, 3)) * np.array([1.0, 30.0, 0.02])
+    cfg = AtomConfiguration(pos)
+    d = pos[:, None, :] - pos[None, :, :]
+    r = np.sqrt((d * d).sum(axis=2))
+    assert np.array_equal(cfg.pair_distances(), r)
+    pot = derive_potential(DressingParams(1000.0, 5000.0, -1e4), kind)
+    off = ~np.eye(60, dtype=bool)
+    want = np.zeros_like(r)
+    want[off] = evaluate_V(pot, r[off])
+    assert np.array_equal(cfg.coupling_matrix(pot), want)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+def test_row_blocks_change_no_bit(monkeypatch, gamma):
+    # sigma_plus_couplings and connected_sxsx take rows in blocks of
+    # _BLOCK_ENTRIES // N; every row's product and the sum over rows are
+    # the same whatever the blocks, here 5 rows of 49 and a ragged last one
+    v = lattice_couplings(7)
+    proto = RamseyProtocol(1.1, False, gamma, 0.05)
+    times = np.linspace(0.0, 3.0, 7)
+    sites = np.array([j for j in range(49) if j != 24])
+
+    def run():
+        return sigma_plus_couplings(v, proto, times), connected_sxsx(v, proto, 24, sites, 1.3)
+
+    want = run()
+    monkeypatch.setattr(ising_core, "_BLOCK_ENTRIES", 5 * 49)
+    for got, ref in zip(run(), want):
+        assert np.array_equal(got, ref)
 
 
 def test_echo_phase_real_at_pi_over_two():

@@ -12,6 +12,7 @@ from rydramsey.errors import (
 from rydramsey.potential import (
     DressingParams,
     PotentialKind,
+    _v_of_q,
     blockade_number,
     derive_potential,
     evaluate_V,
@@ -75,6 +76,28 @@ def test_sixth_power_matches_the_float_power_form(kind):
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
     assert evaluate_V(soft, 0.0) == soft.v0
     assert evaluate_V(soft, np.zeros(3)).tolist() == [soft.v0] * 3
+
+
+@pytest.mark.parametrize("kind", ["soft_core", "bare"])
+def test_evaluate_V_is_v_of_q_bit_for_bit(kind):
+    # evaluate_V and the Monte Carlo sampler share one V(q), from
+    # q = (r/r_c)^2 (soft core) or r^2 (bare); evaluate_V's bits stay those
+    # of its own q, into a new array or into a caller's buffer
+    if kind == "soft_core":
+        pot = derive_potential(sr_params(), PotentialKind.SOFT_CORE)
+        r = pot.r_c * np.logspace(-3.0, 3.0, 2001)
+        q = r / pot.r_c
+        q *= q
+    else:
+        pot = derive_potential(DressingParams(0.0, 0.0, -1.32e4), PotentialKind.BARE_VDW)
+        r = np.logspace(-3.0, 3.0, 2001)
+        q = r * r
+    want = evaluate_V(pot, r)
+    assert np.array_equal(_v_of_q(pot, q), want)
+    out = np.empty_like(q)
+    assert _v_of_q(pot, q, out=out) is out
+    assert np.array_equal(out, want)
+    assert evaluate_V(pot, r[7]) == want[7]
 
 
 def test_detuning_sign_must_oppose_c6():
