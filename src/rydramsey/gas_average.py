@@ -44,6 +44,7 @@ from .errors import (
     ValidityWarning,
 )
 from .ising_core import (
+    _BLOCK_ENTRIES as _MC_PAIRS,
     RamseyProtocol,
     _envelope,
     _half_angle_kernel,
@@ -76,11 +77,6 @@ __all__ = [
 
 _REL_TOL = 1e-8
 _ABS_TOL = 1e-12
-
-# Pairs of the Monte Carlo pair matrix evaluated at once: a block of
-# _MC_PAIRS // N rows keeps each float buffer at 512 kB and the complex
-# kernel buffer at 1 MB, inside the cache.
-_MC_PAIRS = 2**16
 
 # |T| = |V0 t| up to which the soft-core exponent is summed as a Taylor
 # series in T, where 1 - f loses digits to cancellation.

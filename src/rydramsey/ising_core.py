@@ -313,9 +313,10 @@ def _checked_couplings(couplings) -> np.ndarray:
     return v
 
 
-# Kernel entries per block of rows in sigma_plus_couplings and
-# connected_sxsx, the pair budget of monte_carlo_gas's blocks: a block's
-# arrays stay in cache, and memory stays O(N) beyond the coupling matrix.
+# Kernel entries per block of rows in sigma_plus_couplings, connected_sxsx
+# and monte_carlo_gas (which imports it as _MC_PAIRS): a block's float
+# arrays stay at 512 kB and its complex kernel at 1 MB, inside the cache,
+# and memory stays O(N) beyond the coupling matrix.
 _BLOCK_ENTRIES = 2**16
 
 
