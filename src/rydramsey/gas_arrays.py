@@ -7,7 +7,7 @@ with its Taylor branch, and the erf/Dawson form of the bare one. Every
 array operation is the one the scalar kernel in gas_average applies to a
 single time, so the two agree bit for bit except where
 :func:`_exponent_integral_many` says otherwise. The scalar kernels stay in
-gas_average, which the tau_half polish and every float time use.
+gas_average, which tau_half's probes and every float time use.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _exponent_integral_many(spec: GasSpec, times: np.ndarray) -> np.ndarray:
     """:func:`exponent_integral` at each time of a 1-D float array.
 
     The array form of every route, which never calls exponent_integral
-    itself (the scalar form stays the one tau_half's Brent polish calls).
+    itself (the scalar form stays the one tau_half's probes call).
     It is bit-identical to the scalar calls except in two places: the
     soft-core Taylor branch (:func:`_soft_core_taylor_many`), within a few
     ulps of |I|, and a midpoint rule longer than _NODE_CHUNK nodes (|V0 t|

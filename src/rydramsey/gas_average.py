@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 import sys
 import warnings
@@ -95,13 +94,20 @@ _H_SERIES = 4.0
 # power series.
 _X_DAWSON = 8.0
 
-# _tau_grid builds the probe grid this many points at a time, and tau_half
-# probes it in blocks of this many after its floor. The scan stops a few
-# dozen points past the floor (median 23, at most 55 on the default sweeps),
-# so most scans take one block. On the benchmark's gas_sweeps, blocks of 32
-# ran faster than blocks of 16 or 64, than blocks doubling from 8, and than
-# blocks sized by a fit of the contrast's decay.
+# _tau_grid builds the probe grid this many points at a time. The scan stops
+# a few dozen points past the floor (median 23, at most 55 on the default
+# sweeps), so most scans build one block.
 _GRID_BLOCK = 32
+
+# Margin in ln(ratio) that tau_half's skip rule keeps above the error of a
+# computed contrast ratio at both ends of a skip. The largest such error is
+# the midpoint rule's, whose estimate is held below 1e-8 |I|, so the margin
+# covers |I| up to 5 000; at the probes above 1/2 of the default sweeps and
+# the tests' window gases |I| stayed below 70 (23 on the midpoint rule). The
+# closed forms and the Taylor branch are near rounding level. A margin of
+# 1e-6 or 1e-3 skips the same points of the default sweeps, within 0.03
+# probes per tau_1/2.
+_SKIP_MARGIN = 1e-4
 
 # Nodes of the soft-core midpoint rule that _exponent_integral_many evaluates
 # at once, a multiple of 3: each array of a chunk stays in cache (48 kB or
@@ -522,10 +528,10 @@ def exponent_integral(spec: GasSpec, t: float) -> complex:
 
     ``t`` is one float: an array of times goes to
     :func:`_exponent_integral_many`, the array form of every route. The
-    scalar form stays the one tau_half's Brent polish calls, a probe at a
-    time, where an array call would cost about ten times more, and the
-    benchmark's tracer, which rebinds this name, tags each call by its
-    scalar t.
+    scalar form stays the one tau_half's grid probes and Brent polish call,
+    a probe at a time, where an array call would cost about ten times more,
+    and the benchmark's tracer, which rebinds this name, tags each call by
+    its scalar t.
 
     Parameters
     ----------
@@ -573,7 +579,7 @@ def contrast_gas(spec: GasSpec, t) -> complex | np.ndarray:
     the non-interacting signal, t = 0 gives sin(theta). ``t`` is a float
     (us, returns a complex) or a 1-D array of times (returns a complex
     array shaped like t). A float takes one scalar :func:`exponent_integral`
-    call and no array set-up, as tau_half's Brent polish needs; an array
+    call and no array set-up, as tau_half's probes need; an array
     evaluates I at all its times at once, equal to the scalar calls (see
     :func:`_exponent_integral_many` for the two routes where it may differ
     by a few ulps).
@@ -854,49 +860,40 @@ def fit_hardcore_amplitude(spec: GasSpec, times) -> float:
     return float(np.dot(x, y) / denom)
 
 
-def _tau_window(spec: GasSpec) -> tuple:
-    """Scan window (lo, hi) of :func:`tau_half`, us.
+def _tau_bounds(spec: GasSpec) -> tuple:
+    """Constants (b, c, d, rate) of the bounds behind :func:`tau_half`'s
+    floor and skip rule.
 
-    lo is a proven floor. Each pair factor is an average of e^{i phi}
-    over the spectator's emission histories with |phi| <= kappa |X|
-    (kappa = 1 without echo, 1/2 with), so |1 - f| <= min(2, kappa |X|)
-    at every gamma >= 0. Integrated over the gas, with a = kappa |V0| t:
-    soft core: Re I <= N_R min(pi a / 2, 2 sqrt(2 a)), that is
-    Re I <= b t and Re I <= c sqrt(t) with b = (pi/2) N_R kappa |V0| and
-    c = 2 N_R sqrt(2 kappa |V0|); bare: Re I <= c sqrt(t) with
-    c = (8 pi / 3) rho sqrt(2 kappa |C6|). The envelope decays at
-    rate = gamma/2 + gamma_d, so |contrast| / sin(theta) >=
-    exp(-rate t - Re I) >= 1/2 while rate t + c sqrt(t) <= ln 2, that is
-    for t <= s^2 with s = 2 ln 2 / (c + sqrt(c^2 + 4 rate ln 2)), and
-    (soft core) while t <= ln 2 / (rate + b). t_lb is the larger of the
-    two, so no crossing lies below it; both bounds grow strictly with t,
-    so lo = 0.99 t_lb keeps the first probe strictly above 1/2.
-
-    hi is the ceiling where the scan gives up. With dissipation
-    (rate > 0) it is proven: Re I >= 0, so |contrast| / sin(theta) <=
-    e^{-rate t} and the crossing lies at or below ln 2 / rate;
-    hi = 100 ln 2 / rate, capped at the largest float64. Without, hi is
-    the largest float64.
+    Each pair factor obeys, for t_b >= t_a >= 0 and Delta = t_b - t_a,
+    |f(t_b) - f(t_a)| <= min(2, kappa |V| Delta) and
+    |Re f(t_b) - Re f(t_a)| <= kappa^2 V^2 Delta t_b, with kappa = 1
+    without echo and 1/2 with (proved in :func:`tau_half`); at t_a = 0,
+    where f = 1, the first is |1 - f| <= min(2, kappa |V| t). Integrated
+    over the gas, with a = kappa |V0| Delta: soft core,
+    N_R min(pi a / 2, 2 sqrt(2 a)), that is b Delta and c sqrt(Delta) with
+    b = (pi/2) N_R kappa |V0| and c = 2 N_R sqrt(2 kappa |V0|), and
+    d Delta t_b with d = (pi/4) N_R kappa^2 V0^2 (from
+    integral_0^inf u^2 / (1 + u^6)^2 du = pi/12); bare, c sqrt(Delta) with
+    c = (8 pi / 3) rho sqrt(2 kappa |C6|), and b = d = 0 (the integral of
+    V^2 diverges at r = 0). The envelope decays at rate = gamma/2 + gamma_d.
 
     The arithmetic runs in Python floats, which overflow to inf silently
     where numpy scalars (a CLI grid's N_R) would warn.
 
     Raises ParameterError when the gas has no decay channel (rate = 0 and
-    c = 0), and when t_lb is 0 or inf in float64 (a gas so dense that
-    tau_half lies below the smallest float, or so dilute that the floor
-    lies beyond the largest one).
+    c = 0).
     """
     proto = spec.protocol
     pot = spec.potential
-    ln2 = math.log(2.0)
     kappa = 1.0 if proto.beta == 1 else 0.5
     if pot.kind is PotentialKind.SOFT_CORE:
         v0 = abs(pot.v0)
         n_r = float(spec.n_r)
         b = 0.5 * math.pi * n_r * kappa * v0
         c = 2.0 * n_r * math.sqrt(2.0 * kappa * v0)
+        d = 0.25 * math.pi * n_r * (kappa * v0) * (kappa * v0)
     else:
-        b = 0.0
+        b = d = 0.0
         c = 8.0 * math.pi / 3.0 * float(spec.density) * math.sqrt(2.0 * kappa * abs(pot.c6))
     rate = proto.gamma / 2.0 + proto.gamma_d
     if rate == 0.0 and c == 0.0:
@@ -904,10 +901,56 @@ def _tau_window(spec: GasSpec) -> tuple:
             "no decay channel at all (no interactions, no dissipation); "
             "the contrast never reaches half"
         )
+    return b, c, d, rate
+
+
+def _tau_reach(b: float, c: float, d: float, rate: float, budget: float, t: float) -> float:
+    """Largest Delta with
+    rate Delta + min(b Delta, c sqrt(Delta), d Delta (t + Delta)) <= budget,
+    for budget > 0; a zero b or d drops its term.
+
+    Each term grows strictly with Delta, so it is the largest of the
+    single-term solutions: s^2 with s = 2 budget / (c + sqrt(c^2 +
+    4 rate budget)), budget / (rate + b), and the positive root
+    2 budget / (p + sqrt(p^2 + 4 d budget)), p = rate + d t. An
+    overflowing b, c or d gives 0 for its term.
+    """
+    s = 2.0 * budget / (c + math.sqrt(c * c + 4.0 * rate * budget))
+    reach = max(s * s, budget / (rate + b)) if b > 0 else s * s
+    if d > 0.0:
+        p = rate + d * t
+        reach = max(reach, 2.0 * budget / (p + math.sqrt(p * p + 4.0 * d * budget)))
+    return reach
+
+
+def _tau_window(spec: GasSpec) -> tuple:
+    """Scan window (lo, hi) of :func:`tau_half`, us.
+
+    lo is a proven floor. With the constants of :func:`_tau_bounds`,
+    Re I(t) <= min(b t, c sqrt(t)), so |contrast| / sin(theta) >=
+    exp(-rate t - Re I) >= 1/2 up to t_lb = :func:`_tau_reach` at budget
+    ln 2, and no crossing lies below t_lb; the bound grows strictly with
+    t, so lo = 0.99 t_lb keeps the first probe strictly above 1/2. The
+    floor leaves out the d t^2 term, which would raise it at dense gases:
+    every probe point is a multiple of lo, so a higher lo would move every
+    tau_1/2 returned.
+
+    hi is the ceiling where the scan gives up. With dissipation
+    (rate > 0) it is proven: Re I >= 0, so |contrast| / sin(theta) <=
+    e^{-rate t} and the crossing lies at or below ln 2 / rate;
+    hi = 100 ln 2 / rate, capped at the largest float64. Without, hi is
+    the largest float64.
+
+    Raises ParameterError when the gas has no decay channel, and when
+    t_lb is 0 or inf in float64 (a gas so dense that tau_half lies below
+    the smallest float, or so dilute that the floor lies beyond the
+    largest one).
+    """
+    b, c, _, rate = _tau_bounds(spec)
+    ln2 = math.log(2.0)
     big = sys.float_info.max
     hi = 1e2 * ln2 / rate if rate > 1e2 * ln2 / big else big
-    s = 2.0 * ln2 / (c + math.sqrt(c * c + 4.0 * rate * ln2))
-    t_lb = max(s * s, ln2 / (rate + b)) if b > 0 else s * s
+    t_lb = _tau_reach(b, c, 0.0, rate, ln2, 0.0)
     if not 0.0 < t_lb < math.inf:
         raise ParameterError(
             "the time scales of this gas underflow (or overflow) float64, "
@@ -1017,24 +1060,59 @@ def _tau_grid(lo: float, hi: float):
 def tau_half(spec: GasSpec) -> float:
     """Smallest t with |contrast(t)| = |contrast(0)| / 2, us.
 
-    Probes contrast_gas at lo 10^(k/25), k = 0, 1, 2, ..., from the proven
+    Walks the grid lo 10^(k/25), k = 0, 1, 2, ..., up from the proven
     floor lo of :func:`_tau_window`, below which no crossing exists, until
-    the half level is bracketed, then polishes the bracket to relative
-    accuracy well below 1e-6 with :func:`_brentq`, an in-house port of
-    scipy's Brent iteration with the same iterates. The probe points come
-    from the floor alone; the window's ceiling only decides where the scan
-    gives up.
+    the half level is bracketed: the first grid step from a ratio
+    |contrast| / sin(theta) above 1/2 to one at or below it. It then
+    polishes the bracket to relative accuracy well below 1e-6 with
+    :func:`_brentq`, an in-house port of scipy's Brent iteration with the
+    same iterates. The probe points come from the floor alone; the
+    window's ceiling only decides where the scan gives up. Every probe,
+    and every step of the polish, is one float contrast_gas call.
 
-    The floor is probed with one float call, the next points in blocks of
-    _GRID_BLOCK. A block is one array call of contrast_gas, unless it
-    reaches a time where the exponent takes the midpoint rule or erf
-    (gamma > 0 past |V0 t| = _T_TAYLOR, or a bare potential), which cost
-    about as much per time either way: that block is probed a float call
-    at a time, and no probe past the bracket is made. The bracket is the
-    same as a point-by-point scan's: the first grid step from a ratio
-    above 1/2 to one at or below it. Brent's polish calls contrast_gas
-    with one float at a time, so the root is bit-identical to one found
-    by scalar probes.
+    Skip rule. A probe at t_a with ratio r_a > 1/2 proves the ratio above
+    1/2 up to t_a + Delta*, the largest Delta with
+    rate Delta + min(b Delta, c sqrt(Delta), d Delta (t_a + Delta))
+    <= ln(2 r_a) - m, where b, c and d are :func:`_tau_bounds`' constants
+    (bare: c sqrt(Delta) alone) and m = _SKIP_MARGIN, as
+    :func:`_tau_reach` solves it. The walk skips every grid point up to
+    t_a + Delta* and probes the next one. A skipped point's computed
+    ratio would have been above 1/2 too, so the bracketing step, Brent's
+    iterates and the returned float are bit for bit those of a walk that
+    probes every grid point; only the number of probes changes.
+
+    The step bound. The kernel's split form (:func:`f_kernel`) is the
+    average of e^{i Phi(t)} over a spectator that starts in one of two
+    populations, with weights sin^2(theta/2) and cos^2(theta/2), and
+    leaves the emitting one at a time tau drawn once from gamma e^{-gamma
+    tau} (never, at gamma = 0):
+    no echo, Phi = V min(tau, t) in the sin^2 branch and 0 in the other,
+    which integrates to q e^{iVt - gamma t} + 1 - q with
+    q = sin^2(theta/2) V/(V + i gamma);
+    echo, Phi = -V min(tau, t)/2 + V (t - min(tau, t))/2 in the cos^2
+    branch and V t/2 in the other, which integrates to
+    (1 - q) e^{iVt/2} + q e^{-iVt/2 - gamma t} with
+    q = cos^2(theta/2) V/(V - i gamma).
+    The law of the histories does not depend on t (the echo pulse at t/2
+    is already folded into the readout frame of this form), and along
+    every history Phi(0) = 0 and |dPhi/dt| <= kappa |V|, kappa = 1
+    without echo and 1/2 with. So for t_b >= t_a, Delta = t_b - t_a, at
+    every gamma >= 0 and either sign of V:
+    |f(t_b) - f(t_a)| <= E|e^{i Phi(t_b)} - e^{i Phi(t_a)}|
+    <= min(2, kappa |V| Delta), and, since |sin x| <= |x| and
+    |Phi| <= kappa |V| t_b on [t_a, t_b],
+    |Re f(t_b) - Re f(t_a)| <= E|cos Phi(t_b) - cos Phi(t_a)|
+    <= kappa |V| Delta kappa |V| t_b. Without echo the derivative is also
+    explicit: df/dt = i sin^2(theta/2) V e^{(iV - gamma) t}. Integrated
+    over the gas as in :func:`_tau_bounds`, |Re I(t_b) - Re I(t_a)| <=
+    min(b Delta, c sqrt(Delta), d Delta t_b) (soft core) or c sqrt(Delta)
+    (bare), and ln ratio = -rate t - Re I, so
+    |ln r(t_b) - ln r(t_a)| <= rate Delta + that =: B'(Delta). Hence
+    r(t) >= r_a e^{-B'(t - t_a)} >= e^{m}/2 for t - t_a <= Delta*. The
+    margin m (1e-4) stands above the error of a computed ratio, in ln, at
+    both ends: the midpoint rule's, whose estimate is held below
+    1e-8 |I|, is the largest; the rounding of Delta* and of t_a + Delta*
+    is near 1e-15 of B'.
 
     It returns a crossing inside the first grid step that brackets 1/2,
     which is not always the smallest one: |contrast| need not fall
@@ -1050,7 +1128,7 @@ def tau_half(spec: GasSpec) -> float:
         No crossing below the ceiling: with emission or dephasing this
         cannot happen, and without them it means no crossing below the
         largest float64 time. Diagnostics carry the ceiling and the
-        contrast ratio at the last probe.
+        contrast ratio at the last grid point.
     """
     proto = spec.protocol
     c0 = abs(np.sin(proto.theta))
@@ -1060,24 +1138,23 @@ def tau_half(spec: GasSpec) -> float:
     def ratio(t: float) -> float:
         return abs(contrast_gas(spec, t)) / c0
 
-    # at gamma > 0 a time past |V0 t| = _T_TAYLOR (of a bare gas, any time)
-    # takes the midpoint rule or erf, at about a float call's cost per time
-    pot = spec.potential
-    v0 = abs(pot.v0) if pot.kind is PotentialKind.SOFT_CORE else math.inf
-
     lo, hi = _tau_window(spec)
-    grid = _tau_grid(lo, hi)
-    t_prev = float(next(grid))
-    r_prev = ratio(t_prev)
-    while times := [float(t) for t in itertools.islice(grid, _GRID_BLOCK)]:
-        if proto.gamma > 0.0 and v0 * times[-1] > _T_TAYLOR:
-            rs = map(ratio, times)  # lazily: no probe past the bracket
-        else:
-            rs = (np.abs(contrast_gas(spec, np.array(times))) / c0).tolist()
-        for t, r in zip(times, rs):
-            if r_prev > 0.5 >= r:
-                return _brentq(lambda tt: ratio(tt) - 0.5, t_prev, t, xtol=1e-12 * t, rtol=1e-10)
-            t_prev, r_prev = t, r
+    b, c, d, rate = _tau_bounds(spec)
+    t_prev = r_prev = math.nan
+    t_safe = -math.inf
+    for t in _tau_grid(lo, hi):
+        t = float(t)
+        if t <= t_safe:
+            t_prev = t  # proven above 1/2, like r_prev
+            continue
+        r = ratio(t)
+        if r_prev > 0.5 >= r:
+            return _brentq(lambda tt: ratio(tt) - 0.5, t_prev, t, xtol=1e-12 * t, rtol=1e-10)
+        t_prev, r_prev = t, r
+        if r > 0.5 and (budget := math.log(2.0 * r) - _SKIP_MARGIN) > 0.0:
+            t_safe = t + _tau_reach(b, c, d, rate, budget, t)
+    if t_prev <= t_safe:
+        r_prev = ratio(t_prev)
     raise CrossingNotFoundError(
         "contrast did not reach half below the search ceiling",
         diagnostics={"max_time": float(hi), "ratio_at_max": float(r_prev)},

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .potential import InteractionPotential, evaluate_V
+from .potential import InteractionPotential, _q_of_r, _v_of_q
 
 __all__ = [
     "COHERENCE_DECAY_EXPONENT",
@@ -278,10 +278,15 @@ class AtomConfiguration:
         return self._distances
 
     def coupling_matrix(self, pot: InteractionPotential) -> np.ndarray:
-        """(N, N) symmetric coupling matrix V_jk in rad/us, zero diagonal."""
-        r = self._distances.copy()
-        np.fill_diagonal(r, 1.0)  # placeholder: the bare V diverges at r = 0
-        v = evaluate_V(pot, r)
+        """(N, N) symmetric coupling matrix V_jk in rad/us, zero diagonal.
+
+        The bits of evaluate_V on the distances, with q built in place on
+        their one copy: the matrix, that copy and the cached distances are
+        the only (N, N) float arrays.
+        """
+        q = self._distances.copy()
+        np.fill_diagonal(q, 1.0)  # placeholder: the bare V diverges at r = 0
+        v = _v_of_q(pot, _q_of_r(pot, q, out=q))
         np.fill_diagonal(v, 0.0)
         return v
 
@@ -307,9 +312,14 @@ def _checked_couplings(couplings) -> np.ndarray:
         raise ParameterError("couplings must be a nonempty square matrix")
     if not np.all(np.isfinite(v)):
         raise ParameterError("couplings must be finite")
-    scale = max(1.0, float(np.max(np.abs(v))))
-    if float(np.max(np.abs(v - v.T))) > 1e-12 * scale:  # v is finite here
-        raise ParameterError("couplings must be symmetric")
+    # max |v| and max |v - v.T| without an (N, N) temporary: the asymmetry
+    # is taken in blocks of rows (one block for N up to 256)
+    scale = max(1.0, float(v.max()), -float(v.min()))
+    height = max(1, _BLOCK_ENTRIES // v.shape[0])
+    for i in range(0, v.shape[0], height):
+        d = v[i : i + height] - v[:, i : i + height].T
+        if float(np.max(np.abs(d, out=d))) > 1e-12 * scale:  # v is finite here
+            raise ParameterError("couplings must be symmetric")
     return v
 
 

@@ -192,20 +192,32 @@ def evaluate_V(pot: InteractionPotential, r):
     if np.any(r < 0):
         raise ParameterError("distances must be non-negative")
     scalar = r.ndim == 0
-    r = np.atleast_1d(r)
+    out = _v_of_q(pot, _q_of_r(pot, np.atleast_1d(r)))
+    return float(out[0]) if scalar else out
+
+
+def _q_of_r(pot: InteractionPotential, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """q = (r/r_c)^2 (soft core) or q = r^2 (bare) from distances r >= 0,
+    the argument of :func:`_v_of_q`.
+
+    Written into out when given, which may be r itself (the coupling
+    matrix builds q in place on its copy of the distances), else into a
+    new array; the bits are the same either way.
+
+    Raises SingularityError at r = 0 in bare mode, and ParameterError
+    for a soft core with r_c = 0.
+    """
     if pot.kind is PotentialKind.BARE_VDW:
         if np.any(r == 0):
             raise SingularityError("bare 1/r^6 potential diverges at r = 0")
-        q = r * r
-    else:
-        if pot.r_c == 0.0:
-            # epsilon = 0 with c6_tail = 0 would hit 0/0; only reachable by
-            # hand-built instances, not via derive_potential.
-            raise ParameterError("soft-core potential needs r_c > 0")
-        q = r / pot.r_c
-        q *= q
-    out = _v_of_q(pot, q)
-    return float(out[0]) if scalar else out
+        return np.multiply(r, r, out=out)
+    if pot.r_c == 0.0:
+        # epsilon = 0 with c6_tail = 0 would hit 0/0; only reachable by
+        # hand-built instances, not via derive_potential.
+        raise ParameterError("soft-core potential needs r_c > 0")
+    q = np.divide(r, pot.r_c, out=out)
+    q *= q
+    return q
 
 
 def _v_of_q(pot: InteractionPotential, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -931,6 +931,61 @@ def test_kernel_phase_bound(beta):
             assert np.all(gap <= 1e-9 * bound + 1e-16), (g, theta)
 
 
+@pytest.mark.parametrize("beta", [0, 1])
+def test_kernel_step_bound(beta):
+    # for t_b >= t_a: |f(t_b) - f(t_a)| <= kappa |V| (t_b - t_a) and
+    # |Re f(t_b) - Re f(t_a)| <= kappa^2 V^2 (t_b - t_a) t_b, f at
+    # (V t, gamma t), kappa = 1 (no echo) or 1/2 (echo), at every gamma >= 0
+    # and either sign of V: the step bounds behind tau_half's skip rule
+    # (proved in its docstring). Rounding: f is O(1), and X = V t is
+    # rounded to 2^-53 |X| at each end, which moves f by at most
+    # kappa 2^-53 |X|.
+    kappa = 1.0 if beta == 1 else 0.5
+    mag = np.logspace(-4, 4, 81)
+    v = np.concatenate((-mag[::-1], mag))
+    gammas = np.concatenate(([0.0, 5e-324, 1e-310], np.logspace(-12, 3, 31)))
+    sharpest = 0.0
+    for gamma in gammas:
+        for theta in np.linspace(0.0, math.pi, 13):
+            for t_a in (0.0, 0.37, 2.0, 11.0):
+                for step in np.logspace(-8, 1, 10):
+                    t_b = t_a + step
+                    jump = f_kernel(v * t_b, gamma * t_b, theta, beta) - f_kernel(
+                        v * t_a, gamma * t_a, theta, beta
+                    )
+                    bound = kappa * np.abs(v) * (t_b - t_a)
+                    rounding = 4e-16 + 2**-52 * np.abs(v) * t_b
+                    case = (gamma, theta, t_a, step)
+                    assert np.all(np.abs(jump) - bound <= rounding), case
+                    assert np.all(np.abs(jump.real) - bound * kappa * np.abs(v) * t_b <= rounding), case
+                    sharpest = max(sharpest, float(np.max(np.abs(jump) / bound)))
+    # kappa is attained (at t_a = 0 and theta = 0 or pi): a smaller one fails
+    assert sharpest > 0.999
+
+
+@pytest.mark.parametrize("echo", [True, False])
+@pytest.mark.parametrize("gamma", [0.0, 1.0 / 21.0])
+def test_gas_step_bound(echo, gamma):
+    # the gas form of the step bounds, with _tau_bounds' constants:
+    # |Re I(t_b) - Re I(t_a)| <= min(b Delta, c sqrt(Delta), d Delta t_b)
+    # (soft core) or c sqrt(Delta) (bare), Re I good to 1e-8 relative
+    proto = RamseyProtocol(math.pi / 2, echo, gamma, 0.05)
+    bare = derive_potential(DressingParams(0.0, 0.0, -1e4), PotentialKind.BARE_VDW)
+    specs = [spec_at(n_r, math.pi / 2, echo, gamma, 0.05) for n_r in (1e-3, 1.0, 1e3)]
+    specs += [GasSpec(density, bare, proto) for density in (1e-3, 0.05)]
+    for sp in specs:
+        b, c, d, rate = gas_average._tau_bounds(sp)
+        assert rate == gamma / 2.0 + 0.05
+        lo = gas_average._tau_window(sp)[0]
+        for t_a in lo * np.array([0.0, 1.0, 10.0, 100.0]):
+            for step in lo * np.logspace(-3, 2, 11):
+                t_b = t_a + step
+                re_a = exponent_integral(sp, t_a).real
+                re_b = exponent_integral(sp, t_b).real
+                bound = min(b * step, c * math.sqrt(step), d * step * t_b) if b else c * math.sqrt(step)
+                assert abs(re_b - re_a) <= bound + 1e-8 * max(re_a, re_b) + 1e-15, (sp, t_a, step)
+
+
 def window_gases():
     soft = soft_core_potential()
     bare = [derive_potential(DressingParams(0.0, 0.0, c6), PotentialKind.BARE_VDW)
@@ -956,6 +1011,57 @@ def test_tau_window_floor_is_above_half():
         assert abs(contrast_gas(sp, lo)) / c0 > 0.5
         assert abs(contrast_gas(sp, lo / 0.99)) / c0 >= 0.5
         assert hi / lo > 1.0
+
+
+def pointwise_tau_half(spec):
+    """tau_half's walk with a probe at every grid point: from the floor of
+    _tau_window along _tau_grid to the first step from a ratio above 1/2
+    to one at or below it, polished by _brentq."""
+    c0 = abs(np.sin(spec.protocol.theta))
+
+    def ratio(t):
+        return abs(contrast_gas(spec, t)) / c0
+
+    lo, hi = gas_average._tau_window(spec)
+    t_prev = r_prev = math.nan
+    for t in gas_average._tau_grid(lo, hi):
+        t = float(t)
+        r = ratio(t)
+        if r_prev > 0.5 >= r:
+            return gas_average._brentq(
+                lambda tt: ratio(tt) - 0.5, t_prev, t, xtol=1e-12 * t, rtol=1e-10
+            )
+        t_prev, r_prev = t, r
+    raise CrossingNotFoundError(
+        "contrast did not reach half below the search ceiling",
+        diagnostics={"max_time": float(hi), "ratio_at_max": float(r_prev)},
+    )
+
+
+def tau_outcome(find, spec):
+    """The float find returns, or the type, message and diagnostics of
+    what it raises."""
+    try:
+        return find(spec)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "diagnostics", None)
+
+
+def test_tau_half_skips_only_proven_points():
+    # the skip rule changes which grid points are probed, never the
+    # bracket: every tau_1/2 (and every error) equals the walk that probes
+    # each point, bit for bit, on the window gases and on fig3's N_R grid
+    # at gamma = 0 and at sr_dressed.json's gamma = 1/21
+    specs = list(window_gases())
+    soft = soft_core_potential()
+    for gamma in (0.0, 1.0 / 21.0):
+        for echo in (True, False):
+            proto = RamseyProtocol(math.pi / 2, echo, gamma, 0.0)
+            specs += [GasSpec.from_blockade_number(n_r, soft, proto)
+                      for n_r in np.geomspace(1e-3, 1e3, 31)]
+    for sp in specs:
+        got = tau_outcome(tau_half, sp)
+        assert got == tau_outcome(pointwise_tau_half, sp), sp
 
 
 # tau_1/2 frozen from a scan seeded by the asymptotic laws rather than the

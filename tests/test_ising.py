@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -602,6 +603,56 @@ def test_distances_and_couplings_keep_the_whole_array_bits(kind):
     want = np.zeros_like(r)
     want[off] = evaluate_V(pot, r[off])
     assert np.array_equal(cfg.coupling_matrix(pot), want)
+
+
+@pytest.mark.parametrize("kind", [PotentialKind.SOFT_CORE, PotentialKind.BARE_VDW])
+def test_coupling_matrix_builds_q_in_place(kind):
+    # q is built on the one copy of the distances, so the build holds two
+    # (N, N) float arrays beyond the cached distances (the copy and the
+    # matrix), where q out of place held three
+    cfg = AtomConfiguration(np.random.default_rng(3).random((300, 3)) * 20.0)
+    pot = derive_potential(DressingParams(1000.0, 5000.0, -1e4), kind)
+    tracemalloc.start()
+    try:
+        cfg.coupling_matrix(pot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 300 * 300 * 8
+
+
+def test_symmetry_check_takes_row_blocks(monkeypatch):
+    # the check takes max |v - v.T| over blocks of _BLOCK_ENTRIES // N rows
+    # (here 2 of 7, the last one ragged): an asymmetry in any block raises,
+    # one within 1e-12 of the largest |entry| does not
+    monkeypatch.setattr(ising_core, "_BLOCK_ENTRIES", 14)
+    v = np.add.outer(np.arange(7.0), np.arange(7.0))
+    np.fill_diagonal(v, 0.0)
+    ising_core._checked_couplings(v)
+    for i in range(7):
+        for j in range(7):
+            if i != j:
+                w = v.copy()
+                w[i, j] += 1e-10
+                with pytest.raises(ParameterError, match="symmetric"):
+                    ising_core._checked_couplings(w)
+                w[i, j] = v[i, j] * (1.0 + 1e-13)
+                ising_core._checked_couplings(w)
+
+
+def test_symmetry_check_allocates_no_square_temporary():
+    # beyond the bool finite mask (1 byte a pair) one block of rows; v - v.T
+    # and its abs took 16 bytes a pair
+    n = 1200
+    v = np.random.default_rng(8).random((n, n))
+    v += v.T
+    tracemalloc.start()
+    try:
+        ising_core._checked_couplings(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.3])
