@@ -13,8 +13,10 @@ branch; closed forms, for the soft-core potential at gamma = 0 through
 Bessel functions and for the bare one at every gamma through erf and
 Dawson's function; and Monte Carlo sampling of explicit
 configurations), exposes the low/high-density asymptotics with their
-exact amplitudes, and locates the half-contrast time tau_1/2. The array
-form of the exponent, at many times at once, is :mod:`rydramsey.gas_arrays`.
+exact amplitudes, and locates the half-contrast time tau_1/2. The
+exponent at many times at once is :mod:`rydramsey.gas_arrays`, which has
+an array form of the midpoint rule only and calls the kernels here for
+every other route.
 
 The sin(theta) prefactor follows the same convention as the
 configuration-resolved functions, so the gas coherence at t = 0 is
@@ -527,11 +529,12 @@ def exponent_integral(spec: GasSpec, t: float) -> complex:
     them rather than collapsing one into the other.
 
     ``t`` is one float: an array of times goes to
-    :func:`_exponent_integral_many`, the array form of every route. The
-    scalar form stays the one tau_half's grid probes and Brent polish call,
-    a probe at a time, where an array call would cost about ten times more,
-    and the benchmark's tracer, which rebinds this name, tags each call by
-    its scalar t.
+    :func:`_exponent_integral_many`, which calls the route kernels below
+    a time at a time, except for the midpoint rule, which it evaluates
+    over all its times at once. The scalar form stays the one tau_half's
+    grid probes and Brent polish call, a probe at a time, where an array
+    call would cost about ten times more, and the benchmark's tracer,
+    which rebinds this name, tags each call by its scalar t.
 
     Parameters
     ----------
@@ -564,9 +567,11 @@ def exponent_integral(spec: GasSpec, t: float) -> complex:
 
 def _exponent_integral_many(spec: GasSpec, times: np.ndarray) -> np.ndarray:
     """:func:`exponent_integral` at each time of a 1-D float array, by
-    :func:`rydramsey.gas_arrays._exponent_integral_many`. That module is
-    imported on first use, so a process that evaluates the gas at float
-    times only (validate, the lattice runs) never compiles it."""
+    :func:`rydramsey.gas_arrays._exponent_integral_many`: bit-identical to
+    the scalar calls except for a midpoint rule longer than _NODE_CHUNK
+    nodes, summed chunk by chunk. That module is imported on first use, so
+    a process that evaluates the gas at float times only (validate, the
+    lattice runs) never compiles it."""
     from . import gas_arrays
 
     return gas_arrays._exponent_integral_many(spec, times)
@@ -581,7 +586,7 @@ def contrast_gas(spec: GasSpec, t) -> complex | np.ndarray:
     array shaped like t). A float takes one scalar :func:`exponent_integral`
     call and no array set-up, as tau_half's probes need; an array
     evaluates I at all its times at once, equal to the scalar calls (see
-    :func:`_exponent_integral_many` for the two routes where it may differ
+    :func:`_exponent_integral_many` for the one case where it may differ
     by a few ulps).
     """
     if np.ndim(t) == 0:

@@ -252,13 +252,20 @@ class AtomConfiguration:
             raise ParameterError("configuration must contain at least one atom")
         if not np.all(np.isfinite(pos)):
             raise ParameterError("positions must be finite")
-        # one axis at a time, in the order (d * d).sum(axis=2) adds: the
-        # (N, N, 3) differences would hold three times the memory of r
-        r = np.zeros((pos.shape[0], pos.shape[0]))
+        # one axis at a time, in the order (d * d).sum(axis=2) adds, and in
+        # blocks of rows through one block-sized buffer: r is the only
+        # (N, N) float array, where the (N, N, 3) differences would hold
+        # three times its memory
+        n = pos.shape[0]
+        r = np.zeros((n, n))
+        height = max(1, _BLOCK_ENTRIES // n)
+        buf = np.empty((min(height, n), n))
         with np.errstate(over="ignore"):
-            for x in pos.T:
-                d = x[:, None] - x[None, :]
-                r += np.square(d, out=d)
+            for i in range(0, n, height):
+                rows = r[i : i + height]
+                d = buf[: rows.shape[0]]
+                for x in pos.T:
+                    rows += np.square(np.subtract(x[i : i + height, None], x, out=d), out=d)
             np.sqrt(r, out=r)
         if not np.all(np.isfinite(r)):
             raise ParameterError("pair distances overflow float64 (a span past ~1e154 um)")
@@ -280,13 +287,23 @@ class AtomConfiguration:
     def coupling_matrix(self, pot: InteractionPotential) -> np.ndarray:
         """(N, N) symmetric coupling matrix V_jk in rad/us, zero diagonal.
 
-        The bits of evaluate_V on the distances, with q built in place on
-        their one copy: the matrix, that copy and the cached distances are
-        the only (N, N) float arrays.
+        The bits of evaluate_V on the distances, a block of rows at a time:
+        q is built in one block-sized buffer and V written from it into the
+        matrix, so the matrix and the cached distances are the only (N, N)
+        float arrays. The buffer is allocated before the matrix: allocated
+        after it, it made the first fig4 pass at L = 15 about 10 % slower
+        (measured; the pattern of freed memory the allocator reuses).
         """
-        q = self._distances.copy()
-        np.fill_diagonal(q, 1.0)  # placeholder: the bare V diverges at r = 0
-        v = _v_of_q(pot, _q_of_r(pot, q, out=q))
+        r = self._distances
+        height = max(1, _BLOCK_ENTRIES // r.shape[1])
+        buf = np.empty((min(height, r.shape[0]), r.shape[1]))
+        v = np.empty_like(r)
+        for i in range(0, r.shape[0], height):
+            rows = r[i : i + height]
+            q = buf[: rows.shape[0]]
+            np.copyto(q, rows)
+            np.fill_diagonal(q[:, i:], 1.0)  # placeholder: the bare V diverges at r = 0
+            _v_of_q(pot, _q_of_r(pot, q, out=q), out=v[i : i + height])
         np.fill_diagonal(v, 0.0)
         return v
 

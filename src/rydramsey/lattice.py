@@ -31,8 +31,8 @@ __all__ = [
     "d4_deviation",
 ]
 
-# Coupling and kernel arrays are dense (L^2, L^2), so memory grows as L^4:
-# at L = 50 each float64 one is 50 MB, and fig4 peaks near 0.4 GB.
+# Coupling and distance arrays are dense (L^2, L^2), so memory grows as
+# L^4: at L = 50 each float64 one is 50 MB, and fig4 peaks near 135 MB RSS.
 MAX_SIDE = 50
 
 

@@ -589,27 +589,33 @@ def test_atom_configuration_positions_are_a_read_only_copy():
 
 
 @pytest.mark.parametrize("kind", [PotentialKind.SOFT_CORE, PotentialKind.BARE_VDW])
-def test_distances_and_couplings_keep_the_whole_array_bits(kind):
+def test_distances_and_couplings_keep_the_whole_array_bits(kind, monkeypatch):
     # distances are summed one axis at a time and the couplings built on a
-    # copy of r with a placeholder diagonal; both keep the bits of the
-    # (N, N, 3) form and of evaluate_V on the off-diagonal pairs
+    # copy of r with a placeholder diagonal, both in blocks of rows (one
+    # block by default, then blocks of 7 rows, the last one ragged); both
+    # keep the bits of the (N, N, 3) form and of evaluate_V on the
+    # off-diagonal pairs
     pos = np.random.default_rng(41).normal(size=(60, 3)) * np.array([1.0, 30.0, 0.02])
-    cfg = AtomConfiguration(pos)
     d = pos[:, None, :] - pos[None, :, :]
     r = np.sqrt((d * d).sum(axis=2))
-    assert np.array_equal(cfg.pair_distances(), r)
     pot = derive_potential(DressingParams(1000.0, 5000.0, -1e4), kind)
     off = ~np.eye(60, dtype=bool)
     want = np.zeros_like(r)
     want[off] = evaluate_V(pot, r[off])
-    assert np.array_equal(cfg.coupling_matrix(pot), want)
+    for block in (ising_core._BLOCK_ENTRIES, 60 * 7):
+        monkeypatch.setattr(ising_core, "_BLOCK_ENTRIES", block)
+        cfg = AtomConfiguration(pos)
+        assert np.array_equal(cfg.pair_distances(), r)
+        assert np.array_equal(cfg.coupling_matrix(pot), want)
 
 
 @pytest.mark.parametrize("kind", [PotentialKind.SOFT_CORE, PotentialKind.BARE_VDW])
-def test_coupling_matrix_builds_q_in_place(kind):
-    # q is built on the one copy of the distances, so the build holds two
-    # (N, N) float arrays beyond the cached distances (the copy and the
-    # matrix), where q out of place held three
+def test_coupling_matrix_builds_q_in_place(kind, monkeypatch):
+    # q is built on the one copy of the distances and V written back over
+    # it a block of rows at a time, so the build holds one (N, N) float
+    # array beyond the cached distances (the matrix) and one block, where
+    # V out of place held two
+    monkeypatch.setattr(ising_core, "_BLOCK_ENTRIES", 300 * 16)
     cfg = AtomConfiguration(np.random.default_rng(3).random((300, 3)) * 20.0)
     pot = derive_potential(DressingParams(1000.0, 5000.0, -1e4), kind)
     tracemalloc.start()
@@ -618,7 +624,21 @@ def test_coupling_matrix_builds_q_in_place(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 300 * 300 * 8
+    assert peak < 1.25 * 300 * 300 * 8
+
+
+def test_distances_are_summed_in_row_blocks(monkeypatch):
+    # beyond r itself one block of differences; the whole-matrix
+    # differences of each axis held two more (N, N) float arrays
+    monkeypatch.setattr(ising_core, "_BLOCK_ENTRIES", 300 * 16)
+    pos = np.random.default_rng(3).random((300, 3)) * 20.0
+    tracemalloc.start()
+    try:
+        AtomConfiguration(pos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 300 * 300 * 8
 
 
 def test_symmetry_check_takes_row_blocks(monkeypatch):
