@@ -1,14 +1,13 @@
 """Array form of the disorder-average exponent of :mod:`rydramsey.gas_average`.
 
 :func:`_exponent_integral_many` evaluates I(t) at every time of a 1-D
-array by the routes of ``gas_average.exponent_integral``. Only the
-spectral midpoint rule of the soft-core potential has an array form
-here, the one route where evaluating many times at once pays on the
-default sweeps: it applies the scalar rule's operations to the nodes of
-many times together. The Bessel closed form, the Taylor branch and the
-bare erf/Dawson form call their scalar kernels in gas_average a time at
-a time. So the array and scalar forms agree bit for bit, except where
-:func:`_exponent_integral_many` says otherwise.
+array by the routes of ``gas_average.exponent_integral``. The spectral
+midpoint rule of the soft-core potential, the one route where evaluating
+many times at once pays on the default sweeps, groups its times by node
+count and sums each group's rules with ``gas_average._midpoint_sums``, the
+code that a scalar call runs. The Bessel closed form, the Taylor branch
+and the bare erf/Dawson form call their scalar kernels in gas_average a
+time at a time. So the array and scalar forms agree bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import ParameterError
 from .gas_average import (
     _ABS_TOL,
     _NODE_CHUNK,
@@ -26,8 +25,9 @@ from .gas_average import (
     GasSpec,
     _bare_i_tilde,
     _k_bessel,
+    _midpoint_error,
     _midpoint_order,
-    _soft_core_h,
+    _midpoint_sums,
     _soft_core_i_over_nr,
 )
 from .potential import PotentialKind
@@ -37,9 +37,7 @@ def _exponent_integral_many(spec: GasSpec, times: np.ndarray) -> np.ndarray:
     """:func:`exponent_integral` at each time of a 1-D float array.
 
     It never calls exponent_integral itself (the scalar form stays the one
-    tau_half's probes call). It is bit-identical to the scalar calls
-    except for a midpoint rule longer than _NODE_CHUNK nodes (|V0 t| above
-    about 2e3), summed chunk by chunk, which moves it by a few ulps.
+    tau_half's probes call). It is bit-identical to the scalar calls.
     """
     out = np.zeros(times.size, dtype=complex)  # t = 0 gives 0 exactly
     if not times.size:
@@ -73,46 +71,17 @@ def _exponent_integral_many(spec: GasSpec, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _midpoint_sums(pieces: list, t_abs, g, m, theta: float, beta: int, fine, coarse) -> None:
-    """Add the sums of h over nodes of the midpoint rules of
-    :func:`_soft_core_i_over_nr` into ``fine`` (all 3M nodes) and
-    ``coarse`` (every third node from node 1, the M-point rule).
-
-    ``pieces`` lists (row, first node, node count), first a multiple of 3,
-    each row at most once (a piece of a longer rule fills a chunk alone).
-    The nodes of all pieces are evaluated as one flat array, by the scalar
-    rule's operations. Each run of consecutive pieces of one length is then
-    summed as the rows of a 2-D view, which numpy sums row by row with the
-    same pairwise summation as the scalar rule's ``vals.sum()``.
-    """
-    rows, first, count = (np.array(col) for col in zip(*pieces))
-    starts = np.cumsum(count) - count
-    node = np.arange(count.sum()) - np.repeat(starts - first, count)  # k of each phi_k
-    phi = (node + 0.5) * np.repeat(math.pi / (6 * m[rows]), count)
-    vals = _soft_core_h(np.repeat(t_abs[rows], count) * np.cos(phi) ** 2, np.repeat(g[rows], count), theta, beta)
-    run = 0  # first piece of the current run
-    for j in range(1, rows.size + 1):
-        if j < rows.size and count[j] == count[run]:
-            continue
-        block = vals[starts[run] : starts[j - 1] + count[j - 1]].reshape(j - run, count[run])
-        fine[rows[run:j]] += np.add.reduce(block, axis=1)
-        coarse[rows[run:j]] += np.add.reduce(block[:, 1::3], axis=1)
-        run = j
-
-
 def _soft_core_quadrature_many(T: np.ndarray, g: np.ndarray, theta: float, beta: int) -> np.ndarray:
     """:func:`_soft_core_i_over_nr` at each (T, g) of two float arrays, g > 0.
 
-    A time of the Taylor branch (|T| <= _T_TAYLOR) is a scalar call. Each
-    other time keeps its own M; the nodes of consecutive times are
-    evaluated together in chunks of at most _NODE_CHUNK, and a rule longer
-    than a chunk is summed chunk by chunk. Every elementwise operation is
-    the scalar form's, so a rule of at most _NODE_CHUNK nodes gives its
-    value bit for bit; a longer one differs from it only in the order of
-    its sum.
+    A time of the Taylor branch (|T| <= _T_TAYLOR) is a scalar call. The
+    other times are grouped by M, in a plain dict (np.unique's first call
+    costs 1.6 MB of RSS), and each group goes through :func:`_midpoint_sums`
+    in row blocks of about _NODE_CHUNK nodes, so every time equals the
+    scalar form bit for bit.
 
-    Raises NumericalError, as the scalar form does, at the first time
-    whose two rules disagree.
+    Raises NumericalError, as the scalar form does, at the first time (in
+    array order) whose two rules disagree.
     """
     out = np.empty(T.size, dtype=complex)
     taylor = np.abs(T) <= _T_TAYLOR
@@ -123,35 +92,24 @@ def _soft_core_quadrature_many(T: np.ndarray, g: np.ndarray, theta: float, beta:
             return out
         T, g = T[~taylor], g[~taylor]
     t_abs = np.abs(T)
-    m = np.array([_midpoint_order(t) for t in t_abs.tolist()], dtype=np.int64)
-    fine = np.zeros(T.size, dtype=complex)
-    coarse = np.zeros(T.size, dtype=complex)
-    pieces, filled = [], 0
-    for r, nodes in enumerate((3 * m).tolist()):
-        for first in range(0, nodes, _NODE_CHUNK):
-            count = min(_NODE_CHUNK, nodes - first)
-            if filled + count > _NODE_CHUNK:
-                _midpoint_sums(pieces, t_abs, g, m, theta, beta, fine, coarse)
-                pieces, filled = [], 0
-            pieces.append((r, first, count))
-            filled += count
-    if pieces:
-        _midpoint_sums(pieces, t_abs, g, m, theta, beta, fine, coarse)
+    groups = {}
+    for k, t in enumerate(t_abs.tolist()):
+        groups.setdefault(_midpoint_order(t), []).append(k)
+    m = np.empty(T.size, dtype=np.int64)
+    fine = np.empty(T.size, dtype=complex)
+    coarse = np.empty(T.size, dtype=complex)
+    for m_k, rows in groups.items():
+        m[rows] = m_k
+        step = max(1, _NODE_CHUNK // (3 * m_k))
+        for first in range(0, len(rows), step):
+            r = rows[first : first + step]
+            fine[r], coarse[r] = _midpoint_sums(t_abs[r, None], g[r, None], m_k, theta, beta)
     total = fine * (t_abs * math.pi / (6 * m))
     err = np.abs(total - coarse * (t_abs * math.pi / (2 * m)))
     bad = np.flatnonzero(err > np.maximum(_REL_TOL * np.abs(total), _ABS_TOL))
     if bad.size:
         k = bad[0]
-        raise NumericalError(
-            "soft-core exponent midpoint rule did not converge",
-            diagnostics={
-                "error_estimate": float(err[k]),
-                "value": complex(total[k]),
-                "nodes": 3 * int(m[k]),
-                "T": float(T[k]),
-                "g": float(g[k]),
-            },
-        )
+        raise _midpoint_error(err[k], total[k], m[k], T[k], g[k])
     out[~taylor] = np.where(T >= 0, total, total.conj())
     return out
 

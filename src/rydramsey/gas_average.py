@@ -14,9 +14,9 @@ Bessel functions and for the bare one at every gamma through erf and
 Dawson's function; and Monte Carlo sampling of explicit
 configurations), exposes the low/high-density asymptotics with their
 exact amplitudes, and locates the half-contrast time tau_1/2. The
-exponent at many times at once is :mod:`rydramsey.gas_arrays`, which has
-an array form of the midpoint rule only and calls the kernels here for
-every other route.
+exponent at many times at once is :mod:`rydramsey.gas_arrays`, which calls
+the kernels here: the midpoint rule's sums over groups of times that share
+a node count, every other route a time at a time.
 
 The sin(theta) prefactor follows the same convention as the
 configuration-resolved functions, so the gas coherence at t = 0 is
@@ -111,10 +111,9 @@ _GRID_BLOCK = 32
 # probes per tau_1/2.
 _SKIP_MARGIN = 1e-4
 
-# Nodes of the soft-core midpoint rule that _exponent_integral_many evaluates
-# at once, a multiple of 3: each array of a chunk stays in cache (48 kB or
-# less), and a longer rule (|V0 t| above about 2e3) is summed in pieces of
-# this size.
+# Nodes of the soft-core midpoint rule evaluated at once, a multiple of 3:
+# each array of a chunk stays in cache (48 kB or less), and a longer rule
+# (|V0 t| above about 2e3), float or array, is summed in pieces of this size.
 _NODE_CHUNK = 3 * 2**10
 
 # Iteration cap of tau_half's Brent polish, scipy's brentq default.
@@ -297,6 +296,10 @@ def _soft_core_h(x, g: float, theta: float, beta: int):
     return -half / x - math.cos(theta / 2.0) ** 2 * (half + 1.0) * np.expm1(-1j * w) / w
 
 
+# The nodes of rules of at most _NODE_CHUNK nodes (at most 24 kB each, 1.5 MB
+# in all). They depend on M alone, and the default sweeps share few M: their
+# midpoint rules all have |V0 t| below 32, so M runs from 25 to 48.
+@functools.lru_cache(maxsize=64)
 def _midpoint_cos2(m: int) -> np.ndarray:
     """cos^2 phi_k at the 3M nodes phi_k = (k + 1/2) pi / (6M) of the
     midpoint rule of :func:`_soft_core_i_over_nr`, read-only."""
@@ -306,16 +309,48 @@ def _midpoint_cos2(m: int) -> np.ndarray:
     return cos2
 
 
-# The nodes of float calls' rules of at most _NODE_CHUNK nodes (at most 24 kB
-# each, 1.5 MB in all). They depend on M alone, and the default sweeps'
-# float probes share few M: one gas_sweeps pass of the benchmark makes
-# 1 562 float midpoint rules with 24 distinct M.
-_cached_midpoint_cos2 = functools.lru_cache(maxsize=64)(_midpoint_cos2)
-
-
 def _midpoint_order(t_abs: float) -> int:
     """M of the midpoint rule of :func:`_soft_core_i_over_nr` at |T| = t_abs."""
     return int(t_abs / 2.0 + 3.0 * t_abs ** (1.0 / 3.0) + 24.0)
+
+
+def _midpoint_sums(t_abs, g, m: int, theta: float, beta: int) -> tuple:
+    """(fine, coarse): the sums of h over the 3M nodes of the midpoint rule
+    of :func:`_soft_core_i_over_nr` and over every third node from node 1
+    (the M-point rule).
+
+    ``t_abs`` and ``g`` are floats for one time, or (k, 1) columns of k
+    times that share M. Each row takes the elementwise operations and the
+    pairwise sums of a float call, so it equals that call bit for bit. A
+    rule of at most _NODE_CHUNK nodes takes its nodes from the cache; a
+    longer one evaluates and sums _NODE_CHUNK nodes at a time, so a call
+    holds O(k _NODE_CHUNK) memory at every |T|.
+    """
+    nodes = 3 * m
+    if nodes <= _NODE_CHUNK:
+        vals = _soft_core_h(t_abs * _midpoint_cos2(m), g, theta, beta)
+        return vals.sum(axis=-1), vals[..., 1::3].sum(axis=-1)
+    fine = coarse = 0.0
+    for first in range(0, nodes, _NODE_CHUNK):  # a multiple of 3
+        phi = (np.arange(first, min(first + _NODE_CHUNK, nodes)) + 0.5) * (math.pi / (6 * m))
+        vals = _soft_core_h(t_abs * np.cos(phi) ** 2, g, theta, beta)
+        fine = fine + vals.sum(axis=-1)
+        coarse = coarse + vals[..., 1::3].sum(axis=-1)
+    return fine, coarse
+
+
+def _midpoint_error(err: float, total: complex, m: int, T: float, g: float) -> NumericalError:
+    """The error raised where the two midpoint rules at T = V0 t disagree."""
+    return NumericalError(
+        "soft-core exponent midpoint rule did not converge",
+        diagnostics={
+            "error_estimate": float(err),
+            "value": complex(total),
+            "nodes": 3 * int(m),
+            "T": float(T),
+            "g": float(g),
+        },
+    )
 
 
 def _soft_core_i_over_nr(T: float, g: float, theta: float, beta: int) -> complex:
@@ -340,21 +375,11 @@ def _soft_core_i_over_nr(T: float, g: float, theta: float, beta: int) -> complex
         total = -np.dot(_kernel_taylor(g, theta, beta, n), t_abs ** _ORDERS[:n] * _J_N[:n])
     else:
         m = _midpoint_order(t_abs)
-        cos2 = (_cached_midpoint_cos2 if 3 * m <= _NODE_CHUNK else _midpoint_cos2)(m)
-        vals = _soft_core_h(t_abs * cos2, g, theta, beta)
-        total = vals.sum() * (t_abs * math.pi / (6 * m))
-        err = abs(total - vals[1::3].sum() * (t_abs * math.pi / (2 * m)))
+        fine, coarse = _midpoint_sums(t_abs, g, m, theta, beta)
+        total = fine * (t_abs * math.pi / (6 * m))
+        err = abs(total - coarse * (t_abs * math.pi / (2 * m)))
         if err > max(_REL_TOL * abs(total), _ABS_TOL):
-            raise NumericalError(
-                "soft-core exponent midpoint rule did not converge",
-                diagnostics={
-                    "error_estimate": float(err),
-                    "value": complex(total),
-                    "nodes": 3 * m,
-                    "T": T,
-                    "g": g,
-                },
-            )
+            raise _midpoint_error(err, total, m, T, g)
     total = complex(total)
     return total if T >= 0 else total.conjugate()
 
@@ -530,11 +555,12 @@ def exponent_integral(spec: GasSpec, t: float) -> complex:
 
     ``t`` is one float: an array of times goes to
     :func:`_exponent_integral_many`, which calls the route kernels below
-    a time at a time, except for the midpoint rule, which it evaluates
-    over all its times at once. The scalar form stays the one tau_half's
-    grid probes and Brent polish call, a probe at a time, where an array
-    call would cost about ten times more, and the benchmark's tracer,
-    which rebinds this name, tags each call by its scalar t.
+    a time at a time, except for the midpoint rule's sums, which it
+    evaluates over groups of times that share a node count. The scalar
+    form stays the one tau_half's grid probes and Brent polish call, a
+    probe at a time, where an array call would cost about ten times more,
+    and the benchmark's tracer, which rebinds this name, tags each call by
+    its scalar t.
 
     Parameters
     ----------
@@ -567,11 +593,10 @@ def exponent_integral(spec: GasSpec, t: float) -> complex:
 
 def _exponent_integral_many(spec: GasSpec, times: np.ndarray) -> np.ndarray:
     """:func:`exponent_integral` at each time of a 1-D float array, by
-    :func:`rydramsey.gas_arrays._exponent_integral_many`: bit-identical to
-    the scalar calls except for a midpoint rule longer than _NODE_CHUNK
-    nodes, summed chunk by chunk. That module is imported on first use, so
-    a process that evaluates the gas at float times only (validate, the
-    lattice runs) never compiles it."""
+    :func:`rydramsey.gas_arrays._exponent_integral_many`, bit-identical to
+    the scalar calls. That module is imported on first use, so a process
+    that evaluates the gas at float times only (validate, the lattice
+    runs) never compiles it."""
     from . import gas_arrays
 
     return gas_arrays._exponent_integral_many(spec, times)
@@ -585,9 +610,8 @@ def contrast_gas(spec: GasSpec, t) -> complex | np.ndarray:
     (us, returns a complex) or a 1-D array of times (returns a complex
     array shaped like t). A float takes one scalar :func:`exponent_integral`
     call and no array set-up, as tau_half's probes need; an array
-    evaluates I at all its times at once, equal to the scalar calls (see
-    :func:`_exponent_integral_many` for the one case where it may differ
-    by a few ulps).
+    evaluates I at all its times in one call, equal to the scalar calls
+    bit for bit.
     """
     if np.ndim(t) == 0:
         t = float(t)
