@@ -37,7 +37,6 @@ from .gas_average import (
     low_density_amplitude,
     low_density_contrast,
     monte_carlo_gas,
-    tau_half,
 )
 from .ising_core import (
     AtomConfiguration,
@@ -222,11 +221,14 @@ def run_fig2(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
 def _tau_columns(pot, proto: RamseyProtocol, nr_values) -> tuple:
     """tau_1/2 across blockade numbers as (|V0| tau, tau in us) columns.
 
-    The density is swept at fixed potential and protocol to move N_R.
+    The density is swept at fixed potential and protocol to move N_R. The
+    walks of every N_R advance together
+    (:func:`rydramsey.gas_arrays._tau_half_table`, imported on first use),
+    with the values and errors of one tau_half call per N_R.
     """
-    tau = np.array(
-        [tau_half(GasSpec.from_blockade_number(n_r, pot, proto)) for n_r in nr_values]
-    )
+    from . import gas_arrays
+
+    tau = np.array(gas_arrays._tau_half_table(pot, proto, nr_values))
     return abs(pot.v0) * tau, tau
 
 

@@ -15,8 +15,9 @@ Dawson's function; and Monte Carlo sampling of explicit
 configurations), exposes the low/high-density asymptotics with their
 exact amplitudes, and locates the half-contrast time tau_1/2. The
 exponent at many times at once is :mod:`rydramsey.gas_arrays`, which calls
-the kernels here: the midpoint rule's sums over groups of times that share
-a node count, every other route a time at a time.
+the kernels here: the midpoint rule's sums over batches of times, every
+other route a time at a time. It serves the curves of one gas at many
+times and the rounds of a tau_1/2 table, many gases at one time each.
 
 The sin(theta) prefactor follows the same convention as the
 configuration-resolved functions, so the gas coherence at t = 0 is
@@ -319,12 +320,13 @@ def _midpoint_sums(t_abs, g, m: int, theta: float, beta: int) -> tuple:
     of :func:`_soft_core_i_over_nr` and over every third node from node 1
     (the M-point rule).
 
-    ``t_abs`` and ``g`` are floats for one time, or (k, 1) columns of k
-    times that share M. Each row takes the elementwise operations and the
-    pairwise sums of a float call, so it equals that call bit for bit. A
-    rule of at most _NODE_CHUNK nodes takes its nodes from the cache; a
-    longer one evaluates and sums _NODE_CHUNK nodes at a time, so a call
-    holds O(k _NODE_CHUNK) memory at every |T|.
+    ``t_abs`` and ``g`` are floats of one time. A rule of at most
+    _NODE_CHUNK nodes takes its nodes from the cache; a longer one
+    evaluates and sums _NODE_CHUNK nodes at a time, so a call holds
+    O(_NODE_CHUNK) memory at every |T|. The array form,
+    :func:`rydramsey.gas_arrays._batch_sums`, runs these elementwise
+    operations and pairwise sums on the short rules of many times at once,
+    so it equals this call bit for bit.
     """
     nodes = 3 * m
     if nodes <= _NODE_CHUNK:
@@ -556,11 +558,12 @@ def exponent_integral(spec: GasSpec, t: float) -> complex:
     ``t`` is one float: an array of times goes to
     :func:`_exponent_integral_many`, which calls the route kernels below
     a time at a time, except for the midpoint rule's sums, which it
-    evaluates over groups of times that share a node count. The scalar
-    form stays the one tau_half's grid probes and Brent polish call, a
-    probe at a time, where an array call would cost about ten times more,
-    and the benchmark's tracer, which rebinds this name, tags each call by
-    its scalar t.
+    evaluates over batches of times. The float form serves single times:
+    a :func:`tau_half` call's probes, one at a time, and the float calls
+    of validate and the tests. The probes of
+    fig3's and scan's tau_1/2 tables do not come here: each round of a
+    table evaluates all its gases at once, through
+    :func:`rydramsey.gas_arrays._soft_core_contrast_many`.
 
     Parameters
     ----------
@@ -594,9 +597,9 @@ def exponent_integral(spec: GasSpec, t: float) -> complex:
 def _exponent_integral_many(spec: GasSpec, times: np.ndarray) -> np.ndarray:
     """:func:`exponent_integral` at each time of a 1-D float array, by
     :func:`rydramsey.gas_arrays._exponent_integral_many`, bit-identical to
-    the scalar calls. That module is imported on first use, so a process
-    that evaluates the gas at float times only (validate, the lattice
-    runs) never compiles it."""
+    the scalar calls. That module is imported on first use, here and by
+    fig3's and scan's tau_1/2 tables, so a process that evaluates the gas
+    at float times only (validate, the lattice runs) never compiles it."""
     from . import gas_arrays
 
     return gas_arrays._exponent_integral_many(spec, times)
@@ -609,7 +612,7 @@ def contrast_gas(spec: GasSpec, t) -> complex | np.ndarray:
     the non-interacting signal, t = 0 gives sin(theta). ``t`` is a float
     (us, returns a complex) or a 1-D array of times (returns a complex
     array shaped like t). A float takes one scalar :func:`exponent_integral`
-    call and no array set-up, as tau_half's probes need; an array
+    call and no array set-up, as a tau_half call's probes need; an array
     evaluates I at all its times in one call, equal to the scalar calls
     bit for bit.
     """
@@ -988,24 +991,42 @@ def _tau_window(spec: GasSpec) -> tuple:
     return 0.99 * t_lb, hi
 
 
+def _drive(walk, f):
+    """Run a walk to its end, answering each point x it yields with f(x);
+    return what the walk returns."""
+    try:
+        x = next(walk)
+        while True:
+            x = walk.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
 def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
-    """Root of f in [a, b] by Brent's method, with scipy brentq's iterates.
+    """Root of f in [a, b] by Brent's method, with scipy brentq's iterates:
+    :func:`_brent_walk` answered by f."""
+    return _drive(_brent_walk(a, b, xtol, rtol), f)
+
+
+def _brent_walk(a: float, b: float, xtol: float, rtol: float, level: float = 0.0):
+    """Brent's method for a root of y - level in [a, b] as a walk: a
+    generator that yields each probe x, takes y(x) back and returns the root.
 
     A line-by-line port of scipy's C routine (``Zeros/brentq.c``) with
     maxiter 100, so every iterate, and so the root, is bit-identical to
-    ``scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)``. The
-    arithmetic runs on Python floats, which, like C doubles, overflow to
-    inf silently where numpy scalars would warn. Where C divides by zero
-    its step is inf or nan, which fails the short-step test, so a zero
-    denominator here takes the bisection step.
+    ``scipy.optimize.brentq(lambda x: y(x) - level, a, b, xtol=xtol,
+    rtol=rtol)``. The arithmetic runs on Python floats, which, like C
+    doubles, overflow to inf silently where numpy scalars would warn. Where
+    C divides by zero its step is inf or nan, which fails the short-step
+    test, so a zero denominator here takes the bisection step.
 
-    Raises ValueError when f is nan at a probe (as scipy's wrapper does)
-    or f(a) and f(b) have the same sign, and RuntimeError when 100
+    Raises ValueError when y - level is nan at a probe (as scipy's wrapper
+    does) or has the same sign at a and b, and RuntimeError when 100
     iterations do not converge.
     """
 
-    def fx(x: float) -> float:
-        y = float(f(x))
+    def checked(x: float, y) -> float:
+        y = float(y) - level
         if math.isnan(y):
             raise ValueError(
                 f"The function value at x={x:.6g} is NaN; solver cannot converge."
@@ -1015,7 +1036,8 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
     xpre, xcur = float(a), float(b)
     xtol, rtol = float(xtol), float(rtol)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = fx(xpre), fx(xcur)
+    fpre = checked(xpre, (yield xpre))
+    fcur = checked(xcur, (yield xcur))
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -1065,7 +1087,7 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = fx(xcur)
+        fcur = checked(xcur, (yield xcur))
     raise RuntimeError(
         f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur:f}"
     )
@@ -1094,10 +1116,13 @@ def tau_half(spec: GasSpec) -> float:
     the half level is bracketed: the first grid step from a ratio
     |contrast| / sin(theta) above 1/2 to one at or below it. It then
     polishes the bracket to relative accuracy well below 1e-6 with
-    :func:`_brentq`, an in-house port of scipy's Brent iteration with the
-    same iterates. The probe points come from the floor alone; the
-    window's ceiling only decides where the scan gives up. Every probe,
-    and every step of the polish, is one float contrast_gas call.
+    :func:`_brent_walk`, an in-house port of scipy's Brent iteration with
+    the same iterates. The probe points come from the floor alone; the
+    window's ceiling only decides where the scan gives up. The search is
+    :func:`_tau_walk`, which yields each probe time and takes its ratio
+    back. tau_half answers each probe with one float contrast_gas call;
+    fig3's and scan's tables answer the probes of many walks at once
+    (:func:`rydramsey.gas_arrays._tau_half_table`), bit for bit the same.
 
     Skip rule. A probe at t_a with ratio r_a > 1/2 proves the ratio above
     1/2 up to t_a + Delta*, the largest Delta with
@@ -1159,14 +1184,18 @@ def tau_half(spec: GasSpec) -> float:
         largest float64 time. Diagnostics carry the ceiling and the
         contrast ratio at the last grid point.
     """
-    proto = spec.protocol
-    c0 = abs(np.sin(proto.theta))
-    if c0 == 0.0:
+    c0 = float(abs(np.sin(spec.protocol.theta)))
+    return _drive(_tau_walk(spec), lambda t: abs(contrast_gas(spec, t)) / c0)
+
+
+def _tau_walk(spec: GasSpec):
+    """The search of :func:`tau_half` as a walk: a generator that yields each
+    probe time t (a float, us), takes the ratio |contrast_gas(spec, t)| /
+    |sin theta| back, and returns tau_1/2 or raises what tau_half raises.
+    Nothing but the ratios sent back decides its path, so any driver that
+    answers with the same floats gets the same probes and the same end."""
+    if np.sin(spec.protocol.theta) == 0.0:
         raise ParameterError("initial contrast vanishes; tau_half undefined")
-
-    def ratio(t: float) -> float:
-        return abs(contrast_gas(spec, t)) / c0
-
     lo, hi = _tau_window(spec)
     b, c, d, rate = _tau_bounds(spec)
     t_prev = r_prev = math.nan
@@ -1176,14 +1205,14 @@ def tau_half(spec: GasSpec) -> float:
         if t <= t_safe:
             t_prev = t  # proven above 1/2, like r_prev
             continue
-        r = ratio(t)
+        r = yield t
         if r_prev > 0.5 >= r:
-            return _brentq(lambda tt: ratio(tt) - 0.5, t_prev, t, xtol=1e-12 * t, rtol=1e-10)
+            return (yield from _brent_walk(t_prev, t, 1e-12 * t, 1e-10, level=0.5))
         t_prev, r_prev = t, r
         if r > 0.5 and (budget := math.log(2.0 * r) - _SKIP_MARGIN) > 0.0:
             t_safe = t + _tau_reach(b, c, d, rate, budget, t)
     if t_prev <= t_safe:
-        r_prev = ratio(t_prev)
+        r_prev = yield t_prev
     raise CrossingNotFoundError(
         "contrast did not reach half below the search ceiling",
         diagnostics={"max_time": float(hi), "ratio_at_max": float(r_prev)},

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import beta as beta_function
 from scipy.special import dawsn, gammainc, j0, j1
 
-from rydramsey import gas_average
+from rydramsey import gas_arrays, gas_average
 from rydramsey.errors import (
     BiasWarning,
     CrossingNotFoundError,
@@ -986,20 +986,27 @@ def test_gas_step_bound(echo, gamma):
                 assert abs(re_b - re_a) <= bound + 1e-8 * max(re_a, re_b) + 1e-15, (sp, t_a, step)
 
 
-def window_gases():
-    soft = soft_core_potential()
-    bare = [derive_potential(DressingParams(0.0, 0.0, c6), PotentialKind.BARE_VDW)
-            for c6 in (-1e4, 2.5e3)]
+WINDOW_NR = (1e-6, 1e-3, 1.0, 1e3)
+
+
+def window_protocols():
     for theta in (0.157, 1.0, math.pi / 2, 2.5):
         for echo in (True, False):
             for gamma in (0.0, 1.0 / 21.0, 3.0):
                 for gamma_d in (0.0, 0.1):
-                    proto = RamseyProtocol(theta, echo, gamma, gamma_d)
-                    for n_r in (1e-6, 1e-3, 1.0, 1e3):
-                        yield GasSpec.from_blockade_number(n_r, soft, proto)
-                    for pot in bare:
-                        for density in (1e-3, 0.05, 10.0):
-                            yield GasSpec(density, pot, proto)
+                    yield RamseyProtocol(theta, echo, gamma, gamma_d)
+
+
+def window_gases():
+    soft = soft_core_potential()
+    bare = [derive_potential(DressingParams(0.0, 0.0, c6), PotentialKind.BARE_VDW)
+            for c6 in (-1e4, 2.5e3)]
+    for proto in window_protocols():
+        for n_r in WINDOW_NR:
+            yield GasSpec.from_blockade_number(n_r, soft, proto)
+        for pot in bare:
+            for density in (1e-3, 0.05, 10.0):
+                yield GasSpec(density, pot, proto)
 
 
 def test_tau_window_floor_is_above_half():
@@ -1062,6 +1069,128 @@ def test_tau_half_skips_only_proven_points():
     for sp in specs:
         got = tau_outcome(tau_half, sp)
         assert got == tau_outcome(pointwise_tau_half, sp), sp
+
+
+def loop_outcome(pot, proto, nr_values):
+    """The tau_half loop that fig3 and scan ran before their tables
+    advanced in lockstep, as tau_outcome reports it."""
+    def loop(_):
+        return [tau_half(GasSpec.from_blockade_number(n_r, pot, proto)) for n_r in nr_values]
+
+    return tau_outcome(loop, None)
+
+
+def table_outcome(pot, proto, nr_values):
+    return tau_outcome(lambda _: gas_arrays._tau_half_table(pot, proto, nr_values), None)
+
+
+def assert_table_is_the_loop(pot, proto, nr_values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = table_outcome(pot, proto, nr_values)
+        want = loop_outcome(pot, proto, nr_values)
+    assert got == want, (proto, nr_values)
+    if isinstance(want, list):
+        assert [type(t) for t in got] == [float] * len(want)
+    return got
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, 0.3])
+@pytest.mark.parametrize("echo", [True, False])
+@pytest.mark.parametrize("gamma", [0.0, 1.0 / 21.0])
+def test_tau_table_equals_the_tau_half_loop_on_the_fig3_grid(theta, echo, gamma):
+    # fig3's 31-point N_R grid, ideal and at sr_dressed.json's emission
+    # rate: every tau_1/2 bit for bit
+    proto = RamseyProtocol(theta, echo, gamma, 0.0)
+    taus = assert_table_is_the_loop(soft_core_potential(), proto, np.geomspace(1e-3, 1e3, 31))
+    assert len(taus) == 31
+
+
+def test_tau_table_equals_the_tau_half_loop_on_the_window_gases():
+    # every soft-core window gas, a table of its four N_R per protocol; a
+    # bare potential has no blockade number, in a table as in the loop
+    bare = derive_potential(DressingParams(0.0, 0.0, -1e4), PotentialKind.BARE_VDW)
+    for proto in window_protocols():
+        assert_table_is_the_loop(soft_core_potential(), proto, WINDOW_NR)
+        assert_table_is_the_loop(soft_core_potential(), proto, WINDOW_NR[::-1])
+    got = assert_table_is_the_loop(bare, proto, WINDOW_NR)
+    assert got[0] is UnsupportedRegimeError
+    assert gas_arrays._tau_half_table(soft_core_potential(), proto, []) == []
+
+
+def test_tau_table_equals_the_tau_half_loop_at_the_float_extremes():
+    # tau_1/2 near the largest float (1e-150, 1e-154), beyond it (2e-155),
+    # a floor that overflows (1e-300), a very dense gas (1e306) and a
+    # density that overflows (1e308, as a CLI grid's numpy scalar), one by
+    # one and together, with and without emission; no RuntimeWarning
+    extremes = [1e-150, 1e-154, 2e-155, 1e-300, np.float64(1e306), np.float64(1e308)]
+    for gamma in (0.0, 0.1):
+        for echo in (True, False):
+            proto = RamseyProtocol(math.pi / 2, echo, gamma, 0.0)
+            for n_r in extremes:
+                assert_table_is_the_loop(soft_core_potential(), proto, [n_r])
+            assert_table_is_the_loop(soft_core_potential(), proto, extremes)
+            assert_table_is_the_loop(soft_core_potential(), proto, extremes[:2] + extremes[4:5])
+
+
+def test_tau_table_raises_the_error_of_the_lowest_failing_index():
+    # N_R = 2e-155 fails late (no crossing below the largest float, after a
+    # walk of many probes); 1e-300 fails at its window and 1e308 at its
+    # GasSpec, before any probe. The lowest index wins whenever it fails.
+    soft = soft_core_potential()
+    proto = RamseyProtocol(math.pi / 2, False, 0.0, 0.0)
+    late, window, spec = 2e-155, 1e-300, 1e308
+    cases = {
+        (late, 1.0, spec): CrossingNotFoundError,
+        (late, window, 1.0): CrossingNotFoundError,
+        (1.0, window, late): ParameterError,
+        (spec, late): ParameterError,
+    }
+    for nr_values, error in cases.items():
+        got = assert_table_is_the_loop(soft, proto, nr_values)
+        assert got[0] is error
+    assert "below the search ceiling" in table_outcome(soft, proto, (late, window))[1]
+
+
+def test_tau_table_records_midpoint_errors_per_walk(monkeypatch):
+    # the integrand kinked (as in test_soft_core_nonconvergence_raises)
+    # where g = gamma t > 0.6 only: at N_R = 1e-3 the first probe fails, at
+    # N_R = 0.158 the seventh, and N_R = 1 ends below the kink. A round that
+    # fails answers each walk alone, so the table keeps the late failure of
+    # index 0 running past the early one of index 2 and raises it, as the
+    # loop does, diagnostics included; every ordering of fig3's grid too.
+    true_h = gas_average._soft_core_h
+
+    def h(x, g, theta, beta):
+        return np.where(np.asarray(g) > 0.6, np.sqrt(x) + 0j, true_h(x, g, theta, beta))
+
+    monkeypatch.setattr(gas_average, "_soft_core_h", h)
+    soft = soft_core_potential()
+    proto = RamseyProtocol(math.pi / 2, True, 1.0 / 21.0, 0.0)
+    late, fine, early = 0.158, 1.0, 1e-3
+    got = assert_table_is_the_loop(soft, proto, [late, fine, early])
+    assert got[0] is NumericalError and got[2]["g"] > 0.6
+    assert got == table_outcome(soft, proto, [late])
+    assert got != table_outcome(soft, proto, [early])
+    assert isinstance(assert_table_is_the_loop(soft, proto, [fine]), list)
+    nr_values = np.geomspace(1e-3, 1e3, 31)
+    for order in (nr_values, nr_values[::-1], nr_values[12:]):
+        assert_table_is_the_loop(soft, proto, order)
+
+
+def test_tau_half_equals_a_scipy_polished_walk(monkeypatch):
+    # the polish of tau_half's walk against scipy's brentq on the bracket
+    # of the walk that probes every grid point
+    bare = derive_potential(DressingParams(0.0, 0.0, -1e4), PotentialKind.BARE_VDW)
+    specs = [spec_at(n_r, math.pi / 2, echo, gamma=gamma) for n_r, echo, gamma in SOFT_CORE_TAU]
+    specs += [
+        spec_at(10**-1.8, math.pi / 2, True),
+        spec_at(1e-3, 0.3, False),
+        GasSpec(1e100, bare, RamseyProtocol(math.pi / 2, False, 0.0, 0.0)),
+    ]
+    monkeypatch.setattr(gas_average, "_brentq", scipy_brentq)
+    for sp in specs:
+        assert tau_half(sp) == pointwise_tau_half(sp), sp
 
 
 # tau_1/2 frozen from a scan seeded by the asymptotic laws rather than the

@@ -133,10 +133,11 @@ def test_array_midpoint_nonconvergence_raises(monkeypatch):
     # the array form keeps the nested error estimate: with an integrand
     # kinked (as in test_gas.py) at |V0 t| > 2.8 only, the first failing
     # time in array order is reported. 2.5 and 3.0 share M, which 7.0
-    # does not: M sorted, or group by group, would report 3.0.
-    def h(x, *args):
-        kinked = x.max(axis=-1, keepdims=True) > 2.8
-        return np.where(kinked, np.sqrt(x), x) + 0j
+    # does not: M sorted, or group by group, would report 3.0. The rules of
+    # many times share one flat node array, so the kink follows each node's
+    # g = 0.1 V0 t.
+    def h(x, g, *args):
+        return np.where(np.asarray(g) > 0.28, np.sqrt(x), x) + 0j
 
     monkeypatch.setattr(gas_average, "_soft_core_h", h)
     times = np.array([0.05, 2.5, 7.0, 3.0])

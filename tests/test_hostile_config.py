@@ -1,10 +1,12 @@
-"""Every key of the config schema against hostile values.
+"""Every key of the config schema, and the --grid, --seed and --out
+flags, against hostile values.
 
-Each value goes through ``config_from_dict``; a value that loads then runs
-the command that reads its section on a 3-point grid, or on its default
-grid for a key that only sizes that grid. Every outcome must
+Each config value goes through ``config_from_dict``; a value that loads
+then runs the command that reads its section on a 3-point grid, or on its
+default grid for a key that only sizes that grid. Every outcome must
 be a clean exit: 0, 2 or 3, at most one stderr line, no numpy
-RuntimeWarning and no ``nan`` in any CSV written.
+RuntimeWarning and no ``nan`` in any CSV written. Each hostile flag of
+``scan`` and ``fig3`` pins its exit code and its first error line.
 """
 
 import contextlib
@@ -120,3 +122,81 @@ def test_integer_past_the_digit_limit_in_a_dict(
     monkeypatch.setattr(cli, "load_config", lambda path: config_from_dict(data))
     rc, err = outcome(command, "dict", None, str(tmp_path / "cli"))
     assert rc == code and len(err.splitlines()) == 1, err
+
+
+def flag_outcome(argv):
+    """(exit code, first stderr line that names an error, stderr) of an
+    in-process CLI run; argparse's exit is a code too."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+    lines = [line for line in err.getvalue().splitlines() if "error" in line]
+    return rc, lines[0] if lines else None, err.getvalue()
+
+
+DENSITY = "error: density must be positive and finite, got {}"
+INCREASING = "error: grid must be strictly increasing (stop > start)"
+HOSTILE_GRIDS = [
+    # zero, negative, overflowing and subnormal N_R (scan) or V0 t (fig3),
+    # and reversed bounds
+    ("scan", "lin:0:10:3", 2, DENSITY.format("0.0")),
+    ("scan", "lin:-2:-1:3", 2, DENSITY.format("-0.477464829275686")),
+    ("scan", "log:0:10:3", 2, "error: log grid requires a positive start"),
+    ("scan", "log:1e307:1e308:3", 2, DENSITY.format("inf")),
+    ("scan", "log:1e300:1e400:3", 2, "error: grid stop: '1e400' is outside the finite float range"),
+    ("scan", "log:5e-324:1e-320:3", 2, DENSITY.format("0.0")),
+    ("scan", "log:10:0.1:3", 2, INCREASING),
+    ("fig3", "lin:0:10:3", 0, None),
+    ("fig3", "lin:-2:-1:3", 2,
+     "error: exponent integral is defined for finite t >= 0, got -1.9999999999999996"),
+    ("fig3", "log:0:10:3", 2, "error: log grid requires a positive start"),
+    ("fig3", "log:1e307:1e308:3", 0, None),
+    ("fig3", "log:1e300:1e400:3", 2, "error: grid stop: '1e400' is outside the finite float range"),
+    ("fig3", "log:5e-324:1e-320:3", 0, None),
+    ("fig3", "lin:1:1:3", 2, INCREASING),
+]
+
+
+@pytest.mark.parametrize("command, grid, code, first", HOSTILE_GRIDS)
+def test_hostile_grid_flags(tmp_path, command, grid, code, first):
+    out = tmp_path / "out"
+    rc, line, err = flag_outcome([command, "--config", SR, "--grid", grid, "--out", str(out)])
+    assert (rc, line) == (code, first), err
+    if code == 0:
+        for path in out.iterdir():
+            assert "nan" not in path.read_text().lower(), path.name
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["scan", "fig3"])
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_seed_flag_is_refused_where_no_command_takes_it(tmp_path, command, seed):
+    # only validate draws random numbers; elsewhere --seed is an argparse error
+    argv = [command, "--config", SR, "--seed", seed, "--out", str(tmp_path / "out")]
+    assert flag_outcome(argv)[:2] == (2, f"rydramsey: error: unrecognized arguments: --seed {seed}")
+
+
+@pytest.mark.parametrize(
+    "seed, first",
+    [
+        ("-1", "error: seed must be a non-negative integer"),
+        ("1.5", "rydramsey validate: error: argument --seed: invalid int value: '1.5'"),
+    ],
+)
+def test_validate_seed_flag(tmp_path, seed, first):
+    assert flag_outcome(["validate", "--seed", seed, "--out", str(tmp_path / "out")])[:2] == (2, first)
+
+
+@pytest.mark.parametrize("command", ["scan", "fig3"])
+def test_out_flag_naming_an_existing_file(tmp_path, command):
+    path = tmp_path / "not_a_dir"
+    path.write_text("kept")
+    rc, line, _ = flag_outcome([command, "--config", SR, "--grid", "log:0.1:10:3", "--out", str(path)])
+    assert (rc, line) == (2, f"error: cannot write --out {path}: [Errno 17] File exists: '{path}'")
+    assert path.read_text() == "kept"
