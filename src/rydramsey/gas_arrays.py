@@ -31,8 +31,6 @@ from .gas_average import (
     _REL_TOL,
     _T_TAYLOR,
     GasSpec,
-    InteractionPotential,
-    RamseyProtocol,
     _bare_i_tilde,
     _k_bessel,
     _midpoint_cos2,
@@ -43,8 +41,8 @@ from .gas_average import (
     _tau_walk,
     contrast_gas,
 )
-from .ising_core import _envelope
-from .potential import PotentialKind
+from .ising_core import RamseyProtocol, _envelope
+from .potential import InteractionPotential, PotentialKind
 
 
 def _exponent_integral_many(spec: GasSpec, times: np.ndarray) -> np.ndarray:
