@@ -1072,8 +1072,8 @@ def test_tau_half_skips_only_proven_points():
 
 
 def loop_outcome(pot, proto, nr_values):
-    """The tau_half loop that fig3 and scan ran before their tables
-    advanced in lockstep, as tau_outcome reports it."""
+    """One tau_half call per N_R, the reference of the lockstep tables,
+    as tau_outcome reports it."""
     def loop(_):
         return [tau_half(GasSpec.from_blockade_number(n_r, pot, proto)) for n_r in nr_values]
 
