@@ -155,24 +155,30 @@ def _batch_sums(t_abs: np.ndarray, g: np.ndarray, m: list, theta: float, beta: i
     in ascending order.
 
     One ``_soft_core_h`` call evaluates every node, the rules laid end to
-    end (x = |T| cos^2 phi and g repeated per node), so the elementwise
-    operations are a float call's. Each run of equal M is summed as a
-    (rows, 3M) array, which takes the pairwise sums of one rule alone. On
-    the default sweeps one call holds a fig2 curve's 20 or so consecutive
-    times, or the rules of a whole round of a tau_1/2 table.
+    end: each run of equal M fills its (rows, 3M) block of x = |T| cos^2 phi
+    and of g by broadcasting, so the elementwise operations are a float
+    call's. Each block is summed along its rows, which takes the pairwise
+    sums of one rule alone. On the default sweeps one call holds a fig2
+    curve's 20 or so consecutive times, or the rules of a whole round of a
+    tau_1/2 table.
     """
-    counts = np.multiply(m, 3)
-    x = np.repeat(t_abs, counts) * np.concatenate([_midpoint_cos2(m_k) for m_k in m])
-    vals = gas_average._soft_core_h(x, np.repeat(g, counts), theta, beta)
-    fine, coarse = [], []
-    start = row = 0
+    blocks, start, row = [], 0, 0
     while row < len(m):
         rows = m.count(m[row])  # m is sorted: one run holds every time of its M
-        block = vals[start : start + 3 * m[row] * rows].reshape(rows, 3 * m[row])
+        blocks.append((row, rows, start, 3 * m[row]))
+        start += rows * 3 * m[row]
+        row += rows
+    x, g_nodes = np.empty(start), np.empty(start)
+    for row, rows, start, size in blocks:
+        end = start + rows * size
+        np.multiply(t_abs[row : row + rows, None], _midpoint_cos2(size // 3), out=x[start:end].reshape(rows, size))
+        g_nodes[start:end].reshape(rows, size)[...] = g[row : row + rows, None]
+    vals = gas_average._soft_core_h(x, g_nodes, theta, beta)
+    fine, coarse = [], []
+    for row, rows, start, size in blocks:
+        block = vals[start : start + rows * size].reshape(rows, size)
         fine.append(block.sum(axis=-1))
         coarse.append(block[:, 1::3].sum(axis=-1))
-        start += block.size
-        row += rows
     return np.concatenate(fine), np.concatenate(coarse)
 
 

@@ -315,7 +315,7 @@ def _midpoint_order(t_abs: float) -> int:
     return int(t_abs / 2.0 + 3.0 * t_abs ** (1.0 / 3.0) + 24.0)
 
 
-def _midpoint_sums(t_abs, g, m: int, theta: float, beta: int) -> tuple:
+def _midpoint_sums(t_abs: float, g: float, m: int, theta: float, beta: int) -> tuple:
     """(fine, coarse): the sums of h over the 3M nodes of the midpoint rule
     of :func:`_soft_core_i_over_nr` and over every third node from node 1
     (the M-point rule).
@@ -331,13 +331,13 @@ def _midpoint_sums(t_abs, g, m: int, theta: float, beta: int) -> tuple:
     nodes = 3 * m
     if nodes <= _NODE_CHUNK:
         vals = _soft_core_h(t_abs * _midpoint_cos2(m), g, theta, beta)
-        return vals.sum(axis=-1), vals[..., 1::3].sum(axis=-1)
+        return vals.sum(), vals[1::3].sum()
     fine = coarse = 0.0
     for first in range(0, nodes, _NODE_CHUNK):  # a multiple of 3
         phi = (np.arange(first, min(first + _NODE_CHUNK, nodes)) + 0.5) * (math.pi / (6 * m))
         vals = _soft_core_h(t_abs * np.cos(phi) ** 2, g, theta, beta)
-        fine = fine + vals.sum(axis=-1)
-        coarse = coarse + vals[..., 1::3].sum(axis=-1)
+        fine += vals.sum()
+        coarse += vals[1::3].sum()
     return fine, coarse
 
 
@@ -1116,13 +1116,14 @@ def tau_half(spec: GasSpec) -> float:
     the half level is bracketed: the first grid step from a ratio
     |contrast| / sin(theta) above 1/2 to one at or below it. It then
     polishes the bracket to relative accuracy well below 1e-6 with
-    :func:`_brent_walk`, an in-house port of scipy's Brent iteration with
-    the same iterates. The probe points come from the floor alone; the
-    window's ceiling only decides where the scan gives up. The search is
-    :func:`_tau_walk`, which yields each probe time and takes its ratio
-    back. tau_half answers each probe with one float contrast_gas call;
-    fig3's and scan's tables answer the probes of many walks at once
-    (:func:`rydramsey.gas_arrays._tau_half_table`), bit for bit the same.
+    :func:`_brentq`, an in-house port of scipy's Brent iteration with the
+    same iterates. The probe points come from the floor alone; the
+    window's ceiling only decides where the scan gives up. The grid walk
+    is :func:`_tau_bracket`, which yields each probe time and takes its
+    ratio back. tau_half answers each probe, grid and polish, with one
+    float contrast_gas call; fig3's and scan's tables answer the probes of
+    many searches at once (:func:`_tau_walk`,
+    :func:`rydramsey.gas_arrays._tau_half_table`), bit for bit the same.
 
     Skip rule. A probe at t_a with ratio r_a > 1/2 proves the ratio above
     1/2 up to t_a + Delta*, the largest Delta with
@@ -1185,15 +1186,31 @@ def tau_half(spec: GasSpec) -> float:
         contrast ratio at the last grid point.
     """
     c0 = float(abs(np.sin(spec.protocol.theta)))
-    return _drive(_tau_walk(spec), lambda t: abs(contrast_gas(spec, t)) / c0)
+
+    def ratio(t: float) -> float:
+        return abs(contrast_gas(spec, t)) / c0
+
+    a, b = _drive(_tau_bracket(spec), ratio)
+    return _brentq(lambda t: ratio(t) - 0.5, a, b, 1e-12 * b, 1e-10)
 
 
 def _tau_walk(spec: GasSpec):
-    """The search of :func:`tau_half` as a walk: a generator that yields each
-    probe time t (a float, us), takes the ratio |contrast_gas(spec, t)| /
-    |sin theta| back, and returns tau_1/2 or raises what tau_half raises.
+    """The search of :func:`tau_half` as one walk: a generator that yields
+    each probe time t (a float, us), grid and polish, takes the ratio
+    |contrast_gas(spec, t)| / |sin theta| back, and returns tau_1/2 or
+    raises what tau_half raises. Its polish is the walk that tau_half's
+    :func:`_brentq` drives, with the half level subtracted inside, and
+    ``(r - 0.5) - 0.0 == r - 0.5``, so the iterates are tau_half's.
     Nothing but the ratios sent back decides its path, so any driver that
     answers with the same floats gets the same probes and the same end."""
+    a, b = yield from _tau_bracket(spec)
+    return (yield from _brent_walk(a, b, 1e-12 * b, 1e-10, level=0.5))
+
+
+def _tau_bracket(spec: GasSpec):
+    """The grid walk of :func:`tau_half`: yields each probe time, takes its
+    ratio back and returns the bracketing step (t_prev, t), or raises what
+    tau_half raises before its polish."""
     if np.sin(spec.protocol.theta) == 0.0:
         raise ParameterError("initial contrast vanishes; tau_half undefined")
     lo, hi = _tau_window(spec)
@@ -1207,7 +1224,7 @@ def _tau_walk(spec: GasSpec):
             continue
         r = yield t
         if r_prev > 0.5 >= r:
-            return (yield from _brent_walk(t_prev, t, 1e-12 * t, 1e-10, level=0.5))
+            return t_prev, t
         t_prev, r_prev = t, r
         if r > 0.5 and (budget := math.log(2.0 * r) - _SKIP_MARGIN) > 0.0:
             t_safe = t + _tau_reach(b, c, d, rate, budget, t)

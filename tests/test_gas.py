@@ -1178,21 +1178,6 @@ def test_tau_table_records_midpoint_errors_per_walk(monkeypatch):
         assert_table_is_the_loop(soft, proto, order)
 
 
-def test_tau_half_equals_a_scipy_polished_walk(monkeypatch):
-    # the polish of tau_half's walk against scipy's brentq on the bracket
-    # of the walk that probes every grid point
-    bare = derive_potential(DressingParams(0.0, 0.0, -1e4), PotentialKind.BARE_VDW)
-    specs = [spec_at(n_r, math.pi / 2, echo, gamma=gamma) for n_r, echo, gamma in SOFT_CORE_TAU]
-    specs += [
-        spec_at(10**-1.8, math.pi / 2, True),
-        spec_at(1e-3, 0.3, False),
-        GasSpec(1e100, bare, RamseyProtocol(math.pi / 2, False, 0.0, 0.0)),
-    ]
-    monkeypatch.setattr(gas_average, "_brentq", scipy_brentq)
-    for sp in specs:
-        assert tau_half(sp) == pointwise_tau_half(sp), sp
-
-
 # tau_1/2 frozen from a scan seeded by the asymptotic laws rather than the
 # proven floor; the two agree to brentq's tolerance
 SOFT_CORE_TAU = {
