@@ -13,11 +13,10 @@ branch; closed forms, for the soft-core potential at gamma = 0 through
 Bessel functions and for the bare one at every gamma through erf and
 Dawson's function; and Monte Carlo sampling of explicit
 configurations), exposes the low/high-density asymptotics with their
-exact amplitudes, and locates the half-contrast time tau_1/2. The
-exponent at many times at once is :mod:`rydramsey.gas_arrays`, which calls
-the kernels here: the midpoint rule's sums over batches of times, every
-other route a time at a time. It serves the curves of one gas at many
-times and the rounds of a tau_1/2 table, many gases at one time each.
+exact amplitudes, and locates the half-contrast time tau_1/2. One
+evaluator, :func:`_exponent_integral_many`, takes every route at a 1-D
+array of times, and a float call evaluates a one-element array: a time's
+value does not depend on the other times of the call.
 
 The sin(theta) prefactor follows the same convention as the
 configuration-resolved functions, so the gas coherence at t = 0 is
@@ -316,22 +315,15 @@ def _midpoint_order(t_abs: float) -> int:
 
 
 def _midpoint_sums(t_abs: float, g: float, m: int, theta: float, beta: int) -> tuple:
-    """(fine, coarse): the sums of h over the 3M nodes of the midpoint rule
-    of :func:`_soft_core_i_over_nr` and over every third node from node 1
-    (the M-point rule).
+    """(fine, coarse) of one rule longer than _NODE_CHUNK nodes: the sums of
+    h over the 3M nodes of the midpoint rule of :func:`_soft_core_i_over_nr`
+    and over every third node from node 1 (the M-point rule).
 
-    ``t_abs`` and ``g`` are floats of one time. A rule of at most
-    _NODE_CHUNK nodes takes its nodes from the cache; a longer one
-    evaluates and sums _NODE_CHUNK nodes at a time, so a call holds
-    O(_NODE_CHUNK) memory at every |T|. The array form,
-    :func:`rydramsey.gas_arrays._batch_sums`, runs these elementwise
-    operations and pairwise sums on the short rules of many times at once,
-    so it equals this call bit for bit.
+    ``t_abs`` and ``g`` are floats of one time. The rule is evaluated and
+    summed _NODE_CHUNK nodes at a time, so a call holds O(_NODE_CHUNK)
+    memory at every |T|; shorter rules go through :func:`_batch_sums`.
     """
     nodes = 3 * m
-    if nodes <= _NODE_CHUNK:
-        vals = _soft_core_h(t_abs * _midpoint_cos2(m), g, theta, beta)
-        return vals.sum(), vals[1::3].sum()
     fine = coarse = 0.0
     for first in range(0, nodes, _NODE_CHUNK):  # a multiple of 3
         phi = (np.arange(first, min(first + _NODE_CHUNK, nodes)) + 0.5) * (math.pi / (6 * m))
@@ -341,22 +333,19 @@ def _midpoint_sums(t_abs: float, g: float, m: int, theta: float, beta: int) -> t
     return fine, coarse
 
 
-def _midpoint_error(err: float, total: complex, m: int, T: float, g: float) -> NumericalError:
-    """The error raised where the two midpoint rules at T = V0 t disagree."""
-    return NumericalError(
-        "soft-core exponent midpoint rule did not converge",
-        diagnostics={
-            "error_estimate": float(err),
-            "value": complex(total),
-            "nodes": 3 * int(m),
-            "T": float(T),
-            "g": float(g),
-        },
-    )
+def _soft_core_taylor(T: float, g: float, theta: float, beta: int) -> complex:
+    """I / N_R for the soft-core potential at one T = V0 t with
+    |T| <= _T_TAYLOR: the series -sum_n c_n T^n J_n of
+    :func:`_soft_core_i_over_nr`, to the order :func:`_taylor_order` picks."""
+    t_abs = abs(T)
+    n = _taylor_order(t_abs)
+    total = complex(-np.dot(_kernel_taylor(g, theta, beta, n), t_abs ** _ORDERS[:n] * _J_N[:n]))
+    return total if T >= 0 else total.conjugate()
 
 
-def _soft_core_i_over_nr(T: float, g: float, theta: float, beta: int) -> complex:
-    """I / N_R for the soft-core potential at T = V0 t.
+def _soft_core_i_over_nr(T: np.ndarray, g: np.ndarray, theta: float, beta: int) -> np.ndarray:
+    """I / N_R for the soft-core potential at each T = V0 t and g = gamma t
+    of two float arrays of one size, T != 0.
 
     u = (r/r_c)^3 turns the radial integral into
     integral_0^inf [1 - f(T/(1+u^2), g)] du, and u = tan(phi) into
@@ -368,22 +357,103 @@ def _soft_core_i_over_nr(T: float, g: float, theta: float, beta: int) -> complex
 
     At |T| <= _T_TAYLOR, where h loses digits to cancellation, the series
     -sum_n c_n T^n J_n (J_n = integral_0^inf (1+u^2)^-n du) is summed
-    instead, to the order :func:`_taylor_order` picks. Negative T uses
+    instead, a time at a time (:func:`_soft_core_taylor`). Negative T uses
     f(-X) = conj f(X).
+
+    The other times are sorted by M (a stable sort of a plain list:
+    np.unique's first call costs 1.6 MB of RSS) and cut into the batches
+    of :func:`_midpoint_batches`: the short rules go through
+    :func:`_batch_sums`, a long one alone through :func:`_midpoint_sums`.
+    Raises NumericalError at the first time (in array order) whose two
+    rules disagree.
     """
-    t_abs = abs(T)
-    if t_abs <= _T_TAYLOR:
-        n = _taylor_order(t_abs)
-        total = -np.dot(_kernel_taylor(g, theta, beta, n), t_abs ** _ORDERS[:n] * _J_N[:n])
-    else:
-        m = _midpoint_order(t_abs)
-        fine, coarse = _midpoint_sums(t_abs, g, m, theta, beta)
-        total = fine * (t_abs * math.pi / (6 * m))
-        err = abs(total - coarse * (t_abs * math.pi / (2 * m)))
-        if err > max(_REL_TOL * abs(total), _ABS_TOL):
-            raise _midpoint_error(err, total, m, T, g)
-    total = complex(total)
-    return total if T >= 0 else total.conjugate()
+    out = np.empty(T.size, dtype=complex)
+    taylor = np.abs(T) <= _T_TAYLOR
+    if taylor.any():
+        pairs = zip(T[taylor].tolist(), g[taylor].tolist())
+        out[taylor] = [_soft_core_taylor(t, g_k, theta, beta) for t, g_k in pairs]
+        if taylor.all():
+            return out
+        T, g = T[~taylor], g[~taylor]
+    t_abs = np.abs(T)
+    m = [_midpoint_order(t) for t in t_abs.tolist()]
+    fine = np.empty(T.size, dtype=complex)
+    coarse = np.empty(T.size, dtype=complex)
+    for rows in _midpoint_batches(m):
+        first = rows[0]
+        if 3 * m[first] > _NODE_CHUNK:  # a long rule, alone
+            fine[first], coarse[first] = _midpoint_sums(
+                float(t_abs[first]), float(g[first]), m[first], theta, beta
+            )
+        else:
+            fine[rows], coarse[rows] = _batch_sums(t_abs[rows], g[rows], [m[k] for k in rows], theta, beta)
+    m = np.array(m)
+    total = fine * (t_abs * math.pi / (6 * m))
+    err = np.abs(total - coarse * (t_abs * math.pi / (2 * m)))
+    bad = np.flatnonzero(err > np.maximum(_REL_TOL * np.abs(total), _ABS_TOL))
+    if bad.size:
+        k = bad[0]
+        raise NumericalError(
+            "soft-core exponent midpoint rule did not converge",
+            diagnostics={
+                "error_estimate": float(err[k]),
+                "value": complex(total[k]),
+                "nodes": 3 * int(m[k]),
+                "T": float(T[k]),
+                "g": float(g[k]),
+            },
+        )
+    out[~taylor] = np.where(T >= 0, total, total.conj())
+    return out
+
+
+def _batch_sums(t_abs: np.ndarray, g: np.ndarray, m: list, theta: float, beta: int) -> tuple:
+    """(fine, coarse) of :func:`_midpoint_sums` for k times whose rules hold
+    at most _NODE_CHUNK nodes in all, as two complex arrays; ``m`` lists
+    their M in ascending order.
+
+    One ``_soft_core_h`` call evaluates every node, the rules laid end to
+    end: each run of equal M fills its (rows, 3M) block of x = |T| cos^2 phi
+    and of g by broadcasting, with the nodes of :func:`_midpoint_cos2`.
+    Each block is summed along its rows, which takes the pairwise sums of
+    one rule alone, so a time's sums do not depend on the other times of
+    the batch. On the default sweeps one call holds a fig2 curve's 20 or
+    so consecutive times, or the rules of a whole round of a tau_1/2 table.
+    """
+    blocks, start, row = [], 0, 0
+    while row < len(m):
+        rows = m.count(m[row])  # m is sorted: one run holds every time of its M
+        blocks.append((row, rows, start, 3 * m[row]))
+        start += rows * 3 * m[row]
+        row += rows
+    x, g_nodes = np.empty(start), np.empty(start)
+    for row, rows, start, size in blocks:
+        end = start + rows * size
+        np.multiply(t_abs[row : row + rows, None], _midpoint_cos2(size // 3), out=x[start:end].reshape(rows, size))
+        g_nodes[start:end].reshape(rows, size)[...] = g[row : row + rows, None]
+    vals = _soft_core_h(x, g_nodes, theta, beta)
+    fine, coarse = [], []
+    for row, rows, start, size in blocks:
+        block = vals[start : start + rows * size].reshape(rows, size)
+        fine.append(block.sum(axis=-1))
+        coarse.append(block[:, 1::3].sum(axis=-1))
+    return np.concatenate(fine), np.concatenate(coarse)
+
+
+def _midpoint_batches(m: list):
+    """Lists of the indices of midpoint orders ``m``, in ascending M: the
+    short rules of at most _NODE_CHUNK nodes in all, for one
+    :func:`_batch_sums` call, or one longer rule alone."""
+    batch, nodes = [], 0
+    for k in sorted(range(len(m)), key=m.__getitem__):
+        size = 3 * m[k]
+        if batch and nodes + size > _NODE_CHUNK:
+            yield batch
+            batch, nodes = [], 0
+        batch.append(k)
+        nodes += size
+    if batch:
+        yield batch
 
 
 def _hankel_coefficients(nu: int) -> list:
@@ -467,19 +537,21 @@ def _k_bessel(y: float) -> complex:
     return val if y >= 0 else val.conjugate()
 
 
-def _soft_core_i_over_nr_closed(T: float, theta: float, beta: int) -> complex:
-    """Unitary (gamma = 0) soft-core exponent via the Bessel closed form.
+def _soft_core_i_over_nr_closed(T: np.ndarray, theta: float, beta: int) -> np.ndarray:
+    """Unitary (gamma = 0) soft-core exponent I / N_R via the Bessel closed
+    form, at each T = V0 t of a float array.
 
     The kernel splits into populations times phase factors,
     f = pu e^{iX} + pd (no echo) and f = pu e^{iX/2} + pd e^{-iX/2}
-    (echo), so I/N_R reduces to combinations of K above.
+    (echo), so I/N_R reduces to combinations of K above, from the scalar
+    :func:`_k_bessel` a time at a time.
     """
     pu = np.sin(theta / 2.0) ** 2
     pd = np.cos(theta / 2.0) ** 2
     if beta == 1:
-        return pu * _k_bessel(T)
-    k = _k_bessel(T / 2.0)  # K(-y) = conj(K(y))
-    return pu * k + pd * k.conjugate()
+        return pu * np.array([_k_bessel(y) for y in T.tolist()])
+    k = np.array([_k_bessel(y) for y in (T / 2.0).tolist()])  # K(-y) = conj(K(y))
+    return pu * k + pd * k.conj()
 
 
 def _dawson(x: float) -> float:
@@ -543,6 +615,50 @@ def _bare_i_tilde(s: float, g: float, theta: float, beta: int) -> complex:
     return val if s > 0 else val.conjugate()
 
 
+def _exponent_integral_many(spec: GasSpec, times: np.ndarray) -> np.ndarray:
+    """:func:`exponent_integral` at each time of a 1-D float array, by
+    every route."""
+    out = np.zeros(times.size, dtype=complex)  # t = 0 gives 0 exactly
+    ok = (times >= 0.0) & (times < math.inf)  # nan fails too
+    if not ok.all():
+        bad = float(times[~ok][0])
+        raise ParameterError(f"exponent integral is defined for finite t >= 0, got {bad!r}")
+    th, beta = spec.protocol.theta, spec.protocol.beta
+    gamma = spec.protocol.gamma
+    with np.errstate(over="ignore"):  # as Python floats do; inf is refused next
+        g = gamma * times
+    if (g == math.inf).any():
+        t = float(times[g == math.inf][0])
+        raise ParameterError(f"g = gamma*t overflows float64 at gamma = {gamma!r}, t = {t!r}")
+    pot = spec.potential
+    live = times > 0.0
+    if pot.kind is PotentialKind.SOFT_CORE:
+        out[live] = spec.n_r * _soft_core_over_nr_many(pot, spec.protocol, times[live], g[live])
+        return out
+    pref = 4.0 * math.pi * spec.density * np.sqrt(abs(pot.c6) * times[live]) / 3.0
+    s = math.copysign(1.0, pot.c6)
+    if gamma == 0.0:
+        out[live] = pref * _bare_i_tilde(s, 0.0, th, beta)
+    else:
+        out[live] = pref * np.array([_bare_i_tilde(s, g_k, th, beta) for g_k in g[live].tolist()])
+    return out
+
+
+def _soft_core_over_nr_many(pot, proto, times: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """I / N_R of a soft-core gas at each time t > 0 of a float array, with
+    g = gamma t: the Bessel closed form where g = 0, the midpoint rule
+    (or its Taylor branch) where g > 0."""
+    th, beta = proto.theta, proto.beta
+    out = np.empty(times.size, dtype=complex)
+    closed = g == 0.0
+    if closed.any():
+        out[closed] = _soft_core_i_over_nr_closed(pot.v0 * times[closed], th, beta)
+    if not closed.all():
+        quad = ~closed
+        out[quad] = _soft_core_i_over_nr(pot.v0 * times[quad], g[quad], th, beta)
+    return out
+
+
 def exponent_integral(spec: GasSpec, t: float) -> complex:
     """Disorder-average exponent I(t) = rho * int 4 pi r^2 [1 - f(V(r) t)] dr.
 
@@ -555,15 +671,9 @@ def exponent_integral(spec: GasSpec, t: float) -> complex:
     soft-core formulas agree to ~1e-12 relative; the test suite compares
     them rather than collapsing one into the other.
 
-    ``t`` is one float: an array of times goes to
-    :func:`_exponent_integral_many`, which calls the route kernels below
-    a time at a time, except for the midpoint rule's sums, which it
-    evaluates over batches of times. The float form serves single times:
-    a :func:`tau_half` call's probes, one at a time, and the float calls
-    of validate and the tests. The probes of
-    fig3's and scan's tau_1/2 tables do not come here: each round of a
-    table evaluates all its gases at once, through
-    :func:`rydramsey.gas_arrays._soft_core_contrast_many`.
+    ``t`` is one float, evaluated as a one-element array by
+    :func:`_exponent_integral_many`; an overflow gives inf silently, as
+    float arithmetic does.
 
     Parameters
     ----------
@@ -576,33 +686,8 @@ def exponent_integral(spec: GasSpec, t: float) -> complex:
     complex
         Re I >= 0 at gamma = 0; the contrast is sin(theta) D e^{-I}.
     """
-    if not 0.0 <= t < math.inf:
-        raise ParameterError(f"exponent integral is defined for finite t >= 0, got {t!r}")
-    if t == 0:
-        return 0.0 + 0.0j
-    th, beta = spec.protocol.theta, spec.protocol.beta
-    gamma = spec.protocol.gamma
-    g = gamma * t
-    if g == math.inf:
-        raise ParameterError(f"g = gamma*t overflows float64 at gamma = {gamma!r}, t = {t!r}")
-    pot = spec.potential
-    if pot.kind is PotentialKind.SOFT_CORE:
-        if g == 0.0:
-            return spec.n_r * _soft_core_i_over_nr_closed(pot.v0 * t, th, beta)
-        return spec.n_r * _soft_core_i_over_nr(pot.v0 * t, g, th, beta)
-    pref = 4.0 * math.pi * spec.density * math.sqrt(abs(pot.c6) * t) / 3.0
-    return pref * _bare_i_tilde(math.copysign(1.0, pot.c6), g, th, beta)
-
-
-def _exponent_integral_many(spec: GasSpec, times: np.ndarray) -> np.ndarray:
-    """:func:`exponent_integral` at each time of a 1-D float array, by
-    :func:`rydramsey.gas_arrays._exponent_integral_many`, bit-identical to
-    the scalar calls. That module is imported on first use, here and by
-    fig3's and scan's tau_1/2 tables, so a process that evaluates the gas
-    at float times only (validate, the lattice runs) never compiles it."""
-    from . import gas_arrays
-
-    return gas_arrays._exponent_integral_many(spec, times)
+    with np.errstate(over="ignore"):
+        return complex(_exponent_integral_many(spec, np.array([float(t)]))[0])
 
 
 def contrast_gas(spec: GasSpec, t) -> complex | np.ndarray:
@@ -611,19 +696,18 @@ def contrast_gas(spec: GasSpec, t) -> complex | np.ndarray:
     sin(theta) D(gamma, t) e^{-gamma_d t} exp(-I(t)); rho -> 0 recovers
     the non-interacting signal, t = 0 gives sin(theta). ``t`` is a float
     (us, returns a complex) or a 1-D array of times (returns a complex
-    array shaped like t). A float takes one scalar :func:`exponent_integral`
-    call and no array set-up, as a tau_half call's probes need; an array
-    evaluates I at all its times in one call, equal to the scalar calls
-    bit for bit.
+    array shaped like t). A float is evaluated as a one-element array and
+    overflows to inf silently, as :func:`exponent_integral` does.
     """
-    if np.ndim(t) == 0:
-        t = float(t)
-        return complex(_envelope(spec.protocol, t) * np.exp(-exponent_integral(spec, t)))
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ParameterError("t must be a float or a 1-D array of times")
-    i = _exponent_integral_many(spec, times)
-    return _envelope(spec.protocol, times) * np.exp(-i)
+    flat = times.reshape(-1)
+    # over=None leaves an array's error state as the caller set it
+    with np.errstate(over="ignore" if times.ndim == 0 else None):
+        i = _exponent_integral_many(spec, flat)
+        out = _envelope(spec.protocol, flat) * np.exp(-i)
+    return complex(out[0]) if times.ndim == 0 else out
 
 
 def contrast_gas_finite_n(spec: GasSpec, t: float, n: int) -> complex:
@@ -1122,8 +1206,8 @@ def tau_half(spec: GasSpec) -> float:
     is :func:`_tau_bracket`, which yields each probe time and takes its
     ratio back. tau_half answers each probe, grid and polish, with one
     float contrast_gas call; fig3's and scan's tables answer the probes of
-    many searches at once (:func:`_tau_walk`,
-    :func:`rydramsey.gas_arrays._tau_half_table`), bit for bit the same.
+    many searches in one array call per round (:func:`_tau_walk`,
+    :func:`_tau_half_table`), bit for bit the same.
 
     Skip rule. A probe at t_a with ratio r_a > 1/2 proves the ratio above
     1/2 up to t_a + Delta*, the largest Delta with
@@ -1234,3 +1318,75 @@ def _tau_bracket(spec: GasSpec):
         "contrast did not reach half below the search ceiling",
         diagnostics={"max_time": float(hi), "ratio_at_max": float(r_prev)},
     )
+
+
+def _tau_half_table(pot: InteractionPotential, proto: RamseyProtocol, nr_values) -> list:
+    """``[tau_half(GasSpec.from_blockade_number(n_r, pot, proto)) for n_r in
+    nr_values]``, bit for bit and error for error, with the walks of
+    :func:`_tau_walk` advanced in lockstep.
+
+    Each round answers the pending probe of every live walk with one array
+    evaluation of the contrast sin(theta) D e^{-gamma_d t} exp(-I),
+    I = N_R K(V0 t, gamma t) with N_R per walk, whose elements equal the
+    one-time contrast_gas calls bit for bit; each ratio is Python's abs of the
+    complex contrast over |sin theta|, as tau_half takes it (np.abs can
+    differ in the last bit). A round whose array evaluation raises, or
+    meets a floating-point overflow, invalid operation or division by
+    zero, answers its probes with one-time contrast_gas calls instead, so
+    each walk meets the error or warning its tau_half call meets. A walk that
+    fails (its GasSpec, its window, a probe or its polish) records its
+    error and the walks after it stop; once the walks before it have ended,
+    that error is raised, as the sequential loop raises it.
+    """
+    c0 = float(abs(np.sin(proto.theta)))
+    taus = [math.nan] * len(nr_values)
+    walks = {}  # index -> [spec, N_R, walk, pending probe time], in index order
+    errors = {}
+
+    def advance(k: int, ratio) -> None:
+        entry = walks[k]
+        try:
+            entry[3] = entry[2].send(ratio)
+            return
+        except StopIteration as stop:
+            taus[k] = stop.value
+        except Exception as exc:
+            errors[k] = exc
+        del walks[k]
+
+    for k, n_r in enumerate(nr_values):
+        try:
+            spec = GasSpec.from_blockade_number(n_r, pot, proto)
+        except Exception as exc:
+            errors[k] = exc
+            break
+        walks[k] = [spec, spec.n_r, _tau_walk(spec), None]
+        advance(k, None)
+        if errors:
+            break
+    while walks:
+        pending = list(walks.items())
+        n_r = np.array([w[1] for _, w in pending])
+        times = np.array([w[3] for _, w in pending])
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                k_t = _soft_core_over_nr_many(pot, proto, times, proto.gamma * times)
+                contrast = _envelope(proto, times) * np.exp(-(n_r * k_t))
+            ratios = [abs(c) / c0 for c in contrast.tolist()]
+        except Exception:
+            ratios = None
+        for j, (k, (spec, _, _, t)) in enumerate(pending):
+            try:
+                ratio = abs(contrast_gas(spec, t)) / c0 if ratios is None else ratios[j]
+            except Exception as exc:
+                errors[k] = exc
+                del walks[k]
+                continue
+            advance(k, ratio)
+        if errors:
+            first = min(errors)
+            for k in [k for k in walks if k > first]:
+                del walks[k]
+    if errors:
+        raise errors[min(errors)]
+    return taus

@@ -364,8 +364,9 @@ def sigma_plus_couplings(
     and gathered back to the block's shape, where each row's factors are
     multiplied directly: every |f| <= 1, so no partial product underflows
     before the full one does, and an exact zero factor zeroes its two
-    rows. Beyond the matrix and the gather's indices, which take as much
-    memory as the matrix, a call holds O(N) and one block's factors.
+    rows. The blocks are taken one after another, each at every time, so
+    beyond the matrix a call holds one block's gather indices and factors
+    and each row's product at each time, a (times, N) complex array.
 
     Parameters
     ----------
@@ -384,22 +385,20 @@ def sigma_plus_couplings(
     times = _checked_times(proto, t)
     n = v.shape[0]
     height = max(1, _BLOCK_ENTRIES // n)
-    blocks = []
+    flat = times.reshape(-1).tolist()
+    rows = np.empty((len(flat), n), dtype=complex)  # each row's product at each time
     for lo in range(0, n, height):
         values, inverse = np.unique(v[lo : lo + height], return_inverse=True)
         # column k of the gather holds row lo + k's factors: a product along
         # axis 0 of a C-contiguous complex array is vectorized, along axis 1
         # it is not
-        blocks.append((lo, values, np.ascontiguousarray(inverse.reshape(-1, n).T)))
-    rows = np.empty(n, dtype=complex)  # each row's product
-    out = np.empty(times.size, dtype=complex)
-    for k, tk in enumerate(times.reshape(-1).tolist()):
-        for lo, values, cols in blocks:
-            hi = lo + cols.shape[1]
+        cols = np.ascontiguousarray(inverse.reshape(-1, n).T)
+        hi = lo + cols.shape[1]
+        for k, tk in enumerate(flat):
             f = f_kernel(values * tk, proto.gamma * tk, proto.theta, proto.beta)[cols]
             np.fill_diagonal(f[lo:hi], 1.0)  # j == k excluded from the product
-            rows[lo:hi] = f.prod(axis=0)
-        out[k] = _envelope(proto, tk) * rows.sum() / n
+            rows[k, lo:hi] = f.prod(axis=0)
+    out = _envelope(proto, times.reshape(-1)) * rows.sum(axis=1) / n
     return complex(out[0]) if times.ndim == 0 else out
 
 

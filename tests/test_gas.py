@@ -9,7 +9,7 @@ import pytest
 from scipy.special import beta as beta_function
 from scipy.special import dawsn, gammainc, j0, j1
 
-from rydramsey import gas_arrays, gas_average
+from rydramsey import gas_average
 from rydramsey.errors import (
     BiasWarning,
     CrossingNotFoundError,
@@ -75,6 +75,16 @@ BARE_REFERENCE = {
 }
 
 
+def i_over_nr(T, g, theta, beta):
+    """The soft-core midpoint rule (or its Taylor branch) at one T = V0 t."""
+    return _soft_core_i_over_nr(np.array([T]), np.array([g]), theta, beta)[0]
+
+
+def i_over_nr_closed(T, theta, beta):
+    """The soft-core Bessel closed form at one T = V0 t."""
+    return _soft_core_i_over_nr_closed(np.array([T]), theta, beta)[0]
+
+
 def soft_core_potential():
     return derive_potential(
         DressingParams(1000.0, 5000.0, -1.0e4), PotentialKind.SOFT_CORE
@@ -89,7 +99,7 @@ def spec_at(n_r, theta, echo, gamma=0.0, gamma_d=0.0, pot=None):
 
 def test_soft_core_exponent_frozen_references():
     for (T, g, theta, beta), want in SOFT_CORE_REFERENCE.items():
-        assert _soft_core_i_over_nr(T, g, theta, beta) == pytest.approx(want, abs=5e-9)
+        assert i_over_nr(T, g, theta, beta) == pytest.approx(want, abs=5e-9)
         n_r = 0.7
         sp = spec_at(n_r, theta, echo=(beta == 0), gamma=g / T)  # t = T at V0 = 1
         assert exponent_integral(sp, T) == pytest.approx(n_r * want, abs=5e-9)
@@ -99,7 +109,7 @@ def test_soft_core_closed_form_matches_frozen_values():
     for (T, g, theta, beta), want in SOFT_CORE_REFERENCE.items():
         if g != 0.0:
             continue
-        got = _soft_core_i_over_nr_closed(T, theta, beta)
+        got = i_over_nr_closed(T, theta, beta)
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -109,8 +119,8 @@ def test_soft_core_routes_agree_widely():
         T = float(np.exp(rng.uniform(np.log(0.05), np.log(400.0))))
         theta = rng.uniform(0.1, math.pi - 0.1)
         beta = int(rng.integers(0, 2))
-        a = _soft_core_i_over_nr(T, 0.0, theta, beta)
-        b = _soft_core_i_over_nr_closed(T, theta, beta)
+        a = i_over_nr(T, 0.0, theta, beta)
+        b = i_over_nr_closed(T, theta, beta)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
@@ -138,8 +148,8 @@ def test_soft_core_quadrature_matches_bessel_closed_form(detuning):
     for T in pot.v0 * np.geomspace(1e-2, 300.0, 15):
         for theta in (0.3, math.pi / 2, 2.6):
             for beta in (0, 1):
-                a = _soft_core_i_over_nr(T, 0.0, theta, beta)
-                b = _soft_core_i_over_nr_closed(T, theta, beta)
+                a = i_over_nr(T, 0.0, theta, beta)
+                b = i_over_nr_closed(T, theta, beta)
                 assert abs(a - b) <= 1e-12 * abs(b)
 
 
@@ -183,7 +193,7 @@ def test_soft_core_small_t_branch_matches_cauchy_reference():
         for g in (0.0, 1e-10, 5e-6, 1e-3):
             d = cauchy_taylor(lambda x: one_minus_f_echo(x, g, theta), max(10 * T, 10 * g, 1e-4))
             want = np.sum(d[1:16] * T**n * j_n)
-            got = _soft_core_i_over_nr(T, g, theta, 0)
+            got = i_over_nr(T, g, theta, 0)
             assert abs(got - want) <= 1e-10 * abs(want), (T, g)
             if g > 0.0:
                 sp = spec_at(1.0, theta, echo=True, gamma=g / T)  # V0 = 1, so t = T
@@ -197,8 +207,8 @@ def test_soft_core_taylor_and_spectral_branches_meet():
         for theta in (0.3, math.pi / 2, 2.6):
             for beta in (0, 1):
                 for sign in (1.0, -1.0):
-                    a = _soft_core_i_over_nr(sign * t_switch, g, theta, beta)
-                    b = _soft_core_i_over_nr(sign * above, g, theta, beta)
+                    a = i_over_nr(sign * t_switch, g, theta, beta)
+                    b = i_over_nr(sign * above, g, theta, beta)
                     assert abs(a - b) <= 1e-12 * abs(a)
 
 
@@ -210,6 +220,69 @@ def test_exponent_rejects_overflowing_emission():
         with pytest.raises(ParameterError, match="overflows float64"):
             exponent_integral(sp, 10.0)
         assert np.isfinite(exponent_integral(sp, 1.0))  # gamma t = 1e308
+
+
+def bare_vdw(c6=-1.0e4):
+    return derive_potential(DressingParams(0.0, 0.0, c6), PotentialKind.BARE_VDW)
+
+
+# A float call evaluates a one-element array, but keeps the values, errors
+# and silence of float arithmetic: Python floats overflow to inf without a
+# warning, where numpy arrays warn. Each case: (call, spec, t, the value or
+# the (error class, message) of the float form).
+FLOAT_CALL_CASES = {
+    "envelope overflow": (
+        contrast_gas, lambda: spec_at(1.0, math.pi / 2, True, gamma_d=1e308), 10.0, 0j,
+    ),
+    "bare unitary overflow": (
+        exponent_integral,
+        lambda: GasSpec(1e300, bare_vdw(), RamseyProtocol(math.pi / 2, True, 0.0)),
+        1e300,
+        complex(math.inf, -math.inf),
+    ),
+    "bare dissipative overflow": (
+        exponent_integral,
+        lambda: GasSpec(1e300, bare_vdw(), RamseyProtocol(math.pi / 2, True, 0.5)),
+        1e300,
+        complex(math.inf, math.inf),
+    ),
+    "dense bare tau_half": (
+        lambda spec, _: tau_half(spec),
+        lambda: GasSpec(1e30, bare_vdw(), RamseyProtocol(math.pi / 2, True, 0.0)),
+        None,
+        3.4864530573495677e-66,
+    ),
+    "gamma t overflow": (
+        exponent_integral,
+        lambda: spec_at(1.0, math.pi / 2, True, gamma=1e308),
+        10.0,
+        (ParameterError, "g = gamma*t overflows float64 at gamma = 1e+308, t = 10.0"),
+    ),
+    **{
+        f"t = {t!r}, {call.__name__}": (
+            call,
+            lambda: spec_at(1.0, math.pi / 2, True, gamma=0.3),
+            t,
+            (ParameterError, f"exponent integral is defined for finite t >= 0, got {t!r}"),
+        )
+        for t in (-1e-9, math.nan, math.inf)
+        for call in (exponent_integral, contrast_gas)
+    },
+}
+
+
+@pytest.mark.parametrize("case", FLOAT_CALL_CASES)
+def test_float_calls_keep_float_values_errors_and_silence(case):
+    call, spec, t, want = FLOAT_CALL_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(want, tuple):
+            with pytest.raises(want[0]) as err:
+                call(spec(), t)
+            assert type(err.value) is want[0] and str(err.value) == want[1]
+        else:
+            got = call(spec(), t)
+            assert type(got) is type(want) and got == want
 
 
 def test_soft_core_nonconvergence_raises(monkeypatch):
@@ -1081,7 +1154,7 @@ def loop_outcome(pot, proto, nr_values):
 
 
 def table_outcome(pot, proto, nr_values):
-    return tau_outcome(lambda _: gas_arrays._tau_half_table(pot, proto, nr_values), None)
+    return tau_outcome(lambda _: gas_average._tau_half_table(pot, proto, nr_values), None)
 
 
 def assert_table_is_the_loop(pot, proto, nr_values):
@@ -1115,7 +1188,7 @@ def test_tau_table_equals_the_tau_half_loop_on_the_window_gases():
         assert_table_is_the_loop(soft_core_potential(), proto, WINDOW_NR[::-1])
     got = assert_table_is_the_loop(bare, proto, WINDOW_NR)
     assert got[0] is UnsupportedRegimeError
-    assert gas_arrays._tau_half_table(soft_core_potential(), proto, []) == []
+    assert gas_average._tau_half_table(soft_core_potential(), proto, []) == []
 
 
 def test_tau_table_equals_the_tau_half_loop_at_the_float_extremes():

@@ -1,9 +1,13 @@
-"""The array form of the gas exponent against its scalar form.
+"""Batch invariance of the gas exponent: many times in one call against
+one-time calls.
 
 ``gas_average._exponent_integral_many`` evaluates I(t) over an array of
-times by each route of ``exponent_integral``. It runs the scalar routes'
-own operations, so it must be bit-identical on every route, midpoint
-rules longer than one chunk of nodes included.
+times by each route of ``exponent_integral``, and a float call is its
+evaluation of a one-element array. A time's value must not depend on the
+other times of the call, so an array equals the one-time calls bit for
+bit on every route, midpoint rules longer than one chunk of nodes
+included. The independent references (frozen values, scipy kernels, the
+Bessel closed form, Monte Carlo) are in ``test_gas.py``.
 """
 
 import math

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,23 @@ def test_lattice_contrast_accepts_time_array():
     assert got.shape == times.shape
     for k, t in enumerate(times):
         assert got[k] == lattice_contrast(spec, proto, float(t))
+
+
+def test_lattice_contrast_holds_one_block_of_gather_indices():
+    # L = 50 at 9 times: the row blocks are taken one after another, so the
+    # call holds one block's gather indices; building every block's first
+    # held N^2 intp indices (53 MB traced) for the whole call
+    spec, proto = fig_lattice(gamma=0.05, side=50)
+    spec.couplings  # built before the trace: the matrix is not the call's
+    times = np.linspace(0.0, 2.0, 9)
+    tracemalloc.start()
+    try:
+        got = lattice_contrast(spec, proto, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert got[4] == lattice_contrast(spec, proto, float(times[4]))
 
 
 def test_map_correlations_confined_to_plateau_radius():
