@@ -14,9 +14,11 @@ Bessel functions and for the bare one at every gamma through erf and
 Dawson's function; and Monte Carlo sampling of explicit
 configurations), exposes the low/high-density asymptotics with their
 exact amplitudes, and locates the half-contrast time tau_1/2. One
-evaluator, :func:`_exponent_integral_many`, takes every route at a 1-D
-array of times, and a float call evaluates a one-element array: a time's
-value does not depend on the other times of the call.
+routes function, :func:`_exponent_routes`, takes every route at a 1-D
+array of times, for the checked evaluator :func:`_exponent_integral_many`
+(a float call evaluates a one-element array) and for the rounds of the
+tau_1/2 tables alike: a time's value does not depend on the other times
+of the call.
 
 The sin(theta) prefactor follows the same convention as the
 configuration-resolved functions, so the gas coherence at t = 0 is
@@ -56,6 +58,7 @@ from .potential import (
     DressingParams,
     InteractionPotential,
     PotentialKind,
+    _n_r,
     _v_of_q,
     blockade_number,
     derive_potential,
@@ -615,48 +618,49 @@ def _bare_i_tilde(s: float, g: float, theta: float, beta: int) -> complex:
     return val if s > 0 else val.conjugate()
 
 
-def _exponent_integral_many(spec: GasSpec, times: np.ndarray) -> np.ndarray:
-    """:func:`exponent_integral` at each time of a 1-D float array, by
-    every route."""
+def _exponent_integral_many(pot, proto, density, times: np.ndarray) -> np.ndarray:
+    """:func:`exponent_integral` of the gas of ``pot``, ``proto`` and
+    ``density`` (one float, or one value per time) at each time of a 1-D
+    float array: the times are checked, then :func:`_exponent_routes`
+    evaluates every t > 0."""
     out = np.zeros(times.size, dtype=complex)  # t = 0 gives 0 exactly
     ok = (times >= 0.0) & (times < math.inf)  # nan fails too
     if not ok.all():
         bad = float(times[~ok][0])
         raise ParameterError(f"exponent integral is defined for finite t >= 0, got {bad!r}")
-    th, beta = spec.protocol.theta, spec.protocol.beta
-    gamma = spec.protocol.gamma
+    gamma = proto.gamma
     with np.errstate(over="ignore"):  # as Python floats do; inf is refused next
         g = gamma * times
     if (g == math.inf).any():
         t = float(times[g == math.inf][0])
         raise ParameterError(f"g = gamma*t overflows float64 at gamma = {gamma!r}, t = {t!r}")
-    pot = spec.potential
     live = times > 0.0
-    if pot.kind is PotentialKind.SOFT_CORE:
-        out[live] = spec.n_r * _soft_core_over_nr_many(pot, spec.protocol, times[live], g[live])
-        return out
-    pref = 4.0 * math.pi * spec.density * np.sqrt(abs(pot.c6) * times[live]) / 3.0
-    s = math.copysign(1.0, pot.c6)
-    if gamma == 0.0:
-        out[live] = pref * _bare_i_tilde(s, 0.0, th, beta)
-    else:
-        out[live] = pref * np.array([_bare_i_tilde(s, g_k, th, beta) for g_k in g[live].tolist()])
+    if np.ndim(density):
+        density = density[live]
+    out[live] = _exponent_routes(pot, proto, density, times[live], g[live])
     return out
 
 
-def _soft_core_over_nr_many(pot, proto, times: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """I / N_R of a soft-core gas at each time t > 0 of a float array, with
-    g = gamma t: the Bessel closed form where g = 0, the midpoint rule
-    (or its Taylor branch) where g > 0."""
+def _exponent_routes(pot, proto, density, times: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """I at each time t > 0 of a float array, with g = gamma t, unchecked;
+    ``density`` is one float or one value per time. Soft core: N_R times
+    the Bessel closed form where g = 0 and the midpoint rule (or its Taylor
+    branch) where g > 0. Bare: the erf/Dawson closed form at every g."""
     th, beta = proto.theta, proto.beta
-    out = np.empty(times.size, dtype=complex)
-    closed = g == 0.0
-    if closed.any():
-        out[closed] = _soft_core_i_over_nr_closed(pot.v0 * times[closed], th, beta)
-    if not closed.all():
-        quad = ~closed
-        out[quad] = _soft_core_i_over_nr(pot.v0 * times[quad], g[quad], th, beta)
-    return out
+    if pot.kind is PotentialKind.SOFT_CORE:
+        k = np.empty(times.size, dtype=complex)
+        closed = g == 0.0
+        if closed.any():
+            k[closed] = _soft_core_i_over_nr_closed(pot.v0 * times[closed], th, beta)
+        if not closed.all():
+            quad = ~closed
+            k[quad] = _soft_core_i_over_nr(pot.v0 * times[quad], g[quad], th, beta)
+        return _n_r(density, pot) * k
+    pref = 4.0 * math.pi * density * np.sqrt(abs(pot.c6) * times) / 3.0
+    s = math.copysign(1.0, pot.c6)
+    if proto.gamma == 0.0:
+        return pref * _bare_i_tilde(s, 0.0, th, beta)
+    return pref * np.array([_bare_i_tilde(s, g_k, th, beta) for g_k in g.tolist()])
 
 
 def exponent_integral(spec: GasSpec, t: float) -> complex:
@@ -687,7 +691,8 @@ def exponent_integral(spec: GasSpec, t: float) -> complex:
         Re I >= 0 at gamma = 0; the contrast is sin(theta) D e^{-I}.
     """
     with np.errstate(over="ignore"):
-        return complex(_exponent_integral_many(spec, np.array([float(t)]))[0])
+        times = np.array([float(t)])
+        return complex(_exponent_integral_many(spec.potential, spec.protocol, spec.density, times)[0])
 
 
 def contrast_gas(spec: GasSpec, t) -> complex | np.ndarray:
@@ -705,7 +710,7 @@ def contrast_gas(spec: GasSpec, t) -> complex | np.ndarray:
     flat = times.reshape(-1)
     # over=None leaves an array's error state as the caller set it
     with np.errstate(over="ignore" if times.ndim == 0 else None):
-        i = _exponent_integral_many(spec, flat)
+        i = _exponent_integral_many(spec.potential, spec.protocol, spec.density, flat)
         out = _envelope(spec.protocol, flat) * np.exp(-i)
     return complex(out[0]) if times.ndim == 0 else out
 
@@ -751,11 +756,13 @@ class MCResult:
     seed: int
 
 
-def _checked_seed(seed) -> int:
-    """seed, checked: a non-negative integer, as numpy's SeedSequence takes it."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ParameterError("seed must be a non-negative integer")
-    return seed
+def _checked_int(value, minimum: int, message: str) -> int:
+    """value, checked: an integer (Python's or numpy's, not a bool) of at
+    least minimum, as numpy's SeedSequence and array shapes take it; else
+    ParameterError(message)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ParameterError(message)
+    return value
 
 
 def monte_carlo_gas(
@@ -793,6 +800,7 @@ def monte_carlo_gas(
     pair factors into the complex one, so no block-sized array is
     allocated per time at gamma = 0. Two coincident atoms of a bare gas
     raise SingularityError.
+    n_samples and n_atoms are integers of at least 2 (else ParameterError).
     Sampling is deterministic under the seed, a non-negative integer
     (else ParameterError): sample s draws from
     SeedSequence(seed).spawn(n)[s], and its positions are that stream's
@@ -802,11 +810,9 @@ def monte_carlo_gas(
     range scales (r_c for soft-core, (|C6| t_max)^(1/6) for bare), where
     the minimum-image truncation visibly biases the tail of I.
     """
-    if n_samples < 2:
-        raise ParameterError("need at least 2 samples for a standard error")
-    if n_atoms < 2:
-        raise ParameterError("need at least 2 atoms")
-    _checked_seed(seed)
+    _checked_int(n_samples, 2, "need at least 2 samples for a standard error")
+    _checked_int(n_atoms, 2, "need at least 2 atoms")
+    _checked_int(seed, 0, "seed must be a non-negative integer")
     times = np.asarray(times, dtype=float)
     if times.ndim > 1:
         raise ParameterError("times must be a float or a 1-D array of times")
@@ -969,7 +975,7 @@ def fit_hardcore_amplitude(spec: GasSpec, times) -> float:
         raise ParameterError("need at least two positive times to fit B")
     v0 = spec.potential.v0
     x = spec.n_r * _hardcore_profile(v0 * times, proto.beta)
-    y = _exponent_integral_many(spec, times).real
+    y = _exponent_integral_many(spec.potential, proto, spec.density, times).real
     denom = float(np.dot(x, x))
     if denom == 0.0:
         raise ParameterError("fit times give identically zero predictor")
@@ -1039,10 +1045,11 @@ def _tau_reach(b: float, c: float, d: float, rate: float, budget: float, t: floa
     return reach
 
 
-def _tau_window(spec: GasSpec) -> tuple:
-    """Scan window (lo, hi) of :func:`tau_half`, us.
+def _tau_window(bounds: tuple) -> tuple:
+    """Scan window (lo, hi) of :func:`tau_half`, us, from the constants
+    (b, c, d, rate) of a gas's :func:`_tau_bounds`.
 
-    lo is a proven floor. With the constants of :func:`_tau_bounds`,
+    lo is a proven floor. With those constants,
     Re I(t) <= min(b t, c sqrt(t)), so |contrast| / sin(theta) >=
     exp(-rate t - Re I) >= 1/2 up to t_lb = :func:`_tau_reach` at budget
     ln 2, and no crossing lies below t_lb; the bound grows strictly with
@@ -1057,12 +1064,11 @@ def _tau_window(spec: GasSpec) -> tuple:
     hi = 100 ln 2 / rate, capped at the largest float64. Without, hi is
     the largest float64.
 
-    Raises ParameterError when the gas has no decay channel, and when
-    t_lb is 0 or inf in float64 (a gas so dense that tau_half lies below
-    the smallest float, or so dilute that the floor lies beyond the
-    largest one).
+    Raises ParameterError when t_lb is 0 or inf in float64 (a gas so
+    dense that tau_half lies below the smallest float, or so dilute that
+    the floor lies beyond the largest one).
     """
-    b, c, _, rate = _tau_bounds(spec)
+    b, c, _, rate = bounds
     ln2 = math.log(2.0)
     big = sys.float_info.max
     hi = 1e2 * ln2 / rate if rate > 1e2 * ln2 / big else big
@@ -1073,23 +1079,6 @@ def _tau_window(spec: GasSpec) -> tuple:
             "so tau_half is not representable"
         )
     return 0.99 * t_lb, hi
-
-
-def _drive(walk, f):
-    """Run a walk to its end, answering each point x it yields with f(x);
-    return what the walk returns."""
-    try:
-        x = next(walk)
-        while True:
-            x = walk.send(f(x))
-    except StopIteration as stop:
-        return stop.value
-
-
-def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
-    """Root of f in [a, b] by Brent's method, with scipy brentq's iterates:
-    :func:`_brent_walk` answered by f."""
-    return _drive(_brent_walk(a, b, xtol, rtol), f)
 
 
 def _brent_walk(a: float, b: float, xtol: float, rtol: float, level: float = 0.0):
@@ -1200,14 +1189,13 @@ def tau_half(spec: GasSpec) -> float:
     the half level is bracketed: the first grid step from a ratio
     |contrast| / sin(theta) above 1/2 to one at or below it. It then
     polishes the bracket to relative accuracy well below 1e-6 with
-    :func:`_brentq`, an in-house port of scipy's Brent iteration with the
-    same iterates. The probe points come from the floor alone; the
-    window's ceiling only decides where the scan gives up. The grid walk
-    is :func:`_tau_bracket`, which yields each probe time and takes its
-    ratio back. tau_half answers each probe, grid and polish, with one
-    float contrast_gas call; fig3's and scan's tables answer the probes of
-    many searches in one array call per round (:func:`_tau_walk`,
-    :func:`_tau_half_table`), bit for bit the same.
+    :func:`_brent_walk`, an in-house port of scipy's Brent iteration with
+    the same iterates. The probe points come from the floor alone; the
+    window's ceiling only decides where the scan gives up. Grid walk and
+    polish are one generator, :func:`_tau_walk`, which yields each probe
+    time and takes its ratio back. tau_half is the table of one walk
+    (:func:`_tau_half_table`), the driver that also runs the walks of
+    fig3's and scan's tables, every N_R in one array call per round.
 
     Skip rule. A probe at t_a with ratio r_a > 1/2 proves the ratio above
     1/2 up to t_a + Delta*, the largest Delta with
@@ -1269,36 +1257,27 @@ def tau_half(spec: GasSpec) -> float:
         largest float64 time. Diagnostics carry the ceiling and the
         contrast ratio at the last grid point.
     """
-    c0 = float(abs(np.sin(spec.protocol.theta)))
-
-    def ratio(t: float) -> float:
-        return abs(contrast_gas(spec, t)) / c0
-
-    a, b = _drive(_tau_bracket(spec), ratio)
-    return _brentq(lambda t: ratio(t) - 0.5, a, b, 1e-12 * b, 1e-10)
+    return _tau_half_table([spec])[0]
 
 
 def _tau_walk(spec: GasSpec):
     """The search of :func:`tau_half` as one walk: a generator that yields
     each probe time t (a float, us), grid and polish, takes the ratio
     |contrast_gas(spec, t)| / |sin theta| back, and returns tau_1/2 or
-    raises what tau_half raises. Its polish is the walk that tau_half's
-    :func:`_brentq` drives, with the half level subtracted inside, and
-    ``(r - 0.5) - 0.0 == r - 0.5``, so the iterates are tau_half's.
-    Nothing but the ratios sent back decides its path, so any driver that
-    answers with the same floats gets the same probes and the same end."""
-    a, b = yield from _tau_bracket(spec)
-    return (yield from _brent_walk(a, b, 1e-12 * b, 1e-10, level=0.5))
+    raises what tau_half raises.
 
-
-def _tau_bracket(spec: GasSpec):
-    """The grid walk of :func:`tau_half`: yields each probe time, takes its
-    ratio back and returns the bracketing step (t_prev, t), or raises what
-    tau_half raises before its polish."""
+    It computes the constants of :func:`_tau_bounds` and the window once,
+    walks the grid under the skip rule to the first bracketing step
+    (t_prev, t), and polishes that step with :func:`_brent_walk`, the half
+    level subtracted inside. Nothing but the ratios sent back decides its
+    path, so any driver that answers with the same floats gets the same
+    probes and the same end.
+    """
     if np.sin(spec.protocol.theta) == 0.0:
         raise ParameterError("initial contrast vanishes; tau_half undefined")
-    lo, hi = _tau_window(spec)
-    b, c, d, rate = _tau_bounds(spec)
+    bounds = _tau_bounds(spec)
+    lo, hi = _tau_window(bounds)
+    b, c, d, rate = bounds
     t_prev = r_prev = math.nan
     t_safe = -math.inf
     for t in _tau_grid(lo, hi):
@@ -1308,7 +1287,7 @@ def _tau_bracket(spec: GasSpec):
             continue
         r = yield t
         if r_prev > 0.5 >= r:
-            return t_prev, t
+            return (yield from _brent_walk(t_prev, t, 1e-12 * t, 1e-10, level=0.5))
         t_prev, r_prev = t, r
         if r > 0.5 and (budget := math.log(2.0 * r) - _SKIP_MARGIN) > 0.0:
             t_safe = t + _tau_reach(b, c, d, rate, budget, t)
@@ -1320,33 +1299,34 @@ def _tau_bracket(spec: GasSpec):
     )
 
 
-def _tau_half_table(pot: InteractionPotential, proto: RamseyProtocol, nr_values) -> list:
-    """``[tau_half(GasSpec.from_blockade_number(n_r, pot, proto)) for n_r in
-    nr_values]``, bit for bit and error for error, with the walks of
-    :func:`_tau_walk` advanced in lockstep.
+def _tau_half_table(specs) -> list:
+    """``[tau_half(spec) for spec in specs]`` for gases of one potential and
+    one protocol, bit for bit and error for error, with the walks of
+    :func:`_tau_walk` advanced in lockstep. An error that the iterable
+    ``specs`` raises at item k is walk k's error.
 
-    Each round answers the pending probe of every live walk with one array
-    evaluation of the contrast sin(theta) D e^{-gamma_d t} exp(-I),
-    I = N_R K(V0 t, gamma t) with N_R per walk, whose elements equal the
-    one-time contrast_gas calls bit for bit; each ratio is Python's abs of the
-    complex contrast over |sin theta|, as tau_half takes it (np.abs can
-    differ in the last bit). A round whose array evaluation raises, or
-    meets a floating-point overflow, invalid operation or division by
-    zero, answers its probes with one-time contrast_gas calls instead, so
-    each walk meets the error or warning its tau_half call meets. A walk that
-    fails (its GasSpec, its window, a probe or its polish) records its
-    error and the walks after it stop; once the walks before it have ended,
-    that error is raised, as the sequential loop raises it.
+    Each round answers the pending probe of every live walk with one
+    :func:`_exponent_routes` call, at one density per walk, and the
+    contrast sin(theta) D e^{-gamma_d t} exp(-I): a time's value does not
+    depend on the other times of the call, so each element equals the
+    one-time contrast_gas call bit for bit. Each ratio is Python's abs of
+    the complex contrast over |sin theta| (np.abs can differ in the last
+    bit). A round whose array evaluation raises, or meets a floating-point
+    overflow, invalid operation or division by zero, answers its probes
+    with one-time contrast_gas calls instead, which check the times, so
+    each walk meets the error or warning of a lone probe. A walk that
+    fails (its gas, its window, a probe or its polish) records its error
+    and the walks after it stop; once the walks before it have ended, that
+    error is raised, as a loop over tau_half raises it.
     """
-    c0 = float(abs(np.sin(proto.theta)))
-    taus = [math.nan] * len(nr_values)
-    walks = {}  # index -> [spec, N_R, walk, pending probe time], in index order
+    taus = []
+    walks = {}  # index -> [spec, walk, pending probe time], in index order
     errors = {}
 
     def advance(k: int, ratio) -> None:
         entry = walks[k]
         try:
-            entry[3] = entry[2].send(ratio)
+            entry[2] = entry[1].send(ratio)
             return
         except StopIteration as stop:
             taus[k] = stop.value
@@ -1354,28 +1334,34 @@ def _tau_half_table(pot: InteractionPotential, proto: RamseyProtocol, nr_values)
             errors[k] = exc
         del walks[k]
 
-    for k, n_r in enumerate(nr_values):
+    specs = iter(specs)
+    while not errors:
+        k = len(taus)
         try:
-            spec = GasSpec.from_blockade_number(n_r, pot, proto)
+            spec = next(specs)
+        except StopIteration:
+            break
         except Exception as exc:
             errors[k] = exc
             break
-        walks[k] = [spec, spec.n_r, _tau_walk(spec), None]
+        taus.append(math.nan)
+        walks[k] = [spec, _tau_walk(spec), None]
         advance(k, None)
-        if errors:
-            break
+    if walks:  # every gas has the potential and protocol of the last one
+        pot, proto = spec.potential, spec.protocol
+        c0 = float(abs(np.sin(proto.theta)))
     while walks:
         pending = list(walks.items())
-        n_r = np.array([w[1] for _, w in pending])
-        times = np.array([w[3] for _, w in pending])
+        density = np.array([w[0].density for _, w in pending])
+        times = np.array([w[2] for _, w in pending])
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                k_t = _soft_core_over_nr_many(pot, proto, times, proto.gamma * times)
-                contrast = _envelope(proto, times) * np.exp(-(n_r * k_t))
+                i = _exponent_routes(pot, proto, density, times, proto.gamma * times)
+                contrast = _envelope(proto, times) * np.exp(-i)
             ratios = [abs(c) / c0 for c in contrast.tolist()]
         except Exception:
             ratios = None
-        for j, (k, (spec, _, _, t)) in enumerate(pending):
+        for j, (k, (spec, _, t)) in enumerate(pending):
             try:
                 ratio = abs(contrast_gas(spec, t)) / c0 if ratios is None else ratios[j]
             except Exception as exc:

@@ -243,4 +243,10 @@ def blockade_number(density: float, pot: InteractionPotential) -> float:
     """
     if density < 0:
         raise ParameterError("density must be non-negative")
+    return _n_r(density, pot)
+
+
+def _n_r(density, pot: InteractionPotential):
+    """4 pi density r_c^3 / 3 unchecked, for a float density or elementwise
+    for an array of them, with the rounding of :func:`blockade_number`."""
     return 4.0 * math.pi * density * pot.r_c**3 / 3.0

@@ -481,6 +481,29 @@ def test_monte_carlo_seed_must_be_a_non_negative_integer(seed):
         monte_carlo_gas(sp, [1.0], n_samples=2, n_atoms=8, seed=seed)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("n_samples", 4.0),
+        ("n_samples", math.nan),
+        ("n_samples", np.float64(3.0)),
+        ("n_atoms", 16.0),
+        ("n_atoms", 16.5),
+        ("n_atoms", True),
+    ],
+)
+def test_monte_carlo_counts_must_be_integers(name, value):
+    # numpy's TypeError before, after a BiasWarning for n_atoms = 16.5
+    # (this gas's box holds 16 atoms in under 20 r_c), and nan samples
+    # passed the < 2 check; now a ParameterError before any warning
+    sp = spec_at(1.0, 0.8, False)
+    args = {"n_samples": 4, "n_atoms": 16, "seed": 0, name: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=name[2:]):
+            monte_carlo_gas(sp, [1.0], **args)
+
+
 def test_gas_spec_from_blockade_number():
     proto = RamseyProtocol(math.pi / 2, True, 0.0, 0.0)
     for c6 in (-1.0e4, -3.7e4):
@@ -899,7 +922,7 @@ def test_tau_half_does_not_depend_on_the_ceiling(monkeypatch):
     window = gas_average._tau_window
     for ceiling in (3e3, 1.7e5, 3.7e5, 2.4e6, 1e100):
         monkeypatch.setattr(
-            gas_average, "_tau_window", lambda spec, h=ceiling: (window(spec)[0], h)
+            gas_average, "_tau_window", lambda bounds, h=ceiling: (window(bounds)[0], h)
         )
         assert tau_half(sp) == tau, ceiling
 
@@ -1049,7 +1072,7 @@ def test_gas_step_bound(echo, gamma):
     for sp in specs:
         b, c, d, rate = gas_average._tau_bounds(sp)
         assert rate == gamma / 2.0 + 0.05
-        lo = gas_average._tau_window(sp)[0]
+        lo = gas_average._tau_window((b, c, d, rate))[0]
         for t_a in lo * np.array([0.0, 1.0, 10.0, 100.0]):
             for step in lo * np.logspace(-3, 2, 11):
                 t_b = t_a + step
@@ -1086,7 +1109,7 @@ def test_tau_window_floor_is_above_half():
     # the proven floor: the contrast ratio is above 1/2 at the first probe
     # and at t_lb itself, and the window is not empty
     for sp in window_gases():
-        lo, hi = gas_average._tau_window(sp)
+        lo, hi = gas_average._tau_window(gas_average._tau_bounds(sp))
         c0 = abs(math.sin(sp.protocol.theta))
         assert abs(contrast_gas(sp, lo)) / c0 > 0.5
         assert abs(contrast_gas(sp, lo / 0.99)) / c0 >= 0.5
@@ -1094,23 +1117,22 @@ def test_tau_window_floor_is_above_half():
 
 
 def pointwise_tau_half(spec):
-    """tau_half's walk with a probe at every grid point: from the floor of
-    _tau_window along _tau_grid to the first step from a ratio above 1/2
-    to one at or below it, polished by _brentq."""
+    """tau_half's walk with a probe at every grid point, each a float
+    contrast_gas call: from the floor of _tau_window along _tau_grid to the
+    first step from a ratio above 1/2 to one at or below it, polished by
+    scipy's brentq."""
     c0 = abs(np.sin(spec.protocol.theta))
 
     def ratio(t):
         return abs(contrast_gas(spec, t)) / c0
 
-    lo, hi = gas_average._tau_window(spec)
+    lo, hi = gas_average._tau_window(gas_average._tau_bounds(spec))
     t_prev = r_prev = math.nan
     for t in gas_average._tau_grid(lo, hi):
         t = float(t)
         r = ratio(t)
         if r_prev > 0.5 >= r:
-            return gas_average._brentq(
-                lambda tt: ratio(tt) - 0.5, t_prev, t, xtol=1e-12 * t, rtol=1e-10
-            )
+            return scipy_brentq(lambda tt: ratio(tt) - 0.5, t_prev, t, 1e-12 * t, 1e-10)
         t_prev, r_prev = t, r
     raise CrossingNotFoundError(
         "contrast did not reach half below the search ceiling",
@@ -1130,9 +1152,19 @@ def tau_outcome(find, spec):
 def test_tau_half_skips_only_proven_points():
     # the skip rule changes which grid points are probed, never the
     # bracket: every tau_1/2 (and every error) equals the walk that probes
-    # each point, bit for bit, on the window gases and on fig3's N_R grid
-    # at gamma = 0 and at sr_dressed.json's gamma = 1/21
+    # each point with float calls and polishes with scipy's brentq, bit for
+    # bit, on the window gases, on fig3's N_R grid at gamma = 0 and at
+    # sr_dressed.json's gamma = 1/21, on the frozen gases, a crossing
+    # cluster, theta = 0.3, a dense bare gas and a crossing near 1.2e308 us
+    bare = derive_potential(DressingParams(0.0, 0.0, -1e4), PotentialKind.BARE_VDW)
     specs = list(window_gases())
+    specs += [spec_at(n_r, math.pi / 2, echo, gamma=gamma) for n_r, echo, gamma in SOFT_CORE_TAU]
+    specs += [
+        spec_at(10**-1.8, math.pi / 2, True),
+        spec_at(1e-3, 0.3, False),
+        GasSpec(1e100, bare, RamseyProtocol(math.pi / 2, False, 0.0, 0.0)),
+        GasSpec.from_blockade_number(1e-154, soft_core_potential(), RamseyProtocol(math.pi / 2, False, 0.0, 0.0)),
+    ]
     soft = soft_core_potential()
     for gamma in (0.0, 1.0 / 21.0):
         for echo in (True, False):
@@ -1154,7 +1186,8 @@ def loop_outcome(pot, proto, nr_values):
 
 
 def table_outcome(pot, proto, nr_values):
-    return tau_outcome(lambda _: gas_average._tau_half_table(pot, proto, nr_values), None)
+    gases = (GasSpec.from_blockade_number(n_r, pot, proto) for n_r in nr_values)
+    return tau_outcome(lambda _: gas_average._tau_half_table(gases), None)
 
 
 def assert_table_is_the_loop(pot, proto, nr_values):
@@ -1188,7 +1221,23 @@ def test_tau_table_equals_the_tau_half_loop_on_the_window_gases():
         assert_table_is_the_loop(soft_core_potential(), proto, WINDOW_NR[::-1])
     got = assert_table_is_the_loop(bare, proto, WINDOW_NR)
     assert got[0] is UnsupportedRegimeError
-    assert gas_average._tau_half_table(soft_core_potential(), proto, []) == []
+    assert gas_average._tau_half_table([]) == []
+
+
+@pytest.mark.parametrize("c6", [-1e4, 5.0])
+@pytest.mark.parametrize("echo", [True, False])
+@pytest.mark.parametrize("gamma", [0.0, 0.05])
+def test_tau_table_equals_the_tau_half_loop_on_bare_gases(c6, echo, gamma):
+    # the rounds evaluate bare gases too, densities 1e-4 to 1e100 (a
+    # crossing near 1e-206 us): every tau_1/2 bit for bit, no RuntimeWarning
+    bare = derive_potential(DressingParams(0.0, 0.0, c6), PotentialKind.BARE_VDW)
+    proto = RamseyProtocol(math.pi / 2, echo, gamma, 0.0)
+    gases = [GasSpec(density, bare, proto) for density in np.geomspace(1e-4, 1e100, 27)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = gas_average._tau_half_table(gases)
+        assert got == [tau_half(sp) for sp in gases]
+    assert [type(t) for t in got] == [float] * len(gases)
 
 
 def test_tau_table_equals_the_tau_half_loop_at_the_float_extremes():
@@ -1333,6 +1382,17 @@ def scipy_brentq(f, a, b, xtol, rtol):
     return brentq(f, a, b, xtol=xtol, rtol=rtol)
 
 
+def walk_brentq(f, a, b, xtol, rtol):
+    """gas_average._brent_walk run to its end, each probe answered by f."""
+    walk = gas_average._brent_walk(a, b, xtol, rtol)
+    try:
+        x = next(walk)
+        while True:
+            x = walk.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
 @pytest.mark.parametrize("rtol", [1e-10, 1e-6, 1e-15])
 def test_brentq_port_matches_scipy_bit_for_bit(rtol):
     # 4 000 brackets per rtol, each compared probe by probe; bracket ends
@@ -1342,7 +1402,7 @@ def test_brentq_port_matches_scipy_bit_for_bit(rtol):
     converged = 0
     for f, a, b in brent_cases(rng, 4000):
         xtol = 10.0 ** rng.uniform(-14.0, -2.0)
-        root, probes = brent_run(gas_average._brentq, f, a, b, xtol, rtol)
+        root, probes = brent_run(walk_brentq, f, a, b, xtol, rtol)
         assert (root, probes) == brent_run(scipy_brentq, f, a, b, xtol, rtol), (a, b, xtol)
         if root is not None:
             assert type(root) is float
@@ -1362,7 +1422,7 @@ def test_brentq_port_at_the_float_extremes():
         ):
             a, b = np.float64(lo * scale), np.float64(hi * scale)
             for xtol, rtol in ((1e-12 * b, 1e-10), (1e-300, 1e-15)):
-                root, probes = brent_run(gas_average._brentq, f, a, b, xtol, rtol)
+                root, probes = brent_run(walk_brentq, f, a, b, xtol, rtol)
                 assert (root, probes) == brent_run(scipy_brentq, f, a, b, xtol, rtol)
                 assert lo * scale <= root <= hi * scale
 
@@ -1382,25 +1442,9 @@ def test_brentq_port_errors_match_scipy():
         (RuntimeError, "converge", step, -1e300, 1e300),
     )
     for exc, match, f, a, b in cases:
-        for solver in (gas_average._brentq, scipy_brentq):
+        for solver in (walk_brentq, scipy_brentq):
             with pytest.raises(exc, match=match):
                 solver(f, a, b, 1e-300, 1e-15)
-
-
-def test_tau_half_polish_is_scipy_brentq(monkeypatch):
-    # tau_half with its Brent polish swapped for scipy's returns the same
-    # float, so every tau_1/2 is byte-identical to a scipy-polished one
-    bare = derive_potential(DressingParams(0.0, 0.0, -1e4), PotentialKind.BARE_VDW)
-    specs = [spec_at(n_r, math.pi / 2, echo, gamma=gamma) for n_r, echo, gamma in SOFT_CORE_TAU]
-    specs += [
-        spec_at(10**-1.8, math.pi / 2, True),
-        spec_at(1e-3, 0.3, False),
-        GasSpec(1e100, bare, RamseyProtocol(math.pi / 2, False, 0.0, 0.0)),
-        GasSpec.from_blockade_number(1e-154, soft_core_potential(), RamseyProtocol(math.pi / 2, False, 0.0, 0.0)),
-    ]
-    ours = [tau_half(sp) for sp in specs]
-    monkeypatch.setattr(gas_average, "_brentq", scipy_brentq)
-    assert [tau_half(sp) for sp in specs] == ours
 
 
 def test_tau_grid_blocks_match_the_whole_grid():

@@ -3,7 +3,8 @@ one-time calls.
 
 ``gas_average._exponent_integral_many`` evaluates I(t) over an array of
 times by each route of ``exponent_integral``, and a float call is its
-evaluation of a one-element array. A time's value must not depend on the
+evaluation of a one-element array; the rounds of the tau_1/2 tables call
+its routes function, ``_exponent_routes``, directly. A time's value must not depend on the
 other times of the call, so an array equals the one-time calls bit for
 bit on every route, midpoint rules longer than one chunk of nodes
 included. The independent references (frozen values, scipy kernels, the
@@ -44,6 +45,11 @@ def bare(c6):
     return derive_potential(DressingParams(0.0, 0.0, c6), PotentialKind.BARE_VDW)
 
 
+def exponents(spec, times):
+    """The array form of the gas of spec at each time of an array."""
+    return _exponent_integral_many(spec.potential, spec.protocol, spec.density, times)
+
+
 def scalar_exponents(spec, times):
     return np.array([exponent_integral(spec, float(t)) for t in times])
 
@@ -52,7 +58,7 @@ def assert_array_form(spec, times):
     """Bit equality on every route."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = _exponent_integral_many(spec, np.asarray(times, float))
+        got = exponents(spec, np.asarray(times, float))
         want = scalar_exponents(spec, times)
     assert got.dtype == complex and got.shape == (len(times),)
     assert np.array_equal(got, want)
@@ -126,11 +132,24 @@ def test_array_form_rejects_what_the_scalar_form_rejects():
     sp = GasSpec.from_blockade_number(1.0, soft_core(), RamseyProtocol(1.0, False, 0.3, 0.0))
     for bad in (-1e-9, math.nan, math.inf):
         with pytest.raises(ParameterError, match="finite t >= 0"):
-            _exponent_integral_many(sp, np.array([0.5, bad]))
+            exponents(sp, np.array([0.5, bad]))
     huge = GasSpec.from_blockade_number(1.0, soft_core(), RamseyProtocol(1.0, False, 1e308, 0.0))
     with pytest.raises(ParameterError, match="overflows"):
-        _exponent_integral_many(huge, np.array([0.5, 10.0]))
-    assert _exponent_integral_many(sp, np.array([])).shape == (0,)
+        exponents(huge, np.array([0.5, 10.0]))
+    assert exponents(sp, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("pot", [soft_core(), bare(-1.3e4)], ids=["soft_core", "bare"])
+@pytest.mark.parametrize("gamma", [0.0, 0.2])
+def test_array_form_takes_one_density_per_time(pot, gamma):
+    # one density per time, as the rounds of a tau_1/2 table pass it: each
+    # element equals the one-time call of its own gas, t = 0 included
+    proto = RamseyProtocol(0.7, True, gamma, 0.0)
+    density = np.array([0.3, 2.0, 1e-3, 0.05, 7.0])
+    times = np.array([0.0, 0.05, 3.0, 40.0, 0.5])
+    got = _exponent_integral_many(pot, proto, density, times)
+    want = [exponent_integral(GasSpec(rho, pot, proto), t) for rho, t in zip(density, times)]
+    assert np.array_equal(got, want)
 
 
 def test_array_midpoint_nonconvergence_raises(monkeypatch):
@@ -149,12 +168,12 @@ def test_array_midpoint_nonconvergence_raises(monkeypatch):
     assert m[0] == m[2] < m[1]
     sp = GasSpec.from_blockade_number(1.0, soft_core(), RamseyProtocol(math.pi / 2, True, 0.1, 0.0))
     with pytest.raises(NumericalError) as err:
-        _exponent_integral_many(sp, times)
+        exponents(sp, times)
     diag = err.value.diagnostics
     assert diag["error_estimate"] > 1e-8 * abs(diag["value"])
     assert diag["T"] == pytest.approx(7.0) and diag["g"] == pytest.approx(0.7)
     assert diag["nodes"] == 3 * m[1]
-    _exponent_integral_many(sp, times[:2])  # smooth below 2.8: no error
+    exponents(sp, times[:2])  # smooth below 2.8: no error
 
 
 def test_array_exponent_memory_is_bounded():
@@ -164,7 +183,7 @@ def test_array_exponent_memory_is_bounded():
     times = np.array([1e6, 2.5e5, 5e3, 3.1e3, 30.0, 0.05])
     tracemalloc.start()
     try:
-        got = _exponent_integral_many(sp, times)
+        got = exponents(sp, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -184,7 +203,7 @@ def test_float_exponent_memory_is_bounded(echo):
     finally:
         tracemalloc.stop()
     assert peak < 4e6
-    assert np.array_equal(_exponent_integral_many(sp, np.array([1e6])), [got])
+    assert np.array_equal(exponents(sp, np.array([1e6])), [got])
 
 
 def test_array_exponent_memory_is_bounded_on_a_capped_grid():
@@ -200,7 +219,7 @@ def test_array_exponent_memory_is_bounded_on_a_capped_grid():
     def traced_peak(times):
         tracemalloc.start()
         try:
-            got = _exponent_integral_many(sp, times)
+            got = exponents(sp, times)
             return got, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -215,22 +234,23 @@ def test_array_exponent_memory_is_bounded_on_a_capped_grid():
 
 def scalar_probe_tau_half(spec):
     """tau_half as a point-by-point scan: each grid probe and each Brent
-    step one scalar exponent_integral call."""
+    step one scalar exponent_integral call, the bracket polished by scipy's
+    brentq."""
+    from scipy.optimize import brentq
+
     c0 = abs(math.sin(spec.protocol.theta))
 
     def ratio(t):
         return abs(complex(_envelope(spec.protocol, t) * np.exp(-exponent_integral(spec, t)))) / c0
 
-    lo, hi = gas_average._tau_window(spec)
+    lo, hi = gas_average._tau_window(gas_average._tau_bounds(spec))
     grid = gas_average._tau_grid(lo, hi)
     t_prev = next(grid)
     r_prev = ratio(float(t_prev))
     for t in grid:
         r = ratio(float(t))
         if r_prev > 0.5 >= r:
-            return gas_average._brentq(
-                lambda tt: ratio(tt) - 0.5, t_prev, t, xtol=1e-12 * t, rtol=1e-10
-            )
+            return brentq(lambda tt: ratio(tt) - 0.5, t_prev, t, xtol=1e-12 * t, rtol=1e-10)
         t_prev, r_prev = t, r
     raise AssertionError("no crossing below the ceiling")
 
