@@ -283,20 +283,73 @@ def _kernel_taylor(g: float, theta: float, beta: int, n_max: int) -> np.ndarray:
     return c
 
 
-def _soft_core_h(x, g: float, theta: float, beta: int):
+def _soft_core_h(x, g, theta: float, beta: int):
     """h(X) = (1 - f(X, g)) / X elementwise, from the exact identities
 
     beta = 1: 1 - f = sin^2(theta/2) X (1 - e^{iw}) / w,  w = X + i g;
     beta = 0: 1 - f = (1 - e^{iX/2}) + cos^2(theta/2) X e^{iX/2} (1 - e^{-iw}) / w,
               w = X - i g.
-    h is entire in X; at g = 0 the formula needs X != 0.
+    h is entire in X; at g = 0 the formula needs X != 0. ``x`` is a float
+    array and ``g`` a float or a float array of its shape.
+
+    Each node takes its phase from one float tangent, and no complex
+    exponential is built. With j = expm1(-g), e^{-g} = 1 + j, and
+    u = tan(X/2), e^{iX} = (1 + iu)/(1 - iu) gives
+
+        e^{iX-g} - 1 = (j + iu(2 + j)) / (1 - iu),
+
+    and with v = tan(X/4), 1 - cos(X/2) = 2v^2/(1 + v^2) and
+    sin(X/2) = 2v/(1 + v^2),
+
+        e^{iX/2} (e^{-iX-g} - 1) = j cos(X/2) - i (2 + j) sin(X/2).
+
+    Nothing cancels in these numerators: -1 <= j <= 0 for g >= 0, so
+    2 + j lies in [1, 2], and cos(X/2) = 1 - 2v^2/(1 + v^2) is exact to
+    an ulp of 1, as the complex form's e^{iX/2} is. At beta = 1 the
+    denominator (1 - iu)(X + ig) = (X + ug) + i(g - uX) may cancel, but
+    only to the rounding of its modulus, so numpy's complex quotient
+    (which does not overflow at large g) keeps h within a few ulp of
+    |h|. The parts are written into the real and imaginary halves of the
+    output in place.
     """
+    out = np.empty(x.shape, dtype=complex)
+    re, im = out.real, out.imag
     if beta == 1:
-        w = x + 1j * g
-        return -math.sin(theta / 2.0) ** 2 * np.expm1(1j * w) / w
-    w = x - 1j * g
-    half = np.expm1(0.5j * x)  # e^{iX/2} - 1
-    return -half / x - math.cos(theta / 2.0) ** 2 * (half + 1.0) * np.expm1(-1j * w) / w
+        s2 = math.sin(theta / 2.0) ** 2
+        np.multiply(np.expm1(-g), -s2, out=re)
+        u = np.multiply(x, 0.5)
+        np.tan(u, out=u)
+        w = np.empty_like(out)
+        np.subtract(re, 2.0 * s2, out=w.real)
+        np.multiply(u, w.real, out=im)  # -s2 (j + iu(2 + j))
+        np.multiply(u, g, out=w.real)
+        w.real += x
+        np.multiply(u, x, out=w.imag)
+        np.subtract(g, w.imag, out=w.imag)  # (1 - iu)(X + ig)
+        out /= w
+        return out
+    c2 = math.cos(theta / 2.0) ** 2
+    np.multiply(np.expm1(-g), -c2, out=im)
+    v = np.multiply(x, 0.25)
+    np.tan(v, out=v)
+    omc = np.square(v)
+    np.add(omc, 1.0, out=re)
+    np.divide(2.0, re, out=re)
+    omc *= re  # 1 - cos(X/2)
+    v *= re  # sin(X/2)
+    np.subtract(1.0, omc, out=re)
+    re *= im
+    np.subtract(2.0 * c2, im, out=im)
+    im *= v  # -c2 e^{iX/2} (e^{-iX-g} - 1) = re + i im
+    w = np.empty_like(out)
+    w.real = x
+    np.negative(g, out=w.imag)
+    out /= w
+    omc /= x
+    re += omc
+    v /= x
+    im -= v  # minus (e^{iX/2} - 1) / X
+    return out
 
 
 # The nodes of rules of at most _NODE_CHUNK nodes (at most 24 kB each, 1.5 MB
