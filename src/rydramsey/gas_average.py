@@ -352,14 +352,16 @@ def _soft_core_h(x, g, theta: float, beta: int):
     return out
 
 
-# The nodes of rules of at most _NODE_CHUNK nodes (at most 24 kB each, 1.5 MB
-# in all). They depend on M alone, and the default sweeps share few M: their
-# midpoint rules all have |V0 t| below 32, so M runs from 25 to 48.
+# The nodes of the pieces of the midpoint rules (at most 24 kB each, 1.5 MB
+# in all). They depend on M and the piece's first node alone, and the default
+# sweeps share few of them: their midpoint rules all have |V0 t| below 32, so
+# each is one piece and M runs from 25 to 48.
 @functools.lru_cache(maxsize=64)
-def _midpoint_cos2(m: int) -> np.ndarray:
-    """cos^2 phi_k at the 3M nodes phi_k = (k + 1/2) pi / (6M) of the
-    midpoint rule of :func:`_soft_core_i_over_nr`, read-only."""
-    phi = (np.arange(3 * m) + 0.5) * (math.pi / (6 * m))
+def _midpoint_cos2(m: int, first: int) -> np.ndarray:
+    """cos^2 phi_k at the nodes phi_k = (k + 1/2) pi / (6M) of the midpoint
+    rule of :func:`_soft_core_i_over_nr`, first <= k < min(first +
+    _NODE_CHUNK, 3M), read-only."""
+    phi = (np.arange(first, min(first + _NODE_CHUNK, 3 * m)) + 0.5) * (math.pi / (6 * m))
     cos2 = np.cos(phi) ** 2
     cos2.flags.writeable = False
     return cos2
@@ -370,22 +372,56 @@ def _midpoint_order(t_abs: float) -> int:
     return int(t_abs / 2.0 + 3.0 * t_abs ** (1.0 / 3.0) + 24.0)
 
 
-def _midpoint_sums(t_abs: float, g: float, m: int, theta: float, beta: int) -> tuple:
-    """(fine, coarse) of one rule longer than _NODE_CHUNK nodes: the sums of
-    h over the 3M nodes of the midpoint rule of :func:`_soft_core_i_over_nr`
-    and over every third node from node 1 (the M-point rule).
+def _midpoint_sums(t_abs: np.ndarray, g: np.ndarray, m: list, theta: float, beta: int) -> tuple:
+    """(fine, coarse) at each time of two float arrays, with M from the list
+    ``m``: the sums of h over the 3M nodes of the midpoint rule of
+    :func:`_soft_core_i_over_nr` and over every third node from node 1
+    (the M-point rule), as two complex arrays.
 
-    ``t_abs`` and ``g`` are floats of one time. The rule is evaluated and
-    summed _NODE_CHUNK nodes at a time, so a call holds O(_NODE_CHUNK)
-    memory at every |T|; shorter rules go through :func:`_batch_sums`.
+    Each rule is cut into pieces of at most _NODE_CHUNK nodes from its
+    first node, so each piece starts at a multiple of 3. Walking the times
+    in array order, consecutive times of equal M share their pieces: the
+    piece of each first node is one run of rows. The runs are packed into
+    batches of at most _NODE_CHUNK nodes, a run cut between rows where the
+    batch fills, so the node arrays of a call stay that small at every
+    |T|. One ``_soft_core_h`` call evaluates a batch, each run laid out as
+    its (rows, size) block of x = |T| cos^2 phi (nodes of
+    :func:`_midpoint_cos2`) and of g by broadcasting. Each block is summed
+    along its rows, which takes the pairwise sums of one piece alone, and
+    each time adds its pieces in order of their first node, so a time's
+    sums do not depend on the other times of the call. On the default
+    sweeps one batch holds a fig2 curve's 20 or so consecutive times, or
+    the rules of a whole round of a tau_1/2 table.
     """
-    nodes = 3 * m
-    fine = coarse = 0.0
-    for first in range(0, nodes, _NODE_CHUNK):  # a multiple of 3
-        phi = (np.arange(first, min(first + _NODE_CHUNK, nodes)) + 0.5) * (math.pi / (6 * m))
-        vals = _soft_core_h(t_abs * np.cos(phi) ** 2, g, theta, beta)
-        fine += vals.sum()
-        coarse += vals[1::3].sum()
+    fine = np.zeros(t_abs.size, dtype=complex)
+    coarse = np.zeros(t_abs.size, dtype=complex)
+    ends = [k for k in range(1, len(m)) if m[k] != m[k - 1]] + [len(m)]  # of the runs of one M
+    batches, nodes = [[]], 0
+    for row, end in zip([0, *ends], ends):
+        for first in range(0, 3 * m[row], _NODE_CHUNK):
+            size, r = min(_NODE_CHUNK, 3 * m[row] - first), row
+            while r < end:
+                rows = min(end - r, (_NODE_CHUNK - nodes) // size)
+                if not rows:  # the batch is full
+                    batches.append([])
+                    nodes = 0
+                    continue
+                batches[-1].append((r, rows, first, size, nodes, nodes + rows * size))
+                r += rows
+                nodes += rows * size
+    for batch in batches:
+        x, g_nodes = np.empty(batch[-1][-1]), np.empty(batch[-1][-1])
+        for r, rows, first, size, start, stop in batch:
+            out = x[start:stop].reshape(rows, size)
+            np.multiply(t_abs[r : r + rows, None], _midpoint_cos2(m[r], first), out=out)
+            g_nodes[start:stop].reshape(rows, size)[...] = g[r : r + rows, None]
+        vals = _soft_core_h(x, g_nodes, theta, beta)
+        blocks = [vals[start:stop].reshape(rows, size) for _, rows, _, size, start, stop in batch]
+        # a batch holds each row of one range once: a piece of _NODE_CHUNK
+        # nodes fills a batch alone, and only a rule's last piece is shorter
+        span = slice(batch[0][0], batch[-1][0] + batch[-1][1])
+        fine[span] += np.concatenate([block.sum(axis=-1) for block in blocks])
+        coarse[span] += np.concatenate([block[:, 1::3].sum(axis=-1) for block in blocks])
     return fine, coarse
 
 
@@ -416,12 +452,12 @@ def _soft_core_i_over_nr(T: np.ndarray, g: np.ndarray, theta: float, beta: int) 
     instead, a time at a time (:func:`_soft_core_taylor`). Negative T uses
     f(-X) = conj f(X).
 
-    The other times are sorted by M (a stable sort of a plain list:
-    np.unique's first call costs 1.6 MB of RSS) and cut into the batches
-    of :func:`_midpoint_batches`: the short rules go through
-    :func:`_batch_sums`, a long one alone through :func:`_midpoint_sums`.
-    Raises NumericalError at the first time (in array order) whose two
-    rules disagree.
+    The other times, short rules and long alike, go in array order through
+    :func:`_midpoint_sums`, which sums each rule in pieces of at most
+    _NODE_CHUNK nodes. Each piece takes the nodes, operations and pairwise
+    sum it would take alone, so many times in one call equal one-time
+    calls bit for bit. Raises NumericalError at the first time (in array
+    order) whose two rules disagree.
     """
     out = np.empty(T.size, dtype=complex)
     taylor = np.abs(T) <= _T_TAYLOR
@@ -433,16 +469,7 @@ def _soft_core_i_over_nr(T: np.ndarray, g: np.ndarray, theta: float, beta: int) 
         T, g = T[~taylor], g[~taylor]
     t_abs = np.abs(T)
     m = [_midpoint_order(t) for t in t_abs.tolist()]
-    fine = np.empty(T.size, dtype=complex)
-    coarse = np.empty(T.size, dtype=complex)
-    for rows in _midpoint_batches(m):
-        first = rows[0]
-        if 3 * m[first] > _NODE_CHUNK:  # a long rule, alone
-            fine[first], coarse[first] = _midpoint_sums(
-                float(t_abs[first]), float(g[first]), m[first], theta, beta
-            )
-        else:
-            fine[rows], coarse[rows] = _batch_sums(t_abs[rows], g[rows], [m[k] for k in rows], theta, beta)
+    fine, coarse = _midpoint_sums(t_abs, g, m, theta, beta)
     m = np.array(m)
     total = fine * (t_abs * math.pi / (6 * m))
     err = np.abs(total - coarse * (t_abs * math.pi / (2 * m)))
@@ -461,55 +488,6 @@ def _soft_core_i_over_nr(T: np.ndarray, g: np.ndarray, theta: float, beta: int) 
         )
     out[~taylor] = np.where(T >= 0, total, total.conj())
     return out
-
-
-def _batch_sums(t_abs: np.ndarray, g: np.ndarray, m: list, theta: float, beta: int) -> tuple:
-    """(fine, coarse) of :func:`_midpoint_sums` for k times whose rules hold
-    at most _NODE_CHUNK nodes in all, as two complex arrays; ``m`` lists
-    their M in ascending order.
-
-    One ``_soft_core_h`` call evaluates every node, the rules laid end to
-    end: each run of equal M fills its (rows, 3M) block of x = |T| cos^2 phi
-    and of g by broadcasting, with the nodes of :func:`_midpoint_cos2`.
-    Each block is summed along its rows, which takes the pairwise sums of
-    one rule alone, so a time's sums do not depend on the other times of
-    the batch. On the default sweeps one call holds a fig2 curve's 20 or
-    so consecutive times, or the rules of a whole round of a tau_1/2 table.
-    """
-    blocks, start, row = [], 0, 0
-    while row < len(m):
-        rows = m.count(m[row])  # m is sorted: one run holds every time of its M
-        blocks.append((row, rows, start, 3 * m[row]))
-        start += rows * 3 * m[row]
-        row += rows
-    x, g_nodes = np.empty(start), np.empty(start)
-    for row, rows, start, size in blocks:
-        end = start + rows * size
-        np.multiply(t_abs[row : row + rows, None], _midpoint_cos2(size // 3), out=x[start:end].reshape(rows, size))
-        g_nodes[start:end].reshape(rows, size)[...] = g[row : row + rows, None]
-    vals = _soft_core_h(x, g_nodes, theta, beta)
-    fine, coarse = [], []
-    for row, rows, start, size in blocks:
-        block = vals[start : start + rows * size].reshape(rows, size)
-        fine.append(block.sum(axis=-1))
-        coarse.append(block[:, 1::3].sum(axis=-1))
-    return np.concatenate(fine), np.concatenate(coarse)
-
-
-def _midpoint_batches(m: list):
-    """Lists of the indices of midpoint orders ``m``, in ascending M: the
-    short rules of at most _NODE_CHUNK nodes in all, for one
-    :func:`_batch_sums` call, or one longer rule alone."""
-    batch, nodes = [], 0
-    for k in sorted(range(len(m)), key=m.__getitem__):
-        size = 3 * m[k]
-        if batch and nodes + size > _NODE_CHUNK:
-            yield batch
-            batch, nodes = [], 0
-        batch.append(k)
-        nodes += size
-    if batch:
-        yield batch
 
 
 def _hankel_coefficients(nu: int) -> list:
@@ -775,20 +753,28 @@ def contrast_gas_finite_n(spec: GasSpec, t: float, n: int) -> complex:
     The derivation treats I/N as a small parameter; |I/N| >= 1 is
     outside its validity and raises a ValidityWarning while still
     returning the literal formula value.
+
+    Below that, the power is e^{(N-1) L} with L = log(1 + z), z = -I/N =
+    x + iy, taken as 1/2 log1p(x(2 + x) + y^2) + i atan2(y, 1 + x): a
+    complex power's rounding grows like N eps, and a complex log1p loses
+    the same digits to log |1 + z|.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ParameterError("finite-N contrast needs an integer N >= 2")
     if np.ndim(t) != 0:
         raise ParameterError("finite-N contrast takes one time t, not an array")
-    ii = exponent_integral(spec, t)
-    if abs(ii / n) >= 1.0:
+    z = -exponent_integral(spec, t) / n
+    if abs(z) >= 1.0:
         warnings.warn(
-            f"|I/N| = {abs(ii / n):.3g} >= 1: finite-N formula outside "
+            f"|I/N| = {abs(z):.3g} >= 1: finite-N formula outside "
             "its validity domain",
             ValidityWarning,
             stacklevel=2,
         )
-    return _envelope(spec.protocol, t) * (1.0 - ii / n) ** (n - 1)
+        return _envelope(spec.protocol, t) * (1.0 + z) ** (n - 1)
+    x, y = z.real, z.imag
+    log = complex(0.5 * math.log1p(x * (2.0 + x) + y * y), math.atan2(y, 1.0 + x))
+    return _envelope(spec.protocol, t) * cmath.exp((n - 1) * log)
 
 
 @dataclass(frozen=True)
@@ -880,7 +866,7 @@ def monte_carlo_gas(
             raise ParameterError("soft-core potential needs r_c > 0")
         range_scale = pot.r_c
     else:
-        range_scale = (abs(pot.c6) * times.max()) ** (1.0 / 6.0) if times.max() > 0 else 0.0
+        range_scale = (abs(pot.c6) * times.max(initial=0.0)) ** (1.0 / 6.0)
     if range_scale > 0 and box < 20.0 * range_scale:
         warnings.warn(
             f"box side {box:.3g} um is below 20 interaction ranges "

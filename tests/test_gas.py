@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import math
 import sys
 import tracemalloc
@@ -37,7 +38,7 @@ from rydramsey.gas_average import (
     monte_carlo_gas,
     tau_half,
 )
-from rydramsey.ising_core import RamseyProtocol, f_kernel, sigma_plus_couplings
+from rydramsey.ising_core import RamseyProtocol, _envelope, f_kernel, sigma_plus_couplings
 from rydramsey.potential import (
     DressingParams,
     InteractionPotential,
@@ -581,6 +582,41 @@ def test_finite_n_converges_to_thermodynamic():
     assert devs[0] * 100 == pytest.approx(devs[1] * 1000, rel=0.25)
 
 
+def decimal_power(re, im, k):
+    """(re + i im)^k for Decimal parts, by repeated squaring in 50 digits."""
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    acc, base = (decimal.Decimal(1), decimal.Decimal(0)), (re, im)
+    while k:
+        if k & 1:
+            acc = mul(acc, base)
+        base = mul(base, base)
+        k >>= 1
+    return complex(float(acc[0]), float(acc[1]))
+
+
+@pytest.mark.parametrize("echo", [True, False])
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+def test_finite_n_contrast_to_rounding_level(echo, gamma):
+    # against (1 - I/N)^(N-1) in 50 digits, for the I the call computes; a
+    # complex power was up to 5.9e-12 off at N = 123 457
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for n_r in (0.1, 0.5, 1.0, 3.0):
+            sp = spec_at(n_r, math.pi / 2, echo, gamma=gamma)  # t = V0 t at V0 = 1
+            for t in (0.5, 4.0, 40.0):
+                ii = exponent_integral(sp, t)
+                for n in (2, 10, 1000, 123_457):
+                    w_re = 1 - decimal.Decimal(ii.real) / n
+                    w_im = -decimal.Decimal(ii.imag) / n
+                    want = _envelope(sp.protocol, t) * decimal_power(w_re, w_im, n - 1)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", ValidityWarning)
+                        got = contrast_gas_finite_n(sp, t, n)
+                    assert abs(got - want) <= 1e-14 * abs(want)
+
+
 def test_finite_n_warns_when_exponent_too_large():
     sp = spec_at(5.0, math.pi / 2, False)
     with pytest.warns(ValidityWarning):
@@ -622,6 +658,23 @@ def test_monte_carlo_deterministic_per_seed():
     assert np.array_equal(a.samples, b.samples)
     c = monte_carlo_gas(sp, [1.0, 2.0], n_samples=6, n_atoms=64, seed=12)
     assert not np.array_equal(a.samples, c.samples)
+
+
+@pytest.mark.parametrize("kind", ["soft_core", "bare"])
+def test_monte_carlo_with_no_times(kind):
+    # a bare gas raised numpy's ValueError from the empty times' max; both
+    # potentials give an empty result, as contrast_gas does, and no
+    # BiasWarning (this soft-core box holds 64 atoms in 30 r_c)
+    if kind == "soft_core":
+        sp = spec_at(0.01, math.pi / 2, True)
+    else:
+        bare = derive_potential(DressingParams(0.0, 0.0, -1.0), PotentialKind.BARE_VDW)
+        sp = GasSpec(0.05, bare, RamseyProtocol(0.9, True, 0.5, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mc = monte_carlo_gas(sp, [], n_samples=3, n_atoms=64, seed=0)
+    assert mc.mean.shape == mc.stderr.shape == contrast_gas(sp, np.array([])).shape == (0,)
+    assert mc.samples.shape == (3, 0)
 
 
 def minimum_image_couplings(pot, box, n_atoms, stream):

@@ -104,20 +104,44 @@ def test_subnormal_gamma_array_per_route():
         assert_array_form(sp, times)
 
 
-def test_float_midpoint_rules_cache_short_rules_only():
-    # float calls take a short rule's nodes from the cache; a rule longer
-    # than _NODE_CHUNK computes its own chunks and leaves the cache alone
+def t_of_nodes(nodes):
+    """The smallest |V0 t| (to bisection precision) whose midpoint rule has
+    3M = nodes nodes."""
+    lo, hi = 0.2, 1e5
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if 3 * gas_average._midpoint_order(mid) < nodes else (lo, mid)
+    assert 3 * gas_average._midpoint_order(hi) == nodes
+    return hi
+
+
+def test_midpoint_rule_pieces():
+    # a rule is summed in pieces of at most _NODE_CHUNK nodes, each starting
+    # at a multiple of 3, whose nodes the cache keeps by (M, first node)
+    chunk = gas_average._NODE_CHUNK
     sp = GasSpec.from_blockade_number(0.5, soft_core(), RamseyProtocol(1.1, True, 0.3, 0.0))
     gas_average._midpoint_cos2.cache_clear()
-    for t in (3.0, 3.0):
-        exponent_integral(sp, t)
-    assert gas_average._midpoint_cos2.cache_info()[:2] == (1, 1)  # hits, misses
     exponent_integral(sp, 5e3)
-    assert gas_average._midpoint_cos2.cache_info()[:2] == (1, 1)
-    m = gas_average._midpoint_order(3.0)
-    cached = gas_average._midpoint_cos2(m)
-    assert not cached.flags.writeable
-    assert np.array_equal(cached, np.cos((np.arange(3 * m) + 0.5) * (math.pi / (6 * m))) ** 2)
+    m = gas_average._midpoint_order(5e3)
+    firsts = range(0, 3 * m, chunk)
+    assert gas_average._midpoint_cos2.cache_info()[:2] == (0, len(firsts))  # hits, misses
+    assert len(firsts) == 3
+    for first in firsts:
+        cached = gas_average._midpoint_cos2(m, first)
+        assert not cached.flags.writeable
+        k = np.arange(first, min(first + chunk, 3 * m))
+        assert np.array_equal(cached, np.cos((k + 0.5) * (math.pi / (6 * m))) ** 2)
+    # rules just below, at and just past one and two pieces, among short
+    # rules and runs of equal M, so that batches fill between the rows of a
+    # run and a long rule's 3-node tail shares a batch with short rules:
+    # every time equals its one-time call, in any order of the call
+    long = [t_of_nodes(n) for n in (3_069, 3_072, 3_075, 6_144, 6_147)]
+    times = np.array(sorted([0.5, 3.0, 3.0, 7.0, 30.0, 30.0, 30.0, *[400.0] * 4, *long, long[2]]))
+    interleaved = np.ravel(np.column_stack([times, times[::-1]]))[: times.size]
+    for echo in (True, False):
+        sp = GasSpec.from_blockade_number(0.5, soft_core(), RamseyProtocol(1.1, echo, 1e-3, 0.0))
+        for order in (times, times[::-1], interleaved):
+            assert np.array_equal(exponents(sp, order), scalar_exponents(sp, order))
 
 
 @pytest.mark.parametrize("c6", [5.0, -1.3e4])
