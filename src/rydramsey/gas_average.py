@@ -52,7 +52,6 @@ from .ising_core import (
     _envelope,
     _half_angle_kernel,
     _row_products,
-    f_kernel,
 )
 from .potential import (
     DressingParams,
@@ -816,7 +815,7 @@ def monte_carlo_gas(
     Atoms are placed uniformly in a periodic cube of side (N/rho)^(1/3)
     with minimum-image pair distances; each sample is the exact
     per-configuration coherence at every requested time, computed with the
-    envelope, the V(r) of evaluate_V and the f_kernel of
+    envelope, the V(r) of evaluate_V and the pair kernel of
     sigma_plus_couplings. V_jk = V_kj, so each unordered pair is evaluated
     once: a block of rows [lo, hi) meets only the columns [lo, N) (one
     coupling pass per block, reused at every time), and each pair factor
@@ -832,13 +831,13 @@ def monte_carlo_gas(
     of a difference d is d - rint(d). The squared distance is scaled once
     per block, to q = (r/r_c)^2 (soft core) or r^2 (bare), from which
     V = v0 / (1 + q^3) or c6 / q^3, with no square root. Four float
-    buffers and one complex buffer of a block's size are allocated once
-    per call: the float ones hold d, its rounding and q while the
-    couplings are built, then V and the scratch of the g = 0 kernel
-    (:func:`~rydramsey.ising_core._half_angle_kernel`), which writes the
-    pair factors into the complex one, so no block-sized array is
-    allocated per time at gamma = 0. Two coincident atoms of a bare gas
-    raise SingularityError.
+    buffers and one complex buffer of a block's size (two at gamma > 0)
+    are allocated once per call: the float ones hold d, its rounding and
+    q while the couplings are built, then V and the scratch of the pair
+    kernel (:func:`~rydramsey.ising_core._half_angle_kernel`), which
+    writes the pair factors into the complex one (with the other as its
+    scratch), so no block-sized array is allocated per time. Two
+    coincident atoms of a bare gas raise SingularityError.
     n_samples and n_atoms are integers of at least 2 (else ParameterError).
     Sampling is deterministic under the seed, a non-negative integer
     (else ParameterError): sample s draws from
@@ -888,9 +887,10 @@ def monte_carlo_gas(
     # q = (r/r_c)^2 (soft core) or r^2 (bare) from r^2 in box units
     q_scale = (box / pot.r_c) ** 2 if pot.kind is PotentialKind.SOFT_CORE else box * box
     # flat buffers for one block: an axis difference, its rounding and q,
-    # then the g = 0 kernel's scratch; V; and the pair factors
+    # then the kernel's scratch; V; the pair factors and, at gamma > 0,
+    # the kernel's complex scratch
     buffers = np.empty((4, height * n_atoms))
-    factors = np.empty(height * n_atoms, dtype=complex)
+    factors = np.empty((2 if proto.gamma > 0 else 1, height * n_atoms), dtype=complex)
 
     for s_idx, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
@@ -901,7 +901,7 @@ def monte_carlo_gas(
             shape = (hi - lo, n_atoms - lo)
             size = shape[0] * shape[1]
             d, rd, q, v = (b[:size].reshape(shape) for b in buffers)
-            block = factors[:size].reshape(shape)
+            f, *z = (b[:size].reshape(shape) for b in factors)
             # rows lo:hi against columns lo:N; each unordered pair once
             for axis, x in enumerate(unit):
                 np.subtract(x[lo:hi, None], x[None, lo:], out=d)
@@ -918,12 +918,7 @@ def monte_carlo_gas(
             # f(0, g) = 1 exactly, so V = 0 drops the counted pairs at every time
             np.copyto(v[:, : hi - lo], 0.0, where=lower[: hi - lo, : hi - lo])
             for it, t in enumerate(times):
-                g = proto.gamma * t
-                if g == 0.0:
-                    f = block
-                    _half_angle_kernel(v, t, proto.theta, proto.beta, f, d, rd, q)
-                else:
-                    f = f_kernel(np.multiply(v, t, out=d), g, proto.theta, proto.beta)
+                _half_angle_kernel(v, t, proto.theta, proto.beta, f, d, rd, q, proto.gamma, *z)
                 rows[it, lo:] *= f.prod(axis=0)
                 rows[it, lo:hi] *= _row_products(f)
         samples[s_idx] = envelope * rows.mean(axis=1)
@@ -1247,11 +1242,12 @@ def tau_half(spec: GasSpec) -> float:
     iterates and the returned float are bit for bit those of a walk that
     probes every grid point; only the number of probes changes.
 
-    The step bound. The kernel's split form (:func:`f_kernel`) is the
-    average of e^{i Phi(t)} over a spectator that starts in one of two
-    populations, with weights sin^2(theta/2) and cos^2(theta/2), and
-    leaves the emitting one at a time tau drawn once from gamma e^{-gamma
-    tau} (never, at gamma = 0):
+    The step bound. The kernel's split form
+    (:func:`~rydramsey.ising_core.f_kernel`) is the average of
+    e^{i Phi(t)} over a spectator that starts in one of two populations,
+    with weights sin^2(theta/2) and cos^2(theta/2), and leaves the
+    emitting one at a time tau drawn once from gamma e^{-gamma tau}
+    (never, at gamma = 0):
     no echo, Phi = V min(tau, t) in the sin^2 branch and 0 in the other,
     which integrates to q e^{iVt - gamma t} + 1 - q with
     q = sin^2(theta/2) V/(V + i gamma);

@@ -20,7 +20,6 @@ the oracle reports too; its ``evolve_master`` reaches the raw lab frame.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,31 +75,35 @@ def f_kernel(x, g: float, theta: float, beta: int):
     level and retains an unphysical persistent phase as g -> infinity).
     Both echo settings are validated against the dense master-equation module.
 
-    Two branches evaluate it:
+    Split into a decaying and a surviving exponential, with c2, s2 =
+    cos^2, sin^2 of theta/2, f = 1 + q (e^{iX - g} - 1), q = s2 X/(X + i g)
+    (no echo) and f = e^{iX/2} + q (e^{-iX/2 - g} - e^{iX/2}),
+    q = c2 X/(X - i g) (echo). :func:`_half_angle_kernel` evaluates it from
+    one tangent per pair, u = tan(X/2) (no echo) or tan(X/4) (echo), and
+    builds no complex exponential: e^{iX} or e^{iX/2} is
+    [(1 - u^2) + 2iu] / (1 + u^2). A tangent costs one libm call where a
+    cosine and a sine cost two, and numpy vectorizes float64 tan on CPUs
+    where it runs float64 sin and cos as scalar loops. x passes through
+    the kernel in chunks of :data:`_KERNEL_CHUNK` elements.
 
-    - g = 0: z is real and (X/2) sinc(X/2) = sin(X/2), so f reduces to
-      cos(X/2) - i cos(theta) sin(X/2)  (echo, readout frame) and
-      cos^2(theta/2) + sin^2(theta/2) e^{iX}  (no echo). This is the
-      Monte Carlo hot path, evaluated by the half-angle identities from
-      one tangent per pair:
-      f = [(1 - u^2) - 2i cos(theta) u] / (1 + u^2), u = tan(X/4) (echo),
-      f = [(1 + cos(theta) u^2) + 2i sin^2(theta/2) u] / (1 + u^2),
-      u = tan(X/2) (no echo). A tangent costs one libm call where a
-      cosine and a sine cost two, and numpy's float64 tan is vectorized
-      on CPUs where its float64 sin and cos are scalar loops. The result
-      differs from the cosine/sine form by at most about 2 ulp, X = 0
-      gives f = 1 exactly, and |u| stays far below the overflow of u^2
-      for every finite X. :func:`_half_angle_kernel` evaluates it on
-      contiguous float buffers and writes each part of the complex
-      output once, by the final quotient; here x passes through it in
-      chunks of :data:`_KERNEL_CHUNK` elements, with one small float
-      workspace as scratch.
-    - g > 0: the exact split into a decaying and a surviving exponential,
-      f = q e^{iX - g} + (1 - q) with q = sin^2(theta/2) X/(X + i g)
-      (no echo), f = (1 - q) e^{iX/2} + q e^{-iX/2 - g} with
-      q = cos^2(theta/2) X/(X - i g) (echo). |q| <= 1 for real X, so
-      no term grows like cosh(g/2) and no sinc quotient cancels at
-      small |z|: the form is accurate at every g > 0.
+    - g = 0: q = s2 or c2, so f = [(1 + cos(theta) u^2) + 2i s2 u] / (1 + u^2)
+      (no echo) and f = [(1 - u^2) - 2i cos(theta) u] / (1 + u^2) (echo,
+      readout frame), within about 2 ulp of the cosine/sine form. X = 0
+      gives f = 1 exactly, and u^2 does not overflow at any finite X.
+    - g > 0: W = 1/(-1 + i X/g) (no echo) or 1/(-1 - i X/g) (echo) gives
+      q = s2 (1 + W) or c2 (1 + W), so f = (1 + D) + W D with
+      D = s2 (e^{iX - g} - 1), Re(1 + D) = (c2 + e^{-g} s2)
+      - 2 e^{-g} s2 u^2/(1 + u^2), Im D = 2 e^{-g} s2 u/(1 + u^2) (no
+      echo), and f = (e^{iX/2} + D) + W D with D = c2 (e^{-iX/2 - g}
+      - e^{iX/2}) = c2 [j cos(X/2) - i (2 + j) sin(X/2)], j = expm1(-g),
+      Im(e^{iX/2} + D) = (s2 - c2 e^{-g}) sin(X/2) (echo). W D is one
+      complex division by -1 +- i X/g, 0 where X/g overflows; numpy's
+      division by X +- i g would overflow at subnormal X and g.
+      |W| <= 1 and |D| <= 2, so where |f| << 1 (no echo near theta = pi,
+      echo near theta = 0, X >> g) the one O(1) cancellation is 1 + D, or
+      cos(X/2) + Re D, whose terms share one float cos(X/2). At small g
+      the first term is f's g = 0 value up to O(g) and |W D| <= |D| g/|X|.
+      At X = 0, W = -1 and f = 1 exactly.
 
     Parameters
     ----------
@@ -126,73 +129,75 @@ def f_kernel(x, g: float, theta: float, beta: int):
     if not 0.0 <= g < math.inf:
         raise ParameterError(f"g = gamma*t must be finite and non-negative, got {g!r}")
     x = np.asarray(x, dtype=float)
-    if g == 0.0:
-        out = np.empty(x.shape, dtype=complex)
-        flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-        work = np.empty((3, min(flat_x.size, _KERNEL_CHUNK)))
-        for lo in range(0, flat_x.size, _KERNEL_CHUNK):
-            hi = min(lo + _KERNEL_CHUNK, flat_x.size)
-            u, s, w = work[:, : hi - lo]
-            _half_angle_kernel(flat_x[lo:hi], 1.0, theta, beta, flat_out[lo:hi], u, s, w)
-    else:
-        if beta == 1:
-            q = math.sin(0.5 * theta) ** 2 * _x_over_x_plus_ig(x, g)
-            out = q * np.exp(1j * x - g) + (1.0 - q)
-        else:
-            q = math.cos(0.5 * theta) ** 2 * _x_over_x_plus_ig(x, -g)
-            out = (1.0 - q) * np.exp(0.5j * x) + q * np.exp(-0.5j * x - g)
+    out = np.empty(x.shape, dtype=complex)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    size = min(flat_x.size, _KERNEL_CHUNK)
+    work = np.empty((3, size))
+    z = np.empty(size if g > 0.0 else 0, dtype=complex)
+    for lo in range(0, flat_x.size, _KERNEL_CHUNK):
+        chunk = slice(lo, min(lo + _KERNEL_CHUNK, flat_x.size))
+        n = chunk.stop - lo
+        _half_angle_kernel(flat_x[chunk], 1.0, theta, beta, flat_out[chunk], *work[:, :n], g, z[:n])
     return out if out.ndim else complex(out)
 
 
-# Elements of x per pass of f_kernel's g = 0 branch: one (3, chunk) float
-# workspace of 192 kB serves every chunk of a call.
+# Elements of x per pass of f_kernel: one (3, chunk) float workspace of
+# 192 kB (and at g > 0 a complex one of 128 kB) serves every chunk.
 _KERNEL_CHUNK = 8192
 
 
-def _half_angle_kernel(v, t: float, theta: float, beta: int, out, u, s, w) -> None:
-    """f(X, 0) at X = v t by the half-angle identities of :func:`f_kernel`,
-    written into buffers the caller owns.
+def _half_angle_kernel(
+    v, t: float, theta: float, beta: int, out, u, s, w, gamma: float = 0.0, z=None
+) -> None:
+    """f(X, g) at X = v t and g = gamma t by the tangent forms of
+    :func:`f_kernel`, written into buffers the caller owns.
 
-    v (float) is only read. u, s and w are float scratch of v's shape,
-    left holding the imaginary numerator, the real numerator and
-    1 + u^2; out is a complex array of v's shape, whose real and
-    imaginary parts are each written once, by the final quotients. The
-    tangent's argument is v (t/4) (echo) or v (t/2): for t = 1 that is
-    X/4 or X/2 itself, and otherwise it equals (v t)/4 or (v t)/2 bit
-    for bit away from underflow and overflow, since scaling by a power
-    of two is exact there. u, s and w should
-    be contiguous: numpy's tan and its arithmetic run faster there than
-    on the strided parts of out.
+    v (float) is only read; out is complex, u, s and w are float scratch,
+    and z is complex scratch read only at g > 0 (the default gamma = 0 is
+    the unitary kernel), all of v's shape. v (t/4) and v (t/2) are
+    (v t)/4 and (v t)/2 bit for bit away from underflow and overflow, and
+    X/g is v/gamma. u, s and w should be contiguous: numpy's tan and its
+    arithmetic run faster there than on the strided parts of out.
     """
     np.multiply(v, t * (0.25 if beta == 0 else 0.5), out=u)
     np.tan(u, out=u)
     np.multiply(u, u, out=s)
     np.add(s, 1.0, out=w)
+    c2, s2 = math.cos(0.5 * theta) ** 2, math.sin(0.5 * theta) ** 2
+    g = gamma * t
     if beta == 0:
         np.subtract(1.0, s, out=s)
+    if g > 0.0:
+        j, decay = math.expm1(-g), math.exp(-g)
+        z.real = -1.0
+        with np.errstate(over="ignore"):  # X/g = +-inf gives W D = 0
+            np.divide(v, gamma if beta == 1 else -gamma, out=z.imag)  # z = -1 +- i X/g
+        if beta == 0:
+            u /= w  # sin(X/2) / 2
+            s /= w  # cos(X/2)
+            np.multiply(s, c2 * j, out=out.real)
+            np.multiply(u, -2.0 * c2 * (2.0 + j), out=out.imag)  # D
+            np.divide(out, z, out=z)  # W D
+            out.real += s
+            np.multiply(u, 2.0 * (s2 - c2 * decay), out=out.imag)  # e^{iX/2} + D
+        else:
+            np.divide(2.0 * s2 * decay, w, out=w)
+            np.multiply(u, w, out=out.imag)  # Im D
+            s *= w
+            np.subtract(c2 + s2 * decay, s, out=s)  # Re(1 + D)
+            np.subtract(s, 1.0, out=out.real)  # D
+            np.divide(out, z, out=z)  # W D
+            out.real = s
+        out += z
+        return
+    if beta == 0:
         u *= -2.0 * math.cos(theta)
     else:
         s *= math.cos(theta)
         s += 1.0
-        u *= 2.0 * math.sin(0.5 * theta) ** 2
+        u *= 2.0 * s2
     np.divide(s, w, out=out.real)
     np.divide(u, w, out=out.imag)
-
-
-def _x_over_x_plus_ig(x: np.ndarray, g: float) -> np.ndarray:
-    """X / (X + i g) for a nonzero float g: 0 at X = 0, with no warning.
-
-    numpy's complex division scales by 1 / max(|X|, |g|), which overflows
-    for a subnormal g at small |X|; there 1 / (1 + i g/X) is used, whose
-    g/X = +-inf at X = 0 gives exactly 0. At normal g the quotient is
-    numpy's, bit for bit.
-    """
-    if abs(g) >= sys.float_info.min:
-        return x / (x + 1j * g)
-    d = np.ones(x.shape, dtype=complex)
-    with np.errstate(divide="ignore"):
-        np.divide(g, x, out=d.imag)
-    return 1.0 / d
 
 
 @dataclass(frozen=True)
@@ -321,9 +326,9 @@ def _checked_times(proto: RamseyProtocol, t) -> np.ndarray:
     return times
 
 
-def _checked_couplings(couplings) -> np.ndarray:
-    """couplings as a float array, checked: a nonempty square matrix,
-    finite, and symmetric to 1e-12 of its largest |entry| (or of 1)."""
+def _checked_couplings(couplings, *, absolute: bool = False) -> np.ndarray:
+    """couplings as a float array, checked: a nonempty square matrix, finite,
+    and symmetric to 1e-12 of its largest |entry| (or of 1; of 1 if absolute)."""
     v = np.asarray(couplings, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
         raise ParameterError("couplings must be a nonempty square matrix")
@@ -331,7 +336,7 @@ def _checked_couplings(couplings) -> np.ndarray:
         raise ParameterError("couplings must be finite")
     # max |v| and max |v - v.T| without an (N, N) temporary: the asymmetry
     # is taken in blocks of rows (one block for N up to 256)
-    scale = max(1.0, float(v.max()), -float(v.min()))
+    scale = 1.0 if absolute else max(1.0, float(v.max()), -float(v.min()))
     height = max(1, _BLOCK_ENTRIES // v.shape[0])
     for i in range(0, v.shape[0], height):
         d = v[i : i + height] - v[:, i : i + height].T

@@ -25,6 +25,7 @@ from functools import reduce
 
 import numpy as np
 
+from . import ising_core
 from .errors import CapacityError, NumericalError, ParameterError
 
 __all__ = [
@@ -61,18 +62,14 @@ _MIN_EIGENVALUE = -1e-8
 
 
 def _checked_couplings(couplings):
-    v = np.asarray(couplings, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
-        raise ParameterError("couplings must be a nonempty square matrix")
-    if not np.all(np.isfinite(v)):
-        raise ParameterError("couplings must be finite")
+    """couplings as a float array and N: checked by the closed forms' check,
+    symmetric to 1e-12 absolute, within the capacity and zero-diagonal."""
+    v = ising_core._checked_couplings(couplings, absolute=True)
     n = v.shape[0]
     if n > CAPACITY_LIMIT:
         raise CapacityError(
             f"dense evolution is capped at N = {CAPACITY_LIMIT}, got N = {n}"
         )
-    if not np.allclose(v, v.T, rtol=0.0, atol=1e-12):
-        raise ParameterError("couplings must be symmetric")
     if np.any(np.diag(v) != 0.0):
         raise ParameterError("couplings must have a zero diagonal")
     return v, n

@@ -756,7 +756,7 @@ def test_monte_carlo_small_gas_is_one_block(n_atoms, gamma):
 def test_monte_carlo_block_split_changes_only_rounding(monkeypatch, echo, gamma):
     # the pair budget only regroups the column products: 300 atoms are two
     # blocks at the default budget and 100 blocks of 3 rows at 2^10 pairs,
-    # through the g = 0 kernel's buffers (gamma = 0) or the split branch
+    # through the kernel's buffers, without (gamma = 0) or with its emission term
     sp = spec_at(0.5, 1.1, echo, gamma=gamma, gamma_d=0.05)
 
     def samples():
@@ -779,17 +779,16 @@ def test_monte_carlo_exact_zero_factor_kills_both_atoms(monkeypatch):
     v = minimum_image_couplings(sp.potential, box, n_atoms, stream)
     top = np.unique(np.abs(v))[-2:]
     cut = 0.5 * (top[0] + top[1]) * t  # between the two strongest pairs
-    kernel = gas_average.f_kernel
+    kernel = gas_average._half_angle_kernel
 
-    def zeroing_kernel(x, g, theta, beta):
-        out = kernel(x, g, theta, beta)
-        out[np.abs(x) > cut] = 0.0
-        return out
+    def zeroing_kernel(v, t, theta, beta, out, *scratch):
+        kernel(v, t, theta, beta, out, *scratch)
+        out[np.abs(v * t) > cut] = 0.0
 
-    monkeypatch.setattr(gas_average, "f_kernel", zeroing_kernel)
+    monkeypatch.setattr(gas_average, "_half_angle_kernel", zeroing_kernel)
     mc = monte_carlo_gas(sp, [t], n_samples=2, n_atoms=n_atoms, seed=seed)
     proto = sp.protocol
-    factors = kernel(v * t, proto.gamma * t, proto.theta, proto.beta)
+    factors = f_kernel(v * t, proto.gamma * t, proto.theta, proto.beta)
     factors[np.abs(v * t) > cut] = 0.0
     np.fill_diagonal(factors, 1.0)
     rows = np.prod(factors, axis=1)
@@ -800,25 +799,30 @@ def test_monte_carlo_exact_zero_factor_kills_both_atoms(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::rydramsey.errors.BiasWarning")
 def test_monte_carlo_time_loop_allocates_no_block_array():
-    # at gamma = 0 a call holds four float buffers and one complex buffer
-    # of a block's size, 48 bytes per pair; the rest of what it allocates
-    # is O(N) or a block's height times the row products' lanes, below
-    # one more float buffer
-    sp = spec_at(0.5, 1.1, True)
+    # a call holds four float buffers of a block's size (d, its rounding
+    # and q, then the kernel's float scratch; and V) and one complex buffer
+    # (the pair factors), 48 bytes per pair, and at gamma > 0 one more
+    # complex buffer (the kernel's emission scratch), 64 bytes per pair.
+    # The rest of what it allocates is O(N) or a block's height times the
+    # row products' lanes: below one more float buffer at gamma = 0, and
+    # below two more complex buffers at gamma > 0, whose bound two
+    # block-sized complex temporaries per time would break
     n_atoms = 1000
     pairs = min(n_atoms, gas_average._MC_PAIRS // n_atoms) * n_atoms
+    for gamma, bytes_per_pair in ((0.0, 48 + 8), (0.2, 96)):
+        sp = spec_at(0.5, 1.1, True, gamma)
 
-    def run():
-        return monte_carlo_gas(sp, [0.7, 2.5], n_samples=2, n_atoms=n_atoms, seed=3)
+        def run():
+            return monte_carlo_gas(sp, [0.7, 2.5], n_samples=2, n_atoms=n_atoms, seed=3)
 
-    run()
-    tracemalloc.start()
-    try:
         run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 48 * pairs + 8 * pairs
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bytes_per_pair * pairs, (gamma, peak / pairs)
 
 
 @pytest.mark.filterwarnings("ignore::rydramsey.errors.BiasWarning")

@@ -44,6 +44,25 @@ F_REGRESSION = {
     (-12.0, 0.4, 2.6, 0): 0.9364326095694186419 + 0.2468107924512920725j,
 }
 
+# 50-digit evaluations of the kernel's split form where |f| << 1 (no echo
+# near theta = pi, echo near theta = 0, X >> g), rounded to 20 digits,
+# with the echo points near theta = pi that share their (X, g), where
+# |f| is near 1. Frozen as regression constants.
+F_SMALL = {
+    (1e5, 20.0, math.pi, 1): 3.7940177070771411097e-8 + 0.00020000006609572902369j,
+    (1e5, 20.0, math.pi - 1e-3, 1): 2.8794014675240146021e-7 + 0.00020000001609571666643j,
+    (1e5, 20.0, 0.0, 0): -0.00019996878216938103609 + 3.5375182611049927247e-6j,
+    (1e5, 20.0, 1e-3, 0): -0.00019997320149080885603 + 3.2875573502830569809e-6j,
+    (1e5, 20.0, math.pi, 0): -0.017877255966556334297 - 0.99984018908978960183j,
+    (1e5, 20.0, math.pi - 1e-3, 0): -0.017877251547234906477 - 0.99983993912887877989j,
+    (99999.5, 10.0, math.pi, 1): -3.9026297457642067559e-5 + 0.00012318068612049147956j,
+    (99999.5, 10.0, math.pi - 1e-3, 1): -3.877628772190184267e-5 + 0.0001231806553253225157j,
+    (99999.5, 10.0, 0.0, 0): -0.00010845769559881777751 + 0.000070238604711095911924j,
+    (99999.5, 10.0, 1e-3, 0): -0.00010852383995807552309 + 0.000069997503502779531388j,
+    (99999.5, 10.0, math.pi, 0): -0.26468591677470197963 - 0.96433467502788446459j,
+    (99999.5, 10.0, math.pi - 1e-3, 0): -0.26468585063034272188 - 0.9643344339266761482j,
+}
+
 
 def rand_couplings(n, rng, scale=1.0):
     a = rng.normal(size=(n, n)) * scale
@@ -56,6 +75,14 @@ def test_kernel_frozen_regression_values():
     for (x, g, th, beta), want in F_REGRESSION.items():
         got = f_kernel(x, g, th, beta)
         assert got == pytest.approx(want, abs=1e-15), (x, g, th, beta)
+
+
+def test_kernel_relative_accuracy_where_f_is_small():
+    # |f| ~ 1e-4 here, so an error at the rounding of the O(1) terms of f
+    # would be about 1e-12 relative; the kernel keeps f to 1e-12 of |f|
+    for (x, g, theta, beta), want in F_SMALL.items():
+        got = f_kernel(x, g, theta, beta)
+        assert abs(got - want) <= 1e-12 * abs(want), (x, g, theta, beta)
 
 
 def test_kernel_identity_at_zero():

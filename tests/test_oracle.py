@@ -42,6 +42,21 @@ def test_asymmetric_couplings_rejected():
         oracle.build_hamiltonian(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+def test_oracle_symmetry_bound_is_absolute():
+    # the oracle checks couplings as the closed forms do, but with its
+    # absolute symmetry bound of 1e-12: an asymmetry of 1e-11 at
+    # max |V| = 100 is within sigma_plus_couplings' 1e-12 of max |V| and
+    # an error here
+    v = np.array([[0.0, 100.0, 0.3], [100.0, 0.0, 0.5], [0.3 + 1e-11, 0.5, 0.0]])
+    assert np.max(np.abs(v - v.T)) > 1e-12
+    proto = RamseyProtocol(math.pi / 2, False, 0.0, 0.0)
+    assert np.isfinite(sigma_plus_couplings(v, proto, 0.7))
+    with pytest.raises(ParameterError, match="couplings must be symmetric"):
+        oracle.build_hamiltonian(v)
+    with pytest.raises(ParameterError, match="couplings must be symmetric"):
+        oracle.ramsey_sigma_plus(v, proto, [0.7])
+
+
 def test_non_finite_inputs_rejected():
     # the Taylor series reaches its stopping bound only on finite input
     v = np.array([[0.0, 1.0], [1.0, 0.0]])
