@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import (
     BiasWarning,
+    CapacityError,
     CrossingNotFoundError,
     NumericalError,
     ParameterError,
@@ -117,6 +118,11 @@ _SKIP_MARGIN = 1e-4
 # each array of a chunk stays in cache (48 kB or less), and a longer rule
 # (|V0 t| above about 2e3), float or array, is summed in pieces of this size.
 _NODE_CHUNK = 3 * 2**10
+
+# Most nodes of one soft-core midpoint rule, at |V0 t| of about 1.8e8 (a rule
+# of 2.5e8 nodes took 12 s on a shared 2-vCPU host). A longer rule is a
+# CapacityError, raised before any node is built.
+_NODE_CAP = 2**28
 
 # Iteration cap of tau_half's Brent polish, scipy's brentq default.
 _BRENT_MAXITER = 100
@@ -366,9 +372,17 @@ def _midpoint_cos2(m: int, first: int) -> np.ndarray:
     return cos2
 
 
-def _midpoint_order(t_abs: float) -> int:
-    """M of the midpoint rule of :func:`_soft_core_i_over_nr` at |T| = t_abs."""
-    return int(t_abs / 2.0 + 3.0 * t_abs ** (1.0 / 3.0) + 24.0)
+def _midpoint_order(t_abs: float, g: float = 0.0) -> int:
+    """M of the midpoint rule of :func:`_soft_core_i_over_nr` at |T| = t_abs
+    and g = gamma t. CapacityError where its 3M nodes pass _NODE_CAP, in
+    float arithmetic before M is taken as an int (an infinite |T| too)."""
+    order = t_abs / 2.0 + 3.0 * t_abs ** (1.0 / 3.0) + 24.0
+    if 3.0 * order > _NODE_CAP:
+        raise CapacityError(
+            f"the soft-core midpoint rule at |V0 t| = T = {t_abs:.6g}, g = {g:.6g} "
+            f"would take {3.0 * order:.3g} nodes, past the cap of {_NODE_CAP}"
+        )
+    return int(order)
 
 
 def _midpoint_sums(t_abs: np.ndarray, g: np.ndarray, m: list, theta: float, beta: int) -> tuple:
@@ -455,8 +469,9 @@ def _soft_core_i_over_nr(T: np.ndarray, g: np.ndarray, theta: float, beta: int) 
     :func:`_midpoint_sums`, which sums each rule in pieces of at most
     _NODE_CHUNK nodes. Each piece takes the nodes, operations and pairwise
     sum it would take alone, so many times in one call equal one-time
-    calls bit for bit. Raises NumericalError at the first time (in array
-    order) whose two rules disagree.
+    calls bit for bit. Raises CapacityError at the first time (in array
+    order) whose rule has more than _NODE_CAP nodes, before any node is
+    built, and NumericalError at the first time whose two rules disagree.
     """
     out = np.empty(T.size, dtype=complex)
     taylor = np.abs(T) <= _T_TAYLOR
@@ -467,7 +482,7 @@ def _soft_core_i_over_nr(T: np.ndarray, g: np.ndarray, theta: float, beta: int) 
             return out
         T, g = T[~taylor], g[~taylor]
     t_abs = np.abs(T)
-    m = [_midpoint_order(t) for t in t_abs.tolist()]
+    m = [_midpoint_order(t, g_k) for t, g_k in zip(t_abs.tolist(), g.tolist())]
     fine, coarse = _midpoint_sums(t_abs, g, m, theta, beta)
     m = np.array(m)
     total = fine * (t_abs * math.pi / (6 * m))
@@ -650,9 +665,8 @@ def _bare_i_tilde(s: float, g: float, theta: float, beta: int) -> complex:
 
 def _exponent_integral_many(pot, proto, density, times: np.ndarray) -> np.ndarray:
     """:func:`exponent_integral` of the gas of ``pot``, ``proto`` and
-    ``density`` (one float, or one value per time) at each time of a 1-D
-    float array: the times are checked, then :func:`_exponent_routes`
-    evaluates every t > 0."""
+    ``density`` (one float) at each time of a 1-D float array: the times
+    are checked, then :func:`_exponent_routes` evaluates every t > 0."""
     out = np.zeros(times.size, dtype=complex)  # t = 0 gives 0 exactly
     ok = (times >= 0.0) & (times < math.inf)  # nan fails too
     if not ok.all():
@@ -665,8 +679,6 @@ def _exponent_integral_many(pot, proto, density, times: np.ndarray) -> np.ndarra
         t = float(times[g == math.inf][0])
         raise ParameterError(f"g = gamma*t overflows float64 at gamma = {gamma!r}, t = {t!r}")
     live = times > 0.0
-    if np.ndim(density):
-        density = density[live]
     out[live] = _exponent_routes(pot, proto, density, times[live], g[live])
     return out
 

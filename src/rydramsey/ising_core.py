@@ -328,12 +328,15 @@ def _checked_times(proto: RamseyProtocol, t) -> np.ndarray:
 
 def _checked_couplings(couplings, *, absolute: bool = False) -> np.ndarray:
     """couplings as a float array, checked: a nonempty square matrix, finite,
+    zero on the diagonal (a pair of zero coupling leaves any product, f(0, g) = 1),
     and symmetric to 1e-12 of its largest |entry| (or of 1; of 1 if absolute)."""
     v = np.asarray(couplings, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
         raise ParameterError("couplings must be a nonempty square matrix")
     if not np.all(np.isfinite(v)):
         raise ParameterError("couplings must be finite")
+    if np.any(np.diagonal(v)):
+        raise ParameterError("couplings must be zero on the diagonal")
     # max |v| and max |v - v.T| without an (N, N) temporary: the asymmetry
     # is taken in blocks of rows (one block for N up to 256)
     scale = 1.0 if absolute else max(1.0, float(v.max()), -float(v.min()))
@@ -361,7 +364,7 @@ def sigma_plus_couplings(
 
     sigma_plus = sin(theta) * D(gamma, t) * e^{-gamma_d t}
     * (1/N) sum_k prod_{j != k} f_kernel(V_jk t, gamma t, theta, beta).
-    See :func:`f_kernel` and :func:`coherence_decay`.
+    See :func:`f_kernel` and :func:`coherence_decay`; j = k leaves by V_kk = 0.
 
     The matrix is validated once per call and taken in blocks of about
     :data:`_BLOCK_ENTRIES` // N rows. At each time the kernel is evaluated
@@ -376,7 +379,7 @@ def sigma_plus_couplings(
     Parameters
     ----------
     couplings : ndarray
-        (N, N) symmetric, zero diagonal, rad/us.
+        (N, N) symmetric, zero diagonal (else ParameterError), rad/us.
     proto : RamseyProtocol
     t : float or 1-D array
         us, finite; t >= 0 (t < 0 allowed only when gamma = gamma_d = 0,
@@ -401,7 +404,6 @@ def sigma_plus_couplings(
         hi = lo + cols.shape[1]
         for k, tk in enumerate(flat):
             f = f_kernel(values * tk, proto.gamma * tk, proto.theta, proto.beta)[cols]
-            np.fill_diagonal(f[lo:hi], 1.0)  # j == k excluded from the product
             rows[k, lo:hi] = f.prod(axis=0)
     out = _envelope(proto, times.reshape(-1)) * rows.sum(axis=1) / n
     return complex(out[0]) if times.ndim == 0 else out
@@ -456,10 +458,10 @@ def connected_sxsx(
     ``j`` is one site (returns a float) or a 1-D integer array of sites
     (returns an array shaped like it). The sites are taken in blocks of
     about :data:`_BLOCK_ENTRIES` // N: per block three kernel matrices, the
-    rows of j for the <sigma^x_k> and the matrices at (V_ik +- V_jk) t,
-    with the excluded columns i and j set to 1, each row multiplied out by
-    :func:`_row_products`. Each row's product is independent of the
-    others, so the result does not depend on the blocking.
+    rows of j for the <sigma^x_k> and the matrices at (V_ik +- V_jk) t with
+    columns i and j zeroed, so each excluded pair leaves by zero coupling,
+    each row multiplied out by :func:`_row_products`. Each row's product is
+    independent of the others, so the result does not depend on the blocking.
 
     Raises
     ------
@@ -481,24 +483,23 @@ def connected_sxsx(
     th, beta = proto.theta, proto.beta
     sites = js.reshape(-1).astype(int)
 
-    def prod_f(x, excluded):
-        # prod over each row of f(x t, gamma t), skipping the excluded columns
-        f = f_kernel(x * t, proto.gamma * t, th, beta)
-        r = np.arange(f.shape[0])
-        for cols in excluded:
-            f[r, cols] = 1.0
-        return _row_products(f)
+    def prod_f(x):
+        return _row_products(f_kernel(x * t, proto.gamma * t, th, beta))
 
     e = _envelope(proto, t)
     amp = 0.25 * e * e
-    sx_i = (e * prod_f(v[[i]], [i])).real[0]
+    sx_i = (e * prod_f(v[[i]])).real[0]
     out = np.empty(sites.size)
     height = max(1, _BLOCK_ENTRIES // n)
     for lo in range(0, sites.size, height):
         block = sites[lo : lo + height]
-        sx = (e * prod_f(v[block], [block])).real
-        spp = amp * np.exp(1j * beta * v[i, block] * t) * prod_f(v[i] + v[block], [i, block])
-        spm = amp * prod_f(v[i] - v[block], [i, block])
+        sx = (e * prod_f(v[block])).real
+        plus, minus = v[i] + v[block], v[i] - v[block]
+        for x in (plus, minus):  # the pairs with i and with j leave the product
+            x[:, i] = 0.0
+            x[np.arange(block.size), block] = 0.0
+        spp = amp * np.exp(1j * beta * v[i, block] * t) * prod_f(plus)
+        spm = amp * prod_f(minus)
         sxsx = 2.0 * (spp + spm).real
         out[lo : lo + height] = (sxsx - sx_i * sx) / 4.0
     return float(out[0]) if js.ndim == 0 else out

@@ -62,16 +62,14 @@ _MIN_EIGENVALUE = -1e-8
 
 
 def _checked_couplings(couplings):
-    """couplings as a float array and N: checked by the closed forms' check,
-    symmetric to 1e-12 absolute, within the capacity and zero-diagonal."""
+    """couplings as a float array and N: checked by the closed forms' check
+    (zero diagonal, symmetric to 1e-12 absolute) and within the capacity."""
     v = ising_core._checked_couplings(couplings, absolute=True)
     n = v.shape[0]
     if n > CAPACITY_LIMIT:
         raise CapacityError(
             f"dense evolution is capped at N = {CAPACITY_LIMIT}, got N = {n}"
         )
-    if np.any(np.diag(v) != 0.0):
-        raise ParameterError("couplings must have a zero diagonal")
     return v, n
 
 

@@ -166,12 +166,12 @@ def test_array_form_rejects_what_the_scalar_form_rejects():
 @pytest.mark.parametrize("pot", [soft_core(), bare(-1.3e4)], ids=["soft_core", "bare"])
 @pytest.mark.parametrize("gamma", [0.0, 0.2])
 def test_array_form_takes_one_density_per_time(pot, gamma):
-    # one density per time, as the rounds of a tau_1/2 table pass it: each
-    # element equals the one-time call of its own gas, t = 0 included
+    # one density per time, as the rounds of a tau_1/2 table pass it to the
+    # routes function: each element equals the one-time call of its own gas
     proto = RamseyProtocol(0.7, True, gamma, 0.0)
     density = np.array([0.3, 2.0, 1e-3, 0.05, 7.0])
-    times = np.array([0.0, 0.05, 3.0, 40.0, 0.5])
-    got = _exponent_integral_many(pot, proto, density, times)
+    times = np.array([1e-3, 0.05, 3.0, 40.0, 0.5])
+    got = gas_average._exponent_routes(pot, proto, density, times, gamma * times)
     want = [exponent_integral(GasSpec(rho, pot, proto), t) for rho, t in zip(density, times)]
     assert np.array_equal(got, want)
 
@@ -198,6 +198,33 @@ def test_array_midpoint_nonconvergence_raises(monkeypatch):
     assert diag["T"] == pytest.approx(7.0) and diag["g"] == pytest.approx(0.7)
     assert diag["nodes"] == 3 * m[1]
     exponents(sp, times[:2])  # smooth below 2.8: no error
+
+
+def test_midpoint_rule_past_the_node_cap_is_refused():
+    # at V0 = 16 rad/us, t = 1e308 gives |V0 t| = inf, whose M raised a raw
+    # OverflowError from int(inf); a finite |V0 t| past the cap built its
+    # rule piece by piece for ever. Both are CapacityErrors now, at the first
+    # such time in array order and before any node is built
+    pot = derive_potential(DressingParams(2000.0, 5000.0, -1.0e4), PotentialKind.SOFT_CORE)
+    assert pot.v0 == pytest.approx(16.0)
+    sp = GasSpec(1.0, pot, RamseyProtocol(1.0, False, 1e-300, 0.0))
+    with pytest.raises(CapacityError, match=r"T = inf, g = 1e\+08 would take inf nodes"):
+        exponent_integral(sp, 1e308)
+    with pytest.raises(CapacityError, match=r"T = 1e\+09, g = 6\.25e-293 .* 1\.5e\+09 nodes"):
+        exponents(sp, np.array([0.5, 1e9 / 16.0, 1e300]))
+    # 3M just below and just above the cap
+    assert 3 * gas_average._midpoint_order(1.78e8) <= gas_average._NODE_CAP
+    with pytest.raises(CapacityError):
+        gas_average._midpoint_order(1.8e8)
+
+
+def test_fig2_past_the_node_cap_exits_3(tmp_path, capsys):
+    # a fig2 grid out to 1e300 ran for ever (one batch entry per piece of a
+    # rule of 1.5e300 nodes); now it is a capacity error (exit 3, one line)
+    args = ["fig2", "--config", str(CONFIGS / "sr_dressed.json"), "--grid", "lin:0:1e300:3"]
+    assert cli.main([*args, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"past the cap of {gas_average._NODE_CAP}" in err
 
 
 def test_array_exponent_memory_is_bounded():

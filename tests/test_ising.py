@@ -547,6 +547,8 @@ BAD_COUPLINGS = {
     "nan": (np.array([[0.0, np.nan], [np.nan, 0.0]]), "finite"),
     "inf": (np.array([[0.0, np.inf], [np.inf, 0.0]]), "finite"),
     "asymmetric": (np.array([[0.0, 1.0], [2.0, 0.0]]), "symmetric"),
+    # a pair leaves each product by its zero coupling, the self-pair too
+    "nonzero-diagonal": (np.array([[0.5, 1.0], [1.0, 0.0]]), "zero on the diagonal"),
 }
 
 
@@ -693,6 +695,7 @@ def test_symmetry_check_allocates_no_square_temporary():
     n = 1200
     v = np.random.default_rng(8).random((n, n))
     v += v.T
+    np.fill_diagonal(v, 0.0)
     tracemalloc.start()
     try:
         ising_core._checked_couplings(v)

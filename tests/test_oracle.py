@@ -42,6 +42,13 @@ def test_asymmetric_couplings_rejected():
         oracle.build_hamiltonian(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+def test_nonzero_diagonal_rejected():
+    # the closed forms' couplings check holds the oracle's zero-diagonal rule
+    v = np.array([[0.0, 1.0, 0.3], [1.0, 1e-300, 0.5], [0.3, 0.5, 0.0]])
+    with pytest.raises(ParameterError, match="couplings must be zero on the diagonal"):
+        oracle.build_hamiltonian(v)
+
+
 def test_oracle_symmetry_bound_is_absolute():
     # the oracle checks couplings as the closed forms do, but with its
     # absolute symmetry bound of 1e-12: an asymmetry of 1e-11 at
