@@ -357,10 +357,11 @@ def _soft_core_h(x, g, theta: float, beta: int):
     return out
 
 
-# The nodes of the pieces of the midpoint rules (at most 24 kB each, 1.5 MB
-# in all). They depend on M and the piece's first node alone, and the default
-# sweeps share few of them: their midpoint rules all have |V0 t| below 32, so
-# each is one piece and M runs from 25 to 48.
+# The nodes of the one-piece midpoint rules, 3M <= _NODE_CHUNK (at most 24 kB
+# each, 1.5 MB in all). They depend on M alone, and the default sweeps share
+# few of them: their midpoint rules all have |V0 t| below 32, so M runs from
+# 25 to 48. The pieces of longer rules are built through __wrapped__ and
+# not kept: one rule at |V0 t| = 1e6 has 489.
 @functools.lru_cache(maxsize=64)
 def _midpoint_cos2(m: int, first: int) -> np.ndarray:
     """cos^2 phi_k at the nodes phi_k = (k + 1/2) pi / (6M) of the midpoint
@@ -426,7 +427,8 @@ def _midpoint_sums(t_abs: np.ndarray, g: np.ndarray, m: list, theta: float, beta
         x, g_nodes = np.empty(batch[-1][-1]), np.empty(batch[-1][-1])
         for r, rows, first, size, start, stop in batch:
             out = x[start:stop].reshape(rows, size)
-            np.multiply(t_abs[r : r + rows, None], _midpoint_cos2(m[r], first), out=out)
+            cos2 = _midpoint_cos2 if 3 * m[r] <= _NODE_CHUNK else _midpoint_cos2.__wrapped__
+            np.multiply(t_abs[r : r + rows, None], cos2(m[r], first), out=out)
             g_nodes[start:stop].reshape(rows, size)[...] = g[r : r + rows, None]
         vals = _soft_core_h(x, g_nodes, theta, beta)
         blocks = [vals[start:stop].reshape(rows, size) for _, rows, _, size, start, stop in batch]
@@ -1409,6 +1411,8 @@ def _tau_half_table(specs) -> list:
         except Exception:
             ratios = None
         for j, (k, (spec, _, t)) in enumerate(pending):
+            if errors and k > min(errors):
+                break  # this walk and the later ones stop here
             try:
                 ratio = abs(contrast_gas(spec, t)) / c0 if ratios is None else ratios[j]
             except Exception as exc:

@@ -147,7 +147,7 @@ _KERNEL_CHUNK = 8192
 
 
 def _half_angle_kernel(
-    v, t: float, theta: float, beta: int, out, u, s, w, gamma: float = 0.0, z=None
+    v, t: float, theta: float, beta: int, out, u, s, w, gamma=0.0, z=None
 ) -> None:
     """f(X, g) at X = v t and g = gamma t by the tangent forms of
     :func:`f_kernel`, written into buffers the caller owns.
@@ -158,7 +158,22 @@ def _half_angle_kernel(
     (v t)/4 and (v t)/2 bit for bit away from underflow and overflow, and
     X/g is v/gamma. u, s and w should be contiguous: numpy's tan and its
     arithmetic run faster there than on the strided parts of out.
+
+    gamma is a float, or, at t = 1, a (rows, 1) column of one g per row of
+    a 2-D v. Each row then gets f_kernel(v[row], g[row]) bit for bit: its
+    constants expm1(-g) and e^{-g} come from math one row at a time and
+    enter as columns, and each run of rows with g = 0 takes the unitary
+    formulas.
     """
+    if np.ndim(gamma):
+        pos = gamma[:, 0] > 0.0
+        cuts = [0, *(np.flatnonzero(pos[1:] != pos[:-1]) + 1).tolist(), pos.size]
+        if len(cuts) > 2 or not pos[0]:
+            for a, b in zip(cuts, cuts[1:]):
+                r = slice(a, b)
+                g_r = gamma[r] if pos[a] else 0.0
+                _half_angle_kernel(v[r], t, theta, beta, out[r], u[r], s[r], w[r], g_r, z[r])
+            return
     np.multiply(v, t * (0.25 if beta == 0 else 0.5), out=u)
     np.tan(u, out=u)
     np.multiply(u, u, out=s)
@@ -167,8 +182,13 @@ def _half_angle_kernel(
     g = gamma * t
     if beta == 0:
         np.subtract(1.0, s, out=s)
-    if g > 0.0:
-        j, decay = math.expm1(-g), math.exp(-g)
+    if np.ndim(g) or g > 0.0:
+        if np.ndim(g):
+            rows = g[:, 0].tolist()
+            j = np.array([math.expm1(-x) for x in rows])[:, None]
+            decay = np.array([math.exp(-x) for x in rows])[:, None]
+        else:
+            j, decay = math.expm1(-g), math.exp(-g)
         z.real = -1.0
         with np.errstate(over="ignore"):  # X/g = +-inf gives W D = 0
             np.divide(v, gamma if beta == 1 else -gamma, out=z.imag)  # z = -1 +- i X/g
@@ -367,14 +387,23 @@ def sigma_plus_couplings(
     See :func:`f_kernel` and :func:`coherence_decay`; j = k leaves by V_kk = 0.
 
     The matrix is validated once per call and taken in blocks of about
-    :data:`_BLOCK_ENTRIES` // N rows. At each time the kernel is evaluated
-    once per distinct coupling value of a block (a lattice has a handful)
-    and gathered back to the block's shape, where each row's factors are
-    multiplied directly: every |f| <= 1, so no partial product underflows
-    before the full one does, and an exact zero factor zeroes its two
-    rows. The blocks are taken one after another, each at every time, so
-    beyond the matrix a call holds one block's gather indices and factors
-    and each row's product at each time, a (times, N) complex array.
+    :data:`_BLOCK_ENTRIES` // N rows. The kernel is evaluated once per
+    distinct coupling value of a block (a lattice has about a hundred) and
+    time, in one call over a chunk of times at t = 1 with X = t V and one
+    g = gamma t per time (:func:`_half_angle_kernel`), so each value equals
+    its f_kernel call bit for bit. Each row's factors are then multiplied
+    directly, time-major: on the (values, times) transpose of the factors,
+    the product starts from the row's factor 0 at every time and multiplies
+    in factors 1 to N - 1 in order, the order of a product along axis 0
+    of the gathered (N, rows) factors at one time, so each product has
+    those bits. Every |f| <= 1, so no partial product underflows before
+    the full one does, and an exact zero factor zeroes its two rows.
+    The blocks are taken one after another and a block's times in chunks
+    of :data:`_BLOCK_ENTRIES` // (distinct values), so beyond the matrix
+    a call holds one block's gather indices, the kernel's arrays for one
+    chunk (of about _BLOCK_ENTRIES entries each), one (rows, times)
+    product, and each row's product at each time, a (times, N) complex
+    array.
 
     Parameters
     ----------
@@ -391,21 +420,33 @@ def sigma_plus_couplings(
     """
     v = _checked_couplings(couplings)
     times = _checked_times(proto, t)
-    n = v.shape[0]
+    flat = times.reshape(-1)
+    with np.errstate(over="ignore"):
+        g = proto.gamma * flat[:, None]  # one g = gamma t per time, a column
+    if not np.all(np.isfinite(g)):
+        raise ParameterError(f"g = gamma*t must be finite and non-negative, got {float(g.max())!r}")
+    n, th, beta = v.shape[0], proto.theta, proto.beta
     height = max(1, _BLOCK_ENTRIES // n)
-    flat = times.reshape(-1).tolist()
-    rows = np.empty((len(flat), n), dtype=complex)  # each row's product at each time
+    rows = np.empty((flat.size, n), dtype=complex)  # each row's product at each time
     for lo in range(0, n, height):
         values, inverse = np.unique(v[lo : lo + height], return_inverse=True)
-        # column k of the gather holds row lo + k's factors: a product along
-        # axis 0 of a C-contiguous complex array is vectorized, along axis 1
-        # it is not
+        # cols[r] holds the value index of factor r of each row of the block
         cols = np.ascontiguousarray(inverse.reshape(-1, n).T)
         hi = lo + cols.shape[1]
-        for k, tk in enumerate(flat):
-            f = f_kernel(values * tk, proto.gamma * tk, proto.theta, proto.beta)[cols]
-            rows[k, lo:hi] = f.prod(axis=0)
-    out = _envelope(proto, times.reshape(-1)) * rows.sum(axis=1) / n
+        # times per kernel call; a block of one row takes one: numpy's complex
+        # multiply of a lone element can round differently from its loop over
+        # several, and at one time that row's products are of lone elements
+        span = max(1, _BLOCK_ENTRIES // values.size) if hi - lo > 1 else 1
+        for a in range(0, flat.size, span):
+            x = flat[a : a + span, None] * values  # X = V t, a row per time
+            f, z = np.empty((2, *x.shape), dtype=complex)
+            _half_angle_kernel(x, 1.0, th, beta, f, *np.empty((3, *x.shape)), g[a : a + span], z)
+            f = np.ascontiguousarray(f.T)  # (values, times): a gathered row is contiguous
+            prod = f[cols[0]]
+            for c in cols[1:]:
+                prod *= f[c]
+            rows[a : a + span, lo:hi] = prod.T
+    out = _envelope(proto, flat) * rows.sum(axis=1) / n
     return complex(out[0]) if times.ndim == 0 else out
 
 

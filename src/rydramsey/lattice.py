@@ -5,7 +5,8 @@ builds its coupling matrix once, on first use, and both observables take
 it unchanged, so each is bit-for-bit the configuration result (a tested
 invariant): contrast through :func:`rydramsey.ising_core.sigma_plus_couplings`
 at a float time or a whole time grid, one kernel evaluation per distinct
-coupling value at each time, and a correlation map through one
+coupling value at each time (one kernel call per block of rows and chunk
+of times), and a correlation map through one
 :func:`rydramsey.ising_core.connected_sxsx` call against the central site.
 Correlations follow the spin-1/2 normalization S = sigma/2, so
 |G| <= 1/4 always.
@@ -102,7 +103,8 @@ def lattice_contrast(spec: LatticeSpec, proto: RamseyProtocol, t) -> complex | n
     float or a 1-D array; the total coherence is L^2 times it.
 
     Hands :attr:`LatticeSpec.couplings` to sigma_plus_couplings, which
-    evaluates the kernel once per distinct coupling value at each time;
+    evaluates the kernel once per distinct coupling value at each time,
+    all times of a block of rows in one call;
     returns a complex for a float t and a complex array for an array.
     L = 1 gives the bare single-atom signal sin(theta) D e^{-gamma_d t}.
     """

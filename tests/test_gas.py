@@ -1412,6 +1412,34 @@ def test_tau_table_records_midpoint_errors_per_walk(monkeypatch):
         assert_table_is_the_loop(soft, proto, order)
 
 
+def test_tau_table_fallback_stops_at_the_first_failed_walk(monkeypatch):
+    # the kinked integrand of test_tau_table_records_midpoint_errors_per_walk:
+    # N_R = 1e-3's first probe fails, so the first round's array evaluation
+    # raises and its probes are answered one at a time. Once index 0 has
+    # failed, the probes of indices 1 and 2 are not evaluated (their results
+    # would be discarded): one contrast_gas call, and the loop's error
+    true_h = gas_average._soft_core_h
+
+    def h(x, g, theta, beta):
+        return np.where(np.asarray(g) > 0.6, np.sqrt(x) + 0j, true_h(x, g, theta, beta))
+
+    monkeypatch.setattr(gas_average, "_soft_core_h", h)
+    true_contrast = gas_average.contrast_gas
+    probes = []
+
+    def counting(spec, t):
+        probes.append(spec.n_r)
+        return true_contrast(spec, t)
+
+    monkeypatch.setattr(gas_average, "contrast_gas", counting)
+    proto = RamseyProtocol(math.pi / 2, True, 1.0 / 21.0, 0.0)
+    got = table_outcome(soft_core_potential(), proto, [1e-3, 0.158, 1.0])
+    assert probes == [pytest.approx(1e-3)]
+    monkeypatch.setattr(gas_average, "contrast_gas", true_contrast)
+    assert got[0] is NumericalError
+    assert got == loop_outcome(soft_core_potential(), proto, [1e-3, 0.158, 1.0])
+
+
 # tau_1/2 frozen from a scan seeded by the asymptotic laws rather than the
 # proven floor; the two agree to brentq's tolerance
 SOFT_CORE_TAU = {

@@ -117,14 +117,15 @@ def t_of_nodes(nodes):
 
 def test_midpoint_rule_pieces():
     # a rule is summed in pieces of at most _NODE_CHUNK nodes, each starting
-    # at a multiple of 3, whose nodes the cache keeps by (M, first node)
+    # at a multiple of 3, whose nodes _midpoint_cos2 builds by (M, first
+    # node); the pieces of a rule of more than one piece are not cached
     chunk = gas_average._NODE_CHUNK
     sp = GasSpec.from_blockade_number(0.5, soft_core(), RamseyProtocol(1.1, True, 0.3, 0.0))
     gas_average._midpoint_cos2.cache_clear()
     exponent_integral(sp, 5e3)
     m = gas_average._midpoint_order(5e3)
     firsts = range(0, 3 * m, chunk)
-    assert gas_average._midpoint_cos2.cache_info()[:2] == (0, len(firsts))  # hits, misses
+    assert gas_average._midpoint_cos2.cache_info()[:2] == (0, 0)  # hits, misses
     assert len(firsts) == 3
     for first in firsts:
         cached = gas_average._midpoint_cos2(m, first)
@@ -142,6 +143,22 @@ def test_midpoint_rule_pieces():
         sp = GasSpec.from_blockade_number(0.5, soft_core(), RamseyProtocol(1.1, echo, 1e-3, 0.0))
         for order in (times, times[::-1], interleaved):
             assert np.array_equal(exponents(sp, order), scalar_exponents(sp, order))
+
+
+def test_midpoint_cache_holds_only_one_piece_rules():
+    # one call at V0 t = 1e6 (a rule of 489 pieces) builds its pieces
+    # through __wrapped__: it adds no entry and evicts none, so the next
+    # V0 t = 30 call (a one-piece rule) hits the entry it left
+    sp = GasSpec.from_blockade_number(0.5, soft_core(), RamseyProtocol(1.1, True, 1e-3, 0.0))
+    assert 3 * gas_average._midpoint_order(30.0) <= gas_average._NODE_CHUNK
+    cache = gas_average._midpoint_cos2
+    cache.cache_clear()
+    short = exponent_integral(sp, 30.0)
+    assert cache.cache_info()[:2] == (0, 1)  # hits, misses
+    exponent_integral(sp, 1e6)
+    assert cache.cache_info()[:2] == (0, 1) and cache.cache_info().currsize == 1
+    assert exponent_integral(sp, 30.0) == short
+    assert cache.cache_info()[:2] == (1, 1)
 
 
 @pytest.mark.parametrize("c6", [5.0, -1.3e4])

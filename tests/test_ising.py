@@ -462,14 +462,21 @@ def lattice_couplings(side):
 
 
 @pytest.mark.parametrize("proto", ARRAY_PROTOCOLS)
-@pytest.mark.parametrize("geometry", ["random12", "lattice5"])
+@pytest.mark.parametrize("geometry", ["random12", "lattice5", "lattice17", "lattice25"])
 def test_sigma_plus_time_array_equals_scalar_calls(proto, geometry):
+    # one kernel call per row block over all times (t = 0, g = 0, among
+    # g > 0), each row's product taken time-major. The 17 x 17 lattice is
+    # two row blocks; the 25 x 25 one ends in a block of one row, whose
+    # products at one time are of lone elements
     if geometry == "random12":
         v = rand_couplings(12, np.random.default_rng(21))
         assert np.unique(v[np.triu_indices(12, 1)]).size == 66  # all distinct
     else:
-        v = lattice_couplings(5)
-        assert np.unique(v).size < 20
+        side = int(geometry[len("lattice") :])
+        v = lattice_couplings(side)
+        # (full row blocks, rows of the last one)
+        blocks = divmod(side**2, ising_core._BLOCK_ENTRIES // side**2)
+        assert blocks == {5: (0, 25), 17: (1, 63), 25: (6, 1)}[side]
     got = sigma_plus_couplings(v, proto, ARRAY_TIMES)
     assert got.shape == ARRAY_TIMES.shape and got.dtype == complex
     for k, t in enumerate(ARRAY_TIMES):
@@ -523,13 +530,13 @@ def test_sigma_plus_exact_zero_factor_kills_both_rows(monkeypatch, gamma):
     i, j = np.unravel_index(np.argmax(np.abs(v)), v.shape)
     proto = RamseyProtocol(1.0, False, gamma, 0.0)
     kernel = ising_core.f_kernel
+    half_angle = ising_core._half_angle_kernel
 
-    def zeroing_kernel(x, g, theta, beta):
-        out = kernel(x, g, theta, beta)
-        out[np.abs(x) == abs(v[i, j]) * t] = 0.0
-        return out
+    def zeroing_kernel(x, t_k, theta, beta, out, *scratch):
+        half_angle(x, t_k, theta, beta, out, *scratch)
+        out[np.abs(x * t_k) == abs(v[i, j]) * t] = 0.0
 
-    monkeypatch.setattr(ising_core, "f_kernel", zeroing_kernel)
+    monkeypatch.setattr(ising_core, "_half_angle_kernel", zeroing_kernel)
     got = sigma_plus_couplings(v, proto, t)
     factors = kernel(v * t, gamma * t, proto.theta, proto.beta)
     factors[[i, j], [j, i]] = 0.0
@@ -538,6 +545,59 @@ def test_sigma_plus_exact_zero_factor_kills_both_rows(monkeypatch, gamma):
     assert rows[i] == 0.0 and rows[j] == 0.0
     want = ising_core._envelope(proto, t) * rows.sum() / n
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("beta", [0, 1])
+def test_kernel_with_a_g_per_row_equals_f_kernel_row_by_row(beta):
+    # sigma_plus_couplings hands the kernel a (times, values) X at t = 1
+    # with g = gamma t as a column: each row must be f_kernel at its own
+    # g bit for bit. Runs of g = 0 rows among g > 0 rows take the unitary
+    # formulas; a subnormal g takes its constants from math; X/g = +-inf
+    # (1e300 over a subnormal g) gives W D = 0; X takes both signs
+    x = np.array([0.0, -0.0, 1e-321, -3e-310, 0.5, -7.0, 31.4, -1e5, 1e300, -1e300])
+    mixed = [0.0, 0.3, 0.3, 0.0, 0.0, 5e-324, 1e-310, 2.0, 0.0, 40.0]
+    for gs in (mixed, [0.3, 5e-324, 2.0], [0.0, 0.0], [1e-310]):
+        g = np.array(gs)[:, None]
+        xs = np.outer(np.linspace(1.0, 0.5, g.size), x)
+        for theta in (0.0, 0.3, math.pi / 2, math.pi):
+            out, z = np.empty((2, *xs.shape), dtype=complex)
+            scratch = np.empty((3, *xs.shape))
+            ising_core._half_angle_kernel(xs, 1.0, theta, beta, out, *scratch, g, z)
+            for row, g_row, got in zip(xs, gs, out):
+                assert np.array_equal(got, f_kernel(row, g_row, theta, beta)), (g_row, theta)
+
+
+def test_sigma_plus_time_chunks_change_no_bit(monkeypatch):
+    # a block's times are cut into chunks of _BLOCK_ENTRIES // (distinct
+    # values) per kernel call; the chunks change no bit, here blocks of 2
+    # and 3 rows with 3 to 7 times per call, against all 11 in one
+    v = lattice_couplings(6)
+    times = np.linspace(0.0, 3.0, 11)
+    kernel = ising_core._half_angle_kernel
+    chunks = []
+
+    def counting(x, *args):
+        chunks.append(x.shape[0])
+        kernel(x, *args)
+
+    monkeypatch.setattr(ising_core, "_half_angle_kernel", counting)
+    entries = ising_core._BLOCK_ENTRIES
+    for proto in (RamseyProtocol(0.9, True, 0.2, 0.0), RamseyProtocol(0.9, False, 0.0, 0.0)):
+        want = sigma_plus_couplings(v, proto, times)
+        for rows in (2, 3):
+            monkeypatch.setattr(ising_core, "_BLOCK_ENTRIES", rows * 36)
+            chunks.clear()
+            assert np.array_equal(sigma_plus_couplings(v, proto, times), want)
+            assert 1 < max(chunks) < times.size
+        monkeypatch.setattr(ising_core, "_BLOCK_ENTRIES", entries)
+
+
+def test_sigma_plus_rejects_overflowing_g():
+    # g = gamma t past the largest float is rejected as f_kernel rejects it
+    v = rand_couplings(3, np.random.default_rng(2))
+    proto = RamseyProtocol(1.0, False, 1e300, 0.0)
+    with pytest.raises(ParameterError, match="finite and non-negative"):
+        sigma_plus_couplings(v, proto, np.array([0.0, 1e10]))
 
 
 BAD_COUPLINGS = {
