@@ -331,7 +331,8 @@ def run_fig4(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
 
     The trace is the per-spin coherence under the configured protocol
     (dissipation allowed); the G maps are evaluated for the unitary
-    protocol at |V0| t in {pi/2, pi, 2 pi} around the central site,
+    protocol at |V0| t in {pi/2, pi, 2 pi} around the central site, all
+    three in one :func:`~rydramsey.lattice.correlation_map` call, and
     exported as site CSVs (columns site_x, site_y, G; the reference site
     is skipped) and as dense grids in the metadata.
     """
@@ -351,9 +352,9 @@ def run_fig4(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     side, center = spec.side, spec.center_site
     snapshots = {}
     map_meta = {}
-    for tag, T in (("pi2", math.pi / 2.0), ("pi", math.pi), ("2pi", 2.0 * math.pi)):
-        t = float(_times_us(pot, T, unitary))
-        values = correlation_map(spec, unitary, t)
+    map_times = _times_us(pot, [math.pi / 2.0, math.pi, 2.0 * math.pi], unitary)
+    maps = correlation_map(spec, unitary, map_times)  # one call: (3, L, L)
+    for tag, t, values in zip(("pi2", "pi", "2pi"), map_times.tolist(), maps):
         flat = values.ravel().tolist()  # flat index ix * L + iy
         tables[f"fig4_map_v0t_{tag}.csv"] = (
             ["site_x", "site_y", "G"],

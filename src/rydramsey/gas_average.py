@@ -680,6 +680,13 @@ def _exponent_integral_many(pot, proto, density, times: np.ndarray) -> np.ndarra
     if (g == math.inf).any():
         t = float(times[g == math.inf][0])
         raise ParameterError(f"g = gamma*t overflows float64 at gamma = {gamma!r}, t = {t!r}")
+    # the soft-core closed form takes T = V0 t where g = 0: at gamma = 0
+    # (a time whose g underflows at gamma > 0 is below 1/2, so its T is finite)
+    v0 = abs(pot.v0)
+    closed = pot.kind is PotentialKind.SOFT_CORE and gamma == 0.0
+    if closed and v0 * float(times.max(initial=0.0)) == math.inf:
+        t = next(x for x in times.tolist() if v0 * x == math.inf)
+        raise ParameterError(f"V0 t overflows float64 at V0 = {pot.v0!r} rad/us, t = {t!r}")
     live = times > 0.0
     out[live] = _exponent_routes(pot, proto, density, times[live], g[live])
     return out
@@ -1352,7 +1359,10 @@ def _tau_half_table(specs) -> list:
     """``[tau_half(spec) for spec in specs]`` for gases of one potential and
     one protocol, bit for bit and error for error, with the walks of
     :func:`_tau_walk` advanced in lockstep. An error that the iterable
-    ``specs`` raises at item k is walk k's error.
+    ``specs`` raises at item k is walk k's error. The first gas sets the
+    family: a later gas of another potential or protocol gets a
+    ParameterError as its walk error, since each round evaluates every
+    walk with the family's potential and protocol.
 
     Each round answers the pending probe of every live walk with one
     :func:`_exponent_routes` call, at one density per walk, and the
@@ -1384,6 +1394,7 @@ def _tau_half_table(specs) -> list:
         del walks[k]
 
     specs = iter(specs)
+    family = None
     while not errors:
         k = len(taus)
         try:
@@ -1393,11 +1404,19 @@ def _tau_half_table(specs) -> list:
         except Exception as exc:
             errors[k] = exc
             break
+        if family is None:
+            family = spec.potential, spec.protocol
+        elif (spec.potential, spec.protocol) != family:
+            errors[k] = ParameterError(
+                "a tau_1/2 table takes gases of one potential and one protocol, "
+                f"but gas {k} differs from gas 0"
+            )
+            break
         taus.append(math.nan)
         walks[k] = [spec, _tau_walk(spec), None]
         advance(k, None)
-    if walks:  # every gas has the potential and protocol of the last one
-        pot, proto = spec.potential, spec.protocol
+    if walks:
+        pot, proto = family
         c0 = float(abs(np.sin(proto.theta)))
     while walks:
         pending = list(walks.items())

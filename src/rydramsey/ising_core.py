@@ -333,9 +333,13 @@ class AtomConfiguration:
         return v
 
 
-def _checked_times(proto: RamseyProtocol, t) -> np.ndarray:
-    """t as a float array, checked: a float or a 1-D array, finite, and
-    negative only at gamma = gamma_d = 0 (under dissipation E would grow)."""
+def _checked_times(proto: RamseyProtocol, t, v: np.ndarray) -> np.ndarray:
+    """t as a float array, checked against the protocol and the checked
+    coupling matrix v: a float or a 1-D array, finite, negative only at
+    gamma = gamma_d = 0 (under dissipation E would grow), with a finite
+    g = gamma max|t| and a finite 2 max|V| max|t|. That last bound covers
+    every pair phase of both evaluators, V t in the trace and
+    (V_ik +- V_jk) t in the correlator."""
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ParameterError("t must be a float or a 1-D array of times")
@@ -343,6 +347,14 @@ def _checked_times(proto: RamseyProtocol, t) -> np.ndarray:
         raise ParameterError("times must be finite")
     if np.any(times < 0) and (proto.gamma > 0 or proto.gamma_d > 0):
         raise ParameterError("negative time is only meaningful without dissipation")
+    t_max = float(np.max(np.abs(times), initial=0.0))
+    if proto.gamma * t_max == math.inf:  # Python floats overflow to inf silently
+        raise ParameterError("g = gamma*t must be finite and non-negative, got inf")
+    v_max = max(float(v.max()), -float(v.min()))
+    if not math.isfinite(2.0 * v_max * t_max):
+        raise ParameterError(
+            f"pair phase 2 max|V| t overflows float64 at max|V| = {v_max!r} rad/us, t = {t_max!r}"
+        )
     return times
 
 
@@ -412,19 +424,18 @@ def sigma_plus_couplings(
     proto : RamseyProtocol
     t : float or 1-D array
         us, finite; t >= 0 (t < 0 allowed only when gamma = gamma_d = 0,
-        where the evolution is unitary and time reversal is meaningful).
+        where the evolution is unitary and time reversal is meaningful),
+        with gamma max|t| and 2 max|V| max|t| finite, else ParameterError
+        (:func:`_checked_times`, the time check of :func:`connected_sxsx` too).
 
     Returns
     -------
     complex for a scalar t, else a complex array shaped like t.
     """
     v = _checked_couplings(couplings)
-    times = _checked_times(proto, t)
+    times = _checked_times(proto, t, v)
     flat = times.reshape(-1)
-    with np.errstate(over="ignore"):
-        g = proto.gamma * flat[:, None]  # one g = gamma t per time, a column
-    if not np.all(np.isfinite(g)):
-        raise ParameterError(f"g = gamma*t must be finite and non-negative, got {float(g.max())!r}")
+    g = proto.gamma * flat[:, None]  # one g = gamma t per time, a column
     n, th, beta = v.shape[0], proto.theta, proto.beta
     height = max(1, _BLOCK_ENTRIES // n)
     rows = np.empty((flat.size, n), dtype=complex)  # each row's product at each time
@@ -477,10 +488,11 @@ def connected_sxsx(
     proto: RamseyProtocol,
     i: int,
     j,
-    t: float,
+    t,
 ) -> float | np.ndarray:
     """Connected correlator G(i,j) = <S^x_i S^x_j> - <S^x_i><S^x_j>, S = sigma/2,
-    for a given coupling matrix (as :func:`sigma_plus_couplings`) at one time t.
+    for a given coupling matrix (as :func:`sigma_plus_couplings`) at one time
+    or many.
 
     Closed form at every gamma and gamma_d. With the envelope E of
     :func:`sigma_plus_couplings` and f = f_kernel(., gamma t, theta, beta):
@@ -496,19 +508,24 @@ def connected_sxsx(
     echo readout frame (sign flips cancel pairwise) and is validated
     against the master-equation module.
 
-    ``j`` is one site (returns a float) or a 1-D integer array of sites
-    (returns an array shaped like it). The sites are taken in blocks of
-    about :data:`_BLOCK_ENTRIES` // N: per block three kernel matrices, the
-    rows of j for the <sigma^x_k> and the matrices at (V_ik +- V_jk) t with
-    columns i and j zeroed, so each excluded pair leaves by zero coupling,
-    each row multiplied out by :func:`_row_products`. Each row's product is
-    independent of the others, so the result does not depend on the blocking.
+    ``j`` is one site (a float for a float t) or a 1-D integer array of
+    sites (an array shaped like it). ``t`` is a float or a 1-D array of
+    times, which adds a leading times axis: shape (times,) for one site,
+    (times, sites) for an array. The sites are taken in blocks of about
+    :data:`_BLOCK_ENTRIES` // N. A block's sums V_ik +- V_jk, with columns
+    i and j zeroed so that each excluded pair leaves by zero coupling, are
+    built once for all times. At each time the block gives three kernel
+    matrices, the rows of j (for the <sigma^x_k>) and the two sums, each
+    row multiplied out by :func:`_row_products`. Each time takes its
+    envelope and <sigma^x_i> from its float t, and each row's product is
+    independent of the others, so every element equals its one-time,
+    one-site call bit for bit.
 
     Raises
     ------
     ParameterError
-        Couplings or a time that :func:`sigma_plus_couplings` rejects, t
-        not a single time, i among j, or an index out of range.
+        Couplings or times that :func:`sigma_plus_couplings` rejects, i
+        among j, or an index out of range.
     """
     v = _checked_couplings(couplings)
     n = v.shape[0]
@@ -519,28 +536,28 @@ def connected_sxsx(
         raise ParameterError(f"site indices out of range for N = {n}")
     if np.any(js == i):
         raise ParameterError("connected correlator needs two distinct sites")
-    if _checked_times(proto, t).ndim != 0:
-        raise ParameterError("the correlators take one time t, not an array")
+    ts = _checked_times(proto, t, v).reshape(-1).tolist()  # the floats of one-time calls
     th, beta = proto.theta, proto.beta
     sites = js.reshape(-1).astype(int)
 
-    def prod_f(x):
+    def prod_f(x, t):
         return _row_products(f_kernel(x * t, proto.gamma * t, th, beta))
 
-    e = _envelope(proto, t)
-    amp = 0.25 * e * e
-    sx_i = (e * prod_f(v[[i]])).real[0]
-    out = np.empty(sites.size)
+    es = [_envelope(proto, t) for t in ts]
+    sx_i = [(e * prod_f(v[[i]], t)).real[0] for e, t in zip(es, ts)]
+    out = np.empty((len(ts), sites.size))
     height = max(1, _BLOCK_ENTRIES // n)
     for lo in range(0, sites.size, height):
         block = sites[lo : lo + height]
-        sx = (e * prod_f(v[block])).real
         plus, minus = v[i] + v[block], v[i] - v[block]
         for x in (plus, minus):  # the pairs with i and with j leave the product
             x[:, i] = 0.0
             x[np.arange(block.size), block] = 0.0
-        spp = amp * np.exp(1j * beta * v[i, block] * t) * prod_f(plus)
-        spm = amp * prod_f(minus)
-        sxsx = 2.0 * (spp + spm).real
-        out[lo : lo + height] = (sxsx - sx_i * sx) / 4.0
-    return float(out[0]) if js.ndim == 0 else out
+        for k, (e, tk) in enumerate(zip(es, ts)):
+            amp = 0.25 * e * e
+            sx = (e * prod_f(v[block], tk)).real
+            spp = amp * np.exp(1j * beta * v[i, block] * tk) * prod_f(plus, tk)
+            spm = amp * prod_f(minus, tk)
+            out[k, lo : lo + height] = (2.0 * (spp + spm).real - sx_i[k] * sx) / 4.0
+    out = out.reshape(np.shape(t) + js.shape)
+    return float(out) if out.ndim == 0 else out

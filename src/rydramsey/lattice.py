@@ -3,10 +3,10 @@
 A finite L x L array with open boundaries, one atom per site. A spec
 builds its coupling matrix once, on first use, and both observables take
 it unchanged, so each is bit-for-bit the configuration result (a tested
-invariant): contrast through :func:`rydramsey.ising_core.sigma_plus_couplings`
-at a float time or a whole time grid, one kernel evaluation per distinct
-coupling value at each time (one kernel call per block of rows and chunk
-of times), and a correlation map through one
+invariant). Both take a float time or a 1-D array of times: contrast
+through :func:`rydramsey.ising_core.sigma_plus_couplings`, one kernel
+evaluation per distinct coupling value at each time (one kernel call per
+block of rows and chunk of times), and correlation maps through one
 :func:`rydramsey.ising_core.connected_sxsx` call against the central site.
 Correlations follow the spin-1/2 normalization S = sigma/2, so
 |G| <= 1/4 always.
@@ -111,29 +111,31 @@ def lattice_contrast(spec: LatticeSpec, proto: RamseyProtocol, t) -> complex | n
     return sigma_plus_couplings(spec.couplings, proto, t)
 
 
-def correlation_map(spec: LatticeSpec, proto: RamseyProtocol, t: float) -> np.ndarray:
+def correlation_map(spec: LatticeSpec, proto: RamseyProtocol, t) -> np.ndarray:
     """Map of G(center, j) = <S^x S^x> - <S^x><S^x> under ``proto`` over
     all sites j, with the reference site at :attr:`LatticeSpec.center_site`.
 
-    Returns an (L, L) float array indexed [ix, iy]; the reference site
-    holds NaN (G(i, i) is not defined by the map). G is symmetric in its
-    two sites and bounded by 1/4 in the S = sigma/2 convention.
+    Returns an (L, L) float array indexed [ix, iy] for a float t, and a
+    (times, L, L) array of such maps for a 1-D array of times, each equal
+    to its one-time map bit for bit. The reference site holds NaN (G(i, i)
+    is not defined by the map). G is symmetric in its two sites and
+    bounded by 1/4 in the S = sigma/2 convention.
     One :func:`~rydramsey.ising_core.connected_sxsx` call on
-    :attr:`LatticeSpec.couplings` evaluates every site, at every gamma
-    and gamma_d (an echo follows the commuted model sequence). At t = 0
-    every entry vanishes.
+    :attr:`LatticeSpec.couplings` evaluates every site at every time, at
+    every gamma and gamma_d (an echo follows the commuted model
+    sequence). At t = 0 every entry vanishes.
 
     Raises
     ------
     ParameterError
-        t not a single time, or t outside the time rule of
+        t outside the time rule of
         :func:`~rydramsey.ising_core.sigma_plus_couplings`.
     """
     center = spec.center_site
     js = np.delete(np.arange(spec.n_sites), center)
-    values = np.full(spec.n_sites, np.nan)  # flat index ix * L + iy
-    values[js] = connected_sxsx(spec.couplings, proto, center, js, t)
-    return values.reshape(spec.side, spec.side)
+    g = connected_sxsx(spec.couplings, proto, center, js, t)
+    values = np.insert(g, center, np.nan, axis=-1)  # flat index ix * L + iy
+    return values.reshape(*g.shape[:-1], spec.side, spec.side)
 
 
 def d4_deviation(values: np.ndarray) -> float:

@@ -1386,6 +1386,54 @@ def test_tau_table_raises_the_error_of_the_lowest_failing_index():
     assert "below the search ceiling" in table_outcome(soft, proto, (late, window))[1]
 
 
+def test_tau_table_takes_one_gas_family():
+    # every round evaluates its walks with one potential and protocol, the
+    # first gas's: an echo gas tabled before a no-echo one returned
+    # 2.109065582019057 where its tau_1/2 is 2.795748176942694. A later gas
+    # of another family is now that gas's walk error, and the lowest
+    # walk error is raised, as for every walk error
+    soft = soft_core_potential()
+    echo, noecho = (RamseyProtocol(math.pi / 2, e, 0.0, 0.0) for e in (True, False))
+    gas = GasSpec.from_blockade_number(1.0, soft, echo)
+    moved = derive_potential(DressingParams(1000.0, 5000.0, -2.0e4), PotentialKind.SOFT_CORE)
+    late = GasSpec.from_blockade_number(2e-155, soft, noecho)
+    message = "one potential and one protocol, but gas 1 differs from gas 0"
+    for other in (GasSpec(gas.density, soft, noecho), GasSpec(gas.density, moved, echo)):
+        with pytest.raises(ParameterError, match=message):
+            gas_average._tau_half_table([gas, other, gas])
+    with pytest.raises(CrossingNotFoundError):
+        gas_average._tau_half_table([late, gas])
+    # equal families built apart share a table
+    twin = GasSpec.from_blockade_number(
+        10.0, soft_core_potential(), RamseyProtocol(math.pi / 2, True)
+    )
+    assert gas_average._tau_half_table([gas, twin]) == [tau_half(gas), tau_half(twin)]
+    assert tau_half(gas) == 2.795748176942694
+
+
+def test_soft_core_closed_form_refuses_infinite_v0t():
+    # at gamma t = 0 the Bessel route took T = V0 t = inf and returned
+    # nan+nanj with no warning; it is a ParameterError naming V0 and the
+    # first such t, in float and array calls, and a tau_1/2 walk that
+    # probes such a time meets it (it had ended in nan ratios)
+    pot = derive_potential(DressingParams(1e6, 5e6, -1e4), PotentialKind.SOFT_CORE)
+    assert pot.v0 == pytest.approx(1000.0)
+    sp = GasSpec.from_blockade_number(1.0, pot, RamseyProtocol(math.pi / 2, False, 0.0, 0.0))
+    message = rf"^V0 t overflows float64 at V0 = {pot.v0!r} rad/us, t = 1e\+308$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (exponent_integral, contrast_gas):
+            with pytest.raises(ParameterError, match=message):
+                call(sp, 1e308)
+        with pytest.raises(ParameterError, match=message):
+            contrast_gas(sp, np.array([0.0, 1.0, 1e300, 1e308, 1e307]))
+        assert contrast_gas(sp, np.array([0.0, 1e305])).shape == (2,)
+        dilute = GasSpec.from_blockade_number(2e-155, pot, sp.protocol)
+        for call in (tau_half, lambda g: gas_average._tau_half_table([g])):
+            with pytest.raises(ParameterError, match="V0 t overflows float64"):
+                call(dilute)
+
+
 def test_tau_table_records_midpoint_errors_per_walk(monkeypatch):
     # the integrand kinked (as in test_soft_core_nonconvergence_raises)
     # where g = gamma t > 0.6 only: at N_R = 1e-3 the first probe fails, at

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -427,19 +428,61 @@ def test_non_finite_time_rejected(entry, t):
         calls[entry]()
 
 
-@pytest.mark.parametrize("shape", [(2,), (1,)])
-@pytest.mark.parametrize("gamma", [0.0, 0.2])
-def test_correlators_reject_array_time(gamma, shape):
-    # the row products take one time; a (1,) array would otherwise be
-    # accepted as if it were a single time
-    pot = derive_potential(DressingParams(1000.0, 5000.0, -1e4), PotentialKind.SOFT_CORE)
-    proto = RamseyProtocol(math.pi / 2, True, gamma, 0.0)
-    v = AtomConfiguration(np.random.default_rng(2).random((3, 3)) * 2.0).coupling_matrix(pot)
-    t = np.full(shape, 0.1)
-    with pytest.raises(ParameterError):
-        connected_sxsx(v, proto, 0, 1, t)
-    with pytest.raises(ParameterError):
-        correlation_map(LatticeSpec(3, pot.r_c, pot), proto, t)
+# gamma in {0, 0.3}, dephasing, echo and no echo, t = 0 inside an array,
+# negative times where the protocol is unitary, and shapes (1,) and (3,)
+CORRELATOR_TIME_CASES = [
+    (RamseyProtocol(math.pi / 2, True, 0.0, 0.0), [-0.4, 0.0, 0.9]),
+    (RamseyProtocol(0.7, False, 0.0, 0.0), [-1.3]),
+    (RamseyProtocol(0.7, False, 0.3, 0.0), [0.0, 0.25, 1.3]),
+    (RamseyProtocol(1.1, True, 0.3, 0.2), [0.8]),
+    (RamseyProtocol(2.4, False, 0.0, 0.15), [0.6, 0.0, 2.0]),
+]
+
+
+@pytest.mark.parametrize("proto, times", CORRELATOR_TIME_CASES)
+def test_correlators_at_a_time_array_equal_one_time_calls(proto, times):
+    # an array of times adds a leading axis, and each time's values equal
+    # its one-time call bit for bit; the 288 sites of a 17 x 17 map span
+    # two row blocks
+    spec = LatticeSpec(
+        17, 0.5, derive_potential(DressingParams(1000.0, 5000.0, -1e4), PotentialKind.SOFT_CORE)
+    )
+    v, center = spec.couplings, spec.center_site
+    assert ising_core._BLOCK_ENTRIES // spec.n_sites < spec.n_sites - 1
+    times = np.array(times)
+    js = np.array([0, 3, center + 1, 200, 288])
+    maps = correlation_map(spec, proto, times)
+    one = connected_sxsx(v, proto, center, 7, times)
+    many = connected_sxsx(v, proto, center, js, times)
+    assert maps.shape == (times.size, 17, 17)
+    assert one.shape == times.shape and many.shape == (times.size, js.size)
+    for k, t in enumerate(times.tolist()):
+        assert np.array_equal(maps[k], correlation_map(spec, proto, t), equal_nan=True)
+        assert one[k] == connected_sxsx(v, proto, center, 7, t)
+        assert np.array_equal(many[k], connected_sxsx(v, proto, center, js, t))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+def test_pair_phase_overflow_is_refused(gamma):
+    # couplings of 1e300 at t = 1e10: V t and (V_ik +- V_jk) t overflow,
+    # which gave nan with RuntimeWarnings; one bound on 2 max|V| max|t|
+    # refuses them in both evaluators, and accepts 2 max|V| t = 1.6e308
+    v = 1e300 * np.array([[0.0, 1.0, -0.5], [1.0, 0.0, 0.25], [-0.5, 0.25, 0.0]])
+    proto = RamseyProtocol(0.9, False, gamma, 0.0)
+    calls = [
+        lambda t: sigma_plus_couplings(v, proto, t),
+        lambda t: connected_sxsx(v, proto, 0, 1, t),
+        lambda t: connected_sxsx(v, proto, 2, np.array([0, 1]), np.array([0.0, t])),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in calls:
+            with pytest.raises(ParameterError, match="pair phase .* overflows float64"):
+                call(1e10)
+            assert np.all(np.isfinite(call(8e7)))
+        # g = gamma t past the largest float, in the correlator as in the trace
+        with pytest.raises(ParameterError, match="finite and non-negative"):
+            connected_sxsx(v / 1e300, RamseyProtocol(0.9, False, 1e300, 0.0), 0, 1, 1e10)
 
 
 # t = 0, then small and (at gamma = 0.5, t = 75) large g on the split
