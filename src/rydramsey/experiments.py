@@ -21,7 +21,7 @@ import os
 import numpy as np
 
 from . import oracle
-from .config import RunConfig, _eval_number
+from .config import RunConfig, _eval_number, _excerpt
 from .errors import CapacityError, ConfigError
 from .gas_average import (
     DimensionlessPoint,
@@ -99,6 +99,8 @@ def parse_grid(text: str) -> np.ndarray:
     if not b > a:
         raise ConfigError("grid must be strictly increasing (stop > start)")
     if kind == "lin":
+        if not math.isfinite(b - a):  # Python floats overflow to inf silently
+            raise ConfigError(f"grid {_excerpt(text)}: stop - start overflows float64")
         return np.linspace(a, b, n)
     if kind == "log":
         if a <= 0:

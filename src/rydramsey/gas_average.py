@@ -974,11 +974,11 @@ def _law_v0t(n_r: float, v0t, beta: int) -> np.ndarray:
     """``v0t`` as an array, after the input checks the two laws share."""
     if beta not in (0, 1):
         raise ParameterError(f"beta must be 0 or 1, got {beta!r}")
-    if not n_r > 0:
-        raise ParameterError("n_r must be positive")
+    if not 0 < n_r < math.inf:
+        raise ParameterError("n_r must be positive and finite")
     v0t = np.asarray(v0t, dtype=float)
-    if not np.all(v0t >= 0):
-        raise ParameterError("asymptotic laws need V0 t >= 0")
+    if not np.all((v0t >= 0) & (v0t < np.inf)):
+        raise ParameterError("asymptotic laws need V0 t >= 0 and finite")
     return v0t
 
 
@@ -1007,6 +1007,8 @@ def high_density_contrast(n_r: float, v0t, beta: int, b: float = 1.0):
     an array of its shape).
     """
     v0t = _law_v0t(n_r, v0t, beta)
+    if not math.isfinite(b):
+        raise ParameterError(f"b must be finite, got {b!r}")
     out = np.exp(-b * n_r * _hardcore_profile(v0t, beta))
     return float(out) if out.ndim == 0 else out
 
@@ -1026,8 +1028,8 @@ def fit_hardcore_amplitude(spec: GasSpec, times) -> float:
     if spec.potential.kind is not PotentialKind.SOFT_CORE:
         raise UnsupportedRegimeError("hard-core fit needs a soft-core potential")
     times = np.asarray(times, dtype=float)
-    if times.size < 2 or np.any(times <= 0):
-        raise ParameterError("need at least two positive times to fit B")
+    if times.ndim != 1 or times.size < 2 or not np.all((times > 0) & (times < np.inf)):
+        raise ParameterError("need a 1-D array of at least two finite positive times to fit B")
     v0 = spec.potential.v0
     x = spec.n_r * _hardcore_profile(v0 * times, proto.beta)
     y = _exponent_integral_many(spec.potential, proto, spec.density, times).real

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -286,7 +286,6 @@ class _SpaceTables:
 
     def __init__(self, n: int):
         s = np.arange(1 << n)
-        self.n = n
         self.nup = np.bitwise_count(s).astype(float)
         self.hamming = np.bitwise_count(np.bitwise_xor.outer(s, s)).astype(float)
         self.recycle = []
@@ -298,13 +297,9 @@ class _SpaceTables:
             self.coherence.append((r0, r1))
 
 
-_TABLE_CACHE: dict = {}
-
-
+@cache
 def _tables(n: int) -> _SpaceTables:
-    if n not in _TABLE_CACHE:
-        _TABLE_CACHE[n] = _SpaceTables(n)
-    return _TABLE_CACHE[n]
+    return _SpaceTables(n)
 
 
 def _taylor_step(rho, coef, recycle, gamma, h):
@@ -385,23 +380,12 @@ def evolve_master(
         )
     if not np.all(np.isfinite(rho)):
         raise ParameterError("state must be finite")
-    e_full = None
-    e_echo = None
     for step in sequence.steps:
         if isinstance(step, Pulse):
             rho = _apply_pulse(rho, _pulse_matrix(step.angle), n)
         else:
-            if step.include_fields:
-                if e_full is None:
-                    e_full = build_hamiltonian(v, include_fields=True)
-                e = e_full
-            else:
-                if e_echo is None:
-                    e_echo = build_hamiltonian(v, include_fields=False)
-                e = e_echo
-            rho = _evolve_dark_sampled(
-                rho, e, np.array([step.duration]), gamma, gamma_d, n
-            )[0]
+            e = build_hamiltonian(v, include_fields=step.include_fields)
+            rho = _evolve_dark_sampled(rho, e, [step.duration], gamma, gamma_d, n)[0]
     validate_density_matrix(rho)
     return rho
 
@@ -414,8 +398,8 @@ def _per_spin_coherence(rho: np.ndarray, n: int) -> complex:
     return total / n
 
 
-def ramsey_sigma_plus(couplings, proto, times) -> np.ndarray:
-    """Brute-force per-spin <sigma^x> + i <sigma^y> over a time grid.
+def ramsey_sigma_plus(couplings, proto, times) -> complex | np.ndarray:
+    """Brute-force per-spin <sigma^x> + i <sigma^y> at one time or many.
 
     The counterpart of :func:`rydramsey.ising_core.sigma_plus_couplings`
     computed with no closed-form input whatsoever: exact pulses, exact
@@ -437,16 +421,17 @@ def ramsey_sigma_plus(couplings, proto, times) -> np.ndarray:
         (N, N) symmetric coupling matrix, N <= 8, rad/us.
     proto : RamseyProtocol
         Tipping angle, echo flag, and decay rates.
-    times : array_like
-        Dark times, us, each >= 0.
+    times : float or 1-D array
+        Dark times, us, each >= 0; another shape is a ParameterError.
 
     Returns
     -------
-    ndarray
-        Complex coherence, one entry per requested time.
+    complex for a float time, else a complex array, one entry per time.
     """
     v, n = _checked_couplings(couplings)
     times = np.asarray(times, dtype=float)
+    if times.ndim > 1:
+        raise ParameterError("t must be a float or a 1-D array of times")
 
     # Pulses all sit at the front here, so the whole grid is one
     # trajectory sampled at several times.
@@ -455,14 +440,14 @@ def ramsey_sigma_plus(couplings, proto, times) -> np.ndarray:
     if proto.echo:
         rho = _apply_pulse(rho, _pulse_matrix(np.pi), n)
     e = build_hamiltonian(v, include_fields=not proto.echo)
-    states = _evolve_dark_sampled(rho, e, times, proto.gamma, proto.gamma_d, n)
+    states = _evolve_dark_sampled(rho, e, times.reshape(-1), proto.gamma, proto.gamma_d, n)
     for s in states:
         validate_density_matrix(s)
 
     out = np.array([_per_spin_coherence(s, n) for s in states])
     if proto.echo:
         out = -np.conj(out)
-    return out
+    return complex(out[0]) if times.ndim == 0 else out
 
 
 def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:

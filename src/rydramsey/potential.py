@@ -184,12 +184,12 @@ def evaluate_V(pot: InteractionPotential, r):
     Raises
     ------
     ParameterError
-        Negative distance.
+        Negative or nan distance.
     SingularityError
         r = 0 in bare mode.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if not np.all(r >= 0):
         raise ParameterError("distances must be non-negative")
     scalar = r.ndim == 0
     out = _v_of_q(pot, _q_of_r(pot, np.atleast_1d(r)))
@@ -241,7 +241,7 @@ def blockade_number(density: float, pot: InteractionPotential) -> float:
 
     Returns 0 for the bare potential (r_c = 0). density in um^-3.
     """
-    if density < 0:
+    if not density >= 0:
         raise ParameterError("density must be non-negative")
     return _n_r(density, pot)
 

@@ -53,6 +53,7 @@ def test_parse_grid_pi_expressions():
         "log:0:1:5",
         "lin:a:b:5",
         "lin:0:1:2.5",
+        "lin:-1e308:1e308:3",  # stop - start overflows
     ],
 )
 def test_parse_grid_rejects_malformed(bad):

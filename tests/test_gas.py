@@ -907,6 +907,29 @@ def test_high_density_asymptote_form():
                 law(n_r, x, beta)
 
 
+@pytest.mark.parametrize(
+    "law, args, match",
+    [
+        (low_density_contrast, (math.inf, 0.0, 0), "n_r must be positive"),
+        (low_density_contrast, (math.nan, 1.0, 1), "n_r must be positive"),
+        (low_density_contrast, (1.0, np.array([1.0, math.inf]), 0), "asymptotic laws need V0 t >= 0"),
+        (high_density_contrast, (1.0, math.inf, 0), "asymptotic laws need V0 t >= 0"),
+        (high_density_contrast, (math.inf, 1.0, 1), "n_r must be positive"),
+    ],
+)
+def test_asymptotic_laws_refuse_non_finite_input(law, args, match):
+    # each returned nan with a RuntimeWarning, an error under the suite's filter
+    with pytest.raises(ParameterError, match=match):
+        law(*args)
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+def test_high_density_law_refuses_non_finite_b(b):
+    # b = nan returned nan with no warning at all
+    with pytest.raises(ParameterError, match="b must be finite"):
+        high_density_contrast(1.0, 1.0, 0, b=b)
+
+
 def test_high_density_fitted_b_and_half_time():
     """Fitted hard-core amplitude is order unity and nails the half-time.
 
@@ -928,6 +951,43 @@ def test_high_density_fitted_b_and_half_time():
         assert t_pred == pytest.approx(
             sp.potential.v0 * tau_half(sp), rel=tau_rel
         )
+
+
+def hardcore_fit_spec(theta=math.pi / 2, gamma_over_v0=0.0):
+    point = DimensionlessPoint(n_r=100.0, v0t=1.0, theta=theta, beta=0, gamma_over_v0=gamma_over_v0)
+    return point.to_physical()[0]
+
+
+@pytest.mark.parametrize("theta, gamma_over_v0", [(math.pi / 3, 0.0), (math.pi / 2, 0.1)])
+def test_hardcore_fit_refuses_other_regimes(theta, gamma_over_v0):
+    sp = hardcore_fit_spec(theta=theta, gamma_over_v0=gamma_over_v0)
+    with pytest.raises(UnsupportedRegimeError, match="theta = pi/2, gamma = 0"):
+        fit_hardcore_amplitude(sp, [0.5, 1.0])
+
+
+def test_hardcore_fit_refuses_a_bare_potential():
+    sp = GasSpec(1.0, bare_vdw(), RamseyProtocol(math.pi / 2, True, 0.0, 0.0))
+    with pytest.raises(UnsupportedRegimeError, match="needs a soft-core potential"):
+        fit_hardcore_amplitude(sp, [0.5, 1.0])
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[1.0], [0.0, 1.0], [-1.0, 1.0], [[0.1, 0.2], [0.3, 0.4]], [0.1, math.inf], [0.1, math.nan]],
+)
+def test_hardcore_fit_checks_its_times_first(times):
+    # a 2-D array raised an IndexError and an infinite time warned in
+    # np.cos before the ParameterError; the suite turns warnings into errors
+    with pytest.raises(ParameterError, match="at least two finite positive times"):
+        fit_hardcore_amplitude(hardcore_fit_spec(), times)
+
+
+def test_hardcore_fit_refuses_an_all_zero_predictor():
+    # V0 = 1 rad/us: 1 - cos(V0 t / 2) vanishes at t = 4 pi and 8 pi
+    sp = hardcore_fit_spec()
+    assert sp.potential.v0 == 1.0
+    with pytest.raises(ParameterError, match="identically zero predictor"):
+        fit_hardcore_amplitude(sp, [4.0 * math.pi, 8.0 * math.pi])
 
 
 def test_tau_half_scaling_and_collapse():

@@ -141,9 +141,10 @@ def flag_outcome(argv):
 
 DENSITY = "error: density must be positive and finite, got {}"
 INCREASING = "error: grid must be strictly increasing (stop > start)"
+OVERFLOWING_SPAN = "error: grid 'lin:-1e308:1e308:3': stop - start overflows float64"
 HOSTILE_GRIDS = [
     # zero, negative, overflowing and subnormal N_R (scan) or V0 t (fig3),
-    # and reversed bounds
+    # reversed bounds, and a lin span past the float64 range
     ("scan", "lin:0:10:3", 2, DENSITY.format("0.0")),
     ("scan", "lin:-2:-1:3", 2, DENSITY.format("-0.477464829275686")),
     ("scan", "log:0:10:3", 2, "error: log grid requires a positive start"),
@@ -159,6 +160,8 @@ HOSTILE_GRIDS = [
     ("fig3", "log:1e300:1e400:3", 2, "error: grid stop: '1e400' is outside the finite float range"),
     ("fig3", "log:5e-324:1e-320:3", 0, None),
     ("fig3", "lin:1:1:3", 2, INCREASING),
+    ("scan", "lin:-1e308:1e308:3", 2, OVERFLOWING_SPAN),
+    ("fig3", "lin:-1e308:1e308:3", 2, OVERFLOWING_SPAN),
 ]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rydramsey import oracle
-from rydramsey.errors import CapacityError, ParameterError
+from rydramsey.errors import CapacityError, NumericalError, ParameterError
 from rydramsey.ising_core import RamseyProtocol, f_kernel, sigma_plus_couplings
 
 
@@ -77,6 +77,82 @@ def test_non_finite_inputs_rejected():
         oracle.evolve_master(rho, v, seq, gamma=np.inf)
     with pytest.raises(ParameterError, match="finite non-negative times"):
         oracle.ramsey_sigma_plus(v, RamseyProtocol(1.0, False, 0.1, 0.0), [1.0, np.inf])
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+@pytest.mark.parametrize("echo", [False, True])
+def test_float_time_gives_the_one_element_value(gamma, echo):
+    # a float time returns a Python complex, the bits of its one-element call
+    rng = np.random.default_rng(21)
+    v = rand_couplings(4, rng)
+    proto = RamseyProtocol(1.1, echo, gamma, 0.05)
+    got = oracle.ramsey_sigma_plus(v, proto, 0.7)
+    assert type(got) is complex
+    want = oracle.ramsey_sigma_plus(v, proto, [0.7])
+    assert want.shape == (1,)
+    assert np.array([got]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("times", [np.zeros((2, 2)), [[0.5]]])
+def test_time_array_of_two_dimensions_rejected(times):
+    # the oracle refuses it as the closed form does, with the same message
+    v = np.array([[0.0, 1.0], [1.0, 0.0]])
+    proto = RamseyProtocol(1.0, False, 0.1, 0.0)
+    msg = "t must be a float or a 1-D array of times"
+    with pytest.raises(ParameterError, match=msg):
+        sigma_plus_couplings(v, proto, times)
+    with pytest.raises(ParameterError, match=msg):
+        oracle.ramsey_sigma_plus(v, proto, times)
+
+
+def test_pauli_names():
+    # 'minus' is the conjugate transpose of 'plus'; any other name is an error
+    assert np.array_equal(oracle.pauli("minus"), oracle.pauli("plus").conj().T)
+    assert np.array_equal(oracle.pauli("minus"), [[0.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(ParameterError, match="unknown operator name 'w'"):
+        oracle.pauli("w")
+
+
+def test_site_and_pair_operators_check_their_sites():
+    with pytest.raises(ParameterError, match="site 3 out of range for n = 3"):
+        oracle.site_operator("x", 3, 3)
+    with pytest.raises(ParameterError, match="site -1 out of range"):
+        oracle.site_operator("x", -1, 3)
+    with pytest.raises(ParameterError, match="two distinct sites"):
+        oracle.pair_operator("x", 1, "z", 1, 3)
+    with pytest.raises(ParameterError, match=r"sites \(0, 3\) out of range for n = 3"):
+        oracle.pair_operator("x", 0, "z", 3, 3)
+
+
+def test_sequence_steps_are_checked():
+    with pytest.raises(ParameterError, match="dark-time duration must be non-negative"):
+        oracle.DarkTime(-0.1)
+    with pytest.raises(ParameterError, match="unknown sequence step 1.0"):
+        oracle.PulseSequence((oracle.Pulse(1.0), 1.0))
+
+
+@pytest.mark.parametrize("n", [0, 9])
+def test_initial_state_size_is_checked(n):
+    with pytest.raises(ParameterError, match=r"n must be in \[1, 8\]"):
+        oracle.initial_density_matrix(n)
+
+
+def test_state_shapes_are_checked():
+    rho = oracle.initial_density_matrix(2)
+    with pytest.raises(ParameterError, match="dimension mismatch"):
+        oracle.expectation(rho, oracle.site_operator("z", 0, 3))
+    v = np.zeros((3, 3))
+    seq = oracle.ramsey_sequence(1.0, 1.0)
+    with pytest.raises(ParameterError, match=r"state shape \(4, 4\) does not match N = 3"):
+        oracle.evolve_master(rho, v, seq)
+
+
+def test_non_physical_state_rejected_with_diagnostics():
+    rho = np.diag([1.5, -0.5]).astype(complex)  # unit trace, a negative eigenvalue
+    with pytest.raises(NumericalError, match="left the physical manifold") as info:
+        oracle.validate_density_matrix(rho)
+    assert info.value.diagnostics["min_eigenvalue"] == -0.5
+    assert info.value.diagnostics["trace_deviation"] == 0.0
 
 
 def test_initial_pulse_product_state():

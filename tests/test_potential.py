@@ -147,6 +147,16 @@ def test_negative_distance_rejected():
         evaluate_V(pot, -0.5)
 
 
+def test_nan_fails_the_sign_checks():
+    # evaluate_V and blockade_number returned nan, with no warning
+    pot = derive_potential(sr_params(), PotentialKind.SOFT_CORE)
+    for r in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ParameterError, match="distances must be non-negative"):
+            evaluate_V(pot, r)
+    with pytest.raises(ParameterError, match="density must be non-negative"):
+        blockade_number(math.nan, pot)
+
+
 @pytest.mark.parametrize(
     "detuning, quantity",
     [(1e-150, "V0"), (1e-320, "epsilon")],
