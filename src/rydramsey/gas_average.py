@@ -181,8 +181,10 @@ class DimensionlessPoint:
     def __post_init__(self):
         if self.beta not in (0, 1):
             raise ParameterError(f"beta must be 0 or 1, got {self.beta!r}")
-        if self.n_r <= 0:
-            raise ParameterError("n_r must be positive")
+        if not 0 < self.n_r < math.inf:
+            raise ParameterError(f"n_r must be positive and finite, got {self.n_r!r}")
+        if not -math.inf < self.v0t < math.inf:
+            raise ParameterError(f"v0t must be finite, got {self.v0t!r}")
 
     def to_physical(self) -> tuple:
         """Realize this point as (GasSpec, t) in the canonical gauge."""

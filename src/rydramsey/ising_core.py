@@ -381,9 +381,10 @@ def _checked_couplings(couplings, *, absolute: bool = False) -> np.ndarray:
 
 
 # Kernel entries per block of rows in sigma_plus_couplings, connected_sxsx
-# and monte_carlo_gas (which imports it as _MC_PAIRS): a block's float
-# arrays stay at 512 kB and its complex kernel at 1 MB, inside the cache,
-# and memory stays O(N) beyond the coupling matrix.
+# and monte_carlo_gas (which imports it as _MC_PAIRS), and per chunk of
+# times in lattice.lattice_contrast: a block's float arrays stay at 512 kB
+# and its complex kernel at 1 MB, inside the cache, and memory stays O(N)
+# beyond the coupling matrix.
 _BLOCK_ENTRIES = 2**16
 
 

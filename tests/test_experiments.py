@@ -432,8 +432,8 @@ def test_figure_pipelines_load_no_scipy(tmp_path):
 
 
 def test_fig4_builds_each_coupling_matrix_once(tmp_path, monkeypatch):
-    # The contrast trace and all three correlation maps read one matrix,
-    # built once.
+    # All three correlation maps read one matrix, built once; the contrast
+    # trace reads the (L, L) coupling table and builds none.
     with open(SR, encoding="utf-8") as fh:
         data = json.load(fh)
     data["lattice"]["size"] = 5

@@ -471,6 +471,25 @@ def test_dimensionless_round_trip():
     assert sp.protocol.beta == point.beta
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "n_r, v0t, message",
+    [
+        (math.nan, math.nan, "n_r must be positive and finite"),
+        (math.nan, 1.0, "n_r must be positive and finite"),
+        (math.inf, 1.0, "n_r must be positive and finite"),
+        (0.0, 1.0, "n_r must be positive and finite"),
+        (-1.0, 1.0, "n_r must be positive and finite"),
+        (1.0, math.nan, "v0t must be finite"),
+        (1.0, -math.inf, "v0t must be finite"),
+    ],
+)
+def test_dimensionless_point_refuses_non_finite_coordinates(n_r, v0t, message):
+    # n_r = nan passed the old `n_r <= 0` check, and a nan v0t came back as t = nan
+    with pytest.raises(ParameterError, match=message):
+        DimensionlessPoint(n_r=n_r, v0t=v0t, theta=1.0, beta=0)
+
+
 def test_contrast_is_envelope_times_exponent():
     sp = spec_at(1.0, 1.2, False, gamma=0.3, gamma_d=0.1)
     t = 1.7

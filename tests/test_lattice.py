@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rydramsey import ising_core, lattice
 from rydramsey.errors import CapacityError, ParameterError
 from rydramsey.ising_core import (
     AtomConfiguration,
@@ -65,13 +66,101 @@ def test_far_spaced_lattice_is_noninteracting():
     assert abs(lattice_contrast(spec, RamseyProtocol(math.pi / 2, False), t) - 1.0) < 1e-6
 
 
-def test_contrast_is_same_code_path_as_config_evaluation():
-    spec, proto = fig_lattice(side=7, gamma=0.1)
-    cfg = AtomConfiguration(lattice_positions(7, spec.spacing))
-    t = 0.9
-    a = lattice_contrast(spec, proto, t)
-    b = sigma_plus_couplings(cfg.coupling_matrix(spec.potential), proto, t)
-    assert a == b  # bit-for-bit
+def gathered_table(spec):
+    # the (L, L) table spread to the (N, N) matrix it stands for
+    ix, iy = np.divmod(np.arange(spec.n_sites), spec.side)
+    return spec.coupling_table[np.abs(ix[:, None] - ix), np.abs(iy[:, None] - iy)]
+
+
+def site_products(v, proto, t, factors=None):
+    # each site's product over its row of f(V t, gamma t), a block of rows at a time
+    rows = []
+    for lo in range(0, v.shape[0], 128):
+        f = f_kernel(v[lo : lo + 128] * t, proto.gamma * t, proto.theta, proto.beta)
+        rows.append(np.prod(f if factors is None else factors(f, lo), axis=1))
+    return np.concatenate(rows)
+
+
+def trace_bound(proto, t, products):
+    # Each grouping of a site's N - 1 complex multiplies is within about
+    # (N - 1) sqrt(5) eps of the exact product, so two groupings differ by
+    # at most 5 N eps |P_k|. |C| itself can be far smaller than the
+    # mean |P_k| (1.75e-7 at L = 50), so the bound is not relative to it.
+    envelope = abs(ising_core._envelope(proto, t))
+    return 5.0 * products.size * np.finfo(float).eps * envelope * np.abs(products).mean()
+
+
+@pytest.mark.parametrize("side", [1, 2, 7, 15, 50])
+def test_contrast_is_within_its_bound_of_the_dense_path(side):
+    # The trace factors each site's product over the (L, L) table; the
+    # dense path multiplies out the site's row of the (N, N) matrix. At
+    # spacing 0.5 um the positions and their differences are exact, so the
+    # table spread to (N, N) is spec.couplings bit for bit; at 0.37 um the
+    # matrix's differences of rounded positions move 22 736 of its 50 625
+    # entries at L = 15, by up to 3.9e-15 relative, and near a zero of a
+    # factor (theta = pi/2, echo, gamma = 0, V t ~ pi) that moves a
+    # product by far more than its rounding (to 128 times the bound below,
+    # at L = 5), so the grouping is compared on the table's own couplings.
+    # A dense call at L = 50 takes about a second, so there each spacing
+    # takes one protocol: unitary echo at 0.5 um, dissipative Ramsey at 0.37.
+    pot = soft_core_potential()
+    times = np.linspace(0.0, 4.0 * math.pi / pot.v0, 3 if side == 50 else 17)
+    protocols = [(True, 0.0), (False, 0.05), (True, 0.05), (False, 0.0)]
+    for i, spacing in enumerate((0.5, 0.37)):
+        spec = LatticeSpec(side, spacing, pot)
+        v = gathered_table(spec)
+        if spacing == 0.5:
+            assert v.tobytes() == spec.couplings.tobytes()
+        for echo, gamma in protocols if side < 50 else protocols[i : i + 1]:
+            proto = RamseyProtocol(math.pi / 2, echo, gamma, 0.02)
+            got = lattice_contrast(spec, proto, times)
+            want = sigma_plus_couplings(v, proto, times)
+            for k, t in enumerate(times.tolist()):
+                bound = trace_bound(proto, t, site_products(v, proto, t))
+                assert abs(got[k] - want[k]) <= bound, (spacing, echo, gamma, t)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+def test_contrast_exact_zero_factor_kills_the_sites_it_should(monkeypatch, gamma):
+    # the kernel is forced to an exact zero at displacement (0, 4) and
+    # (4, 0): on a 5 x 5 lattice the 16 edge sites have a partner there and
+    # drop out of the sum; the 9 inner sites keep their products
+    spec, proto = fig_lattice(theta=1.0, echo=False, gamma=gamma, side=5)
+    t = 1.3
+    zero = abs(spec.coupling_table[0, 4]) * t
+    half_angle = lattice._half_angle_kernel
+
+    def zeroing_kernel(x, t_k, theta, beta, out, *scratch):
+        half_angle(x, t_k, theta, beta, out, *scratch)
+        out[np.abs(x * t_k) == zero] = 0.0
+
+    monkeypatch.setattr(lattice, "_half_angle_kernel", zeroing_kernel)
+    got = lattice_contrast(spec, proto, t)
+    v = gathered_table(spec)
+
+    def zeroed(f, lo):
+        f[np.abs(v[lo : lo + f.shape[0]] * t) == zero] = 0.0
+        return f
+
+    rows = site_products(v, proto, t, zeroed).reshape(5, 5)
+    inner = np.zeros((5, 5), dtype=bool)
+    inner[1:4, 1:4] = True
+    assert np.all(rows[~inner] == 0.0) and np.all(rows[inner] != 0.0)
+    want = ising_core._envelope(proto, t) * rows.sum() / 25
+    assert abs(got - want) <= trace_bound(proto, t, site_products(v, proto, t))
+
+
+def test_coupling_table_is_row_zero_of_the_coupling_matrix():
+    # the table takes site 0's distances by the matrix's own operations, so
+    # it is row 0 of spec.couplings bit for bit at any spacing and potential
+    soft = soft_core_potential()
+    bare = derive_potential(DressingParams(1000.0, 5000.0, -1.0e4), PotentialKind.BARE_VDW)
+    for pot, spacing, side in ((soft, 0.37, 15), (soft, 0.5, 7), (bare, 0.37, 6), (soft, 0.3, 1)):
+        spec = LatticeSpec(side, spacing, pot)
+        table = spec.coupling_table
+        assert table.shape == (side, side) and not table.flags.writeable
+        assert spec.coupling_table is table
+        assert table.tobytes() == spec.couplings[0].reshape(side, side).tobytes()
 
 
 def test_half_time_matches_neighbor_count_prediction():
@@ -260,21 +349,39 @@ def test_lattice_contrast_accepts_time_array():
         assert got[k] == lattice_contrast(spec, proto, float(t))
 
 
-def test_lattice_contrast_holds_one_block_of_gather_indices():
+def test_sigma_plus_couplings_holds_one_block_of_gather_indices():
     # L = 50 at 9 times: the row blocks are taken one after another, so the
     # call holds one block's gather indices; building every block's first
     # held N^2 intp indices (53 MB traced) for the whole call
     spec, proto = fig_lattice(gamma=0.05, side=50)
-    spec.couplings  # built before the trace: the matrix is not the call's
+    v = spec.couplings  # built before the trace: the matrix is not the call's
     times = np.linspace(0.0, 2.0, 9)
+    tracemalloc.start()
+    try:
+        got = sigma_plus_couplings(v, proto, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert got[4] == sigma_plus_couplings(v, proto, float(times[4]))
+
+
+def test_lattice_contrast_holds_one_chunk_of_times():
+    # L = 50 at fig4's 129 times: the chunks of times are taken one after
+    # another, so beyond the (L, L) table the call holds one chunk's kernel
+    # arrays and mirrored products (9.8 MB traced), not an (N, N) array
+    # (50 MB for a float one)
+    spec, proto = fig_lattice(gamma=0.05, side=50)
+    spec.coupling_table  # built before the trace: the table is not the call's
+    times = np.linspace(0.0, 4.0 * math.pi / spec.potential.v0, 129)
     tracemalloc.start()
     try:
         got = lattice_contrast(spec, proto, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
-    assert got[4] == lattice_contrast(spec, proto, float(times[4]))
+    assert peak < 12e6
+    assert got[100] == lattice_contrast(spec, proto, float(times[100]))  # the fourth chunk
 
 
 def test_map_correlations_confined_to_plateau_radius():
@@ -310,8 +417,8 @@ def test_d4_deviation_needs_odd_side():
 
 
 def test_couplings_are_built_once_on_first_use(monkeypatch):
-    # a spec made only for validation builds nothing; every protocol and
-    # time then reads the one read-only matrix
+    # a spec made only for validation builds nothing, nor does the trace;
+    # every map's protocol and time then reads the one read-only matrix
     builds = []
     original = AtomConfiguration.coupling_matrix
 
@@ -322,8 +429,9 @@ def test_couplings_are_built_once_on_first_use(monkeypatch):
     monkeypatch.setattr(AtomConfiguration, "coupling_matrix", counting)
     spec, proto = fig_lattice(side=5)
     assert builds == []
-    v = spec.couplings
     lattice_contrast(spec, proto, np.linspace(0.0, 1.0, 3))
+    assert builds == [] and "couplings" not in vars(spec)  # the trace reads the table
+    v = spec.couplings
     correlation_map(spec, RamseyProtocol(0.7, False, 0.2), 0.4)
     assert builds == [25] and spec.couplings is v
     assert not v.flags.writeable
@@ -343,13 +451,20 @@ def test_subnormal_emission_map_has_no_nan():
 
 
 @pytest.mark.parametrize(
-    "spacing, message", [(1e300, "pair distances overflow"), (1e308, "positions overflow")]
+    "spacing, message, trace",
+    [
+        pytest.param(spacing, message, trace, id=f"{spacing}-{message}{'-trace' if trace else ''}")
+        for trace in (False, True)
+        for spacing, message in ((1e300, "pair distances overflow"), (1e308, "positions overflow"))
+    ],
 )
-def test_overflowing_spacing_is_a_parameter_error(spacing, message):
-    # the squared distances or the positions overflowed with a numpy warning
+@pytest.mark.filterwarnings("error")
+def test_overflowing_spacing_is_a_parameter_error(spacing, message, trace):
+    # the squared distances or the positions overflowed with a numpy warning;
+    # the trace's table raises the coupling matrix's errors
     spec = LatticeSpec(15, spacing, soft_core_potential())
     with pytest.raises(ParameterError, match=message):
-        spec.couplings
+        lattice_contrast(spec, RamseyProtocol(math.pi / 2, True), 0.5) if trace else spec.couplings
 
 
 def test_lattice_spec_validation():
