@@ -400,23 +400,19 @@ def sigma_plus_couplings(
     See :func:`f_kernel` and :func:`coherence_decay`; j = k leaves by V_kk = 0.
 
     The matrix is validated once per call and taken in blocks of about
-    :data:`_BLOCK_ENTRIES` // N rows. The kernel is evaluated once per
-    distinct coupling value of a block (a lattice has about a hundred) and
-    time, in one call over a chunk of times at t = 1 with X = t V and one
-    g = gamma t per time (:func:`_half_angle_kernel`), so each value equals
-    its f_kernel call bit for bit. Each row's factors are then multiplied
-    directly, time-major: on the (values, times) transpose of the factors,
-    the product starts from the row's factor 0 at every time and multiplies
-    in factors 1 to N - 1 in order, the order of a product along axis 0
-    of the gathered (N, rows) factors at one time, so each product has
-    those bits. Every |f| <= 1, so no partial product underflows before
-    the full one does, and an exact zero factor zeroes its two rows.
-    The blocks are taken one after another and a block's times in chunks
-    of :data:`_BLOCK_ENTRIES` // (distinct values), so beyond the matrix
-    a call holds one block's gather indices, the kernel's arrays for one
-    chunk (of about _BLOCK_ENTRIES entries each), one (rows, times)
-    product, and each row's product at each time, a (times, N) complex
-    array.
+    :data:`_BLOCK_ENTRIES` // N rows, and a block of h rows takes its times
+    in chunks of about _BLOCK_ENTRIES // (h N). For each chunk the kernel
+    is evaluated once on X = t V over the block's rows, a row per (time,
+    site), at t = 1 with that time's g = gamma t repeated per row
+    (:func:`_half_angle_kernel`), so each factor equals its f_kernel call
+    bit for bit. Each row is then multiplied out by :func:`_row_products`,
+    the routine of :func:`connected_sxsx` and Monte Carlo, and every row's
+    product is independent of the others, so an array call equals its
+    one-time calls bit for bit. Every |f| <= 1, so no partial product
+    underflows before the full one does, and an exact zero factor zeroes
+    its two rows. Beyond the matrix a call holds one chunk's kernel arrays
+    (of about _BLOCK_ENTRIES entries each) and each row's product at each
+    time, a (times, N) complex array.
 
     Parameters
     ----------
@@ -436,28 +432,20 @@ def sigma_plus_couplings(
     v = _checked_couplings(couplings)
     times = _checked_times(proto, t, v)
     flat = times.reshape(-1)
-    g = proto.gamma * flat[:, None]  # one g = gamma t per time, a column
     n, th, beta = v.shape[0], proto.theta, proto.beta
     height = max(1, _BLOCK_ENTRIES // n)
     rows = np.empty((flat.size, n), dtype=complex)  # each row's product at each time
     for lo in range(0, n, height):
-        values, inverse = np.unique(v[lo : lo + height], return_inverse=True)
-        # cols[r] holds the value index of factor r of each row of the block
-        cols = np.ascontiguousarray(inverse.reshape(-1, n).T)
-        hi = lo + cols.shape[1]
-        # times per kernel call; a block of one row takes one: numpy's complex
-        # multiply of a lone element can round differently from its loop over
-        # several, and at one time that row's products are of lone elements
-        span = max(1, _BLOCK_ENTRIES // values.size) if hi - lo > 1 else 1
+        block = v[lo : lo + height]
+        h = block.shape[0]
+        span = max(1, _BLOCK_ENTRIES // (h * n))  # times per kernel call
         for a in range(0, flat.size, span):
-            x = flat[a : a + span, None] * values  # X = V t, a row per time
+            ts = flat[a : a + span]
+            x = (ts[:, None, None] * block).reshape(-1, n)  # X = V t, a row per (time, site)
+            g = np.repeat(proto.gamma * ts, h)[:, None]
             f, z = np.empty((2, *x.shape), dtype=complex)
-            _half_angle_kernel(x, 1.0, th, beta, f, *np.empty((3, *x.shape)), g[a : a + span], z)
-            f = np.ascontiguousarray(f.T)  # (values, times): a gathered row is contiguous
-            prod = f[cols[0]]
-            for c in cols[1:]:
-                prod *= f[c]
-            rows[a : a + span, lo:hi] = prod.T
+            _half_angle_kernel(x, 1.0, th, beta, f, *np.empty((3, *x.shape)), g, z)
+            rows[a : a + span, lo : lo + h] = _row_products(f).reshape(-1, h)
     out = _envelope(proto, flat) * rows.sum(axis=1) / n
     return complex(out[0]) if times.ndim == 0 else out
 
@@ -525,11 +513,14 @@ def connected_sxsx(
     Raises
     ------
     ParameterError
-        Couplings or times that :func:`sigma_plus_couplings` rejects, i
-        among j, or an index out of range.
+        Couplings or times that :func:`sigma_plus_couplings` rejects, an i
+        that is not an integer (a bool is not), i among j, or an index out
+        of range.
     """
     v = _checked_couplings(couplings)
     n = v.shape[0]
+    if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+        raise ParameterError(f"i must be a site index (an integer), got {i!r}")
     js = np.asarray(j)
     if js.ndim > 1 or (js.size and js.dtype.kind not in "iu"):
         raise ParameterError("j must be a site index or a 1-D array of site indices")

@@ -2,22 +2,22 @@
 
 A finite L x L array with open boundaries, one atom per site. Both
 observables take a float time or a 1-D array of times. The coupling of
-two sites depends only on their displacement (|dx|, |dy|), so a spec
-holds an (L, L) table of couplings, and the contrast factors each
-site's product over that table into two one-axis products, O(L^3) work
-per time. It is not bit-for-bit the configuration result: it groups a
-site's N - 1 multiplies differently from
+two sites depends only on their displacement (|dx|, |dy|), so both read
+one (L, L) table of couplings. The contrast factors each site's product
+over the table into two one-axis products, O(L^3) work per time. It is
+not bit-for-bit the configuration result: it groups a site's N - 1
+multiplies differently from
 :func:`rydramsey.ising_core.sigma_plus_couplings`, and on the same
 couplings the two stay within 5 N eps E mean_k |P_k| (E the envelope,
-P_k site k's product; a tested bound). The table spread to (N, N) is
-the coupling matrix bit for bit where positions and their differences
-are exact (spacing 0.5 um, say); elsewhere the matrix's differences of
-rounded positions move its entries by a few ulp. A correlation map is
-one :func:`rydramsey.ising_core.connected_sxsx` call against the central
-site on the spec's dense (L^2, L^2) coupling matrix, built once on first
-use, so each map is bit-for-bit the configuration result (a tested
-invariant). Correlations follow the spin-1/2 normalization S = sigma/2,
-so |G| <= 1/4 always.
+P_k site k's product; a tested bound). A correlation map is one
+:func:`rydramsey.ising_core.connected_sxsx` call against the central
+site on the table spread to the dense (L^2, L^2) matrix, so each map is
+bit-for-bit the per-pair correlator (a tested invariant). Where
+positions and their differences are exact (spacing 0.5 um, say), that
+matrix is the positions' coupling matrix bit for bit; elsewhere the
+differences of rounded positions move the latter's entries by a few
+ulp. Correlations follow the spin-1/2 normalization S = sigma/2, so
+|G| <= 1/4 always.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ import numpy as np
 from .errors import CapacityError, ParameterError
 from .ising_core import (
     _BLOCK_ENTRIES,
-    AtomConfiguration,
     RamseyProtocol,
     _checked_times,
     _envelope,
@@ -47,9 +46,9 @@ __all__ = [
     "d4_deviation",
 ]
 
-# The correlator's coupling and distance arrays are dense (L^2, L^2), so
-# memory grows as L^4: at L = 50 each float64 one is 50 MB, and fig4 peaks
-# near 135 MB RSS. The contrast trace needs only the (L, L) table.
+# The correlator's coupling matrix is dense (L^2, L^2), so memory grows as
+# L^4: at L = 50 it is one 50 MB float64 array, and fig4 peaks near 89 MB
+# RSS. The contrast trace needs only the (L, L) table.
 MAX_SIDE = 50
 
 
@@ -87,13 +86,14 @@ class LatticeSpec:
         mid = (self.side - 1) // 2
         return mid * self.side + mid
 
-    def configuration(self) -> AtomConfiguration:
-        return AtomConfiguration(positions=lattice_positions(self.side, self.spacing))
-
     @cached_property
     def couplings(self) -> np.ndarray:
-        """(L^2, L^2) read-only coupling matrix in rad/us, built on first use."""
-        v = self.configuration().coupling_matrix(self.potential)
+        """(L^2, L^2) read-only coupling matrix in rad/us, built on first use:
+        :attr:`coupling_table` spread by displacement, [j, k] = table[|jx - kx|,
+        |jy - ky|], through (L, 1, L, 1) and (1, L, 1, L) index broadcasts."""
+        d = np.abs(np.subtract.outer(np.arange(self.side), np.arange(self.side)))
+        v = self.coupling_table[d[:, None, :, None], d[None, :, None, :]]
+        v = v.reshape(self.n_sites, -1)
         v.flags.writeable = False
         return v
 
@@ -102,11 +102,13 @@ class LatticeSpec:
         """(L, L) read-only table in rad/us, built on first use: entry
         [dx, dy] couples two sites dx rows and dy columns apart, 0 at [0, 0].
 
-        Bit for bit row 0 of :attr:`couplings` reshaped to (L, L), without
-        the matrix: site 0's distances by the matrix's operations, then
-        V by :func:`~rydramsey.potential.evaluate_V`'s rule. Overflowing
-        positions or distances, or coincident sites, raise the matrix's
-        ParameterErrors.
+        Site 0's distances by the operations of
+        :class:`~rydramsey.ising_core.AtomConfiguration`, then V by
+        :func:`~rydramsey.potential.evaluate_V`'s rule, so the table is row
+        0 of that configuration's coupling matrix on
+        :func:`lattice_positions`, reshaped to (L, L), bit for bit.
+        Overflowing positions or distances, or coincident sites, raise
+        that configuration's ParameterErrors.
         """
         x = _axis_positions(self.side, self.spacing)
         with np.errstate(over="ignore"):
@@ -207,9 +209,9 @@ def correlation_map(spec: LatticeSpec, proto: RamseyProtocol, t) -> np.ndarray:
     is not defined by the map). G is symmetric in its two sites and
     bounded by 1/4 in the S = sigma/2 convention.
     One :func:`~rydramsey.ising_core.connected_sxsx` call on
-    :attr:`LatticeSpec.couplings` evaluates every site at every time, at
-    every gamma and gamma_d (an echo follows the commuted model
-    sequence). At t = 0 every entry vanishes.
+    :attr:`LatticeSpec.couplings`, the spread coupling table, evaluates
+    every site at every time, at every gamma and gamma_d (an echo follows
+    the commuted model sequence). At t = 0 every entry vanishes.
 
     Raises
     ------

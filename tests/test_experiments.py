@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -432,19 +433,28 @@ def test_figure_pipelines_load_no_scipy(tmp_path):
 
 
 def test_fig4_builds_each_coupling_matrix_once(tmp_path, monkeypatch):
-    # All three correlation maps read one matrix, built once; the contrast
-    # trace reads the (L, L) coupling table and builds none.
+    # All three correlation maps read one matrix, the (L, L) coupling table
+    # spread by displacement, built once; the contrast trace reads the table
+    # and builds none, and no configuration coupling matrix is built.
     with open(SR, encoding="utf-8") as fh:
         data = json.load(fh)
     data["lattice"]["size"] = 5
     cfg = config_from_dict(data)
     builds = []
+    spread = LatticeSpec.couplings.func
     original = AtomConfiguration.coupling_matrix
 
+    def counting_spread(self):
+        builds.append(self.n_sites)
+        return spread(self)
+
     def counting(self, pot):
-        builds.append(self.n)
+        builds.append(("configuration", self.n))
         return original(self, pot)
 
+    prop = functools.cached_property(counting_spread)
+    prop.__set_name__(LatticeSpec, "couplings")
+    monkeypatch.setattr(LatticeSpec, "couplings", prop)
     monkeypatch.setattr(AtomConfiguration, "coupling_matrix", counting)
     run_fig4(cfg, str(tmp_path), grid=parse_grid("lin:0:4*pi:33"))
     assert builds == [25]

@@ -507,10 +507,10 @@ def lattice_couplings(side):
 @pytest.mark.parametrize("proto", ARRAY_PROTOCOLS)
 @pytest.mark.parametrize("geometry", ["random12", "lattice5", "lattice17", "lattice25"])
 def test_sigma_plus_time_array_equals_scalar_calls(proto, geometry):
-    # one kernel call per row block over all times (t = 0, g = 0, among
-    # g > 0), each row's product taken time-major. The 17 x 17 lattice is
-    # two row blocks; the 25 x 25 one ends in a block of one row, whose
-    # products at one time are of lone elements
+    # one kernel call per row block and chunk of times (t = 0, g = 0, among
+    # g > 0), each row multiplied out by _row_products. The 17 x 17 lattice
+    # is two row blocks; the 25 x 25 one ends in a block of one row, which
+    # takes many times per call where a one-time call multiplies out one row
     if geometry == "random12":
         v = rand_couplings(12, np.random.default_rng(21))
         assert np.unique(v[np.triu_indices(12, 1)]).size == 66  # all distinct
@@ -592,7 +592,7 @@ def test_sigma_plus_exact_zero_factor_kills_both_rows(monkeypatch, gamma):
 
 @pytest.mark.parametrize("beta", [0, 1])
 def test_kernel_with_a_g_per_row_equals_f_kernel_row_by_row(beta):
-    # sigma_plus_couplings hands the kernel a (times, values) X at t = 1
+    # sigma_plus_couplings hands the kernel a (times x rows, N) X at t = 1
     # with g = gamma t as a column: each row must be f_kernel at its own
     # g bit for bit. Runs of g = 0 rows among g > 0 rows take the unitary
     # formulas; a subnormal g takes its constants from math; X/g = +-inf
@@ -611,27 +611,36 @@ def test_kernel_with_a_g_per_row_equals_f_kernel_row_by_row(beta):
 
 
 def test_sigma_plus_time_chunks_change_no_bit(monkeypatch):
-    # a block's times are cut into chunks of _BLOCK_ENTRIES // (distinct
-    # values) per kernel call; the chunks change no bit, here blocks of 2
-    # and 3 rows with 3 to 7 times per call, against all 11 in one
-    v = lattice_couplings(6)
+    # a block of h rows takes its times in chunks of _BLOCK_ENTRIES // (h N)
+    # per kernel call; the chunks change no bit. N = 81 > 64, so each row's
+    # product multiplies its 64 lane products into its leftover columns'
+    # product. Budgets of 2 and 3 N^2 give one block of 81 rows and 2 or 3
+    # times per call; 5 N gives 16 blocks of 5 rows at one time per call and
+    # a last block of one row at 5, against all 11 times of 9 blocks in one
+    v = lattice_couplings(9)
+    n = v.shape[0]
     times = np.linspace(0.0, 3.0, 11)
-    kernel = ising_core._half_angle_kernel
-    chunks = []
+    products = ising_core._row_products
+    calls = []
 
-    def counting(x, *args):
-        chunks.append(x.shape[0])
-        kernel(x, *args)
+    def counting(f):
+        calls.append(f.shape[0])
+        return products(f)
 
-    monkeypatch.setattr(ising_core, "_half_angle_kernel", counting)
+    monkeypatch.setattr(ising_core, "_row_products", counting)
     entries = ising_core._BLOCK_ENTRIES
     for proto in (RamseyProtocol(0.9, True, 0.2, 0.0), RamseyProtocol(0.9, False, 0.0, 0.0)):
         want = sigma_plus_couplings(v, proto, times)
-        for rows in (2, 3):
-            monkeypatch.setattr(ising_core, "_BLOCK_ENTRIES", rows * 36)
-            chunks.clear()
+        chunks = [
+            (2 * n * n, [2 * n] * 5 + [n]),
+            (3 * n * n, [3 * n] * 3 + [2 * n]),
+            (5 * n, [5] * 16 * 11 + [5, 5, 1]),
+        ]
+        for budget, rows in chunks:
+            monkeypatch.setattr(ising_core, "_BLOCK_ENTRIES", budget)
+            calls.clear()
             assert np.array_equal(sigma_plus_couplings(v, proto, times), want)
-            assert 1 < max(chunks) < times.size
+            assert calls == rows
         monkeypatch.setattr(ising_core, "_BLOCK_ENTRIES", entries)
 
 

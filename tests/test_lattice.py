@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -72,6 +73,13 @@ def gathered_table(spec):
     return spec.coupling_table[np.abs(ix[:, None] - ix), np.abs(iy[:, None] - iy)]
 
 
+def reference_couplings(spec):
+    # the coupling matrix of the lattice's positions, built independently of
+    # the table; at spacing 0.5 um it is spec.couplings bit for bit
+    positions = lattice_positions(spec.side, spec.spacing)
+    return AtomConfiguration(positions).coupling_matrix(spec.potential)
+
+
 def site_products(v, proto, t, factors=None):
     # each site's product over its row of f(V t, gamma t), a block of rows at a time
     rows = []
@@ -95,8 +103,8 @@ def test_contrast_is_within_its_bound_of_the_dense_path(side):
     # The trace factors each site's product over the (L, L) table; the
     # dense path multiplies out the site's row of the (N, N) matrix. At
     # spacing 0.5 um the positions and their differences are exact, so the
-    # table spread to (N, N) is spec.couplings bit for bit; at 0.37 um the
-    # matrix's differences of rounded positions move 22 736 of its 50 625
+    # table spread to (N, N) is their coupling matrix bit for bit; at 0.37 um
+    # that matrix's differences of rounded positions move 22 736 of its 50 625
     # entries at L = 15, by up to 3.9e-15 relative, and near a zero of a
     # factor (theta = pi/2, echo, gamma = 0, V t ~ pi) that moves a
     # product by far more than its rounding (to 128 times the bound below,
@@ -109,8 +117,9 @@ def test_contrast_is_within_its_bound_of_the_dense_path(side):
     for i, spacing in enumerate((0.5, 0.37)):
         spec = LatticeSpec(side, spacing, pot)
         v = gathered_table(spec)
+        assert v.tobytes() == spec.couplings.tobytes()
         if spacing == 0.5:
-            assert v.tobytes() == spec.couplings.tobytes()
+            assert v.tobytes() == reference_couplings(spec).tobytes()
         for echo, gamma in protocols if side < 50 else protocols[i : i + 1]:
             proto = RamseyProtocol(math.pi / 2, echo, gamma, 0.02)
             got = lattice_contrast(spec, proto, times)
@@ -151,8 +160,9 @@ def test_contrast_exact_zero_factor_kills_the_sites_it_should(monkeypatch, gamma
 
 
 def test_coupling_table_is_row_zero_of_the_coupling_matrix():
-    # the table takes site 0's distances by the matrix's own operations, so
-    # it is row 0 of spec.couplings bit for bit at any spacing and potential
+    # the table takes site 0's distances by the configuration's own
+    # operations, so it is row 0 of the coupling matrix of the lattice's
+    # positions bit for bit at any spacing and potential
     soft = soft_core_potential()
     bare = derive_potential(DressingParams(1000.0, 5000.0, -1.0e4), PotentialKind.BARE_VDW)
     for pot, spacing, side in ((soft, 0.37, 15), (soft, 0.5, 7), (bare, 0.37, 6), (soft, 0.3, 1)):
@@ -160,7 +170,8 @@ def test_coupling_table_is_row_zero_of_the_coupling_matrix():
         table = spec.coupling_table
         assert table.shape == (side, side) and not table.flags.writeable
         assert spec.coupling_table is table
-        assert table.tobytes() == spec.couplings[0].reshape(side, side).tobytes()
+        want = reference_couplings(spec)[0].reshape(side, side)
+        assert table.tobytes() == want.tobytes()
 
 
 def test_half_time_matches_neighbor_count_prediction():
@@ -240,6 +251,12 @@ def test_correlator_index_array_validation():
     for js in (np.array([[0, 1]]), np.array([0.0, 1.0]), 1.0):
         with pytest.raises(ParameterError, match="site index"):
             connected_sxsx(v, proto, 4, js, 0.5)
+    # i indexed v raw: a float or bool i was an IndexError, a str or None a
+    # TypeError
+    for i in (1.5, 1.0, np.float64(1.0), True, np.True_, "1", None):
+        with pytest.raises(ParameterError, match="i must be a site index"):
+            connected_sxsx(v, proto, i, 3, 0.5)
+    assert connected_sxsx(v, proto, np.int64(4), 3, 0.5) == connected_sxsx(v, proto, 4, 3, 0.5)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.3])
@@ -281,7 +298,7 @@ def test_map_symmetry_and_bound():
     assert np.nanmax(np.abs(values)) <= 0.25 + 1e-12
     # G(i, j) = G(j, i): the value at site j of the center-i map equals
     # the correlator with the two sites swapped
-    v = spec.configuration().coupling_matrix(spec.potential)
+    v = reference_couplings(spec)
     swapped = connected_sxsx(v, proto, 6, spec.center_site, t)
     assert values[divmod(6, 5)] == pytest.approx(swapped, abs=1e-13)
 
@@ -319,7 +336,7 @@ def test_map_matches_per_pair_formula(side, theta, echo):
     # The one-pass map trades at most 1e-12 relative against the
     # per-pair formula (ulp-level, from vectorized complex products).
     spec, proto = fig_lattice(theta=theta, echo=echo, side=side)
-    v = spec.configuration().coupling_matrix(spec.potential)
+    v = reference_couplings(spec)
     for v0t in (math.pi / 2, math.pi, 2 * math.pi):
         t = v0t / spec.potential.v0
         values = correlation_map(spec, proto, t)
@@ -349,10 +366,11 @@ def test_lattice_contrast_accepts_time_array():
         assert got[k] == lattice_contrast(spec, proto, float(t))
 
 
-def test_sigma_plus_couplings_holds_one_block_of_gather_indices():
-    # L = 50 at 9 times: the row blocks are taken one after another, so the
-    # call holds one block's gather indices; building every block's first
-    # held N^2 intp indices (53 MB traced) for the whole call
+def test_sigma_plus_couplings_holds_one_chunk_of_kernel_arrays():
+    # L = 50 at 9 times: the row blocks and their chunks of times are taken
+    # one after another, so beyond the matrix the call holds one chunk's
+    # kernel arrays and the (times, N) row products (6.3 MB traced), not an
+    # (N, N) array (50 MB for a float one)
     spec, proto = fig_lattice(gamma=0.05, side=50)
     v = spec.couplings  # built before the trace: the matrix is not the call's
     times = np.linspace(0.0, 2.0, 9)
@@ -398,7 +416,7 @@ def test_map_correlations_confined_to_plateau_radius():
 
 def test_dissipative_map_matches_pair_correlator():
     spec, proto = fig_lattice(theta=0.7, echo=False, gamma=0.3, gamma_d=0.11, side=3)
-    v = spec.configuration().coupling_matrix(spec.potential)
+    v = reference_couplings(spec)
     t = 0.5 * math.pi / spec.potential.v0
     values = correlation_map(spec, proto, t)
     for j in range(spec.n_sites):
@@ -416,27 +434,80 @@ def test_d4_deviation_needs_odd_side():
             d4_deviation(bad)
 
 
-def test_couplings_are_built_once_on_first_use(monkeypatch):
-    # a spec made only for validation builds nothing, nor does the trace;
-    # every map's protocol and time then reads the one read-only matrix
-    builds = []
+def counting_couplings(monkeypatch):
+    # counts the builds of LatticeSpec.couplings, by lattice size, and of
+    # configuration coupling matrices, by atom count
+    builds = {"spec": [], "configuration": []}
+    spread = LatticeSpec.couplings.func
     original = AtomConfiguration.coupling_matrix
 
+    def counting_spread(self):
+        builds["spec"].append(self.n_sites)
+        return spread(self)
+
     def counting(self, pot):
-        builds.append(self.n)
+        builds["configuration"].append(self.n)
         return original(self, pot)
 
+    prop = functools.cached_property(counting_spread)
+    prop.__set_name__(LatticeSpec, "couplings")
+    monkeypatch.setattr(LatticeSpec, "couplings", prop)
     monkeypatch.setattr(AtomConfiguration, "coupling_matrix", counting)
+    return builds
+
+
+def test_couplings_are_built_once_on_first_use(monkeypatch):
+    # a spec made only for validation builds nothing, nor does the trace;
+    # every map's protocol and time then reads the one read-only matrix,
+    # the table spread by displacement, and no configuration matrix is built
+    builds = counting_couplings(monkeypatch)
     spec, proto = fig_lattice(side=5)
-    assert builds == []
+    assert builds == {"spec": [], "configuration": []}
     lattice_contrast(spec, proto, np.linspace(0.0, 1.0, 3))
-    assert builds == [] and "couplings" not in vars(spec)  # the trace reads the table
+    assert builds["spec"] == [] and "couplings" not in vars(spec)  # the trace reads the table
     v = spec.couplings
     correlation_map(spec, RamseyProtocol(0.7, False, 0.2), 0.4)
-    assert builds == [25] and spec.couplings is v
+    correlation_map(spec, proto, np.array([0.1, 0.4]))
+    assert builds == {"spec": [25], "configuration": []} and spec.couplings is v
     assert not v.flags.writeable
-    want = original(spec.configuration(), spec.potential)
-    assert v.tobytes() == want.tobytes()
+    assert v.tobytes() == gathered_table(spec).tobytes()
+
+
+def test_couplings_build_holds_one_dense_array():
+    # L = 50: the spread table is the only (N, N) array of the build (50 MB);
+    # building it from the positions held their distances as well (100.6 MB)
+    spec = fig_lattice(side=50)[0]
+    spec.coupling_table  # built first: the (L, L) table is not the spread's
+    tracemalloc.start()
+    try:
+        v = spec.couplings
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.nbytes == spec.n_sites**2 * 8
+    assert peak < 1.1 * v.nbytes
+
+
+def test_maps_read_the_table_at_rounded_spacing():
+    # At 0.37 um the positions round, and their coupling matrix differs
+    # from the spread table in 22 736 of 50 625 entries at L = 15, by up to
+    # 3.9e-15 relative (17.4 eps). The maps read the spread table: each site
+    # of each map is connected_sxsx on it, bit for bit.
+    pot = soft_core_potential()
+    spec = LatticeSpec(15, 0.37, pot)
+    v = spec.couplings
+    ref = reference_couplings(spec)
+    assert np.count_nonzero(v != ref) > 0
+    assert np.all(np.abs(v - ref) <= 32 * np.finfo(float).eps * np.abs(ref))
+    table = gathered_table(spec)
+    times = np.array([0.5, 1.0, 2.0]) * math.pi / pot.v0
+    center = spec.center_site
+    for proto in (RamseyProtocol(math.pi / 2, True), RamseyProtocol(0.7, False, 0.2, 0.05)):
+        maps = correlation_map(spec, proto, times)
+        for j in range(spec.n_sites):
+            if j != center:
+                want = connected_sxsx(table, proto, center, j, times)
+                assert np.array_equal(maps[:, j // 15, j % 15], want), j
 
 
 def test_subnormal_emission_map_has_no_nan():
