@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from . import experiments
@@ -46,6 +47,8 @@ _GRID_AXIS = {
 _PROTOCOL_COMMANDS = ("fig4", "scan")
 
 
+# Built once: each parse_args call fills a new namespace.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rydramsey",

@@ -116,11 +116,17 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: str, columns, rows) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    # each cell as _fmt writes it: one %-format, %d or %.17g per column, or
+    # cell by cell if a column mixes ints and floats (%.17g rounds ints past 2^53)
+    rows = [tuple(row) for row in rows]
+    ints = [{isinstance(v, (int, np.integer)) for v in col} for col in zip(*rows)]
+    if {True, False} in ints:
+        body = [",".join(map(_fmt, row)) for row in rows]
+    else:
+        line = ",".join("%d" if kind == {True} else "%.17g" for kind in ints)
+        body = [line % row for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(columns), *body]) + "\n")
 
 
 def _write_json(path: str, obj) -> None:

@@ -395,50 +395,40 @@ def _midpoint_sums(t_abs: np.ndarray, g: np.ndarray, m: list, theta: float, beta
     (the M-point rule), as two complex arrays.
 
     Each rule is cut into pieces of at most _NODE_CHUNK nodes from its
-    first node, so each piece starts at a multiple of 3. Walking the times
-    in array order, consecutive times of equal M share their pieces: the
-    piece of each first node is one run of rows. The runs are packed into
-    batches of at most _NODE_CHUNK nodes, a run cut between rows where the
-    batch fills, so the node arrays of a call stay that small at every
-    |T|. One ``_soft_core_h`` call evaluates a batch, each run laid out as
-    its (rows, size) block of x = |T| cos^2 phi (nodes of
-    :func:`_midpoint_cos2`) and of g by broadcasting. Each block is summed
-    along its rows, which takes the pairwise sums of one piece alone, and
-    each time adds its pieces in order of their first node, so a time's
-    sums do not depend on the other times of the call. On the default
-    sweeps one batch holds a fig2 curve's 20 or so consecutive times, or
-    the rules of a whole round of a tau_1/2 table.
+    first node, so each piece starts at a multiple of 3 and is one long.
+    Walking the times in array order, whole pieces are packed into batches
+    of at most _NODE_CHUNK nodes, so a call's node arrays stay that small
+    at every |T|. A batch is one flat array, x = |T| cos^2 phi (nodes of
+    :func:`_midpoint_cos2`) and g repeated per piece: one ``_soft_core_h``
+    call evaluates it and ``np.add.reduceat`` sums each piece as a segment.
+    A full piece fills a batch alone, so a batch holds consecutive times,
+    each once, and each time adds its pieces in order of their first node.
+    A segment's sum does not depend on where it lies, so a time's sums do
+    not depend on the other times of the call; it groups its n terms
+    unlike the exact sum, within ceil(log2 n) eps sum|h| (Higham 1993).
     """
-    fine = np.zeros(t_abs.size, dtype=complex)
-    coarse = np.zeros(t_abs.size, dtype=complex)
-    ends = [k for k in range(1, len(m)) if m[k] != m[k - 1]] + [len(m)]  # of the runs of one M
+    fine, coarse = np.zeros((2, t_abs.size), dtype=complex)
     batches, nodes = [[]], 0
-    for row, end in zip([0, *ends], ends):
-        for first in range(0, 3 * m[row], _NODE_CHUNK):
-            size, r = min(_NODE_CHUNK, 3 * m[row] - first), row
-            while r < end:
-                rows = min(end - r, (_NODE_CHUNK - nodes) // size)
-                if not rows:  # the batch is full
-                    batches.append([])
-                    nodes = 0
-                    continue
-                batches[-1].append((r, rows, first, size, nodes, nodes + rows * size))
-                r += rows
-                nodes += rows * size
+    for k, n in enumerate(m):
+        for first in range(0, 3 * n, _NODE_CHUNK):
+            size = min(_NODE_CHUNK, 3 * n - first)
+            if nodes + size > _NODE_CHUNK:
+                batches.append([])
+                nodes = 0
+            batches[-1].append((k, first, size))
+            nodes += size
     for batch in batches:
-        x, g_nodes = np.empty(batch[-1][-1]), np.empty(batch[-1][-1])
-        for r, rows, first, size, start, stop in batch:
-            out = x[start:stop].reshape(rows, size)
-            cos2 = _midpoint_cos2 if 3 * m[r] <= _NODE_CHUNK else _midpoint_cos2.__wrapped__
-            np.multiply(t_abs[r : r + rows, None], cos2(m[r], first), out=out)
-            g_nodes[start:stop].reshape(rows, size)[...] = g[r : r + rows, None]
-        vals = _soft_core_h(x, g_nodes, theta, beta)
-        blocks = [vals[start:stop].reshape(rows, size) for _, rows, _, size, start, stop in batch]
-        # a batch holds each row of one range once: a piece of _NODE_CHUNK
-        # nodes fills a batch alone, and only a rule's last piece is shorter
-        span = slice(batch[0][0], batch[-1][0] + batch[-1][1])
-        fine[span] += np.concatenate([block.sum(axis=-1) for block in blocks])
-        coarse[span] += np.concatenate([block[:, 1::3].sum(axis=-1) for block in blocks])
+        span = slice(batch[0][0], batch[-1][0] + 1)
+        sizes = [size for _, _, size in batch]
+        x = np.concatenate([
+            (_midpoint_cos2 if 3 * m[k] <= _NODE_CHUNK else _midpoint_cos2.__wrapped__)(m[k], first)
+            for k, first, _ in batch
+        ])
+        x *= np.repeat(t_abs[span], sizes)
+        vals = _soft_core_h(x, np.repeat(g[span], sizes), theta, beta)
+        starts = np.cumsum([0, *sizes[:-1]])
+        fine[span] += np.add.reduceat(vals, starts)
+        coarse[span] += np.add.reduceat(vals[1::3], starts // 3)
     return fine, coarse
 
 
@@ -471,7 +461,7 @@ def _soft_core_i_over_nr(T: np.ndarray, g: np.ndarray, theta: float, beta: int) 
 
     The other times, short rules and long alike, go in array order through
     :func:`_midpoint_sums`, which sums each rule in pieces of at most
-    _NODE_CHUNK nodes. Each piece takes the nodes, operations and pairwise
+    _NODE_CHUNK nodes. Each piece takes the nodes, operations and segment
     sum it would take alone, so many times in one call equal one-time
     calls bit for bit. Raises CapacityError at the first time (in array
     order) whose rule has more than _NODE_CAP nodes, before any node is

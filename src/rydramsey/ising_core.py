@@ -161,9 +161,9 @@ def _half_angle_kernel(
 
     gamma is a float, or, at t = 1, a (rows, 1) column of one g per row of
     a 2-D v. Each row then gets f_kernel(v[row], g[row]) bit for bit: its
-    constants expm1(-g) and e^{-g} come from math one row at a time and
-    enter as columns, and each run of rows with g = 0 takes the unitary
-    formulas.
+    constants expm1(-g) and e^{-g} come from math once per distinct g and
+    enter as columns gathered to the rows, and each run of rows with g = 0
+    takes the unitary formulas.
     """
     if np.ndim(gamma):
         pos = gamma[:, 0] > 0.0
@@ -184,9 +184,9 @@ def _half_angle_kernel(
         np.subtract(1.0, s, out=s)
     if np.ndim(g) or g > 0.0:
         if np.ndim(g):
-            rows = g[:, 0].tolist()
-            j = np.array([math.expm1(-x) for x in rows])[:, None]
-            decay = np.array([math.exp(-x) for x in rows])[:, None]
+            distinct, row = np.unique(g[:, 0], return_inverse=True)
+            j = np.array([math.expm1(-x) for x in distinct.tolist()])[row, None]
+            decay = np.array([math.exp(-x) for x in distinct.tolist()])[row, None]
         else:
             j, decay = math.expm1(-g), math.exp(-g)
         z.real = -1.0

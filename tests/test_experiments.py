@@ -471,6 +471,45 @@ def test_cli_rerun_is_byte_identical(tmp_path):
             assert fa.read() == fb.read(), name
 
 
+def test_cli_calls_share_no_parsed_state(tmp_path):
+    # the parser is built once per process; each call parses into a new
+    # namespace, so no flag or default of one call carries into the next
+    def scan(out, *flags):
+        assert cli.main(["scan", "--config", SR, "--out", str(out), *flags]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    alone = scan(tmp_path / "alone")
+    assert scan(tmp_path / "override", "--theta", "pi/4", "--no-echo") != alone
+    assert scan(tmp_path / "after") == alone
+    seeds = []
+    for out, flags in ((tmp_path / "v5", ["--seed", "5"]), (tmp_path / "v", [])):
+        assert cli.main(["validate", "--out", str(out), *flags]) == 0
+        seeds.append(json.loads((out / "validation_report.json").read_text())["seed"])
+    assert seeds == [5, 0]
+
+
+def test_csv_rows_format_as_fmt(tmp_path):
+    # one format string per table writes every cell as _fmt does: %d for a
+    # column of integers alone (%d would truncate a float), %.17g for a
+    # column with none, and a column that mixes them cell by cell (%.17g
+    # would round 2^53 + 1). Rows come as an iterator, as the runners zip
+    # them
+    floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, np.float64(0.1), 1.0 / 3.0, 2.0]
+    ints = [0, -7, np.int64(2**62), 2**53 + 1, np.int64(-3), 5, True, np.int32(2)]
+    mixed = [1, 0.5, np.int64(2**53 + 1), -0.0, 3, np.float64(7.0), math.nan, 2**60]
+    path = tmp_path / "t.csv"
+    for columns in ([floats, ints], [ints, floats, mixed], [mixed], [ints], [floats]):
+        rows = list(zip(*columns))
+        names = [f"c{k}" for k in range(len(columns))]
+        experiments._write_csv(str(path), names, iter(rows))
+        want = [",".join(names), *(",".join(experiments._fmt(v) for v in row) for row in rows)]
+        assert path.read_text() == "\n".join(want) + "\n"
+    special = ",".join(experiments._fmt(v) for v in floats[:5])
+    assert special == "nan,inf,-inf,-0,4.9406564584124654e-324"
+    experiments._write_csv(str(path), ["a", "b"], iter([]))
+    assert path.read_text() == "a,b\n"
+
+
 def test_fig4_map_csv_and_json_round_trip(tmp_path):
     # Each map CSV parses back bit for bit into the correlation_map array
     # (%.17g round-trips a float64); the reference site has no CSV row

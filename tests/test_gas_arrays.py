@@ -133,9 +133,9 @@ def test_midpoint_rule_pieces():
         k = np.arange(first, min(first + chunk, 3 * m))
         assert np.array_equal(cached, np.cos((k + 0.5) * (math.pi / (6 * m))) ** 2)
     # rules just below, at and just past one and two pieces, among short
-    # rules and runs of equal M, so that batches fill between the rows of a
-    # run and a long rule's 3-node tail shares a batch with short rules:
-    # every time equals its one-time call, in any order of the call
+    # rules and repeated times, so that batches fill between pieces and a
+    # long rule's 3-node tail shares a batch with short rules: every time
+    # equals its one-time call, in any order of the call
     long = [t_of_nodes(n) for n in (3_069, 3_072, 3_075, 6_144, 6_147)]
     times = np.array(sorted([0.5, 3.0, 3.0, 7.0, 30.0, 30.0, 30.0, *[400.0] * 4, *long, long[2]]))
     interleaved = np.ravel(np.column_stack([times, times[::-1]]))[: times.size]
@@ -143,6 +143,32 @@ def test_midpoint_rule_pieces():
         sp = GasSpec.from_blockade_number(0.5, soft_core(), RamseyProtocol(1.1, echo, 1e-3, 0.0))
         for order in (times, times[::-1], interleaved):
             assert np.array_equal(exponents(sp, order), scalar_exponents(sp, order))
+
+
+@pytest.mark.parametrize("beta", [0, 1])
+def test_midpoint_sums_hold_the_pairwise_bound(beta):
+    # each piece of a rule is one segment of np.add.reduceat, whose grouping
+    # is not that of the exact sum: every time's fine and coarse sums lie
+    # within 2 ceil(log2 n) eps sum|h| of math.fsum over the same node
+    # values, real and imaginary parts apart, n the longest piece (Higham,
+    # SIAM J. Sci. Comput. 14 (1993) 783: ceil(log2 n) eps for pairwise
+    # summation, doubled for numpy's unrolled leaves and the adding of a
+    # rule's pieces). |V0 t| = 30 is one piece and 5e3 three
+    chunk, eps = gas_average._NODE_CHUNK, np.finfo(float).eps
+    t_abs = np.array([30.0, 5e3, 7.0, 5e3, 30.0])
+    g = np.array([0.3, 2.0, 0.03, 1e-3, 5.0])
+    m = [gas_average._midpoint_order(t) for t in t_abs]
+    assert 3 * m[0] <= chunk < 2 * chunk < 3 * m[1]
+    fine, coarse = gas_average._midpoint_sums(t_abs, g, m, 1.1, beta)
+    for k, (t, g_k, m_k) in enumerate(zip(t_abs, g, m)):
+        cos2 = np.cos((np.arange(3 * m_k) + 0.5) * (math.pi / (6 * m_k))) ** 2
+        h = gas_average._soft_core_h(t * cos2, np.full(3 * m_k, g_k), 1.1, beta)
+        n = min(3 * m_k, chunk)
+        for got, nodes, length in ((fine[k], h, n), (coarse[k], h[1::3], n // 3)):
+            for part in (np.real, np.imag):
+                values = part(nodes)
+                bound = 2 * math.ceil(math.log2(length)) * eps * np.abs(values).sum()
+                assert abs(part(got) - math.fsum(values.tolist())) <= bound, (t, part)
 
 
 def test_midpoint_cache_holds_only_one_piece_rules():

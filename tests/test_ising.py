@@ -596,10 +596,14 @@ def test_kernel_with_a_g_per_row_equals_f_kernel_row_by_row(beta):
     # with g = gamma t as a column: each row must be f_kernel at its own
     # g bit for bit. Runs of g = 0 rows among g > 0 rows take the unitary
     # formulas; a subnormal g takes its constants from math; X/g = +-inf
-    # (1e300 over a subnormal g) gives W D = 0; X takes both signs
+    # (1e300 over a subnormal g) gives W D = 0; X takes both signs. The
+    # constants are taken once per distinct g and gathered back to the
+    # rows, so repeated g > 0, out of order and between zeros, each get
+    # their own g's
     x = np.array([0.0, -0.0, 1e-321, -3e-310, 0.5, -7.0, 31.4, -1e5, 1e300, -1e300])
     mixed = [0.0, 0.3, 0.3, 0.0, 0.0, 5e-324, 1e-310, 2.0, 0.0, 40.0]
-    for gs in (mixed, [0.3, 5e-324, 2.0], [0.0, 0.0], [1e-310]):
+    repeated = [0.0, 2.0, 0.3, 2.0, 0.0, 0.3, 0.3, 2.0, 5e-324, 2.0, 0.0, 0.0, 0.3]
+    for gs in (mixed, repeated, [0.3, 5e-324, 2.0], [0.0, 0.0], [1e-310]):
         g = np.array(gs)[:, None]
         xs = np.outer(np.linspace(1.0, 0.5, g.size), x)
         for theta in (0.0, 0.3, math.pi / 2, math.pi):
