@@ -116,11 +116,11 @@ _SKIP_MARGIN = 1e-4
 
 # Nodes of the soft-core midpoint rule evaluated at once, a multiple of 3:
 # each array of a chunk stays in cache (48 kB or less), and a longer rule
-# (|V0 t| above about 2e3), float or array, is summed in pieces of this size.
+# (|V0 t| above about 3.9e3), float or array, is summed in pieces of this size.
 _NODE_CHUNK = 3 * 2**10
 
-# Most nodes of one soft-core midpoint rule, at |V0 t| of about 1.8e8 (a rule
-# of 2.5e8 nodes took 12 s on a shared 2-vCPU host). A longer rule is a
+# Most nodes of one soft-core midpoint rule, at |V0 t| of about 3.6e8 (such a
+# rule took 10-13 s on a shared 2-vCPU host). A longer rule is a
 # CapacityError, raised before any node is built.
 _NODE_CAP = 2**28
 
@@ -360,17 +360,18 @@ def _soft_core_h(x, g, theta: float, beta: int):
 
 
 # The nodes of the one-piece midpoint rules, 3M <= _NODE_CHUNK (at most 24 kB
-# each, 1.5 MB in all). They depend on M alone, and the default sweeps share
-# few of them: their midpoint rules all have |V0 t| below 32, so M runs from
-# 25 to 48. The pieces of longer rules are built through __wrapped__ and
-# not kept: one rule at |V0 t| = 1e6 has 489.
+# each, 1.5 MB in all), depend on M alone. The default sweeps' rules all have
+# |V0 t| below 32, so M runs from 7 to 23. The pieces of longer rules are
+# built through __wrapped__ and not kept: one rule at |V0 t| = 1e6 has 245.
 @functools.lru_cache(maxsize=64)
 def _midpoint_cos2(m: int, first: int) -> np.ndarray:
-    """cos^2 phi_k at the nodes phi_k = (k + 1/2) pi / (6M) of the midpoint
-    rule of :func:`_soft_core_i_over_nr`, first <= k < min(first +
-    _NODE_CHUNK, 3M), read-only."""
+    """sin^2 phi_k = cos^2 phi_{3M-1-k}, phi_k = (k + 1/2) pi / (6M), for
+    first <= k < min(first + _NODE_CHUNK, 3M), read-only: the rule of
+    :func:`_soft_core_i_over_nr` mirrored, coarse nodes still at k = 1 mod 3,
+    so the rounded step pi/(6M) scales the nodes about the integrand's peak
+    at X = 0; unmirrored it moved the peak, up to eps |T|^(1/2) |I| off."""
     phi = (np.arange(first, min(first + _NODE_CHUNK, 3 * m)) + 0.5) * (math.pi / (6 * m))
-    cos2 = np.cos(phi) ** 2
+    cos2 = np.sin(phi) ** 2
     cos2.flags.writeable = False
     return cos2
 
@@ -379,7 +380,7 @@ def _midpoint_order(t_abs: float, g: float = 0.0) -> int:
     """M of the midpoint rule of :func:`_soft_core_i_over_nr` at |T| = t_abs
     and g = gamma t. CapacityError where its 3M nodes pass _NODE_CAP, in
     float arithmetic before M is taken as an int (an infinite |T| too)."""
-    order = t_abs / 2.0 + 3.0 * t_abs ** (1.0 / 3.0) + 24.0
+    order = t_abs / 4.0 + 3.0 * t_abs ** (1.0 / 3.0) + 6.0
     if 3.0 * order > _NODE_CAP:
         raise CapacityError(
             f"the soft-core midpoint rule at |V0 t| = T = {t_abs:.6g}, g = {g:.6g} "
@@ -450,9 +451,11 @@ def _soft_core_i_over_nr(T: np.ndarray, g: np.ndarray, theta: float, beta: int) 
     integral_0^inf [1 - f(T/(1+u^2), g)] du, and u = tan(phi) into
     integral_0^(pi/2) T h(T cos^2 phi) dphi. That integrand is entire,
     pi-periodic and even, so the M-point midpoint rule converges
-    spectrally; M = |T|/2 + 3|T|^(1/3) + 24 covers the ~|T|/4 harmonics
-    of e^{i T cos^2 phi}. The 3M-point rule contains its nodes: its value
-    is returned, and the difference of the two is the error estimate.
+    spectrally. Of e^{iT cos^2 phi} = e^{iT/2} sum_n i^n J_n(T/2) e^{2in phi}
+    it aliases only n = 0 mod 2M, and J_n(T/2) dies off past n ~ |T|/2:
+    M = |T|/4 + 3|T|^(1/3) + 6 (Trefethen and Weideman, SIAM Rev. 56 (2014)
+    385). The 3M-point rule contains its nodes: its value is returned, and
+    the difference of the two is the error estimate.
 
     At |T| <= _T_TAYLOR, where h loses digits to cancellation, the series
     -sum_n c_n T^n J_n (J_n = integral_0^inf (1+u^2)^-n du) is summed
@@ -486,13 +489,8 @@ def _soft_core_i_over_nr(T: np.ndarray, g: np.ndarray, theta: float, beta: int) 
         k = bad[0]
         raise NumericalError(
             "soft-core exponent midpoint rule did not converge",
-            diagnostics={
-                "error_estimate": float(err[k]),
-                "value": complex(total[k]),
-                "nodes": 3 * int(m[k]),
-                "T": float(T[k]),
-                "g": float(g[k]),
-            },
+            diagnostics={"error_estimate": float(err[k]), "value": complex(total[k]),
+                         "nodes": 3 * int(m[k]), "T": float(T[k]), "g": float(g[k])},
         )
     out[~taylor] = np.where(T >= 0, total, total.conj())
     return out

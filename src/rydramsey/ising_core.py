@@ -459,14 +459,16 @@ def _row_products(f: np.ndarray) -> np.ndarray:
     """Product of each row of a C-contiguous 2-D complex array with at
     least one column, as a new array; f is only read.
 
-    With C = :data:`_ROW_CHUNK` lanes and m = width // C, the first m C
-    columns are viewed as (rows, m, C) and multiplied out over m, one
-    vectorized multiply of contiguous C-wide rows per step, where
-    np.prod(axis=1) on the full width is a scalar loop. The rows of that
-    (rows, C) result and of the fewer than C leftover columns are then
-    multiplied out. An exact zero factor gives an exact zero product.
+    np.prod(axis=1) is a scalar loop along each row, so rows at least C =
+    :data:`_ROW_CHUNK` wide have their first m C columns (m = width // C)
+    viewed as (rows, m, C) and multiplied out over m, one vectorized
+    multiply of contiguous C-wide rows per step; the rows of that (rows, C)
+    result and of the fewer than C leftover columns are then multiplied
+    out. An exact zero factor gives an exact zero product.
     """
     h, w = f.shape
+    if w < _ROW_CHUNK:
+        return f.prod(axis=1)
     m = w // _ROW_CHUNK
     lanes = f[:, : m * _ROW_CHUNK].reshape(h, m, _ROW_CHUNK).prod(axis=1)
     return lanes.prod(axis=1) * f[:, m * _ROW_CHUNK :].prod(axis=1)

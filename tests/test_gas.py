@@ -177,12 +177,14 @@ def test_soft_core_tangent_integrand_matches_complex_expm1(monkeypatch):
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
-@pytest.mark.parametrize("beta, complex_peak", [(0, 347_294), (1, 200_478)])
+@pytest.mark.parametrize("beta, complex_peak", [(0, 213_022), (1, 123_374)])
 def test_soft_core_h_memory_is_below_the_complex_form(beta, complex_peak):
     # the traced peak of one midpoint batch, with the integrand built in
     # place, stays below the complex-expm1 integrand's (measured with this
-    # call, numpy 2.4): 201 kB and 176 kB, where whole-array expressions of
-    # the tangent identities trace 445 kB and 347 kB
+    # call, numpy 2.4): 124 kB and 109 kB. With the rules' former order,
+    # twice the nodes per |V0 t|, they traced 201 kB and 176 kB against the
+    # complex form's 347 kB and 200 kB, and whole-array expressions of the
+    # tangent identities 445 kB and 347 kB
     T, g = np.linspace(20.0, 31.0, 30), np.full(30, 0.5)
     _soft_core_i_over_nr(T, g, 1.1, beta)
     tracemalloc.start()
@@ -207,6 +209,20 @@ def test_soft_core_quadrature_matches_bessel_closed_form(detuning):
                 a = i_over_nr(T, 0.0, theta, beta)
                 b = i_over_nr_closed(T, theta, beta)
                 assert abs(a - b) <= 1e-12 * abs(b)
+
+
+def test_long_midpoint_rules_match_bessel_closed_form():
+    # at a subnormal g the midpoint rule's long rules agree with the g = 0
+    # closed form to rounding: within 2e-15 relative up to |V0 t| = 1e5
+    # (5.6e-16 seen). With unmirrored nodes (cos^2 phi_k, see
+    # _midpoint_cos2) the rounded step pi/(6M) moved the integrand's peak,
+    # up to 7e-15 off here
+    for T in np.geomspace(1e3, 1e5, 9):
+        for theta in (0.05, 0.3, math.pi / 2, 2.6):
+            for beta in (0, 1):
+                a = i_over_nr(T, 5e-324, theta, beta)
+                b = i_over_nr_closed(T, theta, beta)
+                assert abs(a - b) <= 2e-15 * abs(b), (T, theta, beta)
 
 
 def cauchy_taylor(fun, radius, n=32):

@@ -12,6 +12,7 @@ Bessel closed form, Monte Carlo) are in ``test_gas.py``.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -104,15 +105,30 @@ def test_subnormal_gamma_array_per_route():
         assert_array_form(sp, times)
 
 
+def nodes_at(t_abs):
+    """3M of the midpoint rule at |V0 t| = t_abs, inf past the node cap."""
+    try:
+        return 3 * gas_average._midpoint_order(t_abs)
+    except CapacityError:
+        return math.inf
+
+
 def t_of_nodes(nodes):
     """The smallest |V0 t| (to bisection precision) whose midpoint rule has
     3M = nodes nodes."""
-    lo, hi = 0.2, 1e5
+    lo, hi = 0.2, 0.4
+    while nodes_at(hi) < nodes:
+        lo, hi = hi, 2.0 * hi
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if 3 * gas_average._midpoint_order(mid) < nodes else (lo, mid)
-    assert 3 * gas_average._midpoint_order(hi) == nodes
+        lo, hi = (mid, hi) if nodes_at(mid) < nodes else (lo, mid)
+    assert nodes_at(hi) == nodes
     return hi
+
+
+def three_pieces():
+    """The smallest |V0 t| whose rule is three pieces of nodes."""
+    return t_of_nodes(2 * gas_average._NODE_CHUNK + 3)
 
 
 def test_midpoint_rule_pieces():
@@ -122,8 +138,9 @@ def test_midpoint_rule_pieces():
     chunk = gas_average._NODE_CHUNK
     sp = GasSpec.from_blockade_number(0.5, soft_core(), RamseyProtocol(1.1, True, 0.3, 0.0))
     gas_average._midpoint_cos2.cache_clear()
-    exponent_integral(sp, 5e3)
-    m = gas_average._midpoint_order(5e3)
+    t = three_pieces()
+    exponent_integral(sp, t)
+    m = gas_average._midpoint_order(t)
     firsts = range(0, 3 * m, chunk)
     assert gas_average._midpoint_cos2.cache_info()[:2] == (0, 0)  # hits, misses
     assert len(firsts) == 3
@@ -131,7 +148,7 @@ def test_midpoint_rule_pieces():
         cached = gas_average._midpoint_cos2(m, first)
         assert not cached.flags.writeable
         k = np.arange(first, min(first + chunk, 3 * m))
-        assert np.array_equal(cached, np.cos((k + 0.5) * (math.pi / (6 * m))) ** 2)
+        assert np.array_equal(cached, np.sin((k + 0.5) * (math.pi / (6 * m))) ** 2)
     # rules just below, at and just past one and two pieces, among short
     # rules and repeated times, so that batches fill between pieces and a
     # long rule's 3-node tail shares a batch with short rules: every time
@@ -153,15 +170,16 @@ def test_midpoint_sums_hold_the_pairwise_bound(beta):
     # values, real and imaginary parts apart, n the longest piece (Higham,
     # SIAM J. Sci. Comput. 14 (1993) 783: ceil(log2 n) eps for pairwise
     # summation, doubled for numpy's unrolled leaves and the adding of a
-    # rule's pieces). |V0 t| = 30 is one piece and 5e3 three
+    # rule's pieces). |V0 t| = 30 is one piece and three_pieces() three
     chunk, eps = gas_average._NODE_CHUNK, np.finfo(float).eps
-    t_abs = np.array([30.0, 5e3, 7.0, 5e3, 30.0])
+    t3 = three_pieces()
+    t_abs = np.array([30.0, t3, 7.0, t3, 30.0])
     g = np.array([0.3, 2.0, 0.03, 1e-3, 5.0])
     m = [gas_average._midpoint_order(t) for t in t_abs]
     assert 3 * m[0] <= chunk < 2 * chunk < 3 * m[1]
     fine, coarse = gas_average._midpoint_sums(t_abs, g, m, 1.1, beta)
     for k, (t, g_k, m_k) in enumerate(zip(t_abs, g, m)):
-        cos2 = np.cos((np.arange(3 * m_k) + 0.5) * (math.pi / (6 * m_k))) ** 2
+        cos2 = np.sin((np.arange(3 * m_k) + 0.5) * (math.pi / (6 * m_k))) ** 2
         h = gas_average._soft_core_h(t * cos2, np.full(3 * m_k, g_k), 1.1, beta)
         n = min(3 * m_k, chunk)
         for got, nodes, length in ((fine[k], h, n), (coarse[k], h[1::3], n // 3)):
@@ -172,7 +190,7 @@ def test_midpoint_sums_hold_the_pairwise_bound(beta):
 
 
 def test_midpoint_cache_holds_only_one_piece_rules():
-    # one call at V0 t = 1e6 (a rule of 489 pieces) builds its pieces
+    # one call at V0 t = 1e6 (a rule of 245 pieces) builds its pieces
     # through __wrapped__: it adds no entry and evicts none, so the next
     # V0 t = 30 call (a one-piece rule) hits the entry it left
     sp = GasSpec.from_blockade_number(0.5, soft_core(), RamseyProtocol(1.1, True, 1e-3, 0.0))
@@ -222,17 +240,19 @@ def test_array_form_takes_one_density_per_time(pot, gamma):
 def test_array_midpoint_nonconvergence_raises(monkeypatch):
     # the array form keeps the nested error estimate: with an integrand
     # kinked (as in test_gas.py) at |V0 t| > 2.8 only, the first failing
-    # time in array order is reported. 2.5 and 3.0 share M, which 7.0
-    # does not: M sorted, or group by group, would report 3.0. The rules of
+    # time in array order is reported. a < 2.8 < b share M, which 7.0
+    # does not: M sorted, or group by group, would report b. The rules of
     # many times share one flat node array, so the kink follows each node's
     # g = 0.1 V0 t.
     def h(x, g, *args):
         return np.where(np.asarray(g) > 0.28, np.sqrt(x), x) + 0j
 
+    nodes = nodes_at(2.8)
+    a, b = 0.5 * (t_of_nodes(nodes) + 2.8), 0.5 * (2.8 + t_of_nodes(nodes + 3))
     monkeypatch.setattr(gas_average, "_soft_core_h", h)
-    times = np.array([0.05, 2.5, 7.0, 3.0])
+    times = np.array([0.05, a, 7.0, b])
     m = [gas_average._midpoint_order(t) for t in times[1:]]
-    assert m[0] == m[2] < m[1]
+    assert a < 2.8 < b and m[0] == m[2] < m[1]
     sp = GasSpec.from_blockade_number(1.0, soft_core(), RamseyProtocol(math.pi / 2, True, 0.1, 0.0))
     with pytest.raises(NumericalError) as err:
         exponents(sp, times)
@@ -243,7 +263,7 @@ def test_array_midpoint_nonconvergence_raises(monkeypatch):
     exponents(sp, times[:2])  # smooth below 2.8: no error
 
 
-def test_midpoint_rule_past_the_node_cap_is_refused():
+def test_midpoint_rule_past_the_node_cap_is_refused(monkeypatch):
     # at V0 = 16 rad/us, t = 1e308 gives |V0 t| = inf, whose M raised a raw
     # OverflowError from int(inf); a finite |V0 t| past the cap built its
     # rule piece by piece for ever. Both are CapacityErrors now, at the first
@@ -253,12 +273,49 @@ def test_midpoint_rule_past_the_node_cap_is_refused():
     sp = GasSpec(1.0, pot, RamseyProtocol(1.0, False, 1e-300, 0.0))
     with pytest.raises(CapacityError, match=r"T = inf, g = 1e\+08 would take inf nodes"):
         exponent_integral(sp, 1e308)
-    with pytest.raises(CapacityError, match=r"T = 1e\+09, g = 6\.25e-293 .* 1\.5e\+09 nodes"):
+    with monkeypatch.context() as uncapped:
+        uncapped.setattr(gas_average, "_NODE_CAP", math.inf)
+        nodes = f"{nodes_at(1e9):.3g}"
+    assert float(nodes) > gas_average._NODE_CAP
+    with pytest.raises(CapacityError, match=rf"T = 1e\+09, g = 6\.25e-293 .* {re.escape(nodes)} nodes"):
         exponents(sp, np.array([0.5, 1e9 / 16.0, 1e300]))
-    # 3M just below and just above the cap
-    assert 3 * gas_average._midpoint_order(1.78e8) <= gas_average._NODE_CAP
+    # 3M at the cap, and 1 % further
+    top = t_of_nodes(gas_average._NODE_CAP // 3 * 3)
+    assert 3 * gas_average._midpoint_order(top) <= gas_average._NODE_CAP
     with pytest.raises(CapacityError):
-        gas_average._midpoint_order(1.8e8)
+        gas_average._midpoint_order(1.01 * top)
+
+
+def midpoint_rule(t_abs, g, m, theta, beta):
+    """The fine (3M-node) and coarse (M-node) midpoint values of I / N_R."""
+    fine, coarse = gas_average._midpoint_sums(t_abs, g, m, theta, beta)
+    m = np.array(m)
+    return fine * (t_abs * math.pi / (6 * m)), coarse * (t_abs * math.pi / (2 * m))
+
+
+@pytest.mark.parametrize("beta", [0, 1])
+def test_midpoint_order_keeps_a_margin(beta):
+    # M = |T|/4 + 3|T|^(1/3) + 6 follows the bandwidth of e^{iT cos^2 phi}.
+    # From just above the Taylor branch to |T| = 1e5, at subnormal to huge
+    # g and theta near 0, pi/2 and pi: the error estimate, the gap to the
+    # coarse M-node rule, stays 1000 times under _REL_TOL (1.2e-13 |I| was
+    # the largest seen), and the value is within 1e-14 |I| of a rule of twice the
+    # former order |T|/2 + 3|T|^(1/3) + 24, 4 to 7 times as many nodes
+    # (2.1e-15 was the largest gap seen; with unmirrored nodes, see
+    # _midpoint_cos2, the rounded step put it at 2e-14 near |T| = 3e4)
+    t_abs = np.array([np.nextafter(gas_average._T_TAYLOR, 1.0), 0.13, 0.5, 2.0, 7.0, 31.1,
+                      100.0, 900.0, 5e3, 3e4, 1e5])
+    m = [gas_average._midpoint_order(t) for t in t_abs]
+    m_ref = [2 * int(t / 2.0 + 3.0 * t ** (1.0 / 3.0) + 24.0) for t in t_abs]
+    for g_value in (5e-324, 1e-6, 0.05, 1.0, 30.0, 1e8):
+        g = np.full(t_abs.size, g_value)
+        for theta in (1e-3, math.pi / 2, math.pi):
+            value, coarse = midpoint_rule(t_abs, g, m, theta, beta)
+            assert np.array_equal(value, gas_average._soft_core_i_over_nr(t_abs, g, theta, beta))
+            ref = midpoint_rule(t_abs, g, m_ref, theta, beta)[0]
+            size = np.abs(ref)
+            assert np.all(np.abs(value - coarse) <= 1e-3 * gas_average._REL_TOL * size), (g_value, theta)
+            assert np.all(np.abs(value - ref) <= 1e-14 * size), (g_value, theta)
 
 
 def test_fig2_past_the_node_cap_exits_3(tmp_path, capsys):
@@ -271,8 +328,8 @@ def test_fig2_past_the_node_cap_exits_3(tmp_path, capsys):
 
 
 def test_array_exponent_memory_is_bounded():
-    # |V0 t| up to 1e6 needs 1.5 M midpoint nodes; the chunks keep one call
-    # below 32 MB, where a single (n_t, 3M) evaluation takes over 100 MB
+    # |V0 t| up to 1e6 needs 0.75 M midpoint nodes; the chunks keep one call
+    # below 32 MB, where a single (n_t, 3M) complex array takes 72 MB
     sp = GasSpec.from_blockade_number(0.5, soft_core(), RamseyProtocol(1.1, True, 0.3, 0.0))
     times = np.array([1e6, 2.5e5, 5e3, 3.1e3, 30.0, 0.05])
     tracemalloc.start()
@@ -287,8 +344,8 @@ def test_array_exponent_memory_is_bounded():
 
 @pytest.mark.parametrize("echo", [True, False])
 def test_float_exponent_memory_is_bounded(echo):
-    # a float call at V0 t = 1e6 (1.5 M midpoint nodes) sums its rule chunk
-    # by chunk, where a whole-rule evaluation traced 168 MB
+    # a float call at V0 t = 1e6 (0.75 M midpoint nodes) sums its rule chunk
+    # by chunk, where each complex array of the whole rule would take 12 MB
     sp = GasSpec.from_blockade_number(0.5, soft_core(), RamseyProtocol(1.1, echo, 0.3, 0.0))
     tracemalloc.start()
     try:

@@ -296,6 +296,23 @@ def test_row_products_match_prod(width):
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
+@pytest.mark.parametrize("width", [1, 6, 63, 64, 65, 225])
+def test_row_products_bits(width):
+    # rows narrower than the lanes are np.prod's own product; wider rows
+    # keep the lane product: the first m C columns multiplied out over m
+    # C-wide lanes, then the lanes' product times the leftover columns'
+    rng = np.random.default_rng(width)
+    f = np.exp(1j * rng.uniform(-math.pi, math.pi, (198, width)))
+    c = ising_core._ROW_CHUNK
+    m = width // c
+    if m == 0:
+        want = f.prod(axis=1)
+    else:
+        lanes = f[:, : m * c].reshape(198, m, c).prod(axis=1)
+        want = lanes.prod(axis=1) * f[:, m * c :].prod(axis=1)
+    assert ising_core._row_products(f).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 16, 17, 45, *CHUNK_EDGES, 257])
 def test_row_products_exact_zero(width):
     # row k has its zero in column k, so the rows past the last full lane
