@@ -177,23 +177,32 @@ def test_soft_core_tangent_integrand_matches_complex_expm1(monkeypatch):
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
-@pytest.mark.parametrize("beta, complex_peak", [(0, 213_022), (1, 123_374)])
-def test_soft_core_h_memory_is_below_the_complex_form(beta, complex_peak):
-    # the traced peak of one midpoint batch, with the integrand built in
-    # place, stays below the complex-expm1 integrand's (measured with this
-    # call, numpy 2.4): 124 kB and 109 kB. With the rules' former order,
-    # twice the nodes per |V0 t|, they traced 201 kB and 176 kB against the
-    # complex form's 347 kB and 200 kB, and whole-array expressions of the
-    # tangent identities 445 kB and 347 kB
+def traced_peak(beta):
+    """The traced peak of one midpoint batch of _soft_core_i_over_nr."""
     T, g = np.linspace(20.0, 31.0, 30), np.full(30, 0.5)
     _soft_core_i_over_nr(T, g, 1.1, beta)
     tracemalloc.start()
     try:
         _soft_core_i_over_nr(T, g, 1.1, beta)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < complex_peak
+
+
+@pytest.mark.parametrize("beta, complex_peak", [(0, 347_294), (1, 200_478)])
+def test_soft_core_h_memory_is_below_the_complex_form(beta, complex_peak, monkeypatch):
+    # the traced peak of one midpoint batch, with the integrand built in
+    # place, stays below the complex-expm1 integrand's on the same rule
+    # (numpy 2.4: 124 kB against 213 kB, 109 kB against 123 kB). The
+    # complex form in turn stays below its peak with the rules' former
+    # order, twice the nodes per |V0 t| (complex_peak; the in-place
+    # integrand traced 201 kB and 176 kB then, and whole-array expressions
+    # of the tangent identities 445 kB and 347 kB)
+    peak = traced_peak(beta)
+    with monkeypatch.context() as m:
+        m.setattr(gas_average, "_soft_core_h", complex_expm1_h)
+        complex_now = traced_peak(beta)
+    assert peak < complex_now < complex_peak
 
 
 @pytest.mark.parametrize("detuning", [5000.0, -5000.0])
