@@ -276,12 +276,15 @@ def run_fig3(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         for label, proto in unitary.items()
     }
 
+    # |contrast_gas| at both N_R, with I / N_R evaluated once per protocol
+    curve_nr = {"low": 0.01, "high": 100.0}
+    density = np.array([[GasSpec.from_blockade_number(n_r, pot, unitary["echo"]).density]
+                        for n_r in curve_nr.values()])
+    curves = [_envelope(proto, times) * np.exp(-_exponent_integral_many(pot, proto, density, times))
+              for proto in unitary.values()]
     tables = {}
-    for tag, n_r in (("low", 0.01), ("high", 100.0)):
-        cols = [
-            np.abs(contrast_gas(GasSpec.from_blockade_number(n_r, pot, proto), times))
-            for proto in unitary.values()
-        ]
+    for row, (tag, n_r) in enumerate(curve_nr.items()):
+        cols = [np.abs(curve[row]) for curve in curves]
         for label, proto in unitary.items():
             if tag == "low":
                 cols.append(low_density_contrast(n_r, v0t, proto.beta))
@@ -320,7 +323,7 @@ def run_fig3(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
     meta = {
         "command": "fig3",
         "theta_rad": theta,
-        "curve_blockade_numbers": {"low": 0.01, "high": 100.0},
+        "curve_blockade_numbers": curve_nr,
         "low_density_amplitudes": {
             "echo": low_density_amplitude(0),
             "noecho": low_density_amplitude(1),

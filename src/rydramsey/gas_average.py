@@ -389,47 +389,49 @@ def _midpoint_order(t_abs: float, g: float = 0.0) -> int:
     return int(order)
 
 
-def _midpoint_sums(t_abs: np.ndarray, g: np.ndarray, m: list, theta: float, beta: int) -> tuple:
-    """(fine, coarse) at each time of two float arrays, with M from the list
+def _midpoint_sums(t_abs: np.ndarray, g: np.ndarray, m, theta: float, beta: int) -> tuple:
+    """(fine, coarse) at each time of two float arrays, with M from the ints
     ``m``: the sums of h over the 3M nodes of the midpoint rule of
     :func:`_soft_core_i_over_nr` and over every third node from node 1
     (the M-point rule), as two complex arrays.
 
     Each rule is cut into pieces of at most _NODE_CHUNK nodes from its
     first node, so each piece starts at a multiple of 3 and is one long.
-    Walking the times in array order, whole pieces are packed into batches
-    of at most _NODE_CHUNK nodes, so a call's node arrays stay that small
-    at every |T|. A batch is one flat array, x = |T| cos^2 phi (nodes of
-    :func:`_midpoint_cos2`) and g repeated per piece: one ``_soft_core_h``
-    call evaluates it and ``np.add.reduceat`` sums each piece as a segment.
-    A full piece fills a batch alone, so a batch holds consecutive times,
-    each once, and each time adds its pieces in order of their first node.
-    A segment's sum does not depend on where it lies, so a time's sums do
-    not depend on the other times of the call; it groups its n terms
-    unlike the exact sum, within ceil(log2 n) eps sum|h| (Higham 1993).
+    The pieces, in array order, are packed whole into batches of at most
+    _NODE_CHUNK nodes, by one search of the rules' running node total per
+    batch (no loop over the times), so a call's node arrays stay that
+    small at every |T|. A batch is one flat array, x = |T| cos^2 phi
+    (nodes of :func:`_midpoint_cos2`) and g repeated per piece: one
+    ``_soft_core_h`` call evaluates it and ``np.add.reduceat`` sums each
+    piece as a segment. A full piece fills a batch alone, so a batch holds
+    consecutive times, each once, and each time adds its pieces in order
+    of their first node. A segment's sum does not depend on where it lies,
+    so a time's sums do not depend on the other times of the call; it
+    groups its n terms unlike the exact sum, within ceil(log2 n) eps
+    sum|h| (Higham 1993).
     """
-    fine, coarse = np.zeros((2, t_abs.size), dtype=complex)
-    batches, nodes = [[]], 0
-    for k, n in enumerate(m):
-        for first in range(0, 3 * n, _NODE_CHUNK):
-            size = min(_NODE_CHUNK, 3 * n - first)
-            if nodes + size > _NODE_CHUNK:
-                batches.append([])
-                nodes = 0
-            batches[-1].append((k, first, size))
-            nodes += size
-    for batch in batches:
-        span = slice(batch[0][0], batch[-1][0] + 1)
-        sizes = [size for _, _, size in batch]
+    nodes = 3 * np.asarray(m)
+    end = np.cumsum(nodes)  # each rule's end in the stream of all nodes
+    fine, coarse = np.zeros((2, nodes.size), dtype=complex)
+    k = first = 0  # the next batch starts at node ``first`` of time k's rule
+    while k < nodes.size:
+        # a full piece alone, or the rest of rule k and the whole rules that fit
+        rest = int(nodes[k]) - first
+        hi = max(k + 1, int(np.searchsorted(end, end[k] - rest + _NODE_CHUNK, "right")))
+        span, sizes = slice(k, hi), nodes[k:hi].copy()
+        sizes[0] = min(rest, _NODE_CHUNK)
         x = np.concatenate([
-            (_midpoint_cos2 if 3 * m[k] <= _NODE_CHUNK else _midpoint_cos2.__wrapped__)(m[k], first)
-            for k, first, _ in batch
+            (_midpoint_cos2 if n <= _NODE_CHUNK else _midpoint_cos2.__wrapped__)(n // 3, f)
+            for n, f in zip(nodes[span].tolist(), [first] + [0] * (hi - k - 1))
         ])
         x *= np.repeat(t_abs[span], sizes)
         vals = _soft_core_h(x, np.repeat(g[span], sizes), theta, beta)
-        starts = np.cumsum([0, *sizes[:-1]])
+        starts = np.cumsum(sizes) - sizes
         fine[span] += np.add.reduceat(vals, starts)
         coarse[span] += np.add.reduceat(vals[1::3], starts // 3)
+        first += _NODE_CHUNK
+        if first >= nodes[k]:
+            k, first = hi, 0
     return fine, coarse
 
 
@@ -479,9 +481,8 @@ def _soft_core_i_over_nr(T: np.ndarray, g: np.ndarray, theta: float, beta: int) 
             return out
         T, g = T[~taylor], g[~taylor]
     t_abs = np.abs(T)
-    m = [_midpoint_order(t, g_k) for t, g_k in zip(t_abs.tolist(), g.tolist())]
+    m = np.array([_midpoint_order(t, g_k) for t, g_k in zip(t_abs.tolist(), g.tolist())])
     fine, coarse = _midpoint_sums(t_abs, g, m, theta, beta)
-    m = np.array(m)
     total = fine * (t_abs * math.pi / (6 * m))
     err = np.abs(total - coarse * (t_abs * math.pi / (2 * m)))
     bad = np.flatnonzero(err > np.maximum(_REL_TOL * np.abs(total), _ABS_TOL))
@@ -656,10 +657,12 @@ def _bare_i_tilde(s: float, g: float, theta: float, beta: int) -> complex:
 
 
 def _exponent_integral_many(pot, proto, density, times: np.ndarray) -> np.ndarray:
-    """:func:`exponent_integral` of the gas of ``pot``, ``proto`` and
-    ``density`` (one float) at each time of a 1-D float array: the times
-    are checked, then :func:`_exponent_routes` evaluates every t > 0."""
-    out = np.zeros(times.size, dtype=complex)  # t = 0 gives 0 exactly
+    """:func:`exponent_integral` of the gases of ``pot``, ``proto`` and
+    ``density`` (one float, or a column of n floats for n rows that share
+    one soft-core I / N_R, each the float call bit for bit) at each time of
+    a 1-D float array: the times are checked, then
+    :func:`_exponent_routes` evaluates every t > 0."""
+    out = np.zeros(np.broadcast(density, times).shape, dtype=complex)  # t = 0 gives 0 exactly
     ok = (times >= 0.0) & (times < math.inf)  # nan fails too
     if not ok.all():
         bad = float(times[~ok][0])
@@ -678,24 +681,27 @@ def _exponent_integral_many(pot, proto, density, times: np.ndarray) -> np.ndarra
         t = next(x for x in times.tolist() if v0 * x == math.inf)
         raise ParameterError(f"V0 t overflows float64 at V0 = {pot.v0!r} rad/us, t = {t!r}")
     live = times > 0.0
-    out[live] = _exponent_routes(pot, proto, density, times[live], g[live])
+    out[..., live] = _exponent_routes(pot, proto, density, times[live], g[live])
     return out
 
 
 def _exponent_routes(pot, proto, density, times: np.ndarray, g: np.ndarray) -> np.ndarray:
     """I at each time t > 0 of a float array, with g = gamma t, unchecked;
-    ``density`` is one float or one value per time. Soft core: N_R times
-    the Bessel closed form where g = 0 and the midpoint rule (or its Taylor
-    branch) where g > 0. Bare: the erf/Dawson closed form at every g."""
+    ``density`` is one float, one value per time or an (n, 1) column (n
+    rows). Soft core: N_R times the Bessel closed form where g = 0 and the
+    midpoint rule (or its Taylor branch) where g > 0, masks only for a
+    call on both. Bare: the erf/Dawson closed form at every g."""
     th, beta = proto.theta, proto.beta
     if pot.kind is PotentialKind.SOFT_CORE:
-        k = np.empty(times.size, dtype=complex)
         closed = g == 0.0
-        if closed.any():
+        if closed.all():
+            k = _soft_core_i_over_nr_closed(pot.v0 * times, th, beta)
+        elif not closed.any():
+            k = _soft_core_i_over_nr(pot.v0 * times, g, th, beta)
+        else:
+            k = np.empty(times.size, dtype=complex)
             k[closed] = _soft_core_i_over_nr_closed(pot.v0 * times[closed], th, beta)
-        if not closed.all():
-            quad = ~closed
-            k[quad] = _soft_core_i_over_nr(pot.v0 * times[quad], g[quad], th, beta)
+            k[~closed] = _soft_core_i_over_nr(pot.v0 * times[~closed], g[~closed], th, beta)
         return _n_r(density, pot) * k
     pref = 4.0 * math.pi * density * np.sqrt(abs(pot.c6) * times) / 3.0
     s = math.copysign(1.0, pot.c6)
@@ -775,12 +781,8 @@ def contrast_gas_finite_n(spec: GasSpec, t: float, n: int) -> complex:
         raise ParameterError("finite-N contrast takes one time t, not an array")
     z = -exponent_integral(spec, t) / n
     if abs(z) >= 1.0:
-        warnings.warn(
-            f"|I/N| = {abs(z):.3g} >= 1: finite-N formula outside "
-            "its validity domain",
-            ValidityWarning,
-            stacklevel=2,
-        )
+        message = f"|I/N| = {abs(z):.3g} >= 1: finite-N formula outside its validity domain"
+        warnings.warn(message, ValidityWarning, stacklevel=2)
         return _envelope(spec.protocol, t) * (1.0 + z) ** (n - 1)
     x, y = z.real, z.imag
     log = complex(0.5 * math.log1p(x * (2.0 + x) + y * y), math.atan2(y, 1.0 + x))
@@ -934,20 +936,9 @@ def monte_carlo_gas(
                 rows[it, lo:hi] *= _row_products(f)
         samples[s_idx] = envelope * rows.mean(axis=1)
 
-    mean = samples.mean(axis=0)
-    stderr = np.sqrt(
-        (samples.real.var(axis=0, ddof=1) + samples.imag.var(axis=0, ddof=1))
-        / n_samples
-    )
-    return MCResult(
-        times=times,
-        mean=mean,
-        stderr=stderr,
-        samples=samples,
-        n_atoms=n_atoms,
-        box_length=box,
-        seed=seed,
-    )
+    var = samples.real.var(axis=0, ddof=1) + samples.imag.var(axis=0, ddof=1)
+    stderr = np.sqrt(var / n_samples)
+    return MCResult(times, samples.mean(axis=0), stderr, samples, n_atoms, box, seed)
 
 
 def low_density_amplitude(beta: int) -> float:
@@ -1128,21 +1119,23 @@ def _tau_window(bounds: tuple) -> tuple:
     return 0.99 * t_lb, hi
 
 
-def _brent_walk(a: float, b: float, xtol: float, rtol: float, level: float = 0.0):
+def _brent_walk(a: float, b: float, ya, yb, xtol: float, rtol: float, level: float = 0.0):
     """Brent's method for a root of y - level in [a, b] as a walk: a
-    generator that yields each probe x, takes y(x) back and returns the root.
+    generator handed ya = y(a) and yb = y(b) that yields each further probe
+    x, takes y(x) back and returns the root.
 
     A line-by-line port of scipy's C routine (``Zeros/brentq.c``) with
     maxiter 100, so every iterate, and so the root, is bit-identical to
     ``scipy.optimize.brentq(lambda x: y(x) - level, a, b, xtol=xtol,
-    rtol=rtol)``. The arithmetic runs on Python floats, which, like C
-    doubles, overflow to inf silently where numpy scalars would warn. Where
-    C divides by zero its step is inf or nan, which fails the short-step
-    test, so a zero denominator here takes the bisection step.
+    rtol=rtol)``, whose probes after a and b it makes. The arithmetic runs
+    on Python floats, which, like C doubles, overflow to inf silently where
+    numpy scalars would warn. Where C divides by zero its step is inf or
+    nan, which fails the short-step test, so a zero denominator here takes
+    the bisection step.
 
-    Raises ValueError when y - level is nan at a probe (as scipy's wrapper
-    does) or has the same sign at a and b, and RuntimeError when 100
-    iterations do not converge.
+    Raises ValueError when y - level is nan at an end or probe (as scipy's
+    wrapper does) or has the same sign at a and b, and RuntimeError when
+    100 iterations do not converge.
     """
 
     def checked(x: float, y) -> float:
@@ -1156,8 +1149,7 @@ def _brent_walk(a: float, b: float, xtol: float, rtol: float, level: float = 0.0
     xpre, xcur = float(a), float(b)
     xtol, rtol = float(xtol), float(rtol)
     xblk = fblk = spre = scur = 0.0
-    fpre = checked(xpre, (yield xpre))
-    fcur = checked(xcur, (yield xcur))
+    fpre, fcur = checked(xpre, ya), checked(xcur, yb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -1236,11 +1228,13 @@ def tau_half(spec: GasSpec) -> float:
     the half level is bracketed: the first grid step from a ratio
     |contrast| / sin(theta) above 1/2 to one at or below it. It then
     polishes the bracket to relative accuracy well below 1e-6 with
-    :func:`_brent_walk`, an in-house port of scipy's Brent iteration with
-    the same iterates. The probe points come from the floor alone; the
-    window's ceiling only decides where the scan gives up. Grid walk and
-    polish are one generator, :func:`_tau_walk`, which yields each probe
-    time and takes its ratio back. tau_half is the table of one walk
+    :func:`_brent_walk`, a port of scipy's Brent iteration with the same
+    iterates, handed the ratios the walk has at the bracket's two ends
+    (probing the lower end first where the skip rule passed it), so no
+    time is evaluated twice. The probe points come from the floor alone;
+    the window's ceiling only decides where the scan gives up. Grid walk
+    and polish are one generator, :func:`_tau_walk`, which yields each
+    probe time and takes its ratio back. tau_half is the table of one walk
     (:func:`_tau_half_table`), the driver that also runs the walks of
     fig3's and scan's tables, every N_R in one array call per round.
 
@@ -1317,9 +1311,10 @@ def _tau_walk(spec: GasSpec):
     It computes the constants of :func:`_tau_bounds` and the window once,
     walks the grid under the skip rule to the first bracketing step
     (t_prev, t), and polishes that step with :func:`_brent_walk`, the half
-    level subtracted inside. Nothing but the ratios sent back decides its
-    path, so any driver that answers with the same floats gets the same
-    probes and the same end.
+    level subtracted inside, handed the ratio at t and at t_prev (probed
+    then if the skip rule passed it): no time is probed twice. Nothing but
+    the ratios sent back decides its path, so any driver that answers with
+    the same floats gets the same probes and the same end.
     """
     if np.sin(spec.protocol.theta) == 0.0:
         raise ParameterError("initial contrast vanishes; tau_half undefined")
@@ -1331,15 +1326,17 @@ def _tau_walk(spec: GasSpec):
     for t in _tau_grid(lo, hi):
         t = float(t)
         if t <= t_safe:
-            t_prev = t  # proven above 1/2, like r_prev
+            t_prev, r_prev = t, math.inf  # proven above 1/2, not probed
             continue
         r = yield t
         if r_prev > 0.5 >= r:
-            return (yield from _brent_walk(t_prev, t, 1e-12 * t, 1e-10, level=0.5))
+            if r_prev == math.inf:
+                r_prev = yield t_prev
+            return (yield from _brent_walk(t_prev, t, r_prev, r, 1e-12 * t, 1e-10, level=0.5))
         t_prev, r_prev = t, r
         if r > 0.5 and (budget := math.log(2.0 * r) - _SKIP_MARGIN) > 0.0:
             t_safe = t + _tau_reach(b, c, d, rate, budget, t)
-    if t_prev <= t_safe:
+    if r_prev == math.inf:
         r_prev = yield t_prev
     raise CrossingNotFoundError(
         "contrast did not reach half below the search ceiling",

@@ -1674,15 +1674,22 @@ def scipy_brentq(f, a, b, xtol, rtol):
     return brentq(f, a, b, xtol=xtol, rtol=rtol)
 
 
-def walk_brentq(f, a, b, xtol, rtol):
-    """gas_average._brent_walk run to its end, each probe answered by f."""
-    walk = gas_average._brent_walk(a, b, xtol, rtol)
+def run_walk(walk, f):
+    """A walk of gas_average._brent_walk run to its end, each probe
+    answered by f."""
     try:
         x = next(walk)
         while True:
             x = walk.send(f(x))
     except StopIteration as stop:
         return stop.value
+
+
+def walk_brentq(f, a, b, xtol, rtol):
+    """gas_average._brent_walk handed f(a) and f(b), then each probe
+    answered by f: f sees scipy's order, a, b and the probes."""
+    ya = f(a)
+    return run_walk(gas_average._brent_walk(a, b, ya, f(b), xtol, rtol), f)
 
 
 @pytest.mark.parametrize("rtol", [1e-10, 1e-6, 1e-15])
@@ -1700,6 +1707,61 @@ def test_brentq_port_matches_scipy_bit_for_bit(rtol):
             assert type(root) is float
             converged += 1
     assert converged >= 3900
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-6, 1e-15])
+def test_brent_walk_handed_the_bracket_values_probes_the_rest(rtol):
+    # the cases of test_brentq_port_matches_scipy_bit_for_bit, with f(a)
+    # and f(b) handed over as tau_half's walk hands them: scipy's root and
+    # scipy's probes after the two ends, bit for bit
+    rng = np.random.default_rng(int(-math.log10(rtol)))
+    for f, a, b in brent_cases(rng, 4000):
+        xtol = 10.0 ** rng.uniform(-14.0, -2.0)
+        ends = f(a), f(b)
+
+        def handed(g, a, b, xtol, rtol):
+            return run_walk(gas_average._brent_walk(a, b, *ends, xtol, rtol), g)
+
+        root, probes = brent_run(handed, f, a, b, xtol, rtol)
+        want, scipy_probes = brent_run(scipy_brentq, f, a, b, xtol, rtol)
+        assert scipy_probes[:2] == [a, b]
+        assert (root, probes) == (want, scipy_probes[2:]), (a, b, xtol)
+
+
+def test_brent_walk_handed_the_bracket_values_at_its_edges():
+    # a root at an end returns that end before any probe, as scipy does;
+    # ends of one sign, and a nan end, raise before any probe (scipy's
+    # errors on them: test_brentq_port_errors_match_scipy)
+    def line(x):
+        return x - 0.25
+
+    for a, b in ((0.25, 1.0), (-1.0, 0.25), (0.25, 0.25)):
+        walk = gas_average._brent_walk(a, b, line(a), line(b), 1e-12, 1e-10)
+        with pytest.raises(StopIteration) as stop:
+            next(walk)
+        assert stop.value.value == scipy_brentq(line, a, b, 1e-12, 1e-10)
+    walk = gas_average._brent_walk(0.0, 1.0, 0.75, 1.0, 1e-12, 1e-10, level=0.75)
+    with pytest.raises(StopIteration) as stop:
+        next(walk)
+    assert stop.value.value == 0.0
+    cases = (
+        ("different signs", 1.0, 2.0, -1.0, -0.5),
+        ("different signs", 1.0, 2.0, 0.5, 0.25),
+        ("NaN", 0.0, 1.0, math.nan, 0.5),
+        ("NaN", 0.0, 1.0, -0.5, math.nan),
+        ("NaN", 0.0, 1.0, math.nan, math.nan),
+    )
+    for match, a, b, ya, yb in cases:
+        with pytest.raises(ValueError, match=match):
+            next(gas_average._brent_walk(a, b, ya, yb, 1e-12, 1e-10))
+    # a nan end raises as a nan probe does, with the time in the message
+    for ya, yb, x in ((math.nan, 0.5, "0.125"), (-0.5, math.nan, "0.375")):
+        with pytest.raises(ValueError, match=f"x={x} is NaN"):
+            next(gas_average._brent_walk(0.125, 0.375, ya, yb, 1e-12, 1e-10))
+    walk = gas_average._brent_walk(0.0, 1.0, -0.5, 0.5, 1e-12, 1e-10)
+    x = next(walk)
+    with pytest.raises(ValueError, match=f"x={x:.6g} is NaN"):
+        walk.send(math.nan)
 
 
 def test_brentq_port_at_the_float_extremes():

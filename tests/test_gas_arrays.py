@@ -27,6 +27,7 @@ from rydramsey.gas_average import (
     GasSpec,
     _envelope,
     _exponent_integral_many,
+    contrast_gas,
     exponent_integral,
     tau_half,
 )
@@ -235,6 +236,117 @@ def test_array_form_takes_one_density_per_time(pot, gamma):
     got = gas_average._exponent_routes(pot, proto, density, times, gamma * times)
     want = [exponent_integral(GasSpec(rho, pot, proto), t) for rho, t in zip(density, times)]
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "pot, gamma",
+    [(soft_core(), 0.0), (soft_core(-1.0), 0.0), (soft_core(), 0.2), (bare(-1.3e4), 0.0), (bare(5.0), 0.2)],
+    ids=["soft_core_closed", "soft_core_closed_negative_v0", "soft_core_quadrature", "bare", "bare_dissipative"],
+)
+@pytest.mark.parametrize("echo", [True, False])
+def test_density_column_equals_one_call_per_density(pot, gamma, echo):
+    # a column of densities gives one row per density, I / N_R evaluated
+    # once for all: each row, and the contrast fig3's curves take from it,
+    # equals the call at its own density (contrast_gas) bit for bit, on the
+    # soft-core closed form (the Hankel branch at |V0 t| = 400 included),
+    # the Taylor branch and midpoint rule, and the bare closed form, with
+    # t = 0 in the grid
+    proto = RamseyProtocol(math.pi / 2, echo, gamma, 0.05)
+    times = np.array([0.0, 1e-3, 0.05, 0.3, 3.0, 31.0, 0.0, 77.0, 400.0])
+    density = np.array([[0.3], [2.0], [1e-3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = _exponent_integral_many(pot, proto, density, times)
+        contrast = _envelope(proto, times) * np.exp(-rows)
+    assert rows.dtype == complex and rows.shape == (3, times.size)
+    for row, curve, (rho,) in zip(rows, contrast, density.tolist()):
+        spec = GasSpec(rho, pot, proto)
+        assert np.array_equal(row, exponents(spec, times))
+        assert np.array_equal(curve, contrast_gas(spec, times))
+    assert _exponent_integral_many(pot, proto, density, np.array([])).shape == (3, 0)
+
+
+def test_fig3_curves_equal_contrast_gas(tmp_path):
+    # fig3 evaluates I / N_R once per protocol for both curve densities:
+    # its columns equal |contrast_gas| of each gas bit for bit (the CSV
+    # holds 17 digits)
+    cfg = load_config(str(CONFIGS / "sr_dressed.json"))
+    experiments.run_fig3(cfg, str(tmp_path))
+    pot = experiments._soft_core_potential(cfg, "the scaling sweep")
+    for tag, n_r in (("low", 0.01), ("high", 100.0)):
+        rows = np.loadtxt(tmp_path / f"fig3_curve_{tag}.csv", delimiter=",", skiprows=1)
+        times = rows[:, 0] / abs(pot.v0)
+        for column, echo in ((1, True), (2, False)):
+            spec = GasSpec.from_blockade_number(n_r, pot, RamseyProtocol(math.pi / 2, echo, 0.0, 0.0))
+            assert np.array_equal(rows[:, column], np.abs(contrast_gas(spec, times)))
+
+
+@pytest.mark.parametrize("echo", [True, False])
+def test_exponent_routes_on_one_route_or_both(echo):
+    # a call whose times all take the closed form, all the midpoint rule (or
+    # its Taylor branch), or both (gamma > 0 with a time whose gamma t
+    # underflows to 0): each element equals the one-time call bit for bit
+    pot, density = soft_core(), 0.4
+    cases = (
+        (0.0, [1e-3, 0.05, 0.3, 3.0, 31.0, 400.0], "closed"),
+        (0.2, [1e-3, 0.05, 0.3, 3.0, 31.0, 400.0], "quadrature"),
+        (1e-300, [1e-30, 0.05, 3.0, 1e-25, 31.0], "mixed"),
+    )
+    for gamma, times, route in cases:
+        proto = RamseyProtocol(1.1, echo, gamma, 0.0)
+        times = np.array(times)
+        g = gamma * times
+        closed = g == 0.0
+        assert route == ("closed" if closed.all() else "quadrature" if not closed.any() else "mixed")
+        got = gas_average._exponent_routes(pot, proto, density, times, g)
+        want = [gas_average._exponent_routes(pot, proto, density, times[k : k + 1], g[k : k + 1])[0]
+                for k in range(times.size)]
+        assert got.dtype == complex and np.array_equal(got, want), route
+        assert np.array_equal(got, [exponent_integral(GasSpec(density, pot, proto), t) for t in times])
+
+
+def test_tau_tables_probe_each_time_once(monkeypatch, tmp_path):
+    # fig3's four default tau_1/2 tables and scan's: every round evaluates
+    # each live walk (one density per walk) at most once, and no walk
+    # evaluates a time twice, for Brent takes the ratios its bracket already
+    # has. Rounds and probes per table are the README's figures.
+    tables, rounds = [], None
+    routes, table = gas_average._exponent_routes, gas_average._tau_half_table
+
+    def recording_routes(pot, proto, density, times, g):
+        if rounds is not None:
+            rounds.append(list(zip(np.broadcast_to(density, times.shape).tolist(), times.tolist())))
+        return routes(pot, proto, density, times, g)
+
+    def recording_table(specs):
+        nonlocal rounds
+        rounds = []
+        try:
+            return table(specs)
+        finally:
+            tables.append(rounds)
+            rounds = None
+
+    monkeypatch.setattr(gas_average, "_exponent_routes", recording_routes)
+    monkeypatch.setattr(experiments, "_tau_half_table", recording_table)
+    for command in ("fig3", "scan"):
+        assert cli.main([command, "--config", str(CONFIGS / "sr_dressed.json"), "--out", str(tmp_path / command)]) == 0
+    for probes in tables:
+        for pairs in probes:
+            assert len({density for density, _ in pairs}) == len(pairs)
+        pairs = [pair for pairs in probes for pair in pairs]
+        assert len(set(pairs)) == len(pairs)
+    # (rounds, probes) of the ideal echo, ideal no-echo, dissipative echo and
+    # dissipative no-echo tables (fig3) and of scan's, the README's figures
+    # on numpy's AVX-512 loops. On its AVX2 loops the last bits of fig3's
+    # N_R grid (np.geomspace) and of the ratios differ, and the dissipative
+    # echo table skips one more grid point.
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    echo = 247 if __cpu_features__["AVX512_SKX"] else 246
+    assert [(len(probes), sum(map(len, probes))) for probes in tables] == [
+        (35, 439), (37, 576), (12, echo), (18, 302), (18, 302)
+    ]
 
 
 def test_array_midpoint_nonconvergence_raises(monkeypatch):
