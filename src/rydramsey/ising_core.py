@@ -530,28 +530,37 @@ def connected_sxsx(
         raise ParameterError(f"site indices out of range for N = {n}")
     if np.any(js == i):
         raise ParameterError("connected correlator needs two distinct sites")
-    ts = _checked_times(proto, t, v).reshape(-1).tolist()  # the floats of one-time calls
+    times = _checked_times(proto, t, v)
+    out = _connected(v.__getitem__, proto, i, js.reshape(-1).astype(int), times)
+    out = out.reshape(np.shape(t) + js.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _connected(rows, proto: RamseyProtocol, i: int, sites: np.ndarray, times) -> np.ndarray:
+    """The (times, sites) array of :func:`connected_sxsx` on checked arguments,
+    where ``rows(idx)`` returns the (len(idx), N) coupling rows of sites idx."""
+    ts = times.reshape(-1).tolist()  # the floats of one-time calls
     th, beta = proto.theta, proto.beta
-    sites = js.reshape(-1).astype(int)
 
     def prod_f(x, t):
         return _row_products(f_kernel(x * t, proto.gamma * t, th, beta))
 
+    v_i = rows([i])
     es = [_envelope(proto, t) for t in ts]
-    sx_i = [(e * prod_f(v[[i]], t)).real[0] for e, t in zip(es, ts)]
+    sx_i = [(e * prod_f(v_i, t)).real[0] for e, t in zip(es, ts)]
     out = np.empty((len(ts), sites.size))
-    height = max(1, _BLOCK_ENTRIES // n)
+    height = max(1, _BLOCK_ENTRIES // v_i.shape[1])
     for lo in range(0, sites.size, height):
         block = sites[lo : lo + height]
-        plus, minus = v[i] + v[block], v[i] - v[block]
+        v_block = rows(block)
+        plus, minus = v_i[0] + v_block, v_i[0] - v_block
         for x in (plus, minus):  # the pairs with i and with j leave the product
             x[:, i] = 0.0
             x[np.arange(block.size), block] = 0.0
         for k, (e, tk) in enumerate(zip(es, ts)):
             amp = 0.25 * e * e
-            sx = (e * prod_f(v[block], tk)).real
-            spp = amp * np.exp(1j * beta * v[i, block] * tk) * prod_f(plus, tk)
+            sx = (e * prod_f(v_block, tk)).real
+            spp = amp * np.exp(1j * beta * v_i[0, block] * tk) * prod_f(plus, tk)
             spm = amp * prod_f(minus, tk)
             out[k, lo : lo + height] = (2.0 * (spp + spm).real - sx_i[k] * sx) / 4.0
-    out = out.reshape(np.shape(t) + js.shape)
-    return float(out) if out.ndim == 0 else out
+    return out

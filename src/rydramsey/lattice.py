@@ -9,15 +9,15 @@ not bit-for-bit the configuration result: it groups a site's N - 1
 multiplies differently from
 :func:`rydramsey.ising_core.sigma_plus_couplings`, and on the same
 couplings the two stay within 5 N eps E mean_k |P_k| (E the envelope,
-P_k site k's product; a tested bound). A correlation map is one
-:func:`rydramsey.ising_core.connected_sxsx` call against the central
-site on the table spread to the dense (L^2, L^2) matrix, so each map is
-bit-for-bit the per-pair correlator (a tested invariant). Where
-positions and their differences are exact (spacing 0.5 um, say), that
-matrix is the positions' coupling matrix bit for bit; elsewhere the
-differences of rounded positions move the latter's entries by a few
-ulp. Correlations follow the spin-1/2 normalization S = sigma/2, so
-|G| <= 1/4 always.
+P_k site k's product; a tested bound). A correlation map runs the body
+of :func:`rydramsey.ising_core.connected_sxsx` against the central site
+on blocks of rows gathered from the table by displacement, so each map
+is bit-for-bit that correlator on the table spread to (L^2, L^2) (a
+tested invariant) without that matrix. Where positions and their
+differences are exact (spacing 0.5 um, say), the spread table is the
+positions' coupling matrix bit for bit; elsewhere the differences of
+rounded positions move the latter's entries by a few ulp. Correlations
+follow the spin-1/2 normalization S = sigma/2, so |G| <= 1/4 always.
 """
 from __future__ import annotations
 
@@ -31,9 +31,9 @@ from .ising_core import (
     _BLOCK_ENTRIES,
     RamseyProtocol,
     _checked_times,
+    _connected,
     _envelope,
     _half_angle_kernel,
-    connected_sxsx,
 )
 from .potential import InteractionPotential, _q_of_r, _v_of_q
 
@@ -46,9 +46,9 @@ __all__ = [
     "d4_deviation",
 ]
 
-# The correlator's coupling matrix is dense (L^2, L^2), so memory grows as
-# L^4: at L = 50 it is one 50 MB float64 array, and fig4 peaks near 89 MB
-# RSS. The contrast trace needs only the (L, L) table.
+# A correlation map pairs the center with each of the L^2 sites over all
+# L^2 sites, O(L^4) work per map and time: at L = 50 fig4 takes about 0.7 s,
+# nearly all in its maps. Memory is O(L^2): the table and blocks of rows.
 MAX_SIDE = 50
 
 
@@ -70,7 +70,7 @@ class LatticeSpec:
             raise ParameterError(f"side must be an integer >= 1, got {self.side!r}")
         if self.side > MAX_SIDE:
             raise CapacityError(
-                f"dense (L^2, L^2) lattice arrays are capped at L = {MAX_SIDE}, "
+                f"lattice maps take O(L^4) work per time and are capped at L = {MAX_SIDE}, "
                 f"got L = {self.side if self.side < 10**9 else '>= 1e9'}"
             )
         if not self.spacing > 0:
@@ -85,17 +85,6 @@ class LatticeSpec:
         """Flat index ix * L + iy of the central site (exact center for odd L)."""
         mid = (self.side - 1) // 2
         return mid * self.side + mid
-
-    @cached_property
-    def couplings(self) -> np.ndarray:
-        """(L^2, L^2) read-only coupling matrix in rad/us, built on first use:
-        :attr:`coupling_table` spread by displacement, [j, k] = table[|jx - kx|,
-        |jy - ky|], through (L, 1, L, 1) and (1, L, 1, L) index broadcasts."""
-        d = np.abs(np.subtract.outer(np.arange(self.side), np.arange(self.side)))
-        v = self.coupling_table[d[:, None, :, None], d[None, :, None, :]]
-        v = v.reshape(self.n_sites, -1)
-        v.flags.writeable = False
-        return v
 
     @cached_property
     def coupling_table(self) -> np.ndarray:
@@ -208,10 +197,10 @@ def correlation_map(spec: LatticeSpec, proto: RamseyProtocol, t) -> np.ndarray:
     to its one-time map bit for bit. The reference site holds NaN (G(i, i)
     is not defined by the map). G is symmetric in its two sites and
     bounded by 1/4 in the S = sigma/2 convention.
-    One :func:`~rydramsey.ising_core.connected_sxsx` call on
-    :attr:`LatticeSpec.couplings`, the spread coupling table, evaluates
-    every site at every time, at every gamma and gamma_d (an echo follows
-    the commuted model sequence). At t = 0 every entry vanishes.
+    One pass of :func:`~rydramsey.ising_core.connected_sxsx`'s body, on
+    rows gathered from :attr:`LatticeSpec.coupling_table` a block at a
+    time, evaluates every site at every time, at every gamma and gamma_d (an
+    echo follows the commuted model sequence). At t = 0 every entry vanishes.
 
     Raises
     ------
@@ -219,9 +208,16 @@ def correlation_map(spec: LatticeSpec, proto: RamseyProtocol, t) -> np.ndarray:
         t outside the time rule of
         :func:`~rydramsey.ising_core.sigma_plus_couplings`.
     """
+    times = _checked_times(proto, t, spec.coupling_table)
+    d = np.abs(np.subtract.outer(np.arange(spec.side), np.arange(spec.side)))
+
+    def rows(idx):  # [k, j] = table[|kx - jx|, |ky - jy|] for the sites k in idx
+        kx, ky = np.divmod(idx, spec.side)
+        return spec.coupling_table[d[kx][:, :, None], d[ky][:, None, :]].reshape(len(idx), -1)
+
     center = spec.center_site
     js = np.delete(np.arange(spec.n_sites), center)
-    g = connected_sxsx(spec.couplings, proto, center, js, t)
+    g = _connected(rows, proto, center, js, times).reshape(times.shape + js.shape)
     values = np.insert(g, center, np.nan, axis=-1)  # flat index ix * L + iy
     return values.reshape(*g.shape[:-1], spec.side, spec.side)
 

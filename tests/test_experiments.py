@@ -432,32 +432,32 @@ def test_figure_pipelines_load_no_scipy(tmp_path):
     assert run.stdout.splitlines()[-1] == "[]"
 
 
-def test_fig4_builds_each_coupling_matrix_once(tmp_path, monkeypatch):
-    # All three correlation maps read one matrix, the (L, L) coupling table
-    # spread by displacement, built once; the contrast trace reads the table
-    # and builds none, and no configuration coupling matrix is built.
+def test_fig4_builds_the_coupling_table_once(tmp_path, monkeypatch):
+    # The contrast trace and all three correlation maps read one (L, L)
+    # coupling table, built once, and no configuration coupling matrix is
+    # built.
     with open(SR, encoding="utf-8") as fh:
         data = json.load(fh)
     data["lattice"]["size"] = 5
     cfg = config_from_dict(data)
     builds = []
-    spread = LatticeSpec.couplings.func
+    build = LatticeSpec.coupling_table.func
     original = AtomConfiguration.coupling_matrix
 
-    def counting_spread(self):
-        builds.append(self.n_sites)
-        return spread(self)
+    def counting_table(self):
+        builds.append(self.side)
+        return build(self)
 
     def counting(self, pot):
         builds.append(("configuration", self.n))
         return original(self, pot)
 
-    prop = functools.cached_property(counting_spread)
-    prop.__set_name__(LatticeSpec, "couplings")
-    monkeypatch.setattr(LatticeSpec, "couplings", prop)
+    prop = functools.cached_property(counting_table)
+    prop.__set_name__(LatticeSpec, "coupling_table")
+    monkeypatch.setattr(LatticeSpec, "coupling_table", prop)
     monkeypatch.setattr(AtomConfiguration, "coupling_matrix", counting)
     run_fig4(cfg, str(tmp_path), grid=parse_grid("lin:0:4*pi:33"))
-    assert builds == [25]
+    assert builds == [5]
 
 
 def test_cli_rerun_is_byte_identical(tmp_path):

@@ -19,6 +19,7 @@ from rydramsey.ising_core import (
 from rydramsey.gas_average import GasSpec, monte_carlo_gas
 from rydramsey.lattice import LatticeSpec, correlation_map, lattice_positions
 from rydramsey.potential import DressingParams, PotentialKind, derive_potential, evaluate_V
+from test_lattice import gathered_table
 
 # Extended-precision (40-digit) reference evaluations of the pair kernel's
 # cos/sinc definition, frozen as regression constants. Besides a generic
@@ -464,7 +465,7 @@ def test_correlators_at_a_time_array_equal_one_time_calls(proto, times):
     spec = LatticeSpec(
         17, 0.5, derive_potential(DressingParams(1000.0, 5000.0, -1e4), PotentialKind.SOFT_CORE)
     )
-    v, center = spec.couplings, spec.center_site
+    v, center = gathered_table(spec), spec.center_site
     assert ising_core._BLOCK_ENTRIES // spec.n_sites < spec.n_sites - 1
     times = np.array(times)
     js = np.array([0, 3, center + 1, 200, 288])

@@ -75,7 +75,7 @@ def gathered_table(spec):
 
 def reference_couplings(spec):
     # the coupling matrix of the lattice's positions, built independently of
-    # the table; at spacing 0.5 um it is spec.couplings bit for bit
+    # the table; at spacing 0.5 um it is gathered_table(spec) bit for bit
     positions = lattice_positions(spec.side, spec.spacing)
     return AtomConfiguration(positions).coupling_matrix(spec.potential)
 
@@ -117,7 +117,6 @@ def test_contrast_is_within_its_bound_of_the_dense_path(side):
     for i, spacing in enumerate((0.5, 0.37)):
         spec = LatticeSpec(side, spacing, pot)
         v = gathered_table(spec)
-        assert v.tobytes() == spec.couplings.tobytes()
         if spacing == 0.5:
             assert v.tobytes() == reference_couplings(spec).tobytes()
         for echo, gamma in protocols if side < 50 else protocols[i : i + 1]:
@@ -241,7 +240,7 @@ def test_correlator_argument_validation():
 
 
 def test_correlator_index_array_validation():
-    v = fig_lattice(side=3)[0].couplings
+    v = gathered_table(fig_lattice(side=3)[0])
     proto = RamseyProtocol(math.pi / 2, True, 0.0, 0.0)
     with pytest.raises(ParameterError, match="distinct sites"):
         connected_sxsx(v, proto, 4, np.array([0, 4, 8]), 0.5)
@@ -264,7 +263,7 @@ def test_correlator_index_array_matches_single_calls(gamma):
     # one call over an index array equals the calls with one index each,
     # bit for bit, in any order and with repeats
     spec, proto = fig_lattice(theta=0.7, echo=False, gamma=gamma, side=5)
-    v = spec.couplings
+    v = gathered_table(spec)
     t = 0.5 * math.pi / spec.potential.v0
     js = np.array([24, 0, 13, 7, 13, 1])
     got = connected_sxsx(v, proto, 6, js, t)
@@ -313,34 +312,52 @@ def reference_sxsx(v, proto, i, j, t):
     # Per-pair closed form of the connected_sxsx docstring, one pair at a time.
     th, beta = proto.theta, proto.beta
     n = v.shape[0]
+    e = ising_core._envelope(proto, t)
 
-    def prod_f0(x):
-        return np.prod(f_kernel(x * t, 0.0, th, beta))
+    def prod_f(x):
+        return np.prod(f_kernel(x * t, proto.gamma * t, th, beta))
 
     others = np.ones(n, dtype=bool)
     others[[i, j]] = False
-    amp = (np.sin(th) / 2.0) ** 2
-    spp = amp * np.exp(1j * beta * v[i, j] * t) * prod_f0(v[i, others] + v[j, others])
-    spm = amp * prod_f0(v[i, others] - v[j, others])
+    amp = (e / 2.0) ** 2
+    spp = amp * np.exp(1j * beta * v[i, j] * t) * prod_f(v[i, others] + v[j, others])
+    spm = amp * prod_f(v[i, others] - v[j, others])
 
     def sx(k):
-        return (np.sin(th) * prod_f0(np.delete(v[k], k))).real
+        return (e * prod_f(np.delete(v[k], k))).real
 
     return (2.0 * (spp + spm).real - sx(i) * sx(j)) / 4.0
 
 
-@pytest.mark.parametrize("side", [5, 7])
+@pytest.mark.parametrize(
+    "side, gamma",
+    [
+        pytest.param(side, gamma, id=f"{side}-dissipative" if gamma else str(side))
+        for gamma in (0.0, 0.3)
+        for side in (5, 7, 1, 2, 4)
+    ],
+)
 @pytest.mark.parametrize("theta", [math.pi / 2, 0.7])
 @pytest.mark.parametrize("echo", [True, False])
-def test_map_matches_per_pair_formula(side, theta, echo):
+def test_map_matches_per_pair_formula(side, gamma, theta, echo):
     # The one-pass map trades at most 1e-12 relative against the
-    # per-pair formula (ulp-level, from vectorized complex products).
-    spec, proto = fig_lattice(theta=theta, echo=echo, side=side)
-    v = reference_couplings(spec)
-    for v0t in (math.pi / 2, math.pi, 2 * math.pi):
-        t = v0t / spec.potential.v0
+    # per-pair formula (ulp-level, from vectorized complex products), and
+    # each site is connected_sxsx on the spread table bit for bit, at a
+    # float t and in a map over an array of times. gamma > 0 runs with
+    # dephasing gamma_d = 0.11 as well. L = 1 has only the reference site,
+    # and L = 2 and 4 have no exact center.
+    spec, proto = fig_lattice(theta, echo, gamma, 0.11 if gamma else 0.0, side)
+    v = gathered_table(spec)
+    center = spec.center_site
+    times = np.array([math.pi / 2, math.pi, 2 * math.pi]) / spec.potential.v0
+    maps = correlation_map(spec, proto, times)
+    assert maps.shape == (times.size, side, side)
+    assert np.isnan(maps[(slice(None), *divmod(center, side))]).all()
+    assert np.isnan(maps).sum() == times.size
+    for k, t in enumerate(times.tolist()):
         values = correlation_map(spec, proto, t)
-        center = spec.center_site
+        assert np.isnan(values[divmod(center, side)]) and np.isnan(values).sum() == 1
+        assert np.array_equal(maps[k], values, equal_nan=True)
         for j in range(spec.n_sites):
             if j == center:
                 continue
@@ -372,7 +389,7 @@ def test_sigma_plus_couplings_holds_one_chunk_of_kernel_arrays():
     # kernel arrays and the (times, N) row products (6.3 MB traced), not an
     # (N, N) array (50 MB for a float one)
     spec, proto = fig_lattice(gamma=0.05, side=50)
-    v = spec.couplings  # built before the trace: the matrix is not the call's
+    v = gathered_table(spec)  # built before the trace: the matrix is not the call's
     times = np.linspace(0.0, 2.0, 9)
     tracemalloc.start()
     try:
@@ -434,72 +451,73 @@ def test_d4_deviation_needs_odd_side():
             d4_deviation(bad)
 
 
-def counting_couplings(monkeypatch):
-    # counts the builds of LatticeSpec.couplings, by lattice size, and of
-    # configuration coupling matrices, by atom count
-    builds = {"spec": [], "configuration": []}
-    spread = LatticeSpec.couplings.func
+def counting_builds(monkeypatch):
+    # counts the builds of LatticeSpec.coupling_table, by lattice side, and
+    # of configuration coupling matrices, by atom count
+    builds = {"table": [], "configuration": []}
+    build = LatticeSpec.coupling_table.func
     original = AtomConfiguration.coupling_matrix
 
-    def counting_spread(self):
-        builds["spec"].append(self.n_sites)
-        return spread(self)
+    def counting_table(self):
+        builds["table"].append(self.side)
+        return build(self)
 
     def counting(self, pot):
         builds["configuration"].append(self.n)
         return original(self, pot)
 
-    prop = functools.cached_property(counting_spread)
-    prop.__set_name__(LatticeSpec, "couplings")
-    monkeypatch.setattr(LatticeSpec, "couplings", prop)
+    prop = functools.cached_property(counting_table)
+    prop.__set_name__(LatticeSpec, "coupling_table")
+    monkeypatch.setattr(LatticeSpec, "coupling_table", prop)
     monkeypatch.setattr(AtomConfiguration, "coupling_matrix", counting)
     return builds
 
 
-def test_couplings_are_built_once_on_first_use(monkeypatch):
-    # a spec made only for validation builds nothing, nor does the trace;
-    # every map's protocol and time then reads the one read-only matrix,
-    # the table spread by displacement, and no configuration matrix is built
-    builds = counting_couplings(monkeypatch)
+def test_coupling_table_is_built_once_on_first_use(monkeypatch):
+    # a spec made only for validation builds nothing; the trace and every
+    # map's protocol and time then read the one read-only (L, L) table, the
+    # only array the spec holds, and no configuration matrix is built
+    builds = counting_builds(monkeypatch)
     spec, proto = fig_lattice(side=5)
-    assert builds == {"spec": [], "configuration": []}
+    assert builds == {"table": [], "configuration": []}
     lattice_contrast(spec, proto, np.linspace(0.0, 1.0, 3))
-    assert builds["spec"] == [] and "couplings" not in vars(spec)  # the trace reads the table
-    v = spec.couplings
+    table = spec.coupling_table
     correlation_map(spec, RamseyProtocol(0.7, False, 0.2), 0.4)
     correlation_map(spec, proto, np.array([0.1, 0.4]))
-    assert builds == {"spec": [25], "configuration": []} and spec.couplings is v
-    assert not v.flags.writeable
-    assert v.tobytes() == gathered_table(spec).tobytes()
+    assert builds == {"table": [5], "configuration": []} and spec.coupling_table is table
+    assert [k for k, x in vars(spec).items() if isinstance(x, np.ndarray)] == ["coupling_table"]
+    assert not table.flags.writeable
 
 
-def test_couplings_build_holds_one_dense_array():
-    # L = 50: the spread table is the only (N, N) array of the build (50 MB);
-    # building it from the positions held their distances as well (100.6 MB)
-    spec = fig_lattice(side=50)[0]
-    spec.coupling_table  # built first: the (L, L) table is not the spread's
+def test_correlation_map_holds_no_dense_matrix():
+    # L = 50 at three times: the map gathers its blocks of rows from the
+    # (L, L) table one after another, so beyond the table it holds one
+    # block's rows and kernel arrays and the (times, N) map (3.6 MB traced),
+    # not the (N, N) matrix (50 MB; a map on the spread table traced 56 MB)
+    spec, proto = fig_lattice(gamma=0.05, side=50)
+    spec.coupling_table  # built before the trace: the table is not the call's
+    times = np.array([0.5, 1.0, 2.0]) * math.pi / spec.potential.v0
     tracemalloc.start()
     try:
-        v = spec.couplings
+        got = correlation_map(spec, proto, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert v.nbytes == spec.n_sites**2 * 8
-    assert peak < 1.1 * v.nbytes
+    assert peak < 8e6
+    assert got.shape == (3, 50, 50) and np.isnan(got).sum() == 3
 
 
 def test_maps_read_the_table_at_rounded_spacing():
     # At 0.37 um the positions round, and their coupling matrix differs
     # from the spread table in 22 736 of 50 625 entries at L = 15, by up to
-    # 3.9e-15 relative (17.4 eps). The maps read the spread table: each site
-    # of each map is connected_sxsx on it, bit for bit.
+    # 3.9e-15 relative (17.4 eps). The maps read the table: each site of
+    # each map is connected_sxsx on the spread table, bit for bit.
     pot = soft_core_potential()
     spec = LatticeSpec(15, 0.37, pot)
-    v = spec.couplings
-    ref = reference_couplings(spec)
-    assert np.count_nonzero(v != ref) > 0
-    assert np.all(np.abs(v - ref) <= 32 * np.finfo(float).eps * np.abs(ref))
     table = gathered_table(spec)
+    ref = reference_couplings(spec)
+    assert np.count_nonzero(table != ref) > 0
+    assert np.all(np.abs(table - ref) <= 32 * np.finfo(float).eps * np.abs(ref))
     times = np.array([0.5, 1.0, 2.0]) * math.pi / pot.v0
     center = spec.center_site
     for proto in (RamseyProtocol(math.pi / 2, True), RamseyProtocol(0.7, False, 0.2, 0.05)):
@@ -532,10 +550,12 @@ def test_subnormal_emission_map_has_no_nan():
 @pytest.mark.filterwarnings("error")
 def test_overflowing_spacing_is_a_parameter_error(spacing, message, trace):
     # the squared distances or the positions overflowed with a numpy warning;
-    # the trace's table raises the coupling matrix's errors
+    # the table that the trace and the maps read raises the coupling matrix's
+    # errors
     spec = LatticeSpec(15, spacing, soft_core_potential())
+    proto = RamseyProtocol(math.pi / 2, True)
     with pytest.raises(ParameterError, match=message):
-        lattice_contrast(spec, RamseyProtocol(math.pi / 2, True), 0.5) if trace else spec.couplings
+        (lattice_contrast if trace else correlation_map)(spec, proto, 0.5)
 
 
 def test_lattice_spec_validation():
@@ -549,7 +569,7 @@ def test_lattice_spec_validation():
 
 
 def test_lattice_spec_caps_the_dense_arrays():
-    # checked before any (L^2, L^2) array exists, so a huge side fails fast
+    # checked before the table exists, so a huge side fails fast
     pot = soft_core_potential()
     assert LatticeSpec(MAX_SIDE, 0.5, pot).n_sites == MAX_SIDE**2
     for side in (MAX_SIDE + 1, 1_000_000, 10**4000):
