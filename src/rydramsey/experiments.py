@@ -2,13 +2,16 @@
 
 Each ``run_*`` function takes a parsed RunConfig, computes every table,
 then writes CSV curves plus a JSON metadata file into an output
-directory (creating it) and returns a manifest of what it wrote. Nothing
-is written before the computation completes, so a run that fails leaves
-no partial output. Outputs are bit-deterministic for a given config and
-seed: floats are printed with %.17g, JSON keys are sorted, and nothing
-records wall-clock time. Dimensionful columns are always accompanied by
-their dimensionless counterparts (V0 t for the dressed figures) so that
-rescaled parameter sets produce comparable tables.
+directory (creating it) and returns a manifest of what it wrote. One
+writer builds the text of every file before it opens the first, so a
+run that fails, in its computation or in formatting its output, leaves
+no partial output. Every metadata file records the resolved config,
+CLI overrides included, as resolved_config (validate's only when run
+with a config). Outputs are bit-deterministic for a given config and
+seed: every CSV cell is printed with %.17g, JSON keys are sorted, and
+nothing records wall-clock time. Dimensionful columns are always
+accompanied by their dimensionless counterparts (V0 t for the dressed
+figures) so that rescaled parameter sets produce comparable tables.
 """
 
 from __future__ import annotations
@@ -61,9 +64,9 @@ __all__ = [
 
 
 # The point cap of every grid: fig5's default grid (ultrafast.n_points) and
-# every --grid. A pipeline holds every row in memory until it writes: 10^5
-# fig5 points took about 3.5 s, a peak RSS of 110 MB and 16 MB of CSV on a
-# shared 2-vCPU host.
+# every --grid. A pipeline holds every row and the text of every file in
+# memory until it writes: 10^5 fig5 points take 0.64-0.87 s, a peak RSS of
+# 117 MB and 16 MB of CSV (one CPU of a shared 2-vCPU host).
 MAX_FIG5_POINTS = 100_000
 
 # validate's bound on |closed form - Lindblad oracle| in checks 1, 2 and 4:
@@ -109,32 +112,6 @@ def parse_grid(text: str) -> np.ndarray:
     raise ConfigError(f"unknown grid kind {kind!r} (use lin or log)")
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
-
-
-def _write_csv(path: str, columns, rows) -> None:
-    # each cell as _fmt writes it: one %-format, %d or %.17g per column, or
-    # cell by cell if a column mixes ints and floats (%.17g rounds ints past 2^53)
-    rows = [tuple(row) for row in rows]
-    ints = [{isinstance(v, (int, np.integer)) for v in col} for col in zip(*rows)]
-    if {True, False} in ints:
-        body = [",".join(map(_fmt, row)) for row in rows]
-    else:
-        line = ",".join("%d" if kind == {True} else "%.17g" for kind in ints)
-        body = [line % row for row in rows]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([",".join(columns), *body]) + "\n")
-
-
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2))
-        fh.write("\n")
-
-
 def _soft_core_potential(cfg: RunConfig, what: str):
     """The configured potential, which ``what`` needs soft-core with a plateau."""
     pot = cfg.potential
@@ -176,14 +153,27 @@ def _times_us(pot, v0t, proto: RamseyProtocol) -> np.ndarray:
     return times
 
 
-def _emit(out_dir: str, tables: dict, meta_name: str, meta: dict) -> dict:
-    """Write each ``{name: (columns, rows)}`` CSV and the meta JSON into
-    ``out_dir``, creating it; return the manifest of the files written."""
-    os.makedirs(out_dir, exist_ok=True)
+def _emit(out_dir: str, tables: dict, meta_name: str, meta: dict, cfg: RunConfig | None) -> dict:
+    """Write each ``{name: (columns, rows)}`` CSV and the meta JSON, with
+    ``cfg.resolved`` as its resolved_config unless ``cfg`` is None, into
+    ``out_dir``, creating it; return the manifest of the files written.
+
+    Every CSV cell is printed with %.17g, which prints an integer below
+    2^53 as %d does. The text of every file is built before the directory
+    is made, so a row or a meta dict that fails to format writes nothing.
+    """
+    if cfg is not None:
+        meta["resolved_config"] = cfg.resolved
+    texts = {}
     for name, (columns, rows) in tables.items():
-        _write_csv(os.path.join(out_dir, name), columns, rows)
-    _write_json(os.path.join(out_dir, meta_name), meta)
-    return {"out_dir": out_dir, "files": sorted([*tables, meta_name])}
+        line = ",".join(["%.17g"] * len(columns))
+        texts[name] = "\n".join([",".join(columns), *map(line.__mod__, rows)]) + "\n"
+    texts[meta_name] = json.dumps(meta, sort_keys=True, indent=2) + "\n"
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in texts.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    return {"out_dir": out_dir, "files": sorted(texts)}
 
 
 def run_fig2(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> dict:
@@ -225,9 +215,8 @@ def run_fig2(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         "angles_rad": angle_files,
         "grid_v0t": [float(v0t[0]), float(v0t[-1]), int(v0t.size)],
         "blockade_number": GasSpec(density, pot, base).n_r,
-        "resolved_config": cfg.resolved,
     }
-    return _emit(out_dir, tables, "fig2_meta.json", meta)
+    return _emit(out_dir, tables, "fig2_meta.json", meta, cfg)
 
 
 def _tau_columns(pot, proto: RamseyProtocol, nr_values) -> tuple:
@@ -332,9 +321,8 @@ def run_fig3(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         "fit_blockade_number": 100.0,
         "tau_slopes_ideal": slopes,
         "dissipation": {"gamma": base.gamma, "gamma_d": base.gamma_d},
-        "resolved_config": cfg.resolved,
     }
-    return _emit(out_dir, tables, "fig3_meta.json", meta)
+    return _emit(out_dir, tables, "fig3_meta.json", meta, cfg)
 
 
 def run_fig4(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> dict:
@@ -391,9 +379,8 @@ def run_fig4(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         "map_protocol": "unitary (gamma = gamma_d = 0); trace uses configured rates",
         "map_symmetry": map_meta,
         "map_snapshots": snapshots,
-        "resolved_config": cfg.resolved,
     }
-    return _emit(out_dir, tables, "fig4_meta.json", meta)
+    return _emit(out_dir, tables, "fig4_meta.json", meta, cfg)
 
 
 def run_fig5(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> dict:
@@ -453,9 +440,8 @@ def run_fig5(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
         "protocol": "non-echo, gamma = 0",
         "ratio_definition": "C(rho_high)/C(rho_low) = exp(-(rho_h - rho_l) Re I / rho)",
         "phase_definition": "-Im I(t), referenced to 0 at t = 0",
-        "resolved_config": cfg.resolved,
     }
-    return _emit(out_dir, tables, "fig5_meta.json", meta)
+    return _emit(out_dir, tables, "fig5_meta.json", meta, cfg)
 
 
 def run_scan(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> dict:
@@ -476,9 +462,8 @@ def run_scan(cfg: RunConfig, out_dir: str, grid: np.ndarray | None = None) -> di
             "gamma": proto.gamma,
             "gamma_d": proto.gamma_d,
         },
-        "resolved_config": cfg.resolved,
     }
-    return _emit(out_dir, {"scan_tau.csv": table}, "scan_meta.json", meta)
+    return _emit(out_dir, {"scan_tau.csv": table}, "scan_meta.json", meta, cfg)
 
 
 def _random_soft_core_instance(rng, n: int):
@@ -625,6 +610,4 @@ def run_validate(cfg: RunConfig | None, out_dir: str, seed: int = 0) -> dict:
         "checks": checks,
         "all_passed": all_passed,
     }
-    if cfg is not None:
-        report["resolved_config"] = cfg.resolved
-    return {**_emit(out_dir, {}, "validation_report.json", report), "all_passed": all_passed}
+    return {**_emit(out_dir, {}, "validation_report.json", report, cfg), "all_passed": all_passed}

@@ -315,9 +315,7 @@ class AtomConfiguration:
         The bits of evaluate_V on the distances, a block of rows at a time:
         q is built in one block-sized buffer and V written from it into the
         matrix, so the matrix and the cached distances are the only (N, N)
-        float arrays. The buffer is allocated before the matrix: allocated
-        after it, it made the first fig4 pass at L = 15 about 10 % slower
-        (measured; the pattern of freed memory the allocator reuses).
+        float arrays.
         """
         r = self._distances
         height = max(1, _BLOCK_ENTRIES // r.shape[1])

@@ -254,6 +254,7 @@ def test_criterion_10_byte_determinism(tmp_path):
         (["fig3", "--config", SR, "--grid", "log:0.01:100:15"], "fig3"),
         (["fig4", "--config", SR, "--grid", "lin:0:4:9"], "fig4"),
         (["fig5", "--config", RB], "fig5"),
+        (["scan", "--config", SR, "--grid", "log:0.1:10:3"], "scan"),
         (["validate", "--seed", "0"], "validate"),
     ]
     mismatched = []

@@ -489,25 +489,70 @@ def test_cli_calls_share_no_parsed_state(tmp_path):
 
 
 def test_csv_rows_format_as_fmt(tmp_path):
-    # one format string per table writes every cell as _fmt does: %d for a
-    # column of integers alone (%d would truncate a float), %.17g for a
-    # column with none, and a column that mixes them cell by cell (%.17g
-    # would round 2^53 + 1). Rows come as an iterator, as the runners zip
-    # them
+    # every cell is printed with %.17g, which prints an integer below 2^53
+    # as %d does (fig4's site indices are the only integer columns). Rows
+    # come as an iterator, as the runners zip them
     floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, np.float64(0.1), 1.0 / 3.0, 2.0]
-    ints = [0, -7, np.int64(2**62), 2**53 + 1, np.int64(-3), 5, True, np.int32(2)]
-    mixed = [1, 0.5, np.int64(2**53 + 1), -0.0, 3, np.float64(7.0), math.nan, 2**60]
-    path = tmp_path / "t.csv"
-    for columns in ([floats, ints], [ints, floats, mixed], [mixed], [ints], [floats]):
-        rows = list(zip(*columns))
-        names = [f"c{k}" for k in range(len(columns))]
-        experiments._write_csv(str(path), names, iter(rows))
-        want = [",".join(names), *(",".join(experiments._fmt(v) for v in row) for row in rows)]
-        assert path.read_text() == "\n".join(want) + "\n"
-    special = ",".join(experiments._fmt(v) for v in floats[:5])
-    assert special == "nan,inf,-inf,-0,4.9406564584124654e-324"
-    experiments._write_csv(str(path), ["a", "b"], iter([]))
-    assert path.read_text() == "a,b\n"
+    ints = [0, -7, 2_499, np.int64(-3), np.int32(2), 5, np.int64(2**53 - 1), 1]
+    float_text = "nan inf -inf -0 4.9406564584124654e-324 0.10000000000000001 0.33333333333333331 2"
+    int_text = "0 -7 2499 -3 2 5 9007199254740991 1"
+    tables = {
+        "mixed.csv": (["x", "i", "y"], iter(zip(floats, ints, floats))),
+        "ints.csv": (["i"], iter(zip(ints))),
+        "empty.csv": (["a", "b"], iter([])),
+    }
+    manifest = experiments._emit(str(tmp_path), tables, "m.json", {}, None)
+    assert manifest == {"out_dir": str(tmp_path), "files": ["empty.csv", "ints.csv", "m.json", "mixed.csv"]}
+    rows = [f"{x},{i},{x}" for x, i in zip(float_text.split(), int_text.split())]
+    assert (tmp_path / "mixed.csv").read_text() == "\n".join(["x,i,y", *rows]) + "\n"
+    assert (tmp_path / "ints.csv").read_text() == "\n".join(["i", *int_text.split()]) + "\n"
+    assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+    assert (tmp_path / "m.json").read_text() == "{}\n"
+
+
+@pytest.mark.parametrize(
+    "tables, meta",
+    [
+        ({"t.csv": (["a"], iter([(1.0,)]))}, {"n": np.int64(3)}),  # json.dumps refuses int64
+        ({"t.csv": (["a"], iter([(1.0,), ("x",)]))}, {}),  # %.17g refuses a str
+    ],
+    ids=["meta", "csv"],
+)
+def test_emit_writes_nothing_when_a_file_fails_to_format(tmp_path, tables, meta):
+    # every file's text is built before the directory is made
+    out = tmp_path / "out"
+    with pytest.raises(TypeError):
+        experiments._emit(str(out), tables, "m.json", meta, None)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig2", "--config", SR, "--grid", "lin:0:8:3"],
+        ["fig3", "--config", SR, "--grid", "log:0.01:100:3"],
+        ["fig4", "--config", SR, "--grid", "lin:0:4:3"],
+        ["fig5", "--config", RB, "--grid", "lin:0:700:3"],
+        ["scan", "--config", SR, "--grid", "log:0.1:10:3"],
+        ["scan", "--config", SR, "--grid", "log:0.1:10:3", "--theta", "pi/4", "--no-echo"],
+        ["validate", "--config", SR],
+        ["validate"],
+    ],
+    ids=["fig2", "fig3", "fig4", "fig5", "scan", "scan-override", "validate-config", "validate"],
+)
+def test_meta_records_the_resolved_config(tmp_path, argv):
+    # each meta file carries the run's resolved config, CLI overrides
+    # included; validate run without a config records none
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    (meta_name,) = [name for name in os.listdir(tmp_path) if name.endswith(".json")]
+    meta = json.loads((tmp_path / meta_name).read_text())
+    if "--config" not in argv:
+        assert "resolved_config" not in meta
+        return
+    want = load_config(argv[argv.index("--config") + 1]).resolved
+    if "--theta" in argv:
+        want["protocol"].update(theta=math.pi / 4.0, echo=False)
+    assert meta["resolved_config"] == want
 
 
 def test_fig4_map_csv_and_json_round_trip(tmp_path):
